@@ -26,7 +26,7 @@ BENCH_COUNT    ?= 5
 BENCH_HOT      := ^(BenchmarkExchange|BenchmarkLocalSortIntKeys|BenchmarkMergeKernel|BenchmarkSpillMerge|BenchmarkAlgoCompare)$$
 BENCH_HOT_PKGS := ./internal/core/ ./internal/psort/ ./internal/algo/
 
-.PHONY: all build install test race vet lint bench bench-json bench-json-all bench-baseline bench-diff algo-matrix soak soak-engine soak-shrink soak-spill telemetry-smoke trace-smoke experiments experiments-quick fuzz clean
+.PHONY: all build install test race vet lint loc bench bench-json bench-json-all bench-baseline bench-diff bench-e2e bench-test algo-matrix soak soak-engine soak-shrink soak-spill telemetry-smoke trace-smoke experiments experiments-quick fuzz clean
 
 all: build test
 
@@ -51,13 +51,18 @@ vet:
 lint:
 	golangci-lint run
 
+# Non-test Go lines per package (bench/ excluded): the number a
+# simplification PR quotes before and after.
+loc:
+	@sh scripts/loc.sh
+
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # The ratcheted hot-path benchmarks in JSON form, as the CI bench-smoke
 # job runs them: pinned GOMAXPROCS, fixed -benchtime, -count repeats.
-# BenchmarkExchange covers the staged/monolithic × zero-copy/marshal
-# exchange grid (with peak-staging-bytes), BenchmarkLocalSortIntKeys the
+# BenchmarkExchange covers the staged exchange's zero-copy and marshal
+# encodings (with peak-staging-bytes), BenchmarkLocalSortIntKeys the
 # radix dispatch, BenchmarkMergeKernel the branchless merge,
 # BenchmarkSpillMerge the out-of-core exchange against its in-memory
 # twin (with spill-bytes/op), and BenchmarkAlgoCompare the end-to-end
@@ -85,6 +90,16 @@ bench-baseline:
 # a >15% ns/op or peak-staging-bytes regression.
 bench-diff: bench-json
 	$(GO) run ./cmd/benchdiff -old BENCH_baseline.json -new BENCH_ci.json
+
+# The repository's end-to-end benchmark (BENCHMARK.json): four workloads
+# on a warm 4-rank world, both passes, into bench/out/. bench/ is its own
+# module, so `go test ./...` at the root never enters it — bench-test
+# runs its tests, and CI runs bench-test.
+bench-e2e:
+	bash bench/run.sh
+
+bench-test:
+	cd bench && $(GO) test ./...
 
 # The cross-driver algorithm matrix: every registered driver must emit
 # byte-identical output across the workload grid on both transports,
@@ -144,14 +159,15 @@ experiments:
 experiments-quick:
 	$(GO) run ./cmd/sdsbench -exp all -quick
 
-# Short fuzzing pass over the sort, partition and checkpoint-manifest
-# invariants.
+# Short fuzzing pass over the sort, partition, checkpoint-manifest and
+# exchange-decode invariants.
 fuzz:
 	$(GO) test ./internal/psort -fuzz FuzzSort -fuzztime 30s -run xxx
 	$(GO) test ./internal/psort -fuzz FuzzStableSort -fuzztime 30s -run xxx
 	$(GO) test ./internal/partition -fuzz FuzzFastPartition -fuzztime 30s -run xxx
 	$(GO) test ./internal/partition -fuzz FuzzStablePartition -fuzztime 30s -run xxx
 	$(GO) test ./internal/checkpoint -fuzz FuzzManifest -fuzztime 30s -run xxx
+	$(GO) test ./internal/codec -fuzz FuzzDecodeAppend -fuzztime 30s -run xxx
 
 # BENCH_baseline.json is a committed artifact, not a build product —
 # clean leaves it alone.

@@ -238,7 +238,7 @@ func run(args []string) (code int) {
 		in       = fs.String("in", "", "read this rank's shard from a float64 record file instead")
 		out      = fs.String("out", "", "write the sorted shard here")
 		stable   = fs.Bool("stable", false, "stable sort")
-		stage    = fs.Int64("stage", 0, "staging window for the data exchange in bytes (0 = monolithic all-to-all)")
+		stage    = fs.Int64("stage", 0, "staging window for the data exchange in bytes (0 = one chunk per peer)")
 		seed     = fs.Int64("seed", 1, "workload seed (combined with rank)")
 		timeout  = fs.Duration("timeout", 30*time.Second, "bootstrap timeout")
 
@@ -768,8 +768,8 @@ func sortJob(c *comm.Comm, p jobParams, data []float64, ck *core.Checkpointing, 
 	// The exchange stats are shared across the process's jobs so the
 	// telemetry plane exports them live (in particular the staging
 	// window gauge mid-exchange); the log line below is therefore
-	// cumulative in -serve mode. Wired unconditionally: the zero-copy
-	// counters are meaningful for the monolithic exchange too.
+	// cumulative in -serve mode. Wired unconditionally: the counters
+	// accrue whether or not -stage sets a chunk bound.
 	exch := env.exch
 	aopt.Core.Exchange = exch
 	aopt.Core.Mem = env.gauge

@@ -52,7 +52,7 @@ func main() {
 		tauM     = flag.Int64("taum", core.DefaultOptions().TauM, "node-merge threshold τm (bytes)")
 		tauO     = flag.Int("tauo", core.DefaultOptions().TauO, "overlap threshold τo (ranks)")
 		tauS     = flag.Int("taus", core.DefaultOptions().TauS, "merge-vs-sort threshold τs (ranks)")
-		stage    = flag.Int64("stage", 0, "staging window for the data exchange in bytes (0 = monolithic all-to-all)")
+		stage    = flag.Int64("stage", 0, "staging window for the data exchange in bytes (0 = one chunk per peer)")
 		stats    = flag.Bool("stats", true, "print phase breakdown and RDFA")
 		verify   = flag.Bool("verify", true, "run the distributed sortedness check after the sort")
 		trc      = flag.String("trace", "", "write a JSONL event trace to this file")

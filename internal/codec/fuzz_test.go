@@ -1,0 +1,57 @@
+package codec
+
+import (
+	"bytes"
+	"testing"
+)
+
+// FuzzDecodeAppend fuzzes the one place exchange wire bytes are parsed:
+// the receive sinks append-decode every arriving chunk. However a valid
+// encoding is cut into record-aligned chunks, the zero-copy decode (one
+// memcpy per chunk) and the marshal decode (Unmarshal per record) must
+// both reassemble the records of the whole; a chunk that is not a whole
+// number of records must be refused without a panic and without a
+// partial record appended.
+func FuzzDecodeAppend(f *testing.F) {
+	f.Add(bytes.Repeat([]byte{1, 2, 3, 4, 5, 6, 7, 0xf8}, 9), []byte{1, 3})
+	f.Add([]byte("not even one record"), []byte{})
+	f.Add(make([]byte, 16*40+5), []byte{7, 0, 255, 2})
+	zc := TaggedCodec{}
+	marshal := Funcs[Tagged]{Width: 16, MarshalFn: zc.Marshal, UnmarshFn: zc.Unmarshal}
+	if !IsZeroCopy[Tagged](zc) || IsZeroCopy[Tagged](marshal) {
+		f.Skip("host does not separate the zero-copy and the marshal decode")
+	}
+	f.Fuzz(func(t *testing.T, wire, cuts []byte) {
+		const sz = 16
+		whole := wire[:len(wire)-len(wire)%sz]
+		for name, cd := range map[string]Codec[Tagged]{"zero-copy": zc, "marshal": marshal} {
+			var recs []Tagged
+			for off, k := 0, 0; off < len(whole); k++ {
+				n := sz
+				if len(cuts) > 0 {
+					n = sz * (1 + int(cuts[k%len(cuts)])%8)
+				}
+				n = min(n, len(whole)-off)
+				var err error
+				if recs, err = DecodeAppend(cd, recs, whole[off:off+n]); err != nil {
+					t.Fatalf("%s: aligned chunk [%d,%d) refused: %v", name, off, off+n, err)
+				}
+				off += n
+			}
+			// Compare re-encoded bytes, not records: NaN keys are valid
+			// wire content and never equal themselves.
+			if got := marshalLoop(cd, recs); !bytes.Equal(got, whole) {
+				t.Fatalf("%s: %d chunked records re-encode to different bytes", name, len(recs))
+			}
+			if len(wire)%sz != 0 {
+				got, err := DecodeAppend(cd, recs, wire)
+				if err == nil {
+					t.Fatalf("%s: accepted a %d-byte chunk of %d-byte records", name, len(wire), sz)
+				}
+				if len(got) != len(recs) {
+					t.Fatalf("%s: refused chunk still appended %d records", name, len(got)-len(recs))
+				}
+			}
+		}
+	})
+}

@@ -5,7 +5,6 @@ import (
 
 	"sdssort/internal/codec"
 	"sdssort/internal/comm"
-	"sdssort/internal/metrics"
 	"sdssort/internal/partition"
 )
 
@@ -35,94 +34,22 @@ func ExchangeSorted[T any](wc *comm.Comm, work []T, bounds []int, cd codec.Codec
 	if err := partition.Validate(bounds, len(work)); err != nil {
 		return nil, fmt.Errorf("core: exchange partition: %w", err)
 	}
-
-	recSize := int64(cd.Size())
-	workBytes := int64(len(work)) * recSize
+	if p == 1 {
+		return work, nil
+	}
 	// Adopt the caller's input reservation into the per-call ledger so
 	// the staging window, the receive buffer and the spill tier account
-	// exactly as they do under core.Sort. ok marks the one exit where
-	// the ledger transfers to the caller instead of being returned.
-	acct := &memAcct{g: opt.Mem, held: workBytes}
+	// exactly as they do under core.Sort. The shared tail settles it:
+	// on success the ledger — now the output's bytes — transfers to the
+	// caller instead of being returned.
+	acct := &memAcct{g: opt.Mem, held: int64(len(work)) * int64(cd.Size())}
 	ok := false
 	defer func() {
 		if !ok {
 			acct.releaseAll()
 		}
 	}()
-
-	tm := opt.timer()
-	tr := opt.tracer()
-	rank := wc.Rank()
-
-	if p == 1 {
-		ok = true
-		return work, nil
-	}
-
-	tm.Start(metrics.PhaseExchange)
-	scounts := partition.Counts(bounds)
-	tr.Emit(rank, "partition.histogram", histogramDetail(scounts))
-	rcounts, err := exchangeCounts(wc, scounts)
-	if err != nil {
-		return nil, fmt.Errorf("core: count exchange: %w", err)
-	}
-	var m int64
-	for _, rc := range rcounts {
-		m += rc
-	}
-	stage := effStage(opt.StageBytes, recSize)
-	tr.Emit(rank, "exchange.plan", map[string]any{
-		"send_records": len(work), "recv_records": m,
-		"overlap":     !opt.Stable && p <= opt.TauO,
-		"stage_bytes": stage, "staged": stage > 0,
-		"zero_copy": zeroCopyEligible(cd, opt),
-	})
-	// Per-phase skew diagnostics, identical to core.Sort's exchange:
-	// every driver that moves data through here reports the received
-	// partition geometry. Collective when opt.Skew is set.
-	if err := observeSkew(wc, metrics.SkewExchange, m, opt, tr, rank); err != nil {
-		return nil, err
-	}
-
-	// Receive-buffer budgeting doubles as the spill trigger, exactly as
-	// in core.Sort: the decision is collective, so if any rank must
-	// spill, every rank takes the spilled path.
-	reserveErr := acct.reserve(m * recSize)
-	if opt.Spill != nil {
-		spill, aerr := agreeSpill(wc, opt.Spill.Force || reserveErr != nil)
-		if aerr != nil {
-			return nil, aerr
-		}
-		if spill {
-			if reserveErr == nil {
-				acct.release(m * recSize)
-			}
-			out, err := spillExchange(wc, work, bounds, rcounts, m, cd, cmp, opt, tm, acct, tr, rank)
-			if err != nil {
-				return nil, err
-			}
-			// spillExchange settled the work bytes and reserved the
-			// output; that reservation transfers to the caller.
-			ok = true
-			return out, nil
-		}
-	}
-	if reserveErr != nil {
-		return nil, fmt.Errorf("core: receive buffer of %d records: %w", m, reserveErr)
-	}
-
-	var out []T
-	if opt.Stable || p > opt.TauO {
-		out, err = syncExchange(wc, work, bounds, rcounts, cd, cmp, opt, tm, acct)
-	} else {
-		out, err = overlapExchange(wc, work, bounds, rcounts, cd, cmp, opt, tm, acct)
-	}
-	if err != nil {
-		return nil, err
-	}
-	// The input has been shipped; its bytes go back to the budget and
-	// the receive reservation transfers to the caller with the output.
-	acct.release(workBytes)
-	ok = true
-	return out, nil
+	out, _, err := exchangeAndOrder(wc, wc.Rank(), work, bounds, cd, cmp, opt, opt.timer(), acct)
+	ok = err == nil
+	return out, err
 }

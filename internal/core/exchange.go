@@ -2,335 +2,267 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"sdssort/internal/codec"
 	"sdssort/internal/comm"
 	"sdssort/internal/metrics"
+	"sdssort/internal/partition"
 	"sdssort/internal/psort"
+	"sdssort/internal/radix"
 	"sdssort/internal/trace"
 )
 
+// The data exchange. Fig. 1 has two flavours — the synchronous
+// all-to-all followed by merge-or-resort (lines 16-21) and the
+// asynchronous one that merges each arrival (lines 23-27) — and this
+// file has one function for each: stagedExchange and overlapExchange.
+// Everything else is a *source* that produces a destination's outgoing
+// chunks (partitionSource here, runSource in spillstream.go) or a
+// *sink* that consumes a source rank's arriving chunks (recvSlab here,
+// recvSpool in spill.go).
+
 // effStage rounds the configured stage size down to a whole number of
 // records (chunks must never split a record), with a floor of one
-// record. Returns 0 when staging is disabled.
+// record. Zero means no chunk bound: each peer's whole payload moves as
+// one chunk.
 func effStage(stageBytes, recSize int64) int64 {
 	if stageBytes <= 0 {
 		return 0
 	}
-	n := stageBytes - stageBytes%recSize
-	if n < recSize {
-		n = recSize
-	}
-	return n
+	return max(stageBytes-stageBytes%recSize, recSize)
 }
 
-// sendBytesOf converts partition bounds into the per-destination byte
-// matrix the staged collective wants.
-func sendBytesOf(bounds []int, p int, recSize int64) []int64 {
-	sb := make([]int64, p)
-	for dst := 0; dst < p; dst++ {
-		sb[dst] = int64(bounds[dst+1]-bounds[dst]) * recSize
-	}
-	return sb
-}
-
-// stagedFill returns the Fill callback both exchange paths share: it
-// encodes the n/recSize records at byte offset off of dst's partition
-// into a pooled buffer. Offsets are always record-aligned because
-// effStage is a multiple of recSize.
-func stagedFill[T any](work []T, bounds []int, cd codec.Codec[T], recSize int64, pool *codec.BufferPool) func(dst int, off, n int64) ([]byte, error) {
-	return func(dst int, off, n int64) ([]byte, error) {
-		lo := bounds[dst] + int(off/recSize)
-		hi := lo + int(n/recSize)
-		return codec.EncodeSlice(cd, pool.Get(int(n)), work[lo:hi]), nil
-	}
-}
-
-// syncExchange is the synchronous path (Fig. 1 lines 16-21): an
-// all-to-all, then local ordering by k-way merge (p < τs) or by
-// re-sorting (p >= τs). Blocking exchange plus rank-ordered chunks plus
-// stable merge is what carries stability end to end.
-//
-// With opt.StageBytes set the all-to-all runs staged: partitions are
-// encoded chunk-by-chunk into pooled buffers and arriving chunks are
-// append-decoded straight into the per-source receive slices, so the
-// only memory beyond input and receive buffers is the staging window —
-// which is reserved from the budget. Stability is unaffected: chunks
-// of a source arrive in offset order and the receive slices stay
-// rank-ordered. With StageBytes zero the legacy monolithic all-to-all
-// runs, materialising an encoded copy of the whole working set.
-func syncExchange[T any](wc *comm.Comm, work []T, bounds []int, rcounts []int64, cd codec.Codec[T], cmp func(a, b T) int, opt Options, tm *metrics.PhaseTimer, acct *memAcct) ([]T, error) {
-	p := wc.Size()
-	recSize := int64(cd.Size())
-	stage := effStage(opt.StageBytes, recSize)
-
-	tr := opt.tracer()
-	rank := wc.Rank()
-	esp := trace.StartSpan(tr, rank, opt.Span, "exchange", map[string]any{
-		"overlap": false, "staged": stage > 0, "zero_copy": zeroCopyEligible(cd, opt),
-	})
-
-	var chunks [][]T
-	var slab []T // zero-copy path: the contiguous rank-ordered receive slab backing chunks
-	var total int64
-	var stBytes, stChunks int64 // staged-path traffic, for the span
-	if zeroCopyEligible(cd, opt) {
-		var err error
-		slab, chunks, err = zeroCopyAlltoall(wc, work, bounds, rcounts, cd, recSize, stage, opt, acct)
-		if err != nil {
-			return nil, err
-		}
-		total = int64(len(slab))
-	} else if stage > 0 {
-		// Staged: reserve the window — one outgoing chunk being filled,
-		// one incoming chunk being drained — before any buffer exists.
-		window := 2 * stage
-		if err := acct.reserve(window); err != nil {
-			return nil, fmt.Errorf("core: staging window of %d bytes: %w", window, err)
-		}
-		defer acct.release(window)
-		opt.Exchange.ObservePeakStaging(window)
-
-		pool := &codec.BufferPool{}
-		chunks = make([][]T, p)
-		for src := 0; src < p; src++ {
-			chunks[src] = make([]T, 0, rcounts[src])
-			total += rcounts[src]
-		}
-		st, err := wc.StagedAlltoallv(comm.StagedOptions{
-			StageBytes: stage,
-			SendBytes:  sendBytesOf(bounds, p, recSize),
-			RecvBytes:  scale(rcounts, recSize),
-			Fill:       stagedFill(work, bounds, cd, recSize, pool),
-			FillDone:   func(_ int, buf []byte) { pool.Put(buf) },
-			OnWindow:   opt.Exchange.AddWindow,
-			Drain: func(src int, _ int64, chunk []byte) error {
-				var derr error
-				chunks[src], derr = codec.DecodeAppend(cd, chunks[src], chunk)
-				return derr
-			},
-		})
-		opt.Exchange.AddStaged(st.BytesStaged, st.Chunks)
-		opt.Exchange.AddPool(pool.Stats())
-		stBytes, stChunks = st.BytesStaged, st.Chunks
-		if err != nil {
-			return nil, fmt.Errorf("core: staged alltoall: %w", err)
-		}
-	} else {
-		parts := make([][]byte, p)
-		for dst := 0; dst < p; dst++ {
-			parts[dst] = codec.EncodeSlice(cd, nil, work[bounds[dst]:bounds[dst+1]])
-		}
-		recv, err := wc.Alltoall(parts)
-		if err != nil {
-			return nil, fmt.Errorf("core: alltoall: %w", err)
-		}
-		// Decoding the wire chunks is exchange work (it is the receive
-		// half of the transfer), so it stays on the exchange clock; the
-		// local-ordering clock starts at the merge below.
-		chunks = make([][]T, p)
-		for src := 0; src < p; src++ {
-			chunk, err := codec.DecodeSlice(cd, recv[src])
-			if err != nil {
-				return nil, fmt.Errorf("core: decode from rank %d: %w", src, err)
-			}
-			chunks[src] = chunk
-			total += int64(len(chunk))
-		}
-	}
-
-	esp.End(map[string]any{
-		"recv_records": total, "recv_bytes": total * recSize,
-		"send_records": int64(len(work)), "bytes_staged": stBytes, "chunks": stChunks,
-	})
-
-	tm.Start(metrics.PhaseLocalOrdering)
-	merge := p < opt.TauS
-	osp := trace.StartSpan(tr, rank, opt.Span, "localorder", map[string]any{"merge": merge})
-	if merge {
-		// Merge the p sorted chunks: O(m log p), stable by source
-		// rank (SdssMergeAll). On the zero-copy path the chunks are
-		// subslices of the receive slab; the merge reads them in
-		// place.
-		out := psort.KWayMerge(chunks, cmp)
-		osp.End(map[string]any{"records": len(out)})
-		return out, nil
-	}
-	// Re-sort: O(m log m) but independent of p (SdssLocalSort on the
-	// incoming data). Concatenating in rank order first keeps the
-	// stable variant stable; the zero-copy slab already is that
-	// concatenation. Integer-keyed codecs dispatch to the LSD radix
-	// pass.
-	out := slab
-	if out == nil {
-		out = make([]T, 0, total)
-		for _, chunk := range chunks {
-			out = append(out, chunk...)
-		}
-	}
-	if !reorderFast(out, cd, cmp, opt) {
-		psort.ParallelSort(out, opt.cores(), opt.Stable, cmp)
-	}
-	osp.End(map[string]any{"records": len(out)})
-	return out, nil
-}
-
-func scale(counts []int64, by int64) []int64 {
+// scale converts per-peer record counts into payload bytes.
+func scale[N int | int64](counts []N, recSize int64) []int64 {
 	out := make([]int64, len(counts))
 	for i, c := range counts {
-		out[i] = c * by
+		out[i] = int64(c) * recSize
 	}
 	return out
 }
 
-// overlapExchange is the asynchronous path (Fig. 1 lines 23-27):
-// receives from all peers are posted up front, sends stream out without
-// waiting, and each arriving chunk is merged into the running result
-// while the rest of the exchange is still in flight (SdssAlltoallvAsync
-// + SdssMergeTwo). Only the fast (non-stable) sort may take this path.
-//
-// With opt.StageBytes set the sends stream chunk-by-chunk from a single
-// pooled buffer on a sender goroutine and each source's receive is
-// reposted per chunk, so this rank stages at most one outgoing and one
-// incoming chunk — the reserved window — instead of a full encoded copy
-// of the working set.
-func overlapExchange[T any](wc *comm.Comm, work []T, bounds []int, rcounts []int64, cd codec.Codec[T], cmp func(a, b T) int, opt Options, tm *metrics.PhaseTimer, acct *memAcct) ([]T, error) {
-	p := wc.Size()
-	me := wc.Rank()
-	recSize := int64(cd.Size())
-	stage := effStage(opt.StageBytes, recSize)
-	// Zero-copy sends stream views sliced from the work slab, so only
-	// the incoming chunk occupies staging memory.
-	zc := zeroCopyEligible(cd, opt)
+func sum(xs []int64) (total int64) {
+	for _, x := range xs {
+		total += x
+	}
+	return total
+}
 
-	// One span covers the whole overlapped phase: exchange and local
-	// ordering genuinely interleave here (each arrival merges while
-	// the rest is in flight), so splitting them would be fiction.
-	esp := trace.StartSpan(opt.tracer(), me, opt.Span, "exchange", map[string]any{
-		"overlap": true, "staged": stage > 0, "zero_copy": zc,
+// exchangePlan is what the count exchange fixes about one data exchange
+// before the first payload byte moves.
+type exchangePlan struct {
+	span    string  // "exchange", or "spill" when the receive side lands on disk
+	rank    int     // the rank spans are attributed to: the sort's, which after node merging is not wc.Rank()
+	recSize int64   // wire bytes per record
+	send    []int64 // payload bytes to each destination
+	recv    []int64 // payload bytes from each source
+	stage   int64   // chunk bound, a whole number of records; 0 = one chunk per peer
+	sinkBuf int64   // write buffer the sink holds for the length of the exchange
+}
+
+// spanFailed closes a span on an error exit.
+var spanFailed = map[string]any{"reason": "error"}
+
+// open starts the exchange's span and reserves its staging window: one
+// incoming chunk, one outgoing chunk when the source encodes into a
+// buffer of its own (views of the work slab occupy nothing), and the
+// sink's write buffer. A chunk is stage bytes, or — with no chunk bound
+// — this rank's largest per-peer payload. The returned func releases
+// the window and, unless the caller ended the span first, closes it as
+// failed; callers defer it.
+func (pl exchangePlan) open(overlap bool, src chunkSource, opt Options, acct *memAcct) (*trace.Span, func(), error) {
+	sp := trace.StartSpan(opt.tracer(), pl.rank, opt.Span, pl.span, map[string]any{
+		"overlap": overlap, "staged": pl.stage > 0, "zero_copy": src.pool == nil,
 	})
-	var workBytes []byte
-	if zc {
-		workBytes, _ = codec.View(cd, work)
+	window := pl.stage
+	if window == 0 {
+		window = max(slices.Max(pl.send), slices.Max(pl.recv))
 	}
-
-	if stage > 0 {
-		window := 2 * stage
-		if zc {
-			window = stage
-		}
-		if err := acct.reserve(window); err != nil {
-			return nil, fmt.Errorf("core: staging window of %d bytes: %w", window, err)
-		}
-		defer acct.release(window)
-		opt.Exchange.ObservePeakStaging(window)
+	if src.pool != nil {
+		window *= 2
 	}
+	window += pl.sinkBuf
+	if err := acct.reserve(window); err != nil {
+		sp.End(spanFailed)
+		return nil, nil, fmt.Errorf("core: staging window of %d bytes: %w", window, err)
+	}
+	opt.Exchange.ObservePeakStaging(window)
+	return sp, func() { acct.release(window); sp.End(spanFailed) }, nil
+}
 
-	// remaining[src] is how many payload bytes src still owes us; a
-	// staged source gets its receive reposted until it hits zero.
-	remaining := make([]int64, p)
-	var reqs []*comm.Request
-	var srcs []int
-	post := func(src int) error {
-		r, err := wc.Irecv(src, tagExchange)
+// chunkSource produces the outgoing side of an exchange: fill returns
+// the n bytes at payload offset off of dst's partition. Offsets and
+// lengths are whole records because effStage is. pool is non-nil when
+// fill encodes into pooled buffers, nil when it returns views aliasing
+// the caller's record slab.
+type chunkSource struct {
+	fill func(dst int, off, n int64) ([]byte, error)
+	pool *codec.BufferPool
+}
+
+// recycle returns a sent chunk's buffer to the pool; views have none.
+func (s chunkSource) recycle(_ int, buf []byte) {
+	if s.pool != nil {
+		s.pool.Put(buf)
+	}
+}
+
+// book accrues what the source moved.
+func (s chunkSource) book(ex *metrics.ExchangeStats, bytes, chunks int64) {
+	ex.AddStaged(bytes, chunks)
+	if s.pool == nil {
+		ex.AddZeroCopy(bytes, chunks)
+	} else {
+		ex.AddPool(s.pool.Stats())
+	}
+}
+
+// partitionSource serves the chunks of a resident, partitioned working
+// set: slices of the slab itself for zero-copy codecs, pooled encodes
+// for every other codec.
+func partitionSource[T any](work []T, bounds []int, cd codec.Codec[T], recSize int64) chunkSource {
+	if workBytes, ok := codec.View(cd, work); ok {
+		return chunkSource{fill: func(dst int, off, n int64) ([]byte, error) {
+			lo := int64(bounds[dst])*recSize + off
+			return workBytes[lo : lo+n : lo+n], nil
+		}}
+	}
+	pool := &codec.BufferPool{}
+	return chunkSource{pool: pool, fill: func(dst int, off, n int64) ([]byte, error) {
+		lo := bounds[dst] + int(off/recSize)
+		return codec.EncodeSlice(cd, pool.Get(int(n)), work[lo:lo+int(n/recSize)]), nil
+	}}
+}
+
+// chunkSink consumes one arriving chunk of src's payload; it is the
+// comm.StagedOptions.Drain callback and must not retain chunk.
+type chunkSink func(src int, off int64, chunk []byte) error
+
+// recvSlab lays out the resident receive side: one contiguous slab in
+// source-rank order, each source's region of it as an empty chunk with
+// exactly that region's capacity, and the sink that append-decodes an
+// arriving chunk into its source's region — one memcpy for zero-copy
+// codecs, per-record Unmarshal otherwise. Chunks of a source arrive in
+// offset order and never exceed the advertised count, so appending
+// fills each region in place: afterwards chunks are the rank-ordered
+// sorted runs the merge wants, and the slab is their concatenation, the
+// re-sort's working set.
+func recvSlab[T any](recv []int64, cd codec.Codec[T], recSize int64) ([]T, [][]T, chunkSink) {
+	chunks := make([][]T, len(recv))
+	var total int64
+	for _, b := range recv {
+		total += b / recSize
+	}
+	slab := make([]T, total)
+	var lo int64
+	for src, b := range recv {
+		hi := lo + b/recSize
+		chunks[src] = slab[lo:lo:hi]
+		lo = hi
+	}
+	return slab, chunks, func(src int, _ int64, chunk []byte) (err error) {
+		chunks[src], err = codec.DecodeAppend(cd, chunks[src], chunk)
+		return err
+	}
+}
+
+// stagedExchange is the synchronous data exchange (SdssAlltoallv): the
+// one place a payload crosses the staged collective. It owns what every
+// variant needs — the window reservation and its release, the exchange
+// counters, the span (closed on every exit) — and leaves what differs
+// to the source and the sink. Blocking exchange plus rank-ordered sinks
+// is what carries stability end to end.
+func stagedExchange(wc *comm.Comm, pl exchangePlan, src chunkSource, sink chunkSink, opt Options, acct *memAcct) (comm.StagedStats, error) {
+	sp, done, err := pl.open(false, src, opt, acct)
+	if err != nil {
+		return comm.StagedStats{}, err
+	}
+	defer done()
+	st, err := wc.StagedAlltoallv(comm.StagedOptions{
+		StageBytes: pl.stage,
+		SendBytes:  pl.send,
+		RecvBytes:  pl.recv,
+		Fill:       src.fill,
+		FillDone:   src.recycle,
+		Drain:      sink,
+		OnWindow:   opt.Exchange.AddWindow,
+	})
+	src.book(opt.Exchange, st.BytesStaged, st.Chunks)
+	if err != nil {
+		return st, fmt.Errorf("core: %s alltoall: %w", pl.span, err)
+	}
+	sp.End(map[string]any{
+		"send_records": sum(pl.send) / pl.recSize, "recv_records": sum(pl.recv) / pl.recSize,
+		"recv_bytes": sum(pl.recv), "bytes_staged": st.BytesStaged, "chunks": st.Chunks,
+	})
+	return st, nil
+}
+
+// localOrder turns the received rank-ordered chunks into this rank's
+// sorted block (Fig. 1 lines 17-21): a k-way merge below τs — O(m log p),
+// stable by source rank (SdssMergeAll) — or a re-sort of the slab at and
+// above it — O(m log m) but independent of p (SdssLocalSort), radix
+// dispatched for integer-keyed codecs unless the sort is stable.
+func localOrder[T any](slab []T, chunks [][]T, rank int, cd codec.Codec[T], cmp func(a, b T) int, opt Options) []T {
+	merge := len(chunks) < opt.TauS
+	osp := trace.StartSpan(opt.tracer(), rank, opt.Span, "localorder", map[string]any{"merge": merge})
+	if merge {
+		slab = psort.KWayMerge(chunks, cmp)
+	} else if opt.Stable || !radix.DispatchLocal(slab, cd, cmp) {
+		psort.ParallelSort(slab, opt.cores(), opt.Stable, cmp)
+	}
+	osp.End(map[string]any{"records": len(slab)})
+	return slab
+}
+
+// overlapExchange is the asynchronous path (Fig. 1 lines 23-27):
+// receives from all peers are posted up front, a sender goroutine
+// streams the source's chunks out without waiting, and each arriving
+// chunk is merged into the running result while the rest of the
+// exchange is still in flight (SdssAlltoallvAsync + SdssMergeTwo). Only
+// the fast (non-stable) sort may take this path. One span covers the
+// whole phase: exchange and local ordering genuinely interleave here,
+// so splitting them would be fiction.
+func overlapExchange[T any](wc *comm.Comm, work []T, bounds []int, pl exchangePlan, cd codec.Codec[T], cmp func(a, b T) int, opt Options, tm *metrics.PhaseTimer, acct *memAcct) ([]T, error) {
+	me := wc.Rank()
+	src := partitionSource(work, bounds, cd, pl.recSize)
+	sp, done, err := pl.open(true, src, opt, acct)
+	if err != nil {
+		return nil, err
+	}
+	defer done()
+
+	// remaining[from] is how many payload bytes from still owes us; its
+	// receive is reposted per chunk until that hits zero.
+	remaining := slices.Clone(pl.recv)
+	remaining[me] = 0
+	var (
+		reqs     []*comm.Request
+		srcs     []int
+		consumed []bool
+	)
+	post := func(from int) error {
+		r, err := wc.Irecv(from, tagExchange)
 		if err != nil {
-			return fmt.Errorf("core: irecv from %d: %w", src, err)
+			return fmt.Errorf("core: irecv from %d: %w", from, err)
 		}
-		reqs = append(reqs, r)
-		srcs = append(srcs, src)
+		reqs, srcs, consumed = append(reqs, r), append(srcs, from), append(consumed, false)
 		return nil
 	}
-	for src := 0; src < p; src++ {
-		if src == me || rcounts[src] == 0 {
-			continue
-		}
-		remaining[src] = rcounts[src] * recSize
-		if err := post(src); err != nil {
-			return nil, err
+	for from, owed := range remaining {
+		if owed > 0 {
+			if err := post(from); err != nil {
+				return nil, err
+			}
 		}
 	}
-
-	var sends []*comm.Request
+	// The eager transports never block the sender on a matching receive.
 	sendErr := make(chan error, 1)
-	if stage > 0 {
-		// One sender goroutine walks the destinations chunk by chunk.
-		// Marshal path: each chunk is encoded into a pooled buffer, so
-		// at most one encoded chunk is alive. Zero-copy path: each
-		// chunk is a view of the work slab — nothing is encoded and
-		// nothing occupies the outgoing window. Either way the eager
-		// transports never block the sender on a matching receive.
-		pool := &codec.BufferPool{}
-		fill := stagedFill(work, bounds, cd, recSize, pool)
-		go func() {
-			var bytes, nchunks int64
-			for k := 1; k < p; k++ {
-				dst := (me + k) % p
-				total := int64(bounds[dst+1]-bounds[dst]) * recSize
-				for off := int64(0); off < total; {
-					n := total - off
-					if n > stage {
-						n = stage
-					}
-					var buf []byte
-					if zc {
-						lo := int64(bounds[dst])*recSize + off
-						buf = workBytes[lo : lo+n : lo+n]
-					} else {
-						buf, _ = fill(dst, off, n)
-						opt.Exchange.AddWindow(n)
-					}
-					if err := wc.Send(dst, tagExchange, buf); err != nil {
-						if !zc {
-							opt.Exchange.AddWindow(-n)
-						}
-						opt.Exchange.AddStaged(bytes, nchunks)
-						sendErr <- fmt.Errorf("core: staged send to %d: %w", dst, err)
-						return
-					}
-					if !zc {
-						pool.Put(buf)
-						opt.Exchange.AddWindow(-n)
-					}
-					bytes += n
-					nchunks++
-					off += n
-				}
-			}
-			opt.Exchange.AddStaged(bytes, nchunks)
-			if zc {
-				opt.Exchange.AddZeroCopy(bytes, nchunks)
-			} else {
-				opt.Exchange.AddPool(pool.Stats())
-			}
-			sendErr <- nil
-		}()
-	} else {
-		var zcBytes, zcChunks int64
-		for dst := 0; dst < p; dst++ {
-			if dst == me || bounds[dst+1] == bounds[dst] {
-				continue
-			}
-			var buf []byte
-			if zc {
-				lo, hi := int64(bounds[dst])*recSize, int64(bounds[dst+1])*recSize
-				buf = workBytes[lo:hi:hi]
-				zcBytes += hi - lo
-				zcChunks++
-			} else {
-				buf = codec.EncodeSlice(cd, nil, work[bounds[dst]:bounds[dst+1]])
-			}
-			s, err := wc.Isend(dst, tagExchange, buf)
-			if err != nil {
-				return nil, fmt.Errorf("core: isend to %d: %w", dst, err)
-			}
-			sends = append(sends, s)
-		}
-		opt.Exchange.AddZeroCopy(zcBytes, zcChunks)
-	}
+	go func() { sendErr <- pl.sendChunks(wc, src, opt.Exchange) }()
 
 	// Seed the result with our own slice; each arrival merges in.
 	out := append([]T(nil), work[bounds[me]:bounds[me+1]]...)
-	consumed := make([]bool, len(reqs))
 	for {
 		i, buf, err := comm.WaitAnyMask(reqs, consumed)
 		if err != nil {
@@ -339,46 +271,137 @@ func overlapExchange[T any](wc *comm.Comm, work []T, bounds []int, rcounts []int
 		if i < 0 {
 			break
 		}
-		src := srcs[i]
+		from, n := srcs[i], int64(len(buf))
 		// Decode on the exchange clock (receive half of the transfer);
 		// only the merge is local ordering. The encoded buffer counts
 		// toward the staging window until it has been decoded.
-		if stage > 0 {
-			opt.Exchange.AddWindow(int64(len(buf)))
-		}
+		opt.Exchange.AddWindow(n)
 		chunk, err := codec.DecodeSlice(cd, buf)
-		if stage > 0 {
-			opt.Exchange.AddWindow(-int64(len(buf)))
-		}
+		opt.Exchange.AddWindow(-n)
 		if err != nil {
-			return nil, fmt.Errorf("core: decode from rank %d: %w", src, err)
+			return nil, fmt.Errorf("core: decode from rank %d: %w", from, err)
 		}
-		if stage > 0 {
-			remaining[src] -= int64(len(buf))
-			if remaining[src] < 0 {
-				return nil, fmt.Errorf("core: rank %d sent %d bytes beyond its advertised count", src, -remaining[src])
-			}
-			if remaining[src] > 0 {
-				if err := post(src); err != nil {
-					return nil, err
-				}
-				consumed = append(consumed, false)
+		if remaining[from] -= n; remaining[from] < 0 {
+			return nil, fmt.Errorf("core: rank %d sent %d bytes beyond its advertised count", from, -remaining[from])
+		}
+		if remaining[from] > 0 {
+			if err := post(from); err != nil {
+				return nil, err
 			}
 		}
 		tm.Start(metrics.PhaseLocalOrdering)
 		out = psort.MergeTwo(out, chunk, cmp)
 		tm.Start(metrics.PhaseExchange)
 	}
-	if stage > 0 {
-		if err := <-sendErr; err != nil {
-			return nil, err
-		}
-	} else if err := comm.WaitAll(sends); err != nil {
-		return nil, fmt.Errorf("core: overlapped send: %w", err)
+	if err := <-sendErr; err != nil {
+		return nil, err
 	}
-	esp.End(map[string]any{
-		"recv_records": int64(len(out)), "recv_bytes": int64(len(out)) * recSize,
+	sp.End(map[string]any{
+		"recv_records": int64(len(out)), "recv_bytes": int64(len(out)) * pl.recSize,
 		"send_records": int64(len(work)),
 	})
 	return out, nil
+}
+
+// sendChunks is overlapExchange's sender: it walks the other ranks in
+// shift order and streams each one's payload through src chunk by
+// chunk, so at most one outgoing chunk is alive.
+func (pl exchangePlan) sendChunks(wc *comm.Comm, src chunkSource, ex *metrics.ExchangeStats) error {
+	p, me := wc.Size(), wc.Rank()
+	var bytes, chunks int64
+	defer func() { src.book(ex, bytes, chunks) }()
+	for k := 1; k < p; k++ {
+		dst := (me + k) % p
+		for off := int64(0); off < pl.send[dst]; {
+			n := pl.send[dst] - off
+			if pl.stage > 0 {
+				n = min(n, pl.stage)
+			}
+			buf, err := src.fill(dst, off, n)
+			if err != nil {
+				return err
+			}
+			ex.AddWindow(n)
+			err = wc.Send(dst, tagExchange, buf)
+			src.recycle(dst, buf)
+			ex.AddWindow(-n)
+			if err != nil {
+				return fmt.Errorf("core: staged send to %d: %w", dst, err)
+			}
+			bytes, chunks, off = bytes+n, chunks+1, off+n
+		}
+	}
+	return nil
+}
+
+// exchangeAndOrder is Fig. 1 lines 11-27, the tail every driver
+// shares: exchange the send counts, budget the receive buffer — where a
+// collapsed partition dies of OOM on a real machine, and what doubles
+// as the spill trigger — then move the data and order it on the path
+// the spill vote and τo select. On success work's claim on acct has
+// been settled and the output's made, so acct holds len(out) records
+// where it held len(work); reason is the sort.done reason of the path
+// taken, "completed" or "spilled".
+func exchangeAndOrder[T any](wc *comm.Comm, rank int, work []T, bounds []int, cd codec.Codec[T], cmp func(a, b T) int, opt Options, tm *metrics.PhaseTimer, acct *memAcct) (out []T, reason string, err error) {
+	p := wc.Size()
+	tr := opt.tracer()
+	tm.Start(metrics.PhaseExchange)
+	scounts := partition.Counts(bounds)
+	tr.Emit(rank, "partition.histogram", histogramDetail(scounts))
+	rcounts, err := exchangeCounts(wc, scounts)
+	if err != nil {
+		return nil, "", fmt.Errorf("core: count exchange: %w", err)
+	}
+	m := sum(rcounts)
+	recSize := int64(cd.Size())
+	pl := exchangePlan{
+		span: "exchange", rank: rank, recSize: recSize,
+		send: scale(scounts, recSize), recv: scale(rcounts, recSize),
+		stage: effStage(opt.StageBytes, recSize),
+	}
+	overlap := !opt.Stable && p <= opt.TauO
+	tr.Emit(rank, "exchange.plan", map[string]any{
+		"send_records": len(work), "recv_records": m, "overlap": overlap,
+		"stage_bytes": pl.stage, "staged": pl.stage > 0, "zero_copy": codec.IsZeroCopy(cd),
+	})
+	// Output-side skew: the received partition sizes — the loads the
+	// paper's RDFA metric measures and skew-aware splitting bounds.
+	if err := observeSkew(wc, metrics.SkewExchange, m, opt, tr, rank); err != nil {
+		return nil, "", err
+	}
+	// With a spill tier configured, a receive side that does not fit
+	// (or Spill.Force) diverts through disk runs instead of dying. The
+	// decision is collective — the exchange is one collective, so if
+	// any rank must spill, every rank takes the spilled path.
+	reserveErr := acct.reserve(m * recSize)
+	if opt.Spill != nil {
+		spill, err := agreeSpill(wc, opt.Spill.Force || reserveErr != nil)
+		if err != nil {
+			return nil, "", err
+		}
+		if spill {
+			if reserveErr == nil {
+				acct.release(m * recSize)
+			}
+			out, err = spillExchange(wc, work, bounds, pl, cd, cmp, opt, tm, acct)
+			return out, "spilled", err
+		}
+	}
+	if reserveErr != nil {
+		return nil, "", fmt.Errorf("core: receive buffer of %d records: %w", m, reserveErr)
+	}
+	if overlap {
+		out, err = overlapExchange(wc, work, bounds, pl, cd, cmp, opt, tm, acct)
+	} else {
+		slab, chunks, sink := recvSlab(pl.recv, cd, recSize)
+		if _, err = stagedExchange(wc, pl, partitionSource(work, bounds, cd, recSize), sink, opt, acct); err == nil {
+			tm.Start(metrics.PhaseLocalOrdering)
+			out = localOrder(slab, chunks, rank, cd, cmp, opt)
+		}
+	}
+	if err != nil {
+		return nil, "", err
+	}
+	acct.release(int64(len(work)) * recSize)
+	return out, "completed", nil
 }

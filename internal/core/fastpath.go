@@ -1,26 +1,18 @@
 package core
 
 import (
-	"fmt"
-
 	"sdssort/internal/codec"
-	"sdssort/internal/comm"
 	"sdssort/internal/psort"
 	"sdssort/internal/radix"
 )
 
-// The hot-path fast lanes: zero-copy exchange for codecs whose wire
-// form is their memory image, and LSD-radix local ordering for codecs
-// with integer sort keys. Both are pure accelerations — output bytes
-// and record order are identical to the generic marshal/comparison
-// paths, which remain the fallback for every codec that does not
-// qualify.
-
-// zeroCopyEligible reports whether this sort's exchange may
-// scatter-gather directly between record slabs.
-func zeroCopyEligible[T any](cd codec.Codec[T], opt Options) bool {
-	return !opt.DisableZeroCopy && codec.IsZeroCopy(cd)
-}
+// The hot-path fast lanes — zero-copy exchange for codecs whose wire
+// form is their memory image (partitionSource, recvSlab), LSD-radix
+// local ordering for codecs with integer sort keys (here, localOrder) —
+// are selected by what the codec declares, never by an option. Both are
+// pure accelerations: output bytes and record order are identical to
+// the generic marshal/comparison paths, which remain the fallback for
+// every codec that does not qualify.
 
 // localSortFast is the radix dispatch for the initial local sort
 // (Fig. 1 line 2): integer-keyed codecs skip the comparison sort for
@@ -31,114 +23,11 @@ func zeroCopyEligible[T any](cd codec.Codec[T], opt Options) bool {
 // Reports whether it sorted data; on false the caller runs the
 // comparison sort.
 func localSortFast[T any](data []T, cd codec.Codec[T], cmp func(a, b T) int, opt Options) bool {
-	if opt.Stable || opt.DisableRadixDispatch {
+	if opt.Stable {
 		return false
 	}
 	if opt.RunThreshold > 0 && psort.Sortedness(data, cmp) >= opt.RunThreshold {
 		return false
 	}
 	return radix.DispatchLocal(data, cd, cmp)
-}
-
-// reorderFast is the radix dispatch for the re-sort flavour of local
-// ordering (p >= τs): the concatenated received chunks are radix-sorted
-// when the codec is integer-keyed and the sort is not stable.
-func reorderFast[T any](data []T, cd codec.Codec[T], cmp func(a, b T) int, opt Options) bool {
-	if opt.Stable || opt.DisableRadixDispatch {
-		return false
-	}
-	return radix.DispatchLocal(data, cd, cmp)
-}
-
-// zeroCopyAlltoall runs the synchronous all-to-all without any codec
-// marshalling: outgoing chunks are views sliced straight from the work
-// slab and arriving chunks are memcpy'd into one contiguous receive
-// slab laid out in rank order. It returns the slab and its per-source
-// subslices (chunks[src] aliases the slab), so the merge path sees the
-// usual rank-ordered chunks and the re-sort path uses the slab as its
-// already-concatenated working set.
-//
-// With stage > 0 the transfer runs through StagedAlltoallv; only the
-// incoming chunk occupies staging memory (one stage window, reserved
-// from the budget) because the outgoing side aliases the work slab
-// instead of encoding into a pooled buffer. With stage == 0 the
-// monolithic all-to-all runs, but the send side still aliases the slab
-// — the unaccounted full encoded copy of the marshal path disappears
-// on both variants.
-func zeroCopyAlltoall[T any](wc *comm.Comm, work []T, bounds []int, rcounts []int64, cd codec.Codec[T], recSize, stage int64, opt Options, acct *memAcct) ([]T, [][]T, error) {
-	p := wc.Size()
-	var total int64
-	for _, rc := range rcounts {
-		total += rc
-	}
-	out := make([]T, total)
-	outBytes, ok := codec.View(cd, out)
-	workBytes, ok2 := codec.View(cd, work)
-	if !ok || !ok2 {
-		return nil, nil, fmt.Errorf("core: zero-copy exchange on non-zero-copy codec")
-	}
-	// Byte offset of each source's region in the receive slab, and the
-	// per-source record subslices the local ordering will see.
-	baseB := make([]int64, p+1)
-	chunks := make([][]T, p)
-	var baseR int64
-	for src := 0; src < p; src++ {
-		baseB[src+1] = baseB[src] + rcounts[src]*recSize
-		chunks[src] = out[baseR : baseR+rcounts[src]]
-		baseR += rcounts[src]
-	}
-
-	if stage > 0 {
-		// Staging window: one incoming chunk. (The marshal path
-		// reserves 2× — outgoing encode buffer plus incoming chunk —
-		// which the slab aliasing makes unnecessary.)
-		if err := acct.reserve(stage); err != nil {
-			return nil, nil, fmt.Errorf("core: staging window of %d bytes: %w", stage, err)
-		}
-		defer acct.release(stage)
-		opt.Exchange.ObservePeakStaging(stage)
-
-		st, err := wc.StagedAlltoallv(comm.StagedOptions{
-			StageBytes: stage,
-			SendBytes:  sendBytesOf(bounds, p, recSize),
-			RecvBytes:  scale(rcounts, recSize),
-			OnWindow:   opt.Exchange.AddWindow,
-			Fill: func(dst int, off, n int64) ([]byte, error) {
-				lo := int64(bounds[dst])*recSize + off
-				return workBytes[lo : lo+n : lo+n], nil
-			},
-			Drain: func(src int, off int64, chunk []byte) error {
-				copy(outBytes[baseB[src]+off:baseB[src+1]], chunk)
-				return nil
-			},
-		})
-		opt.Exchange.AddStaged(st.BytesStaged, st.Chunks)
-		opt.Exchange.AddZeroCopy(st.BytesStaged, st.Chunks)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: staged alltoall: %w", err)
-		}
-		return out, chunks, nil
-	}
-
-	parts := make([][]byte, p)
-	for dst := 0; dst < p; dst++ {
-		lo, hi := int64(bounds[dst])*recSize, int64(bounds[dst+1])*recSize
-		parts[dst] = workBytes[lo:hi:hi]
-	}
-	recv, err := wc.Alltoall(parts)
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: alltoall: %w", err)
-	}
-	var nbytes, nchunks int64
-	for src := 0; src < p; src++ {
-		if int64(len(recv[src])) != rcounts[src]*recSize {
-			return nil, nil, fmt.Errorf("core: rank %d sent %d bytes, advertised %d records",
-				src, len(recv[src]), rcounts[src])
-		}
-		copy(outBytes[baseB[src]:baseB[src+1]], recv[src])
-		nbytes += int64(len(recv[src]))
-		nchunks++
-	}
-	opt.Exchange.AddZeroCopy(nbytes, nchunks)
-	return out, chunks, nil
 }

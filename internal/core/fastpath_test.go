@@ -17,8 +17,9 @@ import (
 // acceleration, so with the same input and the same local ordering the
 // outputs of the zero-copy and the marshal exchange must be identical
 // record for record — across the sync-merge, sync-resort, overlap and
-// staged shapes. Radix dispatch is disabled on both sides so the only
-// difference under test is the exchange encoding.
+// staged shapes. Tagged has no integer key, so neither side radix
+// dispatches and the only difference under test is the exchange
+// encoding, selected by hiding the codec's capabilities.
 func TestSortZeroCopyMatchesMarshal(t *testing.T) {
 	topo := cluster.Topology{Nodes: 2, CoresPerNode: 2}
 	configs := []struct {
@@ -40,18 +41,16 @@ func TestSortZeroCopyMatchesMarshal(t *testing.T) {
 				in := makeTagged(topo.Size(), 400, zipfGen(63, 1.2))
 				opt := cfg.opt
 				opt.StageBytes = stage
-				opt.DisableRadixDispatch = true
 				opt.Exchange = &metrics.ExchangeStats{}
 				fast := runSort(t, topo, in, opt)
 				checkSorted(t, in, fast, false)
 				if !opt.Exchange.ZeroCopyUsed() {
 					t.Fatal("zero-copy-capable codec took the marshal path")
 				}
-				opt.DisableZeroCopy = true
 				opt.Exchange = &metrics.ExchangeStats{}
-				slow := runSort(t, topo, in, opt)
+				slow := runSortCodec(t, topo, in, taggedCodecFor(false), opt)
 				if opt.Exchange.ZeroCopyUsed() {
-					t.Fatal("DisableZeroCopy did not disable the fast path")
+					t.Fatal("a codec with its capabilities hidden took the fast path")
 				}
 				if cfg.exact {
 					equalOutputs(t, slow, fast, cfg.name)

@@ -76,12 +76,12 @@ type Options struct {
 	Mem *memlimit.Gauge
 
 	// StageBytes bounds the staging window of the all-to-all data
-	// exchange: partitions are encoded chunk-by-chunk into pooled
-	// buffers of at most this many bytes (rounded down to whole
-	// records) and arriving chunks are decoded incrementally, so the
-	// exchange's memory beyond input and receive buffers is ~2×
-	// StageBytes instead of an encoded copy of the working set. Zero
-	// keeps the legacy monolithic exchange.
+	// exchange: each peer's payload moves in chunks of at most this
+	// many bytes (rounded down to whole records), so the exchange's
+	// memory beyond input and receive buffers is one incoming chunk
+	// plus, for codecs that must encode, one outgoing chunk — reserved
+	// against Mem. Zero means no chunking: each peer's payload is one
+	// chunk and the window is the rank's largest per-peer payload.
 	StageBytes int64
 
 	// Exchange, when non-nil, accrues staged-exchange counters (bytes
@@ -128,16 +128,6 @@ type Options struct {
 	// becomes available for inputs larger than the budget. Must agree
 	// across ranks — the spill decision is collective. See SpillOptions.
 	Spill *SpillOptions
-
-	// DisableZeroCopy forces the exchange through the generic marshal
-	// path — encode into pooled buffers, decode record by record —
-	// even for zero-copy-capable codecs. Benchmark/ablation knob: the
-	// wire bytes and the output are identical either way.
-	DisableZeroCopy bool
-
-	// DisableRadixDispatch keeps local ordering on the comparison
-	// sorts even for integer-keyed codecs. Benchmark/ablation knob.
-	DisableRadixDispatch bool
 
 	// DisableSkewAware replaces the skew-aware partition with the
 	// classical plain upper-bound partition (every record equal to a

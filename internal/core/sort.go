@@ -303,78 +303,15 @@ func Sort[T any](c *comm.Comm, data []T, cd codec.Codec[T], cmp func(a, b T) int
 			aliasCkpt(ck, tr, rank, sc, checkpoint.PhasePartition, checkpoint.PhaseLocalSort, merged, true, b64)
 		}
 	}
-	p := wc.Size()
-
-	// Exchange the send counts (lines 11-13) and budget the receive
-	// buffer (line 14) — this is where a collapsed partition dies of
-	// OOM on a real machine.
-	tm.Start(metrics.PhaseExchange)
-	scounts := partition.Counts(bounds)
-	tr.Emit(rank, "partition.histogram", histogramDetail(scounts))
-	rcounts, err := exchangeCounts(wc, scounts)
-	if err != nil {
-		return nil, fmt.Errorf("core: count exchange: %w", err)
-	}
-	var m int64
-	for _, rc := range rcounts {
-		m += rc
-	}
-	stage := effStage(opt.StageBytes, recSize)
-	tr.Emit(rank, "exchange.plan", map[string]any{
-		"send_records": len(work), "recv_records": m,
-		"overlap":     !opt.Stable && p <= opt.TauO,
-		"stage_bytes": stage, "staged": stage > 0,
-		"zero_copy": zeroCopyEligible(cd, opt),
-	})
-	// Output-side skew: the received partition sizes — the loads the
-	// paper's RDFA metric measures and skew-aware splitting bounds.
-	if err := observeSkew(wc, metrics.SkewExchange, m, opt, tr, rank); err != nil {
-		return nil, err
-	}
-	// Receive-buffer budgeting doubles as the spill trigger: with a
-	// spill tier configured, a receive side that does not fit (or
-	// Spill.Force) diverts the exchange through disk runs instead of
-	// dying of OOM. The decision is collective — the exchange is one
-	// collective, so if any rank must spill, every rank takes the
-	// spilled path.
-	reserveErr := acct.reserve(m * recSize)
-	if opt.Spill != nil {
-		spill, aerr := agreeSpill(wc, opt.Spill.Force || reserveErr != nil)
-		if aerr != nil {
-			return nil, aerr
-		}
-		if spill {
-			if reserveErr == nil {
-				acct.release(m * recSize)
-			}
-			out, err := spillExchange(wc, work, bounds, rcounts, m, cd, cmp, opt, tm, acct, tr, rank)
-			if err != nil {
-				return nil, err
-			}
-			if err := saveCkpt(ck, tr, rank, sc, checkpoint.PhaseFinal, merged, true, nil, cd, out); err != nil {
-				return nil, err
-			}
-			return done(out, "spilled")
-		}
-	}
-	if reserveErr != nil {
-		return nil, fmt.Errorf("core: receive buffer of %d records: %w", m, reserveErr)
-	}
-
-	// Exchange + local ordering (lines 15-27).
-	var out []T
-	if opt.Stable || p > opt.TauO {
-		out, err = syncExchange(wc, work, bounds, rcounts, cd, cmp, opt, tm, acct)
-	} else {
-		out, err = overlapExchange(wc, work, bounds, rcounts, cd, cmp, opt, tm, acct)
-	}
+	// Count exchange, data exchange and local ordering (lines 11-27).
+	out, reason, err := exchangeAndOrder(wc, rank, work, bounds, cd, cmp, opt, tm, acct)
 	if err != nil {
 		return nil, err
 	}
 	if err := saveCkpt(ck, tr, rank, sc, checkpoint.PhaseFinal, merged, true, nil, cd, out); err != nil {
 		return nil, err
 	}
-	return done(out, "completed")
+	return done(out, reason)
 }
 
 // partitionData computes this rank's send boundaries using the fast or

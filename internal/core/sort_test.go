@@ -16,6 +16,22 @@ import (
 
 var taggedCodec = codec.TaggedCodec{}
 
+// plainCodec hides every optional capability of a codec (ZeroCopyCapable,
+// Uint64Keyer, BulkAppender) behind the bare Codec interface. The sort
+// reads eligibility for the zero-copy exchange and the radix dispatch
+// off the codec, so wrapping is how a test selects the marshal exchange
+// and the comparison local ordering for the same records.
+type plainCodec[T any] struct{ codec.Codec[T] }
+
+// taggedCodecFor returns the Tagged codec with (zeroCopy) or without
+// its capabilities.
+func taggedCodecFor(zeroCopy bool) codec.Codec[codec.Tagged] {
+	if zeroCopy {
+		return taggedCodec
+	}
+	return plainCodec[codec.Tagged]{taggedCodec}
+}
+
 // makeTagged builds per-rank inputs of Tagged records with keys from
 // gen, tagging each record with its (rank, index) origin.
 func makeTagged(p, perRank int, gen func(rank, i int) float64) [][]codec.Tagged {
@@ -34,9 +50,15 @@ func makeTagged(p, perRank int, gen func(rank, i int) float64) [][]codec.Tagged 
 // returns the per-rank outputs.
 func runSort(t *testing.T, topo cluster.Topology, in [][]codec.Tagged, opt Options) [][]codec.Tagged {
 	t.Helper()
+	return runSortCodec(t, topo, in, taggedCodec, opt)
+}
+
+// runSortCodec is runSort through a chosen codec for the same records.
+func runSortCodec(t *testing.T, topo cluster.Topology, in [][]codec.Tagged, cd codec.Codec[codec.Tagged], opt Options) [][]codec.Tagged {
+	t.Helper()
 	out, err := cluster.Gather(topo, cluster.Options{}, func(c *comm.Comm) ([]codec.Tagged, error) {
 		local := append([]codec.Tagged(nil), in[c.Rank()]...)
-		return Sort(c, local, taggedCodec, codec.CompareTagged, opt)
+		return Sort(c, local, cd, codec.CompareTagged, opt)
 	})
 	if err != nil {
 		t.Fatal(err)

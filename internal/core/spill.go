@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"sdssort/internal/codec"
 	"sdssort/internal/comm"
@@ -22,7 +23,7 @@ import (
 // atomic temp-and-rename commit the checkpoint writer uses. The output
 // is then a lazy k-way merge over the run files with the source rank
 // as tiebreaker, which is exactly the stable rank-ordered merge of the
-// in-memory path — so every driver path (stable, staged, monolithic,
+// in-memory path — so every driver path (stable, chunked or not,
 // zero-copy, marshal) spills with identical output bytes.
 //
 // SortStream (spillstream.go) extends the same machinery to the input
@@ -88,6 +89,16 @@ func (sp *SpillOptions) bufBytes() int {
 	return 256 << 10
 }
 
+// stageBytes is the chunk bound of a spilled exchange: the configured
+// StageBytes, or 4 × BufBytes without one — one unbounded chunk per
+// peer would defeat the bounded window the tier exists for.
+func (sp *SpillOptions) stageBytes(configured int64) int64 {
+	if configured > 0 {
+		return configured
+	}
+	return 4 * int64(sp.bufBytes())
+}
+
 func (sp *SpillOptions) maxFanIn() int {
 	if sp.MaxFanIn > 0 {
 		return sp.MaxFanIn
@@ -121,10 +132,7 @@ func (sp *SpillOptions) chunkRecords(recSize, budget int64) int {
 // holds input and receive buffers simultaneously.
 func (sp *SpillOptions) Footprint(totalBytes int64, ranks int, stageBytes int64) int64 {
 	buf := int64(sp.bufBytes())
-	stage := stageBytes
-	if stage <= 0 {
-		stage = 4 * buf // spillStage's fallback for an unstaged config
-	}
+	stage := sp.stageBytes(stageBytes)
 	fan := int64(sp.maxFanIn())
 	if int64(ranks) < fan {
 		fan = int64(ranks) // the output merge fans in one run per source
@@ -142,16 +150,6 @@ func (sp *SpillOptions) mergeOptions(tempDir string, g *memlimit.Gauge) extsort.
 		TempDir:  tempDir,
 		Stats:    sp.Stats,
 	}
-}
-
-// spillStage picks the stage-chunk size for a spilled exchange: the
-// configured StageBytes, or — because the spill path is always staged,
-// a monolithic chunk would defeat the bounded window — 4 × BufBytes.
-func spillStage(opt Options, recSize int64) int64 {
-	if s := effStage(opt.StageBytes, recSize); s > 0 {
-		return s
-	}
-	return effStage(int64(opt.Spill.bufBytes())*4, recSize)
 }
 
 // agreeSpill makes the spill decision collective: each rank reports
@@ -176,39 +174,27 @@ func agreeSpill(wc *comm.Comm, localWant bool) (bool, error) {
 	return false, nil
 }
 
-// recvSpool lands the exchange's receive side on disk: one run file
-// per source rank, written in raw wire bytes as chunks arrive. The
-// staged schedule streams one source to completion per round, so at
-// most one run writer is ever open — the spool's memory is a single
-// write buffer.
+// recvSpool is the on-disk sink: one run file per source rank, written
+// in raw wire bytes as chunks arrive and committed the moment the
+// source's advertised payload is complete. The staged schedule streams
+// one source to completion per round, so at most one run writer is ever
+// open — the spool's memory is a single write buffer.
 type recvSpool struct {
 	dir       string
 	bufBytes  int
-	recSize   int64
+	recv      []int64 // advertised payload bytes by source rank
 	stats     *metrics.SpillStats
 	active    *extsort.RawRunWriter
 	activeSrc int
-	runs      []string // by source rank; "" = no data
-	done      []bool
+	runs      []string // by source rank; "" = no data yet
 }
 
-func newRecvSpool(dir string, p int, bufBytes int, recSize int64, stats *metrics.SpillStats) *recvSpool {
-	return &recvSpool{
-		dir: dir, bufBytes: bufBytes, recSize: recSize, stats: stats,
-		activeSrc: -1, runs: make([]string, p), done: make([]bool, p),
-	}
-}
-
-// drain is the comm.StagedOptions.Drain callback.
+// drain is the chunkSink.
 func (s *recvSpool) drain(src int, _ int64, chunk []byte) error {
-	if src != s.activeSrc {
-		if err := s.commitActive(); err != nil {
-			return err
-		}
-		if s.done[src] {
-			// The schedule visits each (src, dst) pair exactly once;
-			// a revisit means interleaved sources, which would corrupt
-			// the per-source run.
+	if s.active == nil {
+		if s.runs[src] != "" {
+			// The schedule visits each (src, dst) pair exactly once; a
+			// revisit would corrupt the per-source run.
 			return fmt.Errorf("core: spill receive from rank %d resumed after commit", src)
 		}
 		path := filepath.Join(s.dir, fmt.Sprintf("recv-%06d", src))
@@ -216,50 +202,48 @@ func (s *recvSpool) drain(src int, _ int64, chunk []byte) error {
 		if err != nil {
 			return err
 		}
-		s.active, s.activeSrc = w, src
-		s.runs[src] = path
+		s.active, s.activeSrc, s.runs[src] = w, src, path
+	} else if src != s.activeSrc {
+		return fmt.Errorf("core: spill receive from rank %d interleaved with rank %d's", src, s.activeSrc)
 	}
-	_, err := s.active.Write(chunk)
-	return err
-}
-
-// commitActive closes out the in-flight source's run.
-func (s *recvSpool) commitActive() error {
-	if s.active == nil {
-		return nil
-	}
-	bytes := s.active.Bytes()
-	if err := s.active.Commit(); err != nil {
+	if _, err := s.active.Write(chunk); err != nil {
 		return err
 	}
-	s.stats.AddRun(bytes)
-	s.done[s.activeSrc] = true
-	s.active, s.activeSrc = nil, -1
+	if s.active.Bytes() < s.recv[src] {
+		return nil
+	}
+	w := s.active
+	s.active = nil
+	if err := w.Commit(); err != nil {
+		return err
+	}
+	s.stats.AddRun(s.recv[src])
 	return nil
 }
 
-// finish commits the last run and returns the run paths in source-rank
-// order — the stability order of the merge.
-func (s *recvSpool) finish() ([]string, error) {
-	if err := s.commitActive(); err != nil {
+// spillReceive runs the staged exchange with its receive side landing
+// in run files under dir and returns them in source-rank order — the
+// stability order of the merge that reads them back.
+func spillReceive(wc *comm.Comm, dir string, pl exchangePlan, src chunkSource, opt Options, acct *memAcct) ([]string, error) {
+	sp := opt.Spill
+	spool := &recvSpool{
+		dir: dir, bufBytes: sp.bufBytes(), recv: pl.recv, stats: sp.Stats,
+		runs: make([]string, len(pl.recv)),
+	}
+	pl.span, pl.sinkBuf = "spill", int64(sp.bufBytes())
+	pl.stage = effStage(sp.stageBytes(opt.StageBytes), pl.recSize)
+	st, err := stagedExchange(wc, pl, src, spool.drain, opt, acct)
+	if err != nil {
+		if spool.active != nil {
+			spool.active.Abort() // committed runs die with the spill directory
+		}
 		return nil, err
 	}
-	var runs []string
-	for _, p := range s.runs {
-		if p != "" {
-			runs = append(runs, p)
-		}
-	}
+	runs := slices.DeleteFunc(spool.runs, func(path string) bool { return path == "" })
+	opt.tracer().Emit(pl.rank, "spill.exchange", map[string]any{
+		"runs": len(runs), "bytes": st.BytesStaged, "stage_bytes": pl.stage,
+	})
 	return runs, nil
-}
-
-// abort discards the in-flight run (committed runs die with the spill
-// directory).
-func (s *recvSpool) abort() {
-	if s.active != nil {
-		s.active.Abort()
-		s.active = nil
-	}
 }
 
 // spillExchange runs the all-to-all with its receive side on disk and
@@ -268,96 +252,36 @@ func (s *recvSpool) abort() {
 // instead of the in-memory path's input + output together: the input's
 // reservation is released the moment the exchange completes, before
 // the output buffer is reserved.
-func spillExchange[T any](wc *comm.Comm, work []T, bounds []int, rcounts []int64, m int64, cd codec.Codec[T], cmp func(a, b T) int, opt Options, tm *metrics.PhaseTimer, acct *memAcct, tr trace.Tracer, rank int) ([]T, error) {
+func spillExchange[T any](wc *comm.Comm, work []T, bounds []int, pl exchangePlan, cd codec.Codec[T], cmp func(a, b T) int, opt Options, tm *metrics.PhaseTimer, acct *memAcct) ([]T, error) {
 	sp := opt.Spill
-	p := wc.Size()
-	recSize := int64(cd.Size())
 	sp.Stats.AddSpilledSort()
-	// The spill phase is its own span (not "exchange"): the run-file
-	// detour changes the cost model enough that a timeline reader
-	// should see it as a distinct critical-path step.
-	ssp := trace.StartSpan(tr, rank, opt.Span, "spill", map[string]any{
-		"recv_records": m, "zero_copy": zeroCopyEligible(cd, opt),
-	})
-
 	dir, err := os.MkdirTemp(spillRoot(sp), "spill-*")
 	if err != nil {
 		return nil, fmt.Errorf("core: spill dir: %w", err)
 	}
 	defer os.RemoveAll(dir)
-
-	stage := spillStage(opt, recSize)
-	zc := zeroCopyEligible(cd, opt)
-	// Window: one incoming chunk, plus one outgoing encode buffer on
-	// the marshal path (zero-copy sends alias the work slab), plus the
-	// spool's single write buffer.
-	window := 2*stage + int64(sp.bufBytes())
-	if zc {
-		window = stage + int64(sp.bufBytes())
-	}
-	if err := acct.reserve(window); err != nil {
-		return nil, fmt.Errorf("core: spill staging window of %d bytes: %w", window, err)
-	}
-	opt.Exchange.ObservePeakStaging(window)
-
-	spool := newRecvSpool(dir, p, sp.bufBytes(), recSize, sp.Stats)
-	so := comm.StagedOptions{
-		StageBytes: stage,
-		SendBytes:  sendBytesOf(bounds, p, recSize),
-		RecvBytes:  scale(rcounts, recSize),
-		OnWindow:   opt.Exchange.AddWindow,
-		Drain:      spool.drain,
-	}
-	var pool *codec.BufferPool
-	if zc {
-		workBytes, ok := codec.View(cd, work)
-		if !ok {
-			return nil, fmt.Errorf("core: zero-copy spill on non-zero-copy codec")
-		}
-		so.Fill = func(dst int, off, n int64) ([]byte, error) {
-			lo := int64(bounds[dst])*recSize + off
-			return workBytes[lo : lo+n : lo+n], nil
-		}
-	} else {
-		pool = &codec.BufferPool{}
-		so.Fill = stagedFill(work, bounds, cd, recSize, pool)
-		so.FillDone = func(_ int, buf []byte) { pool.Put(buf) }
-	}
-	st, err := wc.StagedAlltoallv(so)
-	opt.Exchange.AddStaged(st.BytesStaged, st.Chunks)
-	if zc {
-		opt.Exchange.AddZeroCopy(st.BytesStaged, st.Chunks)
-	} else {
-		opt.Exchange.AddPool(pool.Stats())
-	}
-	if err != nil {
-		spool.abort()
-		return nil, fmt.Errorf("core: spilled alltoall: %w", err)
-	}
-	runs, err := spool.finish()
+	runs, err := spillReceive(wc, dir, pl, partitionSource(work, bounds, cd, pl.recSize), opt, acct)
 	if err != nil {
 		return nil, err
 	}
-	acct.release(window)
 
 	// The working set has been fully shipped (the self slice too — it
 	// went through the spool like any other source): its claim on the
 	// budget ends here, and only now is the output reserved. This
 	// hand-off is the spill tier's point: input and output never
 	// occupy the budget together.
-	acct.release(int64(len(work)) * recSize)
-	if err := acct.reserve(m * recSize); err != nil {
+	m := sum(pl.recv) / pl.recSize
+	acct.release(int64(len(work)) * pl.recSize)
+	if err := acct.reserve(m * pl.recSize); err != nil {
 		return nil, fmt.Errorf("core: spilled output of %d records: %w", m, err)
 	}
-
-	tr.Emit(rank, "spill.exchange", map[string]any{
-		"runs": len(runs), "bytes": st.BytesStaged, "stage_bytes": stage,
-	})
 
 	// Lazy merge back to a resident block: source-rank order with the
 	// run index as tiebreaker reproduces the in-memory rank-ordered
 	// stable merge exactly.
 	tm.Start(metrics.PhaseLocalOrdering)
+	osp := trace.StartSpan(opt.tracer(), pl.rank, opt.Span, "localorder", map[string]any{"merge": true, "runs": len(runs)})
+	defer osp.End(spanFailed)
 	ms, err := extsort.OpenMerge(runs, cd, cmp, sp.mergeOptions(dir, opt.Mem))
 	if err != nil {
 		return nil, err
@@ -377,9 +301,7 @@ func spillExchange[T any](wc *comm.Comm, work []T, bounds []int, rcounts []int64
 	if int64(len(out)) != m {
 		return nil, fmt.Errorf("core: spilled merge yielded %d of %d records", len(out), m)
 	}
-	ssp.End(map[string]any{
-		"records": len(out), "runs": len(runs), "bytes_staged": st.BytesStaged, "chunks": st.Chunks,
-	})
+	osp.End(map[string]any{"records": len(out)})
 	return out, nil
 }
 

@@ -58,7 +58,7 @@ func canonTagged(a, b codec.Tagged) int {
 // goes through disk runs, and the per-rank outputs must be identical —
 // not merely "some sorted order" — to the in-memory path, on every
 // driver path: sync-merge, sync-resort, overlap, stable, τm-merged,
-// staged and monolithic, zero-copy and marshal.
+// chunked and unchunked, zero-copy and marshal.
 func TestSpillForcedMatchesInMemory(t *testing.T) {
 	topo := cluster.Topology{Nodes: 2, CoresPerNode: 2}
 	p := topo.Size()
@@ -80,7 +80,7 @@ func TestSpillForcedMatchesInMemory(t *testing.T) {
 			in := makeTagged(p, 400, cfg.gen)
 			for _, stage := range []int64{0, 1000} {
 				for _, zc := range []bool{true, false} {
-					name := "monolithic"
+					name := "unchunked"
 					if stage > 0 {
 						name = fmt.Sprintf("stage%d", stage)
 					}
@@ -90,8 +90,8 @@ func TestSpillForcedMatchesInMemory(t *testing.T) {
 					t.Run(name, func(t *testing.T) {
 						base := cfg.opt
 						base.StageBytes = stage
-						base.DisableZeroCopy = !zc
-						want := runSort(t, topo, in, base)
+						cd := taggedCodecFor(zc)
+						want := runSortCodec(t, topo, in, cd, base)
 						checkSorted(t, in, want, base.Stable)
 
 						spilled := base
@@ -101,7 +101,7 @@ func TestSpillForcedMatchesInMemory(t *testing.T) {
 							Force: true, Dir: t.TempDir(),
 							BufBytes: 4 << 10, Stats: stats,
 						}
-						got := runSort(t, topo, in, spilled)
+						got := runSortCodec(t, topo, in, cd, spilled)
 						equalOutputs(t, want, got, "spill-forced")
 						if !stats.Spilled() {
 							t.Fatal("forced spill never spilled")
@@ -379,9 +379,9 @@ func TestSpillStreamEdgeCases(t *testing.T) {
 func TestSpillFileShardBeyondMemory(t *testing.T) {
 	topo := cluster.Topology{Nodes: 2, CoresPerNode: 2}
 	p := topo.Size()
-	const budget = 64 << 10                            // 64 KiB per rank
-	perRank := 8 * budget / taggedCodec.Size()    // 8x the budget, in records
-	total := p * perRank                               // 2 MiB file
+	const budget = 64 << 10                    // 64 KiB per rank
+	perRank := 8 * budget / taggedCodec.Size() // 8x the budget, in records
+	total := p * perRank                       // 2 MiB file
 	recs := make([]codec.Tagged, total)
 	for i := range recs {
 		// A bijection on uint32 keeps keys unique and well spread.

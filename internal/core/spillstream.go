@@ -275,105 +275,75 @@ func SortStream[T any](c *comm.Comm, in RecordSource[T], cd codec.Codec[T], cmp 
 	if err != nil {
 		return nil, fmt.Errorf("core: count exchange: %w", err)
 	}
-	var m int64
-	for _, rc := range rcounts {
-		m += rc
-	}
+	m := sum(rcounts)
 
-	// Phase 4: the staged exchange with both sides on disk. Send side:
-	// each destination's payload is a lazy merge of that destination's
-	// segments of the local runs, encoded chunk by chunk into pooled
-	// buffers. Receive side: raw wire chunks stream into per-source
-	// run files. The schedule visits one destination and one source
-	// per round, so one fill merge and one spool writer are live at a
-	// time.
-	stage := spillStage(opt, recSize)
-	window := 2*stage + int64(sp.bufBytes())
-	if err := acct.reserve(window); err != nil {
-		return nil, fmt.Errorf("core: spill staging window of %d bytes: %w", window, err)
+	// Phase 4: the staged exchange with both sides on disk — runSource
+	// feeds it, per-source run files receive it. The schedule visits
+	// one destination and one source per round, so one fill merge and
+	// one spool writer are live at a time.
+	plan := exchangePlan{
+		rank: rank, recSize: recSize,
+		send: scale(scounts, recSize), recv: scale(rcounts, recSize),
 	}
-	opt.Exchange.ObservePeakStaging(window)
 	tr.Emit(rank, "exchange.plan", map[string]any{
-		"send_records": total, "recv_records": m,
-		"stage_bytes": stage, "staged": true, "spilled": true,
+		"send_records": total, "recv_records": m, "staged": true, "spilled": true,
 	})
-
-	pool := &codec.BufferPool{}
-	spool := newRecvSpool(dir, p, sp.bufBytes(), recSize, sp.Stats)
-	var cur *extsort.MergeStream[T]
-	curDst := -1
-	defer func() {
-		if cur != nil {
-			cur.Close()
-		}
-	}()
-	sendBytes := make([]int64, p)
-	for dst := 0; dst < p; dst++ {
-		sendBytes[dst] = int64(scounts[dst]) * recSize
-	}
-	st, err := c.StagedAlltoallv(comm.StagedOptions{
-		StageBytes: stage,
-		SendBytes:  sendBytes,
-		RecvBytes:  scale(rcounts, recSize),
-		OnWindow:   opt.Exchange.AddWindow,
-		Fill: func(dst int, off, n int64) ([]byte, error) {
-			if dst != curDst {
-				// Destinations are visited one per round, each payload
-				// fully streamed — the previous merge is exhausted.
-				if cur != nil {
-					cur.Close()
-					cur = nil
-				}
-				var segs []extsort.RunSegment
-				for r, path := range localRuns {
-					if ubs[r][dst+1] > ubs[r][dst] {
-						segs = append(segs, extsort.RunSegment{Path: path, Lo: ubs[r][dst], Hi: ubs[r][dst+1]})
-					}
-				}
-				ms, err := extsort.OpenMergeSegments(segs, cd, cmp, sp.mergeOptions(dir, opt.Mem))
-				if err != nil {
-					return nil, err
-				}
-				cur, curDst = ms, dst
-			}
-			buf := pool.Get(int(n))[:n]
-			for b := int64(0); b < n; b += recSize {
-				rec, err := cur.Next()
-				if err != nil {
-					return nil, fmt.Errorf("core: fill for rank %d at %d: %w", dst, off+b, err)
-				}
-				cd.Marshal(buf[b:b+recSize], rec)
-			}
-			return buf, nil
-		},
-		FillDone: func(_ int, buf []byte) { pool.Put(buf) },
-		Drain:    spool.drain,
-	})
-	opt.Exchange.AddStaged(st.BytesStaged, st.Chunks)
-	opt.Exchange.AddPool(pool.Stats())
-	if err != nil {
-		spool.abort()
-		return nil, fmt.Errorf("core: spilled alltoall: %w", err)
-	}
-	if cur != nil {
-		cur.Close()
-		cur = nil
-	}
-	runs, err := spool.finish()
+	src, closeSrc := runSource(localRuns, ubs, cd, cmp, recSize, sp.mergeOptions(dir, opt.Mem))
+	defer closeSrc()
+	runs, err := spillReceive(c, dir, plan, src, opt, acct)
 	if err != nil {
 		return nil, err
 	}
-	acct.release(window)
 
 	// The local runs have been fully shipped; only the received runs
 	// constitute the block.
 	for _, p := range localRuns {
 		os.Remove(p)
 	}
-	tr.Emit(rank, "spill.exchange", map[string]any{
-		"runs": len(runs), "bytes": st.BytesStaged, "stage_bytes": stage,
-	})
 	return done(runs, m, "spilled")
+}
+
+// runSource is SortStream's send side: each destination's payload is a
+// lazy merge of that destination's segments of the local runs (ubs[r]
+// are run r's per-destination record bounds), marshalled chunk by chunk
+// into pooled buffers. Destinations are visited one per round, each
+// payload fully streamed, so one merge is open at a time; the returned
+// func closes whichever is.
+func runSource[T any](runs []string, ubs [][]int64, cd codec.Codec[T], cmp func(a, b T) int, recSize int64, mo extsort.MergeOptions) (chunkSource, func()) {
+	var cur *extsort.MergeStream[T]
+	curDst := -1
+	closeCur := func() {
+		if cur != nil {
+			cur.Close()
+			cur = nil
+		}
+	}
+	pool := &codec.BufferPool{}
+	return chunkSource{pool: pool, fill: func(dst int, off, n int64) ([]byte, error) {
+		if dst != curDst {
+			closeCur() // the previous destination's merge is exhausted
+			var segs []extsort.RunSegment
+			for r, path := range runs {
+				if ubs[r][dst+1] > ubs[r][dst] {
+					segs = append(segs, extsort.RunSegment{Path: path, Lo: ubs[r][dst], Hi: ubs[r][dst+1]})
+				}
+			}
+			ms, err := extsort.OpenMergeSegments(segs, cd, cmp, mo)
+			if err != nil {
+				return nil, err
+			}
+			cur, curDst = ms, dst
+		}
+		buf := pool.Get(int(n))[:n]
+		for b := int64(0); b < n; b += recSize {
+			rec, err := cur.Next()
+			if err != nil {
+				return nil, fmt.Errorf("core: fill for rank %d at %d: %w", dst, off+b, err)
+			}
+			cd.Marshal(buf[b:b+recSize], rec)
+		}
+		return buf, nil
+	}}, closeCur
 }
 
 // SortFileShard runs SortStream over shard rank-of-p of the record

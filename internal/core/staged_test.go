@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -20,10 +21,12 @@ import (
 )
 
 // TestSortStagedMatchesMonolithic runs the same input through the
-// staged and the legacy monolithic exchange on every driver path —
-// sync-merge, sync-resort, overlap, stable, τm-merged — across stage
-// sizes that are record-aligned, unaligned and far larger than any
-// partition. The staged exchange must stay a drop-in replacement.
+// exchange on every driver path — sync-merge, sync-resort, overlap,
+// stable, τm-merged — across stage sizes that are record-aligned,
+// unaligned and far larger than any partition (the last moves every
+// payload as one chunk, what StageBytes zero does): the chunk bound
+// must never show in the output, and the reserved window must be
+// exactly the one the codec's path needs.
 func TestSortStagedMatchesMonolithic(t *testing.T) {
 	topo := cluster.Topology{Nodes: 2, CoresPerNode: 2}
 	configs := []struct {
@@ -54,9 +57,8 @@ func TestSortStagedMatchesMonolithic(t *testing.T) {
 					t.Run(name, func(t *testing.T) {
 						opt := cfg.opt
 						opt.StageBytes = stage
-						opt.DisableZeroCopy = !zc
 						opt.Exchange = &metrics.ExchangeStats{}
-						out := runSort(t, topo, in, opt)
+						out := runSortCodec(t, topo, in, taggedCodecFor(zc), opt)
 						checkSorted(t, in, out, opt.Stable)
 						if opt.Exchange.BytesStaged.Load() == 0 {
 							t.Fatal("staged sort moved no bytes through the staging window")
@@ -76,8 +78,9 @@ func TestSortStagedMatchesMonolithic(t *testing.T) {
 }
 
 // TestSortStableStagedIdenticalOutput: the stable sort is run-to-run
-// deterministic, so the staged exchange must produce byte-identical
-// outputs to the monolithic one, not merely "some valid sorted order".
+// deterministic, so a chunked exchange must produce byte-identical
+// outputs to the one-chunk-per-peer one, not merely "some valid sorted
+// order".
 func TestSortStableStagedIdenticalOutput(t *testing.T) {
 	topo := cluster.Topology{Nodes: 3, CoresPerNode: 2}
 	in := makeTagged(topo.Size(), 400, func(rank, i int) float64 {
@@ -89,52 +92,97 @@ func TestSortStableStagedIdenticalOutput(t *testing.T) {
 	mono := runSort(t, topo, in, opt)
 	opt.StageBytes = 48 // three records per chunk
 	staged := runSort(t, topo, in, opt)
-	equalOutputs(t, mono, staged, "staged-vs-monolithic")
+	equalOutputs(t, mono, staged, "staged-vs-unchunked")
 }
 
-// TestSortStagedPeakReservation is the issue's acceptance bound: with
-// StageBytes set, the peak memlimit reservation during the exchange is
-// at most input + receive + 2x the stage window. The monolithic path
-// cannot meet this — it materialises a full encoded copy (unaccounted),
-// while the staged path's extra footprint is exactly the window it
-// reserves.
+// TestSortStagedPeakReservation is the staging acceptance bound: the
+// peak memlimit reservation during the exchange is at most input +
+// receive + the window, and the window is on the books — one chunk for
+// a zero-copy codec (sends alias the work slab), two for a marshal-only
+// one (an encoded outgoing chunk besides the incoming one). A chunk is
+// the stage size, or with StageBytes zero the rank's largest per-peer
+// payload: the unchunked exchange reserves what it really holds instead
+// of materialising an unaccounted encoded copy.
 func TestSortStagedPeakReservation(t *testing.T) {
 	topo := cluster.Topology{Nodes: 2, CoresPerNode: 2}
 	const perRank, recSize = 2000, 16
 	in := makeTagged(topo.Size(), perRank, zipfGen(22, 1.1))
-	for _, stage := range []int64{64, 1 << 10} {
-		t.Run(fmt.Sprintf("stage%d", stage), func(t *testing.T) {
-			gauges := make([]*memlimit.Gauge, topo.Size())
-			out, err := cluster.Gather(topo, cluster.Options{}, func(c *comm.Comm) ([]codec.Tagged, error) {
-				opt := DefaultOptions()
-				opt.TauM = 0
-				opt.TauO = 0 // force the synchronous path: its peak is the bound we assert
-				opt.StageBytes = stage
-				opt.Mem = memlimit.New(1 << 40)
-				gauges[c.Rank()] = opt.Mem
-				local := append([]codec.Tagged(nil), in[c.Rank()]...)
-				return Sort(c, local, taggedCodec, codec.CompareTagged, opt)
+	for _, stage := range []int64{0, 64, 1 << 10} {
+		for _, zc := range []bool{true, false} {
+			name := fmt.Sprintf("stage%d", stage)
+			if !zc {
+				name += "-marshal"
+			}
+			t.Run(name, func(t *testing.T) {
+				p := topo.Size()
+				gauges := make([]*memlimit.Gauge, p)
+				exch := make([]*metrics.ExchangeStats, p)
+				traces := make([]*trace.Recorder, p)
+				out, err := cluster.Gather(topo, cluster.Options{}, func(c *comm.Comm) ([]codec.Tagged, error) {
+					r := c.Rank()
+					opt := DefaultOptions()
+					opt.TauM = 0
+					opt.TauO = 0 // force the synchronous path: its peak is the bound we assert
+					opt.StageBytes = stage
+					opt.Mem = memlimit.New(1 << 40)
+					opt.Exchange = &metrics.ExchangeStats{}
+					opt.Trace = trace.NewRecorder()
+					gauges[r], exch[r], traces[r] = opt.Mem, opt.Exchange, opt.Trace.(*trace.Recorder)
+					local := append([]codec.Tagged(nil), in[r]...)
+					return Sort(c, local, taggedCodecFor(zc), codec.CompareTagged, opt)
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkSorted(t, in, out, false)
+				for r, g := range gauges {
+					window := effStage(stage, recSize)
+					if stage == 0 {
+						// Largest per-peer payload, from this rank's own
+						// partition histogram and what the others sent it.
+						window = recSize * largestPayload(t, traces, r)
+					}
+					if !zc {
+						window *= 2
+					}
+					if got := exch[r].PeakStagingReserved.Load(); got != window {
+						t.Errorf("rank %d reserved a staging window of %d bytes, want %d", r, got, window)
+					}
+					bound := int64(len(in[r])+len(out[r]))*recSize + window
+					if peak := g.Peak(); peak > bound {
+						t.Errorf("rank %d peaked at %d bytes, above input+receive+window = %d", r, peak, bound)
+					}
+					if used := g.Used(); used != 0 {
+						t.Errorf("rank %d still holds %d bytes after Sort returned", r, used)
+					}
+				}
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkSorted(t, in, out, false)
-			eff := effStage(stage, recSize)
-			for r, g := range gauges {
-				bound := int64(len(in[r])+len(out[r]))*recSize + 2*eff
-				if peak := g.Peak(); peak > bound {
-					t.Errorf("rank %d peaked at %d bytes, above input+receive+2*stage = %d", r, peak, bound)
-				}
-				if used := g.Used(); used != 0 {
-					t.Errorf("rank %d still holds %d bytes after Sort returned", r, used)
-				}
-			}
-		})
+		}
 	}
 }
 
+// largestPayload reads the per-rank partition.histogram events (what
+// each rank sends to every destination) and returns the most records
+// rank r exchanges with any single peer, in either direction.
+func largestPayload(t *testing.T, traces []*trace.Recorder, r int) int64 {
+	t.Helper()
+	var most int64
+	for src, rec := range traces {
+		hs := rec.ByKind("partition.histogram")
+		if len(hs) != 1 {
+			t.Fatalf("rank %d emitted %d partition histograms", src, len(hs))
+		}
+		sent := hs[0].Detail["sent"].([]int64)
+		most = max(most, sent[r]) // what r receives from src
+		if src == r {
+			most = max(most, slices.Max(sent)) // what r sends
+		}
+	}
+	return most
+}
+
 // TestSortRepeatedGaugeZero reuses one long-lived gauge across repeated
-// sorts on every exit path — completed (staged and monolithic), τm
+// sorts on every exit path — completed (chunked and StageBytes zero), τm
 // follower/leader, single rank, empty dataset — and requires the gauge
 // back at zero after each run. This is the leak the issue's bug report
 // describes: before the fix, every Sort left its reservations behind.
@@ -146,7 +194,7 @@ func TestSortRepeatedGaugeZero(t *testing.T) {
 		per  int
 		opt  Options
 	}{
-		{"monolithic", cluster.Topology{Nodes: 2, CoresPerNode: 2}, 300, func() Options { o := DefaultOptions(); o.TauM = 0; return o }()},
+		{"unchunked", cluster.Topology{Nodes: 2, CoresPerNode: 2}, 300, func() Options { o := DefaultOptions(); o.TauM = 0; return o }()},
 		{"staged", cluster.Topology{Nodes: 2, CoresPerNode: 2}, 300, func() Options { o := DefaultOptions(); o.TauM = 0; o.StageBytes = 128; return o }()},
 		{"merged", cluster.Topology{Nodes: 2, CoresPerNode: 3}, 200, func() Options { o := DefaultOptions(); o.TauM = 1 << 40; return o }()},
 		{"single", cluster.Topology{Nodes: 1, CoresPerNode: 1}, 500, DefaultOptions()},
@@ -394,12 +442,11 @@ func TestSortStagedFaultRecovery(t *testing.T) {
 	}
 }
 
-// BenchmarkExchange compares the exchange variants on the same sort:
-// staged against monolithic (the earlier issue's bar: staged within 10%
-// of monolithic), and zero-copy against the marshal fallback (this
-// issue's bar: zero-copy wins). peak-staging-bytes reports the largest
-// staging-window reservation — 0 for monolithic, 1x the stage window
-// for staged zero-copy, 2x for staged marshal.
+// BenchmarkExchange compares the exchange's two encodings on the same
+// sort: zero-copy against the marshal fallback, selected by hiding the
+// codec's capabilities. peak-staging-bytes reports the largest
+// staging-window reservation — 1x the stage window for zero-copy, 2x
+// for marshal.
 func BenchmarkExchange(b *testing.B) {
 	topo := cluster.Topology{Nodes: 2, CoresPerNode: 2}
 	const perRank = 20000
@@ -416,7 +463,7 @@ func BenchmarkExchange(b *testing.B) {
 		}
 		return 0
 	}
-	run := func(b *testing.B, stageBytes int64, zeroCopy bool) {
+	run := func(b *testing.B, cd codec.Codec[float64]) {
 		stats := &metrics.ExchangeStats{}
 		b.SetBytes(int64(topo.Size()) * perRank * 8)
 		b.ReportAllocs()
@@ -424,13 +471,12 @@ func BenchmarkExchange(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			opt := DefaultOptions()
 			opt.TauM = 0
-			opt.TauO = 0 // synchronous path: all variants run the same all-to-all shape
-			opt.StageBytes = stageBytes
-			opt.DisableZeroCopy = !zeroCopy
+			opt.TauO = 0 // synchronous path: both variants run the same all-to-all shape
+			opt.StageBytes = 64 << 10
 			opt.Exchange = stats
 			err := cluster.RunOpts(topo, cluster.Options{}, func(c *comm.Comm) error {
 				local := append([]float64(nil), parts[c.Rank()]...)
-				_, err := Sort(c, local, codec.Float64{}, cmp, opt)
+				_, err := Sort(c, local, cd, cmp, opt)
 				return err
 			})
 			if err != nil {
@@ -439,8 +485,6 @@ func BenchmarkExchange(b *testing.B) {
 		}
 		b.ReportMetric(float64(stats.PeakStagingReserved.Load()), "peak-staging-bytes")
 	}
-	b.Run("monolithic-zerocopy", func(b *testing.B) { run(b, 0, true) })
-	b.Run("monolithic-marshal", func(b *testing.B) { run(b, 0, false) })
-	b.Run("staged-zerocopy", func(b *testing.B) { run(b, 64<<10, true) })
-	b.Run("staged-marshal", func(b *testing.B) { run(b, 64<<10, false) })
+	b.Run("staged-zerocopy", func(b *testing.B) { run(b, codec.Float64{}) })
+	b.Run("staged-marshal", func(b *testing.B) { run(b, plainCodec[float64]{codec.Float64{}}) })
 }

@@ -49,8 +49,8 @@ type Options struct {
 	// Timer accrues per-phase time when non-nil.
 	Timer *metrics.PhaseTimer
 	// StageBytes bounds the staging window of the per-round exchange,
-	// as core.Options.StageBytes does for SDS-Sort. Zero keeps the
-	// monolithic exchange.
+	// as core.Options.StageBytes does for SDS-Sort. Zero means one
+	// chunk per peer.
 	StageBytes int64
 	// Exchange accrues staged-exchange counters when non-nil.
 	Exchange *metrics.ExchangeStats

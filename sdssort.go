@@ -166,12 +166,14 @@ func RunThreshold(avgRunLen float64) Option {
 func MemoryBudget(bytes int64) Option { return func(c *config) { c.mem = bytes } }
 
 // StageBytes bounds the staging window of the all-to-all data exchange:
-// partitions stream out in chunks of at most this many bytes through
-// pooled buffers and arriving chunks are decoded incrementally, so the
-// exchange adds ~2×StageBytes of staging memory instead of an encoded
-// copy of the whole working set. 0 (the default) keeps the monolithic
-// exchange. Combined with MemoryBudget, the budget then bounds the true
-// peak: input + receive buffer + staging window.
+// each peer's partition streams out in chunks of at most this many
+// bytes and arriving chunks are decoded incrementally, so the exchange
+// adds one chunk of staging memory (two for codecs that must encode)
+// beyond input and receive buffers. 0 (the default) means no chunking:
+// each peer's payload is one chunk, and the window is the rank's largest
+// per-peer payload. Either way the window is reserved against
+// MemoryBudget, so the budget bounds the true peak: input + receive
+// buffer + staging window.
 func StageBytes(bytes int64) Option { return func(c *config) { c.opt.StageBytes = bytes } }
 
 // HistogramPivots selects global pivots by iterative histogram
