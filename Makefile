@@ -102,11 +102,14 @@ bench-test:
 	cd bench && $(GO) test ./...
 
 # The cross-driver algorithm matrix: every registered driver must emit
-# byte-identical output across the workload grid on both transports,
-# and -algo auto must resolve as the decision rule documents. Mirrors
-# the CI algo-matrix job.
+# byte-identical output — and a complete trace: one sort.start/sort.done
+# pair per rank, no open span — across the workload grid on both
+# transports, -algo auto must resolve as the decision rule documents,
+# and the hyksort/psrs baseline cases (multi-round splits, skew
+# collapse, OOM under a budget, the sds-vs-psrs ablation) must hold.
+# Mirrors the CI algo-matrix job.
 algo-matrix:
-	$(GO) test -race -run 'TestDriverEquivalence|TestAutoSelects|TestAutoSpillPressure' -count=1 -timeout 10m ./internal/algo/
+	$(GO) test -race -run 'TestDriverEquivalence|TestAutoSelects|TestAutoSpillPressure|TestHykSort|TestPSRS|TestSkewAwareVsClassical' -count=1 -timeout 10m ./internal/algo/
 
 # Fault-injection soak: repeat the Fault|Retry|Reconnect|Recovery test
 # families under the race detector. Vary the schedule with

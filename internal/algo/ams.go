@@ -2,16 +2,10 @@ package algo
 
 import (
 	"context"
-	"fmt"
 
 	"sdssort/internal/codec"
 	"sdssort/internal/comm"
-	"sdssort/internal/core"
-	"sdssort/internal/metrics"
-	"sdssort/internal/partition"
 	"sdssort/internal/pivots"
-	"sdssort/internal/psort"
-	"sdssort/internal/radix"
 )
 
 // defaultAMSArity keeps the recursion genuinely multi-level at the
@@ -26,8 +20,7 @@ const defaultAMSArity = 4
 // evenly across its destination group (AMS's data delivery — the slice,
 // not the refinement, is what bounds per-rank receive volume), runs the
 // level's exchange through core.ExchangeSorted and recurses into the
-// group. p ranks take O(log_k p) exchange levels instead of one p-wide
-// all-to-all.
+// group (sorter.levels).
 type amsDriver[T any] struct{}
 
 func (amsDriver[T]) Info() Info {
@@ -36,141 +29,41 @@ func (amsDriver[T]) Info() Info {
 }
 
 func (amsDriver[T]) Sort(ctx context.Context, c *comm.Comm, data []T, cd codec.Codec[T], cmp func(a, b T) int, opt Options) ([]T, error) {
-	if err := ctx.Err(); err != nil {
+	s, err := begin(ctx, NameAMS, c, data, cd, cmp, opt)
+	if err != nil {
 		return nil, err
 	}
-	if err := reject(NameAMS, opt); err != nil {
-		return nil, err
-	}
-	opt.record(NameAMS)
-	rsp, opt := opt.rootSpan(NameAMS, c.Rank(), len(data), c.Size())
-	defer rsp.End(map[string]any{"reason": "error"})
-	tm, copt := opt.timer()
-	tm.Start(metrics.PhaseOther)
-	defer tm.Stop()
-
-	recSize := int64(cd.Size())
-	led := &ledger{g: opt.Core.Mem}
-	if err := led.reserve(int64(len(data)) * recSize); err != nil {
-		return nil, fmt.Errorf("ams: input buffer: %w", err)
-	}
-	defer led.releaseAll()
-
-	tm.Start(metrics.PhaseLocalSort)
-	if !radix.DispatchLocal(data, cd, cmp) {
-		psort.ParallelSort(data, opt.cores(), false, cmp)
-	}
-
+	defer s.end()
 	k := opt.K
 	if k < 2 {
 		k = defaultAMSArity
 	}
-	local := data
-	cur := c
-	levels := 0
-	for cur.Size() > 1 {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		var err error
-		local, cur, err = amsLevel(cur, local, k, recSize, cd, cmp, copt, tm, led)
-		if err != nil {
-			return nil, err
-		}
-		levels++
-	}
-	opt.tracer().Emit(c.Rank(), "ams.levels", map[string]any{
-		"levels": levels, "k": k, "p": c.Size(),
-	})
-	rsp.End(map[string]any{"records": len(local), "levels": levels})
-	return local, nil
-}
-
-// amsLevel performs one k-way partitioning level and narrows the
-// communicator to this rank's group. led is the driver's gauge ledger;
-// the exchange settles it.
-func amsLevel[T any](cur *comm.Comm, local []T, k int, recSize int64, cd codec.Codec[T], cmp func(a, b T) int, copt core.Options, tm *metrics.PhaseTimer, led *ledger) ([]T, *comm.Comm, error) {
-	p := cur.Size()
-	b := k
-	if b > p {
-		b = p
-	}
-
 	// One-shot oversampling (the AMS selection): 4·k regular samples
 	// per rank, pooled and cut at equal strides. Residual imbalance is
 	// repaired by the next level, not by refinement rounds.
-	tm.Start(metrics.PhasePivotSelection)
-	pool, err := pivots.ShareCandidates(cur, pivots.RegularSample(local, 4*b), cd, cmp)
+	pick := func(cur *comm.Comm, local []T, b int) ([]T, error) {
+		pool, err := pivots.ShareCandidates(cur, pivots.RegularSample(local, 4*b), cd, cmp)
+		return equalStrides(pool, b), err
+	}
+	out, levels, err := s.levels(data, k, pick, amsDeliver)
 	if err != nil {
-		return nil, nil, fmt.Errorf("ams: sample: %w", err)
+		return nil, err
 	}
-	if len(pool) == 0 {
-		// Globally empty dataset: end the recursion in one hop by
-		// splitting every rank into its own world. All ranks see the
-		// empty pool, so the split is collectively aligned.
-		sub, err := cur.Split(cur.Rank(), 0)
-		if err != nil {
-			return nil, nil, fmt.Errorf("ams: empty split: %w", err)
-		}
-		return local, sub, nil
-	}
-	sp := make([]T, 0, b-1)
-	for i := 1; i < b; i++ {
-		idx := i*len(pool)/b - 1
-		if idx < 0 {
-			idx = 0
-		}
-		sp = append(sp, pool[idx])
-	}
+	s.tr.Emit(c.Rank(), "ams.levels", map[string]any{"levels": levels, "k": k, "p": c.Size()})
+	return out, nil
+}
 
-	// Bucket bounds by plain upper_bound on the splitters, then slice
-	// every bucket evenly across its destination group j = ranks
-	// [j·p/b, (j+1)·p/b): consecutive group members take consecutive
-	// equal shares, so the per-destination bounds stay ascending over
-	// the locally sorted data.
-	bb := make([]int, b+1)
-	bb[b] = len(local)
-	for j, s := range sp {
-		bb[j+1] = partition.UpperBound(local, s, cmp)
-	}
-	for j := 1; j <= b; j++ {
-		if bb[j] < bb[j-1] {
-			bb[j] = bb[j-1]
-		}
-	}
-	groupOf := func(rank int) int { return rank * b / p }
-	groupStart := func(j int) int {
-		lo := (j*p + b - 1) / b
-		for groupOf(lo) != j {
-			lo++
-		}
-		return lo
-	}
-	db := make([]int, p+1)
+// amsDeliver slices every bucket evenly across its destination group:
+// consecutive group members take consecutive equal shares, so the
+// per-destination bounds stay ascending over the locally sorted data.
+func amsDeliver(buckets, starts []int, _ int) []int {
+	b := len(starts) - 1
+	db := make([]int, starts[b]+1)
 	for j := 0; j < b; j++ {
-		gs := groupStart(j)
-		ge := p
-		if j < b-1 {
-			ge = groupStart(j + 1)
-		}
-		ng := ge - gs
-		bucket := bb[j+1] - bb[j]
+		ng, size := starts[j+1]-starts[j], buckets[j+1]-buckets[j]
 		for m := 0; m < ng; m++ {
-			db[gs+m+1] = bb[j] + (m+1)*bucket/ng
+			db[starts[j]+m+1] = buckets[j] + (m+1)*size/ng
 		}
 	}
-
-	out, err := core.ExchangeSorted(cur, local, db, cd, cmp, copt)
-	if err != nil {
-		led.held = 0 // ExchangeSorted settled the ledger on failure
-		return nil, nil, fmt.Errorf("ams: exchange: %w", err)
-	}
-	led.held = int64(len(out)) * recSize
-
-	tm.Start(metrics.PhaseOther)
-	sub, err := cur.Split(groupOf(cur.Rank()), cur.Rank())
-	if err != nil {
-		return nil, nil, fmt.Errorf("ams: group split: %w", err)
-	}
-	return out, sub, nil
+	return db
 }

@@ -11,12 +11,15 @@ package algo
 
 import (
 	"context"
+	"fmt"
 
 	"sdssort/internal/codec"
 	"sdssort/internal/comm"
 	"sdssort/internal/core"
-	"sdssort/internal/memlimit"
 	"sdssort/internal/metrics"
+	"sdssort/internal/partition"
+	"sdssort/internal/psort"
+	"sdssort/internal/radix"
 	"sdssort/internal/trace"
 )
 
@@ -69,52 +72,11 @@ func DefaultOptions() Options {
 	return Options{Core: core.DefaultOptions()}
 }
 
-// record notes the driver that actually ran. Concrete drivers call it;
-// the auto driver does not, so a resolved choice is counted once.
-func (o Options) record(name string) { o.Selection.Selected(name) }
-
-func (o Options) cores() int {
-	if o.Core.Cores < 1 {
-		return 1
-	}
-	return o.Core.Cores
-}
-
 func (o Options) tracer() trace.Tracer {
 	if o.Core.Trace != nil {
 		return o.Core.Trace
 	}
 	return trace.Nop{}
-}
-
-// rootSpan opens the driver-level "sort" root span for the drivers that
-// do not delegate to core.Sort (which opens its own root). The returned
-// Options carry the child scope in Core.Span, so every span the shared
-// exchange opens nests under this root and the critical-path analyzer
-// sees one tree per sort regardless of algorithm. Callers close the
-// span on success with their record count and defer a bare End as the
-// error-path net (End is idempotent). Free when tracing is off.
-func (o Options) rootSpan(name string, rank, records, p int) (*trace.Span, Options) {
-	sp := trace.StartSpan(o.tracer(), rank, o.Core.Span, "sort", map[string]any{
-		"algo": name, "records": records, "p": p,
-	})
-	if sp != nil {
-		o.Core.Span = sp.Scope()
-	}
-	return sp, o
-}
-
-// timer returns the configured phase timer or a throwaway, and the
-// core options with that timer installed so driver-local phases and the
-// shared exchange accrue on the same clock.
-func (o Options) timer() (*metrics.PhaseTimer, core.Options) {
-	tm := o.Core.Timer
-	if tm == nil {
-		tm = metrics.NewPhaseTimer()
-	}
-	c := o.Core
-	c.Timer = tm
-	return tm, c
 }
 
 // Driver is one distributed sort algorithm. Sort is collective: every
@@ -127,24 +89,189 @@ type Driver[T any] interface {
 	Sort(ctx context.Context, c *comm.Comm, data []T, cd codec.Codec[T], cmp func(a, b T) int, opt Options) ([]T, error)
 }
 
-// ledger tracks the bytes a driver holds against the shared gauge so a
-// single deferred release settles every exit path. core.ExchangeSorted
-// adopts the holding: on its success the ledger must be reset to the
-// output size, on its failure to zero.
-type ledger struct {
-	g    *memlimit.Gauge
-	held int64
-}
-
-func (l *ledger) reserve(n int64) error {
-	if err := l.g.Reserve(n); err != nil {
-		return err
+// reject enforces the capability gates shared by every driver but sds.
+// An explicit error beats a silent downgrade: the caller asked for a
+// property the output would not have.
+func reject(name string, opt Options) error {
+	if opt.Core.Stable {
+		return fmt.Errorf("algo: driver %q does not support stable sorting", name)
 	}
-	l.held += n
+	if opt.Core.Checkpoint != nil {
+		return fmt.Errorf("algo: driver %q does not support checkpointing", name)
+	}
 	return nil
 }
 
-func (l *ledger) releaseAll() {
-	l.g.Release(l.held)
-	l.held = 0
+// sorter is one call of a baseline driver (hss, ams, hyksort, psrs)
+// after the shared prelude. The drivers keep only their splitter logic;
+// local sort, exchange, gauge accounting and the sort's trace envelope
+// are here, once.
+type sorter[T any] struct {
+	name string
+	ctx  context.Context
+	c    *comm.Comm
+	cd   codec.Codec[T]
+	cmp  func(a, b T) int
+	core core.Options // what every exchange runs under: the call's timer, the root span's scope
+	tm   *metrics.PhaseTimer
+	tr   trace.Tracer
+	root *trace.Span
+	held int64 // bytes reserved against core.Mem: the input, then each exchange's output
+}
+
+// begin is the prelude: cancellation and capability checks, the
+// selection count, sort.start and the "sort" root span — the shared
+// exchange's spans nest under it through core.Span, so the
+// critical-path analyzer sees one tree per sort regardless of algorithm
+// — the input reservation, and the local sort. The baseline drivers are
+// never stable, so integer-keyed codecs always qualify for the LSD
+// radix dispatch. Callers defer end.
+func begin[T any](ctx context.Context, name string, c *comm.Comm, data []T, cd codec.Codec[T], cmp func(a, b T) int, opt Options) (*sorter[T], error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if err := reject(name, opt); err != nil {
+		return nil, err
+	}
+	opt.Selection.Selected(name)
+	s := &sorter[T]{name: name, ctx: ctx, c: c, cd: cd, cmp: cmp, core: opt.Core, tr: opt.tracer()}
+	if s.core.Timer == nil {
+		// Driver-local phases and the shared exchange accrue on one clock.
+		s.core.Timer = metrics.NewPhaseTimer()
+	}
+	s.tm = s.core.Timer
+	s.tm.Start(metrics.PhaseOther)
+	detail := map[string]any{"algo": name, "records": len(data), "p": c.Size()}
+	s.tr.Emit(c.Rank(), "sort.start", detail)
+	s.root = trace.StartSpan(s.tr, c.Rank(), s.core.Span, "sort", detail)
+	s.core.Span = s.root.Scope()
+	n := int64(len(data)) * int64(cd.Size())
+	if err := s.core.Mem.Reserve(n); err != nil {
+		s.end()
+		return nil, fmt.Errorf("%s: input buffer: %w", name, err)
+	}
+	s.held = n
+	s.tm.Start(metrics.PhaseLocalSort)
+	if !radix.DispatchLocal(data, cd, cmp) {
+		psort.ParallelSort(data, max(s.core.Cores, 1), false, cmp)
+	}
+	return s, nil
+}
+
+// end settles every exit path: what the call still holds goes back to
+// the gauge, the clock stops and — unless finish got there first — the
+// root span closes as failed.
+func (s *sorter[T]) end() {
+	s.core.Mem.Release(s.held)
+	s.held = 0
+	s.root.End(map[string]any{"reason": "error"})
+	s.tm.Stop()
+}
+
+// finish emits the terminal event of a successful sort: reason is
+// completed, single (a one-rank world) or empty (no records anywhere).
+func (s *sorter[T]) finish(out []T, reason string) []T {
+	detail := map[string]any{"algo": s.name, "records": len(out), "reason": reason}
+	s.tr.Emit(s.c.Rank(), "sort.done", detail)
+	s.root.End(detail)
+	return out
+}
+
+// exchange is the one call site of core.ExchangeSorted, which adopts
+// the holding: on success the ledger is the output's size, on failure
+// every byte has already gone back to the gauge.
+func (s *sorter[T]) exchange(wc *comm.Comm, work []T, bounds []int) ([]T, error) {
+	out, err := core.ExchangeSorted(wc, work, bounds, s.cd, s.cmp, s.core)
+	s.held = int64(len(out)) * int64(s.cd.Size())
+	if err != nil {
+		return nil, fmt.Errorf("%s: exchange: %w", s.name, err)
+	}
+	return out, nil
+}
+
+// oneShot is the single-exchange skeleton (hss, psrs): pick p-1
+// splitters, cut the sorted data by the classical partition — these
+// drivers are duplicate-oblivious by design — and exchange once.
+func (s *sorter[T]) oneShot(data []T, pick func() ([]T, error)) ([]T, error) {
+	if s.c.Size() == 1 {
+		return s.finish(data, "single"), nil
+	}
+	s.tm.Start(metrics.PhasePivotSelection)
+	sp, err := pick()
+	if err != nil {
+		return nil, fmt.Errorf("%s: splitter selection: %w", s.name, err)
+	}
+	if len(sp) == 0 {
+		return s.finish(data, "empty"), nil
+	}
+	out, err := s.exchange(s.c, data, partition.Classical(data, sp, s.cmp))
+	if err != nil {
+		return nil, err
+	}
+	return s.finish(out, "completed"), nil
+}
+
+// levels is the recursion the multi-level drivers (ams, hyksort) share:
+// until this rank is alone, pick b-1 = min(k, p)-1 splitters over the
+// current communicator, cut the sorted data into b buckets by the
+// classical partition, let deliver translate buckets into
+// per-destination bounds — group j owns the consecutive ranks
+// [starts[j], starts[j+1]) — exchange, and narrow the communicator to
+// this rank's group. p ranks take O(log_k p) exchange levels instead of
+// one p-wide all-to-all. Cancellation is checked between levels. It
+// returns the number of levels run.
+func (s *sorter[T]) levels(data []T, k int,
+	pick func(cur *comm.Comm, local []T, b int) ([]T, error),
+	deliver func(buckets, starts []int, me int) []int,
+) ([]T, int, error) {
+	cur, local, n, reason := s.c, data, 0, "single"
+	for ; cur.Size() > 1; n++ {
+		if err := s.ctx.Err(); err != nil {
+			return nil, n, err
+		}
+		p, me := cur.Size(), cur.Rank()
+		b := min(k, p)
+		s.tm.Start(metrics.PhasePivotSelection)
+		sp, err := pick(cur, local, b)
+		if err != nil {
+			return nil, n, fmt.Errorf("%s: splitter selection: %w", s.name, err)
+		}
+		// No splitters: the dataset is empty. No rank contributed a
+		// candidate and every rank sees the same empty pool, so ending
+		// the recursion by splitting into singleton worlds stays
+		// collective.
+		group := me
+		if len(sp) > 0 {
+			if len(sp) != b-1 {
+				return nil, n, fmt.Errorf("%s: selected %d splitters for %d groups", s.name, len(sp), b)
+			}
+			starts := make([]int, b+1)
+			for rank := p - 1; rank >= 0; rank-- {
+				starts[rank*b/p] = rank
+			}
+			starts[b] = p
+			local, err = s.exchange(cur, local, deliver(partition.Classical(local, sp, s.cmp), starts, me))
+			if err != nil {
+				return nil, n, err
+			}
+			group, reason = me*b/p, "completed"
+		} else if n == 0 {
+			reason = "empty"
+		}
+		s.tm.Start(metrics.PhaseOther)
+		if cur, err = cur.Split(group, me); err != nil {
+			return nil, n, fmt.Errorf("%s: group split: %w", s.name, err)
+		}
+	}
+	return s.finish(local, reason), n, nil
+}
+
+// equalStrides cuts a sorted candidate pool at b-1 equal strides — the
+// one-shot splitter pick of regular sampling.
+func equalStrides[T any](pool []T, b int) []T {
+	sp := make([]T, 0, b-1)
+	for i := 1; i < b && len(pool) > 0; i++ {
+		sp = append(sp, pool[max(i*len(pool)/b-1, 0)])
+	}
+	return sp
 }

@@ -13,6 +13,8 @@ import (
 	"sdssort/internal/codec"
 	"sdssort/internal/comm"
 	"sdssort/internal/comm/tcpcomm"
+	"sdssort/internal/memlimit"
+	"sdssort/internal/trace"
 	"sdssort/internal/workload"
 )
 
@@ -99,15 +101,35 @@ func checkEquivalent(t *testing.T, outs [][]float64, want []float64) {
 	}
 }
 
-func sortInproc(name string, p, perRank int, gen func(rank, p, perRank int) []float64) ([][]float64, error) {
+func sortInproc(name string, p, perRank int, gen func(rank, p, perRank int) []float64, tr trace.Tracer) ([][]float64, error) {
 	drv, err := New[float64](name)
 	if err != nil {
 		return nil, err
 	}
+	opt := DefaultOptions()
+	opt.Core.Trace = tr
 	topo := cluster.Topology{Nodes: p, CoresPerNode: 1}
 	return cluster.Gather(topo, cluster.Options{}, func(c *comm.Comm) ([]float64, error) {
-		return drv.Sort(context.Background(), c, gen(c.Rank(), p, perRank), codec.Float64{}, cmpF64, DefaultOptions())
+		return drv.Sort(context.Background(), c, gen(c.Rank(), p, perRank), codec.Float64{}, cmpF64, opt)
 	})
+}
+
+// checkTraceComplete asserts the sort's trace envelope: every rank
+// started and terminated exactly one sort, and no span was left open.
+func checkTraceComplete(t *testing.T, events []trace.Event, p int) {
+	t.Helper()
+	a := trace.Analyze(events)
+	if a.SortsStarted != p || a.SortsCompleted != p {
+		t.Errorf("%d sort.start, %d sort.done events, want %d of each", a.SortsStarted, a.SortsCompleted, p)
+	}
+	if len(a.UnterminatedRanks) != 0 {
+		t.Errorf("ranks %v never emitted sort.done", a.UnterminatedRanks)
+	}
+	for _, sp := range trace.BuildSpans(events) {
+		if sp.Open {
+			t.Errorf("rank %d left span %q open", sp.Rank, sp.Name)
+		}
+	}
 }
 
 // sortTCP runs the same collective sort with every rank on its own
@@ -162,18 +184,22 @@ func sortTCP(name string, p, perRank int, gen func(rank, p, perRank int) []float
 
 // TestDriverEquivalenceInproc: every built-in driver produces the exact
 // reference sequence on every equivalence workload, over the in-process
-// fabric. p=8 keeps ams genuinely multi-level (k=4 → two levels).
+// fabric, and leaves a complete trace behind — sdstrace must count the
+// sorts of an -algo hss|ams|hyksort|psrs run as it does an sds one.
+// p=8 keeps ams genuinely multi-level (k=4 → two levels).
 func TestDriverEquivalenceInproc(t *testing.T) {
 	const p, perRank = 8, 3000
 	for _, in := range builtins {
 		for _, input := range eqInputs(t) {
 			t.Run(in.Name+"/"+input.name, func(t *testing.T) {
 				want := reference(p, perRank, input.gen)
-				outs, err := sortInproc(in.Name, p, perRank, input.gen)
+				rec := trace.NewRecorder()
+				outs, err := sortInproc(in.Name, p, perRank, input.gen, rec)
 				if err != nil {
 					t.Fatal(err)
 				}
 				checkEquivalent(t, outs, want)
+				checkTraceComplete(t, rec.Events(), p)
 			})
 		}
 	}
@@ -224,6 +250,30 @@ func TestDriverStableRejected(t *testing.T) {
 			})
 			if err == nil {
 				t.Fatalf("driver %q accepted a stable sort it cannot honour", in.Name)
+			}
+		})
+	}
+}
+
+// TestDriverInvalidOptionsDrainGauge: a sort the shared exchange refuses
+// before it moves a byte — here a negative StageBytes — still hands the
+// driver's input reservation back to the (shared, long-lived) gauge.
+func TestDriverInvalidOptionsDrainGauge(t *testing.T) {
+	const p, perRank = 2, 100
+	for _, name := range []string{NameHSS, NameAMS, NameHyk, NamePSRS} {
+		t.Run(name, func(t *testing.T) {
+			gauge := memlimit.New(1 << 20)
+			topo := cluster.Topology{Nodes: p, CoresPerNode: 1}
+			_, err := cluster.Gather(topo, cluster.Options{}, func(c *comm.Comm) ([]float64, error) {
+				opt := DefaultOptions()
+				opt.Core.Mem, opt.Core.StageBytes = gauge, -1
+				return sortWith(name, c, workload.Uniform(int64(c.Rank()), perRank), opt)
+			})
+			if err == nil {
+				t.Fatal("negative StageBytes accepted")
+			}
+			if used := gauge.Used(); used != 0 {
+				t.Fatalf("gauge holds %d bytes after the rejected sort", used)
 			}
 		})
 	}

@@ -2,16 +2,12 @@ package algo
 
 import (
 	"context"
-	"fmt"
 
 	"sdssort/internal/codec"
 	"sdssort/internal/comm"
-	"sdssort/internal/core"
-	"sdssort/internal/metrics"
 	"sdssort/internal/partition"
 	"sdssort/internal/pivots"
 	"sdssort/internal/psort"
-	"sdssort/internal/radix"
 )
 
 // hssDriver implements Histogram Sort with Sampling (Harsh, Kalé,
@@ -31,37 +27,11 @@ func (hssDriver[T]) Info() Info {
 }
 
 func (hssDriver[T]) Sort(ctx context.Context, c *comm.Comm, data []T, cd codec.Codec[T], cmp func(a, b T) int, opt Options) ([]T, error) {
-	if err := ctx.Err(); err != nil {
+	s, err := begin(ctx, NameHSS, c, data, cd, cmp, opt)
+	if err != nil {
 		return nil, err
 	}
-	if err := reject(NameHSS, opt); err != nil {
-		return nil, err
-	}
-	opt.record(NameHSS)
-	rsp, opt := opt.rootSpan(NameHSS, c.Rank(), len(data), c.Size())
-	defer rsp.End(map[string]any{"reason": "error"})
-	tm, copt := opt.timer()
-	tm.Start(metrics.PhaseOther)
-	defer tm.Stop()
-
-	recSize := int64(cd.Size())
-	led := &ledger{g: opt.Core.Mem}
-	if err := led.reserve(int64(len(data)) * recSize); err != nil {
-		return nil, fmt.Errorf("hss: input buffer: %w", err)
-	}
-	defer led.releaseAll()
-
-	tm.Start(metrics.PhaseLocalSort)
-	if !radix.DispatchLocal(data, cd, cmp) {
-		psort.ParallelSort(data, opt.cores(), false, cmp)
-	}
-	p := c.Size()
-	if p == 1 {
-		rsp.End(map[string]any{"records": len(data)})
-		return data, nil
-	}
-
-	tm.Start(metrics.PhasePivotSelection)
+	defer s.end()
 	rounds := opt.HistogramRounds
 	if rounds <= 0 {
 		rounds = 8
@@ -70,40 +40,16 @@ func (hssDriver[T]) Sort(ctx context.Context, c *comm.Comm, data []T, cd codec.C
 	if eps <= 0 {
 		eps = 0.05
 	}
-	sp, st, err := hssSplitters(c, data, p-1, rounds, eps, cd, cmp)
-	if err != nil {
-		return nil, fmt.Errorf("hss: splitter selection: %w", err)
-	}
-	opt.tracer().Emit(c.Rank(), "hss.splitters", map[string]any{
-		"rounds": st.rounds, "candidates": st.candidates,
-		"resolved": st.resolved, "splitters": p - 1, "tolerance": st.tol,
-	})
-	if len(sp) == 0 {
-		rsp.End(map[string]any{"records": len(data)})
-		return data, nil // globally empty dataset
-	}
-
-	// Plain upper_bound partition on the refined splitters — HSS is
-	// duplicate-oblivious by design.
-	bounds := make([]int, p+1)
-	bounds[p] = len(data)
-	for j, s := range sp {
-		bounds[j+1] = partition.UpperBound(data, s, cmp)
-	}
-	for j := 1; j <= p; j++ {
-		if bounds[j] < bounds[j-1] {
-			bounds[j] = bounds[j-1]
+	return s.oneShot(data, func() ([]T, error) {
+		sp, st, err := hssSplitters(c, data, c.Size()-1, rounds, eps, cd, cmp)
+		if err == nil {
+			s.tr.Emit(c.Rank(), "hss.splitters", map[string]any{
+				"rounds": st.rounds, "candidates": st.candidates,
+				"resolved": st.resolved, "splitters": c.Size() - 1, "tolerance": st.tol,
+			})
 		}
-	}
-
-	out, err := core.ExchangeSorted(c, data, bounds, cd, cmp, copt)
-	if err != nil {
-		led.held = 0 // ExchangeSorted settled the ledger on failure
-		return nil, fmt.Errorf("hss: exchange: %w", err)
-	}
-	led.held = int64(len(out)) * recSize
-	rsp.End(map[string]any{"records": len(out)})
-	return out, nil
+		return sp, err
+	})
 }
 
 // hssStats summarises one splitter selection for the trace.

@@ -1,6 +1,7 @@
-package hyksort
+package algo
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"slices"
@@ -15,14 +16,14 @@ import (
 
 var f64 = codec.Float64{}
 
-func cmpF(a, b float64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
+// sortWith runs one rank's share of a collective sort under the named
+// driver.
+func sortWith(name string, c *comm.Comm, local []float64, opt Options) ([]float64, error) {
+	drv, err := New[float64](name)
+	if err != nil {
+		return nil, err
 	}
-	return 0
+	return drv.Sort(context.Background(), c, local, f64, cmpF64, opt)
 }
 
 func runHyk(t *testing.T, p int, in [][]float64, opt Options) ([][]float64, error) {
@@ -30,7 +31,7 @@ func runHyk(t *testing.T, p int, in [][]float64, opt Options) ([][]float64, erro
 	topo := cluster.Topology{Nodes: p, CoresPerNode: 1}
 	return cluster.Gather(topo, cluster.Options{}, func(c *comm.Comm) ([]float64, error) {
 		local := append([]float64(nil), in[c.Rank()]...)
-		return Sort(c, local, f64, cmpF, opt)
+		return sortWith(NameHyk, c, local, opt)
 	})
 }
 
@@ -164,9 +165,9 @@ func TestHykSortSkewOOM(t *testing.T) {
 	topo := cluster.Topology{Nodes: p, CoresPerNode: 1}
 	err := cluster.Run(topo, func(c *comm.Comm) error {
 		opt := DefaultOptions()
-		opt.Mem = memlimit.New(budget)
+		opt.Core.Mem = memlimit.New(budget)
 		local := append([]float64(nil), in[c.Rank()]...)
-		_, err := Sort(c, local, f64, cmpF, opt)
+		_, err := sortWith(NameHyk, c, local, opt)
 		return err
 	})
 	if err == nil {
@@ -185,9 +186,9 @@ func TestHykSortUniformWithinBudget(t *testing.T) {
 	topo := cluster.Topology{Nodes: p, CoresPerNode: 1}
 	err := cluster.Run(topo, func(c *comm.Comm) error {
 		opt := DefaultOptions()
-		opt.Mem = memlimit.New(budget)
+		opt.Core.Mem = memlimit.New(budget)
 		local := append([]float64(nil), in[c.Rank()]...)
-		_, err := Sort(c, local, f64, cmpF, opt)
+		_, err := sortWith(NameHyk, c, local, opt)
 		return err
 	})
 	if err != nil {

@@ -22,6 +22,6 @@ func (sdsDriver[T]) Sort(ctx context.Context, c *comm.Comm, data []T, cd codec.C
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	opt.record(NameSDS)
+	opt.Selection.Selected(NameSDS)
 	return core.Sort(c, data, cd, cmp, opt.Core)
 }

@@ -5,9 +5,7 @@ import (
 	"sync"
 
 	"sdssort/internal/checkpoint"
-	"sdssort/internal/codec"
 	"sdssort/internal/metrics"
-	"sdssort/internal/trace"
 )
 
 // Checkpointing wires Sort to a checkpoint.Store: each rank snapshots
@@ -48,7 +46,7 @@ type Checkpointing struct {
 	Recovery *metrics.RecoveryStats
 
 	mu       sync.Mutex
-	queue    []func() error
+	queue    []func()
 	draining bool
 	wg       sync.WaitGroup
 	err      error // first async commit failure
@@ -56,26 +54,29 @@ type Checkpointing struct {
 
 func (ck *Checkpointing) enabled() bool { return ck != nil && ck.Store != nil }
 
-// enqueue hands one disk commit to the background writer. Commits run
-// strictly in enqueue order — aliased snapshots (hard links to an
-// earlier phase's data) depend on their source having committed first
-// — and one at a time, so a shared Checkpointing never competes with
-// itself for disk bandwidth.
-func (ck *Checkpointing) enqueue(commit func() error) {
-	if ck.Sync {
-		// Synchronous mode never populates the queue, so running the
-		// commit inline preserves the strict ordering for free.
+// enqueue hands the disk commit of phase ph's snapshot to the
+// background writer. Commits run strictly in enqueue order — aliased
+// snapshots (hard links to an earlier phase's data) depend on their
+// source having committed first — and one at a time, so a shared
+// Checkpointing never competes with itself for disk bandwidth.
+func (ck *Checkpointing) enqueue(ph checkpoint.Phase, commit func() error) {
+	job := func() {
 		if err := commit(); err != nil {
 			ck.mu.Lock()
 			if ck.err == nil {
-				ck.err = err
+				ck.err = fmt.Errorf("core: checkpoint at %s: %w", ph, err)
 			}
 			ck.mu.Unlock()
 		}
+	}
+	if ck.Sync {
+		// Synchronous mode never populates the queue, so running the
+		// commit inline preserves the strict ordering for free.
+		job()
 		return
 	}
 	ck.mu.Lock()
-	ck.queue = append(ck.queue, commit)
+	ck.queue = append(ck.queue, job)
 	if !ck.draining {
 		ck.draining = true
 		ck.wg.Add(1)
@@ -95,16 +96,10 @@ func (ck *Checkpointing) drain() {
 			ck.mu.Unlock()
 			return
 		}
-		commit := ck.queue[0]
+		job := ck.queue[0]
 		ck.queue = ck.queue[1:]
 		ck.mu.Unlock()
-		if err := commit(); err != nil {
-			ck.mu.Lock()
-			if ck.err == nil {
-				ck.err = err
-			}
-			ck.mu.Unlock()
-		}
+		job()
 	}
 }
 
@@ -122,101 +117,4 @@ func (ck *Checkpointing) Wait() error {
 	ck.mu.Lock()
 	defer ck.mu.Unlock()
 	return ck.err
-}
-
-// resumeAt reports whether the configured cut covers phase ph — the
-// phase's results are on disk and must be loaded, not recomputed.
-func (ck *Checkpointing) resumeAt(ph checkpoint.Phase) bool {
-	return ck.enabled() && ck.Resume.Phase >= ph
-}
-
-// saveCkpt snapshots one phase boundary under the current epoch: the
-// records are encoded here (so later phases may mutate or release the
-// slice) and the disk commit is enqueued on the background writer —
-// failures surface from Wait, not from the phase that snapshotted. It
-// is a no-op when checkpointing is off, so the driver calls it
-// unconditionally at every boundary.
-func saveCkpt[T any](ck *Checkpointing, tr trace.Tracer, rank int, sc trace.Scope, ph checkpoint.Phase, merged, leader bool, bounds []int64, cd codec.Codec[T], recs []T) error {
-	if !ck.enabled() {
-		return nil
-	}
-	// The span covers what the sort actually pays for: the in-place
-	// encode, plus — in Sync mode — the inline disk commit. Async
-	// commits run on the background writer, off the critical path, so
-	// they stay outside the span (sync=false marks those).
-	csp := trace.StartSpan(tr, rank, sc, "checkpoint", map[string]any{
-		"phase": ph.String(), "op": "save", "sync": ck.Sync,
-	})
-	m := checkpoint.Manifest{
-		Epoch: ck.Epoch, Phase: ph, Rank: rank,
-		Merged: merged, Leader: leader, Bounds: bounds,
-	}
-	payload := codec.EncodeSlice(cd, make([]byte, 0, len(recs)*cd.Size()), recs)
-	n, size := int64(len(recs)), cd.Size()
-	store := ck.Store
-	ck.enqueue(func() error {
-		if err := checkpoint.SaveBytes(store, m, payload, n, size); err != nil {
-			return fmt.Errorf("core: checkpoint at %s: %w", ph, err)
-		}
-		return nil
-	})
-	csp.End(map[string]any{"records": len(recs)})
-	tr.Emit(rank, "ckpt.save", map[string]any{
-		"phase": ph.String(), "epoch": ck.Epoch, "records": len(recs),
-	})
-	return nil
-}
-
-// aliasCkpt snapshots a phase whose record data is byte-identical to
-// an earlier phase committed this epoch — no re-encode, no rewrite;
-// the background writer hard-links the data (FIFO order makes the
-// source safe to reference).
-func aliasCkpt(ck *Checkpointing, tr trace.Tracer, rank int, sc trace.Scope, ph, src checkpoint.Phase, merged, leader bool, bounds []int64) {
-	if !ck.enabled() {
-		return
-	}
-	m := checkpoint.Manifest{
-		Epoch: ck.Epoch, Phase: ph, Rank: rank,
-		Merged: merged, Leader: leader, Bounds: bounds,
-	}
-	store := ck.Store
-	ck.enqueue(func() error {
-		if err := checkpoint.SaveAlias(store, m, src); err != nil {
-			return fmt.Errorf("core: checkpoint at %s: %w", ph, err)
-		}
-		return nil
-	})
-	tr.Emit(rank, "ckpt.save", map[string]any{
-		"phase": ph.String(), "epoch": ck.Epoch, "alias": src.String(),
-	})
-}
-
-// loadCkpt loads this rank's snapshot of phase ph from the resume cut's
-// epoch, verifying count and checksum.
-func loadCkpt[T any](ck *Checkpointing, tr trace.Tracer, rank int, sc trace.Scope, ph checkpoint.Phase, cd codec.Codec[T]) (*checkpoint.Manifest, []T, error) {
-	csp := trace.StartSpan(tr, rank, sc, "checkpoint", map[string]any{
-		"phase": ph.String(), "op": "load",
-	})
-	m, recs, err := checkpoint.Load[T](ck.Store, ck.Resume.Epoch, ph, rank, cd)
-	if err != nil {
-		csp.End(map[string]any{"error": err.Error()})
-		return nil, nil, fmt.Errorf("core: resume from %s@e%d: %w", ph, ck.Resume.Epoch, err)
-	}
-	csp.End(map[string]any{"records": len(recs)})
-	tr.Emit(rank, "ckpt.resume", map[string]any{
-		"phase": ph.String(), "from_epoch": ck.Resume.Epoch,
-		"epoch": ck.Epoch, "records": len(recs),
-	})
-	return m, recs, nil
-}
-
-// dropOut commits the empty snapshots a merged-away follower leaves
-// behind. Without them the follower would hold no checkpoint for the
-// partition and final phases and no later cut could ever become
-// globally consistent.
-func dropOut[T any](ck *Checkpointing, tr trace.Tracer, rank int, sc trace.Scope, cd codec.Codec[T]) error {
-	if err := saveCkpt(ck, tr, rank, sc, checkpoint.PhasePartition, true, false, nil, cd, []T{}); err != nil {
-		return err
-	}
-	return saveCkpt(ck, tr, rank, sc, checkpoint.PhaseFinal, true, false, nil, cd, []T{})
 }

@@ -5,7 +5,7 @@ import (
 
 	"sdssort/internal/codec"
 	"sdssort/internal/comm"
-	"sdssort/internal/partition"
+	"sdssort/internal/metrics"
 )
 
 // ExchangeSorted is the shared exchange-and-order stage behind every
@@ -26,30 +26,34 @@ import (
 // including the adopted input reservation, has been returned to the
 // gauge. opt.Checkpoint is ignored: phase snapshots remain a core.Sort
 // concern.
-func ExchangeSorted[T any](wc *comm.Comm, work []T, bounds []int, cd codec.Codec[T], cmp func(a, b T) int, opt Options) ([]T, error) {
-	p := wc.Size()
-	if len(bounds) != p+1 {
-		return nil, fmt.Errorf("core: %d partition bounds for %d processes", len(bounds), p)
+func ExchangeSorted[T any](wc *comm.Comm, work []T, bounds []int, cd codec.Codec[T], cmp func(a, b T) int, opt Options) (out []T, err error) {
+	// Adopt the caller's input reservation into the per-call ledger
+	// before anything can fail — invalid options and a bad partition
+	// included — so the staging window, the receive buffer and the spill
+	// tier account exactly as they do under core.Sort, and failure always
+	// means settled. On success the ledger — now the output's bytes —
+	// transfers to the caller instead of being returned.
+	held := int64(len(work)) * int64(cd.Size())
+	r, err := newRun(wc, cd, cmp, opt)
+	if err != nil {
+		opt.Mem.Release(held)
+		return nil, err
 	}
-	if err := partition.Validate(bounds, len(work)); err != nil {
-		return nil, fmt.Errorf("core: exchange partition: %w", err)
-	}
-	if p == 1 {
-		return work, nil
-	}
-	// Adopt the caller's input reservation into the per-call ledger so
-	// the staging window, the receive buffer and the spill tier account
-	// exactly as they do under core.Sort. The shared tail settles it:
-	// on success the ledger — now the output's bytes — transfers to the
-	// caller instead of being returned.
-	acct := &memAcct{g: opt.Mem, held: int64(len(work)) * int64(cd.Size())}
-	ok := false
+	r.work, r.acct.held = work, held
 	defer func() {
-		if !ok {
-			acct.releaseAll()
+		if err != nil {
+			r.acct.releaseAll()
 		}
 	}()
-	out, _, err := exchangeAndOrder(wc, wc.Rank(), work, bounds, cd, cmp, opt, opt.timer(), acct)
-	ok = err == nil
-	return out, err
+	if err := r.setBounds(bounds); err != nil {
+		return nil, fmt.Errorf("core: exchange partition: %w", err)
+	}
+	if wc.Size() == 1 {
+		return work, nil
+	}
+	r.tm.Start(metrics.PhaseExchange)
+	if _, err := r.exchangeAndOrder(); err != nil {
+		return nil, err
+	}
+	return r.work, nil
 }

@@ -53,8 +53,6 @@ func sum(xs []int64) (total int64) {
 // before the first payload byte moves.
 type exchangePlan struct {
 	span    string  // "exchange", or "spill" when the receive side lands on disk
-	rank    int     // the rank spans are attributed to: the sort's, which after node merging is not wc.Rank()
-	recSize int64   // wire bytes per record
 	send    []int64 // payload bytes to each destination
 	recv    []int64 // payload bytes from each source
 	stage   int64   // chunk bound, a whole number of records; 0 = one chunk per peer
@@ -71,8 +69,8 @@ var spanFailed = map[string]any{"reason": "error"}
 // — this rank's largest per-peer payload. The returned func releases
 // the window and, unless the caller ended the span first, closes it as
 // failed; callers defer it.
-func (pl exchangePlan) open(overlap bool, src chunkSource, opt Options, acct *memAcct) (*trace.Span, func(), error) {
-	sp := trace.StartSpan(opt.tracer(), pl.rank, opt.Span, pl.span, map[string]any{
+func (r *run[T]) open(pl exchangePlan, overlap bool, src chunkSource) (*trace.Span, func(), error) {
+	sp := trace.StartSpan(r.tr, r.rank, r.opt.Span, pl.span, map[string]any{
 		"overlap": overlap, "staged": pl.stage > 0, "zero_copy": src.pool == nil,
 	})
 	window := pl.stage
@@ -83,12 +81,12 @@ func (pl exchangePlan) open(overlap bool, src chunkSource, opt Options, acct *me
 		window *= 2
 	}
 	window += pl.sinkBuf
-	if err := acct.reserve(window); err != nil {
+	if err := r.acct.reserve(window); err != nil {
 		sp.End(spanFailed)
 		return nil, nil, fmt.Errorf("core: staging window of %d bytes: %w", window, err)
 	}
-	opt.Exchange.ObservePeakStaging(window)
-	return sp, func() { acct.release(window); sp.End(spanFailed) }, nil
+	r.opt.Exchange.ObservePeakStaging(window)
+	return sp, func() { r.acct.release(window); sp.End(spanFailed) }, nil
 }
 
 // chunkSource produces the outgoing side of an exchange: fill returns
@@ -121,7 +119,8 @@ func (s chunkSource) book(ex *metrics.ExchangeStats, bytes, chunks int64) {
 // partitionSource serves the chunks of a resident, partitioned working
 // set: slices of the slab itself for zero-copy codecs, pooled encodes
 // for every other codec.
-func partitionSource[T any](work []T, bounds []int, cd codec.Codec[T], recSize int64) chunkSource {
+func (r *run[T]) partitionSource() chunkSource {
+	work, bounds, cd, recSize := r.work, r.bounds, r.cd, r.recSize
 	if workBytes, ok := codec.View(cd, work); ok {
 		return chunkSource{fill: func(dst int, off, n int64) ([]byte, error) {
 			lo := int64(bounds[dst])*recSize + off
@@ -173,27 +172,27 @@ func recvSlab[T any](recv []int64, cd codec.Codec[T], recSize int64) ([]T, [][]T
 // counters, the span (closed on every exit) — and leaves what differs
 // to the source and the sink. Blocking exchange plus rank-ordered sinks
 // is what carries stability end to end.
-func stagedExchange(wc *comm.Comm, pl exchangePlan, src chunkSource, sink chunkSink, opt Options, acct *memAcct) (comm.StagedStats, error) {
-	sp, done, err := pl.open(false, src, opt, acct)
+func (r *run[T]) stagedExchange(pl exchangePlan, src chunkSource, sink chunkSink) (comm.StagedStats, error) {
+	sp, done, err := r.open(pl, false, src)
 	if err != nil {
 		return comm.StagedStats{}, err
 	}
 	defer done()
-	st, err := wc.StagedAlltoallv(comm.StagedOptions{
+	st, err := r.wc.StagedAlltoallv(comm.StagedOptions{
 		StageBytes: pl.stage,
 		SendBytes:  pl.send,
 		RecvBytes:  pl.recv,
 		Fill:       src.fill,
 		FillDone:   src.recycle,
 		Drain:      sink,
-		OnWindow:   opt.Exchange.AddWindow,
+		OnWindow:   r.opt.Exchange.AddWindow,
 	})
-	src.book(opt.Exchange, st.BytesStaged, st.Chunks)
+	src.book(r.opt.Exchange, st.BytesStaged, st.Chunks)
 	if err != nil {
 		return st, fmt.Errorf("core: %s alltoall: %w", pl.span, err)
 	}
 	sp.End(map[string]any{
-		"send_records": sum(pl.send) / pl.recSize, "recv_records": sum(pl.recv) / pl.recSize,
+		"send_records": sum(pl.send) / r.recSize, "recv_records": sum(pl.recv) / r.recSize,
 		"recv_bytes": sum(pl.recv), "bytes_staged": st.BytesStaged, "chunks": st.Chunks,
 	})
 	return st, nil
@@ -204,13 +203,14 @@ func stagedExchange(wc *comm.Comm, pl exchangePlan, src chunkSource, sink chunkS
 // stable by source rank (SdssMergeAll) — or a re-sort of the slab at and
 // above it — O(m log m) but independent of p (SdssLocalSort), radix
 // dispatched for integer-keyed codecs unless the sort is stable.
-func localOrder[T any](slab []T, chunks [][]T, rank int, cd codec.Codec[T], cmp func(a, b T) int, opt Options) []T {
-	merge := len(chunks) < opt.TauS
-	osp := trace.StartSpan(opt.tracer(), rank, opt.Span, "localorder", map[string]any{"merge": merge})
+func (r *run[T]) localOrder(slab []T, chunks [][]T) []T {
+	r.tm.Start(metrics.PhaseLocalOrdering)
+	merge := len(chunks) < r.opt.TauS
+	osp := trace.StartSpan(r.tr, r.rank, r.opt.Span, "localorder", map[string]any{"merge": merge})
 	if merge {
-		slab = psort.KWayMerge(chunks, cmp)
-	} else if opt.Stable || !radix.DispatchLocal(slab, cd, cmp) {
-		psort.ParallelSort(slab, opt.cores(), opt.Stable, cmp)
+		slab = psort.KWayMerge(chunks, r.cmp)
+	} else if r.opt.Stable || !radix.DispatchLocal(slab, r.cd, r.cmp) {
+		psort.ParallelSort(slab, r.opt.cores(), r.opt.Stable, r.cmp)
 	}
 	osp.End(map[string]any{"records": len(slab)})
 	return slab
@@ -224,10 +224,11 @@ func localOrder[T any](slab []T, chunks [][]T, rank int, cd codec.Codec[T], cmp 
 // the fast (non-stable) sort may take this path. One span covers the
 // whole phase: exchange and local ordering genuinely interleave here,
 // so splitting them would be fiction.
-func overlapExchange[T any](wc *comm.Comm, work []T, bounds []int, pl exchangePlan, cd codec.Codec[T], cmp func(a, b T) int, opt Options, tm *metrics.PhaseTimer, acct *memAcct) ([]T, error) {
+func (r *run[T]) overlapExchange(pl exchangePlan) ([]T, error) {
+	wc, work, bounds, ex := r.wc, r.work, r.bounds, r.opt.Exchange
 	me := wc.Rank()
-	src := partitionSource(work, bounds, cd, pl.recSize)
-	sp, done, err := pl.open(true, src, opt, acct)
+	src := r.partitionSource()
+	sp, done, err := r.open(pl, true, src)
 	if err != nil {
 		return nil, err
 	}
@@ -243,11 +244,11 @@ func overlapExchange[T any](wc *comm.Comm, work []T, bounds []int, pl exchangePl
 		consumed []bool
 	)
 	post := func(from int) error {
-		r, err := wc.Irecv(from, tagExchange)
+		req, err := wc.Irecv(from, tagExchange)
 		if err != nil {
 			return fmt.Errorf("core: irecv from %d: %w", from, err)
 		}
-		reqs, srcs, consumed = append(reqs, r), append(srcs, from), append(consumed, false)
+		reqs, srcs, consumed = append(reqs, req), append(srcs, from), append(consumed, false)
 		return nil
 	}
 	for from, owed := range remaining {
@@ -259,7 +260,7 @@ func overlapExchange[T any](wc *comm.Comm, work []T, bounds []int, pl exchangePl
 	}
 	// The eager transports never block the sender on a matching receive.
 	sendErr := make(chan error, 1)
-	go func() { sendErr <- pl.sendChunks(wc, src, opt.Exchange) }()
+	go func() { sendErr <- pl.sendChunks(wc, src, ex) }()
 
 	// Seed the result with our own slice; each arrival merges in.
 	out := append([]T(nil), work[bounds[me]:bounds[me+1]]...)
@@ -275,9 +276,9 @@ func overlapExchange[T any](wc *comm.Comm, work []T, bounds []int, pl exchangePl
 		// Decode on the exchange clock (receive half of the transfer);
 		// only the merge is local ordering. The encoded buffer counts
 		// toward the staging window until it has been decoded.
-		opt.Exchange.AddWindow(n)
-		chunk, err := codec.DecodeSlice(cd, buf)
-		opt.Exchange.AddWindow(-n)
+		ex.AddWindow(n)
+		chunk, err := codec.DecodeSlice(r.cd, buf)
+		ex.AddWindow(-n)
 		if err != nil {
 			return nil, fmt.Errorf("core: decode from rank %d: %w", from, err)
 		}
@@ -289,15 +290,15 @@ func overlapExchange[T any](wc *comm.Comm, work []T, bounds []int, pl exchangePl
 				return nil, err
 			}
 		}
-		tm.Start(metrics.PhaseLocalOrdering)
-		out = psort.MergeTwo(out, chunk, cmp)
-		tm.Start(metrics.PhaseExchange)
+		r.tm.Start(metrics.PhaseLocalOrdering)
+		out = psort.MergeTwo(out, chunk, r.cmp)
+		r.tm.Start(metrics.PhaseExchange)
 	}
 	if err := <-sendErr; err != nil {
 		return nil, err
 	}
 	sp.End(map[string]any{
-		"recv_records": int64(len(out)), "recv_bytes": int64(len(out)) * pl.recSize,
+		"recv_records": int64(len(out)), "recv_bytes": int64(len(out)) * r.recSize,
 		"send_records": int64(len(work)),
 	})
 	return out, nil
@@ -338,70 +339,70 @@ func (pl exchangePlan) sendChunks(wc *comm.Comm, src chunkSource, ex *metrics.Ex
 // shares: exchange the send counts, budget the receive buffer — where a
 // collapsed partition dies of OOM on a real machine, and what doubles
 // as the spill trigger — then move the data and order it on the path
-// the spill vote and τo select. On success work's claim on acct has
-// been settled and the output's made, so acct holds len(out) records
-// where it held len(work); reason is the sort.done reason of the path
-// taken, "completed" or "spilled".
-func exchangeAndOrder[T any](wc *comm.Comm, rank int, work []T, bounds []int, cd codec.Codec[T], cmp func(a, b T) int, opt Options, tm *metrics.PhaseTimer, acct *memAcct) (out []T, reason string, err error) {
-	p := wc.Size()
-	tr := opt.tracer()
-	tm.Start(metrics.PhaseExchange)
-	scounts := partition.Counts(bounds)
-	tr.Emit(rank, "partition.histogram", histogramDetail(scounts))
-	rcounts, err := exchangeCounts(wc, scounts)
+// the spill vote and τo select. On success work's claim on the ledger
+// has been settled and the output's made — it holds len(out) records
+// where it held len(work) — work is the output, and exit the sort.done
+// reason of the path taken, "completed" or "spilled". The skew observed
+// here is output-side: the received partition sizes, the loads the
+// paper's RDFA metric measures and skew-aware splitting bounds.
+func (r *run[T]) exchangeAndOrder() (map[string]any, error) {
+	wc, recSize := r.wc, r.recSize
+	scounts := partition.Counts(r.bounds)
+	// The per-destination histogram is genuinely per-rank data, so every
+	// rank emits its own.
+	sent := scale(scounts, 1)
+	r.tr.Emit(r.rank, "partition.histogram", map[string]any{"sent": sent, "records": sum(sent), "dests": len(sent)})
+	pl, err := r.plan(scounts)
 	if err != nil {
-		return nil, "", fmt.Errorf("core: count exchange: %w", err)
+		return nil, err
 	}
-	m := sum(rcounts)
-	recSize := int64(cd.Size())
-	pl := exchangePlan{
-		span: "exchange", rank: rank, recSize: recSize,
-		send: scale(scounts, recSize), recv: scale(rcounts, recSize),
-		stage: effStage(opt.StageBytes, recSize),
-	}
-	overlap := !opt.Stable && p <= opt.TauO
-	tr.Emit(rank, "exchange.plan", map[string]any{
-		"send_records": len(work), "recv_records": m, "overlap": overlap,
-		"stage_bytes": pl.stage, "staged": pl.stage > 0, "zero_copy": codec.IsZeroCopy(cd),
+	pl.stage = effStage(r.opt.StageBytes, recSize)
+	m := sum(pl.recv) / recSize
+	overlap := !r.opt.Stable && wc.Size() <= r.opt.TauO
+	r.tr.Emit(r.rank, "exchange.plan", map[string]any{
+		"send_records": len(r.work), "recv_records": m, "overlap": overlap,
+		"stage_bytes": pl.stage, "staged": pl.stage > 0, "zero_copy": codec.IsZeroCopy(r.cd),
 	})
-	// Output-side skew: the received partition sizes — the loads the
-	// paper's RDFA metric measures and skew-aware splitting bounds.
-	if err := observeSkew(wc, metrics.SkewExchange, m, opt, tr, rank); err != nil {
-		return nil, "", err
+	if err := r.observeSkew(metrics.SkewExchange, m); err != nil {
+		return nil, err
 	}
 	// With a spill tier configured, a receive side that does not fit
 	// (or Spill.Force) diverts through disk runs instead of dying. The
 	// decision is collective — the exchange is one collective, so if
 	// any rank must spill, every rank takes the spilled path.
-	reserveErr := acct.reserve(m * recSize)
-	if opt.Spill != nil {
-		spill, err := agreeSpill(wc, opt.Spill.Force || reserveErr != nil)
-		if err != nil {
-			return nil, "", err
-		}
-		if spill {
-			if reserveErr == nil {
-				acct.release(m * recSize)
-			}
-			out, err = spillExchange(wc, work, bounds, pl, cd, cmp, opt, tm, acct)
-			return out, "spilled", err
+	reserveErr := r.acct.reserve(m * recSize)
+	spill := false
+	if r.opt.Spill != nil {
+		if spill, err = agreeSpill(wc, r.opt.Spill.Force || reserveErr != nil); err != nil {
+			return nil, err
 		}
 	}
-	if reserveErr != nil {
-		return nil, "", fmt.Errorf("core: receive buffer of %d records: %w", m, reserveErr)
-	}
-	if overlap {
-		out, err = overlapExchange(wc, work, bounds, pl, cd, cmp, opt, tm, acct)
-	} else {
-		slab, chunks, sink := recvSlab(pl.recv, cd, recSize)
-		if _, err = stagedExchange(wc, pl, partitionSource(work, bounds, cd, recSize), sink, opt, acct); err == nil {
-			tm.Start(metrics.PhaseLocalOrdering)
-			out = localOrder(slab, chunks, rank, cd, cmp, opt)
+	var out []T
+	switch {
+	case spill:
+		if reserveErr == nil {
+			r.acct.release(m * recSize)
+		}
+		out, err = r.spillExchange(pl)
+	case reserveErr != nil:
+		return nil, fmt.Errorf("core: receive buffer of %d records: %w", m, reserveErr)
+	case overlap:
+		out, err = r.overlapExchange(pl)
+	default:
+		slab, chunks, sink := recvSlab(pl.recv, r.cd, recSize)
+		if _, err = r.stagedExchange(pl, r.partitionSource(), sink); err == nil {
+			out = r.localOrder(slab, chunks)
 		}
 	}
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
-	acct.release(int64(len(work)) * recSize)
-	return out, "completed", nil
+	if spill {
+		r.exit = "spilled" // which handed the budget over itself, before reserving the output
+	} else {
+		r.acct.release(int64(len(r.work)) * recSize)
+		r.exit = "completed"
+	}
+	r.work, r.localSnap = out, false
+	return nil, nil
 }

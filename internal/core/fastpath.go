@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sdssort/internal/codec"
 	"sdssort/internal/psort"
 	"sdssort/internal/radix"
 )
@@ -14,20 +13,18 @@ import (
 // the generic marshal/comparison paths, which remain the fallback for
 // every codec that does not qualify.
 
-// localSortFast is the radix dispatch for the initial local sort
-// (Fig. 1 line 2): integer-keyed codecs skip the comparison sort for
-// the LSD byte pass. Partially ordered inputs keep the natural-run
-// merge (the paper's §2.2 adaptivity beats any full re-sort there),
-// and stable sorts never dispatch — the radix pass is stable only with
-// respect to the full key, which a coarser user comparator may not be.
-// Reports whether it sorted data; on false the caller runs the
-// comparison sort.
-func localSortFast[T any](data []T, cd codec.Codec[T], cmp func(a, b T) int, opt Options) bool {
-	if opt.Stable {
-		return false
+// sortChunk is the initial local sort (Fig. 1 line 2), of the whole
+// input or of one streamed chunk of it. Integer-keyed codecs skip the
+// comparison sort for the LSD byte pass; everything else takes the
+// adaptive comparison sort. Partially ordered inputs keep the
+// natural-run merge (the paper's §2.2 adaptivity beats any full re-sort
+// there), and stable sorts never dispatch — the radix pass is stable
+// only with respect to the full key, which a coarser user comparator
+// may not be.
+func (r *run[T]) sortChunk(data []T) {
+	o := r.opt
+	radixOK := !o.Stable && (o.RunThreshold <= 0 || psort.Sortedness(data, r.cmp) < o.RunThreshold)
+	if !radixOK || !radix.DispatchLocal(data, r.cd, r.cmp) {
+		psort.AdaptiveSort(data, o.cores(), o.Stable, o.RunThreshold, r.cmp)
 	}
-	if opt.RunThreshold > 0 && psort.Sortedness(data, cmp) >= opt.RunThreshold {
-		return false
-	}
-	return radix.DispatchLocal(data, cd, cmp)
 }

@@ -4,81 +4,108 @@ import (
 	"fmt"
 
 	"sdssort/internal/codec"
-	"sdssort/internal/comm"
 	"sdssort/internal/metrics"
 	"sdssort/internal/psort"
 )
 
-// nodeMerge implements the τm decision and SdssNodeMerge/SdssRefineComm
-// (Fig. 1 lines 3-7, §2.3): when the average all-to-all message would be
-// small, the sorted data of all ranks on a node is first merged onto the
-// node's leader, so the exchange sends fewer, larger messages — the win
-// on low-throughput networks. It returns the (possibly merged) working
-// data, the communicator the rest of the sort runs on, and whether this
-// rank still participates.
-func nodeMerge[T any](c *comm.Comm, data []T, cd codec.Codec[T], cmp func(a, b T) int, recSize int64, opt Options, tm *metrics.PhaseTimer, acct *memAcct) ([]T, *comm.Comm, bool, error) {
-	p := c.Size()
-	if opt.TauM <= 0 || p == 1 {
-		return data, c, true, nil
+// mergeNodes is the node-level merging phase, the τm decision and
+// SdssNodeMerge/SdssRefineComm (Fig. 1 lines 3-7, §2.3): when the
+// average all-to-all message would be small, the sorted data of all
+// ranks on a node is first merged onto the node's leader, so the
+// exchange sends fewer, larger messages — the win on low-throughput
+// networks. It leaves the (possibly merged) working set in work and the
+// communicator the rest of the sort runs on in wc. A rank merged onto
+// its leader drops out; a world merged down to one leader is done.
+func (r *run[T]) mergeNodes() (map[string]any, error) {
+	before := len(r.work)
+	leader, err := r.mergeOntoLeader()
+	if err != nil {
+		return nil, err
+	}
+	detail := map[string]any{"leader": leader, "records": len(r.work)}
+	if !leader {
+		r.dropOut()
+		return detail, nil
+	}
+	if r.merged = r.wc != r.c; r.merged {
+		r.localSnap = false
+	}
+	if len(r.work) != before || r.merged {
+		r.tr.Emit(r.rank, "nodemerge.leader", map[string]any{
+			"merged_records": len(r.work), "leaders": r.wc.Size(),
+		})
+	}
+	if r.wc.Size() == 1 {
+		r.exit = "single"
+	}
+	return detail, nil
+}
+
+// mergeOntoLeader reports whether this rank still participates.
+func (r *run[T]) mergeOntoLeader() (bool, error) {
+	c, p := r.c, r.c.Size()
+	if r.opt.TauM <= 0 || p == 1 {
+		return true, nil
 	}
 	// Every rank must take the same branch: decide on the global
 	// average message size, not the local one.
-	totalBytes, err := c.AllreduceInt64(int64(len(data))*recSize, func(a, b int64) int64 { return a + b })
+	totalBytes, err := c.AllreduceInt64(int64(len(r.work))*r.recSize, func(a, b int64) int64 { return a + b })
 	if err != nil {
-		return nil, nil, false, fmt.Errorf("core: node-merge sizing: %w", err)
+		return false, fmt.Errorf("core: node-merge sizing: %w", err)
 	}
-	avgMsg := totalBytes / int64(p) / int64(p)
-	if avgMsg > opt.TauM {
-		return data, c, true, nil
+	if avgMsg := totalBytes / int64(p) / int64(p); avgMsg > r.opt.TauM {
+		return true, nil
 	}
 
-	tm.Start(metrics.PhaseOther)
+	r.tm.Start(metrics.PhaseOther)
 	local, leaders, err := c.SplitByNode()
 	if err != nil {
-		return nil, nil, false, fmt.Errorf("core: node split: %w", err)
+		return false, fmt.Errorf("core: node split: %w", err)
 	}
 	if local.Size() == 1 {
 		// One rank per node: nothing to merge; leaders is the whole
 		// communicator reindexed.
-		return data, leaders, true, nil
+		r.wc = leaders
+		return true, nil
 	}
 	if leaders == nil {
 		// Non-leader: hand the sorted data to the node leader and
 		// drop out. The records now live in the leader's budget, so the
 		// input reservation comes back immediately — not at return.
-		if err := local.Send(0, tagNodeMerge, codec.EncodeSlice(cd, nil, data)); err != nil {
-			return nil, nil, false, fmt.Errorf("core: node-merge send: %w", err)
+		if err := local.Send(0, tagNodeMerge, codec.EncodeSlice(r.cd, nil, r.work)); err != nil {
+			return false, fmt.Errorf("core: node-merge send: %w", err)
 		}
-		acct.release(int64(len(data)) * recSize)
-		return nil, nil, false, nil
+		r.acct.release(int64(len(r.work)) * r.recSize)
+		r.work = nil
+		return false, nil
 	}
 
 	// Leader: collect the node's chunks in local-rank order (which is
 	// world-rank order within the node, preserving stability) and
 	// merge them with the skew-aware shared-memory merge.
 	chunks := make([][]T, local.Size())
-	chunks[0] = data
+	chunks[0] = r.work
 	extra := int64(0)
-	for r := 1; r < local.Size(); r++ {
-		buf, err := local.Recv(r, tagNodeMerge)
+	for src := 1; src < local.Size(); src++ {
+		buf, err := local.Recv(src, tagNodeMerge)
 		if err != nil {
-			return nil, nil, false, fmt.Errorf("core: node-merge recv from local rank %d: %w", r, err)
+			return false, fmt.Errorf("core: node-merge recv from local rank %d: %w", src, err)
 		}
-		chunk, err := codec.DecodeSlice(cd, buf)
+		chunk, err := codec.DecodeSlice(r.cd, buf)
 		if err != nil {
-			return nil, nil, false, fmt.Errorf("core: node-merge decode: %w", err)
+			return false, fmt.Errorf("core: node-merge decode: %w", err)
 		}
-		chunks[r] = chunk
-		extra += int64(len(chunk)) * recSize
+		chunks[src] = chunk
+		extra += int64(len(chunk)) * r.recSize
 	}
-	if err := acct.reserve(extra); err != nil {
-		return nil, nil, false, fmt.Errorf("core: node-merge buffer: %w", err)
+	if err := r.acct.reserve(extra); err != nil {
+		return false, fmt.Errorf("core: node-merge buffer: %w", err)
 	}
-	var merged []T
-	if opt.cores() > 1 {
-		merged = psort.SkewAwareParallelMerge(chunks, opt.cores(), opt.Stable, cmp)
+	if r.opt.cores() > 1 {
+		r.work = psort.SkewAwareParallelMerge(chunks, r.opt.cores(), r.opt.Stable, r.cmp)
 	} else {
-		merged = psort.KWayMerge(chunks, cmp)
+		r.work = psort.KWayMerge(chunks, r.cmp)
 	}
-	return merged, leaders, true, nil
+	r.wc = leaders
+	return true, nil
 }

@@ -31,6 +31,13 @@ const (
 	PivotHistogram
 )
 
+func (m PivotMethod) name() string {
+	if m == PivotHistogram {
+		return "histogram"
+	}
+	return "regular"
+}
+
 // Options carries the paper's tunables. The zero value is not useful;
 // start from DefaultOptions.
 type Options struct {
@@ -128,15 +135,6 @@ type Options struct {
 	// becomes available for inputs larger than the budget. Must agree
 	// across ranks — the spill decision is collective. See SpillOptions.
 	Spill *SpillOptions
-
-	// DisableSkewAware replaces the skew-aware partition with the
-	// classical plain upper-bound partition (every record equal to a
-	// pivot goes below it). Output remains correct but duplicates
-	// concentrate, reverting the load bound from O(4N/p) to the
-	// skew-degraded classical behaviour — the ablation that isolates
-	// the paper's core contribution. Ignored in stable mode, which has
-	// no non-skew-aware formulation.
-	DisableSkewAware bool
 }
 
 // DefaultOptions returns laptop-scale defaults; the τ values are the
@@ -180,20 +178,4 @@ func (o Options) cores() int {
 		return 1
 	}
 	return o.Cores
-}
-
-// timer returns the configured timer or a throwaway one, so the sort
-// code never branches on nil.
-func (o Options) timer() *metrics.PhaseTimer {
-	if o.Timer != nil {
-		return o.Timer
-	}
-	return metrics.NewPhaseTimer()
-}
-
-func (o Options) tracer() trace.Tracer {
-	if o.Trace != nil {
-		return o.Trace
-	}
-	return trace.Nop{}
 }

@@ -11,7 +11,9 @@ import (
 	"sdssort/internal/codec"
 	"sdssort/internal/comm"
 	"sdssort/internal/faultnet"
+	"sdssort/internal/memlimit"
 	"sdssort/internal/metrics"
+	"sdssort/internal/trace"
 	"sdssort/internal/workload"
 )
 
@@ -103,6 +105,114 @@ func TestRecoveryResumeEachPhase(t *testing.T) {
 	}
 }
 
+// TestResumeAccounting: a resume adopts whatever its snapshot holds, and
+// that can be more than the input the caller reserved for — a degraded
+// resume starts with no input at all and loads its own records plus a
+// share of the dead rank's; a τm leader resuming past the merge loads
+// its whole node's. At every cut the rank's ledger must cover the
+// loaded records while it holds them and drain to zero when the sort
+// returns, on the leaders' path and on the followers' drop-out alike.
+func TestResumeAccounting(t *testing.T) {
+	topo := cluster.Topology{Nodes: 2, CoresPerNode: 2}
+	const perRank = 300
+	in := makeTagged(topo.Size(), perRank, func(rank, i int) float64 {
+		return float64(uint32((i*topo.Size() + rank) * 2654435761))
+	})
+	recSize := int64(taggedCodec.Size())
+	for _, tc := range []struct {
+		name    string
+		tauM    int64
+		degrade bool // resume on the three survivors of rank 3, with no input
+		cut     checkpoint.Phase
+	}{
+		{"degraded@localsort", 0, true, checkpoint.PhaseLocalSort},
+		{"degraded@partition", 0, true, checkpoint.PhasePartition},
+		{"degraded@final", 0, true, checkpoint.PhaseFinal},
+		{"merged@partition", 1 << 40, false, checkpoint.PhasePartition},
+		{"merged@final", 1 << 40, false, checkpoint.PhaseFinal},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opt := DefaultOptions()
+			opt.TauM = tc.tauM
+			store, err := checkpoint.NewStore(t.TempDir(), topo.Size())
+			if err != nil {
+				t.Fatal(err)
+			}
+			baseline := runSortCkpt(t, topo, in, ckptOpt(opt, store, 0, checkpoint.Cut{}))
+			rtopo, cut, input := topo, checkpoint.Cut{Epoch: 0, Phase: tc.cut}, in
+			if tc.degrade {
+				store, cut, err = checkpoint.Redistribute(store, cut, []int{3}, 1, taggedCodec, codec.CompareTagged)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rtopo, input = cluster.Topology{Nodes: 3, CoresPerNode: 1}, make([][]codec.Tagged, 3)
+			}
+			rec := trace.NewRecorder()
+			gauges := make([]*memlimit.Gauge, rtopo.Size())
+			for r := range gauges {
+				gauges[r] = memlimit.New(1 << 30)
+			}
+			ck := &Checkpointing{Store: store, Epoch: 2, Resume: cut}
+			skew := metrics.NewSkewStats()
+			out, err := cluster.Gather(rtopo, cluster.Options{}, func(c *comm.Comm) ([]codec.Tagged, error) {
+				ropt := opt
+				ropt.Checkpoint, ropt.Trace, ropt.Mem, ropt.Skew = ck, rec, gauges[c.Rank()], skew
+				return Sort(c, append([]codec.Tagged(nil), input[c.Rank()]...), taggedCodec, codec.CompareTagged, ropt)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ck.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			var flatWant, flatGot []codec.Tagged
+			for _, part := range baseline {
+				flatWant = append(flatWant, part...)
+			}
+			for _, part := range out {
+				flatGot = append(flatGot, part...)
+			}
+			equalOutputs(t, [][]codec.Tagged{flatWant}, [][]codec.Tagged{flatGot}, tc.name)
+
+			resumes := rec.ByKind("ckpt.resume")
+			if len(resumes) != rtopo.Size() {
+				t.Fatalf("%d ckpt.resume events, want %d", len(resumes), rtopo.Size())
+			}
+			grew := false
+			for _, e := range resumes {
+				loaded := int64(e.Detail["records"].(int)) * recSize
+				grew = grew || loaded > int64(len(input[e.Rank]))*recSize
+				if peak := gauges[e.Rank].Peak(); peak < loaded {
+					t.Errorf("rank %d loaded %d bytes but its ledger peaked at %d", e.Rank, loaded, peak)
+				}
+			}
+			if !grew {
+				t.Fatal("no rank loaded more than its input: the case exercises nothing")
+			}
+			for r, g := range gauges {
+				if used := g.Used(); used != 0 {
+					t.Errorf("rank %d gauge holds %d bytes after the resumed sort", r, used)
+				}
+			}
+			// A resume past the local sort still takes that phase's
+			// input-side load observation, over the loaded records.
+			inputSide := 0
+			for _, e := range rec.ByKind("skew.phase") {
+				if e.Detail["phase"] == metrics.SkewLocalSort {
+					inputSide++
+				}
+			}
+			// (Redistribute demotes a partition cut to a local-sort one.)
+			if resumedAtLocalSort := cut.Phase == checkpoint.PhaseLocalSort; (inputSide == 1) != resumedAtLocalSort {
+				t.Errorf("%d input-side skew observations resuming at %s", inputSide, cut.Phase)
+			}
+			if followers := len(rec.ByKind("nodemerge.follower")); tc.tauM > 0 && tc.cut == checkpoint.PhasePartition && followers != 2 {
+				t.Fatalf("%d follower drop-outs on the merged partition resume, want 2", followers)
+			}
+		})
+	}
+}
+
 // runSupervisedSort runs the supervised sort loop the way a launcher
 // would: each epoch agrees on the latest consistent cut and resumes
 // from it.
@@ -126,6 +236,9 @@ func runSupervisedSort(t *testing.T, topo cluster.Topology, opts cluster.Options
 		local := append([]codec.Tagged(nil), in[c.Rank()]...)
 		out, err := Sort(c, local, taggedCodec, codec.CompareTagged, opt)
 		if err != nil {
+			// A failed epoch's snapshots may still be in flight; let them
+			// land before the test's store directory is torn down.
+			ck.Wait()
 			return err
 		}
 		mu.Lock()

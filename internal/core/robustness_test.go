@@ -98,55 +98,3 @@ func TestSortLargeRankCount(t *testing.T) {
 	out = runSort(t, topo, in, opt)
 	checkSorted(t, in, out, true)
 }
-
-// TestDisableSkewAwareAblation shows the point of the skew-aware
-// partition: with it off, duplicates concentrate on one rank (classical
-// behaviour); with it on, the Theorem-1 bound holds. Output correctness
-// is unaffected either way.
-func TestDisableSkewAwareAblation(t *testing.T) {
-	topo := cluster.Topology{Nodes: 8, CoresPerNode: 1}
-	p := topo.Size()
-	const perRank = 600
-	// 70% of all records share one key.
-	in := makeTagged(p, perRank, func(rank, i int) float64 {
-		if i%10 < 7 {
-			return 5
-		}
-		return float64(i % 13)
-	})
-
-	run := func(disable bool) []int {
-		opt := DefaultOptions()
-		opt.TauM = 0
-		opt.DisableSkewAware = disable
-		out := runSort(t, topo, in, opt)
-		checkSorted(t, in, out, false)
-		loads := make([]int, p)
-		for r, part := range out {
-			loads[r] = len(part)
-		}
-		return loads
-	}
-
-	maxOf := func(loads []int) int {
-		m := 0
-		for _, l := range loads {
-			if l > m {
-				m = l
-			}
-		}
-		return m
-	}
-	aware := maxOf(run(false))
-	classical := maxOf(run(true))
-	fair := perRank // N/p
-	if aware > 4*fair+p {
-		t.Errorf("skew-aware max load %d violates the 4N/p bound (%d)", aware, 4*fair)
-	}
-	if classical < 3*fair {
-		t.Errorf("classical partition max load %d did not collapse (fair %d) — ablation shows no contrast", classical, fair)
-	}
-	if classical <= aware {
-		t.Errorf("expected classical (%d) to be more imbalanced than skew-aware (%d)", classical, aware)
-	}
-}

@@ -1,47 +1,28 @@
 package core
 
-import (
-	"fmt"
+import "fmt"
 
-	"sdssort/internal/comm"
-	"sdssort/internal/trace"
-)
-
-// observeSkew measures one phase's per-rank load geometry: every rank
-// contributes its load, the vector is allgathered, and each rank
-// records the resulting load-imbalance factor on opt.Skew and (rank 0
-// only, to keep the trace single-voiced) emits a skew.phase event.
-// A nil opt.Skew makes it free — and non-collective, which is why the
-// Skew option must agree across ranks.
-func observeSkew(wc *comm.Comm, phase string, load int64, opt Options, tr trace.Tracer, rank int) error {
-	if opt.Skew == nil {
+// observeSkew measures one phase's per-rank load geometry over wc:
+// every rank contributes its load, the vector is allgathered, and each
+// rank records the resulting load-imbalance factor on opt.Skew and
+// (rank 0 only, to keep the trace single-voiced) emits a skew.phase
+// event. A nil opt.Skew makes it free — and non-collective, which is
+// why the Skew option must agree across ranks.
+func (r *run[T]) observeSkew(phase string, load int64) error {
+	if r.opt.Skew == nil {
 		return nil
 	}
-	loads, err := wc.AllgatherInt64(load)
+	loads, err := r.wc.AllgatherInt64(load)
 	if err != nil {
 		return fmt.Errorf("core: %s skew gather: %w", phase, err)
 	}
-	o := opt.Skew.Observe(phase, loads, rank)
-	if rank == 0 && o.Ranks > 0 {
-		tr.Emit(rank, "skew.phase", map[string]any{
+	o := r.opt.Skew.Observe(phase, loads, r.rank)
+	if r.rank == 0 && o.Ranks > 0 {
+		r.tr.Emit(r.rank, "skew.phase", map[string]any{
 			"phase": phase, "ranks": o.Ranks,
 			"max": int64(o.Max), "mean": o.Mean, "max_rank": o.MaxRank,
 			"imbalance": o.Imbalance, "stragglers": o.Stragglers,
 		})
 	}
 	return nil
-}
-
-// histogramDetail renders the per-destination partition histogram —
-// how many records this rank sends to each destination — for the
-// partition.histogram trace event. The histogram is genuinely
-// per-rank data, so every rank emits its own.
-func histogramDetail(scounts []int) map[string]any {
-	sent := make([]int64, len(scounts))
-	var total int64
-	for i, c := range scounts {
-		sent[i] = int64(c)
-		total += int64(c)
-	}
-	return map[string]any{"sent": sent, "records": total, "dests": len(scounts)}
 }

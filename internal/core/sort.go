@@ -9,8 +9,6 @@ import (
 	"sdssort/internal/metrics"
 	"sdssort/internal/partition"
 	"sdssort/internal/pivots"
-	"sdssort/internal/psort"
-	"sdssort/internal/trace"
 )
 
 // User tags for the sort's point-to-point traffic. The collectives
@@ -32,364 +30,175 @@ const (
 // ownership change the paper's algorithm performs when it rewrites its
 // communicator (Fig. 1 line 6).
 func Sort[T any](c *comm.Comm, data []T, cd codec.Codec[T], cmp func(a, b T) int, opt Options) ([]T, error) {
-	if err := opt.Validate(); err != nil {
+	r, err := newRun(c, cd, cmp, opt)
+	if err != nil {
 		return nil, err
 	}
-	tm := opt.timer()
-	tm.Start(metrics.PhaseOther)
-	defer tm.Stop()
-
-	recSize := int64(cd.Size())
-	// Every byte this call reserves goes through the acct ledger, and
-	// the deferred releaseAll returns whatever is still held on *any*
-	// exit — success, follower dropout, error, even a panic unwinding —
-	// so repeated sorts cannot leak the (shared, long-lived) gauge.
-	acct := &memAcct{g: opt.Mem}
-	defer acct.releaseAll()
-	if err := acct.reserve(int64(len(data)) * recSize); err != nil {
+	defer r.close()
+	r.start(map[string]any{"records": len(data), "stable": opt.Stable, "p": c.Size()})
+	r.work = data
+	if err := r.acct.reserve(int64(len(data)) * r.recSize); err != nil {
 		return nil, fmt.Errorf("core: input buffer: %w", err)
 	}
-
-	tr := opt.tracer()
-	ck := opt.Checkpoint
-	rank := c.Rank()
-	tr.Emit(rank, "sort.start", map[string]any{
-		"records": len(data), "stable": opt.Stable, "p": c.Size(),
-	})
-	// The sort's root span. Phase spans started below become its
-	// children through opt.Span, which is rebound to the root's scope
-	// so every helper (exchange paths, checkpoint writes) parents
-	// correctly without extra plumbing. With tracing off sp is nil and
-	// all span calls are free no-ops.
-	sp := trace.StartSpan(tr, rank, opt.Span, "sort", map[string]any{
-		"records": len(data), "stable": opt.Stable, "p": c.Size(),
-	})
-	sc := sp.Scope()
-	opt.Span = sc
-	spDone := false
-	endSpan := func(detail map[string]any) {
-		if !spDone {
-			spDone = true
-			sp.End(detail)
+	// Fig. 1 as a list. The τm sizing collective is the first thing to
+	// wait on the slowest rank's local sort, so node merging starts on
+	// that clock (an actual merge switches to "other"), and the
+	// partition is charged to pivot selection, as the paper's figures
+	// do. The exchange opens its own spans: which ones depends on the
+	// path the spill vote and τo select.
+	phases := []phase{
+		{name: "localsort", clock: metrics.PhaseLocalSort, begin: map[string]any{"records": len(data)},
+			body: r.sortLocal, cut: checkpoint.PhaseLocalSort, skew: metrics.SkewLocalSort},
+		{name: "nodemerge", clock: metrics.PhaseLocalSort, body: r.mergeNodes},
+		{name: "pivots", clock: metrics.PhasePivotSelection, begin: map[string]any{"method": opt.Pivots.name()},
+			body: r.selectPivots},
+		{name: "partition", clock: metrics.PhasePivotSelection, body: r.splitWork, cut: checkpoint.PhasePartition},
+		{clock: metrics.PhaseExchange, body: r.exchangeAndOrder},
+	}
+	from, err := r.restore()
+	if err != nil {
+		return nil, err
+	}
+	// A resumed sort enters the list after the phase that commits its cut.
+	for i := range phases {
+		if from != checkpoint.PhaseNone && phases[i].cut == from {
+			phases = phases[i+1:]
+			break
 		}
 	}
-	// Error exits close the root span too, so a failed sort shows as a
-	// terminated span with reason "error" rather than a dangling one.
-	defer func() { endSpan(map[string]any{"reason": "error"}) }()
-	// done emits the terminal event every successful exit path must
-	// produce, with the reason that path returned.
-	done := func(out []T, reason string) ([]T, error) {
-		tr.Emit(rank, "sort.done", map[string]any{"records": len(out), "reason": reason})
-		endSpan(map[string]any{"records": len(out), "reason": reason})
-		return out, nil
+	if err := r.runPhases(phases); err != nil {
+		return nil, err
 	}
-
-	// Resuming past the exchange: this rank's block of the output is
-	// already on disk, nothing to compute. The snapshot is re-committed
-	// under the current epoch so every epoch is self-contained for any
-	// later resume.
-	if ck.resumeAt(checkpoint.PhaseFinal) {
-		m, out, err := loadCkpt(ck, tr, rank, sc, checkpoint.PhaseFinal, cd)
-		if err != nil {
-			return nil, err
-		}
-		if err := saveCkpt(ck, tr, rank, sc, checkpoint.PhaseFinal, m.Merged, m.Leader, nil, cd, out); err != nil {
-			return nil, err
-		}
-		return done(out, "resume")
+	// Every successful exit ends on the rank's final block. A follower
+	// also leaves an empty partition snapshot: without it no later
+	// partition cut could ever become globally consistent.
+	if r.exit == "follower" {
+		r.commit(checkpoint.PhasePartition)
 	}
+	r.commit(checkpoint.PhaseFinal)
+	r.done(len(r.work))
+	return r.work, nil
+}
 
-	var (
-		work   []T
-		wc     *comm.Comm
-		merged bool
-		bounds []int
-	)
-	if ck.resumeAt(checkpoint.PhasePartition) {
-		// The partition snapshot holds the (possibly node-merged)
-		// working set and the send boundaries: skip local sort, merge,
-		// pivot selection and partition entirely.
-		m, loaded, err := loadCkpt(ck, tr, rank, sc, checkpoint.PhasePartition, cd)
-		if err != nil {
-			return nil, err
+// sortLocal is the initial local ordering (Fig. 1 line 2): sorted local
+// data makes regular sampling representative and feeds the τm merge. It
+// is its own reporting phase — charging it to pivot selection would
+// dwarf the actual sampling cost. Integer-keyed codecs dispatch to the
+// LSD radix pass; everything else (and every stable sort) takes the
+// comparison sort. The skew observed after it is input-side: how evenly
+// the records arrived, before any skew-aware machinery has run.
+func (r *run[T]) sortLocal() (map[string]any, error) {
+	if r.ck.enabled() && r.ck.Epoch > 0 {
+		// Restarted with nothing resumable: everything the failed
+		// epochs computed is being redone.
+		r.ck.Recovery.Wasted(int64(len(r.work)))
+	}
+	r.sortChunk(r.work)
+	return map[string]any{"records": len(r.work)}, nil
+}
+
+// selectPivots is sampling and global pivot selection (lines 8-9).
+func (r *run[T]) selectPivots() (map[string]any, error) {
+	p := r.wc.Size()
+	var err error
+	if r.opt.Pivots == PivotHistogram {
+		r.pg, err = pivots.HistogramSplitters(r.wc, r.work, p-1, 3, r.cd, r.cmp)
+	} else {
+		r.pg, err = pivots.SelectGlobal(r.wc, pivots.RegularSample(r.work, p), r.cd, r.cmp)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("core: pivot selection: %w", err)
+	}
+	if err := r.checkPivots(r.pg); err != nil {
+		return nil, err
+	}
+	if dupRuns := partition.Runs(r.pg, r.cmp); len(dupRuns) > 0 {
+		total := 0
+		for _, run := range dupRuns {
+			total += run.Len
 		}
-		if m.Merged {
-			// Replay the communicator rewrite the τm merge performed.
-			// SplitByNode is communication-free and every rank takes
-			// this branch (Merged is global), so the split sequence
-			// stays aligned across the job.
-			_, leaders, err := c.SplitByNode()
-			if err != nil {
-				return nil, fmt.Errorf("core: resume node split: %w", err)
-			}
-			if !m.Leader {
-				if err := dropOut(ck, tr, rank, sc, cd); err != nil {
-					return nil, err
-				}
-				tr.Emit(rank, "nodemerge.follower", nil)
-				return done([]T{}, "follower")
-			}
-			wc = leaders
-		} else {
-			wc = c
-		}
-		merged = m.Merged
-		work = loaded
-		if extra := (int64(len(work)) - int64(len(data))) * recSize; extra > 0 {
-			if err := acct.reserve(extra); err != nil {
-				return nil, fmt.Errorf("core: resume buffer: %w", err)
-			}
-		}
-		if len(m.Bounds) != wc.Size()+1 {
-			return nil, fmt.Errorf("core: resume: %d bounds for %d processes", len(m.Bounds), wc.Size())
-		}
-		bounds = make([]int, len(m.Bounds))
-		for i, b := range m.Bounds {
-			bounds[i] = int(b)
-		}
-		if err := partition.Validate(bounds, len(work)); err != nil {
-			return nil, fmt.Errorf("core: resume partition: %w", err)
-		}
-		if err := saveCkpt(ck, tr, rank, sc, checkpoint.PhasePartition, merged, true, m.Bounds, cd, work); err != nil {
-			return nil, err
+		r.tr.Emit(r.rank, "pivots.duplicated", map[string]any{
+			"runs": len(dupRuns), "duplicated_pivots": total, "pivots": len(r.pg),
+		})
+	}
+	return map[string]any{"pivots": len(r.pg)}, nil
+}
+
+// splitWork is the skew-aware partition (line 10), fast or stable,
+// accelerated by the local pivots. The stable variant needs one
+// collective: the all-gather of per-run duplicate counts.
+func (r *run[T]) splitWork() (map[string]any, error) {
+	loc := partition.NewStripe(r.work, len(r.pg)+1, r.cmp)
+	var err error
+	if r.opt.Stable {
+		var dupCounts [][]int64
+		if dupCounts, err = r.gatherDupCounts(loc); err == nil {
+			r.bounds, err = partition.Stable(r.work, r.pg, loc, r.cmp, r.wc.Rank(), dupCounts)
 		}
 	} else {
-		// Initial local ordering (Fig. 1 line 2): sorted local data
-		// makes regular sampling representative and feeds the τm merge.
-		// This is its own reporting phase — charging it to pivot
-		// selection would dwarf the actual sampling cost.
-		tm.Start(metrics.PhaseLocalSort)
-		lsp := trace.StartSpan(tr, rank, sc, "localsort", map[string]any{"records": len(data)})
-		if ck.resumeAt(checkpoint.PhaseLocalSort) {
-			_, loaded, err := loadCkpt(ck, tr, rank, sc, checkpoint.PhaseLocalSort, cd)
-			if err != nil {
-				return nil, err
-			}
-			// A degraded resume hands each survivor its own run plus a
-			// slice of the dead ranks' — larger than the data the caller
-			// budgeted for. Reserve the difference before adopting it.
-			if extra := (int64(len(loaded)) - int64(len(data))) * recSize; extra > 0 {
-				if err := acct.reserve(extra); err != nil {
-					return nil, fmt.Errorf("core: resume buffer: %w", err)
-				}
-			}
-			data = loaded
-		} else {
-			if ck.enabled() && ck.Epoch > 0 {
-				// Restarted with nothing resumable: everything the
-				// failed epochs computed is being redone.
-				ck.Recovery.Wasted(int64(len(data)))
-			}
-			// Integer-keyed codecs dispatch to the LSD radix pass;
-			// everything else (and every stable sort) takes the
-			// comparison sort. Both are charged to the local-sort
-			// clock.
-			if !localSortFast(data, cd, cmp, opt) {
-				psort.AdaptiveSort(data, opt.cores(), opt.Stable, opt.RunThreshold, cmp)
-			}
-		}
-		lsp.End(map[string]any{"records": len(data)})
-		if err := saveCkpt(ck, tr, rank, sc, checkpoint.PhaseLocalSort, false, true, nil, cd, data); err != nil {
-			return nil, err
-		}
-		// Input-side skew: how evenly the records arrived across ranks,
-		// before any skew-aware machinery has run. Collective (every
-		// rank of c is still present here).
-		if err := observeSkew(c, metrics.SkewLocalSort, int64(len(data)), opt, tr, rank); err != nil {
-			return nil, err
-		}
-
-		// Node-level merging (lines 3-7).
-		var isLeader bool
-		var err error
-		nsp := trace.StartSpan(tr, rank, sc, "nodemerge", nil)
-		work, wc, isLeader, err = nodeMerge(c, data, cd, cmp, recSize, opt, tm, acct)
-		if err != nil {
-			return nil, err
-		}
-		nsp.End(map[string]any{"leader": isLeader, "records": len(work)})
-		if !isLeader {
-			// Our records were merged onto the node leader; we hold no
-			// output and take no further part. The input reservation
-			// was already returned inside nodeMerge, the moment the
-			// records were handed to the leader.
-			if err := dropOut(ck, tr, rank, sc, cd); err != nil {
-				return nil, err
-			}
-			tr.Emit(rank, "nodemerge.follower", nil)
-			return done([]T{}, "follower")
-		}
-		merged = wc != c
-		if len(work) != len(data) || merged {
-			tr.Emit(rank, "nodemerge.leader", map[string]any{
-				"merged_records": len(work), "leaders": wc.Size(),
-			})
-		}
-		p := wc.Size()
-		if p == 1 {
-			if merged {
-				if err := saveCkpt(ck, tr, rank, sc, checkpoint.PhaseFinal, merged, true, nil, cd, work); err != nil {
-					return nil, err
-				}
-			} else {
-				aliasCkpt(ck, tr, rank, sc, checkpoint.PhaseFinal, checkpoint.PhaseLocalSort, merged, true, nil)
-			}
-			return done(work, "single")
-		}
-
-		// Sampling and global pivot selection (lines 8-9).
-		tm.Start(metrics.PhasePivotSelection)
-		method := "regular"
-		if opt.Pivots == PivotHistogram {
-			method = "histogram"
-		}
-		psp := trace.StartSpan(tr, rank, sc, "pivots", map[string]any{"method": method})
-		var pg []T
-		switch opt.Pivots {
-		case PivotHistogram:
-			pg, err = pivots.HistogramSplitters(wc, work, p-1, 3, cd, cmp)
-		default:
-			pl := pivots.RegularSample(work, p)
-			pg, err = pivots.SelectGlobal(wc, pl, cd, cmp)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("core: pivot selection: %w", err)
-		}
-		psp.End(map[string]any{"pivots": len(pg)})
-		if len(pg) == 0 {
-			// The whole dataset is empty: nothing to exchange.
-			if merged {
-				if err := saveCkpt(ck, tr, rank, sc, checkpoint.PhaseFinal, merged, true, nil, cd, work); err != nil {
-					return nil, err
-				}
-			} else {
-				aliasCkpt(ck, tr, rank, sc, checkpoint.PhaseFinal, checkpoint.PhaseLocalSort, merged, true, nil)
-			}
-			return done(work, "empty")
-		}
-		if len(pg) != p-1 {
-			return nil, fmt.Errorf("core: selected %d global pivots for %d processes", len(pg), p)
-		}
-		if dupRuns := partition.Runs(pg, cmp); len(dupRuns) > 0 {
-			total := 0
-			for _, r := range dupRuns {
-				total += r.Len
-			}
-			tr.Emit(rank, "pivots.duplicated", map[string]any{
-				"runs": len(dupRuns), "duplicated_pivots": total, "pivots": len(pg),
-			})
-		}
-
-		// Skew-aware partition (line 10), accelerated by the local
-		// pivots.
-		ptsp := trace.StartSpan(tr, rank, sc, "partition", nil)
-		bounds, err = partitionData(wc, work, pg, cmp, opt)
-		if err != nil {
-			return nil, fmt.Errorf("core: partition: %w", err)
-		}
-		ptsp.End(map[string]any{"dests": len(bounds) - 1})
-		b64 := make([]int64, len(bounds))
-		for i, b := range bounds {
-			b64[i] = int64(b)
-		}
-		if merged {
-			if err := saveCkpt(ck, tr, rank, sc, checkpoint.PhasePartition, merged, true, b64, cd, work); err != nil {
-				return nil, err
-			}
-		} else {
-			// Without node merging the working set IS the local-sort
-			// snapshot; only the bounds are new. Alias it instead of
-			// writing the data a second time.
-			aliasCkpt(ck, tr, rank, sc, checkpoint.PhasePartition, checkpoint.PhaseLocalSort, merged, true, b64)
-		}
+		r.bounds = partition.Fast(r.work, r.pg, loc, r.cmp)
 	}
-	// Count exchange, data exchange and local ordering (lines 11-27).
-	out, reason, err := exchangeAndOrder(wc, rank, work, bounds, cd, cmp, opt, tm, acct)
+	if err == nil {
+		err = partition.Validate(r.bounds, len(r.work))
+	}
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: partition: %w", err)
 	}
-	if err := saveCkpt(ck, tr, rank, sc, checkpoint.PhaseFinal, merged, true, nil, cd, out); err != nil {
-		return nil, err
-	}
-	return done(out, reason)
+	return map[string]any{"dests": len(r.bounds) - 1}, nil
 }
 
-// partitionData computes this rank's send boundaries using the fast or
-// stable skew-aware partition. The stable variant needs one collective:
-// the all-gather of per-run duplicate counts.
-func partitionData[T any](wc *comm.Comm, work []T, pg []T, cmp func(a, b T) int, opt Options) ([]int, error) {
-	loc := partition.NewStripe(work, len(pg)+1, cmp)
-	if opt.DisableSkewAware && !opt.Stable {
-		// Ablation: the classical partition — correct, but all
-		// duplicates of a pivot value land on one destination.
-		p := len(pg) + 1
-		bounds := make([]int, p+1)
-		bounds[p] = len(work)
-		for j, v := range pg {
-			bounds[j+1] = loc.UpperBound(work, v)
-		}
-		for j := 1; j <= p; j++ {
-			if bounds[j] < bounds[j-1] {
-				bounds[j] = bounds[j-1]
-			}
-		}
-		return bounds, partition.Validate(bounds, len(work))
+// gatherDupCounts all-gathers, per run of duplicated pivots, every
+// rank's count of records equal to the run's value.
+func (r *run[T]) gatherDupCounts(loc partition.Stripe[T]) ([][]int64, error) {
+	runs := partition.Runs(r.pg, r.cmp)
+	if len(runs) == 0 {
+		return nil, nil
 	}
-	if !opt.Stable {
-		bounds := partition.Fast(work, pg, loc, cmp)
-		return bounds, partition.Validate(bounds, len(work))
-	}
-	runs := partition.Runs(pg, cmp)
-	var dupCounts [][]int64
-	if len(runs) > 0 {
-		local := partition.LocalDupCounts(work, pg, runs, loc)
-		parts, err := wc.Allgather(comm.EncodeInt64s(local))
-		if err != nil {
-			return nil, fmt.Errorf("duplicate-count gather: %w", err)
-		}
-		dupCounts = make([][]int64, len(runs))
-		for k := range dupCounts {
-			dupCounts[k] = make([]int64, wc.Size())
-		}
-		for r, buf := range parts {
-			vals, err := comm.DecodeInt64s(buf)
-			if err != nil || len(vals) != len(runs) {
-				return nil, fmt.Errorf("bad duplicate counts from rank %d", r)
-			}
-			for k, v := range vals {
-				dupCounts[k][r] = v
-			}
-		}
-	}
-	bounds, err := partition.Stable(work, pg, loc, cmp, wc.Rank(), dupCounts)
+	parts, err := r.wc.Allgather(comm.EncodeInt64s(partition.LocalDupCounts(r.work, r.pg, runs, loc)))
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("duplicate-count gather: %w", err)
 	}
-	return bounds, partition.Validate(bounds, len(work))
+	dupCounts := make([][]int64, len(runs))
+	for k := range dupCounts {
+		dupCounts[k] = make([]int64, len(parts))
+	}
+	for src, buf := range parts {
+		vals, err := comm.DecodeInt64s(buf)
+		if err != nil || len(vals) != len(runs) {
+			return nil, fmt.Errorf("bad duplicate counts from rank %d", src)
+		}
+		for k, v := range vals {
+			dupCounts[k][src] = v
+		}
+	}
+	return dupCounts, nil
 }
 
-// exchangeCounts performs the MPI_Alltoall of send counts (Fig. 1 line
-// 11), returning how many records each rank will deliver to us.
-func exchangeCounts(wc *comm.Comm, scounts []int) ([]int64, error) {
-	p := wc.Size()
-	parts := make([][]byte, p)
+// plan performs the MPI_Alltoall of send counts (Fig. 1 line 11) — how
+// many records each rank will deliver to us — and fixes the exchange's
+// payload sizes.
+func (r *run[T]) plan(scounts []int) (exchangePlan, error) {
+	parts := make([][]byte, len(scounts))
 	for dst, sc := range scounts {
 		parts[dst] = comm.EncodeInt64s([]int64{int64(sc)})
 	}
-	recv, err := wc.Alltoall(parts)
+	recv, err := r.wc.Alltoall(parts)
 	if err != nil {
-		return nil, err
+		return exchangePlan{}, fmt.Errorf("core: count exchange: %w", err)
 	}
-	rcounts := make([]int64, p)
+	rcounts := make([]int64, len(recv))
 	for src, buf := range recv {
 		vals, err := comm.DecodeInt64s(buf)
 		if err != nil || len(vals) != 1 {
-			return nil, fmt.Errorf("bad count from rank %d", src)
+			return exchangePlan{}, fmt.Errorf("core: count exchange: bad count from rank %d", src)
 		}
 		if vals[0] < 0 {
-			return nil, fmt.Errorf("negative count %d from rank %d", vals[0], src)
+			return exchangePlan{}, fmt.Errorf("core: count exchange: negative count %d from rank %d", vals[0], src)
 		}
 		rcounts[src] = vals[0]
 	}
-	return rcounts, nil
+	return exchangePlan{
+		span: "exchange",
+		send: scale(scounts, r.recSize), recv: scale(rcounts, r.recSize),
+	}, nil
 }

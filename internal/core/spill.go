@@ -2,12 +2,10 @@ package core
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"slices"
 
-	"sdssort/internal/codec"
 	"sdssort/internal/comm"
 	"sdssort/internal/extsort"
 	"sdssort/internal/memlimit"
@@ -224,15 +222,15 @@ func (s *recvSpool) drain(src int, _ int64, chunk []byte) error {
 // spillReceive runs the staged exchange with its receive side landing
 // in run files under dir and returns them in source-rank order — the
 // stability order of the merge that reads them back.
-func spillReceive(wc *comm.Comm, dir string, pl exchangePlan, src chunkSource, opt Options, acct *memAcct) ([]string, error) {
-	sp := opt.Spill
+func (r *run[T]) spillReceive(dir string, pl exchangePlan, src chunkSource) ([]string, error) {
+	sp := r.opt.Spill
 	spool := &recvSpool{
 		dir: dir, bufBytes: sp.bufBytes(), recv: pl.recv, stats: sp.Stats,
 		runs: make([]string, len(pl.recv)),
 	}
 	pl.span, pl.sinkBuf = "spill", int64(sp.bufBytes())
-	pl.stage = effStage(sp.stageBytes(opt.StageBytes), pl.recSize)
-	st, err := stagedExchange(wc, pl, src, spool.drain, opt, acct)
+	pl.stage = effStage(sp.stageBytes(r.opt.StageBytes), r.recSize)
+	st, err := r.stagedExchange(pl, src, spool.drain)
 	if err != nil {
 		if spool.active != nil {
 			spool.active.Abort() // committed runs die with the spill directory
@@ -240,7 +238,7 @@ func spillReceive(wc *comm.Comm, dir string, pl exchangePlan, src chunkSource, o
 		return nil, err
 	}
 	runs := slices.DeleteFunc(spool.runs, func(path string) bool { return path == "" })
-	opt.tracer().Emit(pl.rank, "spill.exchange", map[string]any{
+	r.tr.Emit(r.rank, "spill.exchange", map[string]any{
 		"runs": len(runs), "bytes": st.BytesStaged, "stage_bytes": pl.stage,
 	})
 	return runs, nil
@@ -252,15 +250,15 @@ func spillReceive(wc *comm.Comm, dir string, pl exchangePlan, src chunkSource, o
 // instead of the in-memory path's input + output together: the input's
 // reservation is released the moment the exchange completes, before
 // the output buffer is reserved.
-func spillExchange[T any](wc *comm.Comm, work []T, bounds []int, pl exchangePlan, cd codec.Codec[T], cmp func(a, b T) int, opt Options, tm *metrics.PhaseTimer, acct *memAcct) ([]T, error) {
-	sp := opt.Spill
+func (r *run[T]) spillExchange(pl exchangePlan) ([]T, error) {
+	sp := r.opt.Spill
 	sp.Stats.AddSpilledSort()
-	dir, err := os.MkdirTemp(spillRoot(sp), "spill-*")
+	dir, err := os.MkdirTemp(sp.Dir, "spill-*")
 	if err != nil {
 		return nil, fmt.Errorf("core: spill dir: %w", err)
 	}
 	defer os.RemoveAll(dir)
-	runs, err := spillReceive(wc, dir, pl, partitionSource(work, bounds, cd, pl.recSize), opt, acct)
+	runs, err := r.spillReceive(dir, pl, r.partitionSource())
 	if err != nil {
 		return nil, err
 	}
@@ -270,45 +268,30 @@ func spillExchange[T any](wc *comm.Comm, work []T, bounds []int, pl exchangePlan
 	// budget ends here, and only now is the output reserved. This
 	// hand-off is the spill tier's point: input and output never
 	// occupy the budget together.
-	m := sum(pl.recv) / pl.recSize
-	acct.release(int64(len(work)) * pl.recSize)
-	if err := acct.reserve(m * pl.recSize); err != nil {
+	m := sum(pl.recv) / r.recSize
+	r.acct.release(int64(len(r.work)) * r.recSize)
+	if err := r.acct.reserve(m * r.recSize); err != nil {
 		return nil, fmt.Errorf("core: spilled output of %d records: %w", m, err)
 	}
 
 	// Lazy merge back to a resident block: source-rank order with the
 	// run index as tiebreaker reproduces the in-memory rank-ordered
 	// stable merge exactly.
-	tm.Start(metrics.PhaseLocalOrdering)
-	osp := trace.StartSpan(opt.tracer(), pl.rank, opt.Span, "localorder", map[string]any{"merge": true, "runs": len(runs)})
+	r.tm.Start(metrics.PhaseLocalOrdering)
+	osp := trace.StartSpan(r.tr, r.rank, r.opt.Span, "localorder", map[string]any{"merge": true, "runs": len(runs)})
 	defer osp.End(spanFailed)
-	ms, err := extsort.OpenMerge(runs, cd, cmp, sp.mergeOptions(dir, opt.Mem))
+	ms, err := extsort.OpenMerge(runs, r.cd, r.cmp, sp.mergeOptions(dir, r.opt.Mem))
 	if err != nil {
 		return nil, err
 	}
 	defer ms.Close()
-	out := make([]T, 0, m)
-	for {
-		rec, err := ms.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, rec)
+	out, err := collect(ms, m)
+	if err != nil {
+		return nil, err
 	}
 	if int64(len(out)) != m {
 		return nil, fmt.Errorf("core: spilled merge yielded %d of %d records", len(out), m)
 	}
 	osp.End(map[string]any{"records": len(out)})
 	return out, nil
-}
-
-// spillRoot resolves the spill parent directory.
-func spillRoot(sp *SpillOptions) string {
-	if sp.Dir != "" {
-		return sp.Dir
-	}
-	return os.TempDir()
 }

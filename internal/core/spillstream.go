@@ -107,7 +107,12 @@ func (s *Spilled[T]) ReadAll() ([]T, error) {
 		return nil, err
 	}
 	defer ms.Close()
-	out := make([]T, 0, s.records)
+	return collect(ms, s.records)
+}
+
+// collect materialises a merge expected to yield n records.
+func collect[T any](ms *extsort.MergeStream[T], n int64) ([]T, error) {
+	out := make([]T, 0, n)
 	for {
 		rec, err := ms.Next()
 		if err == io.EOF {
@@ -125,26 +130,22 @@ func (s *Spilled[T]) Remove() error { return os.RemoveAll(s.dir) }
 
 // SortStream runs the spilled sort collectively over c; every rank
 // calls it with its input stream and receives its Spilled block.
-// Options.Spill is required.
+// Options.Spill is required. It is the resident sort's phase list with
+// both sides of every phase on disk.
 func SortStream[T any](c *comm.Comm, in RecordSource[T], cd codec.Codec[T], cmp func(a, b T) int, opt Options) (*Spilled[T], error) {
-	if err := opt.Validate(); err != nil {
-		return nil, err
-	}
 	sp := opt.Spill
 	if sp == nil {
 		return nil, fmt.Errorf("core: SortStream needs Options.Spill")
 	}
-	tm := opt.timer()
-	tm.Start(metrics.PhaseOther)
-	defer tm.Stop()
-	tr := opt.tracer()
-	rank, p := c.Rank(), c.Size()
-	recSize := int64(cd.Size())
-	acct := &memAcct{g: opt.Mem}
-	defer acct.releaseAll()
+	r, err := newRun(c, cd, cmp, opt)
+	if err != nil {
+		return nil, err
+	}
+	defer r.close()
+	p, recSize := c.Size(), r.recSize
+	r.start(map[string]any{"stable": opt.Stable, "p": p, "stream": true})
 	sp.Stats.AddSpilledSort()
-
-	dir, err := os.MkdirTemp(spillRoot(sp), "spill-*")
+	dir, err := os.MkdirTemp(sp.Dir, "spill-*")
 	if err != nil {
 		return nil, fmt.Errorf("core: spill dir: %w", err)
 	}
@@ -154,35 +155,116 @@ func SortStream[T any](c *comm.Comm, in RecordSource[T], cd codec.Codec[T], cmp 
 			os.RemoveAll(dir)
 		}
 	}()
-	tr.Emit(rank, "sort.start", map[string]any{
-		"stable": opt.Stable, "p": p, "stream": true,
-	})
 
-	// Phase 1: cut the input into sorted local runs, sampling each
-	// chunk for pivot selection. Peak: the chunk plus the sort's
-	// scratch plus the run writer's buffer.
-	tm.Start(metrics.PhaseLocalSort)
-	chunkN := sp.chunkRecords(recSize, opt.Mem.Budget())
-	chunkNeed := int64(chunkN)*recSize*2 + int64(sp.bufBytes())
-	if err := acct.reserve(chunkNeed); err != nil {
-		return nil, fmt.Errorf("core: spill chunk of %d records: %w", chunkN, err)
-	}
 	var (
-		localRuns   []string
-		localCounts []int64
-		samples     []T
-		total       int64
+		local   []string  // the sorted local run files
+		counts  []int64   // records per local run
+		samples []T       // p regular samples of every run, unsorted across runs
+		ubs     [][]int64 // per local run, its per-destination record bounds
+		scounts = make([]int, p)
+		runs    []string // the block: the local runs on one rank, else what the exchange received
+		records int64
 	)
+	phases := []phase{
+		// Cut the input into sorted local runs, sampling each chunk for
+		// pivot selection.
+		{name: "localsort", clock: metrics.PhaseLocalSort, body: func() (map[string]any, error) {
+			if local, counts, samples, err = cutRuns(r, in, dir); err != nil {
+				return nil, err
+			}
+			runs, records = local, sum(counts)
+			r.tr.Emit(r.rank, "spill.localruns", map[string]any{"runs": len(runs), "records": records})
+			if p == 1 {
+				r.exit = "single"
+			}
+			return map[string]any{"runs": len(runs), "records": records}, nil
+		}},
+		// Global pivots from the per-chunk regular samples.
+		{name: "pivots", clock: metrics.PhasePivotSelection, begin: map[string]any{"method": PivotRegular.name()}, body: func() (map[string]any, error) {
+			psort.ParallelSort(samples, opt.cores(), opt.Stable, cmp)
+			r.pg, err = pivots.SelectGlobal(c, pivots.RegularSample(samples, p), cd, cmp)
+			if err != nil {
+				return nil, fmt.Errorf("core: pivot selection: %w", err)
+			}
+			samples = nil
+			if len(r.pg) == 0 {
+				runs, records = nil, 0 // the empty exit's block
+			}
+			return map[string]any{"pivots": len(r.pg)}, r.checkPivots(r.pg)
+		}},
+		// Partition each run by seek-based binary search — the classical
+		// upper bound per run, summed into send counts.
+		{name: "partition", clock: metrics.PhasePivotSelection, body: func() (map[string]any, error) {
+			for i, path := range local {
+				ub, err := runBounds(path, cd, counts[i], r.pg, cmp)
+				if err != nil {
+					return nil, fmt.Errorf("core: partition run %s: %w", path, err)
+				}
+				ubs = append(ubs, ub)
+				for dst := range scounts {
+					scounts[dst] += int(ub[dst+1] - ub[dst])
+				}
+			}
+			return map[string]any{"dests": p}, nil
+		}},
+		// The staged exchange with both sides on disk — runSource feeds
+		// it, per-source run files receive it. The schedule visits one
+		// destination and one source per round, so one fill merge and one
+		// spool writer are live at a time.
+		{clock: metrics.PhaseExchange, body: func() (map[string]any, error) {
+			pl, err := r.plan(scounts)
+			if err != nil {
+				return nil, err
+			}
+			records = sum(pl.recv) / recSize
+			r.tr.Emit(r.rank, "exchange.plan", map[string]any{
+				"send_records": sum(counts), "recv_records": records, "staged": true, "spilled": true,
+			})
+			src, closeSrc := runSource(local, ubs, cd, cmp, recSize, sp.mergeOptions(dir, opt.Mem))
+			defer closeSrc()
+			if runs, err = r.spillReceive(dir, pl, src); err != nil {
+				return nil, err
+			}
+			// The local runs have been fully shipped; only the received
+			// runs constitute the block.
+			for _, path := range local {
+				os.Remove(path)
+			}
+			r.exit = "spilled"
+			return nil, nil
+		}},
+	}
+	if err := r.runPhases(phases); err != nil {
+		return nil, err
+	}
+	keep = true
+	r.done(records)
+	return &Spilled[T]{
+		dir: dir, runs: runs, records: records,
+		cd: cd, cmp: cmp, merge: sp.mergeOptions(dir, opt.Mem),
+	}, nil
+}
+
+// cutRuns streams the input into sorted run files under dir, one per
+// chunk, and returns their paths, their record counts, and p regular
+// samples of each. Peak: the chunk plus the sort's scratch plus the run
+// writer's buffer, reserved for the length of the phase.
+func cutRuns[T any](r *run[T], in RecordSource[T], dir string) (paths []string, counts []int64, samples []T, err error) {
+	sp, p := r.opt.Spill, r.c.Size()
+	chunkN := sp.chunkRecords(r.recSize, r.opt.Mem.Budget())
+	chunkNeed := int64(chunkN)*r.recSize*2 + int64(sp.bufBytes())
+	if err := r.acct.reserve(chunkNeed); err != nil {
+		return nil, nil, nil, fmt.Errorf("core: spill chunk of %d records: %w", chunkN, err)
+	}
+	defer r.acct.release(chunkNeed)
 	chunk := make([]T, 0, chunkN)
 	flush := func() error {
 		if len(chunk) == 0 {
 			return nil
 		}
-		if !localSortFast(chunk, cd, cmp, opt) {
-			psort.AdaptiveSort(chunk, opt.cores(), opt.Stable, opt.RunThreshold, cmp)
-		}
-		path := filepath.Join(dir, fmt.Sprintf("local-%06d", len(localRuns)))
-		rw, err := extsort.CreateRun(path, cd, sp.bufBytes())
+		r.sortChunk(chunk)
+		path := filepath.Join(dir, fmt.Sprintf("local-%06d", len(paths)))
+		rw, err := extsort.CreateRun(path, r.cd, sp.bufBytes())
 		if err != nil {
 			return err
 		}
@@ -193,114 +275,29 @@ func SortStream[T any](c *comm.Comm, in RecordSource[T], cd codec.Codec[T], cmp 
 		if err := rw.Commit(); err != nil {
 			return err
 		}
-		sp.Stats.AddRun(int64(len(chunk)) * recSize)
-		localRuns = append(localRuns, path)
-		localCounts = append(localCounts, int64(len(chunk)))
+		sp.Stats.AddRun(int64(len(chunk)) * r.recSize)
+		paths = append(paths, path)
+		counts = append(counts, int64(len(chunk)))
 		samples = append(samples, pivots.RegularSample(chunk, p)...)
-		total += int64(len(chunk))
 		chunk = chunk[:0]
 		return nil
 	}
 	for {
 		rec, err := in.Read()
 		if err == io.EOF {
-			break
+			err = flush() // appends the last run: evaluate before the results are read
+			return paths, counts, samples, err
 		}
 		if err != nil {
-			return nil, fmt.Errorf("core: read input: %w", err)
+			return nil, nil, nil, fmt.Errorf("core: read input: %w", err)
 		}
 		chunk = append(chunk, rec)
 		if len(chunk) >= chunkN {
 			if err := flush(); err != nil {
-				return nil, err
+				return nil, nil, nil, err
 			}
 		}
 	}
-	if err := flush(); err != nil {
-		return nil, err
-	}
-	chunk = nil
-	acct.release(chunkNeed)
-	tr.Emit(rank, "spill.localruns", map[string]any{
-		"runs": len(localRuns), "records": total,
-	})
-
-	done := func(runs []string, records int64, reason string) (*Spilled[T], error) {
-		keep = true
-		tr.Emit(rank, "sort.done", map[string]any{"records": records, "reason": reason})
-		return &Spilled[T]{
-			dir: dir, runs: runs, records: records,
-			cd: cd, cmp: cmp, merge: sp.mergeOptions(dir, opt.Mem),
-		}, nil
-	}
-	if p == 1 {
-		return done(localRuns, total, "single")
-	}
-
-	// Phase 2: global pivots from the per-chunk regular samples.
-	tm.Start(metrics.PhasePivotSelection)
-	psort.ParallelSort(samples, opt.cores(), opt.Stable, cmp)
-	pl := pivots.RegularSample(samples, p)
-	pg, err := pivots.SelectGlobal(c, pl, cd, cmp)
-	if err != nil {
-		return nil, fmt.Errorf("core: pivot selection: %w", err)
-	}
-	samples = nil
-	if len(pg) == 0 {
-		// The whole dataset is empty — globally agreed, since every
-		// rank sees the same SelectGlobal result.
-		return done(nil, 0, "empty")
-	}
-	if len(pg) != p-1 {
-		return nil, fmt.Errorf("core: selected %d global pivots for %d processes", len(pg), p)
-	}
-
-	// Phase 3: partition each run by seek-based binary search — the
-	// classical upper bound per run, summed into send counts.
-	ubs := make([][]int64, len(localRuns))
-	scounts := make([]int, p)
-	for r, path := range localRuns {
-		ub, err := runBounds(path, cd, localCounts[r], pg, cmp)
-		if err != nil {
-			return nil, fmt.Errorf("core: partition run %s: %w", path, err)
-		}
-		ubs[r] = ub
-		for dst := 0; dst < p; dst++ {
-			scounts[dst] += int(ub[dst+1] - ub[dst])
-		}
-	}
-
-	tm.Start(metrics.PhaseExchange)
-	rcounts, err := exchangeCounts(c, scounts)
-	if err != nil {
-		return nil, fmt.Errorf("core: count exchange: %w", err)
-	}
-	m := sum(rcounts)
-
-	// Phase 4: the staged exchange with both sides on disk — runSource
-	// feeds it, per-source run files receive it. The schedule visits
-	// one destination and one source per round, so one fill merge and
-	// one spool writer are live at a time.
-	plan := exchangePlan{
-		rank: rank, recSize: recSize,
-		send: scale(scounts, recSize), recv: scale(rcounts, recSize),
-	}
-	tr.Emit(rank, "exchange.plan", map[string]any{
-		"send_records": total, "recv_records": m, "staged": true, "spilled": true,
-	})
-	src, closeSrc := runSource(localRuns, ubs, cd, cmp, recSize, sp.mergeOptions(dir, opt.Mem))
-	defer closeSrc()
-	runs, err := spillReceive(c, dir, plan, src, opt, acct)
-	if err != nil {
-		return nil, err
-	}
-
-	// The local runs have been fully shipped; only the received runs
-	// constitute the block.
-	for _, p := range localRuns {
-		os.Remove(p)
-	}
-	return done(runs, m, "spilled")
 }
 
 // runSource is SortStream's send side: each destination's payload is a

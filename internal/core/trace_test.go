@@ -1,8 +1,10 @@
 package core
 
 import (
+	"os"
 	"testing"
 
+	"sdssort/internal/checkpoint"
 	"sdssort/internal/cluster"
 	"sdssort/internal/codec"
 	"sdssort/internal/comm"
@@ -125,4 +127,91 @@ func TestFailedExchangeClosesSpans(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestFailedPhaseClosesSpans is TestFailedExchangeClosesSpans for the
+// phases before the exchange. With synchronous checkpoints the killed
+// rank's local-sort manifest exists the moment that phase commits, so a
+// kill keyed on it fires on the rank's next transport operation: the τm
+// sizing collective and node-merge hand-off when merging is on, the
+// pivot-selection collective when it is off. The third case resumes
+// from a local-sort cut whose snapshot was truncated on one rank, so
+// that rank fails in the load and the others in whatever collective
+// they reach without it. Every rank fails, and no span may be left
+// open: the phase the failure landed in closes with reason "error".
+func TestFailedPhaseClosesSpans(t *testing.T) {
+	topo := cluster.Topology{Nodes: 2, CoresPerNode: 2}
+	const victim = 1
+	in := makeTagged(topo.Size(), 400, uniformGen(78))
+	run := func(t *testing.T, opt Options, wrap func(comm.Transport) comm.Transport) []trace.SpanRecord {
+		t.Helper()
+		rec := trace.NewRecorder()
+		opt.Trace = rec
+		err := cluster.RunOpts(topo, cluster.Options{WrapTransport: wrap}, func(c *comm.Comm) error {
+			local := append([]codec.Tagged(nil), in[c.Rank()]...)
+			_, err := Sort(c, local, taggedCodec, codec.CompareTagged, opt)
+			return err
+		})
+		if err == nil {
+			t.Fatal("sort succeeded, want it failed by the injected fault")
+		}
+		// Snapshots the failed ranks enqueued may still be in flight.
+		opt.Checkpoint.Wait()
+		spans := trace.BuildSpans(rec.Events())
+		for _, sp := range spans {
+			if sp.Open {
+				t.Errorf("rank %d left span %q open", sp.Rank, sp.Name)
+			}
+		}
+		return spans
+	}
+	failedIn := func(t *testing.T, spans []trace.SpanRecord, name string) {
+		t.Helper()
+		for _, sp := range spans {
+			if sp.Name == name && sp.Detail["reason"] == "error" {
+				return
+			}
+		}
+		t.Fatalf("no %q span closed with reason error: the fault missed the phase", name)
+	}
+	for _, phase := range []struct {
+		name string
+		tauM int64
+	}{{"nodemerge", 1 << 40}, {"pivots", 0}} {
+		t.Run(phase.name, func(t *testing.T) {
+			store, err := checkpoint.NewStore(t.TempDir(), topo.Size())
+			if err != nil {
+				t.Fatal(err)
+			}
+			inj, err := faultnet.New(faultnet.Plan{
+				KillRank:      victim,
+				KillAfterFile: store.ManifestPath(0, checkpoint.PhaseLocalSort, victim),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			opt := DefaultOptions()
+			opt.TauM = phase.tauM
+			opt.Checkpoint = &Checkpointing{Store: store, Sync: true}
+			spans := run(t, opt, inj.Wrap)
+			if inj.Stats().Kills != 1 {
+				t.Fatalf("%d kills, want 1", inj.Stats().Kills)
+			}
+			failedIn(t, spans, phase.name)
+		})
+	}
+	t.Run("resume-truncated", func(t *testing.T) {
+		store, err := checkpoint.NewStore(t.TempDir(), topo.Size())
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt := DefaultOptions()
+		opt.TauM = 0
+		runSortCkpt(t, topo, in, ckptOpt(opt, store, 0, checkpoint.Cut{}))
+		if err := os.Truncate(store.DataPath(0, checkpoint.PhaseLocalSort, victim), 100); err != nil {
+			t.Fatal(err)
+		}
+		spans := run(t, ckptOpt(opt, store, 1, checkpoint.Cut{Epoch: 0, Phase: checkpoint.PhaseLocalSort}), nil)
+		failedIn(t, spans, "sort")
+	})
 }

@@ -5,10 +5,33 @@ import (
 	"testing"
 )
 
+// checkClassical asserts what the classical partition promises on any
+// sorted data and pivots: a valid partition in which every record at or
+// below a pivot — its duplicates included — lands at or below that
+// pivot's destination, and every record above it beyond.
+func checkClassical(t *testing.T, data, pg []int) {
+	t.Helper()
+	bounds := Classical(data, pg, cmpInt)
+	if len(bounds) != len(pg)+2 {
+		t.Fatalf("classical: %d bounds for %d pivots", len(bounds), len(pg))
+	}
+	if err := Validate(bounds, len(data)); err != nil {
+		t.Fatalf("classical: %v", err)
+	}
+	for j, pv := range pg {
+		for i, v := range data {
+			if below := i < bounds[j+1]; below != (v <= pv) {
+				t.Fatalf("classical: record %d (index %d) vs pivot %d: below its bound %d is %v", v, i, pv, bounds[j+1], below)
+			}
+		}
+	}
+}
+
 // FuzzFastPartition checks the fast skew-aware partition's invariants on
 // arbitrary sorted data and pivots: boundaries monotone, full coverage,
 // and value-consistency (everything strictly below a singleton pivot's
-// range boundary really belongs there).
+// range boundary really belongs there) — and the classical partition's
+// on the same input.
 func FuzzFastPartition(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4}, []byte{2, 3})
 	f.Add([]byte{5, 5, 5, 5, 5}, []byte{5, 5})
@@ -28,6 +51,7 @@ func FuzzFastPartition(f *testing.F) {
 		}
 		slices.Sort(pg)
 
+		checkClassical(t, data, pg)
 		bounds := Fast(data, pg, Binary[int]{cmpInt}, cmpInt)
 		if len(bounds) != len(pg)+2 {
 			t.Fatalf("bounds length %d", len(bounds))

@@ -172,6 +172,23 @@ func Stable[T any](data []T, pg []T, loc Locator[T], cmp func(a, b T) int, rank 
 	return bounds, nil
 }
 
+// Classical computes the plain upper-bound partition every sample sort
+// before the paper used: boundaries[j+1] is one past the last record
+// <= pg[j], so all records equal to a pivot go to one destination. It
+// is correct on any input and balanced on distinct keys, but duplicates
+// of a pivot value concentrate — the defect Fast and Stable repair, and
+// the partition the baseline drivers (hss, ams, hyksort, psrs) keep by
+// design. Pivots that arrive out of order are clamped, not rejected.
+func Classical[T any](data []T, pg []T, cmp func(a, b T) int) []int {
+	p := len(pg) + 1
+	bounds := make([]int, p+1)
+	bounds[p] = len(data)
+	for j, v := range pg {
+		bounds[j+1] = max(UpperBound(data, v, cmp), bounds[j])
+	}
+	return bounds
+}
+
 // Counts converts boundaries into per-destination record counts.
 func Counts(bounds []int) []int {
 	counts := make([]int, len(bounds)-1)

@@ -414,3 +414,34 @@ func TestValidate(t *testing.T) {
 		t.Fatal("too-short bounds accepted")
 	}
 }
+
+// TestClassical: the plain upper-bound partition is valid on every
+// input and sends all duplicates of a pivot to the pivot's destination.
+func TestClassical(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		data, pg []int
+		want     []int
+	}{
+		{"distinct", []int{1, 2, 3, 4, 5, 6}, []int{2, 4}, []int{0, 2, 4, 6}},
+		{"duplicates stay together", []int{1, 5, 5, 5, 5, 9}, []int{5, 5}, []int{0, 5, 5, 6}},
+		{"all equal", []int{7, 7, 7, 7}, []int{7, 7, 7}, []int{0, 4, 4, 4, 4}},
+		{"empty input", nil, []int{1, 2}, []int{0, 0, 0, 0}},
+		{"no pivots", []int{1, 3}, nil, []int{0, 2}},
+		{"pivots outside the data", []int{4, 5}, []int{1, 9}, []int{0, 0, 2, 2}},
+		{"unsorted pivots are clamped", []int{1, 2, 3, 4}, []int{3, 1}, []int{0, 3, 3, 4}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got := Classical(tc.data, tc.pg, cmpInt)
+			if !slices.Equal(got, tc.want) {
+				t.Fatalf("bounds %v, want %v", got, tc.want)
+			}
+			if err := Validate(got, len(tc.data)); err != nil {
+				t.Fatal(err)
+			}
+			if slices.IsSorted(tc.pg) && slices.IsSorted(tc.data) {
+				checkClassical(t, tc.data, tc.pg)
+			}
+		})
+	}
+}
