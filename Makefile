@@ -135,12 +135,16 @@ soak-shrink:
 # Spill soak: the out-of-core tier under fault injection and crashes —
 # the spill property grid, the budget trigger, the crash-mid-spill
 # supervised resume and the faultnet soak, repeated under the race
-# detector. FAULTNET_SEED=n varies the fault schedule, plus the
-# multi-process spilled e2e once.
+# detector together with the run-file layer and the external-sort
+# contract (internal/extsort drives the one sorter on one rank; the
+# library entry point is ExternalSortFile). FAULTNET_SEED=n varies the
+# fault schedule, plus the multi-process spilled e2e and the CLI's
+# spilled and external routes once.
 soak-spill:
 	FAULTNET_SEED=$(FAULTNET_SEED) $(GO) test -race -run 'Spill' -count=3 -timeout 15m ./internal/core/
 	FAULTNET_SEED=$(FAULTNET_SEED) $(GO) test -race -count=3 -timeout 15m ./internal/extsort/
-	FAULTNET_SEED=$(FAULTNET_SEED) $(GO) test -race -run 'DistributedSpilledSort|CLISpilledSort' -count=1 -timeout 15m ./cmd/sdsnode/ ./cmd/sdssort/
+	FAULTNET_SEED=$(FAULTNET_SEED) $(GO) test -race -run 'ExternalSortFile|ShardRange' -count=3 -timeout 15m . ./internal/recordio/
+	FAULTNET_SEED=$(FAULTNET_SEED) $(GO) test -race -run 'DistributedSpilledSort|CLISpilledSort|CLIExternal' -count=1 -timeout 15m ./cmd/sdsnode/ ./cmd/sdssort/
 
 # Telemetry smoke: boot a real 2-process sdsnode world in -serve mode
 # and curl /healthz and /metrics mid-soak, requiring the local series,
@@ -162,8 +166,8 @@ experiments:
 experiments-quick:
 	$(GO) run ./cmd/sdsbench -exp all -quick
 
-# Short fuzzing pass over the sort, partition, checkpoint-manifest and
-# exchange-decode invariants.
+# Short fuzzing pass over the sort, partition, checkpoint-manifest,
+# exchange-decode and run-file-reader invariants.
 fuzz:
 	$(GO) test ./internal/psort -fuzz FuzzSort -fuzztime 30s -run xxx
 	$(GO) test ./internal/psort -fuzz FuzzStableSort -fuzztime 30s -run xxx
@@ -171,6 +175,7 @@ fuzz:
 	$(GO) test ./internal/partition -fuzz FuzzStablePartition -fuzztime 30s -run xxx
 	$(GO) test ./internal/checkpoint -fuzz FuzzManifest -fuzztime 30s -run xxx
 	$(GO) test ./internal/codec -fuzz FuzzDecodeAppend -fuzztime 30s -run xxx
+	$(GO) test ./internal/extsort -fuzz FuzzRunReader -fuzztime 30s -run xxx
 
 # BENCH_baseline.json is a committed artifact, not a build product —
 # clean leaves it alone.

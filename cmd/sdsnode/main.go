@@ -71,7 +71,6 @@ import (
 	"log"
 	"net/http"
 	"os"
-	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -878,40 +877,18 @@ func spillSortJob(c *comm.Comm, p jobParams, sc trace.Scope, env *nodeEnv) int {
 	}
 
 	if p.out != "" {
-		// Committed by rename, like every other output in the spill
-		// tier: a crash mid-merge never leaves a truncated shard behind.
-		// A non-regular destination (/dev/null, a pipe) cannot take the
-		// rename commit — renaming over it would replace the node
-		// itself — so those are streamed into directly.
-		var dst *os.File
-		var err error
-		rename := false
-		if st, serr := os.Lstat(p.out); serr == nil && !st.Mode().IsRegular() {
-			dst, err = os.OpenFile(p.out, os.O_WRONLY, 0)
-		} else {
-			dst, err = os.CreateTemp(filepath.Dir(p.out), ".sdsnode-out-*")
-			rename = true
-		}
-		if err != nil {
-			log.Print(err)
-			return exitLocalError
-		}
-		err = blk.Stream(dst)
-		if cerr := dst.Close(); err == nil {
-			err = cerr
-		}
-		if rename {
-			if err == nil {
-				err = os.Chmod(dst.Name(), 0o644)
-			}
-			if err == nil {
-				err = os.Rename(dst.Name(), p.out)
+		// Through the tier's file writer, like every run: committed by
+		// rename, so a crash mid-merge never leaves a truncated shard
+		// behind — or written in place when the destination is /dev/null
+		// or a pipe, which a rename would replace.
+		dst, err := extsort.CreateFile(p.out, 0)
+		if err == nil {
+			defer dst.Abort()
+			if err = blk.Stream(dst); err == nil {
+				err = dst.Commit()
 			}
 		}
 		if err != nil {
-			if rename {
-				os.Remove(dst.Name())
-			}
 			log.Print(err)
 			return exitLocalError
 		}

@@ -6,6 +6,7 @@
 //	sdssort -in zipf.f64 -out sorted.f64 -nodes 4 -cores 2
 //	sdssort -in ptf.rec  -type ptf -stable -out sorted.rec
 //	sdssort -in zipf.f64 -algo hyksort -out sorted.f64
+//	sdssort -in huge.f64 -algo external -out sorted.f64
 //
 // The input is split evenly across the ranks, sorted collectively, and
 // the rank outputs are concatenated in order. -stats prints the phase
@@ -19,7 +20,6 @@ import (
 	"io"
 	"log"
 	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
@@ -45,9 +45,8 @@ func main() {
 		typ      = flag.String("type", "f64", "record type: f64 | ptf | cosmo | csv")
 		col      = flag.Int("col", 0, "CSV column holding the numeric key (csv type only)")
 		algoName = flag.String("algo", "sds", "algorithm: "+strings.Join(algo.Names(), " | ")+" | external")
-		chunk    = flag.Int("chunk", 1<<20, "records per in-memory chunk (external only)")
 		nodes    = flag.Int("nodes", 2, "simulated nodes")
-		cores    = flag.Int("cores", 2, "ranks per node")
+		cores    = flag.Int("cores", 2, "ranks per node (sort goroutines with -algo external)")
 		stable   = flag.Bool("stable", false, "stable sort (sds only)")
 		tauM     = flag.Int64("taum", core.DefaultOptions().TauM, "node-merge threshold τm (bytes)")
 		tauO     = flag.Int("tauo", core.DefaultOptions().TauO, "overlap threshold τo (ranks)")
@@ -58,8 +57,8 @@ func main() {
 		trc      = flag.String("trace", "", "write a JSONL event trace to this file")
 
 		memB       = flag.Int64("mem", 0, "per-rank memory budget in bytes; with -spill-dir a fixed budget sorts inputs of any size (0 = unlimited)")
-		spillDir   = flag.String("spill-dir", "", "enable the out-of-core spill tier: stream the input and spill sorted runs here instead of holding the shard resident (sds only)")
-		spillChunk = flag.Int("spill-chunk", 0, "records per streamed in-memory run with -spill-dir (0 = derive from -mem)")
+		spillDir   = flag.String("spill-dir", "", "enable the out-of-core spill tier: stream the input and spill sorted runs here instead of holding the shard resident (sds and external only; external defaults to the OS temp dir)")
+		spillChunk = flag.Int("spill-chunk", 0, "records per streamed in-memory run with -spill-dir or -algo external (0 = derive from -mem, 1<<20 without)")
 		version    = flag.Bool("version", false, "print the build version and exit")
 	)
 	flag.Parse()
@@ -70,21 +69,19 @@ func main() {
 	if *in == "" {
 		log.Fatal("-in input file is required")
 	}
-	if *algoName == "external" {
-		if *out == "" {
-			log.Fatal("-out is required with -algo external")
+	// external is not a driver but a shape of the spill tier: the whole
+	// file as the one shard of a one-rank world, never resident.
+	external := *algoName == "external"
+	if !external {
+		// Validate the driver name against the registry up front so a typo
+		// prints the available names instead of failing mid-run.
+		info, ok := algo.Lookup(*algoName)
+		if !ok {
+			log.Fatal(&algo.UnknownError{Name: *algoName})
 		}
-		runExternal(*in, *out, *typ, *col, *chunk, *cores, *stable)
-		return
-	}
-	// Validate the driver name against the registry up front so a typo
-	// prints the available names instead of failing mid-run.
-	info, ok := algo.Lookup(*algoName)
-	if !ok {
-		log.Fatal(&algo.UnknownError{Name: *algoName})
-	}
-	if *stable && !info.Caps.Stable {
-		log.Fatalf("-stable requires a stable-capable algorithm (%q is not; use sds or auto)", *algoName)
+		if *stable && !info.Caps.Stable {
+			log.Fatalf("-stable requires a stable-capable algorithm (%q is not; use sds or auto)", *algoName)
+		}
 	}
 	// The trace file is finalised deliberately: JSONL latches its first
 	// write error, so without checking Err() a full disk would silently
@@ -111,24 +108,33 @@ func main() {
 			}
 		}
 	}
-	if *spillDir != "" {
-		if *algoName != "sds" {
-			log.Fatalf("-spill-dir requires -algo sds (got %q)", *algoName)
+	if external || *spillDir != "" {
+		if !external && *algoName != "sds" {
+			log.Fatalf("-spill-dir requires -algo sds or external (got %q)", *algoName)
 		}
 		sc := spillConfig{
-			nodes: *nodes, cores: *cores, stable: *stable,
+			nodes: *nodes, cores: *cores, threads: 1, stable: *stable,
 			stage: *stage, mem: *memB, dir: *spillDir, chunk: *spillChunk,
 			stats: *stats, verify: *verify, tracer: tracer,
 		}
-		switch *typ {
-		case "f64":
-			runSpilled(*in, *out, codec.Float64{}, cmpOrdered[float64], sc)
-		case "ptf":
-			runSpilled(*in, *out, codec.PTFCodec{}, codec.ComparePTF, sc)
-		case "cosmo":
-			runSpilled(*in, *out, codec.ParticleCodec{}, codec.CompareParticles, sc)
+		if external {
+			sc.nodes, sc.cores, sc.threads = 1, 1, *cores
+		}
+		var err error
+		switch {
+		case *typ == "f64":
+			err = runSpilled(*in, *out, codec.Float64{}, cmpOrdered[float64], sc)
+		case *typ == "ptf":
+			err = runSpilled(*in, *out, codec.PTFCodec{}, codec.ComparePTF, sc)
+		case *typ == "cosmo":
+			err = runSpilled(*in, *out, codec.ParticleCodec{}, codec.CompareParticles, sc)
+		case *typ == "csv" && external:
+			err = runSpilledCSV(*in, *col, *out, sc)
 		default:
-			log.Fatalf("-spill-dir needs a file-backed record type (f64 | ptf | cosmo), not %q", *typ)
+			log.Fatalf("the out-of-core tier needs a file-backed record type (f64 | ptf | cosmo; csv with -algo external), not %q", *typ)
+		}
+		if err != nil {
+			log.Fatal(err)
 		}
 		finishTrace()
 		return
@@ -150,50 +156,6 @@ func main() {
 		log.Fatalf("unknown record type %q", *typ)
 	}
 	finishTrace()
-}
-
-// runExternal performs the out-of-core sort: bounded memory, spill runs,
-// streaming merge (package extsort).
-func runExternal(in, out, typ string, col, chunk, cores int, stable bool) {
-	opt := extsort.Options{ChunkRecords: chunk, Cores: cores, Stable: stable}
-	start := time.Now()
-	var err error
-	var n int64
-	switch typ {
-	case "f64":
-		err = extsort.SortFile(in, out, codec.Float64{}, cmpOrdered[float64], opt)
-		if err == nil {
-			n, err = recordio.Count[float64](out, codec.Float64{})
-		}
-	case "csv":
-		keys, kerr := recordio.ReadCSVColumn(in, col)
-		if kerr != nil {
-			log.Fatal(kerr)
-		}
-		tmp := out + ".keys"
-		if err = recordio.WriteFile(tmp, codec.Float64{}, keys); err == nil {
-			defer os.Remove(tmp)
-			err = extsort.SortFile(tmp, out, codec.Float64{}, cmpOrdered[float64], opt)
-			n = int64(len(keys))
-		}
-	case "ptf":
-		err = extsort.SortFile(in, out, codec.PTFCodec{}, codec.ComparePTF, opt)
-		if err == nil {
-			n, err = recordio.Count[codec.PTFRecord](out, codec.PTFCodec{})
-		}
-	case "cosmo":
-		err = extsort.SortFile(in, out, codec.ParticleCodec{}, codec.CompareParticles, opt)
-		if err == nil {
-			n, err = recordio.Count[codec.Particle](out, codec.ParticleCodec{})
-		}
-	default:
-		log.Fatalf("unknown record type %q for external sort", typ)
-	}
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("externally sorted %d records (chunks of %d) in %v -> %s\n",
-		n, chunk, time.Since(start).Round(time.Microsecond), out)
 }
 
 func cmpOrdered[T float64 | int64 | uint64](a, b T) int {
@@ -349,7 +311,8 @@ func runRecords[T any](records []T, out string, cd codec.Codec[T], cmp func(a, b
 
 // spillConfig bundles the knobs of the out-of-core path.
 type spillConfig struct {
-	nodes, cores  int
+	nodes, cores  int // the world: ranks per node
+	threads       int // sort goroutines per rank
 	stable        bool
 	stage, mem    int64
 	dir           string
@@ -363,12 +326,15 @@ type spillConfig struct {
 // sorted runs under sc.dir, and the resulting blocks are lazily merged
 // straight into the output file. With -mem set, every rank runs under a
 // hard per-rank budget, so a fixed-memory invocation sorts inputs of
-// any size.
-func runSpilled[T any](in, out string, cd codec.Codec[T], cmp func(a, b T) int, sc spillConfig) {
+// any size. On a 1×1 world (-algo external) there is no exchange and
+// this is the classical external sort.
+func runSpilled[T any](in, out string, cd codec.Codec[T], cmp func(a, b T) int, sc spillConfig) error {
 	// Sweep wreckage from a previous crashed invocation before spilling
 	// new runs next to it.
-	if err := extsort.RemoveStaleTemps(sc.dir); err != nil {
-		log.Fatal(err)
+	if sc.dir != "" {
+		if err := extsort.RemoveStaleTemps(sc.dir); err != nil {
+			return err
+		}
 	}
 	topo := cluster.Topology{Nodes: sc.nodes, CoresPerNode: sc.cores}
 	p := topo.Size()
@@ -389,6 +355,7 @@ func runSpilled[T any](in, out string, cd codec.Codec[T], cmp func(a, b T) int, 
 	blocks, err := cluster.Gather(topo, cluster.Options{}, func(c *comm.Comm) (*core.Spilled[T], error) {
 		opt := core.DefaultOptions()
 		opt.Stable = sc.stable
+		opt.Cores = sc.threads
 		opt.StageBytes = sc.stage
 		opt.Exchange = exch
 		opt.Timer = timers[c.Rank()]
@@ -400,7 +367,7 @@ func runSpilled[T any](in, out string, cd codec.Codec[T], cmp func(a, b T) int, 
 		return core.SortFileShard(c, in, cd, cmp, opt)
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	elapsed := time.Since(start)
 	defer func() {
@@ -418,6 +385,13 @@ func runSpilled[T any](in, out string, cd codec.Codec[T], cmp func(a, b T) int, 
 	fmt.Printf("spill-sorted %d records on %d×%d ranks in %v (%s)\n",
 		total, sc.nodes, sc.cores, elapsed.Round(time.Microsecond),
 		metrics.FormatThroughput(metrics.Throughput(total*int64(cd.Size()), elapsed)))
+	if out != "" || sc.verify {
+		if err := drainBlocks(blocks, out, sc.verify, cd, cmp); err != nil {
+			return err
+		}
+	}
+	// After the drain: on one rank the output merge is all the merging
+	// there is, and everywhere its cursors count towards the peak.
 	if sc.stats {
 		fmt.Printf("RDFA: %s\n", metrics.FmtRDFA(metrics.RDFA(loads)))
 		merged := metrics.MergeMax(timers)
@@ -434,73 +408,70 @@ func runSpilled[T any](in, out string, cd codec.Codec[T], cmp func(a, b T) int, 
 			fmt.Printf("  mem peak: %d of %d bytes per rank\n", peak, sc.mem)
 		}
 	}
+	return nil
+}
 
-	// The blocks stream through a sortedness checker and (when -out is
-	// given) into a temp file committed by rename, so a failed or killed
-	// run never leaves a truncated output behind. A non-regular
-	// destination (/dev/null, a pipe) cannot take the rename commit —
-	// renaming over it would replace the node itself — so those are
-	// streamed into directly.
+// drainBlocks streams the blocks, in rank order, through a sortedness
+// checker and (when out is named) into the tier's file writer:
+// committed by rename, so a failed or killed run never leaves a
+// truncated output behind, or written in place when the destination is
+// /dev/null or a pipe.
+func drainBlocks[T any](blocks []*core.Spilled[T], out string, verify bool, cd codec.Codec[T], cmp func(a, b T) int) error {
 	check := &orderChecker[T]{cd: cd, cmp: cmp}
-	if out != "" || sc.verify {
-		var w io.Writer
-		var dst *os.File
-		rename := false
-		if out != "" {
-			if st, serr := os.Lstat(out); serr == nil && !st.Mode().IsRegular() {
-				dst, err = os.OpenFile(out, os.O_WRONLY, 0)
-			} else {
-				dst, err = os.CreateTemp(filepath.Dir(out), ".sdssort-out-*")
-				rename = true
-			}
-			if err != nil {
-				log.Fatal(err)
-			}
-			w = dst
-			if sc.verify {
-				w = io.MultiWriter(dst, check)
-			}
-		} else {
-			w = check
+	var dst *extsort.File
+	var w io.Writer = check
+	if out != "" {
+		var err error
+		if dst, err = extsort.CreateFile(out, 0); err != nil {
+			return err
 		}
-		fail := func(err error) {
-			if dst != nil {
-				dst.Close()
-				if rename {
-					os.Remove(dst.Name())
-				}
-			}
-			log.Fatal(err)
-		}
-		for _, b := range blocks {
-			if err := b.Stream(w); err != nil {
-				fail(err)
-			}
-		}
-		if sc.verify {
-			if check.err != nil {
-				fail(check.err)
-			}
-			if check.n != total {
-				fail(fmt.Errorf("verify: streamed %d records, expected %d", check.n, total))
-			}
-			fmt.Printf("verified: output globally sorted (%d records)\n", check.n)
-		}
-		if dst != nil {
-			if err := dst.Close(); err != nil {
-				fail(err)
-			}
-			if rename {
-				if err := os.Chmod(dst.Name(), 0o644); err != nil {
-					fail(err)
-				}
-				if err := os.Rename(dst.Name(), out); err != nil {
-					fail(err)
-				}
-			}
-			fmt.Printf("wrote %s\n", out)
+		defer dst.Abort()
+		if w = dst; verify {
+			w = io.MultiWriter(dst, check)
 		}
 	}
+	var total int64
+	for _, b := range blocks {
+		if err := b.Stream(w); err != nil {
+			return err
+		}
+		total += b.Records()
+	}
+	if verify {
+		if check.err != nil {
+			return check.err
+		}
+		if check.n != total {
+			return fmt.Errorf("verify: streamed %d records, expected %d", check.n, total)
+		}
+		fmt.Printf("verified: output globally sorted (%d records)\n", check.n)
+	}
+	if dst != nil {
+		if err := dst.Commit(); err != nil {
+			return err
+		}
+		fmt.Printf("wrote %s\n", out)
+	}
+	return nil
+}
+
+// runSpilledCSV is runSpilled for a CSV column: the tier reads record
+// files, so the parsed keys go through one, next to the spill runs.
+func runSpilledCSV(in string, col int, out string, sc spillConfig) error {
+	keys, err := recordio.ReadCSVColumn(in, col)
+	if err != nil {
+		return err
+	}
+	f, err := os.CreateTemp(sc.dir, "sdssort-keys-*")
+	if err != nil {
+		return err
+	}
+	f.Close()
+	defer os.Remove(f.Name())
+	if err := recordio.WriteFile(f.Name(), codec.Float64{}, keys); err != nil {
+		return err
+	}
+	return runSpilled(f.Name(), out, codec.Float64{}, cmpOrdered[float64], sc)
 }
 
 // orderChecker verifies global sortedness of a recordio stream flowing

@@ -1,15 +1,19 @@
 package main
 
 import (
+	"bytes"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
 	"sdssort/internal/codec"
 	"sdssort/internal/recordio"
+	"sdssort/internal/trace"
 	"sdssort/internal/workload"
 )
 
@@ -85,7 +89,7 @@ func TestCLIExternalSort(t *testing.T) {
 	if err := recordio.WriteFile(in, codec.Float64{}, keys); err != nil {
 		t.Fatal(err)
 	}
-	stdout, err := runCLI(t, "-in", in, "-out", out, "-algo", "external", "-chunk", "4000")
+	stdout, err := runCLI(t, "-in", in, "-out", out, "-algo", "external", "-spill-chunk", "4000", "-spill-dir", dir)
 	if err != nil {
 		t.Fatalf("%v\n%s", err, stdout)
 	}
@@ -95,6 +99,139 @@ func TestCLIExternalSort(t *testing.T) {
 	}
 	if !slices.IsSorted(got) || len(got) != len(keys) {
 		t.Fatal("external sort output wrong")
+	}
+	// Regression: the output used to keep os.CreateTemp's 0600 on this
+	// route while the resident and -spill-dir routes wrote 0644.
+	if st, err := os.Stat(out); err != nil || st.Mode().Perm() != 0o644 {
+		t.Fatalf("output mode %v, want 0644 (err=%v)", st.Mode().Perm(), err)
+	}
+	// A CSV column goes through a keys file, which must not outlive the run.
+	csv := filepath.Join(dir, "keys.csv")
+	if err := os.WriteFile(csv, []byte("id,score\n1,0.9\n2,0.1\n3,0.5\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if stdout, err := runCLI(t, "-in", csv, "-type", "csv", "-col", "1", "-out", out, "-algo", "external", "-spill-dir", dir); err != nil {
+		t.Fatalf("%v\n%s", err, stdout)
+	}
+	if got, err := recordio.ReadFile(out, codec.Float64{}); err != nil || !slices.Equal(got, []float64{0.1, 0.5, 0.9}) {
+		t.Fatalf("csv external sort wrote %v (err=%v)", got, err)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 3 {
+		t.Fatalf("%d entries left beside in, out and the csv: %v", len(ents), ents)
+	}
+}
+
+// TestCLIExternalNonRegularDestination: -out naming something that is
+// not a regular file must be written in place — the rename commit would
+// replace the node itself, which for /dev/null breaks the machine. A
+// symlink stands in for the device node.
+func TestCLIExternalNonRegularDestination(t *testing.T) {
+	dir := t.TempDir()
+	in := filepath.Join(dir, "in.f64")
+	target := filepath.Join(dir, "target.f64")
+	link := filepath.Join(dir, "link.f64")
+	keys := workload.Uniform(5, 3000)
+	if err := recordio.WriteFile(in, codec.Float64{}, keys); err != nil {
+		t.Fatal(err)
+	}
+	if err := recordio.WriteFile(target, codec.Float64{}, workload.Uniform(6, 9000)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Symlink(target, link); err != nil {
+		t.Skipf("no symlinks here: %v", err)
+	}
+	if stdout, err := runCLI(t, "-in", in, "-out", link, "-algo", "external", "-spill-dir", dir); err != nil {
+		t.Fatalf("%v\n%s", err, stdout)
+	}
+	if st, err := os.Lstat(link); err != nil || st.Mode()&os.ModeSymlink == 0 {
+		t.Fatalf("-out was replaced, not written through: mode %v (err=%v)", st.Mode(), err)
+	}
+	slices.Sort(keys)
+	if got, err := recordio.ReadFile(target, codec.Float64{}); err != nil || !slices.Equal(got, keys) {
+		t.Fatalf("the link's target does not hold the sorted input (%d records, err=%v)", len(got), err)
+	}
+}
+
+// TestCLIExternalObservers: -algo external used to return before the
+// tracer, gauge and stats existed, silently ignoring -trace, -mem,
+// -stats and -verify. It is the spill tier on one rank and honours them
+// all — and, like the other routes, sorts without -out.
+func TestCLIExternalObservers(t *testing.T) {
+	dir := t.TempDir()
+	in := filepath.Join(dir, "in.f64")
+	trc := filepath.Join(dir, "run.jsonl")
+	if err := recordio.WriteFile(in, codec.Float64{}, workload.Uniform(8, 40000)); err != nil {
+		t.Fatal(err)
+	}
+	const budget = 64 << 10 // a fifth of the input
+	stdout, err := runCLI(t, "-in", in, "-algo", "external", "-mem", strconv.Itoa(budget), "-trace", trc, "-spill-dir", dir)
+	if err != nil {
+		t.Fatalf("%v\n%s", err, stdout)
+	}
+	if !strings.Contains(stdout, "verified: output globally sorted (40000 records)") {
+		t.Fatalf("-verify ignored:\n%s", stdout)
+	}
+	var peak, of int64
+	if i := strings.Index(stdout, "mem peak: "); i < 0 {
+		t.Fatalf("-mem/-stats ignored:\n%s", stdout)
+	} else if _, err := fmt.Sscanf(stdout[i:], "mem peak: %d of %d", &peak, &of); err != nil {
+		t.Fatalf("%v\n%s", err, stdout)
+	}
+	if of != budget || peak <= 0 || peak > budget {
+		t.Fatalf("mem peak %d of %d, want within (0, %d]", peak, of, budget)
+	}
+	f, err := os.Open(trc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	events, err := trace.ReadJSONL(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := trace.Analyze(events)
+	if a.SortsStarted != 1 || a.SortsCompleted != 1 || len(a.UnterminatedRanks) != 0 || a.DoneReasons["single"] != 1 {
+		t.Fatalf("-trace: %d started, %d done, reasons %v", a.SortsStarted, a.SortsCompleted, a.DoneReasons)
+	}
+}
+
+// TestCLIExternalIsSpillAtOneRank: -algo external is not a second
+// sorter but a spelling of the spill tier on a 1×1 world, so the two
+// must write the same bytes — also with equal keys under -stable.
+func TestCLIExternalIsSpillAtOneRank(t *testing.T) {
+	dir := t.TempDir()
+	f64 := filepath.Join(dir, "in.f64")
+	ptf := filepath.Join(dir, "in.ptf")
+	if err := recordio.WriteFile(f64, codec.Float64{}, workload.Uniform(12, 50000)); err != nil {
+		t.Fatal(err)
+	}
+	if err := recordio.WriteFile(ptf, codec.PTFCodec{}, workload.PTF(13, 30000)); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range [][]string{{"-in", f64}, {"-in", ptf, "-type", "ptf", "-stable"}} {
+		ext, spl := filepath.Join(dir, "external.out"), filepath.Join(dir, "spilled.out")
+		args := append(tc, "-spill-chunk", "7000", "-spill-dir", dir)
+		if stdout, err := runCLI(t, append(args, "-out", ext, "-algo", "external")...); err != nil {
+			t.Fatalf("%v\n%s", err, stdout)
+		}
+		if stdout, err := runCLI(t, append(args, "-out", spl, "-nodes", "1", "-cores", "1")...); err != nil {
+			t.Fatalf("%v\n%s", err, stdout)
+		}
+		a, err := os.ReadFile(ext)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(spl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(a) == 0 || !bytes.Equal(a, b) {
+			t.Fatalf("%v: -algo external wrote %d bytes, -nodes 1 -cores 1 -spill-dir %d, and they differ", tc, len(a), len(b))
+		}
 	}
 }
 
@@ -152,8 +289,11 @@ func TestCLIErrors(t *testing.T) {
 	if _, err := runCLI(t, "-in", in, "-algo", "bogus"); err == nil {
 		t.Fatal("bogus algorithm accepted")
 	}
-	if _, err := runCLI(t, "-in", in, "-algo", "external"); err == nil {
-		t.Fatal("external without -out accepted")
+	if _, err := runCLI(t, "-in", in, "-algo", "external", "-chunk", "4000"); err == nil {
+		t.Fatal("the retired -chunk flag accepted (it is -spill-chunk)")
+	}
+	if _, err := runCLI(t, "-in", in, "-algo", "external", "-type", "bogus"); err == nil {
+		t.Fatal("bogus type accepted by -algo external")
 	}
 }
 

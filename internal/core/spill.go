@@ -182,8 +182,9 @@ type recvSpool struct {
 	bufBytes  int
 	recv      []int64 // advertised payload bytes by source rank
 	stats     *metrics.SpillStats
-	active    *extsort.RawRunWriter
+	active    *extsort.File
 	activeSrc int
+	got       int64    // payload bytes of activeSrc written so far
 	runs      []string // by source rank; "" = no data yet
 }
 
@@ -196,18 +197,18 @@ func (s *recvSpool) drain(src int, _ int64, chunk []byte) error {
 			return fmt.Errorf("core: spill receive from rank %d resumed after commit", src)
 		}
 		path := filepath.Join(s.dir, fmt.Sprintf("recv-%06d", src))
-		w, err := extsort.CreateRawRun(path, s.bufBytes)
+		w, err := extsort.CreateFile(path, s.bufBytes)
 		if err != nil {
 			return err
 		}
-		s.active, s.activeSrc, s.runs[src] = w, src, path
+		s.active, s.activeSrc, s.got, s.runs[src] = w, src, 0, path
 	} else if src != s.activeSrc {
 		return fmt.Errorf("core: spill receive from rank %d interleaved with rank %d's", src, s.activeSrc)
 	}
 	if _, err := s.active.Write(chunk); err != nil {
 		return err
 	}
-	if s.active.Bytes() < s.recv[src] {
+	if s.got += int64(len(chunk)); s.got < s.recv[src] {
 		return nil
 	}
 	w := s.active

@@ -35,8 +35,8 @@ import (
 // tiebreaks by run index, and the upper-bound rule routes all equal
 // records to the same destination.
 
-// RecordSource yields records until io.EOF; *recordio.Reader[T]
-// implements it.
+// RecordSource yields records until io.EOF; *recordio.Reader[T] and
+// *extsort.Cursor[T] implement it.
 type RecordSource[T any] interface {
 	Read() (T, error)
 }
@@ -60,21 +60,18 @@ func (s *Spilled[T]) Records() int64 { return s.records }
 // Runs returns the run file paths (source order).
 func (s *Spilled[T]) Runs() []string { return append([]string(nil), s.runs...) }
 
-// segments views the runs without consuming them, so the handle stays
-// readable after a merge pass even when a fan-in cap forces pre-merges
-// (intermediates land in the handle's directory and die with it).
-func (s *Spilled[T]) segments() []extsort.RunSegment {
-	segs := make([]extsort.RunSegment, len(s.runs))
-	for i, p := range s.runs {
-		segs[i] = extsort.RunSegment{Path: p, Lo: 0, Hi: -1}
-	}
-	return segs
+// open starts a lazy merge over the runs without consuming them, so the
+// handle stays readable after a merge pass even when a fan-in cap forces
+// pre-merges (intermediates land in the handle's directory and die with
+// it).
+func (s *Spilled[T]) open() (*extsort.MergeStream[T], error) {
+	return extsort.OpenMergeSegments(extsort.WholeRuns(s.runs), s.cd, s.cmp, s.merge)
 }
 
 // Stream writes the block to w in recordio wire format through a
 // lazy merge; cursor buffers are reserved from the merge's gauge.
 func (s *Spilled[T]) Stream(w io.Writer) error {
-	ms, err := extsort.OpenMergeSegments(s.segments(), s.cd, s.cmp, s.merge)
+	ms, err := s.open()
 	if err != nil {
 		return err
 	}
@@ -84,17 +81,8 @@ func (s *Spilled[T]) Stream(w io.Writer) error {
 	}
 	defer s.merge.Mem.Release(int64(s.merge.BufBytes))
 	rw := recordio.NewWriterSize(w, s.cd, s.merge.BufBytes)
-	for {
-		rec, err := ms.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		if err := rw.Write(rec); err != nil {
-			return err
-		}
+	if err := ms.Drain(func(rec T) error { return rw.Write(rec) }); err != nil {
+		return err
 	}
 	return rw.Flush()
 }
@@ -102,7 +90,7 @@ func (s *Spilled[T]) Stream(w io.Writer) error {
 // ReadAll materialises the block — test and small-result convenience;
 // the records are NOT reserved against any gauge.
 func (s *Spilled[T]) ReadAll() ([]T, error) {
-	ms, err := extsort.OpenMergeSegments(s.segments(), s.cd, s.cmp, s.merge)
+	ms, err := s.open()
 	if err != nil {
 		return nil, err
 	}
@@ -113,16 +101,11 @@ func (s *Spilled[T]) ReadAll() ([]T, error) {
 // collect materialises a merge expected to yield n records.
 func collect[T any](ms *extsort.MergeStream[T], n int64) ([]T, error) {
 	out := make([]T, 0, n)
-	for {
-		rec, err := ms.Next()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, err
-		}
+	err := ms.Drain(func(rec T) error {
 		out = append(out, rec)
-	}
+		return nil
+	})
+	return out, err
 }
 
 // Remove deletes the spill directory and every run in it.
@@ -264,15 +247,15 @@ func cutRuns[T any](r *run[T], in RecordSource[T], dir string) (paths []string, 
 		}
 		r.sortChunk(chunk)
 		path := filepath.Join(dir, fmt.Sprintf("local-%06d", len(paths)))
-		rw, err := extsort.CreateRun(path, r.cd, sp.bufBytes())
+		fw, err := extsort.CreateFile(path, sp.bufBytes())
 		if err != nil {
 			return err
 		}
-		if err := rw.Write(chunk...); err != nil {
-			rw.Abort()
+		defer fw.Abort()
+		if err := extsort.Records(fw, r.cd).Write(chunk...); err != nil {
 			return fmt.Errorf("core: spill run %s: %w", path, err)
 		}
-		if err := rw.Commit(); err != nil {
+		if err := fw.Commit(); err != nil {
 			return err
 		}
 		sp.Stats.AddRun(int64(len(chunk)) * r.recSize)
@@ -344,8 +327,9 @@ func runSource[T any](runs []string, ubs [][]int64, cd codec.Codec[T], cmp func(
 }
 
 // SortFileShard runs SortStream over shard rank-of-p of the record
-// file at path (recordio.ReadShard's shard layout, without ever
-// loading the shard): every rank of c calls it with the same path.
+// file at path (recordio.ShardRange's layout, read as a run segment
+// without ever loading the shard): every rank of c calls it with the
+// same path. On a one-rank world this is the external sort of a file.
 func SortFileShard[T any](c *comm.Comm, path string, cd codec.Codec[T], cmp func(a, b T) int, opt Options) (*Spilled[T], error) {
 	if opt.Spill == nil {
 		return nil, fmt.Errorf("core: SortFileShard needs Options.Spill")
@@ -354,46 +338,18 @@ func SortFileShard[T any](c *comm.Comm, path string, cd codec.Codec[T], cmp func
 	if err != nil {
 		return nil, err
 	}
-	rank, p := c.Rank(), c.Size()
-	per := total / int64(p)
-	lo := int64(rank) * per
-	hi := lo + per
-	if rank == p-1 {
-		hi = total
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	if _, err := f.Seek(lo*int64(cd.Size()), io.SeekStart); err != nil {
-		return nil, fmt.Errorf("core: seek shard: %w", err)
-	}
+	lo, hi := recordio.ShardRange(total, c.Rank(), c.Size())
 	bufBytes := opt.Spill.bufBytes()
 	if err := opt.Mem.Reserve(int64(bufBytes)); err != nil {
 		return nil, fmt.Errorf("core: shard read buffer: %w", err)
 	}
 	defer opt.Mem.Release(int64(bufBytes))
-	src := &limitedSource[T]{r: recordio.NewReaderSize(f, cd, bufBytes), left: hi - lo}
+	src, err := extsort.OpenSegment(extsort.RunSegment{Path: path, Lo: lo, Hi: hi}, cd, bufBytes)
+	if err != nil {
+		return nil, err
+	}
+	defer src.Close()
 	return SortStream(c, src, cd, cmp, opt)
-}
-
-// limitedSource yields the next n records of a reader, then io.EOF.
-type limitedSource[T any] struct {
-	r    *recordio.Reader[T]
-	left int64
-}
-
-func (ls *limitedSource[T]) Read() (T, error) {
-	if ls.left <= 0 {
-		var zero T
-		return zero, io.EOF
-	}
-	rec, err := ls.r.Read()
-	if err == nil {
-		ls.left--
-	}
-	return rec, err
 }
 
 // runBounds computes the classical upper-bound partition of one sorted

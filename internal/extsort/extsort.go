@@ -1,241 +1,150 @@
-// Package extsort sorts record files larger than memory: chunks of the
-// input are sorted in memory (with the same shared-memory substrate the
-// distributed sort uses) and spilled to temporary run files, which are
-// then streamed through a k-way merge into the output. This is the
-// out-of-core regime the paper's related work (TritonSort, NTOSort — §5)
-// addresses; SDS-Sort itself is in-memory, so this package is both the
-// library's extension for datasets that do not fit and the shared
-// run-file/merge layer core.Sort's spill tier is built on (runs.go).
+// Package extsort is the run-file layer of the out-of-core spill tier:
+// files that appear at their path only once complete (File), sorted runs
+// in the recordio format viewed as segments, and a lazy k-way merge over
+// them with a bounded fan-in (runs.go). It holds no sorter — nothing
+// here takes unsorted input. The one out-of-core sort is core.SortStream,
+// which cuts, exchanges and merges runs through this package; the
+// external sort of a single file is that sort on a one-rank world. This
+// is the regime the paper's related work (TritonSort, NTOSort — §5)
+// addresses; SDS-Sort itself is in-memory.
 package extsort
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"sdssort/internal/codec"
-	"sdssort/internal/memlimit"
-	"sdssort/internal/metrics"
-	"sdssort/internal/psort"
-	"sdssort/internal/radix"
 	"sdssort/internal/recordio"
 )
 
-// Options configures an external sort.
-type Options struct {
-	// ChunkRecords is the number of records sorted in memory per run;
-	// it bounds peak memory at roughly ChunkRecords × record size × 2
-	// (the chunk plus the sort's scratch buffer). Default 1<<20.
-	ChunkRecords int
-	// Cores bounds the goroutines used to sort each chunk.
-	Cores int
-	// Stable preserves input order of equal records across the whole
-	// file (runs are merged in file order with a stable merge).
-	Stable bool
-	// TempDir holds the spill files; defaults to the OS temp dir.
-	TempDir string
-	// Mem, when non-nil, accounts the sort's documented peak — the
-	// ChunkRecords × size × 2 chunk-phase footprint and the merge
-	// phase's cursor buffers — against the gauge, so an external sort
-	// inside a budgeted engine job cannot silently exceed the shared
-	// budget. Every reservation is released by the time Sort returns.
-	Mem *memlimit.Gauge
-	// MaxFanIn caps the k-way merge width; more runs than this are
-	// pre-merged in batches first. Default 64.
-	MaxFanIn int
-	// Stats accrues spill-tier counters (runs, bytes, merge passes).
-	Stats *metrics.SpillStats
-}
+// TempPrefix marks an in-flight (uncommitted) file. A crash can leave
+// such files behind; they are never read — committed runs have no
+// prefix — and RemoveStaleTemps sweeps them on the next attempt.
+const TempPrefix = ".tmp-run-"
 
-func (o Options) chunkRecords() int {
-	if o.ChunkRecords <= 0 {
-		return 1 << 20
-	}
-	return o.ChunkRecords
-}
-
-func (o Options) cores() int {
-	if o.Cores < 1 {
-		return 1
-	}
-	return o.Cores
-}
-
-// SortFile sorts the record file at in into out. The input is read once;
-// peak memory is bounded by Options.ChunkRecords regardless of file
-// size. The output commits atomically: it is written to a temp file in
-// out's directory and renamed into place only on success, so an error
-// (or a crash) never truncates or corrupts an existing out.
-func SortFile[T any](in, out string, cd codec.Codec[T], cmp func(a, b T) int, opt Options) error {
-	f, err := os.Open(in)
+// RemoveStaleTemps deletes uncommitted temp files left in dir by a
+// crashed writer. Missing dir is not an error.
+func RemoveStaleTemps(dir string) error {
+	ents, err := os.ReadDir(dir)
 	if err != nil {
-		return err
+		if os.IsNotExist(err) {
+			return nil
+		}
+		return fmt.Errorf("extsort: sweep temps: %w", err)
 	}
-	defer f.Close()
-	tmp, err := os.CreateTemp(filepath.Dir(out), TempPrefix+"out-*")
-	if err != nil {
-		return fmt.Errorf("extsort: temp output: %w", err)
-	}
-	if err := Sort(f, tmp, cd, cmp, opt); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("extsort: close output: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), out); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("extsort: commit output: %w", err)
+	for _, e := range ents {
+		if strings.HasPrefix(e.Name(), TempPrefix) {
+			if err := os.Remove(filepath.Join(dir, e.Name())); err != nil && !os.IsNotExist(err) {
+				return fmt.Errorf("extsort: sweep temps: %w", err)
+			}
+		}
 	}
 	return nil
 }
 
-// Sort is SortFile over streams (minus the atomic-rename commit, which
-// needs a named destination).
-func Sort[T any](in io.Reader, out io.Writer, cd codec.Codec[T], cmp func(a, b T) int, opt Options) error {
-	tmpDir, err := os.MkdirTemp(opt.TempDir, "extsort-*")
-	if err != nil {
-		return fmt.Errorf("extsort: temp dir: %w", err)
-	}
-	defer os.RemoveAll(tmpDir)
-
-	// Phase 1: cut the input into sorted runs on disk.
-	runs, err := spillRuns(in, tmpDir, cd, cmp, opt)
-	if err != nil {
-		return err
-	}
-	// Phase 2: stream-merge the runs.
-	return Merge(runs, out, cd, cmp, MergeOptions{
-		MaxFanIn: opt.MaxFanIn,
-		Mem:      opt.Mem,
-		TempDir:  tmpDir,
-		Stats:    opt.Stats,
-	})
+// File is the tier's one file writer — every run and every sorted output
+// goes through it. The bytes land in a temp file in the destination's
+// directory and become visible at path, mode 0644, only on Commit (the
+// checkpoint writer's temp-and-rename idiom), so a reader never observes
+// a partial file and a failed or killed writer never truncates an
+// existing one. A destination that exists and is not a regular file
+// (/dev/null, a FIFO, a symlink) cannot take that commit — renaming over
+// it would replace the node itself — and is written in place instead.
+type File struct {
+	f       *os.File
+	buf     *bufio.Writer // nil: unbuffered, the client brings its own
+	w       io.Writer     // buf, or f without one
+	path    string
+	inPlace bool
+	done    bool
 }
 
-// sortChunk orders one in-memory run, through the same radix dispatch
-// core uses for its local sorts: integer-keyed codecs take the LSD
-// radix fast path (gated to non-stable sorts, since key-stability is
-// weaker than comparator-stability), everything else — and a dispatch
-// whose order disagrees with cmp — falls back to the comparison sort.
-func sortChunk[T any](chunk []T, cd codec.Codec[T], cmp func(a, b T) int, opt Options) {
-	if !opt.Stable && radix.DispatchLocal(chunk, cd, cmp) {
-		return
+// CreateFile opens a writer targeting path behind a bufBytes buffer.
+// bufBytes <= 0 means no buffer at all, for a client that stacks its own
+// accounted one on top (Spilled.Stream's record writer).
+func CreateFile(path string, bufBytes int) (*File, error) {
+	fw := &File{path: path}
+	var err error
+	if st, serr := os.Lstat(path); serr == nil && !st.Mode().IsRegular() {
+		fw.inPlace = true
+		fw.f, err = os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	} else {
+		fw.f, err = os.CreateTemp(filepath.Dir(path), TempPrefix+"*")
 	}
-	psort.ParallelSort(chunk, opt.cores(), opt.Stable, cmp)
+	if err != nil {
+		return nil, fmt.Errorf("extsort: create %s: %w", path, err)
+	}
+	fw.w = fw.f
+	if bufBytes > 0 {
+		fw.buf = bufio.NewWriterSize(fw.f, bufBytes)
+		fw.w = fw.buf
+	}
+	return fw, nil
 }
 
-// spillRuns reads the input chunk by chunk, sorts each chunk, and
-// writes one run file per chunk. It returns the run paths in input
-// order (which is what makes the merge stable overall). The chunk
-// buffer and the sort's scratch copy — the documented
-// ChunkRecords × size × 2 peak — are reserved from opt.Mem up front
-// and released before returning.
-func spillRuns[T any](in io.Reader, dir string, cd codec.Codec[T], cmp func(a, b T) int, opt Options) ([]string, error) {
-	limit := opt.chunkRecords()
-	need := int64(limit) * int64(cd.Size()) * 2
-	if err := opt.Mem.Reserve(need); err != nil {
-		return nil, fmt.Errorf("extsort: chunk of %d records: %w", limit, err)
+// Write appends raw bytes — for a run, records already in wire format: a
+// run file IS the codec's wire format, so the exchange's receive side
+// spools chunks with no decode.
+func (fw *File) Write(b []byte) (int, error) {
+	n, err := fw.w.Write(b)
+	if err != nil {
+		return n, fmt.Errorf("extsort: write %s: %w", fw.path, err)
 	}
-	defer opt.Mem.Release(need)
+	return n, nil
+}
 
-	reader := recordio.NewReader(in, cd)
-	var runs []string
-	chunk := make([]T, 0, limit)
-	flush := func() error {
-		if len(chunk) == 0 {
-			return nil
-		}
-		sortChunk(chunk, cd, cmp, opt)
-		path := filepath.Join(dir, fmt.Sprintf("run-%06d", len(runs)))
-		if err := WriteRun(path, cd, chunk); err != nil {
-			return fmt.Errorf("extsort: spill %s: %w", path, err)
-		}
-		opt.Stats.AddRun(int64(len(chunk)) * int64(cd.Size()))
-		runs = append(runs, path)
-		chunk = chunk[:0]
+// Records is the typed view of a buffered File. It encodes into fw's own
+// buffer — recordio adopts a large-enough *bufio.Writer as it is — so
+// typed writes cross one buffer, the one the caller accounted, and
+// Commit's flush covers them.
+func Records[T any](fw *File, cd codec.Codec[T]) *recordio.Writer[T] {
+	return recordio.NewWriterSize(fw.buf, cd, fw.buf.Size())
+}
+
+// Commit flushes, closes and renames into place. On any failure the temp
+// is removed and path is untouched.
+func (fw *File) Commit() error {
+	if fw.done {
 		return nil
 	}
-	for {
-		rec, err := reader.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("extsort: read input: %w", err)
-		}
-		chunk = append(chunk, rec)
-		if len(chunk) >= limit {
-			if err := flush(); err != nil {
-				return nil, err
-			}
-		}
+	fw.done = true
+	var err error
+	if fw.buf != nil {
+		err = fw.buf.Flush()
 	}
-	if err := flush(); err != nil {
-		return nil, err
+	if err == nil && !fw.inPlace {
+		err = fw.f.Chmod(0o644) // CreateTemp's 0600 is for the temp, not the result
 	}
-	return runs, nil
-}
-
-// runHead is one run segment's cursor in the merge heap.
-type runHead[T any] struct {
-	reader *recordio.Reader[T]
-	file   *os.File
-	head   T
-	idx    int   // run index, the stability tiebreaker
-	left   int64 // records remaining in the segment; -1 = until EOF
-}
-
-// advance loads the cursor's next record, reporting false at the end
-// of the segment (record budget exhausted or clean EOF).
-func (c *runHead[T]) advance() (bool, error) {
-	if c.left == 0 {
-		return false, nil
+	if cerr := fw.f.Close(); err == nil {
+		err = cerr
 	}
-	rec, err := c.reader.Read()
-	if err == io.EOF {
-		if c.left > 0 {
-			return false, fmt.Errorf("segment ends %d records early", c.left)
-		}
-		return false, nil
+	if err == nil && !fw.inPlace {
+		err = os.Rename(fw.f.Name(), fw.path)
 	}
 	if err != nil {
-		return false, err
+		fw.remove()
+		return fmt.Errorf("extsort: commit %s: %w", fw.path, err)
 	}
-	if c.left > 0 {
-		c.left--
-	}
-	c.head = rec
-	return true, nil
+	return nil
 }
 
-// runHeap orders run cursors by (head record, run index).
-type runHeap[T any] struct {
-	items []*runHead[T]
-	cmp   func(a, b T) int
-}
-
-func (h *runHeap[T]) Len() int { return len(h.items) }
-
-func (h *runHeap[T]) Less(i, j int) bool {
-	c := h.cmp(h.items[i].head, h.items[j].head)
-	if c != 0 {
-		return c < 0
+// Abort discards the uncommitted file. Safe after Commit (no-op), so a
+// writer's owner can simply defer it.
+func (fw *File) Abort() {
+	if fw.done {
+		return
 	}
-	return h.items[i].idx < h.items[j].idx
+	fw.done = true
+	fw.f.Close()
+	fw.remove()
 }
 
-func (h *runHeap[T]) Swap(i, j int) { h.items[i], h.items[j] = h.items[j], h.items[i] }
-
-func (h *runHeap[T]) Push(x any) { h.items = append(h.items, x.(*runHead[T])) }
-
-func (h *runHeap[T]) Pop() any {
-	old := h.items
-	n := len(old)
-	it := old[n-1]
-	h.items = old[:n-1]
-	return it
+func (fw *File) remove() {
+	if !fw.inPlace {
+		os.Remove(fw.f.Name())
+	}
 }

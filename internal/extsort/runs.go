@@ -1,201 +1,16 @@
 package extsort
 
 import (
-	"bufio"
-	"container/heap"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"sdssort/internal/codec"
 	"sdssort/internal/memlimit"
 	"sdssort/internal/metrics"
 	"sdssort/internal/recordio"
 )
-
-// This file is the shared run-file layer of the out-of-core spill
-// tier: atomically-committed sorted run files in the recordio format,
-// and a lazy k-way merge over them with a bounded fan-in. extsort.Sort
-// is one client; core.Sort's spill paths are the other.
-
-// TempPrefix marks an in-flight (uncommitted) run file. A crash can
-// leave such files behind; they are never read — committed runs have
-// no prefix — and RemoveStaleTemps sweeps them on the next attempt.
-const TempPrefix = ".tmp-run-"
-
-// RemoveStaleTemps deletes uncommitted run temp files left in dir by a
-// crashed writer. Missing dir is not an error.
-func RemoveStaleTemps(dir string) error {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return fmt.Errorf("extsort: sweep temps: %w", err)
-	}
-	for _, e := range ents {
-		if strings.HasPrefix(e.Name(), TempPrefix) {
-			if err := os.Remove(filepath.Join(dir, e.Name())); err != nil && !os.IsNotExist(err) {
-				return fmt.Errorf("extsort: sweep temps: %w", err)
-			}
-		}
-	}
-	return nil
-}
-
-// RunWriter streams records into a run file that becomes visible at
-// its final path only on Commit — the checkpoint writer's
-// temp-and-rename idiom, so readers never observe a partial run.
-type RunWriter[T any] struct {
-	f    *os.File
-	w    *recordio.Writer[T]
-	path string
-	size int
-	done bool
-}
-
-// CreateRun opens an atomic run writer targeting path, buffering
-// bufBytes (<=0 means the recordio default).
-func CreateRun[T any](path string, cd codec.Codec[T], bufBytes int) (*RunWriter[T], error) {
-	f, err := os.CreateTemp(filepath.Dir(path), TempPrefix+"*")
-	if err != nil {
-		return nil, fmt.Errorf("extsort: create run: %w", err)
-	}
-	var w *recordio.Writer[T]
-	if bufBytes > 0 {
-		w = recordio.NewWriterSize(f, cd, bufBytes)
-	} else {
-		w = recordio.NewWriter(f, cd)
-	}
-	return &RunWriter[T]{f: f, w: w, path: path, size: cd.Size()}, nil
-}
-
-// Write appends records to the uncommitted run.
-func (rw *RunWriter[T]) Write(recs ...T) error { return rw.w.Write(recs...) }
-
-// Count returns the records written so far.
-func (rw *RunWriter[T]) Count() int64 { return rw.w.Count() }
-
-// Bytes returns the payload bytes written so far.
-func (rw *RunWriter[T]) Bytes() int64 { return rw.w.Count() * int64(rw.size) }
-
-// Commit flushes, closes and renames the temp file to its final path.
-// On any failure the temp is removed and the final path is untouched.
-func (rw *RunWriter[T]) Commit() error {
-	if rw.done {
-		return nil
-	}
-	rw.done = true
-	if err := rw.w.Flush(); err != nil {
-		rw.f.Close()
-		os.Remove(rw.f.Name())
-		return fmt.Errorf("extsort: commit run: %w", err)
-	}
-	if err := rw.f.Close(); err != nil {
-		os.Remove(rw.f.Name())
-		return fmt.Errorf("extsort: commit run: %w", err)
-	}
-	if err := os.Rename(rw.f.Name(), rw.path); err != nil {
-		os.Remove(rw.f.Name())
-		return fmt.Errorf("extsort: commit run: %w", err)
-	}
-	return nil
-}
-
-// Abort discards the uncommitted run. Safe after Commit (no-op).
-func (rw *RunWriter[T]) Abort() {
-	if rw.done {
-		return
-	}
-	rw.done = true
-	rw.f.Close()
-	os.Remove(rw.f.Name())
-}
-
-// WriteRun atomically writes recs as a committed run file at path.
-func WriteRun[T any](path string, cd codec.Codec[T], recs []T) error {
-	rw, err := CreateRun(path, cd, 0)
-	if err != nil {
-		return err
-	}
-	if err := rw.Write(recs...); err != nil {
-		rw.Abort()
-		return fmt.Errorf("extsort: write run %s: %w", path, err)
-	}
-	return rw.Commit()
-}
-
-// RawRunWriter is RunWriter for pre-encoded record bytes: the spill
-// tier's exchange receive side streams wire-format chunks to disk as
-// they arrive, with no decode — a run file IS the codec's wire format.
-// Same atomic commit: temp in the target directory, rename on Commit.
-type RawRunWriter struct {
-	f    *os.File
-	w    *bufio.Writer
-	path string
-	n    int64
-	done bool
-}
-
-// CreateRawRun opens an atomic raw run writer targeting path.
-func CreateRawRun(path string, bufBytes int) (*RawRunWriter, error) {
-	f, err := os.CreateTemp(filepath.Dir(path), TempPrefix+"*")
-	if err != nil {
-		return nil, fmt.Errorf("extsort: create run: %w", err)
-	}
-	if bufBytes <= 0 {
-		bufBytes = 1 << 20
-	}
-	return &RawRunWriter{f: f, w: bufio.NewWriterSize(f, bufBytes), path: path}, nil
-}
-
-// Write appends encoded record bytes to the uncommitted run.
-func (rw *RawRunWriter) Write(b []byte) (int, error) {
-	n, err := rw.w.Write(b)
-	rw.n += int64(n)
-	if err != nil {
-		return n, fmt.Errorf("extsort: write run: %w", err)
-	}
-	return n, nil
-}
-
-// Bytes returns the payload bytes written so far.
-func (rw *RawRunWriter) Bytes() int64 { return rw.n }
-
-// Commit flushes, closes and renames into place; on failure the temp
-// is removed and the final path untouched.
-func (rw *RawRunWriter) Commit() error {
-	if rw.done {
-		return nil
-	}
-	rw.done = true
-	if err := rw.w.Flush(); err != nil {
-		rw.f.Close()
-		os.Remove(rw.f.Name())
-		return fmt.Errorf("extsort: commit run: %w", err)
-	}
-	if err := rw.f.Close(); err != nil {
-		os.Remove(rw.f.Name())
-		return fmt.Errorf("extsort: commit run: %w", err)
-	}
-	if err := os.Rename(rw.f.Name(), rw.path); err != nil {
-		os.Remove(rw.f.Name())
-		return fmt.Errorf("extsort: commit run: %w", err)
-	}
-	return nil
-}
-
-// Abort discards the uncommitted run. Safe after Commit (no-op).
-func (rw *RawRunWriter) Abort() {
-	if rw.done {
-		return
-	}
-	rw.done = true
-	rw.f.Close()
-	os.Remove(rw.f.Name())
-}
 
 // MergeOptions configures a lazy merge over run files.
 type MergeOptions struct {
@@ -235,28 +50,18 @@ func (o MergeOptions) bufBytes() int {
 	return o.BufBytes
 }
 
-// MergeStream is a lazy cursor over the merged order of a set of
-// sorted run files. Records stream from disk through per-run buffers;
-// nothing is held resident beyond (fan-in + 1) × BufBytes, which is
-// reserved from MergeOptions.Mem for the stream's lifetime.
-type MergeStream[T any] struct {
-	h        *runHeap[T]
-	mem      *memlimit.Gauge
-	reserved int64
-	closed   bool
-}
-
-// RunSegment is one sorted stretch of a committed run file: records
-// [Lo, Hi) by record index, Hi < 0 meaning through end of file. The
-// spill driver's send side merges per-destination segments of its
-// local runs without materialising them.
+// RunSegment is one sorted stretch of a record file: records [Lo, Hi)
+// by record index, Hi < 0 meaning through end of file. The spill
+// driver's send side merges per-destination segments of its local runs
+// without materialising them, and a rank's shard of an input file is a
+// segment too (of unsorted records, read through a Cursor alone).
 type RunSegment struct {
 	Path   string
 	Lo, Hi int64
 }
 
-// wholeRuns converts run paths to full-file segments.
-func wholeRuns(runs []string) []RunSegment {
+// WholeRuns views run files as full-file segments.
+func WholeRuns(runs []string) []RunSegment {
 	segs := make([]RunSegment, len(runs))
 	for i, p := range runs {
 		segs[i] = RunSegment{Path: p, Lo: 0, Hi: -1}
@@ -264,12 +69,108 @@ func wholeRuns(runs []string) []RunSegment {
 	return segs
 }
 
+// Cursor reads one segment front to back. The merge holds one per open
+// run; it is also how a file shard streams into the sort.
+type Cursor[T any] struct {
+	r    *recordio.Reader[T]
+	f    *os.File
+	left int64 // records remaining in the segment; -1 = until EOF
+	head T     // in a merge: the record at the front of the run,
+	idx  int   // and the run's index, the stability tiebreaker
+}
+
+// OpenSegment opens a cursor over seg behind a bufBytes read buffer.
+func OpenSegment[T any](seg RunSegment, cd codec.Codec[T], bufBytes int) (*Cursor[T], error) {
+	f, err := os.Open(seg.Path)
+	if err != nil {
+		return nil, fmt.Errorf("extsort: open run: %w", err)
+	}
+	if seg.Lo > 0 {
+		if _, err := f.Seek(seg.Lo*int64(cd.Size()), io.SeekStart); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("extsort: seek run: %w", err)
+		}
+	}
+	left := int64(-1)
+	if seg.Hi >= 0 {
+		left = max(seg.Hi-seg.Lo, 0)
+	}
+	return &Cursor[T]{r: recordio.NewReaderSize(f, cd, bufBytes), f: f, left: left}, nil
+}
+
+// Read returns the segment's next record, or io.EOF at its end. A file
+// that ends before the segment does — or mid-record — is an error, not
+// an end.
+func (c *Cursor[T]) Read() (T, error) {
+	var zero T
+	if c.left == 0 {
+		return zero, io.EOF
+	}
+	rec, err := c.r.Read()
+	if err != nil {
+		if err == io.EOF && c.left > 0 {
+			return zero, fmt.Errorf("segment ends %d records early", c.left)
+		}
+		return zero, err
+	}
+	if c.left > 0 {
+		c.left--
+	}
+	return rec, nil
+}
+
+// Close releases the cursor's file.
+func (c *Cursor[T]) Close() error { return c.f.Close() }
+
+// MergeStream is a lazy cursor over the merged order of a set of
+// sorted run files. Records stream from disk through per-run buffers;
+// nothing is held resident beyond (fan-in + 1) × BufBytes, which is
+// reserved from MergeOptions.Mem for the stream's lifetime.
+type MergeStream[T any] struct {
+	// heap is a binary min-heap of the open runs by (head record, run
+	// index). Only its root ever changes — replaced by its run's next
+	// record, or removed with the run — so sifting down is its one
+	// operation, written out over the concrete types: container/heap
+	// would reach cmp through three interface calls per level, per record.
+	heap     []*Cursor[T]
+	cmp      func(a, b T) int
+	mem      *memlimit.Gauge
+	reserved int64
+	closed   bool
+}
+
+func (ms *MergeStream[T]) less(a, b *Cursor[T]) bool {
+	if c := ms.cmp(a.head, b.head); c != 0 {
+		return c < 0
+	}
+	return a.idx < b.idx
+}
+
+// down restores heap order below position i.
+func (ms *MergeStream[T]) down(i int) {
+	h := ms.heap
+	for {
+		kid := 2*i + 1
+		if kid >= len(h) {
+			return
+		}
+		if r := kid + 1; r < len(h) && ms.less(h[r], h[kid]) {
+			kid = r
+		}
+		if !ms.less(h[kid], h[i]) {
+			return
+		}
+		h[i], h[kid] = h[kid], h[i]
+		i = kid
+	}
+}
+
 // OpenMerge opens a merge stream over runs (paths of committed run
 // files, in stability order). If there are more runs than MaxFanIn,
 // whole batches are first pre-merged into intermediate runs — each
 // pass consumes and deletes its input files — until one pass fits.
 func OpenMerge[T any](runs []string, cd codec.Codec[T], cmp func(a, b T) int, opt MergeOptions) (*MergeStream[T], error) {
-	return openMergeCapped(wholeRuns(runs), true, cd, cmp, opt)
+	return openMergeCapped(WholeRuns(runs), true, cd, cmp, opt)
 }
 
 // OpenMergeSegments is OpenMerge over run segments. Segments may alias
@@ -323,70 +224,75 @@ func openMergeCapped[T any](segs []RunSegment, consume bool, cd codec.Codec[T], 
 // openCursors opens one read cursor per segment and heapifies the
 // heads.
 func openCursors[T any](segs []RunSegment, cd codec.Codec[T], cmp func(a, b T) int, opt MergeOptions) (*MergeStream[T], error) {
-	ms := &MergeStream[T]{h: &runHeap[T]{cmp: cmp}, mem: opt.Mem}
+	ms := &MergeStream[T]{cmp: cmp, mem: opt.Mem}
 	need := int64(len(segs)) * int64(opt.bufBytes())
 	if err := opt.Mem.Reserve(need); err != nil {
 		return nil, fmt.Errorf("extsort: merge buffers for %d runs: %w", len(segs), err)
 	}
 	ms.reserved = need
-	recSize := int64(cd.Size())
 	for idx, seg := range segs {
-		if seg.Hi >= 0 && seg.Hi <= seg.Lo {
-			continue
-		}
-		f, err := os.Open(seg.Path)
+		cur, err := OpenSegment(seg, cd, opt.bufBytes())
 		if err != nil {
 			ms.Close()
-			return nil, fmt.Errorf("extsort: open run: %w", err)
+			return nil, err
 		}
-		if seg.Lo > 0 {
-			if _, err := f.Seek(seg.Lo*recSize, io.SeekStart); err != nil {
-				f.Close()
-				ms.Close()
-				return nil, fmt.Errorf("extsort: seek run: %w", err)
-			}
-		}
-		left := int64(-1)
-		if seg.Hi >= 0 {
-			left = seg.Hi - seg.Lo
-		}
-		r := recordio.NewReaderSize(f, cd, opt.bufBytes())
-		cur := &runHead[T]{reader: r, file: f, idx: idx, left: left}
-		ok, err := cur.advance()
-		if err != nil {
-			f.Close()
+		cur.idx = idx
+		switch cur.head, err = cur.Read(); err {
+		case nil:
+			ms.heap = append(ms.heap, cur)
+		case io.EOF:
+			cur.Close() // an empty run
+		default:
+			cur.Close()
 			ms.Close()
 			return nil, fmt.Errorf("extsort: run %d: %w", idx, err)
 		}
-		if !ok {
-			f.Close()
-			continue
-		}
-		ms.h.items = append(ms.h.items, cur)
 	}
-	heap.Init(ms.h)
+	for i := len(ms.heap)/2 - 1; i >= 0; i-- {
+		ms.down(i)
+	}
 	return ms, nil
 }
 
 // Next returns the next record in merged order, or io.EOF.
 func (ms *MergeStream[T]) Next() (T, error) {
 	var zero T
-	if ms.h.Len() == 0 {
+	if len(ms.heap) == 0 {
 		return zero, io.EOF
 	}
-	top := ms.h.items[0]
+	top := ms.heap[0]
 	out := top.head
-	ok, err := top.advance()
-	if err != nil {
+	rec, err := top.Read()
+	switch {
+	case err == nil:
+		top.head = rec
+	case err == io.EOF:
+		top.Close()
+		last := len(ms.heap) - 1
+		ms.heap[0], ms.heap = ms.heap[last], ms.heap[:last]
+	default:
 		return zero, fmt.Errorf("extsort: run %d: %w", top.idx, err)
 	}
-	if !ok {
-		top.file.Close()
-		heap.Pop(ms.h)
-		return out, nil
-	}
-	heap.Fix(ms.h, 0)
+	ms.down(0)
 	return out, nil
+}
+
+// Drain feeds every remaining record, in merged order, to emit — the
+// one loop behind a merge's every consumer: pre-merge passes, a block
+// streaming to its output, a block materialised in memory.
+func (ms *MergeStream[T]) Drain(emit func(T) error) error {
+	for {
+		rec, err := ms.Next()
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		if err := emit(rec); err != nil {
+			return err
+		}
+	}
 }
 
 // Close releases the remaining cursors and the buffer reservation.
@@ -396,10 +302,10 @@ func (ms *MergeStream[T]) Close() error {
 		return nil
 	}
 	ms.closed = true
-	for _, it := range ms.h.items {
-		it.file.Close()
+	for _, cur := range ms.heap {
+		cur.Close()
 	}
-	ms.h.items = nil
+	ms.heap = nil
 	ms.mem.Release(ms.reserved)
 	ms.reserved = 0
 	return nil
@@ -417,57 +323,19 @@ func premerge[T any](batch []RunSegment, dst string, cd codec.Codec[T], cmp func
 		return fmt.Errorf("extsort: pre-merge writer buffer: %w", err)
 	}
 	defer opt.Mem.Release(int64(opt.bufBytes()))
-	rw, err := CreateRun(dst, cd, opt.bufBytes())
+	fw, err := CreateFile(dst, opt.bufBytes())
 	if err != nil {
 		return err
 	}
-	for {
-		rec, err := ms.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			rw.Abort()
-			return err
-		}
-		if err := rw.Write(rec); err != nil {
-			rw.Abort()
-			return fmt.Errorf("extsort: pre-merge write: %w", err)
-		}
+	defer fw.Abort()
+	w := Records(fw, cd)
+	if err := ms.Drain(func(rec T) error { return w.Write(rec) }); err != nil {
+		return fmt.Errorf("extsort: pre-merge %s: %w", dst, err)
 	}
-	bytes := rw.Bytes()
-	if err := rw.Commit(); err != nil {
+	if err := fw.Commit(); err != nil {
 		return err
 	}
-	opt.Stats.AddRun(bytes)
+	opt.Stats.AddRun(w.Count() * int64(cd.Size()))
 	opt.Stats.AddMerge(len(batch))
 	return nil
-}
-
-// Merge streams the merged order of runs into out as recordio. The
-// writer's buffer is reserved from opt.Mem alongside the cursors'.
-func Merge[T any](runs []string, out io.Writer, cd codec.Codec[T], cmp func(a, b T) int, opt MergeOptions) error {
-	ms, err := OpenMerge(runs, cd, cmp, opt)
-	if err != nil {
-		return err
-	}
-	defer ms.Close()
-	if err := opt.Mem.Reserve(int64(opt.bufBytes())); err != nil {
-		return fmt.Errorf("extsort: merge writer buffer: %w", err)
-	}
-	defer opt.Mem.Release(int64(opt.bufBytes()))
-	w := recordio.NewWriterSize(out, cd, opt.bufBytes())
-	for {
-		rec, err := ms.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		if err := w.Write(rec); err != nil {
-			return err
-		}
-	}
-	return w.Flush()
 }

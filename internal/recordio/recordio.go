@@ -147,10 +147,22 @@ func Count[T any](path string, cd codec.Codec[T]) (int64, error) {
 	return st.Size() / size, nil
 }
 
-// ReadShard loads shard `rank` of `of` equal contiguous shards of path
-// (the last shard absorbs the remainder), seeking directly to the
-// shard's byte range. This is how a distributed rank loads its slice of
-// a shared dataset file.
+// ShardRange is the shard layout of a dataset file: shard `rank` of
+// `of` equal contiguous shards of total records is [lo, hi), the last
+// shard absorbing the remainder. Every reader of a shared file — the
+// resident loader, the streamed sort — cuts it by this one rule.
+func ShardRange(total int64, rank, of int) (lo, hi int64) {
+	per := total / int64(of)
+	lo = int64(rank) * per
+	if rank == of-1 {
+		return lo, total
+	}
+	return lo, lo + per
+}
+
+// ReadShard loads shard `rank` of `of` of path (see ShardRange), seeking
+// directly to the shard's byte range. This is how a distributed rank
+// loads its slice of a shared dataset file.
 func ReadShard[T any](path string, cd codec.Codec[T], rank, of int) ([]T, error) {
 	if rank < 0 || of <= 0 || rank >= of {
 		return nil, fmt.Errorf("recordio: shard %d of %d out of range", rank, of)
@@ -159,12 +171,7 @@ func ReadShard[T any](path string, cd codec.Codec[T], rank, of int) ([]T, error)
 	if err != nil {
 		return nil, err
 	}
-	per := total / int64(of)
-	lo := int64(rank) * per
-	hi := lo + per
-	if rank == of-1 {
-		hi = total
-	}
+	lo, hi := ShardRange(total, rank, of)
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err

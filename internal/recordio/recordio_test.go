@@ -127,6 +127,40 @@ func TestReadShard(t *testing.T) {
 	}
 }
 
+// TestShardRangeTiles: for every total and shard count the ranges must
+// tile [0, total) in rank order with no gap and no overlap — including
+// fewer records than shards (all but the last shard empty), a remainder
+// (absorbed by the last shard) and an empty file.
+func TestShardRangeTiles(t *testing.T) {
+	for _, tc := range []struct {
+		total int64
+		of    int
+		last  int64 // size of the last shard
+	}{
+		{total: 0, of: 4, last: 0},
+		{total: 3, of: 4, last: 3}, // total < p
+		{total: 103, of: 4, last: 28},
+		{total: 100, of: 4, last: 25},
+		{total: 7, of: 1, last: 7},
+		{total: 1<<40 + 5, of: 7, last: (1<<40+5)/7 + (1<<40+5)%7},
+	} {
+		next := int64(0)
+		for r := 0; r < tc.of; r++ {
+			lo, hi := ShardRange(tc.total, r, tc.of)
+			if lo != next || hi < lo {
+				t.Fatalf("total %d: shard %d of %d is [%d,%d), want it to start at %d", tc.total, r, tc.of, lo, hi, next)
+			}
+			if r < tc.of-1 && hi-lo != tc.total/int64(tc.of) {
+				t.Fatalf("total %d: shard %d of %d holds %d records, want the equal share", tc.total, r, tc.of, hi-lo)
+			}
+			next = hi
+		}
+		if lo, hi := ShardRange(tc.total, tc.of-1, tc.of); next != tc.total || hi-lo != tc.last {
+			t.Fatalf("total %d over %d shards: tiles end at %d, last shard holds %d (want %d)", tc.total, tc.of, next, hi-lo, tc.last)
+		}
+	}
+}
+
 func TestReadShardValidation(t *testing.T) {
 	path := tempPath(t, "v.f64")
 	if err := WriteFile(path, f64, []float64{1}); err != nil {

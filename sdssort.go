@@ -318,15 +318,31 @@ func RunLocal(topo Topology, fn func(c *Comm) error) error {
 
 // ExternalSortFile sorts a fixed-width record file that may be larger
 // than memory: chunks of chunkRecords are sorted in memory and spilled
-// as runs, then streamed through a k-way merge into out. With stable
-// set, equal keys keep file order. Peak memory is bounded by
-// chunkRecords × record size (×2 for the sort scratch) regardless of
-// file size. This is the library's out-of-core extension; SDS-Sort
-// itself (and the paper) is in-memory.
+// as runs, then streamed through a k-way merge into out, which commits
+// atomically. With stable set, equal keys keep file order. Peak memory
+// is bounded by chunkRecords × record size (×2 for the sort scratch)
+// regardless of file size. This is the library's out-of-core sort on a
+// world of one rank — the distributed spill tier with nobody to
+// exchange with; SDS-Sort itself (and the paper) is in-memory.
 func ExternalSortFile[T any](in, out string, cd Codec[T], cmp func(a, b T) int, chunkRecords int, stable bool) error {
-	return extsort.SortFile(in, out, internalCodec(cd), cmp, extsort.Options{
-		ChunkRecords: chunkRecords,
-		Stable:       stable,
+	return cluster.Run(Topology{Nodes: 1, CoresPerNode: 1}, func(c *Comm) error {
+		opt := core.DefaultOptions()
+		opt.Stable = stable
+		opt.Spill = &core.SpillOptions{ChunkRecords: max(chunkRecords, 0)}
+		blk, err := core.SortFileShard(c, in, internalCodec(cd), cmp, opt)
+		if err != nil {
+			return err
+		}
+		defer blk.Remove()
+		dst, err := extsort.CreateFile(out, 0)
+		if err != nil {
+			return err
+		}
+		defer dst.Abort()
+		if err := blk.Stream(dst); err != nil {
+			return err
+		}
+		return dst.Commit()
 	})
 }
 

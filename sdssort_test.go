@@ -3,6 +3,7 @@ package sdssort
 import (
 	"errors"
 	"math/rand"
+	"os"
 	"slices"
 	"strings"
 	"sync"
@@ -308,6 +309,24 @@ func TestExternalSortFile(t *testing.T) {
 	slices.Sort(want)
 	if !slices.Equal(got, want) {
 		t.Fatal("external sort mismatch")
+	}
+	// The output commits like every other route's: readable, and alone —
+	// no temp beside it.
+	if st, err := os.Stat(out); err != nil || st.Mode().Perm() != 0o644 {
+		t.Fatalf("output mode %v, want 0644 (err=%v)", st.Mode().Perm(), err)
+	}
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 2 {
+		t.Fatalf("%d entries beside in and out (err=%v)", len(ents), err)
+	}
+	// A failed sort leaves the previous output as it was.
+	if err := os.WriteFile(in, []byte{1, 2, 3}, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := ExternalSortFile[float64](in, out, Float64Codec(), Compare[float64], 0, true); err == nil {
+		t.Fatal("ragged input accepted")
+	}
+	if again, err := recordio.ReadFile(out, codecFloat{}); err != nil || !slices.Equal(again, want) {
+		t.Fatalf("failed sort clobbered the previous output (err=%v)", err)
 	}
 }
 
