@@ -20,7 +20,7 @@
 // its own job-scoped communicator ("world/job0", "world/job1", ...).
 // Every rank must be given the identical job stream. No re-dial, no
 // handshake, no re-registration happens between jobs; that is the
-// point. See internal/engine.NodeJob for the spec fields.
+// point. See internal/NodeJob for the spec fields.
 //
 // Exit codes form a contract an external supervisor can act on:
 //
@@ -65,6 +65,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -78,11 +79,11 @@ import (
 	"sdssort/internal/algo"
 	"sdssort/internal/buildinfo"
 	"sdssort/internal/checkpoint"
+	"sdssort/internal/cluster"
 	"sdssort/internal/codec"
 	"sdssort/internal/comm"
 	"sdssort/internal/comm/tcpcomm"
 	"sdssort/internal/core"
-	"sdssort/internal/engine"
 	"sdssort/internal/extsort"
 	"sdssort/internal/faultnet"
 	"sdssort/internal/memlimit"
@@ -134,7 +135,7 @@ type jobParams struct {
 }
 
 // withSpec overlays a job spec on the flag defaults for one rank.
-func (p jobParams) withSpec(jb engine.NodeJob, rank int) jobParams {
+func (p jobParams) withSpec(jb NodeJob, rank int) jobParams {
 	p.name = jb.Name
 	if jb.Workload != "" {
 		p.workload = jb.Workload
@@ -181,8 +182,10 @@ func (p jobParams) checkAlgo(ckpt bool) error {
 // exchange stats, and the node-level job counters.
 type nodeEnv struct {
 	tracer trace.Tracer
+	ring   *trace.Ring // feeds /debug/trace and /debug/spans; nil without -telemetry-addr
 	gauge  *memlimit.Gauge
 	exch   *metrics.ExchangeStats
+	agg    *telemetry.Aggregator // rank 0's fabric-wide totals; nil elsewhere and without -telemetry-addr
 
 	// skew accrues the per-phase load-imbalance diagnostics every sort
 	// of this rank observes, exported as the sds_phase_imbalance_* and
@@ -221,282 +224,275 @@ func (e *nodeEnv) finishJob(elapsed time.Duration, failed bool) {
 	}
 }
 
-func run(args []string) (code int) {
-	log.SetFlags(0)
+// config is the parsed command line. The per-job flags bind straight
+// into job, the defaults every job spec of a served stream overlays.
+type config struct {
+	rank, size, node, epoch         int
+	registry, listen                string
+	timeout, deadline               time.Duration
+	job                             jobParams
+	serve, shrink, ckptSync         bool
+	jobsPath, ckptDir, telAddr, trc string
+	memB                            int64
+	spillDir                        string
+	spillChunk                      int
+	faultWrap                       bool
+	faultKillRank                   int
+	faultKillFile                   string
+	retries                         int
+	retryBase, retryMax             time.Duration
+	sendTO, recvTO, gapTO           time.Duration
+}
+
+// parseFlags parses and validates the command line. A nil config means
+// exit with code right away: a usage error, or -version having printed.
+func parseFlags(args []string) (*config, int) {
+	cfg := &config{}
 	fs := flag.NewFlagSet("sdsnode", flag.ContinueOnError)
-	var (
-		rank     = fs.Int("rank", -1, "this process's rank (0..size-1, required)")
-		size     = fs.Int("size", 0, "total ranks (required)")
-		node     = fs.Int("node", -1, "physical node id (default: rank)")
-		registry = fs.String("registry", "127.0.0.1:7777", "bootstrap registry address (rank 0 binds it)")
-		listen   = fs.String("listen", "127.0.0.1:0", "data listener bind address")
-		wl       = fs.String("workload", "zipf", "generated shard: uniform | zipf | any preset ("+strings.Join(workload.PresetNames(), " | ")+")")
-		algoName = fs.String("algo", "sds", "sorting driver: "+strings.Join(algo.Names(), " | "))
-		alpha    = fs.Float64("alpha", 1.4, "Zipf exponent")
-		n        = fs.Int("n", 100_000, "records per rank when generating")
-		in       = fs.String("in", "", "read this rank's shard from a float64 record file instead")
-		out      = fs.String("out", "", "write the sorted shard here")
-		stable   = fs.Bool("stable", false, "stable sort")
-		stage    = fs.Int64("stage", 0, "staging window for the data exchange in bytes (0 = one chunk per peer)")
-		seed     = fs.Int64("seed", 1, "workload seed (combined with rank)")
-		timeout  = fs.Duration("timeout", 30*time.Second, "bootstrap timeout")
+	fs.IntVar(&cfg.rank, "rank", -1, "this process's rank (0..size-1, required)")
+	fs.IntVar(&cfg.size, "size", 0, "total ranks (required)")
+	fs.IntVar(&cfg.node, "node", -1, "physical node id (default: rank)")
+	fs.StringVar(&cfg.registry, "registry", "127.0.0.1:7777", "bootstrap registry address (rank 0 binds it)")
+	fs.StringVar(&cfg.listen, "listen", "127.0.0.1:0", "data listener bind address")
+	fs.StringVar(&cfg.job.workload, "workload", "zipf", "generated shard: uniform | zipf | any preset ("+strings.Join(workload.PresetNames(), " | ")+")")
+	fs.StringVar(&cfg.job.algo, "algo", "sds", "sorting driver: "+strings.Join(algo.Names(), " | "))
+	fs.Float64Var(&cfg.job.alpha, "alpha", 1.4, "Zipf exponent")
+	fs.IntVar(&cfg.job.n, "n", 100_000, "records per rank when generating")
+	fs.StringVar(&cfg.job.in, "in", "", "read this rank's shard from a float64 record file instead")
+	fs.StringVar(&cfg.job.out, "out", "", "write the sorted shard here")
+	fs.BoolVar(&cfg.job.stable, "stable", false, "stable sort")
+	fs.Int64Var(&cfg.job.stage, "stage", 0, "staging window for the data exchange in bytes (0 = one chunk per peer)")
+	fs.Int64Var(&cfg.job.seed, "seed", 1, "workload seed (combined with rank)")
+	fs.DurationVar(&cfg.timeout, "timeout", 30*time.Second, "bootstrap timeout")
 
-		serve    = fs.Bool("serve", false, "serve a stream of jobs over the warm fabric instead of one sort")
-		jobsPath = fs.String("jobs", "", "job manifest for -serve, one JSON spec per line (default: stdin)")
+	fs.BoolVar(&cfg.serve, "serve", false, "serve a stream of jobs over the warm fabric instead of one sort")
+	fs.StringVar(&cfg.jobsPath, "jobs", "", "job manifest for -serve, one JSON spec per line (default: stdin)")
 
-		telAddr = fs.String("telemetry-addr", "", "serve /metrics, /healthz, /debug/pprof and /debug/trace on this address (e.g. :9090); rank 0 also serves fabric-wide totals")
-		trc     = fs.String("trace", "", "write JSONL trace events here; the first write error fails the run")
-		memB    = fs.Int64("mem", 0, "per-process memory budget in bytes, reserved against by sorts and exported at /metrics (0 = unlimited, untracked)")
+	fs.StringVar(&cfg.telAddr, "telemetry-addr", "", "serve /metrics, /healthz, /debug/pprof and /debug/trace on this address (e.g. :9090); rank 0 also serves fabric-wide totals")
+	fs.StringVar(&cfg.trc, "trace", "", "write JSONL trace events here; the first write error fails the run")
+	fs.Int64Var(&cfg.memB, "mem", 0, "per-process memory budget in bytes, reserved against by sorts and exported at /metrics (0 = unlimited, untracked)")
 
-		spillDir   = fs.String("spill-dir", "", "enable the out-of-core spill tier here: budgeted sorts spill sorted runs to disk instead of failing, and a one-shot -in sort streams the shard without ever holding it resident")
-		spillChunk = fs.Int("spill-chunk", 0, "records per spilled in-memory run (0 = derive from -mem)")
+	fs.StringVar(&cfg.spillDir, "spill-dir", "", "enable the out-of-core spill tier here: budgeted sorts spill sorted runs to disk instead of failing, and a one-shot -in sort streams the shard without ever holding it resident")
+	fs.IntVar(&cfg.spillChunk, "spill-chunk", 0, "records per spilled in-memory run (0 = derive from -mem)")
 
-		epoch    = fs.Int("epoch", 0, "recovery epoch; rank 0's value is authoritative and adopted by all ranks")
-		ckptDir  = fs.String("ckpt-dir", "", "checkpoint directory shared by all ranks; enables phase snapshots and resume (one-shot mode only)")
-		shrink   = fs.Bool("allow-shrink", false, "on losing a peer, finish the sort on the survivors from the last checkpoint cut instead of exiting 3 (requires -ckpt-dir; exits 5 on degraded success)")
-		deadline = fs.Duration("job-deadline", 0, "kill the process after this per-job wall-clock budget (0 = none)")
+	fs.IntVar(&cfg.epoch, "epoch", 0, "recovery epoch; rank 0's value is authoritative and adopted by all ranks")
+	fs.StringVar(&cfg.ckptDir, "ckpt-dir", "", "checkpoint directory shared by all ranks; enables phase snapshots and resume (one-shot mode only)")
+	fs.BoolVar(&cfg.shrink, "allow-shrink", false, "on losing a peer, finish the sort on the survivors from the last checkpoint cut instead of exiting 3 (requires -ckpt-dir; exits 5 on degraded success)")
+	fs.DurationVar(&cfg.deadline, "job-deadline", 0, "kill the process after this per-job wall-clock budget (0 = none)")
+	fs.BoolVar(&cfg.ckptSync, "ckpt-sync", false, "commit checkpoints synchronously at each phase boundary instead of on the background writer (durable-at-boundary; slower)")
 
-		ckptSync = fs.Bool("ckpt-sync", false, "commit checkpoints synchronously at each phase boundary instead of on the background writer (durable-at-boundary; slower)")
+	// Fault-injection harness, for recovery drills and the multi-process
+	// end-to-end tests: every rank of the world must pass -fault-wrap
+	// (the injected framing is world-wide), and a victim additionally
+	// names itself and its trigger file. The kill is hard — the process
+	// exits 137 mid-operation, a SIGKILL as far as the fabric is
+	// concerned.
+	fs.BoolVar(&cfg.faultWrap, "fault-wrap", false, "wrap the transport in the deterministic fault-injection harness (all ranks must agree on this flag)")
+	fs.IntVar(&cfg.faultKillRank, "fault-kill-rank", -1, "fault harness: world rank to kill (requires -fault-wrap; -1 = nobody)")
+	fs.StringVar(&cfg.faultKillFile, "fault-kill-after-file", "", "fault harness: the kill fires on the victim's first transport operation after this file exists")
 
-		// Fault-injection harness, for recovery drills and the
-		// multi-process end-to-end tests: every rank of the world must
-		// pass -fault-wrap (the injected framing is world-wide), and a
-		// victim additionally names itself and its trigger file. The
-		// kill is hard — the process exits 137 mid-operation, a SIGKILL
-		// as far as the fabric is concerned.
-		faultWrap     = fs.Bool("fault-wrap", false, "wrap the transport in the deterministic fault-injection harness (all ranks must agree on this flag)")
-		faultKillRank = fs.Int("fault-kill-rank", -1, "fault harness: world rank to kill (requires -fault-wrap; -1 = nobody)")
-		faultKillFile = fs.String("fault-kill-after-file", "", "fault harness: the kill fires on the victim's first transport operation after this file exists")
+	version := fs.Bool("version", false, "print the build version and exit")
 
-		version = fs.Bool("version", false, "print the build version and exit")
-
-		retries   = fs.Int("retries", 5, "per-frame send attempts before declaring the peer lost")
-		retryBase = fs.Duration("retry-base", 2*time.Millisecond, "initial send retry backoff (doubles per attempt)")
-		retryMax  = fs.Duration("retry-max", 250*time.Millisecond, "send retry backoff cap")
-		sendTO    = fs.Duration("send-timeout", 30*time.Second, "per-frame connection write deadline")
-		recvTO    = fs.Duration("recv-timeout", 0, "receive failure-detector timeout (0 = wait forever, as MPI does)")
-		gapTO     = fs.Duration("gap-timeout", 5*time.Second, "how long a sequence gap may persist after a reconnect before the peer is declared lost")
-	)
+	fs.IntVar(&cfg.retries, "retries", 5, "per-frame send attempts before declaring the peer lost")
+	fs.DurationVar(&cfg.retryBase, "retry-base", 2*time.Millisecond, "initial send retry backoff (doubles per attempt)")
+	fs.DurationVar(&cfg.retryMax, "retry-max", 250*time.Millisecond, "send retry backoff cap")
+	fs.DurationVar(&cfg.sendTO, "send-timeout", 30*time.Second, "per-frame connection write deadline")
+	fs.DurationVar(&cfg.recvTO, "recv-timeout", 0, "receive failure-detector timeout (0 = wait forever, as MPI does)")
+	fs.DurationVar(&cfg.gapTO, "gap-timeout", 5*time.Second, "how long a sequence gap may persist after a reconnect before the peer is declared lost")
 	if err := fs.Parse(args); err != nil {
-		return exitUsage
+		return nil, exitUsage
 	}
 	if *version {
 		fmt.Println(buildinfo.String("sdsnode"))
-		return exitOK
+		return nil, exitOK
 	}
-	if *rank < 0 || *size <= 0 || *rank >= *size {
-		log.Printf("sdsnode: need -rank in [0,%d) and -size > 0", *size)
-		return exitUsage
+	usage := func(format string, a ...any) (*config, int) {
+		log.Printf("sdsnode: "+format, a...)
+		return nil, exitUsage
 	}
-	if *epoch < 0 {
-		log.Printf("sdsnode: negative -epoch %d", *epoch)
-		return exitUsage
+	switch {
+	case cfg.rank < 0 || cfg.size <= 0 || cfg.rank >= cfg.size:
+		return usage("need -rank in [0,%d) and -size > 0", cfg.size)
+	case cfg.epoch < 0:
+		return usage("negative -epoch %d", cfg.epoch)
+	case cfg.serve && cfg.ckptDir != "":
+		return usage("-ckpt-dir is not supported with -serve (checkpointed recovery is per one-shot job)")
+	case cfg.shrink && cfg.ckptDir == "":
+		return usage("-allow-shrink needs -ckpt-dir (the survivors resume from the checkpointed cut)")
 	}
-	if *serve && *ckptDir != "" {
-		log.Printf("sdsnode: -ckpt-dir is not supported with -serve (checkpointed recovery is per one-shot job)")
-		return exitUsage
+	if err := cfg.job.checkAlgo(cfg.ckptDir != ""); err != nil {
+		return usage("%v", err)
 	}
-	if *shrink && *ckptDir == "" {
-		log.Printf("sdsnode: -allow-shrink needs -ckpt-dir (the survivors resume from the checkpointed cut)")
-		return exitUsage
+	if cfg.spillDir != "" && cfg.job.in != "" && cfg.job.algo != algo.NameSDS {
+		return usage("the fully out-of-core -in streaming path requires -algo sds")
 	}
-	if err := (jobParams{stable: *stable, algo: *algoName}).checkAlgo(*ckptDir != ""); err != nil {
-		log.Printf("sdsnode: %v", err)
-		return exitUsage
+	if (cfg.faultKillRank >= 0 || cfg.faultKillFile != "") && !cfg.faultWrap {
+		return usage("-fault-kill-rank/-fault-kill-after-file need -fault-wrap on every rank")
 	}
-	if *spillDir != "" && *in != "" && *algoName != algo.NameSDS {
-		log.Printf("sdsnode: the fully out-of-core -in streaming path requires -algo sds")
-		return exitUsage
+	if cfg.node < 0 {
+		cfg.node = cfg.rank
 	}
-	log.SetPrefix(fmt.Sprintf("sdsnode[%d]: ", *rank))
-	nodeID := *node
-	if nodeID < 0 {
-		nodeID = *rank
-	}
+	return cfg, exitOK
+}
 
-	// In -serve mode the manifest is validated before the expensive
-	// bootstrap, so a typo'd job stream fails fast with a usage error.
-	var jobs []engine.NodeJob
-	if *serve {
-		var r io.Reader = os.Stdin
-		if *jobsPath != "" {
-			f, err := os.Open(*jobsPath)
-			if err != nil {
-				log.Printf("jobs: %v", err)
-				return exitUsage
-			}
-			defer f.Close()
-			r = f
-		}
-		var err error
-		jobs, err = engine.DecodeJobs(r)
+// loadJobs reads and validates the -serve manifest before the expensive
+// bootstrap, so a typo'd job stream fails fast, as a usage error.
+func loadJobs(cfg *config) ([]NodeJob, error) {
+	var r io.Reader = os.Stdin
+	if cfg.jobsPath != "" {
+		f, err := os.Open(cfg.jobsPath)
 		if err != nil {
-			log.Printf("jobs: %v", err)
-			return exitUsage
+			return nil, err
 		}
-		if len(jobs) == 0 {
-			log.Printf("jobs: empty job stream")
-			return exitUsage
-		}
-		// Per-job driver choices fail here, before the fabric boots: a
-		// desynchronised usage error mid-stream would strand the world.
-		for i, jb := range jobs {
-			pj := (jobParams{stable: *stable, algo: *algoName}).withSpec(jb, 0)
-			if err := pj.checkAlgo(false); err != nil {
-				log.Printf("jobs: job %d %q: %v", i, jb.Name, err)
-				return exitUsage
-			}
+		defer f.Close()
+		r = f
+	}
+	jobs, err := DecodeJobs(r)
+	if err != nil {
+		return nil, err
+	}
+	if len(jobs) == 0 {
+		return nil, errors.New("empty job stream")
+	}
+	// Per-job driver choices fail here, before the fabric boots: a
+	// desynchronised usage error mid-stream would strand the world.
+	for i, jb := range jobs {
+		if err := cfg.job.withSpec(jb, 0).checkAlgo(false); err != nil {
+			return nil, fmt.Errorf("job %d %q: %v", i, jb.Name, err)
 		}
 	}
+	return jobs, nil
+}
 
-	// Trace sinks. The JSONL file's first write error is latched and
-	// surfaced at exit (a silently truncated trace is worse than none);
-	// the ring feeds /debug/trace when telemetry is on.
-	env := &nodeEnv{
+// newEnv builds the per-process observability plumbing: the memory
+// gauge, the spill tier and the trace sinks. finish finalises the JSONL
+// trace: its first write error is latched and surfaced, with the close
+// error, as a non-zero exit instead of silently shipping a truncated
+// trace. (The serve-mode deadline exit bypasses it by design — the
+// process is wedged.)
+func newEnv(cfg *config) (env *nodeEnv, finish func(code int) int, code int) {
+	env = &nodeEnv{
 		exch:      &metrics.ExchangeStats{},
 		algoStats: &metrics.AlgoStats{},
 		skew:      metrics.NewSkewStats(),
 	}
-	if *memB > 0 {
-		env.gauge = memlimit.New(*memB)
+	env.worldSize.Store(int64(cfg.size))
+	if cfg.memB > 0 {
+		env.gauge = memlimit.New(cfg.memB)
 	}
-	if *spillDir != "" {
+	if cfg.spillDir != "" {
 		// Sweep wreckage from a previous crashed incarnation before
 		// spilling new runs next to it — committed run files from live
 		// handles are never TempPrefix-named, so the sweep is safe even
 		// when several ranks share the directory.
-		if err := extsort.RemoveStaleTemps(*spillDir); err != nil {
+		if err := extsort.RemoveStaleTemps(cfg.spillDir); err != nil {
 			log.Printf("spill: %v", err)
-			return exitLocalError
+			return nil, nil, exitLocalError
 		}
 		env.spillStats = &metrics.SpillStats{}
-		env.spill = &core.SpillOptions{Dir: *spillDir, ChunkRecords: *spillChunk, Stats: env.spillStats}
-		env.spill.FitBudget(*memB)
+		env.spill = &core.SpillOptions{Dir: cfg.spillDir, ChunkRecords: cfg.spillChunk, Stats: env.spillStats}
+		env.spill.FitBudget(cfg.memB)
 	}
-	var (
-		jl        *trace.JSONL
-		traceFile *os.File
-		ring      *trace.Ring
-		sinks     []trace.Tracer
-	)
-	if *trc != "" {
-		f, err := os.Create(*trc)
+	finish = func(code int) int { return code }
+	var sinks []trace.Tracer
+	if cfg.trc != "" {
+		f, err := os.Create(cfg.trc)
 		if err != nil {
 			log.Printf("trace: %v", err)
-			return exitLocalError
+			return nil, nil, exitLocalError
 		}
-		traceFile = f
-		jl = trace.NewJSONL(f)
+		jl := trace.NewJSONL(f)
 		sinks = append(sinks, jl)
+		finish = func(code int) int {
+			if err := jl.Err(); err != nil {
+				log.Printf("trace: write failed, %s is incomplete: %v", cfg.trc, err)
+				code = max(code, exitLocalError) // only a clean exit is downgraded
+			}
+			if err := f.Close(); err != nil {
+				log.Printf("trace: close %s: %v", cfg.trc, err)
+				code = max(code, exitLocalError)
+			}
+			return code
+		}
 	}
-	if *telAddr != "" {
-		ring = trace.NewRing(1024)
-		sinks = append(sinks, ring)
+	if cfg.telAddr != "" {
+		env.ring = trace.NewRing(1024)
+		sinks = append(sinks, env.ring)
 	}
 	env.tracer = trace.NewTee(sinks...)
-	defer func() {
-		// Deliberate trace finalisation: surface the first write error
-		// and the close error with a non-zero exit instead of silently
-		// shipping a truncated trace. (The serve-mode deadline exit
-		// bypasses this defer by design — the process is wedged.)
-		if jl == nil {
-			return
-		}
-		if err := jl.Err(); err != nil {
-			log.Printf("trace: write failed, %s is incomplete: %v", *trc, err)
-			if code == exitOK {
-				code = exitLocalError
-			}
-		}
-		if err := traceFile.Close(); err != nil {
-			log.Printf("trace: close %s: %v", *trc, err)
-			if code == exitOK {
-				code = exitLocalError
-			}
-		}
-	}()
+	return env, finish, exitOK
+}
 
-	// In one-shot mode the single sort is the job, so the per-job
-	// deadline is simply absolute for the process. When it fires the
-	// process is past saving — exit directly rather than threading
-	// cancellation through every blocking transport call. (In -serve
-	// mode the timer is armed per job instead; see serveJobs.)
-	if !*serve && *deadline > 0 {
-		time.AfterFunc(*deadline, func() {
-			log.Printf("job deadline %v exceeded", *deadline)
-			os.Exit(exitDeadline)
-		})
-	}
+// fabric is this rank's end of the booted world.
+type fabric struct {
+	tcp   *tcpcomm.Transport
+	tr    comm.Transport // tcp, or tcp under the fault harness
+	name  string         // the world's epoch-fenced name
+	epoch int            // the coordinator's epoch, adopted at registration
+	world *comm.Comm
+}
 
-	if (*faultKillRank >= 0 || *faultKillFile != "") && !*faultWrap {
-		log.Printf("sdsnode: -fault-kill-rank/-fault-kill-after-file need -fault-wrap on every rank")
-		return exitUsage
-	}
-
+// bootstrap joins the TCP world, layers the fault harness when asked,
+// names the world after the coordinator's epoch and aligns clocks.
+func bootstrap(cfg *config, env *nodeEnv) (*fabric, int) {
 	tcp, err := tcpcomm.New(tcpcomm.Config{
-		Rank: *rank, Size: *size, Node: nodeID, Epoch: *epoch,
-		Registry: *registry, Listen: *listen, Timeout: *timeout,
+		Rank: cfg.rank, Size: cfg.size, Node: cfg.node, Epoch: cfg.epoch,
+		Registry: cfg.registry, Listen: cfg.listen, Timeout: cfg.timeout,
 		Retry: comm.RetryPolicy{
-			MaxAttempts: *retries, BaseDelay: *retryBase, MaxDelay: *retryMax,
-			Seed: *seed + int64(*rank),
+			MaxAttempts: cfg.retries, BaseDelay: cfg.retryBase, MaxDelay: cfg.retryMax,
+			Seed: cfg.job.seed + int64(cfg.rank),
 		},
-		SendTimeout: *sendTO,
-		RecvTimeout: *recvTO,
-		GapTimeout:  *gapTO,
+		SendTimeout: cfg.sendTO,
+		RecvTimeout: cfg.recvTO,
+		GapTimeout:  cfg.gapTO,
 	})
 	if err != nil {
 		log.Printf("bootstrap: %v", err)
-		return exitCode(err)
+		return nil, exitCode(err)
 	}
-	defer tcp.Close()
-	var tr comm.Transport = tcp
-	if *faultWrap {
+	fab := &fabric{tcp: tcp, tr: tcp, epoch: tcp.Epoch()}
+	if cfg.faultWrap {
 		inj, err := faultnet.New(faultnet.Plan{
-			Seed: *seed, KillRank: *faultKillRank,
-			KillAfterFile: *faultKillFile, KillHard: true,
+			Seed: cfg.job.seed, KillRank: cfg.faultKillRank,
+			KillAfterFile: cfg.faultKillFile, KillHard: true,
 		})
 		if err != nil {
+			tcp.Close()
 			log.Printf("fault harness: %v", err)
-			return exitUsage
+			return nil, exitUsage
 		}
-		tr = inj.Wrap(tr)
-		if *faultKillRank == *rank {
-			log.Printf("fault harness armed: this rank dies after %s exists", *faultKillFile)
+		fab.tr = inj.Wrap(tcp)
+		if cfg.faultKillRank == cfg.rank {
+			log.Printf("fault harness armed: this rank dies after %s exists", cfg.faultKillFile)
 		}
 	}
 	// The coordinator's epoch won at registration; name the world after
 	// it so frames from an older incarnation are undeliverable here.
-	ep := tcp.Epoch()
-	worldName := "world"
-	if ep > 0 {
-		worldName = fmt.Sprintf("world@e%d", ep)
-	}
-	c := comm.NewNamed(tr, worldName)
-	log.Printf("joined world of %d ranks (epoch %d)", *size, ep)
-	env.worldSize.Store(int64(*size))
+	fab.name = cluster.WorldName(fab.epoch, false, cfg.size)
+	fab.world = comm.NewNamed(fab.tr, fab.name)
+	log.Printf("joined world of %d ranks (epoch %d)", cfg.size, fab.epoch)
 	// Align clocks before any spans are cut: rank 0 ping-pongs every
 	// peer and broadcasts the measured offsets, and each rank records
 	// its own in the trace — sdstrace subtracts it to project all
 	// processes onto rank 0's timeline. Re-measured after a shrink (the
 	// reformed world may elect a different rank 0; see shrink.go).
-	if err := syncClocks(c, env); err != nil {
+	if err := syncClocks(fab.world, env); err != nil {
+		tcp.Close()
 		log.Printf("clock sync: %v", err)
-		return exitCode(err)
+		return nil, exitCode(err)
 	}
-	if *shrink {
-		// Liveness responders must be up before the sort: after a
-		// failure, survivors probe each other while some are still stuck
-		// inside the dying collective.
-		startProber(tr, worldName)
-	}
+	return fab, exitOK
+}
 
-	// Telemetry plane. Every rank builds a registry and (rank > 0)
-	// parks an aggregation responder on the fabric, so a coordinator
-	// scrape can sum the whole world even when only rank 0 carries
-	// -telemetry-addr. The HTTP server itself is per-flag.
+// startTelemetry builds the telemetry plane. Every rank builds a
+// registry and (rank > 0) parks an aggregation responder on the fabric,
+// so a coordinator scrape can sum the whole world even when only rank 0
+// carries -telemetry-addr. The HTTP server itself is per-flag; stop
+// closes it.
+func startTelemetry(cfg *config, fab *fabric, env *nodeEnv) (stop func(), code int) {
 	reg := telemetry.NewRegistry()
-	tcp.Stats().Register(reg)
-	telemetry.RegisterNodeInfo(reg, *rank, *size, ep)
+	fab.tcp.Stats().Register(reg)
+	telemetry.RegisterNodeInfo(reg, cfg.rank, cfg.size, fab.epoch)
 	buildinfo.Register(reg)
 	checkpoint.RegisterMetrics(reg)
 	env.exch.Register(reg)
@@ -513,95 +509,151 @@ func run(args []string) (code int) {
 	reg.CounterFunc("sds_node_jobs_failed_total", "Jobs this rank saw fail or skip.",
 		func() float64 { return float64(env.jobsFailed.Load()) })
 	env.jobSeconds = reg.Histogram("sds_node_job_seconds", "Wall time of this rank's jobs.", telemetry.DefaultLatencyBuckets())
-	if ring != nil {
+	if env.ring != nil {
 		reg.CounterFunc("sds_trace_dropped_total", "Trace events the ring buffer overwrote before they could be read.",
-			telemetry.FInt(ring.Dropped))
+			telemetry.FInt(env.ring.Dropped))
 	}
-	if *rank != 0 {
-		telemetry.StartResponder(tr, worldName, reg)
+	if cfg.rank != 0 {
+		telemetry.StartResponder(fab.tr, fab.name, reg)
 	}
-	var agg *telemetry.Aggregator
-	if *telAddr != "" {
-		opts := telemetry.ServerOptions{
-			Trace: ring.MarshalJSONL,
-			Spans: func() any { return trace.BuildSpans(ring.Events()) },
-			Health: func() telemetry.Health {
-				h := telemetry.Health{
-					Status: "ok", Rank: *rank, Size: *size, Epoch: ep,
-					JobsDone:         env.jobsDone.Load(),
-					JobsFailed:       env.jobsFailed.Load(),
-					GatherAgeSeconds: -1,
-				}
-				if env.degraded.Load() {
-					h.Degraded = true
-					h.WorldSize = int(env.worldSize.Load())
-				}
-				if agg != nil {
-					if age := agg.GatherAge(); age >= 0 {
-						h.GatherAgeSeconds = age.Seconds()
-					}
-				}
-				return h
-			},
-		}
-		if *rank == 0 {
-			agg = telemetry.NewAggregator(tr, worldName, reg, 2*time.Second)
-			opts.Aggregate = func(w http.ResponseWriter) { agg.Render(w) }
-		}
-		srv, err := telemetry.NewServer(*telAddr, reg, opts)
-		if err != nil {
-			log.Printf("telemetry: %v", err)
-			return exitLocalError
-		}
-		defer srv.Close()
-		log.Printf("telemetry on http://%s", srv.Addr())
+	if cfg.telAddr == "" {
+		return func() {}, exitOK
 	}
-
-	defaults := jobParams{
-		workload: *wl, alpha: *alpha, n: *n, seed: *seed,
-		in: *in, out: *out, stable: *stable, stage: *stage,
-		algo: *algoName,
-	}
-
-	if *serve {
-		return serveJobs(c, tr, worldName, *rank, *size, defaults, jobs, *deadline, env)
-	}
-
-	if *spillDir != "" && defaults.in != "" && *ckptDir == "" {
-		// Fully out-of-core one-shot: the shard streams from the input
-		// file through the spill tier and into the output shard without
-		// ever being resident — a fixed -mem sorts inputs of any size.
-		// (With -ckpt-dir the resident driver below runs instead: it
-		// keeps phase snapshots and still spills its exchange under
-		// pressure.)
-		if code := spillSortJob(c, defaults, trace.Scope{Trace: worldName}, env); code != exitOK {
-			return code
-		}
-		if err := c.Barrier(); err != nil {
-			if lost, ok := comm.PeerLost(err); ok {
-				log.Printf("final barrier: peer rank %d lost: %v", lost, err)
-			} else {
-				log.Printf("final barrier: %v", err)
+	opts := telemetry.ServerOptions{
+		Trace: env.ring.MarshalJSONL,
+		Spans: func() any { return trace.BuildSpans(env.ring.Events()) },
+		Health: func() telemetry.Health {
+			h := telemetry.Health{
+				Status: "ok", Rank: cfg.rank, Size: cfg.size, Epoch: fab.epoch,
+				JobsDone:         env.jobsDone.Load(),
+				JobsFailed:       env.jobsFailed.Load(),
+				GatherAgeSeconds: -1,
 			}
-			return exitCode(err)
-		}
-		return exitOK
+			if env.degraded.Load() {
+				h.Degraded = true
+				h.WorldSize = int(env.worldSize.Load())
+			}
+			if env.agg != nil {
+				if age := env.agg.GatherAge(); age >= 0 {
+					h.GatherAgeSeconds = age.Seconds()
+				}
+			}
+			return h
+		},
 	}
+	if cfg.rank == 0 {
+		env.agg = telemetry.NewAggregator(fab.tr, fab.name, reg, 2*time.Second)
+		opts.Aggregate = func(w http.ResponseWriter) { env.agg.Render(w) }
+	}
+	srv, err := telemetry.NewServer(cfg.telAddr, reg, opts)
+	if err != nil {
+		log.Printf("telemetry: %v", err)
+		return nil, exitLocalError
+	}
+	log.Printf("telemetry on http://%s", srv.Addr())
+	return func() { srv.Close() }, exitOK
+}
 
-	data, code := loadJobData(defaults, *rank, *size)
+// run is the process: parse, bootstrap, then the job loop (serveJobs) or
+// the one sort with its recovery (oneShot).
+func run(args []string) (code int) {
+	log.SetFlags(0)
+	cfg, code := parseFlags(args)
+	if cfg == nil {
+		return code
+	}
+	log.SetPrefix(fmt.Sprintf("sdsnode[%d]: ", cfg.rank))
+	var jobs []NodeJob
+	if cfg.serve {
+		var err error
+		if jobs, err = loadJobs(cfg); err != nil {
+			log.Printf("jobs: %v", err)
+			return exitUsage
+		}
+	}
+	env, finishTrace, code := newEnv(cfg)
 	if code != exitOK {
 		return code
 	}
+	defer func() { code = finishTrace(code) }()
 
+	// In one-shot mode the single sort is the job, so the per-job
+	// deadline is simply absolute for the process. When it fires the
+	// process is past saving — exit directly rather than threading
+	// cancellation through every blocking transport call. (In -serve
+	// mode the timer is armed per job instead; see serveJobs.)
+	if !cfg.serve && cfg.deadline > 0 {
+		time.AfterFunc(cfg.deadline, func() {
+			log.Printf("job deadline %v exceeded", cfg.deadline)
+			os.Exit(exitDeadline)
+		})
+	}
+
+	fab, code := bootstrap(cfg, env)
+	if code != exitOK {
+		return code
+	}
+	defer fab.tcp.Close()
+	if cfg.shrink {
+		// Liveness responders must be up before the sort: after a
+		// failure, survivors probe each other while some are still stuck
+		// inside the dying collective.
+		defer cluster.StartProber(fab.tr, fab.name)()
+	}
+	stopTelemetry, code := startTelemetry(cfg, fab, env)
+	if code != exitOK {
+		return code
+	}
+	defer stopTelemetry()
+
+	if cfg.serve {
+		return serveJobs(fab, cfg, jobs, env)
+	}
+	return oneShot(cfg, fab, env)
+}
+
+// leave is the farewell barrier: it keeps rank 0's process alive until
+// everyone has finished sending.
+func leave(c *comm.Comm) error {
+	err := c.Barrier()
+	if lost, ok := comm.PeerLost(err); ok {
+		log.Printf("final barrier: peer rank %d lost: %v", lost, err)
+	} else if err != nil {
+		log.Printf("final barrier: %v", err)
+	}
+	return err
+}
+
+// oneShot runs the single sort of a non-serve process: fully out of
+// core when it can be, otherwise resident with optional phase
+// checkpoints, resume and — under -allow-shrink — degraded recovery.
+func oneShot(cfg *config, fab *fabric, env *nodeEnv) int {
+	c, sc := fab.world, trace.Scope{Trace: fab.name}
+	if cfg.spillDir != "" && cfg.job.in != "" && cfg.ckptDir == "" {
+		// Fully out-of-core: the shard streams from the input file
+		// through the spill tier and into the output shard without ever
+		// being resident — a fixed -mem sorts inputs of any size. (With
+		// -ckpt-dir the resident driver below runs instead: it keeps
+		// phase snapshots and still spills its exchange under pressure.)
+		if code := spillSortJob(c, cfg.job, sc, env); code != exitOK {
+			return code
+		}
+		return exitCode(leave(c))
+	}
+
+	data, code := loadJobData(cfg.job, cfg.rank, cfg.size)
+	if code != exitOK {
+		return code
+	}
 	var ck *core.Checkpointing
-	if *ckptDir != "" {
-		store, err := checkpoint.NewStore(*ckptDir, *size)
+	if cfg.ckptDir != "" {
+		store, err := checkpoint.NewStore(cfg.ckptDir, cfg.size)
 		if err != nil {
 			log.Printf("checkpoint: %v", err)
 			return exitLocalError
 		}
-		ck = &core.Checkpointing{Store: store, Epoch: ep, Sync: *ckptSync}
-		if ep > 0 {
+		ck = &core.Checkpointing{Store: store, Epoch: fab.epoch, Sync: cfg.ckptSync}
+		if fab.epoch > 0 {
 			cut, ok, err := checkpoint.AgreeCut(c, store)
 			if err != nil {
 				log.Printf("checkpoint cut: %v", err)
@@ -616,30 +668,19 @@ func run(args []string) (code int) {
 		}
 	}
 
-	if code := sortJob(c, defaults, data, ck, "", trace.Scope{Trace: worldName}, env); code != exitOK {
-		if code == exitPeerLost && *shrink {
-			return shrinkAndResume(tr, worldName, ep, *ckptDir, defaults, ck, env, agg)
-		}
-		return code
+	code, err := sortJob(c, cfg.job, data, ck, "", sc, env)
+	if code == exitOK {
+		// A rank that died between its last send and the farewell
+		// barrier is still a loss the survivors can absorb: the final
+		// cut is checkpointed, so the shrink re-derives the dead rank's
+		// output shard onto the survivors.
+		err = leave(c)
+		code = exitCode(err)
 	}
-	// Leave together: a final barrier keeps rank 0's process alive
-	// until everyone has finished sending.
-	if err := c.Barrier(); err != nil {
-		if lost, ok := comm.PeerLost(err); ok {
-			log.Printf("final barrier: peer rank %d lost: %v", lost, err)
-			// A rank that died between its last send and the farewell
-			// barrier is still a loss the survivors can absorb: the
-			// final cut is checkpointed, so the shrink re-derives the
-			// dead rank's output shard onto the survivors.
-			if *shrink {
-				return shrinkAndResume(tr, worldName, ep, *ckptDir, defaults, ck, env, agg)
-			}
-		} else {
-			log.Printf("final barrier: %v", err)
-		}
-		return exitCode(err)
+	if code == exitPeerLost && cfg.shrink {
+		return shrinkAndResume(cfg, fab, err, ck, env)
 	}
-	return exitOK
+	return code
 }
 
 // serveJobs is the -serve loop: each job of the stream runs on its own
@@ -649,11 +690,11 @@ func run(args []string) (code int) {
 // one bad manifest entry degrades that job, not the stream; errors
 // inside a collective sort are fatal to the process, as they are in
 // one-shot mode, because a desynchronised rank cannot rejoin.
-func serveJobs(world *comm.Comm, tr comm.Transport, worldName string, rank, size int, defaults jobParams, jobs []engine.NodeJob, defDeadline time.Duration, env *nodeEnv) int {
+func serveJobs(fab *fabric, cfg *config, jobs []NodeJob, env *nodeEnv) int {
 	worst := exitOK
 	for i, jb := range jobs {
-		p := defaults.withSpec(jb, rank)
-		dl, err := jb.DeadlineDuration(defDeadline)
+		p := cfg.job.withSpec(jb, cfg.rank)
+		dl, err := jb.DeadlineDuration(cfg.deadline)
 		if err != nil { // pre-validated by DecodeJobs; belt and braces
 			log.Printf("job %d: %v", i, err)
 			return exitUsage
@@ -661,7 +702,7 @@ func serveJobs(world *comm.Comm, tr comm.Transport, worldName string, rank, size
 		// The job's communicator: same fabric, fresh message context.
 		// Attach never owns the transport, so dropping the comm after
 		// the job cannot disturb its siblings.
-		jc := comm.Attach(tr, engine.JobCommName(worldName, i))
+		jc := comm.Attach(fab.tr, JobCommName(fab.name, i))
 
 		// Per-job deadline: the clock starts when the job starts, not
 		// at process launch, and is disarmed the moment the job
@@ -676,7 +717,7 @@ func serveJobs(world *comm.Comm, tr comm.Transport, worldName string, rank, size
 			})
 		}
 
-		data, loadCode := loadJobData(p, rank, size)
+		data, loadCode := loadJobData(p, cfg.rank, cfg.size)
 		if loadCode == exitUsage {
 			return exitUsage
 		}
@@ -702,8 +743,8 @@ func serveJobs(world *comm.Comm, tr comm.Transport, worldName string, rank, size
 			continue
 		}
 
-		sc := trace.Scope{Trace: engine.JobCommName(worldName, i), Job: p.name}
-		if code := sortJob(jc, p, data, nil, fmt.Sprintf("job %d/%d %q: ", i+1, len(jobs), p.name), sc, env); code != exitOK {
+		sc := trace.Scope{Trace: JobCommName(fab.name, i), Job: p.name}
+		if code, _ := sortJob(jc, p, data, nil, fmt.Sprintf("job %d/%d %q: ", i+1, len(jobs), p.name), sc, env); code != exitOK {
 			// A failed collective leaves this rank desynchronised from
 			// the stream; stop here rather than corrupt later jobs.
 			return code
@@ -714,12 +755,7 @@ func serveJobs(world *comm.Comm, tr comm.Transport, worldName string, rank, size
 		log.Printf("job %d/%d %q done", i+1, len(jobs), p.name)
 	}
 	// Leave together, exactly as one-shot mode does.
-	if err := world.Barrier(); err != nil {
-		if lost, ok := comm.PeerLost(err); ok {
-			log.Printf("final barrier: peer rank %d lost: %v", lost, err)
-		} else {
-			log.Printf("final barrier: %v", err)
-		}
+	if err := leave(fab.world); err != nil {
 		return exitCode(err)
 	}
 	return worst
@@ -754,36 +790,37 @@ func loadJobData(p jobParams, rank, size int) ([]float64, int) {
 	}
 }
 
+// sortOptions wires one job's sort to the process-wide observers and
+// budgets, with a fresh phase timer for its report. The exchange stats
+// are shared across the process's jobs so the telemetry plane exports
+// them live (in particular the staging window gauge mid-exchange); a
+// job's log line is therefore cumulative in -serve mode.
+func (e *nodeEnv) sortOptions(p jobParams, sc trace.Scope) core.Options {
+	opt := core.DefaultOptions()
+	opt.Stable = p.stable
+	opt.StageBytes = p.stage
+	opt.Span = sc
+	opt.Skew = e.skew
+	opt.Exchange = e.exch
+	opt.Mem = e.gauge
+	opt.Spill = e.spill
+	opt.Trace = e.tracer
+	opt.Timer = metrics.NewPhaseTimer()
+	return opt
+}
+
 // sortJob runs one collective sort on c with per-job metrics, reports
 // the phase breakdown, and writes the output shard when requested.
 // Every log line is prefixed with label so interleaved jobs of a served
-// stream stay attributable.
-func sortJob(c *comm.Comm, p jobParams, data []float64, ck *core.Checkpointing, label string, sc trace.Scope, env *nodeEnv) int {
-	aopt := algo.DefaultOptions()
-	aopt.Core.Stable = p.stable
-	aopt.Core.StageBytes = p.stage
-	aopt.Core.Span = sc
-	aopt.Core.Skew = env.skew
-	// The exchange stats are shared across the process's jobs so the
-	// telemetry plane exports them live (in particular the staging
-	// window gauge mid-exchange); the log line below is therefore
-	// cumulative in -serve mode. Wired unconditionally: the counters
-	// accrue whether or not -stage sets a chunk bound.
-	exch := env.exch
-	aopt.Core.Exchange = exch
-	aopt.Core.Mem = env.gauge
-	aopt.Core.Spill = env.spill
-	aopt.Core.Trace = env.tracer
-	tm := metrics.NewPhaseTimer()
-	aopt.Core.Timer = tm
-	if ck != nil {
-		aopt.Core.Checkpoint = ck
-	}
-	aopt.Selection = env.algoStats
+// stream stay attributable. Beside the exit code it returns the sort's
+// own error, when that is what failed — what a recovery decision reads.
+func sortJob(c *comm.Comm, p jobParams, data []float64, ck *core.Checkpointing, label string, sc trace.Scope, env *nodeEnv) (int, error) {
+	aopt := algo.Options{Core: env.sortOptions(p, sc), Selection: env.algoStats}
+	aopt.Core.Checkpoint = ck
 	drv, err := algo.New[float64](p.algo)
 	if err != nil { // pre-validated; belt and braces
 		log.Printf("%s%v", label, err)
-		return exitUsage
+		return exitUsage, nil
 	}
 
 	start := time.Now()
@@ -797,7 +834,7 @@ func sortJob(c *comm.Comm, p jobParams, data []float64, ck *core.Checkpointing, 
 		} else {
 			log.Printf("%ssort: %v", label, err)
 		}
-		return exitCode(err)
+		return exitCode(err), err
 	}
 	elapsed := time.Since(start)
 	// Snapshots commit in the background; make them durable before
@@ -805,21 +842,19 @@ func sortJob(c *comm.Comm, p jobParams, data []float64, ck *core.Checkpointing, 
 	if err := ck.Wait(); err != nil {
 		log.Printf("%scheckpoint: %v", label, err)
 		env.finishJob(elapsed, true)
-		return exitLocalError
+		return exitLocalError, nil
 	}
 	env.finishJob(elapsed, false)
 	log.Printf("%sdone in %v: %d records held locally", label, elapsed.Round(time.Millisecond), len(sorted))
 	for _, ph := range metrics.Phases() {
-		log.Printf("  %-16s %s", ph.String(), metrics.FmtDur(tm.Get(ph)))
+		log.Printf("  %-16s %s", ph.String(), metrics.FmtDur(aopt.Core.Timer.Get(ph)))
 	}
-	if exch != nil {
-		log.Printf("  %s", exch)
-		zc := "no"
-		if exch.ZeroCopyUsed() {
-			zc = "yes"
-		}
-		log.Printf("  zero-copy: %s", zc)
+	log.Printf("  %s", env.exch)
+	zc := "no"
+	if env.exch.ZeroCopyUsed() {
+		zc = "yes"
 	}
+	log.Printf("  zero-copy: %s", zc)
 	if env.spillStats != nil && env.spillStats.Spilled() {
 		log.Printf("  %s", env.spillStats)
 	}
@@ -827,11 +862,11 @@ func sortJob(c *comm.Comm, p jobParams, data []float64, ck *core.Checkpointing, 
 	if p.out != "" {
 		if err := recordio.WriteFile(p.out, codec.Float64{}, sorted); err != nil {
 			log.Print(err)
-			return exitLocalError
+			return exitLocalError, nil
 		}
 		log.Printf("%swrote %s", label, p.out)
 	}
-	return exitOK
+	return exitOK, nil
 }
 
 // spillSortJob is the out-of-core one-shot: this rank's shard of p.in
@@ -840,17 +875,7 @@ func sortJob(c *comm.Comm, p jobParams, data []float64, ck *core.Checkpointing, 
 // lazily merged straight into the output shard. Peak memory is the
 // spill tier's working set, not the shard.
 func spillSortJob(c *comm.Comm, p jobParams, sc trace.Scope, env *nodeEnv) int {
-	opt := core.DefaultOptions()
-	opt.Stable = p.stable
-	opt.StageBytes = p.stage
-	opt.Span = sc
-	opt.Skew = env.skew
-	opt.Exchange = env.exch
-	opt.Mem = env.gauge
-	opt.Spill = env.spill
-	opt.Trace = env.tracer
-	tm := metrics.NewPhaseTimer()
-	opt.Timer = tm
+	opt := env.sortOptions(p, sc)
 
 	start := time.Now()
 	blk, err := core.SortFileShard(c, p.in, codec.Float64{}, cmpF, opt)
@@ -868,7 +893,7 @@ func spillSortJob(c *comm.Comm, p jobParams, sc trace.Scope, env *nodeEnv) int {
 	env.finishJob(elapsed, false)
 	log.Printf("done in %v: %d records spilled locally", elapsed.Round(time.Millisecond), blk.Records())
 	for _, ph := range metrics.Phases() {
-		log.Printf("  %-16s %s", ph.String(), metrics.FmtDur(tm.Get(ph)))
+		log.Printf("  %-16s %s", ph.String(), metrics.FmtDur(opt.Timer.Get(ph)))
 	}
 	log.Printf("  %s", env.exch)
 	log.Printf("  %s", env.spillStats)

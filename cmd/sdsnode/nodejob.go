@@ -1,4 +1,4 @@
-package engine
+package main
 
 import (
 	"bufio"
@@ -52,6 +52,13 @@ type NodeJob struct {
 	Deadline string `json:"deadline,omitempty"`
 }
 
+// JobCommName names job id's communicator under the world name. Every
+// rank derives the same name for the same job, which is what keeps the
+// job's message context globally agreed.
+func JobCommName(world string, id int) string {
+	return fmt.Sprintf("%s/job%d", world, id)
+}
+
 // OutPath resolves the job's output path for one rank: "{rank}" is
 // substituted when present, otherwise ".r<rank>" is appended. Empty Out
 // stays empty (no output file).
@@ -73,10 +80,10 @@ func (j NodeJob) DeadlineDuration(fallback time.Duration) (time.Duration, error)
 	}
 	d, err := time.ParseDuration(j.Deadline)
 	if err != nil {
-		return 0, fmt.Errorf("engine: job %q: bad deadline %q: %v", j.Name, j.Deadline, err)
+		return 0, fmt.Errorf("job %q: bad deadline %q: %v", j.Name, j.Deadline, err)
 	}
 	if d < 0 {
-		return 0, fmt.Errorf("engine: job %q: negative deadline %q", j.Name, j.Deadline)
+		return 0, fmt.Errorf("job %q: negative deadline %q", j.Name, j.Deadline)
 	}
 	return d, nil
 }
@@ -100,18 +107,18 @@ func DecodeJobs(r io.Reader) ([]NodeJob, error) {
 		dec.DisallowUnknownFields()
 		var j NodeJob
 		if err := dec.Decode(&j); err != nil {
-			return nil, fmt.Errorf("engine: jobs line %d: %v", lineNo, err)
+			return nil, fmt.Errorf("line %d: %v", lineNo, err)
 		}
 		if j.Name == "" {
 			j.Name = fmt.Sprintf("job%d", len(jobs))
 		}
 		if _, err := j.DeadlineDuration(0); err != nil {
-			return nil, fmt.Errorf("engine: jobs line %d: %v", lineNo, err)
+			return nil, fmt.Errorf("line %d: %v", lineNo, err)
 		}
 		jobs = append(jobs, j)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("engine: reading job stream: %v", err)
+		return nil, fmt.Errorf("reading job stream: %v", err)
 	}
 	return jobs, nil
 }

@@ -29,7 +29,7 @@ func readJobOutput(t *testing.T, pattern string, ranks int) []float64 {
 	return flat
 }
 
-// TestServeModeJobStream is the multi-process face of the engine: one
+// TestServeModeJobStream is the job host end to end: one
 // registered TCP world serving a manifest of heterogeneous jobs —
 // generated and file-fed, stable and not — with every job's output
 // independently verified. One bootstrap serves all of them; that the
@@ -47,7 +47,7 @@ func TestServeModeJobStream(t *testing.T) {
 	}
 
 	manifest := filepath.Join(dir, "jobs.jsonl")
-	jobs := fmt.Sprintf(`# engine serve-mode smoke manifest
+	jobs := fmt.Sprintf(`# serve-mode smoke manifest
 {"name": "gen-zipf", "workload": "zipf", "n": 4000, "seed": 5, "out": %q}
 {"name": "from-file", "in": %q, "out": %q}
 

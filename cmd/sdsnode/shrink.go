@@ -4,21 +4,13 @@
 // the dead rank's checkpointed shards among themselves, and finish the
 // sort — exiting 5 (degraded success) instead of 3 (restart me).
 //
-// The agreement protocol is deliberately thin. Every rank parks a probe
-// responder from process start; after a sort failure each survivor
-// pings every other rank and treats a send failure or reply timeout as
-// "dead". Survivors that disagree on the death list build shrunken
-// worlds with different member signatures, so their first collective
-// times out instead of cross-talking, and the run falls back to the
-// exit-3 full-relaunch contract — a wrong guess costs a restart, never
-// a wrong answer.
+// The decision and the protocol are internal/cluster's (Decide, Probe,
+// ReformAndAgree), the same code the in-process supervisor runs; this
+// file is the flag plumbing around one call.
 package main
 
 import (
-	"fmt"
 	"log"
-	"sort"
-	"sync"
 	"time"
 
 	"sdssort/internal/checkpoint"
@@ -26,14 +18,10 @@ import (
 	"sdssort/internal/codec"
 	"sdssort/internal/comm"
 	"sdssort/internal/core"
-	"sdssort/internal/telemetry"
 	"sdssort/internal/trace"
 )
 
 const (
-	tagProbeReq = 21
-	tagProbeRep = 22
-
 	// probeTimeout bounds each liveness ping. Responders answer from a
 	// dedicated goroutine regardless of what the rank is computing, so
 	// a live peer answers in network round-trip time.
@@ -45,131 +33,46 @@ const (
 	reformTimeout = 30 * time.Second
 )
 
-// startProber parks the liveness responder: one goroutine per peer,
-// answering probe pings for the life of the transport. Started on every
-// rank of an -allow-shrink run, before the sort.
-func startProber(tr comm.Transport, worldName string) {
-	c := comm.Attach(tr, worldName+"/probe")
-	for p := 0; p < tr.Size(); p++ {
-		if p == tr.Rank() {
-			continue
-		}
-		go func(p int) {
-			for {
-				if _, err := c.Recv(p, tagProbeReq); err != nil {
-					// An idle probe channel trips the transport's
-					// receive failure detector (-recv-timeout) long
-					// before any probe arrives; that is routine, not a
-					// reason to stop answering. Re-arm with a pause so
-					// a persistent error (transport closed, peer gone)
-					// cannot spin; the goroutine dies with the process.
-					time.Sleep(50 * time.Millisecond)
-					continue
-				}
-				if err := c.Send(p, tagProbeRep, nil); err != nil {
-					return
-				}
-			}
-		}(p)
-	}
-}
-
-// probeWorld pings every other rank in parallel and returns the ranks
-// that failed to answer, ascending.
-func probeWorld(tr comm.Transport, worldName string) []int {
-	c := comm.Attach(tr, worldName+"/probe")
-	var (
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		lost []int
-	)
-	for p := 0; p < tr.Size(); p++ {
-		if p == tr.Rank() {
-			continue
-		}
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			if !probeRank(c, p) {
-				mu.Lock()
-				lost = append(lost, p)
-				mu.Unlock()
-			}
-		}(p)
-	}
-	wg.Wait()
-	sort.Ints(lost)
-	return lost
-}
-
-// probeRank sends one ping and waits for the pong with a timeout. The
-// abandoned receive goroutine of a timed-out probe is harmless: the
-// process either exits soon or the peer really is dead.
-func probeRank(c *comm.Comm, p int) bool {
-	if err := c.Send(p, tagProbeReq, nil); err != nil {
-		return false
-	}
-	pong := make(chan error, 1)
-	go func() {
-		_, err := c.Recv(p, tagProbeRep)
-		pong <- err
-	}()
-	select {
-	case err := <-pong:
-		return err == nil
-	case <-time.After(probeTimeout):
-		return false
-	}
-}
-
-// shrinkAndResume is the degraded-mode path taken after a one-shot
-// checkpointed sort lost a peer: probe out the dead, re-form the world
-// on the survivors, rebuild the last consistent cut for the smaller
-// world, and run the sort to completion from it. Returns the process
-// exit code: exitDegraded on success, exitPeerLost when the world
-// cannot shrink (no cut, too few survivors, membership disagreement) —
-// the caller's supervisor then takes the ordinary full-relaunch path.
-func shrinkAndResume(tr comm.Transport, worldName string, ep int, ckptDir string, p jobParams, ck *core.Checkpointing, env *nodeEnv, agg *telemetry.Aggregator) int {
+// shrinkAndResume runs after a one-shot checkpointed sort lost a peer
+// (sortErr). Returns the process exit code: exitDegraded when the sort
+// finished on the survivors, exitPeerLost when the world cannot shrink
+// (no cut, too few survivors, membership disagreement) — to a process
+// that cannot relaunch itself a Relaunch plan means "tell the external
+// supervisor to", the ordinary exit-3 contract.
+func shrinkAndResume(cfg *config, fab *fabric, sortErr error, ck *core.Checkpointing, env *nodeEnv) int {
 	// Settle this rank's store before anyone reads it: the snapshot
 	// writer may still be committing the very cut we resume from.
 	if err := ck.Wait(); err != nil {
 		log.Printf("shrink: draining checkpoints: %v", err)
 	}
 
-	lost := probeWorld(tr, worldName)
-	if len(lost) == 0 {
-		log.Printf("shrink: every rank answered the probe; nothing to shrink away")
-		return exitPeerLost
-	}
-	survivors := make([]int, 0, tr.Size()-len(lost))
-	dead := make(map[int]bool, len(lost))
-	for _, r := range lost {
-		dead[r] = true
-	}
-	for r := 0; r < tr.Size(); r++ {
-		if !dead[r] {
-			survivors = append(survivors, r)
-		}
-	}
-	if len(survivors) < 2 {
-		log.Printf("shrink: only %d survivor(s); a distributed sort needs 2", len(survivors))
-		return exitPeerLost
-	}
-	log.Printf("shrink: ranks %v are gone; re-forming world on %v", lost, survivors)
-	env.tracer.Emit(tr.Rank(), "node.shrink", map[string]any{
-		"lost": lost, "world": len(survivors), "epoch": ep + 1,
+	var c *comm.Comm
+	var shrunk *checkpoint.Store
+	plan := cluster.Decide(cluster.Failure{
+		Err: sortErr, Epoch: fab.epoch, Size: cfg.size,
+		Alive: cluster.Probe(fab.tr, fab.name, probeTimeout),
+	}, cluster.Options{
+		// This process heals itself once; any further restart budget is
+		// the external supervisor's.
+		MaxRestarts: fab.epoch + 1,
+		Shrink: cluster.ShrinkPolicy{Enabled: true, Redistribute: func(lost []int, oldSize, newEpoch int) (cut checkpoint.Cut, err error) {
+			log.Printf("shrink: ranks %v are gone; re-forming world on %d survivors", lost, oldSize-len(lost))
+			env.tracer.Emit(cfg.rank, "node.shrink", map[string]any{
+				"lost": lost, "world": oldSize - len(lost), "epoch": newEpoch,
+			})
+			c, shrunk, cut, err = cluster.ReformAndAgree(fab.tr, cfg.ckptDir, lost, newEpoch, reformTimeout,
+				func(lost []int, oldSize, newEpoch int) (checkpoint.Cut, error) {
+					return checkpoint.RedistributeLatest(cfg.ckptDir, oldSize, lost, newEpoch, codec.Float64{}, cmpF)
+				})
+			return cut, err
+		}},
 	})
-
-	// The shrunken world's name carries the epoch and the size; the
-	// member list is folded in by Reform, so survivors that disagree on
-	// who died can never exchange a frame.
-	newEpoch := ep + 1
-	name := fmt.Sprintf("world@e%ds%d", newEpoch, len(survivors))
-	c, err := cluster.Reform(tr, name, survivors, reformTimeout)
-	if err != nil {
-		log.Printf("shrink: %v", err)
+	if plan.Action != cluster.Resume {
+		log.Printf("shrink: %v; a full relaunch is needed", plan.Err)
 		return exitPeerLost
 	}
+	log.Printf("resuming degraded from checkpoint %s on %d of %d ranks (rank %d -> %d)",
+		plan.Epoch.Resume.Phase, c.Size(), cfg.size, cfg.rank, c.Rank())
 	// Re-measure clock offsets on the reformed world: ranks renumber,
 	// and the shrunken world's rank 0 — the new timeline origin — may be
 	// a different host than the one that measured at boot.
@@ -178,54 +81,20 @@ func shrinkAndResume(tr comm.Transport, worldName string, ep int, ckptDir string
 		return exitCode(err)
 	}
 
-	// The new coordinator rebuilds the last consistent full-world cut
-	// for the shrunken world; everyone then adopts it (or learns there
-	// is none) through the usual cut agreement. Redistribute errors are
-	// logged, not returned: AgreeCut finding no cut is the one
-	// consistent way for the whole world to give up together.
-	shrunk, err := checkpoint.NewStore(ckptDir, c.Size())
-	if err != nil {
-		log.Printf("shrink: %v", err)
-		return exitLocalError
-	}
-	if c.Rank() == 0 {
-		full, err := checkpoint.NewStore(ckptDir, tr.Size())
-		if err != nil {
-			log.Printf("shrink: %v", err)
-		} else if cut, ok := full.LatestConsistent(); !ok {
-			log.Printf("shrink: no consistent checkpoint cut to redistribute")
-		} else if _, ncut, err := checkpoint.Redistribute(full, cut, lost, newEpoch, codec.Float64{}, cmpF); err != nil {
-			log.Printf("shrink: redistribute: %v", err)
-		} else {
-			log.Printf("shrink: rebuilt %s cut of epoch %d for %d ranks", ncut.Phase, cut.Epoch, c.Size())
-		}
-	}
-	cut, ok, err := checkpoint.AgreeCut(c, shrunk)
-	if err != nil {
-		log.Printf("shrink: cut agreement: %v", err)
-		return exitCode(err)
-	}
-	if !ok {
-		log.Printf("shrink: no resumable cut for the shrunken world; a full relaunch is needed")
-		return exitPeerLost
-	}
-	log.Printf("resuming degraded from checkpoint %s on %d of %d ranks (rank %d -> %d)",
-		cut.Phase, c.Size(), tr.Size(), tr.Rank(), c.Rank())
-
 	// Flip the health plane before the long part, so a scrape during
 	// the degraded sort already reports the shrunken world.
-	env.worldSize.Store(int64(len(survivors)))
+	env.worldSize.Store(int64(c.Size()))
 	env.degraded.Store(true)
-	if agg != nil {
-		for _, r := range lost {
-			agg.MarkLost(r)
+	if env.agg != nil {
+		for _, r := range plan.Epoch.Lost {
+			env.agg.MarkLost(r)
 		}
 	}
 
 	// The degraded sort starts with no local input: every record of the
 	// resumed run comes out of the redistributed store.
-	nck := &core.Checkpointing{Store: shrunk, Epoch: newEpoch, Resume: cut, Sync: ck.Sync}
-	if code := sortJob(c, p, nil, nck, "degraded: ", trace.Scope{Trace: name}, env); code != exitOK {
+	nck := &core.Checkpointing{Store: shrunk, Epoch: plan.Epoch.N, Resume: plan.Epoch.Resume, Sync: ck.Sync}
+	if code, _ := sortJob(c, cfg.job, nil, nck, "degraded: ", trace.Scope{Trace: cluster.WorldName(plan.Epoch.N, true, c.Size())}, env); code != exitOK {
 		return code
 	}
 	if err := c.Barrier(); err != nil {

@@ -1,6 +1,9 @@
+//go:build unix
+
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -11,6 +14,8 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -34,9 +39,46 @@ func tryScrape(addr, path string) (string, error) {
 	return string(body), nil
 }
 
+// childLog collects a child's stderr as it is written, so the test can
+// read the address rank 0 reports and, when a scrape never lands, show
+// what the child was doing — "port taken" and "stream drained" look the
+// same from the scraper's side.
+type childLog struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (l *childLog) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.buf.Write(p)
+}
+
+func (l *childLog) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.buf.String()
+}
+
+// telemetryAddr waits for the child to log the address its telemetry
+// server actually bound (the flag asks for port 0).
+func telemetryAddr(t *testing.T, l *childLog) string {
+	t.Helper()
+	const marker = "telemetry on http://"
+	for deadline := time.Now().Add(30 * time.Second); time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
+		if _, rest, ok := strings.Cut(l.String(), marker); ok {
+			if addr, _, ok := strings.Cut(rest, "\n"); ok {
+				return addr
+			}
+		}
+	}
+	t.Fatalf("rank 0 never reported a telemetry address; its stderr:\n%s", l)
+	return ""
+}
+
 // waitScrape polls path until pred accepts the body or the deadline
-// passes.
-func waitScrape(t *testing.T, addr, path string, pred func(string) bool) string {
+// passes, in which case the child's stderr goes into the failure.
+func waitScrape(t *testing.T, l *childLog, addr, path string, pred func(string) bool) string {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	var body string
@@ -48,7 +90,7 @@ func waitScrape(t *testing.T, addr, path string, pred func(string) bool) string 
 		}
 		time.Sleep(25 * time.Millisecond)
 	}
-	t.Fatalf("%s never matched; last error: %v, last body:\n%s", path, err, body)
+	t.Fatalf("%s never matched; last error: %v, last body:\n%s\nrank 0 stderr:\n%s", path, err, body, l)
 	return ""
 }
 
@@ -66,34 +108,47 @@ func metricValue(body, name string) float64 {
 
 // TestServeTelemetryPlane is the end-to-end acceptance run: a real
 // 2-process TCP world in -serve mode with -telemetry-addr on the
-// coordinator, scraped over HTTP while a long job stream runs. It
-// checks the local series, the fabric-wide totals (which need rank 1's
-// responder to answer over the fabric), /healthz, /debug/pprof and
-// /debug/trace. The stream is sized so the world stays busy while the
-// scrapers probe it; every scrape-dependent assertion happens before
-// the stream can drain.
+// coordinator, scraped over HTTP while a job stream runs. It checks the
+// local series, the fabric-wide totals (which need rank 1's responder
+// to answer over the fabric), /healthz, /debug/pprof and /debug/trace.
+// The stream cannot drain under the scrapers: its last job writes each
+// rank's shard into a FIFO nobody reads until every scrape-dependent
+// assertion has passed.
 func TestServeTelemetryPlane(t *testing.T) {
 	const (
 		p     = 2
 		nJobs = 30
+		n     = 20000
 	)
 	dir := t.TempDir()
 	registry := freePort(t)
-	telAddr := freePort(t)
 
 	// All jobs are decoded before the world boots, so the whole stream
-	// is written up front. The last job is much larger than the rest:
-	// a long tail that keeps the plane alive for the final scrapes.
+	// is written up front. The last job's output path is a FIFO per
+	// rank: the shard (p·n·8 bytes, well past a pipe's capacity) blocks
+	// in its write until the test opens the read end — the explicit
+	// signal that holds the plane up, where a "long tail" job only
+	// raced the scrapers.
 	var manifest strings.Builder
 	for i := 0; i < nJobs; i++ {
-		n := 20000
+		out := fmt.Sprintf("job%d.{rank}.f64", i)
 		if i == nJobs-1 {
-			n = 400000
+			out = "hold.{rank}"
 		}
 		fmt.Fprintf(&manifest, `{"name": "tel%d", "workload": "zipf", "n": %d, "seed": %d, "out": %q}`+"\n",
-			i, n, i+1, filepath.Join(dir, fmt.Sprintf("job%d.{rank}.f64", i)))
+			i, n, i+1, filepath.Join(dir, out))
+	}
+	holds := make([]string, p)
+	for r := range holds {
+		holds[r] = filepath.Join(dir, fmt.Sprintf("hold.%d", r))
+		if err := syscall.Mkfifo(holds[r], 0o600); err != nil {
+			t.Fatal(err)
+		}
 	}
 
+	// Rank 0 binds the telemetry port itself (:0) and reports it on
+	// stderr: no probe-then-bind window for another process to take it.
+	var log0 childLog
 	cmds := make([]*exec.Cmd, p)
 	for r := 0; r < p; r++ {
 		args := []string{
@@ -101,21 +156,26 @@ func TestServeTelemetryPlane(t *testing.T) {
 			"-registry", registry, "-serve",
 			"-mem", fmt.Sprint(256 << 20),
 		}
-		if r == 0 {
-			args = append(args, "-telemetry-addr", telAddr)
-		}
 		cmd := exec.Command(os.Args[0], args...)
+		if r == 0 {
+			cmd.Args = append(cmd.Args, "-telemetry-addr", "127.0.0.1:0")
+			cmd.Stderr = &log0
+		}
 		cmd.Env = append(os.Environ(), "SDSNODE_CLI_CHILD=1")
 		cmd.Stdin = strings.NewReader(manifest.String())
 		if err := cmd.Start(); err != nil {
 			t.Fatal(err)
 		}
 		cmds[r] = cmd
+		// A failed assertion must not leave the ranks parked on the FIFOs.
+		t.Cleanup(func() { cmd.Process.Kill() })
 	}
+
+	telAddr := telemetryAddr(t, &log0)
 
 	// The plane is up while the stream runs: node info, the memory
 	// budget and the transport counters are scrapeable.
-	body := waitScrape(t, telAddr, "/metrics", func(b string) bool {
+	body := waitScrape(t, &log0, telAddr, "/metrics", func(b string) bool {
 		return strings.Contains(b, "sds_node_info")
 	})
 	if !strings.Contains(body, `sds_node_info{epoch="0",rank="0",size="2"} 1`) {
@@ -126,7 +186,7 @@ func TestServeTelemetryPlane(t *testing.T) {
 	}
 
 	// At least one job completes and its sort crossed the wire.
-	body = waitScrape(t, telAddr, "/metrics", func(b string) bool {
+	body = waitScrape(t, &log0, telAddr, "/metrics", func(b string) bool {
 		return metricValue(b, "sds_node_jobs_done_total") >= 1 &&
 			metricValue(b, "sds_tcp_frames_sent_total") >= 1
 	})
@@ -136,7 +196,7 @@ func TestServeTelemetryPlane(t *testing.T) {
 
 	// Fabric-wide totals: scrapes kick background gathers until rank
 	// 1's snapshot lands.
-	body = waitScrape(t, telAddr, "/metrics", func(b string) bool {
+	body = waitScrape(t, &log0, telAddr, "/metrics", func(b string) bool {
 		return metricValue(b, "sds_fabric_node_jobs_done_total") >= 1
 	})
 	if v := metricValue(body, "sds_fabric_ranks"); v != p {
@@ -152,7 +212,7 @@ func TestServeTelemetryPlane(t *testing.T) {
 
 	// /healthz agrees, as JSON, with a non-negative gather age now that
 	// a fabric gather has landed.
-	hb := waitScrape(t, telAddr, "/healthz", func(b string) bool { return true })
+	hb := waitScrape(t, &log0, telAddr, "/healthz", func(b string) bool { return true })
 	var h struct {
 		Status string  `json:"status"`
 		Rank   int     `json:"rank"`
@@ -169,7 +229,7 @@ func TestServeTelemetryPlane(t *testing.T) {
 
 	// /debug/trace replays recent events as JSONL; /debug/pprof is
 	// mounted.
-	tb := waitScrape(t, telAddr, "/debug/trace", func(b string) bool {
+	tb := waitScrape(t, &log0, telAddr, "/debug/trace", func(b string) bool {
 		return strings.Contains(b, "sort.done")
 	})
 	if !strings.Contains(tb, `"kind":`) {
@@ -179,17 +239,35 @@ func TestServeTelemetryPlane(t *testing.T) {
 		t.Errorf("pprof: %v", err)
 	}
 
-	// The stream drains and the world exits clean.
+	// Release the last job; the stream drains and the world exits clean.
+	var drains sync.WaitGroup
+	for _, hold := range holds {
+		drains.Add(1)
+		go func() {
+			defer drains.Done()
+			f, err := os.Open(hold)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer f.Close()
+			if _, err := io.Copy(io.Discard, f); err != nil {
+				t.Errorf("draining %s: %v", hold, err)
+			}
+		}()
+	}
 	for r, cmd := range cmds {
 		if code := exitOf(cmd); code != 0 {
 			t.Fatalf("rank %d exited %d, want 0", r, code)
 		}
 	}
 
+	drains.Wait()
+
 	// And the jobs were real sorts: spot-check the first one.
 	flat := readJobOutput(t, filepath.Join(dir, "job0.%d.f64"), p)
-	if len(flat) != 20000*p {
-		t.Errorf("job0 output %d records, want %d", len(flat), 20000*p)
+	if len(flat) != n*p {
+		t.Errorf("job0 output %d records, want %d", len(flat), n*p)
 	}
 	if !slices.IsSorted(flat) {
 		t.Error("job0 output not globally sorted")

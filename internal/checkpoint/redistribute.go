@@ -109,6 +109,24 @@ func Redistribute[T any](old *Store, cut Cut, lost []int, newEpoch int, cd codec
 	}
 }
 
+// RedistributeLatest is the whole shrink hook in one call: open dir's
+// store for the failed world of oldSize ranks, find its latest
+// consistent cut and rebuild that cut for the survivors under newEpoch.
+// A store with no consistent cut returns the zero Cut (PhaseNone) and no
+// error — there is nothing to shrink from, only to relaunch.
+func RedistributeLatest[T any](dir string, oldSize int, lost []int, newEpoch int, cd codec.Codec[T], cmp func(a, b T) int) (Cut, error) {
+	old, err := NewStore(dir, oldSize)
+	if err != nil {
+		return Cut{}, err
+	}
+	cut, ok := old.LatestConsistent()
+	if !ok {
+		return Cut{}, nil
+	}
+	_, ncut, err := Redistribute(old, cut, lost, newEpoch, cd, cmp)
+	return ncut, err
+}
+
 // localSortEpoch finds the newest epoch <= upTo where every rank of the
 // store holds a valid localsort snapshot.
 func localSortEpoch(s *Store, upTo int) (int, bool) {

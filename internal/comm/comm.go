@@ -13,7 +13,7 @@
 //     of SDS-Sort relies on to keep duplicate keys rank-ordered.
 //   - Communicators isolate message contexts: traffic on a communicator
 //     produced by Split can never match receives on its parent.
-//   - Isend/Irecv return Requests with Test/Wait/WaitAny, the primitives
+//   - Isend/Irecv return Requests with Test/Wait/WaitAnyMask, the primitives
 //     behind the paper's overlapped all-to-all (SdssAlltoallvAsync).
 package comm
 
@@ -48,19 +48,6 @@ type Transport interface {
 	Recv(src int, ctx uint64, tag int32) ([]byte, error)
 	// Close releases transport resources for this rank.
 	Close() error
-}
-
-// CancelableTransport is implemented by transports whose blocking Recv
-// can be abandoned: RecvCancel behaves like Recv but returns a wrapped
-// ErrCanceled once cancel is closed, without consuming any message.
-// The waker (whoever closes cancel) must also nudge the transport —
-// for the in-process fabric that is World.Interrupt — so a receive
-// already parked inside the transport re-checks the channel. The
-// persistent job engine uses this to abort a failed job's collectives
-// without tearing down the shared fabric.
-type CancelableTransport interface {
-	Transport
-	RecvCancel(src int, ctx uint64, tag int32, cancel <-chan struct{}) ([]byte, error)
 }
 
 // Reserved internal tag space. User tags must be non-negative; all
@@ -331,30 +318,9 @@ func (c *Comm) Irecv(src, tag int) (*Request, error) {
 	return r, nil
 }
 
-// WaitAny blocks until at least one not-yet-consumed request in reqs has
-// completed and returns its index and payload. Completed requests must
-// be tracked by the caller (pass a fresh slice excluding consumed ones,
-// or use WaitAnyMask). It returns -1 if reqs is empty.
-func WaitAny(reqs []*Request) (int, []byte, error) {
-	if len(reqs) == 0 {
-		return -1, nil, nil
-	}
-	c := reqs[0].c
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for {
-		for i, r := range reqs {
-			if r.done {
-				return i, r.data, r.err
-			}
-		}
-		c.cond.Wait()
-	}
-}
-
-// WaitAnyMask is WaitAny over the subset of reqs where consumed[i] is
-// false; it marks the returned index consumed. It returns -1 when every
-// request has been consumed.
+// WaitAnyMask blocks until a request in reqs with consumed[i] false
+// has completed, marks it consumed and returns its index and payload.
+// It returns -1 when every request has been consumed.
 func WaitAnyMask(reqs []*Request, consumed []bool) (int, []byte, error) {
 	if len(reqs) == 0 {
 		return -1, nil, nil
@@ -379,17 +345,6 @@ func WaitAnyMask(reqs []*Request, consumed []bool) (int, []byte, error) {
 		}
 		c.cond.Wait()
 	}
-}
-
-// WaitAll waits for every request, returning the first error observed.
-func WaitAll(reqs []*Request) error {
-	var first error
-	for _, r := range reqs {
-		if _, err := r.Wait(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
 }
 
 // Split partitions the communicator by color, as MPI_Comm_split does:

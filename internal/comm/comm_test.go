@@ -384,7 +384,12 @@ func TestIsendIrecvOverlap(t *testing.T) {
 		if len(seen) != p-1 {
 			return fmt.Errorf("saw %d payloads, want %d", len(seen), p-1)
 		}
-		return WaitAll(sends)
+		for _, s := range sends {
+			if _, err := s.Wait(); err != nil {
+				return err
+			}
+		}
+		return nil
 	})
 }
 

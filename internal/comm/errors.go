@@ -39,13 +39,6 @@ func PeerLost(err error) (rank int, ok bool) {
 	return -1, false
 }
 
-// ErrCanceled is returned by cancellation-aware receives
-// (CancelableTransport.RecvCancel and decorators built on it) when the
-// cancel channel closes before a message arrives. No message is
-// consumed. It is deliberately distinct from ErrPeerLost: the peer may
-// be perfectly healthy — the *caller's job* was aborted.
-var ErrCanceled = errors.New("comm: operation canceled")
-
 // ErrTransient classifies an error as retryable: the failed operation
 // had no effect and may be attempted again. Transports and fault
 // injectors mark errors with Transient; the WithRetry decorator and

@@ -65,17 +65,6 @@ func (w *World) Transport(r int) Transport {
 	return &inprocTransport{w: w, rank: r}
 }
 
-// Interrupt wakes every receive currently parked in the fabric so it
-// re-checks its cancellation channel. It delivers nothing and consumes
-// nothing: receives whose cancel channel is still open simply go back
-// to sleep. Whoever closes a RecvCancel cancel channel must call this
-// (the persistent job engine does, when it aborts a failed job).
-func (w *World) Interrupt() {
-	for _, b := range w.boxes {
-		b.interrupt()
-	}
-}
-
 // Close shuts the fabric down, unblocking any pending Recv with
 // ErrClosed. It is used by tests and by error paths in the launcher.
 func (w *World) Close() error {
@@ -121,16 +110,6 @@ func (t *inprocTransport) Recv(src int, ctx uint64, tag int32) ([]byte, error) {
 
 func (t *inprocTransport) Close() error { return nil }
 
-// RecvCancel is Recv with abandonment: once cancel closes (and the
-// fabric is nudged via World.Interrupt) the wait returns a wrapped
-// ErrCanceled without consuming any message.
-func (t *inprocTransport) RecvCancel(src int, ctx uint64, tag int32, cancel <-chan struct{}) ([]byte, error) {
-	if src < 0 || src >= t.w.size {
-		return nil, fmt.Errorf("comm: recv from rank %d out of range [0,%d)", src, t.w.size)
-	}
-	return t.w.boxes[t.rank].takeCancel(src, ctx, tag, cancel)
-}
-
 type message struct {
 	src  int
 	ctx  uint64
@@ -171,16 +150,8 @@ func (b *mailbox) put(m message) error {
 	return nil
 }
 
+// take blocks until a matching message arrives or the mailbox closes.
 func (b *mailbox) take(src int, ctx uint64, tag int32) ([]byte, error) {
-	return b.takeCancel(src, ctx, tag, nil)
-}
-
-// takeCancel blocks until a matching message arrives, the mailbox
-// closes, or cancel closes. Cancellation is checked each time the
-// condition variable wakes, so it costs one non-blocking select per
-// wakeup on the hot path and needs an interrupt() broadcast to take
-// effect on an already-parked waiter.
-func (b *mailbox) takeCancel(src int, ctx uint64, tag int32, cancel <-chan struct{}) ([]byte, error) {
 	k := msgKey{src: src, ctx: ctx, tag: tag}
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -197,21 +168,8 @@ func (b *mailbox) takeCancel(src int, ctx uint64, tag int32, cancel <-chan struc
 		if b.closed {
 			return nil, ErrClosed
 		}
-		if cancel != nil {
-			select {
-			case <-cancel:
-				return nil, fmt.Errorf("comm: recv from rank %d: %w", src, ErrCanceled)
-			default:
-			}
-		}
 		b.cond.Wait()
 	}
-}
-
-func (b *mailbox) interrupt() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.cond.Broadcast()
 }
 
 func (b *mailbox) close() {

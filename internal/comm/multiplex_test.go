@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 )
 
 // TestCloseDupChildKeepsParentAlive pins the ownership contract that
@@ -193,85 +192,4 @@ func TestConcurrentSplitOnDups(t *testing.T) {
 		}
 		return nil
 	})
-}
-
-// TestRecvCancel exercises the cancellation hook the job engine uses:
-// a parked receive must abandon its wait with ErrCanceled when its
-// cancel channel closes and the fabric is interrupted — without
-// consuming any message, which a later receive must still get.
-func TestRecvCancel(t *testing.T) {
-	world, err := NewWorld(1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer world.Close()
-	tr := world.Transport(0).(CancelableTransport)
-
-	cancel := make(chan struct{})
-	got := make(chan error, 1)
-	go func() {
-		_, err := tr.RecvCancel(0, 42, 1, cancel)
-		got <- err
-	}()
-	time.Sleep(10 * time.Millisecond) // let the receive park
-	close(cancel)
-	world.Interrupt()
-	select {
-	case err := <-got:
-		if !errors.Is(err, ErrCanceled) {
-			t.Fatalf("cancelled recv: %v, want ErrCanceled", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("cancelled receive never unblocked")
-	}
-
-	// Nothing was consumed: a message sent now is received by a fresh,
-	// uncancelled receive.
-	if err := tr.Send(0, 42, 1, []byte("still here")); err != nil {
-		t.Fatal(err)
-	}
-	data, err := tr.RecvCancel(0, 42, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(data) != "still here" {
-		t.Fatalf("post-cancel recv got %q", data)
-	}
-}
-
-// TestInterruptIsNeutral checks Interrupt wakes parked receives without
-// disturbing ones whose cancel channel is still open: they go back to
-// sleep and complete normally when the message arrives.
-func TestInterruptIsNeutral(t *testing.T) {
-	world, err := NewWorld(1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer world.Close()
-	tr := world.Transport(0).(CancelableTransport)
-
-	cancel := make(chan struct{}) // never closed
-	got := make(chan string, 1)
-	go func() {
-		data, err := tr.RecvCancel(0, 9, 2, cancel)
-		if err != nil {
-			got <- "error: " + err.Error()
-			return
-		}
-		got <- string(data)
-	}()
-	time.Sleep(10 * time.Millisecond)
-	world.Interrupt() // spurious wakeup: must be harmless
-	time.Sleep(10 * time.Millisecond)
-	if err := tr.Send(0, 9, 2, []byte("delivered")); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case s := <-got:
-		if s != "delivered" {
-			t.Fatalf("receive after neutral interrupt: %q", s)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("receive lost after a neutral interrupt")
-	}
 }

@@ -145,3 +145,29 @@ func (t *retryTransport) Recv(src int, ctx uint64, tag int32) ([]byte, error) {
 	}
 	return data, err
 }
+
+// WithRecvDeadline decorates tr so a Recv rides out the transport's
+// receive failure detector until deadline: an ErrPeerLost verdict before
+// then re-posts the receive instead of surfacing. A timed-out receive
+// consumed nothing, so re-posting is safe. It is for rendezvous points
+// where the peer is known to be alive but may arrive late — survivors
+// re-forming a world leave the dying sort up to one -recv-timeout apart,
+// and the rendezvous, not the detector, must decide how long to wait.
+func WithRecvDeadline(tr Transport, deadline time.Time) Transport {
+	return &patientTransport{Transport: tr, deadline: deadline}
+}
+
+type patientTransport struct {
+	Transport
+	deadline time.Time
+}
+
+func (t *patientTransport) Recv(src int, ctx uint64, tag int32) ([]byte, error) {
+	for {
+		data, err := t.Transport.Recv(src, ctx, tag)
+		if _, lost := PeerLost(err); !lost || !time.Now().Before(t.deadline) {
+			return data, err
+		}
+		time.Sleep(10 * time.Millisecond) // a sticky verdict must not spin
+	}
+}

@@ -182,3 +182,27 @@ func TestRetryPeerLostErrorShape(t *testing.T) {
 		t.Fatal("PeerLost missed a joined ErrPeerLost")
 	}
 }
+
+// TestWithRecvDeadline: before the deadline a failure-detector verdict
+// re-posts the receive; other errors, and any verdict after the
+// deadline, surface at once.
+func TestWithRecvDeadline(t *testing.T) {
+	timedOut := &ErrPeerLost{Rank: 1, Err: errors.New("receive timed out")}
+
+	late := &fakeTransport{size: 2, recvErrs: []error{timedOut, timedOut}}
+	data, err := WithRecvDeadline(late, time.Now().Add(time.Minute)).Recv(1, 0, 0)
+	if err != nil || string(data) != "ok" || late.recvCalls != 3 {
+		t.Fatalf("late peer: %q, %v after %d receives, want ok on the third", data, err, late.recvCalls)
+	}
+
+	closed := &fakeTransport{size: 2, recvErrs: []error{ErrClosed}}
+	if _, err := WithRecvDeadline(closed, time.Now().Add(time.Minute)).Recv(1, 0, 0); !errors.Is(err, ErrClosed) || closed.recvCalls != 1 {
+		t.Fatalf("closed transport: %v after %d receives, want ErrClosed at once", err, closed.recvCalls)
+	}
+
+	dead := &fakeTransport{size: 2, recvErrs: []error{timedOut, timedOut}}
+	_, err = WithRecvDeadline(dead, time.Now()).Recv(1, 0, 0)
+	if r, ok := PeerLost(err); !ok || r != 1 || dead.recvCalls != 1 {
+		t.Fatalf("past the deadline: %v after %d receives, want the verdict at once", err, dead.recvCalls)
+	}
+}

@@ -34,22 +34,13 @@ func shrinkSeed(t *testing.T) int64 {
 
 // shrinkPolicy builds the ShrinkPolicy a launcher would install: scan
 // the failed world's store for its last consistent cut and rebuild it
-// for the survivors with checkpoint.Redistribute.
+// for the survivors (checkpoint.RedistributeLatest).
 func shrinkPolicy(dir string, minRanks int) cluster.ShrinkPolicy {
 	return cluster.ShrinkPolicy{
 		Enabled:  true,
 		MinRanks: minRanks,
 		Redistribute: func(lost []int, oldSize, newEpoch int) (checkpoint.Cut, error) {
-			old, err := checkpoint.NewStore(dir, oldSize)
-			if err != nil {
-				return checkpoint.Cut{}, err
-			}
-			cut, ok := old.LatestConsistent()
-			if !ok {
-				return checkpoint.Cut{}, nil // no cut: PhaseNone aborts the shrink
-			}
-			_, ncut, err := checkpoint.Redistribute(old, cut, lost, newEpoch, taggedCodec, codec.CompareTagged)
-			return ncut, err
+			return checkpoint.RedistributeLatest(dir, oldSize, lost, newEpoch, taggedCodec, codec.CompareTagged)
 		},
 	}
 }
@@ -145,7 +136,7 @@ func TestShrinkSoak(t *testing.T) {
 
 	var stats metrics.RecoveryStats
 	rec := trace.NewRecorder()
-	gauge := memlimit.Unlimited()
+	gauge := memlimit.New(0)
 	opt := DefaultOptions()
 	opt.Mem = gauge
 	opts := cluster.Options{
@@ -236,7 +227,7 @@ func TestShrinkCascade(t *testing.T) {
 
 	var stats metrics.RecoveryStats
 	rec := trace.NewRecorder()
-	gauge := memlimit.Unlimited()
+	gauge := memlimit.New(0)
 	opt := DefaultOptions()
 	opt.Mem = gauge
 	opts := cluster.Options{

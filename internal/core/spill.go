@@ -121,24 +121,6 @@ func (sp *SpillOptions) chunkRecords(recSize, budget int64) int {
 	return 1 << 20
 }
 
-// Footprint bounds the peak resident memory of a whole sort job run
-// with this spill configuration: one copy of the dataset (the spill
-// hand-off releases the input before the output is reserved, so the
-// two never co-occupy the budget), plus each rank's staging window,
-// spool write buffer and merge cursor buffers, with 25% slack for
-// skew. Compare sortjob.Footprint, the in-memory declaration, which
-// holds input and receive buffers simultaneously.
-func (sp *SpillOptions) Footprint(totalBytes int64, ranks int, stageBytes int64) int64 {
-	buf := int64(sp.bufBytes())
-	stage := sp.stageBytes(stageBytes)
-	fan := int64(sp.maxFanIn())
-	if int64(ranks) < fan {
-		fan = int64(ranks) // the output merge fans in one run per source
-	}
-	perRank := 2*stage + buf + (fan+1)*buf
-	return totalBytes + int64(ranks)*perRank + totalBytes/4
-}
-
 // mergeOptions builds the extsort merge configuration for this spill.
 func (sp *SpillOptions) mergeOptions(tempDir string, g *memlimit.Gauge) extsort.MergeOptions {
 	return extsort.MergeOptions{

@@ -29,9 +29,6 @@ func New(budget int64) *Gauge {
 	return &Gauge{budget: budget}
 }
 
-// Unlimited returns a gauge that never rejects reservations.
-func Unlimited() *Gauge { return &Gauge{} }
-
 // Budget returns the configured budget (0 when unlimited).
 func (g *Gauge) Budget() int64 {
 	if g == nil {

@@ -62,7 +62,7 @@ func TestNilAndUnlimited(t *testing.T) {
 	if g.Used() != 0 || g.Peak() != 0 || g.Budget() != 0 {
 		t.Fatal("nil gauge reported state")
 	}
-	u := Unlimited()
+	u := New(0)
 	if err := u.Reserve(1 << 60); err != nil {
 		t.Fatal("unlimited gauge rejected reservation")
 	}

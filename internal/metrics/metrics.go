@@ -1,7 +1,6 @@
 // Package metrics provides measurement utilities shared by the SDS-Sort
 // library, its baselines, and the experiment harness: phase timers, the
-// RDFA load-balance metric from the paper, sorting throughput, and basic
-// distribution statistics.
+// RDFA load-balance metric from the paper and sorting throughput.
 package metrics
 
 import (
@@ -9,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strings"
 	"time"
 )
@@ -174,49 +172,6 @@ func FormatThroughput(bytesPerSec float64) string {
 		return fmt.Sprintf("%.2fTB/min", perMin/tb)
 	}
 	return fmt.Sprintf("%.1fMB/s", bytesPerSec/(1<<20))
-}
-
-// Stats summarises a set of integer loads.
-type Stats struct {
-	Min, Max int
-	Mean     float64
-	StdDev   float64
-}
-
-// Summarise computes distribution statistics for loads.
-func Summarise(loads []int) Stats {
-	if len(loads) == 0 {
-		return Stats{}
-	}
-	s := Stats{Min: loads[0], Max: loads[0]}
-	var sum float64
-	for _, v := range loads {
-		if v < s.Min {
-			s.Min = v
-		}
-		if v > s.Max {
-			s.Max = v
-		}
-		sum += float64(v)
-	}
-	s.Mean = sum / float64(len(loads))
-	var ss float64
-	for _, v := range loads {
-		d := float64(v) - s.Mean
-		ss += d * d
-	}
-	s.StdDev = math.Sqrt(ss / float64(len(loads)))
-	return s
-}
-
-// Median returns the median of ds (ds is not modified).
-func Median(ds []time.Duration) time.Duration {
-	if len(ds) == 0 {
-		return 0
-	}
-	cp := append([]time.Duration(nil), ds...)
-	sort.Slice(cp, func(i, j int) bool { return cp[i] < cp[j] })
-	return cp[len(cp)/2]
 }
 
 // Table renders rows of figures as an aligned text table, the format the

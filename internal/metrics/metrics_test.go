@@ -84,32 +84,6 @@ func TestThroughputAndFormat(t *testing.T) {
 	}
 }
 
-func TestSummarise(t *testing.T) {
-	s := Summarise([]int{1, 2, 3, 4})
-	if s.Min != 1 || s.Max != 4 || s.Mean != 2.5 {
-		t.Fatalf("got %+v", s)
-	}
-	if math.Abs(s.StdDev-math.Sqrt(1.25)) > 1e-9 {
-		t.Fatalf("stddev %v", s.StdDev)
-	}
-	if z := Summarise(nil); z.Max != 0 {
-		t.Fatalf("empty: %+v", z)
-	}
-}
-
-func TestMedian(t *testing.T) {
-	ds := []time.Duration{5, 1, 9}
-	if got := Median(ds); got != 5 {
-		t.Fatalf("got %v", got)
-	}
-	if ds[0] != 5 {
-		t.Fatal("Median mutated input")
-	}
-	if Median(nil) != 0 {
-		t.Fatal("empty median")
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tbl := Table{Title: "Demo", Headers: []string{"a", "long-header"}}
 	tbl.AddRow("1", "2")

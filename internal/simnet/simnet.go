@@ -85,33 +85,6 @@ func Aries() Profile {
 	}
 }
 
-// AriesScaled is Aries with all time constants multiplied by k and
-// bandwidth divided by k — the profile used in Sleep mode, where costs
-// must clear the OS timer granularity to be observable.
-func AriesScaled(k float64) Profile {
-	p := Aries()
-	p.Name = fmt.Sprintf("aries×%g", k)
-	scale := func(q *Params) {
-		q.Overhead = time.Duration(float64(q.Overhead) * k)
-		q.Latency = time.Duration(float64(q.Latency) * k)
-		q.Bandwidth /= k
-	}
-	scale(&p.Remote)
-	scale(&p.Local)
-	return p
-}
-
-// GigE approximates commodity gigabit Ethernet — the "low-throughput
-// network" regime where the paper's node-level merging always pays.
-func GigE() Profile {
-	return Profile{
-		Name:         "gige",
-		Remote:       Params{Overhead: 20 * time.Microsecond, Latency: 50 * time.Microsecond, Bandwidth: 110 << 20},
-		Local:        Params{Overhead: 100 * time.Nanosecond, Latency: 200 * time.Nanosecond, Bandwidth: 32 << 30},
-		ComputeScale: 1,
-	}
-}
-
 // Fabric owns the per-rank virtual clocks for one simulated machine.
 type Fabric struct {
 	profile Profile

@@ -189,17 +189,6 @@ func TestProfiles(t *testing.T) {
 	if a.Remote.Bandwidth <= 0 || a.Local.Latency >= a.Remote.Latency*10 {
 		t.Fatalf("suspicious Aries profile: %+v", a)
 	}
-	s := AriesScaled(100)
-	if s.Remote.Latency != a.Remote.Latency*100 {
-		t.Fatalf("scaled latency %v", s.Remote.Latency)
-	}
-	if s.Remote.Bandwidth != a.Remote.Bandwidth/100 {
-		t.Fatalf("scaled bandwidth %v", s.Remote.Bandwidth)
-	}
-	g := GigE()
-	if g.Remote.Bandwidth >= a.Remote.Bandwidth {
-		t.Fatal("GigE should be slower than Aries")
-	}
 }
 
 func TestShortFrameRejected(t *testing.T) {

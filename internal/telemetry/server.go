@@ -27,7 +27,7 @@ type Health struct {
 	// serve flips Status (and with it the HTTP code).
 	Degraded  bool `json:"degraded"`
 	WorldSize int  `json:"world_size,omitempty"`
-	// Engine state, when an engine (or serve-mode job loop) is running.
+	// Job-loop state, when a serve-mode job loop is running.
 	JobsQueued  int64 `json:"jobs_queued"`
 	JobsRunning int64 `json:"jobs_running"`
 	JobsDone    int64 `json:"jobs_done"`

@@ -3,7 +3,7 @@
 # curl /healthz and /metrics mid-soak, and require the local series,
 # the fabric-wide aggregated totals and a clean exit. This is the
 # curl-level twin of cmd/sdsnode's TestServeTelemetryPlane; CI runs it
-# from the engine-soak lane, `make telemetry-smoke` runs it locally.
+# from the observability-smoke lane, `make telemetry-smoke` runs it locally.
 set -eu
 
 dir=$(mktemp -d)

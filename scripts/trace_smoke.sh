@@ -4,7 +4,7 @@
 # well-formed span tree mid-soak, then validate the read side end to
 # end on the written traces: the clock-aligned chrome export and the
 # critical-path analyzer. This is the curl-level twin of the trace
-# package's Go tests; CI runs it from the engine-soak lane,
+# package's Go tests; CI runs it from the observability-smoke lane,
 # `make trace-smoke` runs it locally. The hot-path cost of the tracing
 # hooks themselves is gated separately by the bench-smoke ratchet
 # (make bench-diff), not here.
