@@ -23,10 +23,10 @@ LDFLAGS := -X sdssort/internal/buildinfo.Version=$(VERSION)
 BENCH_PROCS    ?= 4
 BENCH_TIME     ?= 1s
 BENCH_COUNT    ?= 5
-BENCH_HOT      := ^(BenchmarkExchange|BenchmarkLocalSortIntKeys|BenchmarkMergeKernel|BenchmarkSpillMerge|BenchmarkAlgoCompare)$$
+BENCH_HOT      := ^(BenchmarkExchange|BenchmarkLocalSortIntKeys|BenchmarkLocalSortFloatKeys|BenchmarkMergeKernel|BenchmarkSpillMerge|BenchmarkAlgoCompare)$$
 BENCH_HOT_PKGS := ./internal/core/ ./internal/psort/ ./internal/algo/
 
-.PHONY: all build install test race vet lint loc bench bench-json bench-json-all bench-baseline bench-diff bench-e2e bench-test algo-matrix soak soak-shrink soak-spill telemetry-smoke trace-smoke experiments experiments-quick fuzz clean
+.PHONY: all build install test race vet lint loc bench bench-json bench-json-all bench-baseline bench-diff bench-e2e bench-test bench-pairs algo-matrix soak soak-shrink soak-spill telemetry-smoke trace-smoke experiments experiments-quick fuzz clean
 
 all: build test
 
@@ -65,7 +65,8 @@ bench:
 # job runs them: pinned GOMAXPROCS, fixed -benchtime, -count repeats.
 # BenchmarkExchange covers the staged exchange's zero-copy and marshal
 # encodings (with peak-staging-bytes), BenchmarkLocalSortIntKeys the
-# radix dispatch, BenchmarkMergeKernel the branchless merge,
+# radix dispatch (BenchmarkLocalSortFloatKeys the same through the
+# float-key bit flip), BenchmarkMergeKernel the branchless merge,
 # BenchmarkSpillMerge the out-of-core exchange against its in-memory
 # twin (with spill-bytes/op), and BenchmarkAlgoCompare the end-to-end
 # driver race (sds/hss/ams/hyksort) on Zipf keys.
@@ -101,6 +102,15 @@ bench-e2e:
 
 bench-test:
 	cd bench && $(GO) test ./...
+
+# A perf claim's evidence: PAIRS alternating runs of WORKLOAD at PARENT
+# and at this checkout, each pair on a fresh seed, judged per end-to-end
+# metric by the paired rule scripts/bench_pairs.sh spells out.
+PARENT   ?= HEAD~1
+WORKLOAD ?= uniform_inproc
+PAIRS    ?= 10
+bench-pairs:
+	bash scripts/bench_pairs.sh $(PARENT) $(WORKLOAD) $(PAIRS)
 
 # The cross-driver algorithm matrix: every registered driver must emit
 # byte-identical output — and a complete trace: one sort.start/sort.done
@@ -163,7 +173,8 @@ experiments-quick:
 	$(GO) run ./cmd/sdsbench -exp all -quick
 
 # Short fuzzing pass over the sort, partition, checkpoint-manifest,
-# exchange-decode, run-file-reader and job-manifest invariants.
+# exchange-decode, float-key, run-file-reader and job-manifest
+# invariants.
 fuzz:
 	$(GO) test ./internal/psort -fuzz FuzzSort -fuzztime 30s -run xxx
 	$(GO) test ./internal/psort -fuzz FuzzStableSort -fuzztime 30s -run xxx
@@ -171,6 +182,7 @@ fuzz:
 	$(GO) test ./internal/partition -fuzz FuzzStablePartition -fuzztime 30s -run xxx
 	$(GO) test ./internal/checkpoint -fuzz FuzzManifest -fuzztime 30s -run xxx
 	$(GO) test ./internal/codec -fuzz FuzzDecodeAppend -fuzztime 30s -run xxx
+	$(GO) test ./internal/codec -fuzz FuzzFloat64Key -fuzztime 30s -run xxx
 	$(GO) test ./internal/extsort -fuzz FuzzRunReader -fuzztime 30s -run xxx
 	$(GO) test ./cmd/sdsnode -fuzz FuzzDecodeJobs -fuzztime 30s -run xxx
 

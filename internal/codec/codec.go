@@ -104,6 +104,24 @@ func (Float64) Unmarshal(src []byte) float64 {
 	return math.Float64frombits(binary.LittleEndian.Uint64(src))
 }
 
+// Uint64Key: see Float64Key.
+func (Float64) Uint64Key(v float64) uint64 { return Float64Key(v) }
+
+// Float64Key maps a float64 to a uint64 whose unsigned order is the
+// float order: negatives have every bit flipped, the rest only the
+// sign bit. -0 takes +0's key, so floats that compare equal have equal
+// keys. NaNs land past the infinities on the side of their sign bit,
+// which no comparator agrees with everywhere; the agreement sweep of
+// the radix dispatch decides whether the caller's does.
+func Float64Key(f float64) uint64 {
+	const signBit = 1 << 63
+	bits := math.Float64bits(f)
+	if bits&signBit == 0 || bits == signBit {
+		return bits | signBit
+	}
+	return ^bits
+}
+
 // AppendSlice is the BulkAppender fast path: a direct loop the
 // compiler can inline, several times faster than per-record Marshal
 // calls through the generic dictionary.

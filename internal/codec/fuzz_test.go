@@ -2,8 +2,31 @@ package codec
 
 import (
 	"bytes"
+	"math"
 	"testing"
 )
+
+// FuzzFloat64Key fuzzes the order-preserving bit flip the float-keyed
+// codecs hand the radix dispatch: for any two non-NaN floats the keys
+// must order exactly as the floats do, and floats that compare equal
+// (-0 and +0 included) must share a key — the first is what makes the
+// radix result agree with a float comparator, the second what keeps
+// duplicates of one value together.
+func FuzzFloat64Key(f *testing.F) {
+	f.Add(0.0, math.Copysign(0, -1))
+	f.Add(math.Inf(-1), -math.MaxFloat64)
+	f.Add(5e-324, -5e-324)
+	f.Add(1.0, math.Nextafter(1, 2))
+	f.Fuzz(func(t *testing.T, a, b float64) {
+		if a != a || b != b {
+			t.Skip("NaN has no place in the float order")
+		}
+		ka, kb := Float64Key(a), Float64Key(b)
+		if (a < b) != (ka < kb) || (a == b) != (ka == kb) {
+			t.Fatalf("a=%g (%#x) b=%g (%#x): float order and key order disagree", a, ka, b, kb)
+		}
+	})
+}
 
 // FuzzDecodeAppend fuzzes the one place exchange wire bytes are parsed:
 // the receive sinks append-decode every arriving chunk. However a valid

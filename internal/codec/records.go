@@ -35,6 +35,10 @@ func (PTFCodec) Size() int { return 16 }
 // layout.
 func (PTFCodec) ZeroCopy() bool { return true }
 
+// Uint64Key: PTF records sort by Score alone, so equal scores have
+// equal keys whatever their ObjID.
+func (PTFCodec) Uint64Key(r PTFRecord) uint64 { return Float64Key(r.Score) }
+
 func (PTFCodec) Marshal(dst []byte, r PTFRecord) {
 	binary.LittleEndian.PutUint64(dst[0:], math.Float64bits(r.Score))
 	binary.LittleEndian.PutUint64(dst[8:], r.ObjID)

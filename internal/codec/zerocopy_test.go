@@ -2,6 +2,7 @@ package codec
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -189,7 +190,32 @@ func TestUint64KeyOrder(t *testing.T) {
 	if pkey(a) >= pkey(b) {
 		t.Errorf("particle key order broken: %d >= %d", pkey(a), pkey(b))
 	}
-	if _, ok := Uint64KeyOf[float64](Float64{}); ok {
-		t.Error("Float64 claims an integer key")
+	// The float-keyed codecs key through Float64Key; payload must not
+	// reach the key.
+	fkey, ok := Uint64KeyOf[float64](Float64{})
+	if !ok {
+		t.Fatal("Float64 has no Uint64Key")
+	}
+	floats := []float64{math.Inf(-1), -1e300, -2.5, -5e-324, 0, 5e-324, 1e-10, 0.5, 1, 1e300, math.Inf(1)}
+	for i := 1; i < len(floats); i++ {
+		if fkey(floats[i-1]) >= fkey(floats[i]) {
+			t.Errorf("key(%g) not below key(%g)", floats[i-1], floats[i])
+		}
+	}
+	if negZero := math.Copysign(0, -1); fkey(negZero) != fkey(0) {
+		t.Errorf("-0 and +0 compare equal but key %#x and %#x", fkey(negZero), fkey(0))
+	}
+	ptfKey, ok := Uint64KeyOf[PTFRecord](PTFCodec{})
+	if !ok {
+		t.Fatal("PTFCodec has no Uint64Key")
+	}
+	if ptfKey(PTFRecord{Score: 0.25, ObjID: 9}) != ptfKey(PTFRecord{Score: 0.25, ObjID: 1}) ||
+		ptfKey(PTFRecord{Score: 0.25, ObjID: 9}) >= ptfKey(PTFRecord{Score: 0.5, ObjID: 1}) {
+		t.Error("PTF key does not order by score alone")
+	}
+	// Tagged stays key-less: the equivalence tests rely on it taking
+	// the comparison sort.
+	if _, ok := Uint64KeyOf[Tagged](TaggedCodec{}); ok {
+		t.Error("TaggedCodec claims an integer key")
 	}
 }

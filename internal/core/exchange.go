@@ -9,7 +9,6 @@ import (
 	"sdssort/internal/metrics"
 	"sdssort/internal/partition"
 	"sdssort/internal/psort"
-	"sdssort/internal/radix"
 	"sdssort/internal/trace"
 )
 
@@ -139,21 +138,19 @@ func (r *run[T]) partitionSource() chunkSource {
 type chunkSink func(src int, off int64, chunk []byte) error
 
 // recvSlab lays out the resident receive side: one contiguous slab in
-// source-rank order, each source's region of it as an empty chunk with
-// exactly that region's capacity, and the sink that append-decodes an
-// arriving chunk into its source's region — one memcpy for zero-copy
-// codecs, per-record Unmarshal otherwise. Chunks of a source arrive in
-// offset order and never exceed the advertised count, so appending
-// fills each region in place: afterwards chunks are the rank-ordered
-// sorted runs the merge wants, and the slab is their concatenation, the
-// re-sort's working set.
-func recvSlab[T any](recv []int64, cd codec.Codec[T], recSize int64) ([]T, [][]T, chunkSink) {
+// source-rank order — the local sort's radix scratch when that is large
+// enough — each source's region of it as an empty chunk with exactly
+// that region's capacity, and the sink that append-decodes an arriving
+// chunk into its source's region — one memcpy for zero-copy codecs,
+// per-record Unmarshal otherwise. Chunks of a source arrive in offset
+// order and never exceed the advertised count, so appending fills each
+// region in place: afterwards chunks are the rank-ordered sorted runs
+// the merge wants, and the slab is their concatenation, the re-sort's
+// working set.
+func (r *run[T]) recvSlab(recv []int64) ([]T, [][]T, chunkSink) {
+	cd, recSize := r.cd, r.recSize
 	chunks := make([][]T, len(recv))
-	var total int64
-	for _, b := range recv {
-		total += b / recSize
-	}
-	slab := make([]T, total)
+	slab := r.takeSlab(sum(recv) / recSize)
 	var lo int64
 	for src, b := range recv {
 		hi := lo + b/recSize
@@ -201,31 +198,33 @@ func (r *run[T]) stagedExchange(pl exchangePlan, src chunkSource, sink chunkSink
 // localOrder turns the received rank-ordered chunks into this rank's
 // sorted block (Fig. 1 lines 17-21): a k-way merge below τs — O(m log p),
 // stable by source rank (SdssMergeAll) — or a re-sort of the slab at and
-// above it — O(m log m) but independent of p (SdssLocalSort), radix
-// dispatched for integer-keyed codecs unless the sort is stable.
+// above it — O(m log m) but independent of p (SdssLocalSort).
 func (r *run[T]) localOrder(slab []T, chunks [][]T) []T {
 	r.tm.Start(metrics.PhaseLocalOrdering)
 	merge := len(chunks) < r.opt.TauS
 	osp := trace.StartSpan(r.tr, r.rank, r.opt.Span, "localorder", map[string]any{"merge": merge})
+	detail := map[string]any{"kernel": "runs"}
 	if merge {
 		slab = psort.KWayMerge(chunks, r.cmp)
-	} else if r.opt.Stable || !radix.DispatchLocal(slab, r.cd, r.cmp) {
-		psort.ParallelSort(slab, r.opt.cores(), r.opt.Stable, r.cmp)
+	} else {
+		r.resort(slab, detail)
 	}
-	osp.End(map[string]any{"records": len(slab)})
+	detail["records"] = len(slab)
+	osp.End(detail)
 	return slab
 }
 
 // overlapExchange is the asynchronous path (Fig. 1 lines 23-27):
 // receives from all peers are posted up front, a sender goroutine
-// streams the source's chunks out without waiting, and each arriving
-// chunk is merged into the running result while the rest of the
-// exchange is still in flight (SdssAlltoallvAsync + SdssMergeTwo). Only
-// the fast (non-stable) sort may take this path. One span covers the
-// whole phase: exchange and local ordering genuinely interleave here,
-// so splitting them would be fiction.
+// streams the source's chunks out without waiting, and each source's
+// run is merged into the running result the moment its last chunk
+// lands, while the rest of the exchange is still in flight
+// (SdssAlltoallvAsync + SdssMergeTwo). Only the fast (non-stable) sort
+// may take this path. One span covers the whole phase: exchange and
+// local ordering genuinely interleave here, so splitting them would be
+// fiction.
 func (r *run[T]) overlapExchange(pl exchangePlan) ([]T, error) {
-	wc, work, bounds, ex := r.wc, r.work, r.bounds, r.opt.Exchange
+	wc, ex := r.wc, r.opt.Exchange
 	me := wc.Rank()
 	src := r.partitionSource()
 	sp, done, err := r.open(pl, true, src)
@@ -262,8 +261,16 @@ func (r *run[T]) overlapExchange(pl exchangePlan) ([]T, error) {
 	sendErr := make(chan error, 1)
 	go func() { sendErr <- pl.sendChunks(wc, src, ex) }()
 
-	// Seed the result with our own slice; each arrival merges in.
-	out := append([]T(nil), work[bounds[me]:bounds[me+1]]...)
+	// A source's chunks are consecutive pieces of one sorted run, so
+	// they are appended to its region of the slab and the run merges
+	// once, when it is whole: at most p-1 merges whatever the stage
+	// size. The result grows from the back of out — MergeInto takes the
+	// accumulated tail as an input — seeded with our own partition,
+	// merged straight out of work.
+	_, runs, sink := r.recvSlab(remaining)
+	out := make([]T, sum(pl.recv)/r.recSize)
+	acc := r.work[r.bounds[me]:r.bounds[me+1]]
+	merges := 0
 	for {
 		i, buf, err := comm.WaitAnyMask(reqs, consumed)
 		if err != nil {
@@ -273,33 +280,39 @@ func (r *run[T]) overlapExchange(pl exchangePlan) ([]T, error) {
 			break
 		}
 		from, n := srcs[i], int64(len(buf))
+		if remaining[from] -= n; remaining[from] < 0 {
+			return nil, fmt.Errorf("core: rank %d sent %d bytes beyond its advertised count", from, -remaining[from])
+		}
 		// Decode on the exchange clock (receive half of the transfer);
 		// only the merge is local ordering. The encoded buffer counts
 		// toward the staging window until it has been decoded.
 		ex.AddWindow(n)
-		chunk, err := codec.DecodeSlice(r.cd, buf)
+		err = sink(from, 0, buf)
 		ex.AddWindow(-n)
 		if err != nil {
 			return nil, fmt.Errorf("core: decode from rank %d: %w", from, err)
-		}
-		if remaining[from] -= n; remaining[from] < 0 {
-			return nil, fmt.Errorf("core: rank %d sent %d bytes beyond its advertised count", from, -remaining[from])
 		}
 		if remaining[from] > 0 {
 			if err := post(from); err != nil {
 				return nil, err
 			}
+			continue
 		}
 		r.tm.Start(metrics.PhaseLocalOrdering)
-		out = psort.MergeTwo(out, chunk, r.cmp)
+		dst := out[len(out)-len(acc)-len(runs[from]):]
+		psort.MergeInto(dst, acc, runs[from], r.cmp)
+		acc, merges = dst, merges+1
 		r.tm.Start(metrics.PhaseExchange)
 	}
 	if err := <-sendErr; err != nil {
 		return nil, err
 	}
+	if merges == 0 {
+		copy(out, acc) // nothing arrived: the block is our own partition
+	}
 	sp.End(map[string]any{
 		"recv_records": int64(len(out)), "recv_bytes": int64(len(out)) * r.recSize,
-		"send_records": int64(len(work)),
+		"send_records": int64(len(r.work)), "merges": merges,
 	})
 	return out, nil
 }
@@ -383,13 +396,14 @@ func (r *run[T]) exchangeAndOrder() (map[string]any, error) {
 		if reserveErr == nil {
 			r.acct.release(m * recSize)
 		}
+		r.scratch = nil // memory is what this path is short of
 		out, err = r.spillExchange(pl)
 	case reserveErr != nil:
 		return nil, fmt.Errorf("core: receive buffer of %d records: %w", m, reserveErr)
 	case overlap:
 		out, err = r.overlapExchange(pl)
 	default:
-		slab, chunks, sink := recvSlab(pl.recv, r.cd, recSize)
+		slab, chunks, sink := r.recvSlab(pl.recv)
 		if _, err = r.stagedExchange(pl, r.partitionSource(), sink); err == nil {
 			out = r.localOrder(slab, chunks)
 		}

@@ -1,30 +1,63 @@
 package core
 
 import (
+	"sdssort/internal/codec"
 	"sdssort/internal/psort"
 	"sdssort/internal/radix"
 )
 
 // The hot-path fast lanes — zero-copy exchange for codecs whose wire
 // form is their memory image (partitionSource, recvSlab), LSD-radix
-// local ordering for codecs with integer sort keys (here, localOrder) —
-// are selected by what the codec declares, never by an option. Both are
-// pure accelerations: output bytes and record order are identical to
-// the generic marshal/comparison paths, which remain the fallback for
-// every codec that does not qualify.
+// sorting for codecs that declare an integer sort key (here: the local
+// sort, and localOrder's re-sort) — are selected by what the codec
+// declares, never by an option. Both are pure accelerations: output
+// bytes and record order are identical to the generic marshal and
+// comparison paths, which remain the fallback for every codec that does
+// not qualify.
 
 // sortChunk is the initial local sort (Fig. 1 line 2), of the whole
-// input or of one streamed chunk of it. Integer-keyed codecs skip the
-// comparison sort for the LSD byte pass; everything else takes the
-// adaptive comparison sort. Partially ordered inputs keep the
-// natural-run merge (the paper's §2.2 adaptivity beats any full re-sort
-// there), and stable sorts never dispatch — the radix pass is stable
-// only with respect to the full key, which a coarser user comparator
-// may not be.
-func (r *run[T]) sortChunk(data []T) {
-	o := r.opt
-	radixOK := !o.Stable && (o.RunThreshold <= 0 || psort.Sortedness(data, r.cmp) < o.RunThreshold)
-	if !radixOK || !radix.DispatchLocal(data, r.cd, r.cmp) {
-		psort.AdaptiveSort(data, o.cores(), o.Stable, o.RunThreshold, r.cmp)
+// input or of one streamed chunk of it. Partially ordered inputs keep
+// the natural-run merge (the paper's §2.2 adaptivity beats any full
+// re-sort there); everything else is resorted. detail is the enclosing
+// span's end detail: it learns which kernel ordered the records —
+// "runs", "radix" or "comparison".
+func (r *run[T]) sortChunk(data []T, detail map[string]any) {
+	if thr := r.opt.RunThreshold; thr > 0 && psort.Sortedness(data, r.cmp) >= thr {
+		psort.NaturalMergeSort(data, r.cmp)
+		detail["kernel"] = "runs"
+		return
 	}
+	r.resort(data, detail)
+}
+
+// resort sorts data from scratch: codecs with an integer sort key skip
+// the comparison sort for the LSD radix pass, unless the agreement sweep
+// finds the caller's comparator orders differently (detail then says
+// fallback). Stable sorts never dispatch: the pass is stable only in
+// the full key, which a coarser comparator may not be, and once the
+// in-place pass has run the input order a stable fallback needs is
+// gone. The pass's scratch stays with the run, which hands it to the
+// exchange as its receive slab.
+func (r *run[T]) resort(data []T, detail map[string]any) {
+	if key, ok := codec.Uint64KeyOf(r.cd); ok && !r.opt.Stable {
+		r.scratch = radix.LSDSortBuf(data, r.scratch, key)
+		if psort.IsSorted(data, r.cmp) {
+			detail["kernel"] = "radix"
+			return
+		}
+		detail["fallback"] = true
+	}
+	psort.ParallelSort(data, r.opt.cores(), r.opt.Stable, r.cmp)
+	detail["kernel"] = "comparison"
+}
+
+// takeSlab returns a slab of n records, the radix pass's scratch when
+// it is large enough, and leaves the run without one.
+func (r *run[T]) takeSlab(n int64) []T {
+	slab := r.scratch
+	r.scratch = nil
+	if int64(cap(slab)) < n {
+		return make([]T, n)
+	}
+	return slab[:n]
 }

@@ -1,8 +1,11 @@
 package core
 
 import (
+	gocmp "cmp"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"sdssort/internal/cluster"
@@ -11,6 +14,7 @@ import (
 	"sdssort/internal/metrics"
 	"sdssort/internal/psort"
 	"sdssort/internal/radix"
+	"sdssort/internal/trace"
 )
 
 // TestSortZeroCopyMatchesMarshal: the zero-copy exchange is a pure
@@ -160,6 +164,190 @@ func cmpInt64(a, b int64) int {
 	return 0
 }
 
+// sortFloats runs Sort over per-rank float64 inputs with a recorder
+// attached and returns the blocks and the closed spans.
+func sortFloats(t *testing.T, topo cluster.Topology, in [][]float64, cmp func(a, b float64) int, opt Options) ([][]float64, []trace.SpanRecord) {
+	t.Helper()
+	rec := trace.NewRecorder()
+	opt.Trace = rec
+	out, err := cluster.Gather(topo, cluster.Options{}, func(c *comm.Comm) ([]float64, error) {
+		return Sort(c, slices.Clone(in[c.Rank()]), f64, cmp, opt)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out, trace.BuildSpans(rec.Events())
+}
+
+// spanDetails returns detail key of every span called name, by rank.
+func spanDetails(spans []trace.SpanRecord, name, key string) map[int]any {
+	got := map[int]any{}
+	for _, sp := range spans {
+		if sp.Name == name {
+			got[sp.Rank] = sp.Detail[key]
+		}
+	}
+	return got
+}
+
+// TestFloatKeyDispatch drives the float-key radix dispatch through Sort
+// on the values a bit flip could get wrong and the comparators it must
+// yield to. Every case must come out sorted under the caller's own
+// comparator — within each block and across block boundaries — and as
+// a permutation of the input bit for bit, with the localsort span
+// naming the kernel that ran. The NaN case under a </> comparator runs
+// on one rank: NaN compares equal to everything there, which no
+// distributed partition can order, but the local dispatch must still
+// accept the radix result (NaNs parked past the infinities) and lose
+// nothing.
+func TestFloatKeyDispatch(t *testing.T) {
+	const perRank = 2000
+	negZero, nan := math.Copysign(0, -1), math.NaN()
+	negNaN := math.Float64frombits(math.Float64bits(nan) | 1<<63)
+	reverse := func(a, b float64) int { return cmpF(b, a) }
+	world, single := cluster.Topology{Nodes: 2, CoresPerNode: 2}, cluster.Topology{Nodes: 1, CoresPerNode: 1}
+	// random spreads normal floats of both signs over many magnitudes,
+	// with one of specials in every eighth slot.
+	random := func(specials ...float64) func(rng *rand.Rand, i int) float64 {
+		return func(rng *rand.Rand, i int) float64 {
+			if len(specials) > 0 && i%8 == 0 {
+				return specials[rng.Intn(len(specials))]
+			}
+			return (rng.Float64() - 0.5) * math.Pow(10, float64(rng.Intn(40)-20))
+		}
+	}
+	cases := []struct {
+		name     string
+		topo     cluster.Topology
+		gen      func(rng *rand.Rand, i int) float64
+		cmp      func(a, b float64) int
+		kernel   string
+		fallback bool
+	}{
+		{"signed zeros", world, random(negZero, 0), cmpF, "radix", false},
+		{"infinities and subnormals", world,
+			random(math.Inf(1), math.Inf(-1), 5e-324, -5e-324, math.MaxFloat64, -math.MaxFloat64), cmpF, "radix", false},
+		{"all equal", world, func(*rand.Rand, int) float64 { return 0.25 }, cmpF, "runs", false},
+		{"already sorted", world, func(_ *rand.Rand, i int) float64 { return float64(i) }, cmpF, "runs", false},
+		{"NaN under a </> comparator", single, random(nan, negNaN), cmpF, "radix", false},
+		{"NaN under cmp.Compare", world, random(nan, negNaN), gocmp.Compare[float64], "comparison", true},
+		{"reversed comparator", world, random(), reverse, "comparison", true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(21))
+			in := make([][]float64, tc.topo.Size())
+			var inBits, outBits []uint64
+			for r := range in {
+				for i := 0; i < perRank; i++ {
+					v := tc.gen(rng, r*perRank+i)
+					in[r] = append(in[r], v)
+					inBits = append(inBits, math.Float64bits(v))
+				}
+			}
+			opt := DefaultOptions()
+			opt.TauM = 0
+			out, spans := sortFloats(t, tc.topo, in, tc.cmp, opt)
+
+			flat := slices.Concat(out...)
+			if !psort.IsSorted(flat, tc.cmp) {
+				t.Error("output is not sorted under the caller's comparator")
+			}
+			for _, v := range flat {
+				outBits = append(outBits, math.Float64bits(v))
+			}
+			slices.Sort(inBits)
+			slices.Sort(outBits)
+			if !slices.Equal(inBits, outBits) {
+				t.Error("output is not a bit-for-bit permutation of the input")
+			}
+			kernels, fallbacks := spanDetails(spans, "localsort", "kernel"), spanDetails(spans, "localsort", "fallback")
+			if len(kernels) != tc.topo.Size() {
+				t.Fatalf("%d localsort spans, want %d", len(kernels), tc.topo.Size())
+			}
+			for r, k := range kernels {
+				if k != tc.kernel || (fallbacks[r] == true) != tc.fallback {
+					t.Errorf("rank %d: localsort kernel %v fallback %v, want %s fallback %v", r, k, fallbacks[r], tc.kernel, tc.fallback)
+				}
+			}
+		})
+	}
+}
+
+// TestLocalOrderKernelDetail: the localorder span names its kernel too —
+// the merge of the received runs below τs, the radix re-sort of the slab
+// above it, and the comparison sort whenever the sort is stable.
+func TestLocalOrderKernelDetail(t *testing.T) {
+	topo := cluster.Topology{Nodes: 2, CoresPerNode: 2}
+	rng := rand.New(rand.NewSource(22))
+	in := make([][]float64, topo.Size())
+	for r := range in {
+		for i := 0; i < 500; i++ {
+			in[r] = append(in[r], rng.NormFloat64())
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		tauS   int
+		stable bool
+		kernel string
+	}{
+		{"merge", 1 << 20, false, "runs"},
+		{"resort", 1, false, "radix"},
+		{"stable resort", 1, true, "comparison"},
+	} {
+		opt := DefaultOptions()
+		opt.TauM, opt.TauO, opt.TauS, opt.Stable = 0, 0, tc.tauS, tc.stable
+		out, spans := sortFloats(t, topo, in, cmpF, opt)
+		if !psort.IsSorted(slices.Concat(out...), cmpF) {
+			t.Errorf("%s: output not sorted", tc.name)
+		}
+		kernels := spanDetails(spans, "localorder", "kernel")
+		if len(kernels) != topo.Size() {
+			t.Fatalf("%s: %d localorder spans, want %d", tc.name, len(kernels), topo.Size())
+		}
+		for r, k := range kernels {
+			if k != tc.kernel {
+				t.Errorf("%s: rank %d localorder kernel %v, want %s", tc.name, r, k, tc.kernel)
+			}
+		}
+	}
+}
+
+// TestOverlapMergesPerSource: the overlapped exchange merges a source's
+// run once, when its last chunk has landed, not once per chunk. With
+// three records to a chunk every source delivers dozens of chunks, yet
+// no rank of the 3 x 2 world may report more than p-1 merges.
+func TestOverlapMergesPerSource(t *testing.T) {
+	topo := cluster.Topology{Nodes: 3, CoresPerNode: 2}
+	p := topo.Size()
+	in := makeTagged(p, 400, uniformGen(91))
+	rec := trace.NewRecorder()
+	opt := DefaultOptions()
+	opt.TauM = 0
+	opt.StageBytes = 3 * int64(taggedCodec.Size())
+	opt.Exchange = &metrics.ExchangeStats{}
+	opt.Trace = rec
+	out := runSort(t, topo, in, opt)
+	checkSorted(t, in, out, false)
+
+	merges := spanDetails(trace.BuildSpans(rec.Events()), "exchange", "merges")
+	if len(merges) != p {
+		t.Fatalf("%d overlapped exchange spans, want %d", len(merges), p)
+	}
+	total := 0
+	for r, m := range merges {
+		n, ok := m.(int)
+		if !ok || n > p-1 {
+			t.Errorf("rank %d reports merges = %v, want an int of at most %d", r, m, p-1)
+		}
+		total += n
+	}
+	if chunks := opt.Exchange.StageChunks.Load(); total == 0 || chunks < 10*int64(total) {
+		t.Fatalf("%d merges for %d chunks: the test no longer separates runs from chunks", total, chunks)
+	}
+}
+
 // BenchmarkLocalSortIntKeys is the issue's local-ordering acceptance
 // benchmark: the LSD radix dispatch against the comparison sort on
 // integer keys — the fast path must win.
@@ -187,6 +375,38 @@ func BenchmarkLocalSortIntKeys(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			copy(data, src)
 			psort.Sort(data, cmpInt64)
+		}
+	})
+}
+
+// BenchmarkLocalSortFloatKeys is BenchmarkLocalSortIntKeys for float64
+// keys, the dispatch uniform_inproc and uniform_spill ride: the bit
+// flip, the LSD pass and the agreement sweep against the comparison
+// sort the float codecs took before they declared a key.
+func BenchmarkLocalSortFloatKeys(b *testing.B) {
+	const n = 1 << 17
+	src := make([]float64, n)
+	rng := rand.New(rand.NewSource(9))
+	for i := range src {
+		src[i] = rng.Float64()
+	}
+	data := make([]float64, n)
+	b.Run("radix", func(b *testing.B) {
+		b.SetBytes(8 * n)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			copy(data, src)
+			if !radix.DispatchLocal(data, f64, cmpF) {
+				b.Fatal("dispatch refused float64 keys")
+			}
+		}
+	})
+	b.Run("comparison", func(b *testing.B) {
+		b.SetBytes(8 * n)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			copy(data, src)
+			psort.Sort(data, cmpF)
 		}
 	})
 }

@@ -35,6 +35,7 @@ type run[T any] struct {
 	follower bool       // this rank's records were merged onto its node leader
 	bounds   []int      // send boundaries of work, len wc.Size()+1, once partitioned
 	pg       []T        // global pivots, between selection and partition
+	scratch  []T        // the radix pass's scratch, until the exchange takes it as its receive slab
 	// localSnap: this epoch's local-sort snapshot is work byte for byte,
 	// so later boundaries alias it instead of re-encoding.
 	localSnap bool

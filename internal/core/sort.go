@@ -83,18 +83,18 @@ func Sort[T any](c *comm.Comm, data []T, cd codec.Codec[T], cmp func(a, b T) int
 // sortLocal is the initial local ordering (Fig. 1 line 2): sorted local
 // data makes regular sampling representative and feeds the τm merge. It
 // is its own reporting phase — charging it to pivot selection would
-// dwarf the actual sampling cost. Integer-keyed codecs dispatch to the
-// LSD radix pass; everything else (and every stable sort) takes the
-// comparison sort. The skew observed after it is input-side: how evenly
-// the records arrived, before any skew-aware machinery has run.
+// dwarf the actual sampling cost. The skew observed after it is
+// input-side: how evenly the records arrived, before any skew-aware
+// machinery has run.
 func (r *run[T]) sortLocal() (map[string]any, error) {
 	if r.ck.enabled() && r.ck.Epoch > 0 {
 		// Restarted with nothing resumable: everything the failed
 		// epochs computed is being redone.
 		r.ck.Recovery.Wasted(int64(len(r.work)))
 	}
-	r.sortChunk(r.work)
-	return map[string]any{"records": len(r.work)}, nil
+	detail := map[string]any{"records": len(r.work)}
+	r.sortChunk(r.work, detail)
+	return detail, nil
 }
 
 // selectPivots is sampling and global pivot selection (lines 8-9).

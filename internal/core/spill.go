@@ -275,6 +275,6 @@ func (r *run[T]) spillExchange(pl exchangePlan) ([]T, error) {
 	if int64(len(out)) != m {
 		return nil, fmt.Errorf("core: spilled merge yielded %d of %d records", len(out), m)
 	}
-	osp.End(map[string]any{"records": len(out)})
+	osp.End(map[string]any{"records": len(out), "kernel": "runs"})
 	return out, nil
 }

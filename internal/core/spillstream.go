@@ -152,7 +152,8 @@ func SortStream[T any](c *comm.Comm, in RecordSource[T], cd codec.Codec[T], cmp 
 		// Cut the input into sorted local runs, sampling each chunk for
 		// pivot selection.
 		{name: "localsort", clock: metrics.PhaseLocalSort, body: func() (map[string]any, error) {
-			if local, counts, samples, err = cutRuns(r, in, dir); err != nil {
+			detail := map[string]any{}
+			if local, counts, samples, err = cutRuns(r, in, dir, detail); err != nil {
 				return nil, err
 			}
 			runs, records = local, sum(counts)
@@ -160,7 +161,8 @@ func SortStream[T any](c *comm.Comm, in RecordSource[T], cd codec.Codec[T], cmp 
 			if p == 1 {
 				r.exit = "single"
 			}
-			return map[string]any{"runs": len(runs), "records": records}, nil
+			detail["runs"], detail["records"] = len(runs), records
+			return detail, nil
 		}},
 		// Global pivots from the per-chunk regular samples.
 		{name: "pivots", clock: metrics.PhasePivotSelection, begin: map[string]any{"method": PivotRegular.name()}, body: func() (map[string]any, error) {
@@ -230,22 +232,23 @@ func SortStream[T any](c *comm.Comm, in RecordSource[T], cd codec.Codec[T], cmp 
 
 // cutRuns streams the input into sorted run files under dir, one per
 // chunk, and returns their paths, their record counts, and p regular
-// samples of each. Peak: the chunk plus the sort's scratch plus the run
-// writer's buffer, reserved for the length of the phase.
-func cutRuns[T any](r *run[T], in RecordSource[T], dir string) (paths []string, counts []int64, samples []T, err error) {
+// samples of each; detail learns the last chunk's sort kernel. Peak: the
+// chunk plus the sort's scratch — one slab, kept across the chunks —
+// plus the run writer's buffer, reserved for the length of the phase.
+func cutRuns[T any](r *run[T], in RecordSource[T], dir string, detail map[string]any) (paths []string, counts []int64, samples []T, err error) {
 	sp, p := r.opt.Spill, r.c.Size()
 	chunkN := sp.chunkRecords(r.recSize, r.opt.Mem.Budget())
 	chunkNeed := int64(chunkN)*r.recSize*2 + int64(sp.bufBytes())
 	if err := r.acct.reserve(chunkNeed); err != nil {
 		return nil, nil, nil, fmt.Errorf("core: spill chunk of %d records: %w", chunkN, err)
 	}
-	defer r.acct.release(chunkNeed)
+	defer func() { r.scratch = nil; r.acct.release(chunkNeed) }()
 	chunk := make([]T, 0, chunkN)
 	flush := func() error {
 		if len(chunk) == 0 {
 			return nil
 		}
-		r.sortChunk(chunk)
+		r.sortChunk(chunk, detail)
 		path := filepath.Join(dir, fmt.Sprintf("local-%06d", len(paths)))
 		fw, err := extsort.CreateFile(path, sp.bufBytes())
 		if err != nil {

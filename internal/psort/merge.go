@@ -38,7 +38,7 @@ func KWayMergeInto[T any](dst []T, chunks [][]T, cmp func(a, b T) int) {
 		copy(dst, srcs[0].data)
 		return
 	case 2:
-		mergeInto(dst, srcs[0].data, srcs[1].data, cmp)
+		MergeInto(dst, srcs[0].data, srcs[1].data, cmp)
 		return
 	}
 

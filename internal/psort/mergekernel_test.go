@@ -8,7 +8,7 @@ import (
 
 // mergeIntoBranchy is the previous merge kernel, kept as the reference
 // implementation: one unpredictable branch per element. The branchless
-// kernel in mergeInto must match it output-for-output (including the
+// kernel in MergeInto must match it output-for-output (including the
 // take-a-on-ties stability rule) and beat it on random keys.
 func mergeIntoBranchy[T any](dst, a, b []T, cmp func(x, y T) int) {
 	i, j, k := 0, 0, 0
@@ -60,9 +60,18 @@ func TestMergeKernelMatchesReference(t *testing.T) {
 			want := make([]pair, tc.na+tc.nb)
 			got := make([]pair, tc.na+tc.nb)
 			mergeIntoBranchy(want, a, b, cmpPair)
-			mergeInto(got, a, b, cmpPair)
+			MergeInto(got, a, b, cmpPair)
 			if !slices.Equal(want, got) {
 				t.Fatalf("na=%d nb=%d keys=%d: branchless kernel diverges from reference",
+					tc.na, tc.nb, tc.keys)
+			}
+			// a as the tail of dst, the way the overlapped exchange
+			// grows its result from the back of one buffer.
+			inPlace := make([]pair, tc.na+tc.nb)
+			copy(inPlace[tc.nb:], a)
+			MergeInto(inPlace, inPlace[tc.nb:], b, cmpPair)
+			if !slices.Equal(want, inPlace) {
+				t.Fatalf("na=%d nb=%d keys=%d: merging the tail of dst in place diverges from reference",
 					tc.na, tc.nb, tc.keys)
 			}
 			// The seq fields double-check the tie rule directly: equal
@@ -106,7 +115,7 @@ func BenchmarkMergeKernel(b *testing.B) {
 		b.SetBytes(16 * n)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			mergeInto(dst, a, c, cmp)
+			MergeInto(dst, a, c, cmp)
 		}
 	})
 	b.Run("branchy", func(b *testing.B) {

@@ -165,7 +165,7 @@ func mergeSort[T any](data, scratch []T, cmp func(a, b T) int) {
 		return // already in order
 	}
 	copy(scratch, data)
-	mergeInto(data, scratch[:mid], scratch[mid:], cmp)
+	MergeInto(data, scratch[:mid], scratch[mid:], cmp)
 }
 
 // insertionSortStable is insertionSort; insertion sort is inherently
@@ -174,14 +174,16 @@ func insertionSortStable[T any](data []T, cmp func(a, b T) int) {
 	insertionSort(data, cmp)
 }
 
-// mergeInto merges sorted a and b into dst (len(dst) == len(a)+len(b)),
-// taking from a on ties — the stability rule. The kernel is branchless:
-// the comparison outcome selects the source element and advances the
-// indices through conditional moves instead of an unpredictable branch,
-// so merging random keys is bound by memory and the comparator, not by
-// branch mispredictions. (The b-before-a tie check is what makes
-// take-a-on-ties fall out of `cmp(b, a) < 0`.)
-func mergeInto[T any](dst, a, b []T, cmp func(x, y T) int) {
+// MergeInto merges sorted a and b into dst (len(dst) == len(a)+len(b)),
+// taking from a on ties — the stability rule. a may be the tail of dst
+// itself: the write position only catches up with a's read position
+// once b is exhausted, and what is left of a is then already in place.
+// The kernel is branchless: the comparison outcome selects the source
+// element and advances the indices through conditional moves instead of
+// an unpredictable branch, so merging random keys is bound by memory and
+// the comparator, not by branch mispredictions. (The b-before-a tie
+// check is what makes take-a-on-ties fall out of `cmp(b, a) < 0`.)
+func MergeInto[T any](dst, a, b []T, cmp func(x, y T) int) {
 	i, j := 0, 0
 	for k := 0; i < len(a) && j < len(b); k++ {
 		av, bv := a[i], b[j]
@@ -207,7 +209,7 @@ func mergeInto[T any](dst, a, b []T, cmp func(x, y T) int) {
 // on ties.
 func MergeTwo[T any](a, b []T, cmp func(x, y T) int) []T {
 	dst := make([]T, len(a)+len(b))
-	mergeInto(dst, a, b, cmp)
+	MergeInto(dst, a, b, cmp)
 	return dst
 }
 

@@ -11,7 +11,6 @@ package radix
 
 import (
 	"fmt"
-	"math"
 
 	"sdssort/internal/codec"
 	"sdssort/internal/comm"
@@ -146,9 +145,9 @@ func Sort[T any](c *comm.Comm, data []T, cd codec.Codec[T], key func(T) uint64, 
 // disagreement the caller falls back to its comparison sort (data is
 // left permuted but intact). Stability note: the LSD pass is stable
 // with respect to the full key, so callers that need comparator-level
-// stability must not dispatch unless key equality implies comparator
-// equality; core gates the dispatch to non-stable sorts for exactly
-// that reason.
+// stability must not dispatch: a result the sweep rejects has already
+// lost the input order a stable fallback would need. core gates the
+// dispatch to non-stable sorts for exactly that reason.
 func DispatchLocal[T any](data []T, cd codec.Codec[T], cmp func(a, b T) int) bool {
 	key, ok := codec.Uint64KeyOf(cd)
 	if !ok {
@@ -158,53 +157,67 @@ func DispatchLocal[T any](data []T, cd codec.Codec[T], cmp func(a, b T) int) boo
 	return psort.IsSorted(data, cmp)
 }
 
-// LSDSort sorts data in place by 8 passes of byte-wise counting sort
-// over the uint64 key, least significant byte first.
-func LSDSort[T any](data []T, key func(T) uint64) {
+// The LSD pass sorts by digitBits-wide digits of the uint64 key, least
+// significant first.
+const (
+	digitBits = 11
+	digits    = (64 + digitBits - 1) / digitBits
+	buckets   = 1 << digitBits
+)
+
+// LSDSort sorts data in place by the uint64 key, stably.
+func LSDSort[T any](data []T, key func(T) uint64) { LSDSortBuf(data, nil, key) }
+
+// LSDSortBuf is LSDSort with the scratch slab in the caller's hands:
+// buf serves when it has room for len(data) records, and the slab the
+// sort ended up with (buf, a fresh one, or buf untouched when no pass
+// had to run) is returned for the caller to keep. One read of the data
+// builds every digit's histogram, so a digit all records agree on —
+// most of a small key universe — costs nothing further, and key is
+// called once per record per executed pass.
+func LSDSortBuf[T any](data, buf []T, key func(T) uint64) []T {
 	n := len(data)
 	if n < 2 {
-		return
+		return buf
 	}
-	buf := make([]T, n)
-	src, dst := data, buf
-	for pass := 0; pass < 8; pass++ {
-		shift := uint(8 * pass)
-		var counts [256]int
-		for _, rec := range src {
-			counts[(key(rec)>>shift)&0xff]++
+	var counts [digits][buckets]int
+	for i := range data {
+		k := key(data[i])
+		for d := range counts {
+			counts[d][k&(buckets-1)]++
+			k >>= digitBits
 		}
-		if counts[int((key(src[0])>>shift)&0xff)] == n {
-			// All records share this byte; skip the pass.
-			continue
+	}
+	first := key(data[0])
+	live := make([]int, 0, digits)
+	for d := range counts {
+		if counts[d][(first>>(d*digitBits))&(buckets-1)] != n {
+			live = append(live, d)
 		}
-		pos := 0
-		var starts [256]int
-		for b := 0; b < 256; b++ {
-			starts[b] = pos
-			pos += counts[b]
+	}
+	if len(live) == 0 {
+		return buf
+	}
+	if cap(buf) < n {
+		buf = make([]T, n)
+	}
+	src, dst := data, buf[:n]
+	for _, d := range live {
+		// Turn the digit's counts into each bucket's first output slot.
+		pos, next := &counts[d], 0
+		for b, c := range pos {
+			pos[b], next = next, next+c
 		}
-		for _, rec := range src {
-			b := (key(rec) >> shift) & 0xff
-			dst[starts[b]] = rec
-			starts[b]++
+		shift := uint(d * digitBits)
+		for i := range src {
+			b := (key(src[i]) >> shift) & (buckets - 1)
+			dst[pos[b]] = src[i]
+			pos[b]++
 		}
 		src, dst = dst, src
 	}
-	if &src[0] != &data[0] {
+	if len(live)%2 == 1 {
 		copy(data, src)
 	}
+	return buf
 }
-
-// Float64Key maps a float64 to a uint64 whose unsigned order matches the
-// float order (for non-NaN values), enabling radix sorting of float
-// keys.
-func Float64Key(f float64) uint64 {
-	const signBit = 1 << 63
-	bits := floatBits(f)
-	if bits&signBit != 0 {
-		return ^bits
-	}
-	return bits | signBit
-}
-
-func floatBits(f float64) uint64 { return math.Float64bits(f) }

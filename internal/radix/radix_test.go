@@ -1,6 +1,8 @@
 package radix
 
 import (
+	"cmp"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -59,10 +61,75 @@ func TestLSDSortProperty(t *testing.T) {
 	}
 }
 
+// TestLSDSortBufScratch pins the scratch contract the sort's run relies
+// on: a slab with room is the one used and handed back, a missing or
+// short one is replaced, and keys that agree on every digit decide that
+// before anything is allocated. It also counts key calls — one
+// histogram read plus one per record per executed pass.
+func TestLSDSortBufScratch(t *testing.T) {
+	type rec struct {
+		key uint64
+		seq int
+	}
+	const n = 3000
+	rng := rand.New(rand.NewSource(4))
+	calls := 0
+	key := func(r rec) uint64 { calls++; return r.key }
+	for _, tc := range []struct {
+		name   string
+		gen    func() uint64
+		passes int
+	}{
+		{"one digit", func() uint64 { return uint64(rng.Intn(1 << digitBits)) }, 1},
+		{"two digits", func() uint64 { return uint64(rng.Intn(1 << (2 * digitBits))) }, 2},
+		{"every digit", rng.Uint64, digits},
+	} {
+		data := make([]rec, n)
+		for i := range data {
+			data[i] = rec{tc.gen(), i}
+		}
+		want := slices.Clone(data)
+		slices.SortStableFunc(want, func(a, b rec) int { return cmp.Compare(a.key, b.key) })
+		buf := make([]rec, n+5)
+		calls = 0
+		got := LSDSortBuf(data, buf, key)
+		if !slices.Equal(data, want) {
+			t.Fatalf("%s: not the stable sort by key", tc.name)
+		}
+		if &got[0] != &buf[0] || cap(got) != cap(buf) {
+			t.Errorf("%s: a scratch with room was not the one handed back", tc.name)
+		}
+		if most := n*(1+tc.passes) + 1; calls > most {
+			t.Errorf("%s: %d key calls for %d records and %d passes, want at most %d", tc.name, calls, n, tc.passes, most)
+		}
+	}
+
+	data := make([]rec, n)
+	for i := range data {
+		data[i] = rec{rng.Uint64(), i}
+	}
+	if got := LSDSortBuf(slices.Clone(data), make([]rec, n-1), key); cap(got) < n {
+		t.Errorf("short scratch: handed back a slab of %d records for %d", cap(got), n)
+	}
+	for i := range data {
+		data[i].key = 42
+	}
+	if allocs := testing.AllocsPerRun(5, func() {
+		if got := LSDSortBuf(data, nil, key); got != nil {
+			t.Error("constant keys: a scratch was allocated")
+		}
+	}); allocs != 0 {
+		t.Errorf("constant keys: %v allocations, want none", allocs)
+	}
+	if !slices.IsSortedFunc(data, func(a, b rec) int { return cmp.Compare(a.seq, b.seq) }) {
+		t.Error("constant keys: records moved")
+	}
+}
+
 func TestFloat64KeyOrderPreserving(t *testing.T) {
-	vals := []float64{-1e300, -3.5, -0, 0, 1e-10, 2, 7.25, 1e300}
+	vals := []float64{-1e300, -3.5, math.Copysign(0, -1), 0, 1e-10, 2, 7.25, 1e300}
 	for i := 1; i < len(vals); i++ {
-		if !(Float64Key(vals[i-1]) <= Float64Key(vals[i])) {
+		if !(codec.Float64Key(vals[i-1]) <= codec.Float64Key(vals[i])) {
 			t.Fatalf("order broken between %v and %v", vals[i-1], vals[i])
 		}
 	}
@@ -71,12 +138,12 @@ func TestFloat64KeyOrderPreserving(t *testing.T) {
 			return true
 		}
 		if a < b {
-			return Float64Key(a) < Float64Key(b)
+			return codec.Float64Key(a) < codec.Float64Key(b)
 		}
 		if a > b {
-			return Float64Key(a) > Float64Key(b)
+			return codec.Float64Key(a) > codec.Float64Key(b)
 		}
-		return Float64Key(a) == Float64Key(b) || (a == 0 && b == 0)
+		return codec.Float64Key(a) == codec.Float64Key(b)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
