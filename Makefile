@@ -23,7 +23,7 @@ LDFLAGS := -X sdssort/internal/buildinfo.Version=$(VERSION)
 BENCH_PROCS    ?= 4
 BENCH_TIME     ?= 1s
 BENCH_COUNT    ?= 5
-BENCH_HOT      := ^(BenchmarkExchange|BenchmarkLocalSortIntKeys|BenchmarkLocalSortFloatKeys|BenchmarkMergeKernel|BenchmarkSpillMerge|BenchmarkAlgoCompare)$$
+BENCH_HOT      := ^(BenchmarkExchange|BenchmarkLocalSortIntKeys|BenchmarkLocalSortFloatKeys|BenchmarkLocalSortStableKeys|BenchmarkMergeKernel|BenchmarkSpillMerge|BenchmarkAlgoCompare)$$
 BENCH_HOT_PKGS := ./internal/core/ ./internal/psort/ ./internal/algo/
 
 .PHONY: all build install test race vet lint loc bench bench-json bench-json-all bench-baseline bench-diff bench-e2e bench-test bench-pairs algo-matrix soak soak-shrink soak-spill telemetry-smoke trace-smoke experiments experiments-quick fuzz clean
@@ -66,7 +66,8 @@ bench:
 # BenchmarkExchange covers the staged exchange's zero-copy and marshal
 # encodings (with peak-staging-bytes), BenchmarkLocalSortIntKeys the
 # radix dispatch (BenchmarkLocalSortFloatKeys the same through the
-# float-key bit flip), BenchmarkMergeKernel the branchless merge,
+# float-key bit flip, BenchmarkLocalSortStableKeys the stable sort's two
+# verified leaves and their merge), BenchmarkMergeKernel the branchless merge,
 # BenchmarkSpillMerge the out-of-core exchange against its in-memory
 # twin (with spill-bytes/op), and BenchmarkAlgoCompare the end-to-end
 # driver race (sds/hss/ams/hyksort) on Zipf keys.
@@ -173,8 +174,8 @@ experiments-quick:
 	$(GO) run ./cmd/sdsbench -exp all -quick
 
 # Short fuzzing pass over the sort, partition, checkpoint-manifest,
-# exchange-decode, float-key, run-file-reader and job-manifest
-# invariants.
+# exchange-decode, float-key, stable-radix-dispatch, run-file-reader
+# and job-manifest invariants.
 fuzz:
 	$(GO) test ./internal/psort -fuzz FuzzSort -fuzztime 30s -run xxx
 	$(GO) test ./internal/psort -fuzz FuzzStableSort -fuzztime 30s -run xxx
@@ -183,6 +184,7 @@ fuzz:
 	$(GO) test ./internal/checkpoint -fuzz FuzzManifest -fuzztime 30s -run xxx
 	$(GO) test ./internal/codec -fuzz FuzzDecodeAppend -fuzztime 30s -run xxx
 	$(GO) test ./internal/codec -fuzz FuzzFloat64Key -fuzztime 30s -run xxx
+	$(GO) test ./internal/core -fuzz FuzzStableDispatch -fuzztime 30s -run xxx
 	$(GO) test ./internal/extsort -fuzz FuzzRunReader -fuzztime 30s -run xxx
 	$(GO) test ./cmd/sdsnode -fuzz FuzzDecodeJobs -fuzztime 30s -run xxx
 

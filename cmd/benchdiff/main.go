@@ -77,14 +77,17 @@ func parseBenchLine(line string) (name string, metrics map[string]float64, ok bo
 // load reads a go test -json file and collapses repeated runs of each
 // benchmark to their per-metric median. Lines that are not JSON events
 // or not benchmark results are skipped: a tee'd file may carry stray
-// build output, and skipping is what makes that harmless.
+// build output, and skipping is what makes that harmless. test2json
+// often emits a result in two events — the name when the benchmark
+// starts, the numbers when it ends — so a package's output is joined up
+// to its newline before it is parsed.
 func load(path string) (results, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	all := make(samples)
+	all, partial := make(samples), map[string]string{}
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -95,7 +98,13 @@ func load(path string) (results, error) {
 		if ev.Action != "output" {
 			continue
 		}
-		name, metrics, ok := parseBenchLine(ev.Output)
+		line := partial[ev.Package] + ev.Output
+		if !strings.HasSuffix(line, "\n") {
+			partial[ev.Package] = line
+			continue
+		}
+		delete(partial, ev.Package)
+		name, metrics, ok := parseBenchLine(line)
 		if !ok {
 			continue
 		}

@@ -55,6 +55,32 @@ func writeBenchFile(t *testing.T, name string, runs map[string][]string) string 
 	return path
 }
 
+// TestLoadJoinsSplitResults: a result whose name and numbers arrive as
+// two output events must count like one that arrived whole.
+func TestLoadJoinsSplitResults(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "split.json")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc := json.NewEncoder(f)
+	for _, out := range []string{
+		"BenchmarkLocalSortStableKeys/radix-4 \t", "     160\t   7000 ns/op\t 278.66 MB/s\n",
+		"BenchmarkLocalSortStableKeys/radix-4 \t     158\t   9000 ns/op\t 267.82 MB/s\n",
+		"BenchmarkLocalSortStableKeys/radix-4 \t", "     153\t   8000 ns/op\t 258.08 MB/s\n",
+	} {
+		enc.Encode(testEvent{Action: "output", Package: "sdssort/internal/core", Output: out})
+	}
+	f.Close()
+	res, err := load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res["sdssort/internal/core.BenchmarkLocalSortStableKeys/radix"]["ns/op"]; got != 8000 {
+		t.Errorf("ns/op = %v over one whole and two split results, want the median 8000 (%v)", got, res)
+	}
+}
+
 func TestLoadTakesMedianAcrossCounts(t *testing.T) {
 	path := writeBenchFile(t, "b.json", map[string][]string{
 		"exchange": {

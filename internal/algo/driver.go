@@ -152,7 +152,7 @@ func begin[T any](ctx context.Context, name string, c *comm.Comm, data []T, cd c
 	}
 	s.held = n
 	s.tm.Start(metrics.PhaseLocalSort)
-	if !radix.DispatchLocal(data, cd, cmp) {
+	if _, sorted, _ := radix.DispatchLocal(data, nil, cd, cmp, false); !sorted {
 		psort.ParallelSort(data, max(s.core.Cores, 1), false, cmp)
 	}
 	return s, nil

@@ -96,9 +96,11 @@ func appendRaw[T any](dst []T, wire []byte, sz int) []T {
 // Uint64Keyer is an optional codec capability: the codec's records sort
 // by an integer key, and Uint64Key extracts it as a uint64 whose
 // unsigned order equals the codec's canonical record order. It is what
-// lets local ordering dispatch to the LSD radix pass instead of a
-// comparison sort; callers must still verify the supplied comparator
-// agrees with the key order (radix.DispatchLocal does).
+// lets local ordering, stable or not, dispatch to the LSD radix kernel
+// instead of a comparison sort; callers must still verify the supplied
+// comparator agrees with the key order (radix.DispatchLocal does, and a
+// stable sort it holds to the stricter rule: comparator-equal exactly
+// where key-equal).
 type Uint64Keyer[T any] interface {
 	Uint64Key(rec T) uint64
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sdssort/internal/codec"
 	"sdssort/internal/psort"
 	"sdssort/internal/radix"
 )
@@ -31,27 +30,38 @@ func (r *run[T]) sortChunk(data []T, detail map[string]any) {
 }
 
 // resort sorts data from scratch: codecs with an integer sort key skip
-// the comparison sort for the LSD radix pass, unless the agreement sweep
-// finds the caller's comparator orders differently (detail then says
-// fallback). Stable sorts never dispatch: the pass is stable only in
-// the full key, which a coarser comparator may not be, and once the
-// in-place pass has run the input order a stable fallback needs is
-// gone. The pass's scratch stays with the run, which hands it to the
-// exchange as its receive slab.
+// the comparison sort for the LSD radix kernel (radix.DispatchLocal),
+// unless its agreement sweep finds the caller's comparator orders
+// differently — detail then says fallback, and a stable sort says which
+// leaf was rejected. Stable sorts dispatch too: as two leaves, each
+// verified before anything it would need is overwritten, under one
+// comparator merge. The kernel's scratch stays with the run, which
+// hands it to the exchange as its receive slab; a single-core stable
+// fallback merge-sorts in that same scratch.
 func (r *run[T]) resort(data []T, detail map[string]any) {
-	if key, ok := codec.Uint64KeyOf(r.cd); ok && !r.opt.Stable {
-		r.scratch = radix.LSDSortBuf(data, r.scratch, key)
-		if psort.IsSorted(data, r.cmp) {
-			detail["kernel"] = "radix"
-			return
-		}
-		detail["fallback"] = true
+	stable := r.opt.Stable
+	scratch, sorted, rejected := radix.DispatchLocal(data, r.scratch, r.cd, r.cmp, stable)
+	r.scratch = scratch
+	switch {
+	case sorted:
+	case stable && r.opt.cores() == 1:
+		psort.StableSortBuf(data, r.scratch, r.cmp)
+	default:
+		psort.ParallelSort(data, r.opt.cores(), stable, r.cmp)
 	}
-	psort.ParallelSort(data, r.opt.cores(), r.opt.Stable, r.cmp)
-	detail["kernel"] = "comparison"
+	detail["kernel"] = "radix"
+	if !sorted || rejected > 0 {
+		detail["kernel"] = "comparison"
+	}
+	if rejected > 0 {
+		detail["fallback"] = true
+		if stable {
+			detail["leaf"] = rejected
+		}
+	}
 }
 
-// takeSlab returns a slab of n records, the radix pass's scratch when
+// takeSlab returns a slab of n records, the local sort's scratch when
 // it is large enough, and leaves the run without one.
 func (r *run[T]) takeSlab(n int64) []T {
 	slab := r.scratch

@@ -74,6 +74,14 @@ func TestMergeKernelMatchesReference(t *testing.T) {
 				t.Fatalf("na=%d nb=%d keys=%d: merging the tail of dst in place diverges from reference",
 					tc.na, tc.nb, tc.keys)
 			}
+			// b as the tail of dst, the way the stable radix dispatch
+			// joins a leaf that was comparison-sorted where it lay.
+			copy(inPlace[tc.na:], b)
+			MergeInto(inPlace, a, inPlace[tc.na:], cmpPair)
+			if !slices.Equal(want, inPlace) {
+				t.Fatalf("na=%d nb=%d keys=%d: merging b from the tail of dst diverges from reference",
+					tc.na, tc.nb, tc.keys)
+			}
 			// The seq fields double-check the tie rule directly: equal
 			// keys must come a-side first, each side in its own order.
 			for i := 1; i < len(got); i++ {

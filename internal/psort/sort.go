@@ -175,9 +175,10 @@ func insertionSortStable[T any](data []T, cmp func(a, b T) int) {
 }
 
 // MergeInto merges sorted a and b into dst (len(dst) == len(a)+len(b)),
-// taking from a on ties — the stability rule. a may be the tail of dst
-// itself: the write position only catches up with a's read position
-// once b is exhausted, and what is left of a is then already in place.
+// taking from a on ties — the stability rule. Either input may be the
+// tail of dst itself: the write position only catches up with its read
+// position once the other input is exhausted, and what is left of it is
+// then already in place.
 // The kernel is branchless: the comparison outcome selects the source
 // element and advances the indices through conditional moves instead of
 // an unpredictable branch, so merging random keys is bound by memory and

@@ -136,25 +136,90 @@ func Sort[T any](c *comm.Comm, data []T, cd codec.Codec[T], key func(T) uint64, 
 	return mine, nil
 }
 
-// DispatchLocal sorts data in place with the LSD radix pass when cd
-// extracts an integer sort key (codec.Uint64Keyer) and the result
-// agrees with the caller's comparator, reporting whether it did. The
-// agreement sweep is one O(n) comparison pass — cheap next to the sort
-// it replaces — and is what makes the dispatch safe against a
-// comparator that disagrees with the codec's canonical key order: on
-// disagreement the caller falls back to its comparison sort (data is
-// left permuted but intact). Stability note: the LSD pass is stable
-// with respect to the full key, so callers that need comparator-level
-// stability must not dispatch: a result the sweep rejects has already
-// lost the input order a stable fallback would need. core gates the
-// dispatch to non-stable sorts for exactly that reason.
-func DispatchLocal[T any](data []T, cd codec.Codec[T], cmp func(a, b T) int) bool {
+// DispatchLocal sorts data by cmp with the LSD radix kernel when cd
+// extracts an integer sort key (codec.Uint64Keyer) and an agreement
+// sweep — one O(n) comparison pass, cheap next to the sort it replaces —
+// finds that the key orders the records the way cmp does. It is the one
+// place the kernel meets a caller's comparator. buf is the kernel's
+// scratch; the slab it ended up with is returned for the caller to keep.
+//
+// sorted reports whether data is now sorted (stably, if asked); when it
+// is not the caller runs its comparison sort. rejected says which sweep
+// disagreed: 0 none, and (0, false) a codec without a key.
+//
+// A non-stable sort runs the kernel in place and accepts any result
+// that is non-decreasing under cmp; a rejected one (1) leaves data
+// permuted, which a non-stable fallback does not mind.
+//
+// A stable sort must hand a fallback the input order, so nothing may be
+// overwritten before it is verified, and the verification must prove
+// more: that the kernel's key-stable result is the comparator-stable
+// one. It sorts the halves of data as two leaves and joins them with
+// the comparator merge. With h = ⌈n/2⌉, data = [H1|H2], buf = [X|Y]:
+//
+//  1. H1 is sorted through X and Y into X, never writing data. The
+//     strict sweep (agrees) holds the result S1 to "cmp ≤ 0, and
+//     cmp == 0 exactly where the keys are equal" on every adjacent pair.
+//     For a strict weak order that makes comparator order and key order
+//     one order on the leaf: S1 is non-decreasing, and two cmp-equal
+//     records have only cmp-equal neighbours between them, hence one
+//     key, hence — the kernel being stable in the key — their input
+//     order. Rejected (1): data is untouched, the caller sorts it.
+//  2. H1's storage is free now. H2 is sorted through Y and H1's place
+//     into Y, never writing H2, and swept the same way. Rejected (2):
+//     H2 is intact, and is comparison-sorted where it lies, with Y as
+//     the merge sort's scratch.
+//  3. MergeInto(data, S1, S2) takes S1 on ties. Each leaf is its half's
+//     stable sort, so the merge is the whole's; no cross-leaf check is
+//     needed, and buf — 2h records, n or n+1 — is all the memory there is.
+func DispatchLocal[T any](data, buf []T, cd codec.Codec[T], cmp func(a, b T) int, stable bool) (scratch []T, sorted bool, rejected int) {
 	key, ok := codec.Uint64KeyOf(cd)
 	if !ok {
-		return false
+		return buf, false, 0
 	}
-	LSDSort(data, key)
-	return psort.IsSorted(data, cmp)
+	n := len(data)
+	if !stable || n < 2 {
+		buf = LSDSortBuf(data, buf, key)
+		if psort.IsSorted(data, cmp) {
+			return buf, true, 0
+		}
+		return buf, false, 1
+	}
+	h := (n + 1) / 2
+	if cap(buf) < 2*h {
+		buf = make([]T, 2*h)
+	}
+	x, y := buf[:h], buf[h:2*h]
+	h1, h2 := data[:h], data[h:]
+	s1, s2 := x, y[:len(h2)]
+	lsdInto(h1, s1, y, key)
+	if !agrees(s1, key, cmp) {
+		return buf, false, 1
+	}
+	lsdInto(h2, s2, h1[:len(h2)], key)
+	if !agrees(s2, key, cmp) {
+		psort.StableSortBuf(h2, y, cmp)
+		s2, rejected = h2, 2
+	}
+	psort.MergeInto(data, s1, s2, cmp)
+	return buf, true, rejected
+}
+
+// agrees is the stable dispatch's sweep over a key-sorted leaf: every
+// adjacent pair is in cmp order, and cmp-equal exactly when key-equal.
+func agrees[T any](s []T, key func(T) uint64, cmp func(a, b T) int) bool {
+	if len(s) == 0 {
+		return true
+	}
+	prev := key(s[0])
+	for i := 1; i < len(s); i++ {
+		k, c := key(s[i]), cmp(s[i-1], s[i])
+		if c > 0 || (c == 0) != (k == prev) {
+			return false
+		}
+		prev = k
+	}
+	return true
 }
 
 // The LSD pass sorts by digitBits-wide digits of the uint64 key, least
@@ -171,53 +236,87 @@ func LSDSort[T any](data []T, key func(T) uint64) { LSDSortBuf(data, nil, key) }
 // LSDSortBuf is LSDSort with the scratch slab in the caller's hands:
 // buf serves when it has room for len(data) records, and the slab the
 // sort ended up with (buf, a fresh one, or buf untouched when no pass
-// had to run) is returned for the caller to keep. One read of the data
-// builds every digit's histogram, so a digit all records agree on —
-// most of a small key universe — costs nothing further, and key is
-// called once per record per executed pass.
+// had to run) is returned for the caller to keep. It is the kernel with
+// the input as its second buffer.
 func LSDSortBuf[T any](data, buf []T, key func(T) uint64) []T {
-	n := len(data)
-	if n < 2 {
+	var p plan
+	scan(&p, data, key)
+	if p.passes == 0 {
 		return buf
 	}
-	var counts [digits][buckets]int
-	for i := range data {
-		k := key(data[i])
-		for d := range counts {
-			counts[d][k&(buckets-1)]++
+	if cap(buf) < len(data) {
+		buf = make([]T, len(data))
+	}
+	if out := scatter(&p, data, buf[:len(data)], data, key); p.passes%2 == 1 {
+		copy(data, out)
+	}
+	return buf
+}
+
+// lsdInto leaves src's records, stably sorted by key, in dst; the
+// passes run through dst and spare (each len(src) records) and src is
+// only read.
+func lsdInto[T any](src, dst, spare []T, key func(T) uint64) {
+	var p plan
+	scan(&p, src, key)
+	if p.passes == 0 {
+		copy(dst, src)
+		return
+	}
+	if p.passes%2 == 0 {
+		dst, spare = spare, dst // the last pass is the one that must write dst
+	}
+	scatter(&p, src, dst, spare, key)
+}
+
+// plan is what one read of the records decides: every digit's
+// histogram, and which digits need a pass at all. A digit all records
+// agree on — most of a small key universe — costs nothing further.
+type plan struct {
+	counts [digits][buckets]int
+	live   [digits]int // the digits to sort by, live[:passes]
+	passes int
+}
+
+func scan[T any](p *plan, src []T, key func(T) uint64) {
+	if len(src) < 2 {
+		return
+	}
+	for i := range src {
+		k := key(src[i])
+		for d := range p.counts {
+			p.counts[d][k&(buckets-1)]++
 			k >>= digitBits
 		}
 	}
-	first := key(data[0])
-	live := make([]int, 0, digits)
-	for d := range counts {
-		if counts[d][(first>>(d*digitBits))&(buckets-1)] != n {
-			live = append(live, d)
+	first := key(src[0])
+	for d := range p.counts {
+		if p.counts[d][(first>>(d*digitBits))&(buckets-1)] != len(src) {
+			p.live[p.passes] = d
+			p.passes++
 		}
 	}
-	if len(live) == 0 {
-		return buf
-	}
-	if cap(buf) < n {
-		buf = make([]T, n)
-	}
-	src, dst := data, buf[:n]
-	for _, d := range live {
+}
+
+// scatter is the LSD pass loop, the only one: src into a, a into b, b
+// into a, … one counting-sort pass per live digit, key called once per
+// record per pass. src is never written (unless it is b — the in-place
+// sort); the slice the last pass wrote is returned.
+func scatter[T any](p *plan, src, a, b []T, key func(T) uint64) []T {
+	dst, next := a, b
+	for _, d := range p.live[:p.passes] {
 		// Turn the digit's counts into each bucket's first output slot.
-		pos, next := &counts[d], 0
-		for b, c := range pos {
-			pos[b], next = next, next+c
+		pos, slot := &p.counts[d], 0
+		for i, c := range pos {
+			pos[i], slot = slot, slot+c
 		}
 		shift := uint(d * digitBits)
 		for i := range src {
-			b := (key(src[i]) >> shift) & (buckets - 1)
-			dst[pos[b]] = src[i]
-			pos[b]++
+			bk := (key(src[i]) >> shift) & (buckets - 1)
+			dst[pos[bk]] = src[i]
+			pos[bk]++
 		}
-		src, dst = dst, src
+		src, dst, next = dst, next, dst
 	}
-	if len(live)%2 == 1 {
-		copy(data, src)
-	}
-	return buf
+	return src
 }

@@ -126,6 +126,43 @@ func TestLSDSortBufScratch(t *testing.T) {
 	}
 }
 
+// TestLSDIntoLeavesSource: the three-slice form of the kernel, which the
+// stable dispatch verifies its leaves from, must land the stable sort by
+// key in dst whatever the number of passes — none, odd, even — and must
+// only read src.
+func TestLSDIntoLeavesSource(t *testing.T) {
+	type rec struct {
+		key uint64
+		seq int
+	}
+	key := func(r rec) uint64 { return r.key }
+	rng := rand.New(rand.NewSource(6))
+	for passes, gen := range []func() uint64{
+		func() uint64 { return 42 },
+		func() uint64 { return uint64(rng.Intn(1 << digitBits)) },
+		func() uint64 { return uint64(rng.Intn(1 << (2 * digitBits))) },
+		func() uint64 { return uint64(rng.Intn(1 << (3 * digitBits))) },
+	} {
+		for _, n := range []int{0, 1, 2, 1000} {
+			src := make([]rec, n)
+			for i := range src {
+				src[i] = rec{gen(), i}
+			}
+			orig := slices.Clone(src)
+			want := slices.Clone(src)
+			slices.SortStableFunc(want, func(a, b rec) int { return cmp.Compare(a.key, b.key) })
+			dst, spare := make([]rec, n), make([]rec, n)
+			lsdInto(src, dst, spare, key)
+			if !slices.Equal(dst, want) {
+				t.Errorf("%d passes, n=%d: dst is not the stable sort by key", passes, n)
+			}
+			if !slices.Equal(src, orig) {
+				t.Errorf("%d passes, n=%d: src was written", passes, n)
+			}
+		}
+	}
+}
+
 func TestFloat64KeyOrderPreserving(t *testing.T) {
 	vals := []float64{-1e300, -3.5, math.Copysign(0, -1), 0, 1e-10, 2, 7.25, 1e300}
 	for i := 1; i < len(vals); i++ {
