@@ -89,40 +89,11 @@ func BenchmarkAlltoall(b *testing.B) {
 	}
 }
 
-func BenchmarkAllgatherFlatVsRing(b *testing.B) {
+func BenchmarkAllgather(b *testing.B) {
 	const p, size = 8, 4096
 	payload := make([]byte, size)
-	b.Run("flat", func(b *testing.B) {
-		benchWorld(b, p, func(c *Comm) error {
-			_, err := c.Allgather(payload)
-			return err
-		})
-	})
-	b.Run("ring", func(b *testing.B) {
-		benchWorld(b, p, func(c *Comm) error {
-			_, err := c.RingAllgather(payload)
-			return err
-		})
-	})
-}
-
-func BenchmarkAlltoallEagerVsPairwise(b *testing.B) {
-	const p, size = 8, 4096
-	payload := make([]byte, size)
-	parts := make([][]byte, p)
-	for i := range parts {
-		parts[i] = payload
-	}
-	b.Run("eager", func(b *testing.B) {
-		benchWorld(b, p, func(c *Comm) error {
-			_, err := c.Alltoall(parts)
-			return err
-		})
-	})
-	b.Run("pairwise", func(b *testing.B) {
-		benchWorld(b, p, func(c *Comm) error {
-			_, err := c.PairwiseAlltoall(parts)
-			return err
-		})
+	benchWorld(b, p, func(c *Comm) error {
+		_, err := c.Allgather(payload)
+		return err
 	})
 }

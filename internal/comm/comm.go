@@ -13,8 +13,10 @@
 //     of SDS-Sort relies on to keep duplicate keys rank-ordered.
 //   - Communicators isolate message contexts: traffic on a communicator
 //     produced by Split can never match receives on its parent.
-//   - Isend/Irecv return Requests with Test/Wait/WaitAnyMask, the primitives
-//     behind the paper's overlapped all-to-all (SdssAlltoallvAsync).
+//   - Send is eager: it completes without a matching Recv having been
+//     posted. With the FIFO order above, that is all the paper's
+//     overlapped all-to-all (SdssAlltoallvAsync) needs from the runtime:
+//     a sender goroutine beside blocking Recvs.
 package comm
 
 import (
@@ -78,8 +80,7 @@ type Comm struct {
 	owned bool   // whether Close tears down the transport
 
 	mu       sync.Mutex
-	cond     *sync.Cond // broadcast on any request completion
-	splitSeq int        // number of Splits performed, for child naming
+	splitSeq int // number of Splits performed, for child naming
 }
 
 // New wraps a transport as the world communicator. Every rank of the
@@ -113,9 +114,7 @@ func Attach(tr Transport, name string) *Comm {
 	for i := range group {
 		group[i] = i
 	}
-	c := &Comm{tr: tr, group: group, rank: tr.Rank(), name: name, ctx: ctxOf(name)}
-	c.cond = sync.NewCond(&c.mu)
-	return c
+	return &Comm{tr: tr, group: group, rank: tr.Rank(), name: name, ctx: ctxOf(name)}
 }
 
 // AttachGroup is Attach restricted to an explicit subset of the
@@ -155,15 +154,13 @@ func AttachGroup(tr Transport, name string, group []int) (*Comm, error) {
 		return nil, fmt.Errorf("comm: rank %d is not a member of group %v", tr.Rank(), group)
 	}
 	full := fmt.Sprintf("%s[%s]", name, groupSig(group))
-	c := &Comm{
+	return &Comm{
 		tr:    tr,
 		group: append([]int(nil), group...),
 		rank:  me,
 		name:  full,
 		ctx:   ctxOf(full),
-	}
-	c.cond = sync.NewCond(&c.mu)
-	return c, nil
+	}, nil
 }
 
 // groupSig renders a member list compactly ("0.1.3") for embedding in
@@ -178,8 +175,6 @@ func groupSig(group []int) string {
 	}
 	return b.String()
 }
-
-func newCond(c *Comm) *sync.Cond { return sync.NewCond(&c.mu) }
 
 func ctxOf(name string) uint64 {
 	h := fnv.New64a()
@@ -242,111 +237,6 @@ func (c *Comm) recvInternal(src int, tag int32) ([]byte, error) {
 	return c.tr.Recv(c.group[src], c.ctx, tag)
 }
 
-// Request is an in-flight non-blocking operation, the analogue of an
-// MPI_Request. It completes exactly once; Wait and Test may be called
-// from the owning rank's goroutine.
-type Request struct {
-	c    *Comm
-	done bool
-	data []byte // receive payload (nil for sends)
-	err  error
-	// Peer is the communicator rank this request communicates with.
-	Peer int
-	// IsRecv reports whether the request is a receive.
-	IsRecv bool
-}
-
-func (c *Comm) newRequest(peer int, recv bool) *Request {
-	return &Request{c: c, Peer: peer, IsRecv: recv}
-}
-
-func (r *Request) complete(data []byte, err error) {
-	r.c.mu.Lock()
-	r.data = data
-	r.err = err
-	r.done = true
-	r.c.mu.Unlock()
-	r.c.cond.Broadcast()
-}
-
-// Test reports whether the request has completed, returning the payload
-// for completed receives.
-func (r *Request) Test() (bool, []byte, error) {
-	r.c.mu.Lock()
-	defer r.c.mu.Unlock()
-	if !r.done {
-		return false, nil, nil
-	}
-	return true, r.data, r.err
-}
-
-// Wait blocks until the request completes.
-func (r *Request) Wait() ([]byte, error) {
-	r.c.mu.Lock()
-	defer r.c.mu.Unlock()
-	for !r.done {
-		r.c.cond.Wait()
-	}
-	return r.data, r.err
-}
-
-// Isend starts a non-blocking send. data must not be modified until the
-// request completes (the in-process transport copies eagerly, but the
-// contract matches MPI so the TCP transport can stream).
-func (c *Comm) Isend(dst, tag int, data []byte) (*Request, error) {
-	if err := c.checkPeer(dst, tag); err != nil {
-		return nil, err
-	}
-	r := c.newRequest(dst, false)
-	go func() {
-		err := c.tr.Send(c.group[dst], c.ctx, int32(tag), data)
-		r.complete(nil, err)
-	}()
-	return r, nil
-}
-
-// Irecv starts a non-blocking receive from communicator rank src.
-func (c *Comm) Irecv(src, tag int) (*Request, error) {
-	if err := c.checkPeer(src, tag); err != nil {
-		return nil, err
-	}
-	r := c.newRequest(src, true)
-	go func() {
-		data, err := c.tr.Recv(c.group[src], c.ctx, int32(tag))
-		r.complete(data, err)
-	}()
-	return r, nil
-}
-
-// WaitAnyMask blocks until a request in reqs with consumed[i] false
-// has completed, marks it consumed and returns its index and payload.
-// It returns -1 when every request has been consumed.
-func WaitAnyMask(reqs []*Request, consumed []bool) (int, []byte, error) {
-	if len(reqs) == 0 {
-		return -1, nil, nil
-	}
-	c := reqs[0].c
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for {
-		remaining := false
-		for i, r := range reqs {
-			if consumed[i] {
-				continue
-			}
-			remaining = true
-			if r.done {
-				consumed[i] = true
-				return i, r.data, r.err
-			}
-		}
-		if !remaining {
-			return -1, nil, nil
-		}
-		c.cond.Wait()
-	}
-}
-
 // Split partitions the communicator by color, as MPI_Comm_split does:
 // ranks passing the same color form a new communicator, ordered by
 // (key, parent rank). Ranks passing a negative color receive nil.
@@ -400,15 +290,13 @@ func (c *Comm) Split(color, key int) (*Comm, error) {
 		return nil, fmt.Errorf("comm: split: caller missing from its own color group")
 	}
 	name := fmt.Sprintf("%s/%d:%d", c.name, seq, color)
-	sub := &Comm{
+	return &Comm{
 		tr:    c.tr,
 		group: group,
 		rank:  myIdx,
 		ctx:   ctxOf(name),
 		name:  name,
-	}
-	sub.cond = sync.NewCond(&sub.mu)
-	return sub, nil
+	}, nil
 }
 
 // SplitByNode is MPI_Comm_split_type(MPI_COMM_TYPE_SHARED) followed by a
@@ -453,13 +341,11 @@ func (c *Comm) SplitByNode() (local, leaders *Comm, err error) {
 	}
 	localName := fmt.Sprintf("%s/%d:node%d", c.name, seq, myNode)
 	local = &Comm{tr: c.tr, group: localGroup, rank: myLocalIdx, ctx: ctxOf(localName), name: localName}
-	local.cond = sync.NewCond(&local.mu)
 	if myLeaderIdx < 0 {
 		return local, nil, nil
 	}
 	leaderName := fmt.Sprintf("%s/%d:leaders", c.name, seq)
 	leaders = &Comm{tr: c.tr, group: leaderGroup, rank: myLeaderIdx, ctx: ctxOf(leaderName), name: leaderName}
-	leaders.cond = sync.NewCond(&leaders.mu)
 	return local, leaders, nil
 }
 

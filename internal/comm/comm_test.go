@@ -340,93 +340,6 @@ func TestAllgatherInt64AndAllreduce(t *testing.T) {
 	})
 }
 
-func TestIsendIrecvOverlap(t *testing.T) {
-	runRanks(t, 4, nil, func(c *Comm) error {
-		p := c.Size()
-		// Everyone posts receives from everyone, then sends.
-		reqs := make([]*Request, 0, p-1)
-		for src := 0; src < p; src++ {
-			if src == c.Rank() {
-				continue
-			}
-			r, err := c.Irecv(src, 9)
-			if err != nil {
-				return err
-			}
-			reqs = append(reqs, r)
-		}
-		var sends []*Request
-		for dst := 0; dst < p; dst++ {
-			if dst == c.Rank() {
-				continue
-			}
-			s, err := c.Isend(dst, 9, []byte{byte(c.Rank())})
-			if err != nil {
-				return err
-			}
-			sends = append(sends, s)
-		}
-		consumed := make([]bool, len(reqs))
-		seen := map[byte]bool{}
-		for {
-			i, data, err := WaitAnyMask(reqs, consumed)
-			if err != nil {
-				return err
-			}
-			if i < 0 {
-				break
-			}
-			if len(data) != 1 {
-				return fmt.Errorf("bad payload %v", data)
-			}
-			seen[data[0]] = true
-		}
-		if len(seen) != p-1 {
-			return fmt.Errorf("saw %d payloads, want %d", len(seen), p-1)
-		}
-		for _, s := range sends {
-			if _, err := s.Wait(); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
-func TestRequestTest(t *testing.T) {
-	runRanks(t, 2, nil, func(c *Comm) error {
-		if c.Rank() == 0 {
-			if err := c.Barrier(); err != nil {
-				return err
-			}
-			return c.Send(1, 4, []byte("x"))
-		}
-		req, err := c.Irecv(0, 4)
-		if err != nil {
-			return err
-		}
-		done, _, _ := req.Test()
-		if done {
-			return errors.New("request done before the sender was released")
-		}
-		if err := c.Barrier(); err != nil {
-			return err
-		}
-		data, err := req.Wait()
-		if err != nil {
-			return err
-		}
-		if string(data) != "x" {
-			return fmt.Errorf("got %q", data)
-		}
-		done, data2, err := req.Test()
-		if !done || err != nil || string(data2) != "x" {
-			return errors.New("Test after Wait inconsistent")
-		}
-		return nil
-	})
-}
-
 func TestSplitEvenOdd(t *testing.T) {
 	runRanks(t, 6, nil, func(c *Comm) error {
 		sub, err := c.Split(c.Rank()%2, c.Rank())
@@ -669,19 +582,14 @@ func TestGroupAndTranslateRank(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		// sub rank k corresponds to world rank 2k+parity.
+		// sub rank k translates to world rank 2k+parity, through both
+		// WorldRank and the Group copy.
+		sg := sub.Group()
 		for k := 0; k < sub.Size(); k++ {
 			world := 2*k + c.Rank()%2
-			if got := sub.TranslateRank(k, c); got != world {
-				return fmt.Errorf("translate sub %d -> world %d, want %d", k, got, world)
+			if got := sub.WorldRank(k); got != world || sg[k] != world {
+				return fmt.Errorf("translate sub %d -> world %d (group %d), want %d", k, got, sg[k], world)
 			}
-		}
-		// A rank absent from the other communicator maps to -1.
-		if got := c.TranslateRank((c.Rank()+1)%6, sub); c.Rank()%2 != (c.Rank()+1)%6%2 && got != -1 {
-			return fmt.Errorf("cross-parity translate gave %d", got)
-		}
-		if got := c.TranslateRank(99, sub); got != -1 {
-			return errors.New("out-of-range rank translated")
 		}
 		if c.Name() == "" || sub.Name() == c.Name() {
 			return errors.New("names not hierarchical")

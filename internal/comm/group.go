@@ -22,29 +22,11 @@ func (c *Comm) Dup() *Comm {
 	seq := c.splitSeq
 	c.mu.Unlock()
 	name := fmt.Sprintf("%s/%d:dup", c.name, seq)
-	d := &Comm{
+	return &Comm{
 		tr:    c.tr,
 		group: append([]int(nil), c.group...),
 		rank:  c.rank,
 		ctx:   ctxOf(name),
 		name:  name,
 	}
-	d.cond = newCond(d)
-	return d
-}
-
-// TranslateRank converts a rank of this communicator into the
-// corresponding rank of other, or -1 when the member is absent there —
-// MPI_Group_translate_ranks for the common two-communicator case.
-func (c *Comm) TranslateRank(r int, other *Comm) int {
-	if r < 0 || r >= len(c.group) {
-		return -1
-	}
-	world := c.group[r]
-	for i, w := range other.group {
-		if w == world {
-			return i
-		}
-	}
-	return -1
 }

@@ -91,11 +91,11 @@ func chunkSize(stage, off, total int64) int64 {
 
 // StagedAlltoallv runs a personalised all-to-all in bounded stages: a
 // 1-factor-style peer schedule (XOR pairing for power-of-two sizes, a
-// shift schedule otherwise — the same pairing as PairwiseAlltoall) with
-// each peer's payload cut into chunks of at most StageBytes. Within a
-// round the send and receive streams interleave chunk by chunk, so a
-// rank holds at most one outgoing and one incoming chunk at a time; the
-// transports' eager Send semantics make the interleaving deadlock-free.
+// shift schedule otherwise) with each peer's payload cut into chunks of
+// at most StageBytes. Within a round the send and receive streams
+// interleave chunk by chunk, so a rank holds at most one outgoing and
+// one incoming chunk at a time; the transports' eager Send semantics
+// make the interleaving deadlock-free.
 //
 // Semantics match Alltoall: chunks from a given source arrive at
 // monotonically increasing offsets (FIFO per pair), so a Drain that

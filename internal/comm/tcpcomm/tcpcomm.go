@@ -390,7 +390,7 @@ func (t *Transport) Send(dst int, ctx uint64, tag int32, data []byte) error {
 	defer t.stats.InflightSends.Add(-1)
 	// The per-destination lock is held across reconnects and
 	// retransmits, so frames (and their sequence numbers) reach the
-	// wire in assignment order even under concurrent Isends.
+	// wire in assignment order even when several goroutines send at once.
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	seq := sc.seq

@@ -1,6 +1,7 @@
 package tcpcomm
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -337,53 +338,39 @@ func TestOversizeFrameRejected(t *testing.T) {
 	}
 }
 
+// TestAdvancedCollectivesOverTCP: the byte collectives with a non-zero
+// root and variable, possibly empty, payloads survive TCP framing.
 func TestAdvancedCollectivesOverTCP(t *testing.T) {
 	launch(t, 4, nil, func(c *comm.Comm) error {
-		// ExScan: exclusive prefix sums of rank+1.
-		add := func(a, b int64) int64 { return a + b }
-		got, err := c.ExScan(int64(c.Rank()+1), 0, add)
+		mine := bytes.Repeat([]byte{byte(c.Rank() * 7)}, c.Rank()) // rank r sends r bytes
+		all, err := c.Allgather(mine)
 		if err != nil {
 			return err
 		}
-		if want := int64(c.Rank() * (c.Rank() + 1) / 2); got != want {
-			return fmt.Errorf("exscan rank %d: got %d want %d", c.Rank(), got, want)
-		}
-		// Ring allgather matches flat allgather.
-		payload := []byte{byte(c.Rank() * 7)}
-		flat, err := c.Allgather(payload)
-		if err != nil {
-			return err
-		}
-		ring, err := c.RingAllgather(payload)
-		if err != nil {
-			return err
-		}
-		for r := range flat {
-			if len(flat[r]) != 1 || len(ring[r]) != 1 || flat[r][0] != ring[r][0] {
-				return fmt.Errorf("allgather mismatch at %d", r)
+		for r := range all {
+			if !bytes.Equal(all[r], bytes.Repeat([]byte{byte(r * 7)}, r)) {
+				return fmt.Errorf("allgather block %d: %v", r, all[r])
 			}
 		}
-		// Pairwise alltoall (power-of-two schedule over TCP).
-		parts := make([][]byte, 4)
-		for dst := range parts {
-			parts[dst] = []byte{byte(c.Rank()), byte(dst)}
-		}
-		out, err := c.PairwiseAlltoall(parts)
+		got, err := c.Gather(2, mine)
 		if err != nil {
 			return err
 		}
-		for src := range out {
-			if out[src][0] != byte(src) || out[src][1] != byte(c.Rank()) {
-				return fmt.Errorf("pairwise from %d: %v", src, out[src])
+		for r := range got {
+			if !bytes.Equal(got[r], all[r]) {
+				return fmt.Errorf("gather at root 2, block %d: %v", r, got[r])
 			}
 		}
-		// Reduce to rank 2.
-		total, err := c.Reduce(2, int64(c.Rank()), add)
+		var in []byte
+		if c.Rank() == 3 {
+			in = []byte("from three")
+		}
+		out, err := c.Bcast(3, in)
 		if err != nil {
 			return err
 		}
-		if c.Rank() == 2 && total != 6 {
-			return fmt.Errorf("reduce got %d", total)
+		if string(out) != "from three" {
+			return fmt.Errorf("bcast from 3 delivered %q", out)
 		}
 		return nil
 	})

@@ -214,89 +214,80 @@ func (r *run[T]) localOrder(slab []T, chunks [][]T) []T {
 	return slab
 }
 
-// overlapExchange is the asynchronous path (Fig. 1 lines 23-27):
-// receives from all peers are posted up front, a sender goroutine
-// streams the source's chunks out without waiting, and each source's
-// run is merged into the running result the moment its last chunk
-// lands, while the rest of the exchange is still in flight
+// overlapExchange is the asynchronous path (Fig. 1 lines 23-27): a
+// sender goroutine streams the chunks out while drainAndMerge receives,
+// merging each source's run into the running result the moment its last
+// chunk lands, while the rest of the exchange is still in flight
 // (SdssAlltoallvAsync + SdssMergeTwo). Only the fast (non-stable) sort
 // may take this path. One span covers the whole phase: exchange and
 // local ordering genuinely interleave here, so splitting them would be
 // fiction.
 func (r *run[T]) overlapExchange(pl exchangePlan) ([]T, error) {
-	wc, ex := r.wc, r.opt.Exchange
-	me := wc.Rank()
 	src := r.partitionSource()
 	sp, done, err := r.open(pl, true, src)
 	if err != nil {
 		return nil, err
 	}
 	defer done()
+	sendErr := make(chan error, 1)
+	go func() { sendErr <- pl.sendChunks(r.wc, src, r.opt.Exchange) }()
+	out, merges, err := r.drainAndMerge(pl)
+	// Join the sender on every exit: it views r.work and books the window.
+	if serr := <-sendErr; err == nil {
+		err = serr
+	}
+	if err != nil {
+		return nil, err
+	}
+	sp.End(map[string]any{
+		"recv_records": int64(len(out)), "recv_bytes": int64(len(out)) * r.recSize,
+		"send_records": int64(len(r.work)), "merges": merges,
+	})
+	return out, nil
+}
 
-	// remaining[from] is how many payload bytes from still owes us; its
-	// receive is reposted per chunk until that hits zero.
+// drainAndMerge is overlapExchange's receive side: blocking receives
+// in shift order, the order the peers' senders emit in — the transports
+// are eager and FIFO per source, so waiting on one never stalls
+// another's delivery. The merge order is fixed, but not rank order:
+// hence no stable sort here. A source's chunks are one sorted run,
+// appended to its slab region and merged once, when whole: at most p-1
+// merges whatever the stage size. The result grows from the back of out
+// — MergeInto takes the accumulated tail as an input — seeded with our
+// own partition, merged straight out of work.
+func (r *run[T]) drainAndMerge(pl exchangePlan) ([]T, int, error) {
+	wc, ex := r.wc, r.opt.Exchange
+	p, me := wc.Size(), wc.Rank()
+	// remaining[from] is how many payload bytes from still owes us.
 	remaining := slices.Clone(pl.recv)
 	remaining[me] = 0
-	var (
-		reqs     []*comm.Request
-		srcs     []int
-		consumed []bool
-	)
-	post := func(from int) error {
-		req, err := wc.Irecv(from, tagExchange)
-		if err != nil {
-			return fmt.Errorf("core: irecv from %d: %w", from, err)
-		}
-		reqs, srcs, consumed = append(reqs, req), append(srcs, from), append(consumed, false)
-		return nil
-	}
-	for from, owed := range remaining {
-		if owed > 0 {
-			if err := post(from); err != nil {
-				return nil, err
-			}
-		}
-	}
-	// The eager transports never block the sender on a matching receive.
-	sendErr := make(chan error, 1)
-	go func() { sendErr <- pl.sendChunks(wc, src, ex) }()
-
-	// A source's chunks are consecutive pieces of one sorted run, so
-	// they are appended to its region of the slab and the run merges
-	// once, when it is whole: at most p-1 merges whatever the stage
-	// size. The result grows from the back of out — MergeInto takes the
-	// accumulated tail as an input — seeded with our own partition,
-	// merged straight out of work.
 	_, runs, sink := r.recvSlab(remaining)
 	out := make([]T, sum(pl.recv)/r.recSize)
 	acc := r.work[r.bounds[me]:r.bounds[me+1]]
 	merges := 0
-	for {
-		i, buf, err := comm.WaitAnyMask(reqs, consumed)
-		if err != nil {
-			return nil, fmt.Errorf("core: overlapped recv: %w", err)
-		}
-		if i < 0 {
-			break
-		}
-		from, n := srcs[i], int64(len(buf))
-		if remaining[from] -= n; remaining[from] < 0 {
-			return nil, fmt.Errorf("core: rank %d sent %d bytes beyond its advertised count", from, -remaining[from])
-		}
-		// Decode on the exchange clock (receive half of the transfer);
-		// only the merge is local ordering. The encoded buffer counts
-		// toward the staging window until it has been decoded.
-		ex.AddWindow(n)
-		err = sink(from, 0, buf)
-		ex.AddWindow(-n)
-		if err != nil {
-			return nil, fmt.Errorf("core: decode from rank %d: %w", from, err)
-		}
-		if remaining[from] > 0 {
-			if err := post(from); err != nil {
-				return nil, err
+	for k := 1; k < p; k++ {
+		from := (me - k + p) % p
+		for remaining[from] > 0 {
+			buf, err := wc.Recv(from, tagExchange)
+			if err != nil {
+				return nil, 0, fmt.Errorf("core: overlapped recv from %d: %w", from, err)
 			}
-			continue
+			n := int64(len(buf))
+			if remaining[from] -= n; remaining[from] < 0 {
+				return nil, 0, fmt.Errorf("core: rank %d sent %d bytes beyond its advertised count", from, -remaining[from])
+			}
+			// Decode on the exchange clock (receive half of the transfer);
+			// only the merge is local ordering. The encoded buffer counts
+			// toward the staging window until it has been decoded.
+			ex.AddWindow(n)
+			err = sink(from, 0, buf)
+			ex.AddWindow(-n)
+			if err != nil {
+				return nil, 0, fmt.Errorf("core: decode from rank %d: %w", from, err)
+			}
+		}
+		if len(runs[from]) == 0 {
+			continue // from owed us nothing
 		}
 		r.tm.Start(metrics.PhaseLocalOrdering)
 		dst := out[len(out)-len(acc)-len(runs[from]):]
@@ -304,17 +295,10 @@ func (r *run[T]) overlapExchange(pl exchangePlan) ([]T, error) {
 		acc, merges = dst, merges+1
 		r.tm.Start(metrics.PhaseExchange)
 	}
-	if err := <-sendErr; err != nil {
-		return nil, err
-	}
 	if merges == 0 {
 		copy(out, acc) // nothing arrived: the block is our own partition
 	}
-	sp.End(map[string]any{
-		"recv_records": int64(len(out)), "recv_bytes": int64(len(out)) * r.recSize,
-		"send_records": int64(len(r.work)), "merges": merges,
-	})
-	return out, nil
+	return out, merges, nil
 }
 
 // sendChunks is overlapExchange's sender: it walks the other ranks in

@@ -59,9 +59,9 @@ type Options struct {
 	// larger messages hit the network (§2.3). Zero disables merging.
 	TauM int64
 
-	// TauO is the overlap threshold: when the communicator is smaller
-	// than TauO (and the sort is not stable), the exchange overlaps
-	// with local ordering via asynchronous receives (§2.6).
+	// TauO is the overlap threshold: when the communicator has at most
+	// TauO ranks (and the sort is not stable), the exchange overlaps
+	// with local ordering, merging each source's run as it lands (§2.6).
 	TauO int
 
 	// TauS is the local-ordering threshold: with fewer than TauS

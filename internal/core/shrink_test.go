@@ -2,6 +2,7 @@ package core
 
 import (
 	"os"
+	"path/filepath"
 	"strconv"
 	"sync"
 	"testing"
@@ -199,10 +200,6 @@ func TestShrinkCascade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shrunk, err := checkpoint.NewStore(dir, topo.Size()-1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// First kill: world rank 1 dies mid-exchange of the full world.
 	inj1, err := faultnet.New(faultnet.Plan{
 		Seed:          seed,
@@ -212,14 +209,17 @@ func TestShrinkCascade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Second kill: triggered by the redistributed cut's first manifest,
-	// which exists the moment the shrink commits — so a survivor (rank 2
-	// in the shrunken numbering) dies on its first operation of the
-	// degraded epoch, before it can make progress.
+	// Second kill: triggered by a marker the shrink writes once it has
+	// committed the redistributed cut — so a survivor (rank 2 in the
+	// shrunken numbering) dies on its first operation of the degraded
+	// epoch, before it can make progress. (The cut's own manifests will
+	// not do: whether the survivors' partition snapshots commit before
+	// they see the first loss decides which phase the cut is at.)
+	shrunkMarker := filepath.Join(t.TempDir(), "shrunk")
 	inj2, err := faultnet.New(faultnet.Plan{
 		Seed:          seed + 1,
 		KillRank:      2,
-		KillAfterFile: shrunk.ManifestPath(1, checkpoint.PhaseLocalSort, 0),
+		KillAfterFile: shrunkMarker,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -239,6 +239,14 @@ func TestShrinkCascade(t *testing.T) {
 		// cannot shrink again and must take the relaunch path.
 		Shrink:        shrinkPolicy(dir, 3),
 		WrapTransport: func(tr comm.Transport) comm.Transport { return inj2.Wrap(inj1.Wrap(tr)) },
+	}
+	redistribute := opts.Shrink.Redistribute
+	opts.Shrink.Redistribute = func(lost []int, oldSize, newEpoch int) (checkpoint.Cut, error) {
+		cut, err := redistribute(lost, oldSize, newEpoch)
+		if err == nil {
+			err = os.WriteFile(shrunkMarker, nil, 0o644)
+		}
+		return cut, err
 	}
 	outs, err := runShrinkSort(t, topo, opts, dir, in, opt)
 	if err != nil {

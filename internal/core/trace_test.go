@@ -9,6 +9,7 @@ import (
 	"sdssort/internal/codec"
 	"sdssort/internal/comm"
 	"sdssort/internal/faultnet"
+	"sdssort/internal/metrics"
 	"sdssort/internal/trace"
 )
 
@@ -81,7 +82,8 @@ func TestSortTraceNodeMerge(t *testing.T) {
 // synchronous, overlapped and spilled paths. The sort fails on every
 // rank, and every span it opened must still be closed: the failed
 // exchange ends with reason "error" like the root span above it,
-// instead of dangling open in the timeline.
+// instead of dangling open in the timeline — and the staging window
+// drains back to zero, no sender left holding a chunk.
 func TestFailedExchangeClosesSpans(t *testing.T) {
 	topo := cluster.Topology{Nodes: 2, CoresPerNode: 2}
 	paths := []struct {
@@ -104,6 +106,7 @@ func TestFailedExchangeClosesSpans(t *testing.T) {
 			opt.TauM = 0
 			opt.StageBytes = 16
 			opt.Trace = rec
+			opt.Exchange = &metrics.ExchangeStats{}
 			path.tune(&opt)
 			err = cluster.RunOpts(topo, cluster.Options{WrapTransport: inj.Wrap}, func(c *comm.Comm) error {
 				local := append([]codec.Tagged(nil), in[c.Rank()]...)
@@ -112,6 +115,9 @@ func TestFailedExchangeClosesSpans(t *testing.T) {
 			})
 			if err == nil || inj.Stats().Kills != 1 {
 				t.Fatalf("err = %v with %d kills, want a sort failed by one kill", err, inj.Stats().Kills)
+			}
+			if w := opt.Exchange.WindowBytes.Load(); w != 0 {
+				t.Errorf("WindowBytes = %d after every rank returned, want 0", w)
 			}
 			failed := 0
 			for _, sp := range trace.BuildSpans(rec.Events()) {

@@ -96,8 +96,8 @@ func Fig5a(cfg Config) (*Result, error) {
 // ordering versus not, as the process count grows. Sleep-mode simnet
 // makes network time real so overlap can genuinely hide it; the
 // overlapped path's extra work (pairwise incremental merging, one
-// in-flight request pair per peer) grows with p, producing the paper's
-// crossover (τo ≈ 4096 on Edison).
+// receive per chunk drained peer by peer beside the sender goroutine)
+// grows with p, producing the paper's crossover (τo ≈ 4096 on Edison).
 func Fig5b(cfg Config) (*Result, error) {
 	ps := []int{4, 8, 16, 32}
 	if cfg.Quick {

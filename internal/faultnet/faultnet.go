@@ -479,7 +479,7 @@ func (t *transport) Send(dst int, ctx uint64, tag int32, data []byte) error {
 
 	// The stream lock spans sequence assignment, the injected delay and
 	// the underlying sends, so sequence numbers reach the wire in
-	// order even when the comm layer issues concurrent Isends.
+	// order even when several goroutines of a rank send at once.
 	sl := t.streamLock(key)
 	sl.Lock()
 	defer sl.Unlock()

@@ -163,8 +163,9 @@ func (f *Fabric) syncTo(r int, t time.Duration) time.Duration {
 }
 
 // transport charges the cost model around a base transport. A rank's
-// transport may be used from several goroutines (Isend/Irecv), so clock
-// updates go through the fabric's lock; the compute timer uses its own.
+// transport may be used from several goroutines (the overlapped
+// exchange's sender beside its receive loop), so clock updates go
+// through the fabric's lock; the compute timer uses its own.
 type transport struct {
 	comm.Transport
 	f    *Fabric

@@ -145,7 +145,7 @@ func Cores(n int) Option { return func(c *config) { c.opt.Cores = n } }
 // exchange message size; 0 disables node merging (§2.3 of the paper).
 func TauM(bytes int64) Option { return func(c *config) { c.opt.TauM = bytes } }
 
-// TauO sets the overlap threshold: with fewer ranks than this (and a
+// TauO sets the overlap threshold: with at most this many ranks (and a
 // non-stable sort) the exchange overlaps with local ordering (§2.6).
 func TauO(p int) Option { return func(c *config) { c.opt.TauO = p } }
 
