@@ -23,9 +23,13 @@ import "unsafe"
 //     as wide as the wire record, i.e. the struct has no padding the
 //     wire format would not carry.
 //
-// Aliasing rule: a View aliases the records' storage. Callers handing
-// a view to a transport must not mutate the records until the send has
-// been consumed, and must not retain received views past their Drain.
+// Records, View's inverse, adds a fourth: the bytes are whole records
+// starting at an address aligned for T.
+//
+// Aliasing rule: a View or Records aliases the storage it views. Callers
+// handing a view to a transport must not mutate the records until the
+// send has been consumed, and must not retain received views past their
+// Drain.
 
 // hostLittleEndian reports whether this machine lays integers out in
 // little-endian byte order — the byte order of the wire format.
@@ -62,6 +66,19 @@ func View[T any](c Codec[T], recs []T) ([]byte, bool) {
 		return nil, false
 	}
 	return sliceBytes(recs), true
+}
+
+// Records is View's inverse: b viewed as records, so writing them fills
+// b with their wire form. It returns (nil, false) when a leg fails — the
+// codec does not qualify, b is not whole records, or b is misaligned for
+// T — and the caller takes the marshal path.
+func Records[T any](c Codec[T], b []byte) ([]T, bool) {
+	var z T
+	p := unsafe.Pointer(unsafe.SliceData(b))
+	if !IsZeroCopy(c) || len(b)%c.Size() != 0 || len(b) > 0 && uintptr(p)%unsafe.Alignof(z) != 0 {
+		return nil, false
+	}
+	return unsafe.Slice((*T)(p), len(b)/c.Size()), true
 }
 
 // sliceBytes reinterprets recs' backing array as bytes. len == cap, so

@@ -76,6 +76,19 @@ func checkZeroCopyCodec[T any](t *testing.T, c Codec[T], recs []T) {
 		t.Fatalf("%T: DecodeAppend length %d", c, len(app))
 	}
 
+	// Records inverts View in place: the view reads as the records, and
+	// records written through it land as their wire form.
+	buf := append([]byte(nil), want...)
+	view, ok := Records(c, buf)
+	if !ok || len(view) != len(recs) || (len(recs) > 0 && !reflect.DeepEqual(view, recs)) {
+		t.Fatalf("%T: Records of the wire bytes is not the records (ok=%v)", c, ok)
+	}
+	clear(buf)
+	copy(view, recs)
+	if !bytes.Equal(buf, want) {
+		t.Fatalf("%T: records written through Records are not their wire form", c)
+	}
+
 	if len(recs) > 0 {
 		// len == cap on views: an append must reallocate, leaving the
 		// record slab untouched.
@@ -164,6 +177,27 @@ func TestIsZeroCopyGates(t *testing.T) {
 	}
 	if IsZeroCopy[padded](bad) {
 		t.Error("codec with padded in-memory layout qualified for zero copy")
+	}
+}
+
+// TestRecordsGates: Records refuses whenever one leg fails — a codec
+// that does not qualify, a ragged length, or bytes misaligned for T.
+func TestRecordsGates(t *testing.T) {
+	wire, _ := View[uint64](Uint64{}, make([]uint64, 5)) // aligned for uint64
+	if _, ok := Records[uint64](Funcs[uint64]{Width: 8, MarshalFn: Uint64{}.Marshal, UnmarshFn: Uint64{}.Unmarshal}, wire[:8]); ok {
+		t.Error("Records succeeded on a non-zero-copy codec")
+	}
+	if _, ok := Records[uint64](Uint64{}, wire[:12]); ok {
+		t.Error("Records accepted a ragged length")
+	}
+	if _, ok := Records[uint64](Uint64{}, wire[1:9]); ok {
+		t.Error("Records accepted bytes misaligned for uint64")
+	}
+	if recs, ok := Records[uint64](Uint64{}, wire[:32]); !ok || len(recs) != 4 {
+		t.Errorf("Records refused four aligned records (ok=%v, len %d)", ok, len(recs))
+	}
+	if recs, ok := Records[uint64](Uint64{}, nil); !ok || len(recs) != 0 {
+		t.Errorf("Records of no bytes: ok=%v, len %d", ok, len(recs))
 	}
 }
 

@@ -108,10 +108,10 @@ type Options struct {
 	// span.begin/span.end pairs that delimit the sort and its phases.
 	Trace trace.Tracer
 
-	// Span is the ambient span scope this sort runs under — the
-	// engine's per-job root span, a supervisor epoch span. The sort's
-	// own root span becomes a child of it; the zero value makes the
-	// sort a trace root.
+	// Span is the ambient span scope this sort runs under — sdsnode's
+	// per-job span, a supervisor epoch span, a driver's root span. The
+	// sort's own root span becomes a child of it; the zero value makes
+	// the sort a trace root.
 	Span trace.Scope
 
 	// Skew, when non-nil, accrues per-phase load-imbalance gauges and

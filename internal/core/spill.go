@@ -49,9 +49,11 @@ type SpillOptions struct {
 	// MaxFanIn caps the width of one merge pass over run files; more
 	// runs are pre-merged in batches first. Default 64.
 	MaxFanIn int
-	// BufBytes is the per-cursor I/O buffer for run readers and
-	// writers; a merge holds (fan-in + 1) × BufBytes, reserved from
-	// the gauge. Default 256 KiB.
+	// BufBytes sizes each run-file buffer, every one reserved from the
+	// gauge: a merge reserves one per cursor, holding its run's current
+	// block of records; a pre-merge pass or Spilled.Stream one more, the
+	// block the merge fills for output; a run writer or the receive
+	// spool one write buffer. Default 256 KiB.
 	BufBytes int
 	// Stats accrues spill counters (runs, bytes, merge passes). May be
 	// shared across ranks.

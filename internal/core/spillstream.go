@@ -68,8 +68,9 @@ func (s *Spilled[T]) open() (*extsort.MergeStream[T], error) {
 	return extsort.OpenMergeSegments(extsort.WholeRuns(s.runs), s.cd, s.cmp, s.merge)
 }
 
-// Stream writes the block to w in recordio wire format through a
-// lazy merge; cursor buffers are reserved from the merge's gauge.
+// Stream writes the block to w in recordio wire format through a lazy
+// merge that fills one output block of BufBytes at a time; the cursor
+// blocks and the output block are reserved from the merge's gauge.
 func (s *Spilled[T]) Stream(w io.Writer) error {
 	ms, err := s.open()
 	if err != nil {
@@ -80,11 +81,8 @@ func (s *Spilled[T]) Stream(w io.Writer) error {
 		return fmt.Errorf("core: spilled output buffer: %w", err)
 	}
 	defer s.merge.Mem.Release(int64(s.merge.BufBytes))
-	rw := recordio.NewWriterSize(w, s.cd, s.merge.BufBytes)
-	if err := ms.Drain(func(rec T) error { return rw.Write(rec) }); err != nil {
-		return err
-	}
-	return rw.Flush()
+	_, err = ms.Stream(w, s.merge.BufBytes)
+	return err
 }
 
 // ReadAll materialises the block — test and small-result convenience;
@@ -98,14 +96,13 @@ func (s *Spilled[T]) ReadAll() ([]T, error) {
 	return collect(ms, s.records)
 }
 
-// collect materialises a merge expected to yield n records.
+// collect materialises a merge expected to yield n records, filling the
+// output slice in place. Its one spare slot shows a merge that yields
+// more as n + 1 records.
 func collect[T any](ms *extsort.MergeStream[T], n int64) ([]T, error) {
-	out := make([]T, 0, n)
-	err := ms.Drain(func(rec T) error {
-		out = append(out, rec)
-		return nil
-	})
-	return out, err
+	out := make([]T, n+1)
+	k, err := ms.Fill(out)
+	return out[:k], err
 }
 
 // Remove deletes the spill directory and every run in it.
@@ -288,10 +285,11 @@ func cutRuns[T any](r *run[T], in RecordSource[T], dir string, detail map[string
 
 // runSource is SortStream's send side: each destination's payload is a
 // lazy merge of that destination's segments of the local runs (ubs[r]
-// are run r's per-destination record bounds), marshalled chunk by chunk
-// into pooled buffers. Destinations are visited one per round, each
-// payload fully streamed, so one merge is open at a time; the returned
-// func closes whichever is.
+// are run r's per-destination record bounds), filled chunk by chunk into
+// pooled buffers — in place, viewed as records, for zero-copy codecs,
+// marshalled record by record otherwise. Destinations are visited one
+// per round, each payload fully streamed, so one merge is open at a
+// time; the returned func closes whichever is.
 func runSource[T any](runs []string, ubs [][]int64, cd codec.Codec[T], cmp func(a, b T) int, recSize int64, mo extsort.MergeOptions) (chunkSource, func()) {
 	var cur *extsort.MergeStream[T]
 	curDst := -1
@@ -318,6 +316,16 @@ func runSource[T any](runs []string, ubs [][]int64, cd codec.Codec[T], cmp func(
 			cur, curDst = ms, dst
 		}
 		buf := pool.Get(int(n))[:n]
+		if recs, ok := codec.Records(cd, buf); ok {
+			k, err := cur.Fill(recs)
+			if err == nil && k < len(recs) {
+				err = io.EOF
+			}
+			if err != nil {
+				return nil, fmt.Errorf("core: fill for rank %d at %d: %w", dst, off+int64(k)*recSize, err)
+			}
+			return buf, nil
+		}
 		for b := int64(0); b < n; b += recSize {
 			rec, err := cur.Next()
 			if err != nil {

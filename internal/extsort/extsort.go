@@ -64,8 +64,8 @@ type File struct {
 }
 
 // CreateFile opens a writer targeting path behind a bufBytes buffer.
-// bufBytes <= 0 means no buffer at all, for a client that stacks its own
-// accounted one on top (Spilled.Stream's record writer).
+// bufBytes <= 0 means no buffer at all, for a client that writes whole
+// accounted blocks of its own (MergeStream.Stream's output block).
 func CreateFile(path string, bufBytes int) (*File, error) {
 	fw := &File{path: path}
 	var err error

@@ -5,11 +5,11 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"unsafe"
 
 	"sdssort/internal/codec"
 	"sdssort/internal/memlimit"
 	"sdssort/internal/metrics"
-	"sdssort/internal/recordio"
 )
 
 // MergeOptions configures a lazy merge over run files.
@@ -19,9 +19,10 @@ type MergeOptions struct {
 	// intermediate runs first (consuming — deleting — their inputs).
 	// Default 64.
 	MaxFanIn int
-	// BufBytes is the read/write buffer per open run cursor. The merge
-	// reserves (fan-in + 1) × BufBytes from Mem: one buffer per cursor
-	// plus one writer. Default 256 KiB.
+	// BufBytes sizes each buffer of a merge. openCursors reserves one
+	// per cursor from Mem, holding the run's current block of records;
+	// a pre-merge pass reserves one more for its output block. Default
+	// 256 KiB.
 	BufBytes int
 	// Mem accounts the cursor buffers; nil means unlimited.
 	Mem *memlimit.Gauge
@@ -69,17 +70,36 @@ func WholeRuns(runs []string) []RunSegment {
 	return segs
 }
 
-// Cursor reads one segment front to back. The merge holds one per open
-// run; it is also how a file shard streams into the sort.
+// Cursor reads one segment front to back, a block of records at a time.
+// The merge holds one per open run; it is also how a file shard streams
+// into the sort.
 type Cursor[T any] struct {
-	r    *recordio.Reader[T]
 	f    *os.File
-	left int64 // records remaining in the segment; -1 = until EOF
+	cd   codec.Codec[T]
+	blk  []T // the block read last; blk[pos:] are yet to be returned
+	pos  int
+	wire []byte // blk's byte view (zero-copy), else the bytes blk decodes from
+	zc   bool
+	left int64 // records of the segment not yet read from the file; -1 = until EOF
 	head T     // in a merge: the record at the front of the run,
 	idx  int   // and the run's index, the stability tiebreaker
 }
 
-// OpenSegment opens a cursor over seg behind a bufBytes read buffer.
+// newBlock carves bufBytes into a block of at least one record and its
+// wire bytes: for a zero-copy codec one buffer, wire the block's View,
+// otherwise a block and a wire buffer of as many records.
+func newBlock[T any](cd codec.Codec[T], bufBytes int) (blk []T, wire []byte, zc bool) {
+	if codec.IsZeroCopy(cd) {
+		blk = make([]T, max(bufBytes/cd.Size(), 1))
+		wire, _ = codec.View(cd, blk)
+		return blk, wire, true
+	}
+	var z T
+	n := max(bufBytes/(cd.Size()+int(unsafe.Sizeof(z))), 1)
+	return make([]T, n), make([]byte, n*cd.Size()), false
+}
+
+// OpenSegment opens a cursor over seg whose block fills bufBytes.
 func OpenSegment[T any](seg RunSegment, cd codec.Codec[T], bufBytes int) (*Cursor[T], error) {
 	f, err := os.Open(seg.Path)
 	if err != nil {
@@ -95,37 +115,64 @@ func OpenSegment[T any](seg RunSegment, cd codec.Codec[T], bufBytes int) (*Curso
 	if seg.Hi >= 0 {
 		left = max(seg.Hi-seg.Lo, 0)
 	}
-	return &Cursor[T]{r: recordio.NewReaderSize(f, cd, bufBytes), f: f, left: left}, nil
+	blk, wire, zc := newBlock(cd, bufBytes)
+	return &Cursor[T]{f: f, cd: cd, blk: blk[:0], wire: wire, zc: zc, left: left}, nil
 }
 
 // Read returns the segment's next record, or io.EOF at its end. A file
 // that ends before the segment does — or mid-record — is an error, not
 // an end.
-func (c *Cursor[T]) Read() (T, error) {
-	var zero T
-	if c.left == 0 {
-		return zero, io.EOF
-	}
-	rec, err := c.r.Read()
-	if err != nil {
-		if err == io.EOF && c.left > 0 {
-			return zero, fmt.Errorf("segment ends %d records early", c.left)
+func (c *Cursor[T]) Read() (rec T, err error) {
+	if c.pos == len(c.blk) {
+		if err = c.fill(); err != nil {
+			return rec, err
 		}
-		return zero, err
 	}
+	c.pos++
+	return c.blk[c.pos-1], nil
+}
+
+// fill reads the segment's next block: for a zero-copy codec straight
+// into the block's memory, else into the wire buffer and decoded.
+func (c *Cursor[T]) fill() error {
+	if c.left == 0 {
+		return io.EOF
+	}
+	sz := c.cd.Size()
+	want := cap(c.blk)
 	if c.left > 0 {
-		c.left--
+		want = int(min(int64(want), c.left))
 	}
-	return rec, nil
+	n, err := io.ReadFull(c.f, c.wire[:want*sz])
+	switch {
+	case err != nil && err != io.EOF && err != io.ErrUnexpectedEOF:
+		return err
+	case n%sz != 0:
+		return fmt.Errorf("file ends mid-record (%d-byte records)", sz)
+	case err != nil && c.left > 0:
+		return fmt.Errorf("segment ends %d records early", c.left-int64(n/sz))
+	case n == 0:
+		return io.EOF
+	}
+	if c.zc {
+		c.blk = c.blk[:n/sz]
+	} else {
+		c.blk, _ = codec.DecodeAppend(c.cd, c.blk[:0], c.wire[:n])
+	}
+	c.pos = 0
+	if c.left > 0 {
+		c.left -= int64(n / sz)
+	}
+	return nil
 }
 
 // Close releases the cursor's file.
 func (c *Cursor[T]) Close() error { return c.f.Close() }
 
 // MergeStream is a lazy cursor over the merged order of a set of
-// sorted run files. Records stream from disk through per-run buffers;
-// nothing is held resident beyond (fan-in + 1) × BufBytes, which is
-// reserved from MergeOptions.Mem for the stream's lifetime.
+// sorted run files. Records stream from disk through per-run blocks;
+// nothing is held resident beyond one BufBytes block per cursor, which
+// is reserved from MergeOptions.Mem for the stream's lifetime.
 type MergeStream[T any] struct {
 	// heap is a binary min-heap of the open runs by (head record, run
 	// index). Only its root ever changes — replaced by its run's next
@@ -133,6 +180,7 @@ type MergeStream[T any] struct {
 	// operation, written out over the concrete types: container/heap
 	// would reach cmp through three interface calls per level, per record.
 	heap     []*Cursor[T]
+	cd       codec.Codec[T]
 	cmp      func(a, b T) int
 	mem      *memlimit.Gauge
 	reserved int64
@@ -224,7 +272,7 @@ func openMergeCapped[T any](segs []RunSegment, consume bool, cd codec.Codec[T], 
 // openCursors opens one read cursor per segment and heapifies the
 // heads.
 func openCursors[T any](segs []RunSegment, cd codec.Codec[T], cmp func(a, b T) int, opt MergeOptions) (*MergeStream[T], error) {
-	ms := &MergeStream[T]{cmp: cmp, mem: opt.Mem}
+	ms := &MergeStream[T]{cd: cd, cmp: cmp, mem: opt.Mem}
 	need := int64(len(segs)) * int64(opt.bufBytes())
 	if err := opt.Mem.Reserve(need); err != nil {
 		return nil, fmt.Errorf("extsort: merge buffers for %d runs: %w", len(segs), err)
@@ -254,44 +302,63 @@ func openCursors[T any](segs []RunSegment, cd codec.Codec[T], cmp func(a, b T) i
 	return ms, nil
 }
 
-// Next returns the next record in merged order, or io.EOF.
-func (ms *MergeStream[T]) Next() (T, error) {
-	var zero T
-	if len(ms.heap) == 0 {
-		return zero, io.EOF
+// Fill copies the next records in merged order into dst, in place, and
+// returns how many: len(dst) unless the merge ends (or fails) first.
+// The root's next head comes from its cursor's block; the cursor reads
+// only when that block is spent.
+func (ms *MergeStream[T]) Fill(dst []T) (int, error) {
+	for i := range dst {
+		if len(ms.heap) == 0 {
+			return i, nil
+		}
+		top := ms.heap[0]
+		dst[i] = top.head
+		if top.pos < len(top.blk) {
+			top.head = top.blk[top.pos]
+			top.pos++
+		} else if rec, err := top.Read(); err == nil {
+			top.head = rec
+		} else if err == io.EOF {
+			top.Close()
+			last := len(ms.heap) - 1
+			ms.heap[0], ms.heap = ms.heap[last], ms.heap[:last]
+		} else {
+			return i, fmt.Errorf("extsort: run %d: %w", top.idx, err)
+		}
+		ms.down(0)
 	}
-	top := ms.heap[0]
-	out := top.head
-	rec, err := top.Read()
-	switch {
-	case err == nil:
-		top.head = rec
-	case err == io.EOF:
-		top.Close()
-		last := len(ms.heap) - 1
-		ms.heap[0], ms.heap = ms.heap[last], ms.heap[:last]
-	default:
-		return zero, fmt.Errorf("extsort: run %d: %w", top.idx, err)
-	}
-	ms.down(0)
-	return out, nil
+	return len(dst), nil
 }
 
-// Drain feeds every remaining record, in merged order, to emit — the
-// one loop behind a merge's every consumer: pre-merge passes, a block
-// streaming to its output, a block materialised in memory.
-func (ms *MergeStream[T]) Drain(emit func(T) error) error {
+// Next returns the next record in merged order, or io.EOF.
+func (ms *MergeStream[T]) Next() (T, error) {
+	var one [1]T
+	n, err := ms.Fill(one[:])
+	if n == 0 && err == nil {
+		err = io.EOF
+	}
+	return one[0], err
+}
+
+// Stream writes every remaining record to w in wire format through one
+// bufBytes block, which the caller reserves, and returns how many. A
+// zero-copy codec's block is filled in place and written as its View;
+// any other codec's is encoded into its wire half first.
+func (ms *MergeStream[T]) Stream(w io.Writer, bufBytes int) (total int64, err error) {
+	blk, wire, zc := newBlock(ms.cd, bufBytes)
 	for {
-		rec, err := ms.Next()
-		if err == io.EOF {
-			return nil
+		n, err := ms.Fill(blk)
+		if err != nil || n == 0 {
+			return total, err
 		}
-		if err != nil {
-			return err
+		out := wire[:n*ms.cd.Size()]
+		if !zc {
+			out = codec.EncodeSlice(ms.cd, wire[:0], blk[:n])
 		}
-		if err := emit(rec); err != nil {
-			return err
+		if _, err := w.Write(out); err != nil {
+			return total, err
 		}
+		total += int64(n)
 	}
 }
 
@@ -323,19 +390,19 @@ func premerge[T any](batch []RunSegment, dst string, cd codec.Codec[T], cmp func
 		return fmt.Errorf("extsort: pre-merge writer buffer: %w", err)
 	}
 	defer opt.Mem.Release(int64(opt.bufBytes()))
-	fw, err := CreateFile(dst, opt.bufBytes())
+	fw, err := CreateFile(dst, 0) // the merge's output block is the buffer
 	if err != nil {
 		return err
 	}
 	defer fw.Abort()
-	w := Records(fw, cd)
-	if err := ms.Drain(func(rec T) error { return w.Write(rec) }); err != nil {
+	n, err := ms.Stream(fw, opt.bufBytes())
+	if err != nil {
 		return fmt.Errorf("extsort: pre-merge %s: %w", dst, err)
 	}
 	if err := fw.Commit(); err != nil {
 		return err
 	}
-	opt.Stats.AddRun(w.Count() * int64(cd.Size()))
+	opt.Stats.AddRun(n * int64(cd.Size()))
 	opt.Stats.AddMerge(len(batch))
 	return nil
 }

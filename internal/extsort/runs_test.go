@@ -2,6 +2,11 @@ package extsort_test
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"io"
+	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
@@ -168,11 +173,12 @@ func TestMergeSegmentsNonConsuming(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer ms.Close()
-		var got []float64
-		if err := ms.Drain(func(rec float64) error { got = append(got, rec); return nil }); err != nil {
+		got := make([]float64, len(want)+1)
+		n, err := ms.Fill(got)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return got
+		return got[:n]
 	}
 	if got := read(); !slices.Equal(got, want) {
 		t.Fatal("first capped segment merge wrong")
@@ -183,13 +189,32 @@ func TestMergeSegmentsNonConsuming(t *testing.T) {
 	}
 }
 
+// plainF64 is f64 without the zero-copy declaration: it drives the
+// marshal paths of the cursor and the merge's output block.
+var plainF64 = codec.Funcs[float64]{Width: 8, MarshalFn: f64.Marshal, UnmarshFn: f64.Unmarshal}
+
+// mergeBytes streams a one-segment merge through a bufBytes output
+// block — bytes, not records: NaN keys are valid run content.
+func mergeBytes(cd codec.Codec[float64], seg extsort.RunSegment, bufBytes int) ([]byte, error) {
+	ms, err := extsort.OpenMergeSegments([]extsort.RunSegment{seg}, cd, cmpF, extsort.MergeOptions{BufBytes: bufBytes})
+	if err != nil {
+		return nil, err
+	}
+	defer ms.Close()
+	var out bytes.Buffer
+	_, err = ms.Stream(&out, bufBytes)
+	return out.Bytes(), err
+}
+
 // FuzzRunReader fuzzes the one place run-file bytes are parsed: the
-// segment cursor under the merge. Arbitrary bytes stand in for a run
-// file and arbitrary bounds for a segment of it. Whatever they are the
-// reader must not panic; for bounds that make sense it must yield
-// exactly the segment's records, and a file that ends inside the
-// segment — a short segment, or a ragged tail — must be an error, never
-// a silently shorter run.
+// segment cursor under the merge, on both of its paths — the zero-copy
+// read into the block's memory and the marshal decode. Arbitrary bytes
+// stand in for a run file and arbitrary bounds for a segment of it.
+// Whatever they are the reader must not panic, and the two paths must
+// agree: the same bytes, and an error on one exactly when the other
+// errs. For bounds that make sense it must yield exactly the segment's
+// records, and a file that ends inside the segment — a short segment,
+// or a ragged tail — must be an error, never a silently shorter run.
 func FuzzRunReader(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{1, 2, 3, 4, 5, 6, 7, 0xf8}, 9), int64(2), int64(7))
 	f.Add(make([]byte, 8*5+3), int64(0), int64(-1))
@@ -201,23 +226,15 @@ func FuzzRunReader(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		var got []byte
-		read := func() error {
-			ms, err := extsort.OpenMergeSegments([]extsort.RunSegment{{Path: path, Lo: lo, Hi: hi}}, f64, cmpF,
-				extsort.MergeOptions{BufBytes: 64})
-			if err != nil {
-				return err
-			}
-			defer ms.Close()
-			// Bytes, not records: NaN keys are valid run content.
-			return ms.Drain(func(rec float64) error {
-				var b [8]byte
-				f64.Marshal(b[:], rec)
-				got = append(got, b[:]...)
-				return nil
-			})
+		seg := extsort.RunSegment{Path: path, Lo: lo, Hi: hi}
+		got, err := mergeBytes(f64, seg, 64)
+		plain, perr := mergeBytes(plainF64, seg, 64)
+		if (err == nil) != (perr == nil) {
+			t.Fatalf("segment [%d,%d) of a %d-byte file: zero-copy error %v, marshal error %v", lo, hi, len(data), err, perr)
 		}
-		err := read()
+		if err == nil && !bytes.Equal(got, plain) {
+			t.Fatalf("segment [%d,%d): zero-copy and marshal cursors yield different bytes", lo, hi)
+		}
 		const far = 1 << 20
 		if lo < 0 || lo > far || hi > far || (hi >= 0 && hi < lo) {
 			return // not a segment of any file this small: only "no panic" is owed
@@ -240,4 +257,143 @@ func FuzzRunReader(f *testing.F) {
 			t.Fatalf("segment [%d,%d) yielded %d bytes, not the file's", lo, hi, len(got))
 		}
 	})
+}
+
+// TestCursorBlockBoundaries reads segments that start and end on and
+// off the cursor's 8-record block through both cursor paths: each read
+// yields exactly the segment's bytes, and a file that ends inside the
+// segment, or mid-record, is an error on both.
+func TestCursorBlockBoundaries(t *testing.T) {
+	const n = 8*6 + 5
+	dir := t.TempDir()
+	whole := filepath.Join(dir, "whole")
+	keys := make([]float64, n)
+	for i := range keys {
+		keys[i] = float64(i) + 0.5
+	}
+	if err := recordio.WriteFile(whole, f64, keys); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(whole)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ragged := filepath.Join(dir, "ragged")
+	if err := os.WriteFile(ragged, append(append([]byte(nil), data...), 1, 2, 3), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []struct {
+		name     string
+		cd       codec.Codec[float64]
+		bufBytes int // an 8-record block (plus, marshalling, its 8 records of wire bytes)
+	}{{"zerocopy", f64, 8 * 8}, {"marshal", plainF64, 8 * 16}} {
+		read := func(seg extsort.RunSegment) ([]byte, error) {
+			cur, err := extsort.OpenSegment(seg, path.cd, path.bufBytes)
+			if err != nil {
+				return nil, err
+			}
+			defer cur.Close()
+			var out []byte
+			for {
+				rec, err := cur.Read()
+				if err == io.EOF {
+					return out, nil
+				}
+				if err != nil {
+					return out, err
+				}
+				out = binary.LittleEndian.AppendUint64(out, math.Float64bits(rec))
+			}
+		}
+		for _, lo := range []int64{0, 3} {
+			for _, size := range []int64{0, 1, 7, 8, 9, 8*4 + 3} {
+				got, err := read(extsort.RunSegment{Path: whole, Lo: lo, Hi: lo + size})
+				if err != nil || !bytes.Equal(got, data[lo*8:(lo+size)*8]) {
+					t.Fatalf("%s: segment [%d,%d) yielded %d bytes (err=%v), not the file's %d", path.name, lo, lo+size, len(got), err, size*8)
+				}
+			}
+		}
+		if got, err := read(extsort.RunSegment{Path: whole, Hi: -1}); err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("%s: the whole file yielded %d of %d bytes (err=%v)", path.name, len(got), len(data), err)
+		}
+		for _, bad := range []extsort.RunSegment{
+			{Path: whole, Lo: 3, Hi: n + 1}, // the file ends inside the segment
+			{Path: whole, Lo: n - 9, Hi: n + 8*2},
+			{Path: ragged, Lo: 3, Hi: n + 1}, // ... mid-record
+			{Path: ragged, Hi: -1},           // a ragged tail
+		} {
+			if _, err := read(bad); err == nil {
+				t.Fatalf("%s: segment [%d,%d) of %s read clean", path.name, bad.Lo, bad.Hi, filepath.Base(bad.Path))
+			}
+		}
+	}
+}
+
+// TestMergeAllocations: draining a merge allocates nothing per record
+// or per block refill — 8 runs of 10 000 and of 100 000 records cost the
+// same allocations, all of them opening the merge and its output block.
+// AllocsPerRun counts the whole process and floors the mean, so 20 runs
+// keep a stray background allocation from moving it.
+func TestMergeAllocations(t *testing.T) {
+	allocs := func(perRun int) float64 {
+		runs := writeRuns(t, 8, perRun)
+		return testing.AllocsPerRun(20, func() {
+			ms, err := extsort.OpenMerge(runs, f64, cmpF, extsort.MergeOptions{BufBytes: 4 << 10})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ms.Close()
+			if n, err := ms.Stream(io.Discard, 4<<10); err != nil || n != int64(8*perRun) {
+				t.Fatalf("merged %d of %d records (err=%v)", n, 8*perRun, err)
+			}
+		})
+	}
+	if small, large := allocs(10_000), allocs(100_000); small != large {
+		t.Fatalf("draining 8 runs allocates %v times at 10 000 records a run, %v at 100 000", small, large)
+	}
+}
+
+// writeRuns writes k sorted runs of n random float64 keys each.
+func writeRuns(tb testing.TB, k, n int) []string {
+	tb.Helper()
+	dir := tb.TempDir()
+	rng := rand.New(rand.NewSource(int64(k*n + 1)))
+	runs := make([]string, k)
+	for r := range runs {
+		keys := make([]float64, n)
+		for i := range keys {
+			keys[i] = rng.Float64()
+		}
+		slices.Sort(keys)
+		runs[r] = filepath.Join(dir, fmt.Sprintf("run-%d", r))
+		if err := recordio.WriteFile(runs[r], f64, keys); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return runs
+}
+
+// BenchmarkRunMerge merges 8 runs of 64 Ki float64 keys through 64 KiB
+// cursor and output blocks, on the zero-copy and the marshal path.
+func BenchmarkRunMerge(b *testing.B) {
+	const k, n, bufBytes = 8, 64 << 10, 64 << 10
+	runs := writeRuns(b, k, n)
+	for _, path := range []struct {
+		name string
+		cd   codec.Codec[float64]
+	}{{"zerocopy", f64}, {"marshal", plainF64}} {
+		b.Run(path.name, func(b *testing.B) {
+			b.SetBytes(k * n * 8)
+			for i := 0; i < b.N; i++ {
+				ms, err := extsort.OpenMergeSegments(extsort.WholeRuns(runs), path.cd, cmpF, extsort.MergeOptions{BufBytes: bufBytes})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := ms.Stream(io.Discard, bufBytes); err != nil {
+					b.Fatal(err)
+				}
+				ms.Close()
+			}
+		})
+	}
 }

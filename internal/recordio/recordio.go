@@ -17,10 +17,8 @@ import (
 
 // Writer streams records to an io.Writer with buffering.
 type Writer[T any] struct {
-	w   *bufio.Writer
-	cd  codec.Codec[T]
-	buf []byte
-	n   int64
+	w  *bufio.Writer
+	cd codec.Codec[T]
 }
 
 // NewWriter wraps w.
@@ -32,27 +30,32 @@ func NewWriter[T any](w io.Writer, cd codec.Codec[T]) *Writer[T] {
 // account their buffers against a memory budget (the spill tier opens
 // many writers at once and cannot afford the default 1 MiB each).
 func NewWriterSize[T any](w io.Writer, cd codec.Codec[T], bufBytes int) *Writer[T] {
-	return &Writer[T]{
-		w:   bufio.NewWriterSize(w, bufBytes),
-		cd:  cd,
-		buf: make([]byte, cd.Size()),
-	}
+	return &Writer[T]{w: bufio.NewWriterSize(w, max(bufBytes, cd.Size())), cd: cd}
 }
 
-// Write appends records.
-func (w *Writer[T]) Write(recs ...T) error {
-	for _, r := range recs {
-		w.cd.Marshal(w.buf, r)
-		if _, err := w.w.Write(w.buf); err != nil {
-			return fmt.Errorf("recordio: write: %w", err)
+// Write appends records in bulk: a zero-copy codec's records go out as
+// one write of their View (straight past the buffer when they outsize
+// it), any other codec's are bulk-encoded into the buffer's free space,
+// a buffer at a time.
+func (w *Writer[T]) Write(recs ...T) (err error) {
+	if wire, ok := codec.View(w.cd, recs); ok {
+		_, err = w.w.Write(wire)
+		recs = nil
+	}
+	for sz := w.cd.Size(); err == nil && len(recs) > 0; {
+		if w.w.Available() < sz {
+			err = w.w.Flush()
+			continue
 		}
-		w.n++
+		k := min(w.w.Available()/sz, len(recs))
+		_, err = w.w.Write(codec.EncodeSlice(w.cd, w.w.AvailableBuffer(), recs[:k]))
+		recs = recs[k:]
+	}
+	if err != nil {
+		return fmt.Errorf("recordio: write: %w", err)
 	}
 	return nil
 }
-
-// Count returns the number of records written so far.
-func (w *Writer[T]) Count() int64 { return w.n }
 
 // Flush drains the buffer to the underlying writer.
 func (w *Writer[T]) Flush() error { return w.w.Flush() }
@@ -64,15 +67,10 @@ type Reader[T any] struct {
 	buf []byte
 }
 
-// NewReader wraps r.
+// NewReader wraps r behind a 1 MiB buffer (at least one record).
 func NewReader[T any](r io.Reader, cd codec.Codec[T]) *Reader[T] {
-	return NewReaderSize(r, cd, 1<<20)
-}
-
-// NewReaderSize wraps r with an explicit buffer size; see NewWriterSize.
-func NewReaderSize[T any](r io.Reader, cd codec.Codec[T], bufBytes int) *Reader[T] {
 	return &Reader[T]{
-		r:   bufio.NewReaderSize(r, bufBytes),
+		r:   bufio.NewReaderSize(r, max(1<<20, cd.Size())),
 		cd:  cd,
 		buf: make([]byte, cd.Size()),
 	}
@@ -93,17 +91,34 @@ func (r *Reader[T]) Read() (T, error) {
 
 // ReadAll drains the stream.
 func (r *Reader[T]) ReadAll() ([]T, error) {
-	var out []T
-	for {
-		rec, err := r.Read()
-		if err == io.EOF {
+	return r.appendN(nil, -1)
+}
+
+// appendN appends the stream's next n records to out (n < 0: all of
+// them), decoding whole buffered spans at once. A stream that ends
+// before n records, or mid-record, is an error.
+func (r *Reader[T]) appendN(out []T, n int64) ([]T, error) {
+	sz := int64(r.cd.Size())
+	for n != 0 {
+		span, err := r.r.Peek(r.r.Size())
+		whole := int64(len(span)) / sz * sz
+		if n > 0 {
+			whole = min(whole, n*sz)
+			n -= whole / sz
+		}
+		out, _ = codec.DecodeAppend(r.cd, out, span[:whole])
+		r.r.Discard(int(whole))
+		switch {
+		case err == nil || n == 0:
+		case err != io.EOF:
+			return nil, fmt.Errorf("recordio: %w", err)
+		case n > 0 || int64(len(span)) > whole:
+			return nil, fmt.Errorf("recordio: %w (file must be whole %d-byte records)", io.ErrUnexpectedEOF, sz)
+		default:
 			return out, nil
 		}
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, rec)
 	}
+	return out, nil
 }
 
 // WriteFile writes recs to path, replacing any existing file.
@@ -124,14 +139,9 @@ func WriteFile[T any](path string, cd codec.Codec[T], recs []T) error {
 	return f.Close()
 }
 
-// ReadFile loads every record in path.
+// ReadFile loads every record in path: its one shard of one.
 func ReadFile[T any](path string, cd codec.Codec[T]) ([]T, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return NewReader(f, cd).ReadAll()
+	return ReadShard(path, cd, 0, 1)
 }
 
 // Count returns the number of whole records in path.
@@ -160,9 +170,9 @@ func ShardRange(total int64, rank, of int) (lo, hi int64) {
 	return lo, lo + per
 }
 
-// ReadShard loads shard `rank` of `of` of path (see ShardRange), seeking
-// directly to the shard's byte range. This is how a distributed rank
-// loads its slice of a shared dataset file.
+// ReadShard loads shard `rank` of `of` of path (see ShardRange) into a
+// slice presized to it, seeking directly to the shard's byte range. This
+// is how a distributed rank loads its slice of a shared dataset file.
 func ReadShard[T any](path string, cd codec.Codec[T], rank, of int) ([]T, error) {
 	if rank < 0 || of <= 0 || rank >= of {
 		return nil, fmt.Errorf("recordio: shard %d of %d out of range", rank, of)
@@ -180,14 +190,5 @@ func ReadShard[T any](path string, cd codec.Codec[T], rank, of int) ([]T, error)
 	if _, err := f.Seek(lo*int64(cd.Size()), io.SeekStart); err != nil {
 		return nil, fmt.Errorf("recordio: seek: %w", err)
 	}
-	r := NewReader(f, cd)
-	out := make([]T, 0, hi-lo)
-	for i := lo; i < hi; i++ {
-		rec, err := r.Read()
-		if err != nil {
-			return nil, fmt.Errorf("recordio: shard read at record %d: %w", i, err)
-		}
-		out = append(out, rec)
-	}
-	return out, nil
+	return NewReader(f, cd).appendN(make([]T, 0, hi-lo), hi-lo)
 }

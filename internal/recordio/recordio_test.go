@@ -75,9 +75,6 @@ func TestStreamingWriterReader(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if w.Count() != 100 {
-		t.Fatalf("writer count %d", w.Count())
-	}
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
