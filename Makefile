@@ -15,18 +15,7 @@ FAULTNET_SEED ?= 1
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS := -X sdssort/internal/buildinfo.Version=$(VERSION)
 
-# The hot-path benchmark lane the perf ratchet diffs: pinned parallelism
-# and a fixed -benchtime/-count so runs are comparable across machines
-# and days. -count=5 gives benchdiff five samples per benchmark to take
-# the median of; 1s per sample keeps the cluster benchmarks' medians
-# within a few percent run to run (300ms was not enough).
-BENCH_PROCS    ?= 4
-BENCH_TIME     ?= 1s
-BENCH_COUNT    ?= 5
-BENCH_HOT      := ^(BenchmarkExchange|BenchmarkLocalSortIntKeys|BenchmarkLocalSortFloatKeys|BenchmarkLocalSortStableKeys|BenchmarkMergeKernel|BenchmarkSpillMerge|BenchmarkAlgoCompare)$$
-BENCH_HOT_PKGS := ./internal/core/ ./internal/psort/ ./internal/algo/
-
-.PHONY: all build install test race vet lint loc bench bench-json bench-json-all bench-baseline bench-diff bench-e2e bench-test bench-pairs algo-matrix soak soak-shrink soak-spill telemetry-smoke trace-smoke experiments experiments-quick fuzz clean
+.PHONY: all build install test race vet lint loc bench bench-e2e bench-test bench-pairs algo-matrix soak soak-shrink soak-spill telemetry-smoke trace-smoke experiments experiments-quick fuzz clean
 
 all: build test
 
@@ -58,41 +47,10 @@ lint:
 loc:
 	@sh scripts/loc.sh
 
+# Every micro-benchmark (go test -bench): layer timings to read, not a
+# gate. Perf claims are judged by bench-e2e and bench-pairs below.
 bench:
 	$(GO) test -bench=. -benchmem ./...
-
-# The ratcheted hot-path benchmarks in JSON form, as the CI bench-smoke
-# job runs them: pinned GOMAXPROCS, fixed -benchtime, -count repeats.
-# BenchmarkExchange covers the staged exchange's zero-copy and marshal
-# encodings (with peak-staging-bytes), BenchmarkLocalSortIntKeys the
-# radix dispatch (BenchmarkLocalSortFloatKeys the same through the
-# float-key bit flip, BenchmarkLocalSortStableKeys the stable sort's two
-# verified leaves and their merge), BenchmarkMergeKernel the branchless merge,
-# BenchmarkSpillMerge the out-of-core exchange against its in-memory
-# twin (with spill-bytes/op), and BenchmarkAlgoCompare the end-to-end
-# driver race (sds/hss/ams/hyksort) on Zipf keys.
-bench-json:
-	GOMAXPROCS=$(BENCH_PROCS) $(GO) test -run xxx -json \
-		-bench '$(BENCH_HOT)' -benchtime=$(BENCH_TIME) -count=$(BENCH_COUNT) \
-		$(BENCH_HOT_PKGS) | tee BENCH_ci.json
-
-# Single-iteration sweep over every benchmark in the tree — a smoke
-# pass that everything still runs, not a timing source.
-bench-json-all:
-	$(GO) test -bench=. -benchtime=1x -run xxx -json ./... | tee BENCH_all.json
-
-# Refresh the committed baseline the perf ratchet falls back to when no
-# CI artifact from main is reachable. Run on a quiet machine, then
-# commit BENCH_baseline.json.
-bench-baseline:
-	GOMAXPROCS=$(BENCH_PROCS) $(GO) test -run xxx -json \
-		-bench '$(BENCH_HOT)' -benchtime=$(BENCH_TIME) -count=$(BENCH_COUNT) \
-		$(BENCH_HOT_PKGS) | tee BENCH_baseline.json
-
-# Diff the local hot-path run against the committed baseline; fails on
-# a >15% ns/op or peak-staging-bytes regression.
-bench-diff: bench-json
-	$(GO) run ./cmd/benchdiff -old BENCH_baseline.json -new BENCH_ci.json
 
 # The repository's end-to-end benchmark (BENCHMARK.json): four workloads
 # on a warm 4-rank world, both passes, into bench/out/. bench/ is its own
@@ -188,8 +146,5 @@ fuzz:
 	$(GO) test ./internal/extsort -fuzz FuzzRunReader -fuzztime 30s -run xxx
 	$(GO) test ./cmd/sdsnode -fuzz FuzzDecodeJobs -fuzztime 30s -run xxx
 
-# BENCH_baseline.json is a committed artifact, not a build product —
-# clean leaves it alone.
 clean:
 	$(GO) clean ./...
-	rm -f BENCH_ci.json BENCH_all.json

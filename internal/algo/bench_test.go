@@ -11,9 +11,8 @@ import (
 )
 
 // BenchmarkAlgoCompare races the drivers on the skew workload the layer
-// exists to arbitrate: Zipf α=1.4 keys (δ≈32% duplicates). It runs in
-// the bench-json lane under the benchdiff ratchet, so a regression in
-// any driver's end-to-end path — partition, exchange, merge — trips CI.
+// exists to arbitrate: Zipf α=1.4 keys (δ≈32% duplicates), timing each
+// driver's end-to-end path — partition, exchange, merge — side by side.
 func BenchmarkAlgoCompare(b *testing.B) {
 	const p, perRank = 4, 20000
 	topo := cluster.Topology{Nodes: p, CoresPerNode: 1}

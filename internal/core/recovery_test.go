@@ -369,8 +369,8 @@ func benchStoreDir(b *testing.B) string {
 }
 
 // BenchmarkSortCheckpoint measures the checkpointing overhead on the
-// uniform workload: the "on" variant must stay within a few percent of
-// "off" (the CI bench lane records both in BENCH_ci.json).
+// uniform workload: the "on" variant should stay within a few percent
+// of "off".
 func BenchmarkSortCheckpoint(b *testing.B) {
 	topo := cluster.Topology{Nodes: 2, CoresPerNode: 2}
 	const perRank = 20000

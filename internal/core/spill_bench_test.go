@@ -14,9 +14,9 @@ import (
 // the in-memory staged exchange against the spill-forced one, where the
 // receive side lands raw run files and the output is a lazy merge. The
 // spilled variant pays run writes, the seek-based run partition and the
-// merge read-back, so it is expected to trail in-memory — the ratchet's
-// job is to keep the gap from silently widening. spill-bytes/op reports
-// the run payload written per sort.
+// merge read-back, so it is expected to trail in-memory; the gap is
+// the price of spilling. spill-bytes/op reports the run payload written
+// per sort.
 func BenchmarkSpillMerge(b *testing.B) {
 	topo := cluster.Topology{Nodes: 2, CoresPerNode: 2}
 	const perRank = 20000

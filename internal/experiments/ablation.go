@@ -108,7 +108,7 @@ func Ablation(cfg Config) (*Result, error) {
 		var wall, crit time.Duration
 		wall = median3(func() time.Duration {
 			start := time.Now()
-			_, busy := psort.SkewAwareParallelMergeTimed(chunks, w, false, cmpF64)
+			_, busy := psort.ParallelMerge(chunks, w, false, true, cmpF64)
 			elapsed := time.Since(start)
 			crit = 0
 			for _, d := range busy {

@@ -55,12 +55,7 @@ func Fig6a(cfg Config) (*Result, error) {
 		// remains measurable on hosts with fewer.
 		timeMerge := func(cs [][]float64, skewAware bool) time.Duration {
 			return median3(func() time.Duration {
-				var busy []time.Duration
-				if skewAware {
-					_, busy = psort.SkewAwareParallelMergeTimed(cs, workers, false, cmpF64)
-				} else {
-					_, busy = psort.SampleParallelMergeTimed(cs, workers, cmpF64)
-				}
+				_, busy := psort.ParallelMerge(cs, workers, false, skewAware, cmpF64)
 				var crit time.Duration
 				for _, d := range busy {
 					if d > crit {

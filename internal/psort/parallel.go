@@ -19,35 +19,21 @@ import (
 // When stable is true, equal records keep chunk order and in-chunk
 // order, so passing chunks in original-data order yields a stable sort.
 func SkewAwareParallelMerge[T any](chunks [][]T, workers int, stable bool, cmp func(a, b T) int) []T {
-	out, _ := parallelMerge(chunks, workers, stable, true, cmp)
+	out, _ := ParallelMerge(chunks, workers, stable, true, cmp)
 	return out
 }
 
-// SkewAwareParallelMergeTimed is SkewAwareParallelMerge returning, in
-// addition, each output segment's busy time. The maximum over segments
-// is the merge's critical path — the wall time a machine with enough
-// cores would observe — which is how the experiments compare balance on
-// hosts with fewer cores than workers.
-func SkewAwareParallelMergeTimed[T any](chunks [][]T, workers int, stable bool, cmp func(a, b T) int) ([]T, []time.Duration) {
-	return parallelMerge(chunks, workers, stable, true, cmp)
-}
-
-// SampleParallelMerge is the baseline the paper compares against in
-// Fig. 6a: the same sampled-pivot parallel merge but with no handling of
-// replicated pivots, so all records equal to a popular value land on a
-// single worker. It is correct but imbalanced on skewed data.
-func SampleParallelMerge[T any](chunks [][]T, workers int, cmp func(a, b T) int) []T {
-	out, _ := parallelMerge(chunks, workers, false, false, cmp)
-	return out
-}
-
-// SampleParallelMergeTimed is SampleParallelMerge with per-segment busy
-// times (see SkewAwareParallelMergeTimed).
-func SampleParallelMergeTimed[T any](chunks [][]T, workers int, cmp func(a, b T) int) ([]T, []time.Duration) {
-	return parallelMerge(chunks, workers, false, false, cmp)
-}
-
-func parallelMerge[T any](chunks [][]T, workers int, stable, skewAware bool, cmp func(a, b T) int) ([]T, []time.Duration) {
+// ParallelMerge is the parallel merge behind SkewAwareParallelMerge,
+// returning in addition each output segment's busy time: one entry at
+// one worker, else one per segment, zero for a segment left empty. The
+// maximum is the merge's critical path — the wall time a machine with
+// enough cores would observe — which is how the experiments compare
+// balance on hosts with fewer cores than workers.
+//
+// With skewAware false it is the baseline the paper compares against in
+// Fig. 6a: the same sampled pivots with no handling of replicated ones,
+// so every record equal to a popular value lands in one segment.
+func ParallelMerge[T any](chunks [][]T, workers int, stable, skewAware bool, cmp func(a, b T) int) ([]T, []time.Duration) {
 	total := 0
 	for _, c := range chunks {
 		total += len(c)
@@ -214,7 +200,7 @@ func ParallelSort[T any](data []T, cores int, stable bool, cmp func(a, b T) int)
 	}
 	wg.Wait()
 
-	merged, _ := parallelMerge(chunks, cores, stable, true, cmp)
+	merged, _ := ParallelMerge(chunks, cores, stable, true, cmp)
 	copy(data, merged)
 }
 

@@ -151,9 +151,67 @@ func TestSampleParallelMergeCorrect(t *testing.T) {
 	chunks := sortedChunks(rng, 8, 2000, 30)
 	want := flatten(chunks)
 	slices.Sort(want)
-	got := SampleParallelMerge(chunks, 4, cmpInt)
+	got, _ := ParallelMerge(chunks, 4, false, false, cmpInt)
 	if !slices.Equal(got, want) {
 		t.Fatal("sample merge mismatch")
+	}
+}
+
+// TestParallelMergeBusy checks the busy times Fig. 6a and the ablation
+// read: one per segment, never negative, and, on all-equal input, the
+// imbalance the skew-aware partition exists to remove — the sample
+// merge books every record to one segment, the skew-aware one spreads
+// them.
+func TestParallelMergeBusy(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	allEqual := make([][]int, 4)
+	for i := range allEqual {
+		allEqual[i] = make([]int, 5000)
+	}
+	inputs := []struct {
+		chunks   [][]int
+		allEqual bool
+	}{{sortedChunks(rng, 6, 3000, 40), false}, {allEqual, true}}
+	for _, skewAware := range []bool{true, false} {
+		for _, stable := range []bool{true, false} {
+			for _, workers := range []int{1, 4} {
+				for _, in := range inputs {
+					want := flatten(in.chunks)
+					slices.Sort(want)
+					got, busy := ParallelMerge(in.chunks, workers, stable, skewAware, cmpInt)
+					if !slices.Equal(got, want) {
+						t.Fatalf("skewAware=%v stable=%v workers=%d allEqual=%v: mismatch",
+							skewAware, stable, workers, in.allEqual)
+					}
+					segments := 1
+					if workers > 1 {
+						segments = len(mergePivots(in.chunks, workers, cmpInt)) + 1
+					}
+					if len(busy) != segments {
+						t.Fatalf("skewAware=%v stable=%v workers=%d: %d busy times, want %d",
+							skewAware, stable, workers, len(busy), segments)
+					}
+					busySegments := 0
+					for _, d := range busy {
+						if d < 0 {
+							t.Fatalf("negative busy time %v", d)
+						}
+						if d > 0 {
+							busySegments++
+						}
+					}
+					if workers == 1 || !in.allEqual {
+						continue
+					}
+					if !skewAware && busySegments != 1 {
+						t.Fatalf("stable=%v: sample merge spread all-equal records over %d segments, want 1", stable, busySegments)
+					}
+					if skewAware && busySegments < 2 {
+						t.Fatalf("stable=%v: skew-aware merge left all-equal records in %d segment(s), want >= 2", stable, busySegments)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -6,8 +6,8 @@
 # critical-path analyzer. This is the curl-level twin of the trace
 # package's Go tests; CI runs it from the observability-smoke lane,
 # `make trace-smoke` runs it locally. The hot-path cost of the tracing
-# hooks themselves is gated separately by the bench-smoke ratchet
-# (make bench-diff), not here.
+# hooks themselves is not measured here: read trace.overhead_frac from
+# `bash bench/run.sh --trace 1`.
 set -eu
 
 dir=$(mktemp -d)
