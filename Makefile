@@ -132,8 +132,8 @@ experiments-quick:
 	$(GO) run ./cmd/sdsbench -exp all -quick
 
 # Short fuzzing pass over the sort, partition, checkpoint-manifest,
-# exchange-decode, float-key, stable-radix-dispatch, run-file-reader
-# and job-manifest invariants.
+# exchange-decode, float-key, key-field, radix-kernel,
+# stable-radix-dispatch, run-file-reader and job-manifest invariants.
 fuzz:
 	$(GO) test ./internal/psort -fuzz FuzzSort -fuzztime 30s -run xxx
 	$(GO) test ./internal/psort -fuzz FuzzStableSort -fuzztime 30s -run xxx
@@ -142,6 +142,8 @@ fuzz:
 	$(GO) test ./internal/checkpoint -fuzz FuzzManifest -fuzztime 30s -run xxx
 	$(GO) test ./internal/codec -fuzz FuzzDecodeAppend -fuzztime 30s -run xxx
 	$(GO) test ./internal/codec -fuzz FuzzFloat64Key -fuzztime 30s -run xxx
+	$(GO) test ./internal/codec -fuzz FuzzKeyField -fuzztime 30s -run xxx
+	$(GO) test ./internal/radix -fuzz FuzzRadixKernel -fuzztime 30s -run xxx
 	$(GO) test ./internal/core -fuzz FuzzStableDispatch -fuzztime 30s -run xxx
 	$(GO) test ./internal/extsort -fuzz FuzzRunReader -fuzztime 30s -run xxx
 	$(GO) test ./cmd/sdsnode -fuzz FuzzDecodeJobs -fuzztime 30s -run xxx

@@ -106,6 +106,7 @@ func (Float64) Unmarshal(src []byte) float64 {
 
 // Uint64Key: see Float64Key.
 func (Float64) Uint64Key(v float64) uint64 { return Float64Key(v) }
+func (Float64) KeyField() (int, KeyEnc)    { return 0, KeyFloat }
 
 // Float64Key maps a float64 to a uint64 whose unsigned order is the
 // float order: negatives have every bit flipped, the rest only the
@@ -114,12 +115,32 @@ func (Float64) Uint64Key(v float64) uint64 { return Float64Key(v) }
 // which no comparator agrees with everywhere; the agreement sweep of
 // the radix dispatch decides whether the caller's does.
 func Float64Key(f float64) uint64 {
-	const signBit = 1 << 63
 	bits := math.Float64bits(f)
-	if bits&signBit == 0 || bits == signBit {
-		return bits | signBit
+	if bits == 1<<63 {
+		bits = 0
 	}
-	return ^bits
+	return bits ^ (uint64(int64(bits)>>63) | 1<<63) // no branch on the sign
+}
+
+// KeyEnc is how a key field's bits decode to the Uint64Key: as they are,
+// with the sign bit flipped (two's complement), or by Float64Key.
+type KeyEnc uint8
+
+const (
+	KeyUint KeyEnc = iota
+	KeyInt
+	KeyFloat
+)
+
+// Decode maps a key field's bits to the key.
+func (e KeyEnc) Decode(bits uint64) uint64 {
+	switch e {
+	case KeyInt:
+		return bits ^ 1<<63
+	case KeyFloat:
+		return Float64Key(math.Float64frombits(bits))
+	}
+	return bits
 }
 
 // AppendSlice is the BulkAppender fast path: a direct loop the
@@ -145,6 +166,7 @@ func (Uint64) ZeroCopy() bool               { return true }
 
 // Uint64Key: the record is its own radix key.
 func (Uint64) Uint64Key(v uint64) uint64 { return v }
+func (Uint64) KeyField() (int, KeyEnc)   { return 0, KeyUint }
 
 // Int64 encodes int64 keys little-endian (two's complement).
 type Int64 struct{}
@@ -156,6 +178,7 @@ func (Int64) ZeroCopy() bool              { return true }
 
 // Uint64Key flips the sign bit so unsigned order matches signed order.
 func (Int64) Uint64Key(v int64) uint64 { return uint64(v) ^ (1 << 63) }
+func (Int64) KeyField() (int, KeyEnc)  { return 0, KeyInt }
 
 // Funcs adapts three functions into a Codec, for ad-hoc record types.
 type Funcs[T any] struct {

@@ -2,6 +2,7 @@ package codec
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"testing"
 )
@@ -26,6 +27,47 @@ func FuzzFloat64Key(f *testing.F) {
 			t.Fatalf("a=%g (%#x) b=%g (%#x): float order and key order disagree", a, ka, b, kb)
 		}
 	})
+}
+
+// FuzzKeyField holds every codec that declares its key field to its
+// Uint64Key, bit for bit: the eight bytes at the declared offset of the
+// record's memory image, decoded as declared, must be the key for any
+// bits there — both zeros, the infinities, NaNs and subnormals included
+// — whatever the payload around them.
+func FuzzKeyField(f *testing.F) {
+	for _, bits := range []uint64{0, 1 << 63, 1, 1<<63 | 1, 0x000fffffffffffff, 0x7ff0000000000000,
+		0xfff0000000000000, 0x7ff8000000000001, 0xfff8000000000000, 1<<63 - 1, ^uint64(0)} {
+		f.Add(bits, uint64(0x0123456789abcdef))
+	}
+	f.Fuzz(func(t *testing.T, bits, payload uint64) {
+		wire := make([]byte, 32)
+		for off := 0; off < len(wire); off += 8 {
+			binary.LittleEndian.PutUint64(wire[off:], payload+uint64(off))
+		}
+		binary.LittleEndian.PutUint64(wire, bits) // every built-in declares offset 0
+		checkKeyField(t, Float64{}, wire)
+		checkKeyField(t, Uint64{}, wire)
+		checkKeyField(t, Int64{}, wire)
+		checkKeyField(t, PTFCodec{}, wire)
+		checkKeyField(t, ParticleCodec{}, wire)
+	})
+}
+
+// checkKeyField decodes one c record from wire and compares its field
+// read with its Uint64Key.
+func checkKeyField[T any](t *testing.T, c Codec[T], wire []byte) {
+	t.Helper()
+	kf, ok := any(c).(KeyFielder)
+	if !ok || !IsZeroCopy(c) {
+		t.Fatalf("%T: no key field to read in place", c)
+	}
+	off, enc := kf.KeyField()
+	rec := c.Unmarshal(wire[:c.Size()])
+	image, _ := View(c, []T{rec})
+	key, _ := Uint64KeyOf(c)
+	if got, want := enc.Decode(binary.LittleEndian.Uint64(image[off:])), key(rec); got != want {
+		t.Fatalf("%T, field bits %#x: in-place key %#x, Uint64Key %#x", c, binary.LittleEndian.Uint64(image[off:]), got, want)
+	}
 }
 
 // FuzzDecodeAppend fuzzes the one place exchange wire bytes are parsed:

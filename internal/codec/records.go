@@ -38,6 +38,7 @@ func (PTFCodec) ZeroCopy() bool { return true }
 // Uint64Key: PTF records sort by Score alone, so equal scores have
 // equal keys whatever their ObjID.
 func (PTFCodec) Uint64Key(r PTFRecord) uint64 { return Float64Key(r.Score) }
+func (PTFCodec) KeyField() (int, KeyEnc)      { return 0, KeyFloat }
 
 func (PTFCodec) Marshal(dst []byte, r PTFRecord) {
 	binary.LittleEndian.PutUint64(dst[0:], math.Float64bits(r.Score))
@@ -84,6 +85,7 @@ func (ParticleCodec) ZeroCopy() bool { return true }
 // cluster ids have equal keys, so the stable LSD pass preserves their
 // order.
 func (ParticleCodec) Uint64Key(p Particle) uint64 { return uint64(p.ClusterID) ^ (1 << 63) }
+func (ParticleCodec) KeyField() (int, KeyEnc)     { return 0, KeyInt }
 
 func (ParticleCodec) Marshal(dst []byte, p Particle) {
 	binary.LittleEndian.PutUint64(dst[0:], uint64(p.ClusterID))

@@ -130,3 +130,10 @@ func Uint64KeyOf[T any](c Codec[T]) (func(T) uint64, bool) {
 	}
 	return k.Uint64Key, true
 }
+
+// KeyFielder is an optional capability of a zero-copy Uint64Keyer, its
+// key_index and key_value_type as vpic-sorter has them: the radix kernel
+// reads the key in place, the eight bytes at offset decoded by enc.
+type KeyFielder interface {
+	KeyField() (offset int, enc KeyEnc)
+}

@@ -17,35 +17,39 @@ import (
 // sortChunk is the initial local sort (Fig. 1 line 2), of the whole
 // input or of one streamed chunk of it. Partially ordered inputs keep
 // the natural-run merge (the paper's §2.2 adaptivity beats any full
-// re-sort there); everything else is resorted. detail is the enclosing
-// span's end detail: it learns which kernel ordered the records —
-// "runs", "radix" or "comparison".
+// re-sort there); everything else is resorted. The run gate rides the
+// radix kernel's first read for a keyed codec and sweeps the comparator
+// for the rest. detail is the enclosing span's end detail: it learns
+// which kernel ordered the records — "runs", "radix" or "comparison".
 func (r *run[T]) sortChunk(data []T, detail map[string]any) {
-	if thr := r.opt.RunThreshold; thr > 0 && psort.Sortedness(data, r.cmp) >= thr {
-		psort.NaturalMergeSort(data, r.cmp)
-		detail["kernel"] = "runs"
-		return
-	}
-	r.resort(data, detail)
+	r.order(data, r.opt.RunThreshold, detail)
 }
 
 // resort sorts data from scratch: codecs with an integer sort key skip
-// the comparison sort for the LSD radix kernel (radix.DispatchLocal),
-// unless its agreement sweep finds the caller's comparator orders
-// differently — detail then says fallback, and a stable sort says which
-// leaf was rejected. Stable sorts dispatch too: as two leaves, each
-// verified before anything it would need is overwritten, under one
-// comparator merge. The kernel's scratch stays with the run, which
-// hands it to the exchange as its receive slab; a single-core stable
-// fallback merge-sorts in that same scratch.
-func (r *run[T]) resort(data []T, detail map[string]any) {
+// the comparison sort for the radix kernel (radix.Dispatch, stable sorts
+// as two verified leaves under one merge), unless its agreement sweep
+// finds the caller's comparator orders differently — detail then says
+// fallback, and a stable sort which leaf. The kernel's scratch stays
+// with the run, which hands it to the exchange as its receive slab; a
+// one-core stable fallback, keyed or not, merge-sorts in it, grown.
+func (r *run[T]) resort(data []T, detail map[string]any) { r.order(data, 0, detail) }
+
+// order is sortChunk with the run gate at runs, resort with it off.
+func (r *run[T]) order(data []T, runs float64, detail map[string]any) {
 	stable := r.opt.Stable
-	scratch, sorted, rejected := radix.DispatchLocal(data, r.scratch, r.cd, r.cmp, stable)
+	scratch, sorted, rejected, gated := radix.Dispatch(data, r.scratch, r.cd, r.cmp, stable, runs)
 	r.scratch = scratch
 	switch {
+	case gated:
+		psort.NaturalMergeSort(data, r.cmp)
+		detail["kernel"] = "runs"
+		return
 	case sorted:
 	case stable && r.opt.cores() == 1:
-		psort.StableSortBuf(data, r.scratch, r.cmp)
+		if cap(r.scratch) < len(data) {
+			r.scratch = make([]T, len(data))
+		}
+		psort.StableSortBuf(data, r.scratch[:len(data)], r.cmp)
 	default:
 		psort.ParallelSort(data, r.opt.cores(), stable, r.cmp)
 	}

@@ -15,6 +15,7 @@ import (
 	"sdssort/internal/psort"
 	"sdssort/internal/radix"
 	"sdssort/internal/trace"
+	"sdssort/internal/workload"
 )
 
 // TestSortZeroCopyMatchesMarshal: the zero-copy exchange is a pure
@@ -340,78 +341,68 @@ func TestOverlapMergesPerSource(t *testing.T) {
 	}
 }
 
-// BenchmarkLocalSortIntKeys is the issue's local-ordering acceptance
-// benchmark: the LSD radix dispatch against the comparison sort on
-// integer keys — the fast path must win.
+// The local-sort benchmarks run at a workload's per-rank size — 1 Mi
+// records (256 Ki particles), far past a core's L2, where the kernel's
+// memory traffic shows — and report ns/record beside MB/s. Each pits the
+// radix dispatch, agreement sweep included, against the comparison sort.
+
+// localSortBench times dispatch on fresh copies of src as "radix", and
+// sort as "comparison".
+func localSortBench[T any](b *testing.B, src []T, cd codec.Codec[T], cmp func(a, b T) int, stable bool, sort func([]T, func(a, b T) int)) {
+	n := len(src)
+	data := make([]T, n)
+	report := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/record")
+	}
+	b.Run("radix", func(b *testing.B) {
+		var scratch []T
+		b.SetBytes(int64(n * cd.Size()))
+		for i := 0; i < b.N; i++ {
+			copy(data, src)
+			var sorted bool
+			if scratch, sorted, _ = radix.DispatchLocal(data, scratch, cd, cmp, stable); !sorted {
+				b.Fatal("dispatch refused the records")
+			}
+		}
+		report(b)
+	})
+	b.Run("comparison", func(b *testing.B) {
+		b.SetBytes(int64(n * cd.Size()))
+		for i := 0; i < b.N; i++ {
+			copy(data, src)
+			sort(data, cmp)
+		}
+		report(b)
+	})
+}
+
+// BenchmarkLocalSortIntKeys: uniform int64 keys.
 func BenchmarkLocalSortIntKeys(b *testing.B) {
-	const n = 1 << 17
-	src := make([]int64, n)
 	rng := rand.New(rand.NewSource(9))
+	src := make([]int64, 1<<20)
 	for i := range src {
 		src[i] = int64(rng.Uint64())
 	}
-	data := make([]int64, n)
-	b.Run("radix", func(b *testing.B) {
-		b.SetBytes(8 * n)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			copy(data, src)
-			if _, sorted, _ := radix.DispatchLocal(data, nil, codec.Int64{}, cmpInt64, false); !sorted {
-				b.Fatal("dispatch refused int64 keys")
-			}
-		}
-	})
-	b.Run("comparison", func(b *testing.B) {
-		b.SetBytes(8 * n)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			copy(data, src)
-			psort.Sort(data, cmpInt64)
-		}
-	})
+	localSortBench(b, src, codec.Int64{}, cmpInt64, false, psort.Sort[int64])
 }
 
-// BenchmarkLocalSortFloatKeys is BenchmarkLocalSortIntKeys for float64
-// keys, the dispatch uniform_inproc and uniform_spill ride: the bit
-// flip, the LSD pass and the agreement sweep against the comparison
-// sort the float codecs took before they declared a key.
+// BenchmarkLocalSortFloatKeys: the uniform float64 keys uniform_inproc
+// and uniform_spill sort.
 func BenchmarkLocalSortFloatKeys(b *testing.B) {
-	const n = 1 << 17
-	src := make([]float64, n)
 	rng := rand.New(rand.NewSource(9))
+	src := make([]float64, 1<<20)
 	for i := range src {
 		src[i] = rng.Float64()
 	}
-	data := make([]float64, n)
-	b.Run("radix", func(b *testing.B) {
-		b.SetBytes(8 * n)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			copy(data, src)
-			if _, sorted, _ := radix.DispatchLocal(data, nil, f64, cmpF, false); !sorted {
-				b.Fatal("dispatch refused float64 keys")
-			}
-		}
-	})
-	b.Run("comparison", func(b *testing.B) {
-		b.SetBytes(8 * n)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			copy(data, src)
-			psort.Sort(data, cmpF)
-		}
-	})
+	localSortBench(b, src, f64, cmpF, false, psort.Sort[float64])
 }
 
-// BenchmarkLocalSortStableKeys is the stable counterpart, on the
-// ptf_stable_tcp workload's records (16 bytes, about 28 % of the scores
-// repeated): two verified radix leaves under one comparator merge, in
-// the scratch a run keeps, against the merge sort stable sorts took
-// before they dispatched.
+// BenchmarkLocalSortStableKeys: ptf_stable_tcp's records (16 bytes,
+// about 28 % of the scores repeated), two verified leaves under one
+// comparator merge in the scratch a run keeps, against the merge sort.
 func BenchmarkLocalSortStableKeys(b *testing.B) {
-	const n = 1 << 17
-	src := make([]codec.PTFRecord, n)
 	rng := rand.New(rand.NewSource(9))
+	src := make([]codec.PTFRecord, 1<<20)
 	for i := range src {
 		score := rng.Float64()
 		if i > 0 && rng.Intn(100) < 28 {
@@ -419,25 +410,12 @@ func BenchmarkLocalSortStableKeys(b *testing.B) {
 		}
 		src[i] = codec.PTFRecord{Score: score, ObjID: uint64(i)}
 	}
-	data := make([]codec.PTFRecord, n)
-	b.Run("radix", func(b *testing.B) {
-		var scratch []codec.PTFRecord
-		b.SetBytes(16 * n)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			copy(data, src)
-			var sorted bool
-			if scratch, sorted, _ = radix.DispatchLocal(data, scratch, codec.PTFCodec{}, codec.ComparePTF, true); !sorted {
-				b.Fatal("stable dispatch refused PTF records")
-			}
-		}
-	})
-	b.Run("comparison", func(b *testing.B) {
-		b.SetBytes(16 * n)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			copy(data, src)
-			psort.StableSort(data, codec.ComparePTF)
-		}
-	})
+	localSortBench(b, src, codec.PTFCodec{}, codec.ComparePTF, true, psort.StableSort[codec.PTFRecord])
+}
+
+// BenchmarkLocalSortParticleKeys: cosmo_skew_inproc's 32-byte particles,
+// power-law duplicated halo ids.
+func BenchmarkLocalSortParticleKeys(b *testing.B) {
+	src := workload.Cosmology(9, 1<<18)
+	localSortBench(b, src, codec.ParticleCodec{}, codec.CompareParticles, false, psort.Sort[codec.Particle])
 }

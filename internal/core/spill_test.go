@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -621,5 +622,41 @@ func TestSpillFitBudget(t *testing.T) {
 	zero.FitBudget(0)
 	if zero.BufBytes != 0 || zero.MaxFanIn != 0 {
 		t.Fatalf("zero budget touched the knobs: buf=%d fan=%d", zero.BufBytes, zero.MaxFanIn)
+	}
+}
+
+// TestSpillKeylessStableScratchKept: a stable sort of a codec without a
+// key merge-sorts each chunk on one core in the run's scratch, grown once
+// and kept, so SortStream's chunks share one slab — what it allocates
+// must not grow by a chunk's scratch per chunk.
+func TestSpillKeylessStableScratchKept(t *testing.T) {
+	const chunk = 4096
+	scratchBytes := uint64(chunk * taggedCodec.Size())
+	alloc := func(chunks int) uint64 {
+		in := makeTagged(1, chunks*chunk, uniformGen(7))[0]
+		opt := DefaultOptions()
+		opt.Stable = true
+		opt.Spill = &SpillOptions{Dir: t.TempDir(), ChunkRecords: chunk, BufBytes: 4 << 10}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := cluster.Run(cluster.Topology{Nodes: 1, CoresPerNode: 1}, func(c *comm.Comm) error {
+			sp, err := SortStream[codec.Tagged](c, &sliceSource[codec.Tagged]{recs: in}, taggedCodec, codec.CompareTagged, opt)
+			if err != nil {
+				return err
+			}
+			if sp.Records() != int64(len(in)) {
+				t.Errorf("%d chunks: %d records out of %d", chunks, sp.Records(), len(in))
+			}
+			return sp.Remove()
+		})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	few, many := alloc(8), alloc(16)
+	if perChunk := (many - few) / 8; perChunk >= scratchBytes/2 {
+		t.Errorf("each chunk past the eighth allocates %d bytes; a chunk's scratch is %d", perChunk, scratchBytes)
 	}
 }

@@ -1,16 +1,18 @@
-// Package radix implements a parallel radix sort for records with
-// unsigned-integer sort keys — one of the non-sampling related-work
-// algorithms the paper positions against (§5). Distribution: a global
-// histogram over the top bits assigns contiguous bucket ranges to ranks
-// so the loads balance (for value distributions that spread across the
-// bucket space); each rank then LSD-radix-sorts its received range.
-// Like all radix sorts it needs an integer key extraction and cannot
-// sort by arbitrary comparators — exactly the flexibility gap SDS-Sort
-// fills.
+// Package radix is mostly the local sort's radix kernel: Dispatch orders
+// a keyed codec's records by their integer key, read in place from the
+// field the codec declares (codec.KeyFielder) or through a key func, in
+// cache-sized buckets, and holds the result to the caller's comparator.
+// Sort is a parallel radix sort around the kernel, one of the related-work
+// algorithms the paper positions against (§5): a global histogram over
+// the top bits assigns contiguous bucket ranges to ranks, each of which
+// sorts its range. Like all radix sorts it needs an integer key and
+// cannot sort by arbitrary comparators — the gap SDS-Sort fills.
 package radix
 
 import (
 	"fmt"
+	"math/bits"
+	"unsafe"
 
 	"sdssort/internal/codec"
 	"sdssort/internal/comm"
@@ -136,73 +138,78 @@ func Sort[T any](c *comm.Comm, data []T, cd codec.Codec[T], key func(T) uint64, 
 	return mine, nil
 }
 
-// DispatchLocal sorts data by cmp with the LSD radix kernel when cd
-// extracts an integer sort key (codec.Uint64Keyer) and an agreement
-// sweep — one O(n) comparison pass, cheap next to the sort it replaces —
-// finds that the key orders the records the way cmp does. It is the one
-// place the kernel meets a caller's comparator. buf is the kernel's
-// scratch; the slab it ended up with is returned for the caller to keep.
-//
-// sorted reports whether data is now sorted (stably, if asked); when it
-// is not the caller runs its comparison sort. rejected says which sweep
-// disagreed: 0 none, and (0, false) a codec without a key.
-//
-// A non-stable sort runs the kernel in place and accepts any result
-// that is non-decreasing under cmp; a rejected one (1) leaves data
-// permuted, which a non-stable fallback does not mind.
-//
-// A stable sort must hand a fallback the input order, so nothing may be
-// overwritten before it is verified, and the verification must prove
-// more: that the kernel's key-stable result is the comparator-stable
-// one. It sorts the halves of data as two leaves and joins them with
-// the comparator merge. With h = ⌈n/2⌉, data = [H1|H2], buf = [X|Y]:
-//
-//  1. H1 is sorted through X and Y into X, never writing data. The
-//     strict sweep (agrees) holds the result S1 to "cmp ≤ 0, and
-//     cmp == 0 exactly where the keys are equal" on every adjacent pair.
-//     For a strict weak order that makes comparator order and key order
-//     one order on the leaf: S1 is non-decreasing, and two cmp-equal
-//     records have only cmp-equal neighbours between them, hence one
-//     key, hence — the kernel being stable in the key — their input
-//     order. Rejected (1): data is untouched, the caller sorts it.
-//  2. H1's storage is free now. H2 is sorted through Y and H1's place
-//     into Y, never writing H2, and swept the same way. Rejected (2):
-//     H2 is intact, and is comparison-sorted where it lies, with Y as
-//     the merge sort's scratch.
-//  3. MergeInto(data, S1, S2) takes S1 on ties. Each leaf is its half's
-//     stable sort, so the merge is the whole's; no cross-leaf check is
-//     needed, and buf — 2h records, n or n+1 — is all the memory there is.
+// DispatchLocal sorts data by cmp with the radix kernel when cd has an
+// integer key (codec.Uint64Keyer) that an O(n) sweep finds orders the
+// records as cmp does: the one place the kernel meets a caller's
+// comparator. buf is the kernel's scratch, returned for the caller to
+// keep. sorted reports whether data is now sorted (stably, if asked);
+// rejected names the sweep that refused: 0 none, and (0, false) a codec
+// without a key. A non-stable sort runs in place, swept by IsSorted. A
+// stable one sorts H1 and H2, the halves of data, into the halves X and
+// Y of buf — H1 never writing data, H2 through H1's place — each swept
+// by agrees, and merges them, X first on ties: a refused H1 leaves data
+// as it came, a refused H2 is comparison-sorted where it lies, Y its
+// scratch. docs/INTERNALS.md has the proof.
 func DispatchLocal[T any](data, buf []T, cd codec.Codec[T], cmp func(a, b T) int, stable bool) (scratch []T, sorted bool, rejected int) {
+	scratch, sorted, rejected, _ = Dispatch(data, buf, cd, cmp, stable, 0)
+	return scratch, sorted, rejected
+}
+
+// Dispatch is DispatchLocal with the run gate on the kernel's first
+// read: when runs > 0 and psort.Sortedness over the keys (over cmp, for a
+// codec without one) is at least runs, data is left as it came and gated
+// asks for the caller's natural-run merge.
+func Dispatch[T any](data, buf []T, cd codec.Codec[T], cmp func(a, b T) int, stable bool, runs float64) (scratch []T, sorted bool, rejected int, gated bool) {
 	key, ok := codec.Uint64KeyOf(cd)
 	if !ok {
-		return buf, false, 0
+		return buf, false, 0, runs > 0 && psort.Sortedness(data, cmp) >= runs
+	}
+	var s sorter[T]
+	s.fn = key
+	if kf, ok := any(cd).(codec.KeyFielder); ok && codec.IsZeroCopy(cd) {
+		if off, enc := kf.KeyField(); off >= 0 && off+8 <= cd.Size() {
+			s.fn, s.off, s.enc = nil, uintptr(off), enc // the record's memory image holds it
+		}
 	}
 	n := len(data)
 	if !stable || n < 2 {
-		buf = LSDSortBuf(data, buf, key)
-		if psort.IsSorted(data, cmp) {
-			return buf, true, 0
+		if buf, gated = s.inPlace(data, buf, runs); gated {
+			return buf, false, 0, true
 		}
-		return buf, false, 1
+		if psort.IsSorted(data, cmp) {
+			return buf, true, 0, false
+		}
+		return buf, false, 1, false
 	}
 	h := (n + 1) / 2
+	h1, h2 := data[:h], data[h:]
+	f := s.survey(h1, 64)
+	// Only when H1's runs alone are long enough do the seam and H2 decide.
+	if gate(n, f.descents, runs) && gate(n, f.descents+s.survey(data[h-1:], 0).descents, runs) {
+		return buf, false, 0, true
+	}
 	if cap(buf) < 2*h {
 		buf = make([]T, 2*h)
 	}
 	x, y := buf[:h], buf[h:2*h]
-	h1, h2 := data[:h], data[h:]
 	s1, s2 := x, y[:len(h2)]
-	lsdInto(h1, s1, y, key)
+	s.sort(h1, s1, y, f)
 	if !agrees(s1, key, cmp) {
-		return buf, false, 1
+		return buf, false, 1, false
 	}
-	lsdInto(h2, s2, h1[:len(h2)], key)
+	s.sort(h2, s2, h1[:len(h2)], s.survey(h2, 64))
 	if !agrees(s2, key, cmp) {
 		psort.StableSortBuf(h2, y, cmp)
 		s2, rejected = h2, 2
 	}
 	psort.MergeInto(data, s1, s2, cmp)
-	return buf, true, rejected
+	return buf, true, rejected, false
+}
+
+// gate is the run gate: n records whose keys descend descents times
+// have runs at least runs records long on average.
+func gate(n, descents int, runs float64) bool {
+	return runs > 0 && float64(max(n, 1))/float64(descents+1) >= runs
 }
 
 // agrees is the stable dispatch's sweep over a key-sorted leaf: every
@@ -222,14 +229,6 @@ func agrees[T any](s []T, key func(T) uint64, cmp func(a, b T) int) bool {
 	return true
 }
 
-// The LSD pass sorts by digitBits-wide digits of the uint64 key, least
-// significant first.
-const (
-	digitBits = 11
-	digits    = (64 + digitBits - 1) / digitBits
-	buckets   = 1 << digitBits
-)
-
 // LSDSort sorts data in place by the uint64 key, stably.
 func LSDSort[T any](data []T, key func(T) uint64) { LSDSortBuf(data, nil, key) }
 
@@ -239,82 +238,196 @@ func LSDSort[T any](data []T, key func(T) uint64) { LSDSortBuf(data, nil, key) }
 // had to run) is returned for the caller to keep. It is the kernel with
 // the input as its second buffer.
 func LSDSortBuf[T any](data, buf []T, key func(T) uint64) []T {
-	var p plan
-	scan(&p, data, key)
-	if p.passes == 0 {
-		return buf
-	}
-	if cap(buf) < len(data) {
-		buf = make([]T, len(data))
-	}
-	if out := scatter(&p, data, buf[:len(data)], data, key); p.passes%2 == 1 {
-		copy(data, out)
-	}
+	var s sorter[T]
+	s.fn = key
+	buf, _ = s.inPlace(data, buf, 0)
 	return buf
 }
 
-// lsdInto leaves src's records, stably sorted by key, in dst; the
-// passes run through dst and spare (each len(src) records) and src is
-// only read.
-func lsdInto[T any](src, dst, spare []T, key func(T) uint64) {
-	var p plan
-	scan(&p, src, key)
-	if p.passes == 0 {
-		copy(dst, src)
-		return
-	}
-	if p.passes%2 == 0 {
-		dst, spare = spare, dst // the last pass is the one that must write dst
-	}
-	scatter(&p, src, dst, spare, key)
-}
+// The kernel reads the keys once for the bits they differ in and their
+// descents. Up to bucketBytes is one bucket; more takes a stable MSD
+// pass on the bits below those all keys share, into buckets that fit,
+// each sorted in cache by the one LSD pass loop over the 11-bit digits
+// its keys differ in, or by insertion up to tiny records. bucketBytes
+// keeps a bucket, its second buffer and the histograms in a core's L2
+// (256 KiB to 1 MiB measured alike in BenchmarkLocalSort* on a 2-vCPU
+// Xeon, 2 MiB L2). Loops read keys a block at a time onto the stack: only
+// the read calls a key func, and the field read inlines there.
+const (
+	digitBits   = 11
+	digits      = (64 + digitBits - 1) / digitBits
+	buckets     = 1 << digitBits
+	msdBits     = 8
+	bucketBytes = 512 << 10
+	tiny        = 32 // at most a block
+	block       = 64
+)
 
-// plan is what one read of the records decides: every digit's
-// histogram, and which digits need a pass at all. A digit all records
-// agree on — most of a small key universe — costs nothing further.
-type plan struct {
+// sorter is one kernel call: where it reads a key — in place, off into
+// the record (fn nil), or through fn — and the histograms of the low
+// digits, live[:passes] those the bucket in hand is sorted by.
+type sorter[T any] struct {
+	fn     func(T) uint64
+	off    uintptr
+	enc    codec.KeyEnc
 	counts [digits][buckets]int
-	live   [digits]int // the digits to sort by, live[:passes]
+	live   [digits]int
 	passes int
 }
 
-func scan[T any](p *plan, src []T, key func(T) uint64) {
-	if len(src) < 2 {
-		return
-	}
-	for i := range src {
-		k := key(src[i])
-		for d := range p.counts {
-			p.counts[d][k&(buckets-1)]++
-			k >>= digitBits
+// read returns the keys of src[i:], at most a block of them, in kb.
+func (s *sorter[T]) read(src []T, i int, kb *[block]uint64) []uint64 {
+	src = src[i:min(i+block, len(src))]
+	for j := range src {
+		if s.fn != nil {
+			kb[j] = s.fn(src[j])
+		} else {
+			kb[j] = s.enc.Decode(*(*uint64)(unsafe.Add(unsafe.Pointer(&src[j]), s.off)))
 		}
 	}
-	first := key(src[0])
-	for d := range p.counts {
-		if p.counts[d][(first>>(d*digitBits))&(buckets-1)] != len(src) {
-			p.live[p.passes] = d
-			p.passes++
+	return kb[:len(src)]
+}
+
+// summary is what a read learns: the key bits that differ, the descents.
+type summary struct {
+	diff     uint64
+	descents int
+}
+
+func fits[T any](n int) bool { return uintptr(n)*unsafe.Sizeof(*new(T)) <= bucketBytes }
+
+func same[T any](a, b []T) bool { return unsafe.SliceData(a) == unsafe.SliceData(b) }
+
+func place[T any](dst, src []T) {
+	if !same(dst, src) {
+		copy(dst, src)
+	}
+}
+
+// inPlace sorts data by key through buf, grown only when a pass must
+// run; gated reports that the run gate left data as it came.
+func (s *sorter[T]) inPlace(data, buf []T, runs float64) (_ []T, gated bool) {
+	n, f := len(data), s.survey(data, 64)
+	if gate(n, f.descents, runs) {
+		return buf, true
+	}
+	spare := data // unread when no pass runs
+	if n > tiny && f.descents > 0 {
+		if cap(buf) < n {
+			buf = make([]T, n)
 		}
+		spare = buf[:n]
+	}
+	s.sort(data, data, spare, f)
+	return buf, false
+}
+
+// survey reads src's keys once. When src is one bucket with passes to
+// run, whose keys agree from bit below up, it also counts the histograms
+// of the digits below, cleared first: all the passes need.
+func (s *sorter[T]) survey(src []T, below int) summary {
+	nd := 0
+	if len(src) > tiny && fits[T](len(src)) {
+		nd = (below + digitBits - 1) / digitBits
+	}
+	clear(s.counts[:nd])
+	var or, nor, prev, descents uint64
+	var kb [block]uint64
+	for i := 0; i < len(src); i += block {
+		for _, k := range s.read(src, i, &kb) {
+			_, down := bits.Sub64(k, prev, 0) // no branch: random keys descend half the time
+			or, nor, prev, descents = or|k, nor|^k, k, descents+down
+			for d := range nd {
+				s.counts[d][k>>(d*digitBits)&(buckets-1)]++
+			}
+		}
+	}
+	return summary{or & nor, int(descents)}
+}
+
+// sort leaves src stably sorted by key in dst, through spare; f is its
+// survey. src may be dst or spare, and is otherwise only read.
+func (s *sorter[T]) sort(src, dst, spare []T, f summary) {
+	switch n := len(src); {
+	case f.descents == 0:
+		place(dst, src)
+	case n <= tiny: // insertion by key, each key moving with its record
+		place(dst, src)
+		var kb [block]uint64
+		ks := s.read(dst, 0, &kb)
+		for i := 1; i < n; i++ {
+			for j := i; j > 0 && ks[j] < ks[j-1]; j-- {
+				dst[j], dst[j-1], ks[j], ks[j-1] = dst[j-1], dst[j], ks[j-1], ks[j]
+			}
+		}
+	case !fits[T](n):
+		s.msd(src, dst, spare, f.diff)
+	default:
+		s.passes = 0
+		for d := range digits {
+			if f.diff>>(d*digitBits)&(buckets-1) != 0 {
+				s.live[s.passes], s.passes = d, s.passes+1
+			}
+		}
+		a, b := spare, dst // so that the last pass writes dst, if src allows
+		if same(src, spare) || !same(src, dst) && s.passes%2 == 1 {
+			a, b = dst, spare
+		}
+		place(dst, s.scatter(src, a, b))
+	}
+}
+
+// msd is the counting-sort pass over a slab too big for the cache, into
+// whichever buffer src is not, on the bits below those all keys share:
+// up to msdBits, two to four times the buckets the slab would fill, for
+// skew. Each bucket is then sorted into dst, by another pass if need be.
+func (s *sorter[T]) msd(src, dst, spare []T, diff uint64) {
+	const mask = 1<<msdBits - 1
+	nb := min(msdBits, bits.Len(uint(uintptr(len(src))*unsafe.Sizeof(*new(T))/bucketBytes))+1)
+	shift := max(bits.Len64(diff)-nb, 0)
+	var pos [mask + 1]int
+	var kb [block]uint64
+	for i := 0; i < len(src); i += block {
+		for _, k := range s.read(src, i, &kb) {
+			pos[k>>shift&mask]++
+		}
+	}
+	for b, slot := 0, 0; b <= mask; b++ {
+		pos[b], slot = slot, slot+pos[b]
+	}
+	to := spare
+	if same(src, spare) {
+		to = dst
+	}
+	for i := 0; i < len(src); i += block {
+		for j, k := range s.read(src, i, &kb) {
+			to[pos[k>>shift&mask]] = src[i+j]
+			pos[k>>shift&mask]++
+		}
+	}
+	for b, lo := 0, 0; b <= mask; lo, b = pos[b], b+1 {
+		s.sort(to[lo:pos[b]], dst[lo:pos[b]], spare[lo:pos[b]], s.survey(to[lo:pos[b]], shift))
 	}
 }
 
 // scatter is the LSD pass loop, the only one: src into a, a into b, b
-// into a, … one counting-sort pass per live digit, key called once per
-// record per pass. src is never written (unless it is b — the in-place
-// sort); the slice the last pass wrote is returned.
-func scatter[T any](p *plan, src, a, b []T, key func(T) uint64) []T {
+// into a, … one counting-sort pass per live digit. src is never written
+// (unless it is b); the slice the last pass wrote is returned.
+func (s *sorter[T]) scatter(src, a, b []T) []T {
 	dst, next := a, b
-	for _, d := range p.live[:p.passes] {
+	var kb [block]uint64
+	for _, d := range s.live[:s.passes] {
 		// Turn the digit's counts into each bucket's first output slot.
-		pos, slot := &p.counts[d], 0
+		pos, slot := &s.counts[d], 0
 		for i, c := range pos {
 			pos[i], slot = slot, slot+c
 		}
 		shift := uint(d * digitBits)
-		for i := range src {
-			bk := (key(src[i]) >> shift) & (buckets - 1)
-			dst[pos[bk]] = src[i]
-			pos[bk]++
+		for i := 0; i < len(src); i += block {
+			for j, k := range s.read(src, i, &kb) {
+				dst[pos[k>>shift&(buckets-1)]] = src[i+j]
+				pos[k>>shift&(buckets-1)]++
+			}
 		}
 		src, dst, next = dst, next, dst
 	}

@@ -2,6 +2,7 @@ package radix
 
 import (
 	"cmp"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"slices"
@@ -11,6 +12,7 @@ import (
 	"sdssort/internal/cluster"
 	"sdssort/internal/codec"
 	"sdssort/internal/comm"
+	"sdssort/internal/psort"
 )
 
 var u64 = codec.Uint64{}
@@ -253,5 +255,187 @@ func TestParallelRadixClusteredKeys(t *testing.T) {
 	}
 	if len(flat) != p*400 {
 		t.Fatalf("lost records: %d", len(flat))
+	}
+}
+
+// lsdInto is the kernel's three-slice form with a key func: src's
+// records, stably sorted by key, land in dst; the passes run through
+// spare and dst (each len(src) records) and src is only read.
+func lsdInto[T any](src, dst, spare []T, key func(T) uint64) {
+	var s sorter[T]
+	s.fn = key
+	s.sort(src, dst, spare, s.survey(src, 64))
+}
+
+// rec2 is a record whose key field is its second word, raw, decoded as
+// fieldCodec declares: a zero-copy codec with its key at offset 8.
+type rec2 struct{ seq, raw uint64 }
+
+type fieldCodec struct{ enc codec.KeyEnc }
+
+func (fieldCodec) Size() int      { return 16 }
+func (fieldCodec) ZeroCopy() bool { return true }
+func (fieldCodec) Marshal(dst []byte, r rec2) {
+	binary.LittleEndian.PutUint64(dst, r.seq)
+	binary.LittleEndian.PutUint64(dst[8:], r.raw)
+}
+func (fieldCodec) Unmarshal(src []byte) rec2 {
+	return rec2{binary.LittleEndian.Uint64(src), binary.LittleEndian.Uint64(src[8:])}
+}
+func (c fieldCodec) Uint64Key(r rec2) uint64       { return c.enc.Decode(r.raw) }
+func (c fieldCodec) KeyField() (int, codec.KeyEnc) { return 8, c.enc }
+
+// rawOf is the field bits that decode to key under enc.
+func rawOf(enc codec.KeyEnc, key uint64) uint64 {
+	switch {
+	case enc == codec.KeyInt, enc == codec.KeyFloat && key>>63 == 1:
+		return key ^ 1<<63
+	case enc == codec.KeyFloat:
+		return ^key
+	}
+	return key
+}
+
+// oneBucket is the most rec2 records the kernel sorts as one bucket.
+const oneBucket = bucketBytes / 16
+
+// FuzzRadixKernel holds both forms of the kernel — in place, and into a
+// second buffer — to slices.SortStableFunc by key, reading the key in
+// place and through the key func, on inputs either side of the MSD
+// cutoff whose keys differ only in bit 63, only in bit 0, share a long
+// prefix, crowd into one MSD bucket, or repeat a few values; the second
+// form must leave its source bit for bit as it was.
+func FuzzRadixKernel(f *testing.F) {
+	for shape := uint8(0); shape < 6; shape++ {
+		for _, n := range []uint32{0, 1, 2, tiny, tiny + 1, 1000, oneBucket, oneBucket + 1, 2*oneBucket + 77} {
+			f.Add(int64(shape)+int64(n), n, shape)
+		}
+	}
+	f.Fuzz(func(t *testing.T, seed int64, n uint32, shape uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		n %= 3 * oneBucket
+		base := rng.Uint64()
+		gen := []func() uint64{
+			rng.Uint64,
+			func() uint64 { return base&^(1<<63) | rng.Uint64()&(1<<63) },
+			func() uint64 { return base&^1 | rng.Uint64()&1 },
+			func() uint64 { return base&^(1<<20-1) | rng.Uint64()&(1<<20-1) },
+			func() uint64 { // nine in ten under one 20-bit prefix
+				if rng.Intn(10) == 0 {
+					return rng.Uint64()
+				}
+				return base&^(1<<44-1) | rng.Uint64()&(1<<44-1)
+			},
+			func() uint64 { return base + uint64(rng.Intn(5))<<40 },
+		}[shape%6]
+		enc := codec.KeyEnc(uint64(seed) % 3)
+		cd := fieldCodec{enc}
+		src := make([]rec2, n)
+		for i := range src {
+			src[i] = rec2{uint64(i), rawOf(enc, gen())}
+		}
+		orig, want := slices.Clone(src), slices.Clone(src)
+		slices.SortStableFunc(want, func(a, b rec2) int { return cmp.Compare(cd.Uint64Key(a), cd.Uint64Key(b)) })
+		for _, inPlace := range []bool{true, false} {
+			var s sorter[rec2]
+			s.fn = cd.Uint64Key
+			if inPlace {
+				s.fn, s.off, s.enc = nil, 8, enc
+			}
+			data := slices.Clone(src)
+			s.inPlace(data, nil, 0)
+			if !slices.Equal(data, want) {
+				t.Fatalf("in place (field read %v, enc %d, shape %d, n %d): not the stable sort by key", inPlace, enc, shape, n)
+			}
+			dst, spare := make([]rec2, n), make([]rec2, n)
+			s.sort(src, dst, spare, s.survey(src, 64))
+			if !slices.Equal(dst, want) {
+				t.Fatalf("into (field read %v, enc %d, shape %d, n %d): not the stable sort by key", inPlace, enc, shape, n)
+			}
+			if !slices.Equal(src, orig) {
+				t.Fatalf("into (field read %v, enc %d, shape %d, n %d): src was written", inPlace, enc, shape, n)
+			}
+		}
+	})
+}
+
+// TestKeyFieldHonoured: the kernel reads a declared key field in place
+// only where it is the record's memory image and lies inside the record.
+// The codec below declares the wrong field — the second word, where the
+// key is the first — so the dispatch's sweep refuses exactly the sorts
+// that read it.
+func TestKeyFieldHonoured(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	in := make([]rec2, 1000)
+	for i := range in {
+		in[i] = rec2{rng.Uint64(), rng.Uint64()}
+	}
+	bySeq := func(a, b rec2) int { return cmp.Compare(a.seq, b.seq) }
+	for _, tc := range []struct {
+		off      int
+		zeroCopy bool
+		read     bool
+	}{{8, true, true}, {8, false, false}, {9, true, false}, {-1, true, false}} {
+		data := slices.Clone(in)
+		_, sorted, _ := DispatchLocal[rec2](data, nil, wrongField{tc.off, tc.zeroCopy}, bySeq, false)
+		if sorted == tc.read {
+			t.Errorf("field at %d, zero-copy %v: read in place %v, want %v", tc.off, tc.zeroCopy, !sorted, tc.read)
+		}
+	}
+}
+
+// wrongField keys rec2 by seq but declares raw, at off, as its key field.
+type wrongField struct {
+	off      int
+	zeroCopy bool
+}
+
+func (wrongField) Size() int                       { return 16 }
+func (w wrongField) ZeroCopy() bool                { return w.zeroCopy }
+func (wrongField) Marshal(dst []byte, r rec2)      { fieldCodec{}.Marshal(dst, r) }
+func (wrongField) Unmarshal(src []byte) rec2       { return fieldCodec{}.Unmarshal(src) }
+func (wrongField) Uint64Key(r rec2) uint64         { return r.seq }
+func (w wrongField) KeyField() (int, codec.KeyEnc) { return w.off, codec.KeyUint }
+
+// TestDispatchRunGate: the run gate Dispatch reads off the keys is
+// psort.Sortedness over the comparator, for keys that agree with it,
+// stable or not — a stable dispatch included, whose first read covers H1
+// only — and a gated sort leaves data as it came.
+func TestDispatchRunGate(t *testing.T) {
+	const n, runs = 4001, 32
+	rng := rand.New(rand.NewSource(13))
+	sorted := make([]uint64, n)
+	for i := range sorted {
+		sorted[i] = uint64(i) << 8
+	}
+	random := func(s []uint64) []uint64 {
+		for i := range s {
+			s[i] = rng.Uint64()
+		}
+		return s
+	}
+	// 125 runs of 16, each below the one before, after a sorted H1 that
+	// ends above them all: the seam's descent is the one that tips
+	// n/(descents+1) under runs.
+	seam := slices.Clone(sorted[:n/2+1])
+	for i := range n / 2 {
+		seam = append(seam, uint64((124-i/16)*100+i%16))
+	}
+	for name, in := range map[string][]uint64{
+		"sorted":                 sorted,
+		"random":                 random(make([]uint64, n)),
+		"sorted H1, random H2":   append(slices.Clone(sorted[:n/2+1]), random(make([]uint64, n/2))...),
+		"sorted halves, swapped": append(slices.Clone(sorted[n/2+1:]), sorted[:n/2+1]...),
+		"random H1, sorted H2":   append(random(make([]uint64, n/2+1)), sorted[n/2+1:]...),
+		"the seam decides":       seam,
+	} {
+		want := psort.Sortedness(in, cmp.Compare[uint64]) >= runs
+		for _, stable := range []bool{false, true} {
+			data := slices.Clone(in)
+			_, ok, _, gated := Dispatch(data, nil, u64, cmp.Compare[uint64], stable, runs)
+			if gated != want || gated && !slices.Equal(data, in) || !gated && !ok {
+				t.Errorf("%s, stable %v: gated %v sorted %v, want gated %v with data untouched", name, stable, gated, ok, want)
+			}
+		}
 	}
 }
