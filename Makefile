@@ -76,10 +76,12 @@ bench-pairs:
 # pair per rank, no open span — across the workload grid on both
 # transports, -algo auto must resolve as the decision rule documents,
 # and the hyksort/psrs baseline cases (multi-round splits, skew
-# collapse, OOM under a budget, the sds-vs-psrs ablation) must hold.
-# Mirrors the CI algo-matrix job.
+# collapse, OOM under a budget, the sds-vs-psrs ablation) must hold, a
+# multi-level driver must report every level under the caller's world
+# rank, and a refused sort must drain the gauge. Mirrors the CI
+# algo-matrix job.
 algo-matrix:
-	$(GO) test -race -run 'TestDriverEquivalence|TestAutoSelects|TestAutoSpillPressure|TestHykSort|TestPSRS|TestSkewAwareVsClassical' -count=1 -timeout 10m ./internal/algo/
+	$(GO) test -race -run 'TestDriverEquivalence|TestDriverInvalidOptionsDrainGauge|TestLevelsAttributeToWorldRank|TestAutoSelects|TestAutoSpillPressure|TestHykSort|TestPSRS|TestSkewAwareVsClassical' -count=1 -timeout 10m ./internal/algo/
 
 # Fault-injection soak: repeat the Fault|Retry|Reconnect|Recovery test
 # families under the race detector. Vary the schedule with

@@ -348,7 +348,7 @@ func runSpilled[T any](in, out string, cd codec.Codec[T], cmp func(a, b T) int, 
 			gauges[i] = memlimit.New(sc.mem)
 		}
 	}
-	sp := &core.SpillOptions{Dir: sc.dir, Force: true, ChunkRecords: sc.chunk, Stats: spStats}
+	sp := &core.SpillOptions{Dir: sc.dir, ChunkRecords: sc.chunk, Stats: spStats}
 	sp.FitBudget(sc.mem)
 	skew := metrics.NewSkewStats()
 	start := time.Now()

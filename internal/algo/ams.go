@@ -19,8 +19,8 @@ const defaultAMSArity = 4
 // picks k-1 splitters by one-shot oversampling, slices every bucket
 // evenly across its destination group (AMS's data delivery — the slice,
 // not the refinement, is what bounds per-rank receive volume), runs the
-// level's exchange through core.ExchangeSorted and recurses into the
-// group (sorter.levels).
+// level's exchange through the call's core.Baseline and recurses into
+// the group (sorter.levels).
 type amsDriver[T any] struct{}
 
 func (amsDriver[T]) Info() Info {
@@ -33,7 +33,7 @@ func (amsDriver[T]) Sort(ctx context.Context, c *comm.Comm, data []T, cd codec.C
 	if err != nil {
 		return nil, err
 	}
-	defer s.end()
+	defer s.run.Close()
 	k := opt.K
 	if k < 2 {
 		k = defaultAMSArity
@@ -49,7 +49,7 @@ func (amsDriver[T]) Sort(ctx context.Context, c *comm.Comm, data []T, cd codec.C
 	if err != nil {
 		return nil, err
 	}
-	s.tr.Emit(c.Rank(), "ams.levels", map[string]any{"levels": levels, "k": k, "p": c.Size()})
+	opt.tracer().Emit(c.Rank(), "ams.levels", map[string]any{"levels": levels, "k": k, "p": c.Size()})
 	return out, nil
 }
 

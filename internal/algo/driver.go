@@ -3,10 +3,11 @@
 // Driver contract, so front ends, experiments and benchmarks select an
 // algorithm by registry name (or let the runtime profile the data and
 // pick one, see the auto driver) instead of hand-wiring each package's
-// option struct. All drivers route their data exchange through
-// core.ExchangeSorted, which carries the staged/zero-copy collectives,
-// memory-budget accounting and the out-of-core spill tier; the layer
-// therefore compares algorithms, not plumbing.
+// option struct. The baseline drivers run each call on one
+// core.Baseline, core.Sort's per-call state, which carries the local
+// sort, the staged/zero-copy collectives, memory-budget accounting and
+// the out-of-core spill tier; the layer therefore compares algorithms,
+// not plumbing.
 package algo
 
 import (
@@ -18,8 +19,6 @@ import (
 	"sdssort/internal/core"
 	"sdssort/internal/metrics"
 	"sdssort/internal/partition"
-	"sdssort/internal/psort"
-	"sdssort/internal/radix"
 	"sdssort/internal/trace"
 )
 
@@ -47,9 +46,9 @@ type Info struct {
 // mean "driver default".
 type Options struct {
 	// Core carries the shared tunables every driver consumes through
-	// core.ExchangeSorted — Mem, StageBytes, Spill, Exchange, Timer,
-	// Trace, Cores — plus the SDS-Sort-specific ones (τm/τo/τs, Stable,
-	// Checkpoint) that only the sds driver honours in full.
+	// core.Baseline — Mem, StageBytes, Spill, Exchange, Timer, Trace,
+	// Cores, τo, τs, RunThreshold — plus the SDS-Sort-specific ones (τm,
+	// Stable, Checkpoint) that only the sds driver honours.
 	Core core.Options
 	// K is the splitting arity of the multi-way drivers (hyksort: 128,
 	// ams: 4 when zero).
@@ -104,28 +103,21 @@ func reject(name string, opt Options) error {
 
 // sorter is one call of a baseline driver (hss, ams, hyksort, psrs)
 // after the shared prelude. The drivers keep only their splitter logic;
-// local sort, exchange, gauge accounting and the sort's trace envelope
-// are here, once.
+// the local sort, every exchange, the memory ledger and the sort's trace
+// envelope live in run, core's per-call state, opened once.
 type sorter[T any] struct {
 	name string
 	ctx  context.Context
 	c    *comm.Comm
-	cd   codec.Codec[T]
 	cmp  func(a, b T) int
-	core core.Options // what every exchange runs under: the call's timer, the root span's scope
-	tm   *metrics.PhaseTimer
-	tr   trace.Tracer
-	root *trace.Span
-	held int64 // bytes reserved against core.Mem: the input, then each exchange's output
+	run  *core.Baseline[T]
 }
 
 // begin is the prelude: cancellation and capability checks, the
-// selection count, sort.start and the "sort" root span — the shared
-// exchange's spans nest under it through core.Span, so the
-// critical-path analyzer sees one tree per sort regardless of algorithm
-// — the input reservation, and the local sort. The baseline drivers are
-// never stable, so integer-keyed codecs always qualify for the LSD
-// radix dispatch. Callers defer end.
+// selection count, then core.OpenBaseline — sort.start, the "sort" root
+// span every level's spans nest under, so the critical-path analyzer sees
+// one tree per sort regardless of algorithm, the input reservation and
+// the local sort. Callers defer s.run.Close.
 func begin[T any](ctx context.Context, name string, c *comm.Comm, data []T, cd codec.Codec[T], cmp func(a, b T) int, opt Options) (*sorter[T], error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -134,59 +126,11 @@ func begin[T any](ctx context.Context, name string, c *comm.Comm, data []T, cd c
 		return nil, err
 	}
 	opt.Selection.Selected(name)
-	s := &sorter[T]{name: name, ctx: ctx, c: c, cd: cd, cmp: cmp, core: opt.Core, tr: opt.tracer()}
-	if s.core.Timer == nil {
-		// Driver-local phases and the shared exchange accrue on one clock.
-		s.core.Timer = metrics.NewPhaseTimer()
-	}
-	s.tm = s.core.Timer
-	s.tm.Start(metrics.PhaseOther)
-	detail := map[string]any{"algo": name, "records": len(data), "p": c.Size()}
-	s.tr.Emit(c.Rank(), "sort.start", detail)
-	s.root = trace.StartSpan(s.tr, c.Rank(), s.core.Span, "sort", detail)
-	s.core.Span = s.root.Scope()
-	n := int64(len(data)) * int64(cd.Size())
-	if err := s.core.Mem.Reserve(n); err != nil {
-		s.end()
-		return nil, fmt.Errorf("%s: input buffer: %w", name, err)
-	}
-	s.held = n
-	s.tm.Start(metrics.PhaseLocalSort)
-	if _, sorted, _ := radix.DispatchLocal(data, nil, cd, cmp, false); !sorted {
-		psort.ParallelSort(data, max(s.core.Cores, 1), false, cmp)
-	}
-	return s, nil
-}
-
-// end settles every exit path: what the call still holds goes back to
-// the gauge, the clock stops and — unless finish got there first — the
-// root span closes as failed.
-func (s *sorter[T]) end() {
-	s.core.Mem.Release(s.held)
-	s.held = 0
-	s.root.End(map[string]any{"reason": "error"})
-	s.tm.Stop()
-}
-
-// finish emits the terminal event of a successful sort: reason is
-// completed, single (a one-rank world) or empty (no records anywhere).
-func (s *sorter[T]) finish(out []T, reason string) []T {
-	detail := map[string]any{"algo": s.name, "records": len(out), "reason": reason}
-	s.tr.Emit(s.c.Rank(), "sort.done", detail)
-	s.root.End(detail)
-	return out
-}
-
-// exchange is the one call site of core.ExchangeSorted, which adopts
-// the holding: on success the ledger is the output's size, on failure
-// every byte has already gone back to the gauge.
-func (s *sorter[T]) exchange(wc *comm.Comm, work []T, bounds []int) ([]T, error) {
-	out, err := core.ExchangeSorted(wc, work, bounds, s.cd, s.cmp, s.core)
-	s.held = int64(len(out)) * int64(s.cd.Size())
+	run, err := core.OpenBaseline(c, data, cd, cmp, opt.Core, map[string]any{"algo": name, "records": len(data), "p": c.Size()})
 	if err != nil {
-		return nil, fmt.Errorf("%s: exchange: %w", s.name, err)
+		return nil, fmt.Errorf("%s: %w", name, err)
 	}
-	return out, nil
+	return &sorter[T]{name: name, ctx: ctx, c: c, cmp: cmp, run: run}, nil
 }
 
 // oneShot is the single-exchange skeleton (hss, psrs): pick p-1
@@ -194,21 +138,20 @@ func (s *sorter[T]) exchange(wc *comm.Comm, work []T, bounds []int) ([]T, error)
 // drivers are duplicate-oblivious by design — and exchange once.
 func (s *sorter[T]) oneShot(data []T, pick func() ([]T, error)) ([]T, error) {
 	if s.c.Size() == 1 {
-		return s.finish(data, "single"), nil
+		return s.run.Done("single"), nil
 	}
-	s.tm.Start(metrics.PhasePivotSelection)
+	s.run.Phase(metrics.PhasePivotSelection)
 	sp, err := pick()
 	if err != nil {
 		return nil, fmt.Errorf("%s: splitter selection: %w", s.name, err)
 	}
 	if len(sp) == 0 {
-		return s.finish(data, "empty"), nil
+		return s.run.Done("empty"), nil
 	}
-	out, err := s.exchange(s.c, data, partition.Classical(data, sp, s.cmp))
-	if err != nil {
-		return nil, err
+	if _, err := s.run.Exchange(s.c, partition.Classical(data, sp, s.cmp)); err != nil {
+		return nil, fmt.Errorf("%s: exchange: %w", s.name, err)
 	}
-	return s.finish(out, "completed"), nil
+	return s.run.Done("completed"), nil
 }
 
 // levels is the recursion the multi-level drivers (ams, hyksort) share:
@@ -231,7 +174,7 @@ func (s *sorter[T]) levels(data []T, k int,
 		}
 		p, me := cur.Size(), cur.Rank()
 		b := min(k, p)
-		s.tm.Start(metrics.PhasePivotSelection)
+		s.run.Phase(metrics.PhasePivotSelection)
 		sp, err := pick(cur, local, b)
 		if err != nil {
 			return nil, n, fmt.Errorf("%s: splitter selection: %w", s.name, err)
@@ -250,20 +193,19 @@ func (s *sorter[T]) levels(data []T, k int,
 				starts[rank*b/p] = rank
 			}
 			starts[b] = p
-			local, err = s.exchange(cur, local, deliver(partition.Classical(local, sp, s.cmp), starts, me))
-			if err != nil {
-				return nil, n, err
+			if local, err = s.run.Exchange(cur, deliver(partition.Classical(local, sp, s.cmp), starts, me)); err != nil {
+				return nil, n, fmt.Errorf("%s: exchange: %w", s.name, err)
 			}
 			group, reason = me*b/p, "completed"
 		} else if n == 0 {
 			reason = "empty"
 		}
-		s.tm.Start(metrics.PhaseOther)
+		s.run.Phase(metrics.PhaseOther)
 		if cur, err = cur.Split(group, me); err != nil {
 			return nil, n, fmt.Errorf("%s: group split: %w", s.name, err)
 		}
 	}
-	return s.finish(local, reason), n, nil
+	return s.run.Done(reason), n, nil
 }
 
 // equalStrides cuts a sorted candidate pool at b-1 equal strides — the

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -26,6 +27,25 @@ func cmpF64(a, b float64) int {
 		return 1
 	}
 	return 0
+}
+
+// ringCap is the trace ring the tests record into: room for every event
+// of their sorts, which recorded checks.
+const ringCap = 1 << 14
+
+// recorded returns the events ring kept — only those of kind, unless
+// kind is "" — and fails the test if the ring was too small to keep
+// them all. It reports through t.Errorf, so any goroutine may call it.
+func recorded(t testing.TB, ring *trace.Ring, kind string) []trace.Event {
+	t.Helper()
+	if n := ring.Dropped(); n > 0 {
+		t.Errorf("trace ring dropped %d events", n)
+	}
+	evs := ring.Events()
+	if kind == "" {
+		return evs
+	}
+	return slices.DeleteFunc(evs, func(e trace.Event) bool { return e.Kind != kind })
 }
 
 // eqInput generates one rank's shard of a named equivalence workload.
@@ -193,13 +213,13 @@ func TestDriverEquivalenceInproc(t *testing.T) {
 		for _, input := range eqInputs(t) {
 			t.Run(in.Name+"/"+input.name, func(t *testing.T) {
 				want := reference(p, perRank, input.gen)
-				rec := trace.NewRecorder()
+				rec := trace.NewRing(ringCap)
 				outs, err := sortInproc(in.Name, p, perRank, input.gen, rec)
 				if err != nil {
 					t.Fatal(err)
 				}
 				checkEquivalent(t, outs, want)
-				checkTraceComplete(t, rec.Events(), p)
+				checkTraceComplete(t, recorded(t, rec, ""), p)
 			})
 		}
 	}
@@ -276,5 +296,58 @@ func TestDriverInvalidOptionsDrainGauge(t *testing.T) {
 				t.Fatalf("gauge holds %d bytes after the rejected sort", used)
 			}
 		})
+	}
+}
+
+// TestLevelsAttributeToWorldRank: a multi-level driver reports every
+// level under the caller's world rank. ams with K = 2 takes three levels
+// on 8 ranks, the later two over groups whose ranks are not the world's;
+// each level's exchange.plan, partition.histogram and exchange span must
+// still name the rank whose sort it belongs to, and every span must hang
+// under a span of that same rank.
+func TestLevelsAttributeToWorldRank(t *testing.T) {
+	const p, perRank, levels = 8, 500, 3
+	ring := trace.NewRing(ringCap)
+	opt := DefaultOptions()
+	opt.K = 2
+	opt.Core.Trace = ring
+	topo := cluster.Topology{Nodes: p, CoresPerNode: 1}
+	_, err := cluster.Gather(topo, cluster.Options{}, func(c *comm.Comm) ([]float64, error) {
+		return sortWith(NameAMS, c, workload.Uniform(int64(c.Rank()), perRank), opt)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := recorded(t, ring, "")
+	checkTraceComplete(t, events, p)
+	want := map[string]int{"exchange.plan": levels, "partition.histogram": levels, "exchange": levels, "sort": 1, "localsort": 1}
+	counts := map[string][]int{}
+	for kind := range want {
+		counts[kind] = make([]int, p)
+	}
+	for _, e := range events {
+		if byRank, ok := counts[e.Kind]; ok {
+			byRank[e.Rank]++
+		}
+	}
+	spans := trace.BuildSpans(events)
+	rankOf := map[int64]int{}
+	for _, sp := range spans {
+		rankOf[sp.Span] = sp.Rank
+		if byRank, ok := counts[sp.Name]; ok {
+			byRank[sp.Rank]++
+		}
+	}
+	for kind, byRank := range counts {
+		for r, n := range byRank {
+			if n != want[kind] {
+				t.Errorf("rank %d: %d %s, want %d", r, n, kind, want[kind])
+			}
+		}
+	}
+	for _, sp := range spans {
+		if pr, ok := rankOf[sp.Parent]; sp.Parent != 0 && (!ok || pr != sp.Rank) {
+			t.Errorf("rank %d span %q hangs under span %d of rank %d", sp.Rank, sp.Name, sp.Parent, pr)
+		}
 	}
 }

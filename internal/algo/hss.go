@@ -15,7 +15,7 @@ import (
 // histogramming seeded with a sample far smaller than one-shot regular
 // sampling needs, refined only where the measured cut is still outside
 // a rank tolerance. One exchange follows, through the shared
-// core.ExchangeSorted. Like HykSort's selection it is duplicate-
+// core.Baseline. Like HykSort's selection it is duplicate-
 // oblivious: on heavy duplicates the refinement stalls (no candidate
 // can separate equal keys) and the partition concentrates — the auto
 // driver routes such inputs to sds instead.
@@ -31,7 +31,7 @@ func (hssDriver[T]) Sort(ctx context.Context, c *comm.Comm, data []T, cd codec.C
 	if err != nil {
 		return nil, err
 	}
-	defer s.end()
+	defer s.run.Close()
 	rounds := opt.HistogramRounds
 	if rounds <= 0 {
 		rounds = 8
@@ -43,7 +43,7 @@ func (hssDriver[T]) Sort(ctx context.Context, c *comm.Comm, data []T, cd codec.C
 	return s.oneShot(data, func() ([]T, error) {
 		sp, st, err := hssSplitters(c, data, c.Size()-1, rounds, eps, cd, cmp)
 		if err == nil {
-			s.tr.Emit(c.Rank(), "hss.splitters", map[string]any{
+			opt.tracer().Emit(c.Rank(), "hss.splitters", map[string]any{
 				"rounds": st.rounds, "candidates": st.candidates,
 				"resolved": st.resolved, "splitters": c.Size() - 1, "tolerance": st.tol,
 			})

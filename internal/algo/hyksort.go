@@ -29,14 +29,14 @@ func (hykDriver[T]) Info() Info {
 }
 
 func (hykDriver[T]) Sort(ctx context.Context, c *comm.Comm, data []T, cd codec.Codec[T], cmp func(a, b T) int, opt Options) ([]T, error) {
+	// Every round takes the synchronous exchange, whose rank-ordered
+	// chunks keep the k-way merge deterministic.
+	opt.Core.TauO = 0
 	s, err := begin(ctx, NameHyk, c, data, cd, cmp, opt)
 	if err != nil {
 		return nil, err
 	}
-	defer s.end()
-	// Every round takes the synchronous exchange, whose rank-ordered
-	// chunks keep the k-way merge deterministic.
-	s.core.TauO = 0
+	defer s.run.Close()
 	// The published configuration: the HykSort paper found k = 128
 	// optimal on their testbed and the SDS-Sort paper uses that value.
 	k, rounds := 128, 3

@@ -26,14 +26,14 @@ func (psrsDriver[T]) Info() Info {
 }
 
 func (psrsDriver[T]) Sort(ctx context.Context, c *comm.Comm, data []T, cd codec.Codec[T], cmp func(a, b T) int, opt Options) ([]T, error) {
+	// The classic formulation is one synchronous all-to-all followed by
+	// a k-way merge.
+	opt.Core.TauO = 0
 	s, err := begin(ctx, NamePSRS, c, data, cd, cmp, opt)
 	if err != nil {
 		return nil, err
 	}
-	defer s.end()
-	// The classic formulation is one synchronous all-to-all followed by
-	// a k-way merge.
-	s.core.TauO = 0
+	defer s.run.Close()
 	return s.oneShot(data, func() ([]T, error) { return psrsPivots(c, data, cd, cmp) })
 }
 

@@ -14,6 +14,21 @@ import (
 	"sdssort/internal/trace"
 )
 
+// ringCap is the trace ring the tests record into: room for every event
+// of their runs, which recorded checks.
+const ringCap = 1 << 14
+
+// recorded returns the events ring kept and fails the test if the ring
+// was too small to keep them all. It reports through t.Errorf, so any
+// goroutine may call it.
+func recorded(t testing.TB, ring *trace.Ring) []trace.Event {
+	t.Helper()
+	if n := ring.Dropped(); n > 0 {
+		t.Errorf("trace ring dropped %d events", n)
+	}
+	return ring.Events()
+}
+
 func TestRunAllRanksExecute(t *testing.T) {
 	var count atomic.Int32
 	topo := Topology{Nodes: 3, CoresPerNode: 2}
@@ -197,7 +212,7 @@ func TestReportNilAndPlainErrors(t *testing.T) {
 
 func TestRunSupervisedRecoversPanicWithOneRestart(t *testing.T) {
 	topo := Topology{Nodes: 2, CoresPerNode: 2}
-	rec := trace.NewRecorder()
+	rec := trace.NewRing(ringCap)
 	var stats metrics.RecoveryStats
 	var attempts atomic.Int32
 	err := RunSupervised(topo, Options{MaxRestarts: 2, Trace: rec, Recovery: &stats},
@@ -221,7 +236,7 @@ func TestRunSupervisedRecoversPanicWithOneRestart(t *testing.T) {
 		t.Fatalf("recovery stats %+v", snap)
 	}
 	var kinds []string
-	for _, e := range rec.Events() {
+	for _, e := range recorded(t, rec) {
 		kinds = append(kinds, e.Kind)
 	}
 	// Each supervised attempt is wrapped in an "epoch" span: the failed
@@ -234,7 +249,7 @@ func TestRunSupervisedRecoversPanicWithOneRestart(t *testing.T) {
 	if fmt.Sprint(kinds) != fmt.Sprint(want) {
 		t.Fatalf("trace kinds %v, want %v", kinds, want)
 	}
-	spans := trace.BuildSpans(rec.Events())
+	spans := trace.BuildSpans(recorded(t, rec))
 	if len(spans) != 2 || spans[0].Name != "epoch" || spans[1].Name != "epoch" {
 		t.Fatalf("spans %+v, want two epoch spans", spans)
 	}

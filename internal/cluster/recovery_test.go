@@ -74,7 +74,7 @@ func TestDecideTable(t *testing.T) {
 			action: GiveUp, events: []string{"supervisor.giveup"}, planErr: "restart budget 2 exhausted"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			rec := trace.NewRecorder()
+			rec := trace.NewRing(ringCap)
 			var stats metrics.RecoveryStats
 			var sawLost []int
 			hook := func(lost []int, oldSize, newEpoch int) (checkpoint.Cut, error) {
@@ -100,7 +100,7 @@ func TestDecideTable(t *testing.T) {
 				t.Errorf("Redistribute saw lost %v, want %v", sawLost, tc.lost)
 			}
 			var kinds []string
-			for _, e := range rec.Events() {
+			for _, e := range recorded(t, rec) {
 				if e.Rank != -1 {
 					t.Errorf("%s emitted at rank %d, want -1", e.Kind, e.Rank)
 				}
@@ -294,7 +294,7 @@ func TestReformDisagreementFallsBack(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rec := trace.NewRecorder()
+			rec := trace.NewRing(ringCap)
 			alive := func(q int) bool { return !slices.Contains(dead, q) }
 			plan, c, _ := w.survivor(r, 300*time.Millisecond, alive, rec)
 			if plan.Action != Relaunch || c != nil {
@@ -305,7 +305,7 @@ func TestReformDisagreementFallsBack(t *testing.T) {
 				t.Errorf("rank %d: fallback reason %v", r, plan.Err)
 			}
 			var kinds []string
-			for _, e := range rec.Events() {
+			for _, e := range recorded(t, rec) {
 				kinds = append(kinds, e.Kind)
 			}
 			if want := []string{"supervisor.shrink_fallback", "supervisor.restart"}; !slices.Equal(kinds, want) {

@@ -115,7 +115,7 @@ func appendRaw[T any](dst []T, wire []byte, sz int) []T {
 // unsigned order equals the codec's canonical record order. It is what
 // lets local ordering, stable or not, dispatch to the LSD radix kernel
 // instead of a comparison sort; callers must still verify the supplied
-// comparator agrees with the key order (radix.DispatchLocal does, and a
+// comparator agrees with the key order (radix.Dispatch does, and a
 // stable sort it holds to the stricter rule: comparator-equal exactly
 // where key-equal).
 type Uint64Keyer[T any] interface {

@@ -14,7 +14,7 @@ import (
 type World struct {
 	size   int
 	nodeOf []int
-	boxes  []*mailbox
+	boxes  []*Mailbox
 
 	mu     sync.Mutex
 	closed bool
@@ -34,9 +34,9 @@ func NewWorld(size int, nodeOf []int) (*World, error) {
 		return nil, fmt.Errorf("comm: nodeOf has %d entries for %d ranks", len(nodeOf), size)
 	}
 	w := &World{size: size, nodeOf: append([]int(nil), nodeOf...)}
-	w.boxes = make([]*mailbox, size)
+	w.boxes = make([]*Mailbox, size)
 	for i := range w.boxes {
-		w.boxes[i] = newMailbox()
+		w.boxes[i] = NewMailbox()
 	}
 	return w, nil
 }
@@ -76,7 +76,7 @@ func (w *World) Close() error {
 	w.closed = true
 	w.mu.Unlock()
 	for _, b := range w.boxes {
-		b.close()
+		b.Close()
 	}
 	return nil
 }
@@ -98,83 +98,14 @@ func (t *inprocTransport) Send(dst int, ctx uint64, tag int32, data []byte) erro
 	// Copy eagerly: the sender is free to reuse its buffer, and the
 	// receiver owns what it gets, exactly as with a buffered MPI send.
 	cp := append([]byte(nil), data...)
-	return t.w.boxes[dst].put(message{src: t.rank, ctx: ctx, tag: tag, data: cp})
+	return t.w.boxes[dst].Put(t.rank, ctx, tag, cp)
 }
 
 func (t *inprocTransport) Recv(src int, ctx uint64, tag int32) ([]byte, error) {
 	if src < 0 || src >= t.w.size {
 		return nil, fmt.Errorf("comm: recv from rank %d out of range [0,%d)", src, t.w.size)
 	}
-	return t.w.boxes[t.rank].take(src, ctx, tag)
+	return t.w.boxes[t.rank].Take(src, ctx, tag, 0)
 }
 
 func (t *inprocTransport) Close() error { return nil }
-
-type message struct {
-	src  int
-	ctx  uint64
-	tag  int32
-	data []byte
-}
-
-type msgKey struct {
-	src int
-	ctx uint64
-	tag int32
-}
-
-// mailbox holds one rank's incoming messages, keyed by (src, ctx, tag)
-// with FIFO order within each key — the MPI non-overtaking guarantee.
-type mailbox struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queues map[msgKey][][]byte
-	closed bool
-}
-
-func newMailbox() *mailbox {
-	b := &mailbox{queues: make(map[msgKey][][]byte)}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-func (b *mailbox) put(m message) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.closed {
-		return ErrClosed
-	}
-	k := msgKey{src: m.src, ctx: m.ctx, tag: m.tag}
-	b.queues[k] = append(b.queues[k], m.data)
-	b.cond.Broadcast()
-	return nil
-}
-
-// take blocks until a matching message arrives or the mailbox closes.
-func (b *mailbox) take(src int, ctx uint64, tag int32) ([]byte, error) {
-	k := msgKey{src: src, ctx: ctx, tag: tag}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for {
-		if q := b.queues[k]; len(q) > 0 {
-			data := q[0]
-			if len(q) == 1 {
-				delete(b.queues, k)
-			} else {
-				b.queues[k] = q[1:]
-			}
-			return data, nil
-		}
-		if b.closed {
-			return nil, ErrClosed
-		}
-		b.cond.Wait()
-	}
-}
-
-func (b *mailbox) close() {
-	b.mu.Lock()
-	b.closed = true
-	b.mu.Unlock()
-	b.cond.Broadcast()
-}

@@ -47,12 +47,14 @@ import (
 // allocation.
 const MaxFrameSize = 1 << 30
 
-// ErrClosed is returned on operations against a closed transport.
-var ErrClosed = errors.New("tcpcomm: closed")
+// ErrClosed is returned on operations against a closed transport: the
+// same comm.ErrClosed the in-process transport returns, since both
+// receive through comm.Mailbox.
+var ErrClosed = comm.ErrClosed
 
 // errRecvTimeout marks a Recv that outwaited Config.RecvTimeout; it is
 // surfaced wrapped in comm.ErrPeerLost.
-var errRecvTimeout = errors.New("tcpcomm: receive timed out")
+var errRecvTimeout = comm.ErrRecvTimeout
 
 // Config describes one rank's endpoint.
 type Config struct {
@@ -719,7 +721,7 @@ func (t *Transport) Close() error {
 			}
 		}
 		t.seqMu.Unlock()
-		t.box.close()
+		t.box.Close()
 	})
 	t.wg.Wait()
 	return nil

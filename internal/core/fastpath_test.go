@@ -117,7 +117,7 @@ func TestRadixDispatchComparatorFallback(t *testing.T) {
 		}
 		return 0
 	}
-	if _, sorted, rejected := radix.DispatchLocal(data, nil, codec.Int64{}, reverse, false); sorted || rejected != 1 {
+	if _, sorted, rejected, _ := radix.Dispatch(data, nil, codec.Int64{}, reverse, false, 0); sorted || rejected != 1 {
 		t.Fatal("dispatch claimed success against a disagreeing comparator")
 	}
 	// The core sort path must recover end to end.
@@ -135,7 +135,7 @@ func TestRadixDispatchComparatorFallback(t *testing.T) {
 	// And with the agreeing comparator the dispatch must fire and agree
 	// with the comparison sort exactly.
 	asc := append([]int64(nil), data...)
-	if _, sorted, _ := radix.DispatchLocal(asc, nil, codec.Int64{}, cmpInt64, false); !sorted {
+	if _, sorted, _, _ := radix.Dispatch(asc, nil, codec.Int64{}, cmpInt64, false, 0); !sorted {
 		t.Fatal("dispatch refused an agreeing comparator")
 	}
 	ref := append([]int64(nil), data...)
@@ -161,7 +161,7 @@ func cmpInt64(a, b int64) int {
 // attached and returns the blocks and the closed spans.
 func sortFloats(t *testing.T, topo cluster.Topology, in [][]float64, cmp func(a, b float64) int, opt Options) ([][]float64, []trace.SpanRecord) {
 	t.Helper()
-	rec := trace.NewRecorder()
+	rec := trace.NewRing(ringCap)
 	opt.Trace = rec
 	out, err := cluster.Gather(topo, cluster.Options{}, func(c *comm.Comm) ([]float64, error) {
 		return Sort(c, slices.Clone(in[c.Rank()]), f64, cmp, opt)
@@ -169,7 +169,7 @@ func sortFloats(t *testing.T, topo cluster.Topology, in [][]float64, cmp func(a,
 	if err != nil {
 		t.Fatal(err)
 	}
-	return out, trace.BuildSpans(rec.Events())
+	return out, trace.BuildSpans(recorded(t, rec, ""))
 }
 
 // spanDetails returns detail key of every span called name, by rank.
@@ -315,7 +315,7 @@ func TestOverlapMergesPerSource(t *testing.T) {
 	topo := cluster.Topology{Nodes: 3, CoresPerNode: 2}
 	p := topo.Size()
 	in := makeTagged(p, 400, uniformGen(91))
-	rec := trace.NewRecorder()
+	rec := trace.NewRing(ringCap)
 	opt := DefaultOptions()
 	opt.TauM = 0
 	opt.StageBytes = 3 * int64(taggedCodec.Size())
@@ -324,7 +324,7 @@ func TestOverlapMergesPerSource(t *testing.T) {
 	out := runSort(t, topo, in, opt)
 	checkSorted(t, in, out, false)
 
-	merges := spanDetails(trace.BuildSpans(rec.Events()), "exchange", "merges")
+	merges := spanDetails(trace.BuildSpans(recorded(t, rec, "")), "exchange", "merges")
 	if len(merges) != p {
 		t.Fatalf("%d overlapped exchange spans, want %d", len(merges), p)
 	}
@@ -360,7 +360,7 @@ func localSortBench[T any](b *testing.B, src []T, cd codec.Codec[T], cmp func(a,
 		for i := 0; i < b.N; i++ {
 			copy(data, src)
 			var sorted bool
-			if scratch, sorted, _ = radix.DispatchLocal(data, scratch, cd, cmp, stable); !sorted {
+			if scratch, sorted, _, _ = radix.Dispatch(data, scratch, cd, cmp, stable, 0); !sorted {
 				b.Fatal("dispatch refused the records")
 			}
 		}

@@ -14,30 +14,6 @@ import (
 	"sdssort/internal/trace"
 )
 
-// PivotMethod selects how the p-1 global pivots are chosen (§2.4).
-type PivotMethod int
-
-const (
-	// PivotRegular is the paper's default: regular (equal-stripe)
-	// sampling of local pivots, ordered with a distributed bitonic
-	// sort, global pivots taken at equal stride. Handles duplicated
-	// pivots naturally — the skew-aware partition wants to see them.
-	PivotRegular PivotMethod = iota
-	// PivotHistogram selects pivots by iterative histogram refinement
-	// (HykSort's method). It converges to balanced ranks on distinct
-	// keys but cannot separate duplicates; combined with the
-	// skew-aware partition it remains correct, making it an ablation
-	// point rather than a failure mode.
-	PivotHistogram
-)
-
-func (m PivotMethod) name() string {
-	if m == PivotHistogram {
-		return "histogram"
-	}
-	return "regular"
-}
-
 // Options carries the paper's tunables. The zero value is not useful;
 // start from DefaultOptions.
 type Options struct {
@@ -99,9 +75,6 @@ type Options struct {
 	// Timer, when non-nil, accrues per-phase wall time in the
 	// categories of the paper's Figs. 9-10.
 	Timer *metrics.PhaseTimer
-
-	// Pivots selects the global pivot selection method.
-	Pivots PivotMethod
 
 	// Trace, when non-nil, receives structured events: adaptive
 	// decisions taken, exchange volumes, partition summaries, and the

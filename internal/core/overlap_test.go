@@ -30,14 +30,14 @@ func TestOverlapDeterministic(t *testing.T) {
 		t.Run(fmt.Sprintf("%dx%d", topo.Nodes, topo.CoresPerNode), func(t *testing.T) {
 			p := topo.Size()
 			in := makeTagged(p, 400, func(rank, i int) float64 { return float64((rank + i) % 7) })
-			rec := trace.NewRecorder()
+			rec := trace.NewRing(ringCap)
 			opt := DefaultOptions()
 			opt.TauM = 0
 			opt.StageBytes = 8 * int64(taggedCodec.Size())
 			opt.Trace = rec
 			want := runSort(t, topo, in, opt)
 			checkSorted(t, in, want, false)
-			for _, e := range rec.ByKind("exchange.plan") {
+			for _, e := range recorded(t, rec, "exchange.plan") {
 				if e.Detail["overlap"] != true {
 					t.Fatalf("rank %d took the synchronous exchange", e.Rank)
 				}

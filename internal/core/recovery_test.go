@@ -141,7 +141,7 @@ func TestResumeAccounting(t *testing.T) {
 				}
 				rtopo, input = cluster.Topology{Nodes: 3, CoresPerNode: 1}, make([][]codec.Tagged, 3)
 			}
-			rec := trace.NewRecorder()
+			rec := trace.NewRing(ringCap)
 			gauges := make([]*memlimit.Gauge, rtopo.Size())
 			for r := range gauges {
 				gauges[r] = memlimit.New(1 << 30)
@@ -168,7 +168,7 @@ func TestResumeAccounting(t *testing.T) {
 			}
 			equalOutputs(t, [][]codec.Tagged{flatWant}, [][]codec.Tagged{flatGot}, tc.name)
 
-			resumes := rec.ByKind("ckpt.resume")
+			resumes := recorded(t, rec, "ckpt.resume")
 			if len(resumes) != rtopo.Size() {
 				t.Fatalf("%d ckpt.resume events, want %d", len(resumes), rtopo.Size())
 			}
@@ -191,7 +191,7 @@ func TestResumeAccounting(t *testing.T) {
 			// A resume past the local sort still takes that phase's
 			// input-side load observation, over the loaded records.
 			inputSide := 0
-			for _, e := range rec.ByKind("skew.phase") {
+			for _, e := range recorded(t, rec, "skew.phase") {
 				if e.Detail["phase"] == metrics.SkewLocalSort {
 					inputSide++
 				}
@@ -200,7 +200,7 @@ func TestResumeAccounting(t *testing.T) {
 			if resumedAtLocalSort := cut.Phase == checkpoint.PhaseLocalSort; (inputSide == 1) != resumedAtLocalSort {
 				t.Errorf("%d input-side skew observations resuming at %s", inputSide, cut.Phase)
 			}
-			if followers := len(rec.ByKind("nodemerge.follower")); tc.tauM > 0 && tc.cut == checkpoint.PhasePartition && followers != 2 {
+			if followers := len(recorded(t, rec, "nodemerge.follower")); tc.tauM > 0 && tc.cut == checkpoint.PhasePartition && followers != 2 {
 				t.Fatalf("%d follower drop-outs on the merged partition resume, want 2", followers)
 			}
 		})

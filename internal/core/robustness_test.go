@@ -45,7 +45,6 @@ func TestSortRobustnessMatrix(t *testing.T) {
 		{"overlap", func() Options { o := DefaultOptions(); o.TauO = 1 << 20; o.TauM = 0; return o }},
 		{"sortbranch", func() Options { o := DefaultOptions(); o.TauO = 0; o.TauS = 1; return o }},
 		{"nodemerge", func() Options { o := DefaultOptions(); o.TauM = 1 << 40; return o }},
-		{"histogram", func() Options { o := DefaultOptions(); o.Pivots = PivotHistogram; return o }},
 	}
 
 	for _, pat := range patterns {

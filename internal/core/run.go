@@ -11,14 +11,14 @@ import (
 	"sdssort/internal/trace"
 )
 
-// run is one Sort, SortStream or ExchangeSorted call: what is constant
-// for the call, and the state its phases hand each other — exactly what
-// a checkpoint manifest records, so a resume fills the state from disk
-// and enters the phase list further down. Owned by the calling rank's
+// run is one Sort, SortStream or Baseline call: what is constant for the
+// call, and the state its phases hand each other — exactly what a
+// checkpoint manifest records, so a resume fills the state from disk and
+// enters the phase list further down. Owned by the calling rank's
 // goroutine.
 type run[T any] struct {
 	c       *comm.Comm // the caller's communicator
-	rank    int        // c.Rank(): what events and spans are attributed to, also after τm rewrites wc
+	rank    int        // c.Rank(): what events and spans are attributed to, whatever wc becomes
 	cd      codec.Codec[T]
 	cmp     func(a, b T) int
 	recSize int64
@@ -30,7 +30,7 @@ type run[T any] struct {
 	root    *trace.Span
 
 	work     []T        // the rank's sorted working set, then its output block
-	wc       *comm.Comm // what the remaining phases run on: c, or the node leaders after τm
+	wc       *comm.Comm // what the remaining phases run on: c, the node leaders after τm, a baseline level's group
 	merged   bool       // τm rewrote wc
 	follower bool       // this rank's records were merged onto its node leader
 	bounds   []int      // send boundaries of work, len wc.Size()+1, once partitioned

@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -136,7 +137,7 @@ func TestShrinkSoak(t *testing.T) {
 	}
 
 	var stats metrics.RecoveryStats
-	rec := trace.NewRecorder()
+	rec := trace.NewRing(ringCap)
 	gauge := memlimit.New(0)
 	opt := DefaultOptions()
 	opt.Mem = gauge
@@ -165,13 +166,13 @@ func TestShrinkSoak(t *testing.T) {
 	if snap.Shrinks != 1 || snap.Restarts != 0 || snap.RanksShed != 1 {
 		t.Fatalf("recovery %+v, want exactly one shrink shedding one rank and no restarts", snap)
 	}
-	if ev := rec.ByKind("supervisor.shrink"); len(ev) != 1 {
-		t.Fatalf("supervisor.shrink events: %d, want 1\n%s", len(ev), rec.Summary())
+	if ev := recorded(t, rec, "supervisor.shrink"); len(ev) != 1 {
+		t.Fatalf("supervisor.shrink events: %d, want 1: %v", len(ev), supervisorTrail(t, rec))
 	}
-	if ev := rec.ByKind("supervisor.restart"); len(ev) != 0 {
-		t.Fatalf("the world was relaunched, not shrunk:\n%s", rec.Summary())
+	if ev := recorded(t, rec, "supervisor.restart"); len(ev) != 0 {
+		t.Fatalf("the world was relaunched, not shrunk: %v", supervisorTrail(t, rec))
 	}
-	done := rec.ByKind("supervisor.done")
+	done := recorded(t, rec, "supervisor.done")
 	if len(done) != 1 || done[0].Detail["degraded"] != true {
 		t.Fatalf("supervisor.done missing or not degraded: %v", done)
 	}
@@ -226,7 +227,7 @@ func TestShrinkCascade(t *testing.T) {
 	}
 
 	var stats metrics.RecoveryStats
-	rec := trace.NewRecorder()
+	rec := trace.NewRing(ringCap)
 	gauge := memlimit.New(0)
 	opt := DefaultOptions()
 	opt.Mem = gauge
@@ -264,14 +265,26 @@ func TestShrinkCascade(t *testing.T) {
 	if snap.Shrinks != 1 || snap.Restarts != 1 {
 		t.Fatalf("recovery %+v, want one shrink then one relaunch", snap)
 	}
-	if len(rec.ByKind("supervisor.shrink")) != 1 || len(rec.ByKind("supervisor.restart")) != 1 {
-		t.Fatalf("trace disagrees with the shrink-then-relaunch sequence:\n%s", rec.Summary())
+	if len(recorded(t, rec, "supervisor.shrink")) != 1 || len(recorded(t, rec, "supervisor.restart")) != 1 {
+		t.Fatalf("trace disagrees with the shrink-then-relaunch sequence: %v", supervisorTrail(t, rec))
 	}
-	done := rec.ByKind("supervisor.done")
+	done := recorded(t, rec, "supervisor.done")
 	if len(done) != 1 || done[0].Detail["degraded"] != false {
 		t.Fatalf("final epoch should be the relaunched full world: %v", done)
 	}
 	if used := gauge.Used(); used != 0 {
 		t.Fatalf("memory gauge holds %d bytes after the cascade", used)
 	}
+}
+
+// supervisorTrail lists the supervisor's events in order: what a failed
+// assertion on the recovery sequence prints.
+func supervisorTrail(t *testing.T, rec *trace.Ring) []string {
+	var kinds []string
+	for _, e := range recorded(t, rec, "") {
+		if strings.HasPrefix(e.Kind, "supervisor.") {
+			kinds = append(kinds, e.Kind)
+		}
+	}
+	return kinds
 }

@@ -5,9 +5,11 @@ import "fmt"
 // observeSkew measures one phase's per-rank load geometry over wc:
 // every rank contributes its load, the vector is allgathered, and each
 // rank records the resulting load-imbalance factor on opt.Skew and
-// (rank 0 only, to keep the trace single-voiced) emits a skew.phase
-// event. A nil opt.Skew makes it free — and non-collective, which is
-// why the Skew option must agree across ranks.
+// (wc's rank 0 only, to keep the trace single-voiced) emits a skew.phase
+// event. The vector is indexed by wc's ranks, so this rank's place in it
+// is wc.Rank(), not the world rank it reports under once τm or a
+// baseline level has narrowed wc. A nil opt.Skew makes it free — and
+// non-collective, which is why the Skew option must agree across ranks.
 func (r *run[T]) observeSkew(phase string, load int64) error {
 	if r.opt.Skew == nil {
 		return nil
@@ -16,8 +18,9 @@ func (r *run[T]) observeSkew(phase string, load int64) error {
 	if err != nil {
 		return fmt.Errorf("core: %s skew gather: %w", phase, err)
 	}
-	o := r.opt.Skew.Observe(phase, loads, r.rank)
-	if r.rank == 0 && o.Ranks > 0 {
+	self := r.wc.Rank()
+	o := r.opt.Skew.Observe(phase, loads, self)
+	if self == 0 && o.Ranks > 0 {
 		r.tr.Emit(r.rank, "skew.phase", map[string]any{
 			"phase": phase, "ranks": o.Ranks,
 			"max": int64(o.Max), "mean": o.Mean, "max_rank": o.MaxRank,

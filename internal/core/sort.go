@@ -50,8 +50,7 @@ func Sort[T any](c *comm.Comm, data []T, cd codec.Codec[T], cmp func(a, b T) int
 		{name: "localsort", clock: metrics.PhaseLocalSort, begin: map[string]any{"records": len(data)},
 			body: r.sortLocal, cut: checkpoint.PhaseLocalSort, skew: metrics.SkewLocalSort},
 		{name: "nodemerge", clock: metrics.PhaseLocalSort, body: r.mergeNodes},
-		{name: "pivots", clock: metrics.PhasePivotSelection, begin: map[string]any{"method": opt.Pivots.name()},
-			body: r.selectPivots},
+		{name: "pivots", clock: metrics.PhasePivotSelection, body: r.selectPivots},
 		{name: "partition", clock: metrics.PhasePivotSelection, body: r.splitWork, cut: checkpoint.PhasePartition},
 		{clock: metrics.PhaseExchange, body: r.exchangeAndOrder},
 	}
@@ -97,15 +96,14 @@ func (r *run[T]) sortLocal() (map[string]any, error) {
 	return detail, nil
 }
 
-// selectPivots is sampling and global pivot selection (lines 8-9).
+// selectPivots is sampling and global pivot selection (lines 8-9):
+// regular (equal-stripe) sampling of local pivots, ordered with a
+// distributed bitonic sort, global pivots taken at equal stride.
+// Duplicated pivots are kept — the skew-aware partition wants to see
+// them.
 func (r *run[T]) selectPivots() (map[string]any, error) {
-	p := r.wc.Size()
 	var err error
-	if r.opt.Pivots == PivotHistogram {
-		r.pg, err = pivots.HistogramSplitters(r.wc, r.work, p-1, 3, r.cd, r.cmp)
-	} else {
-		r.pg, err = pivots.SelectGlobal(r.wc, pivots.RegularSample(r.work, p), r.cd, r.cmp)
-	}
+	r.pg, err = pivots.SelectGlobal(r.wc, pivots.RegularSample(r.work, r.wc.Size()), r.cd, r.cmp)
 	if err != nil {
 		return nil, fmt.Errorf("core: pivot selection: %w", err)
 	}

@@ -162,7 +162,7 @@ func SortStream[T any](c *comm.Comm, in RecordSource[T], cd codec.Codec[T], cmp 
 			return detail, nil
 		}},
 		// Global pivots from the per-chunk regular samples.
-		{name: "pivots", clock: metrics.PhasePivotSelection, begin: map[string]any{"method": PivotRegular.name()}, body: func() (map[string]any, error) {
+		{name: "pivots", clock: metrics.PhasePivotSelection, body: func() (map[string]any, error) {
 			psort.ParallelSort(samples, opt.cores(), opt.Stable, cmp)
 			r.pg, err = pivots.SelectGlobal(c, pivots.RegularSample(samples, p), cd, cmp)
 			if err != nil {

@@ -158,7 +158,7 @@ func TestStableDispatchLeavesInputForFallback(t *testing.T) {
 	const n = 1001
 	in := ptfInput(n, func(int) float64 { return float64(rng.Intn(300)) })
 	data := slices.Clone(in)
-	scratch, sorted, rejected := radix.DispatchLocal(data, nil, ptfCodec, ptfReverse, true)
+	scratch, sorted, rejected, _ := radix.Dispatch(data, nil, ptfCodec, ptfReverse, true, 0)
 	if sorted || rejected != 1 {
 		t.Fatalf("reversed comparator: sorted %v, rejected leaf %d; want a first-leaf rejection", sorted, rejected)
 	}
@@ -292,7 +292,7 @@ func TestStableSortRadixMatchesComparison(t *testing.T) {
 				keyed.Spill = &SpillOptions{Dir: t.TempDir(), ChunkRecords: 257, BufBytes: 4 << 10}
 				plain.Spill = &SpillOptions{Dir: t.TempDir(), ChunkRecords: 257, BufBytes: 4 << 10}
 			}
-			rec := trace.NewRecorder()
+			rec := trace.NewRing(ringCap)
 			keyed.Trace = rec
 			fast := sortPTF(t, topo, in, ptfCodec, keyed)
 			slow := sortPTF(t, topo, in, plainCodec[codec.PTFRecord]{ptfCodec}, plain)
@@ -304,7 +304,7 @@ func TestStableSortRadixMatchesComparison(t *testing.T) {
 			if !samePTF(slices.Concat(fast...), want) {
 				t.Fatal("output is not the stable sort of the input")
 			}
-			kernels := spanDetails(trace.BuildSpans(rec.Events()), "localsort", "kernel")
+			kernels := spanDetails(trace.BuildSpans(recorded(t, rec, "")), "localsort", "kernel")
 			if len(kernels) != topo.Size() {
 				t.Fatalf("%d localsort spans, want %d", len(kernels), topo.Size())
 			}

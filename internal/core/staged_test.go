@@ -117,7 +117,7 @@ func TestSortStagedPeakReservation(t *testing.T) {
 				p := topo.Size()
 				gauges := make([]*memlimit.Gauge, p)
 				exch := make([]*metrics.ExchangeStats, p)
-				traces := make([]*trace.Recorder, p)
+				traces := make([]*trace.Ring, p)
 				out, err := cluster.Gather(topo, cluster.Options{}, func(c *comm.Comm) ([]codec.Tagged, error) {
 					r := c.Rank()
 					opt := DefaultOptions()
@@ -126,8 +126,8 @@ func TestSortStagedPeakReservation(t *testing.T) {
 					opt.StageBytes = stage
 					opt.Mem = memlimit.New(1 << 40)
 					opt.Exchange = &metrics.ExchangeStats{}
-					opt.Trace = trace.NewRecorder()
-					gauges[r], exch[r], traces[r] = opt.Mem, opt.Exchange, opt.Trace.(*trace.Recorder)
+					opt.Trace = trace.NewRing(ringCap)
+					gauges[r], exch[r], traces[r] = opt.Mem, opt.Exchange, opt.Trace.(*trace.Ring)
 					local := append([]codec.Tagged(nil), in[r]...)
 					return Sort(c, local, taggedCodecFor(zc), codec.CompareTagged, opt)
 				})
@@ -164,11 +164,11 @@ func TestSortStagedPeakReservation(t *testing.T) {
 // largestPayload reads the per-rank partition.histogram events (what
 // each rank sends to every destination) and returns the most records
 // rank r exchanges with any single peer, in either direction.
-func largestPayload(t *testing.T, traces []*trace.Recorder, r int) int64 {
+func largestPayload(t *testing.T, traces []*trace.Ring, r int) int64 {
 	t.Helper()
 	var most int64
 	for src, rec := range traces {
-		hs := rec.ByKind("partition.histogram")
+		hs := recorded(t, rec, "partition.histogram")
 		if len(hs) != 1 {
 			t.Fatalf("rank %d emitted %d partition histograms", src, len(hs))
 		}
@@ -349,7 +349,7 @@ func TestSortTraceCompleteness(t *testing.T) {
 	}
 	for _, w := range worlds {
 		t.Run(w.name, func(t *testing.T) {
-			rec := trace.NewRecorder()
+			rec := trace.NewRing(ringCap)
 			in := makeTagged(w.topo.Size(), w.per, uniformGen(51))
 			opt := w.opt
 			opt.Trace = rec
@@ -357,7 +357,7 @@ func TestSortTraceCompleteness(t *testing.T) {
 			checkSorted(t, in, out, false)
 
 			p := w.topo.Size()
-			a := trace.Analyze(rec.Events())
+			a := trace.Analyze(recorded(t, rec, ""))
 			if a.SortsStarted != p || a.SortsCompleted != p {
 				t.Fatalf("%d starts, %d dones, want %d of each", a.SortsStarted, a.SortsCompleted, p)
 			}
@@ -377,7 +377,7 @@ func TestSortTraceCompleteness(t *testing.T) {
 			}
 			// Every done event must carry its record count.
 			var records int64
-			for _, e := range rec.ByKind("sort.done") {
+			for _, e := range recorded(t, rec, "sort.done") {
 				n, ok := e.Detail["records"].(int)
 				if !ok {
 					t.Fatalf("sort.done without a records field: %v", e.Detail)

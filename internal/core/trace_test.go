@@ -2,6 +2,7 @@ package core
 
 import (
 	"os"
+	"slices"
 	"testing"
 
 	"sdssort/internal/checkpoint"
@@ -13,12 +14,31 @@ import (
 	"sdssort/internal/trace"
 )
 
+// ringCap is the trace ring the tests record into: room for every event
+// of their sorts, which recorded checks.
+const ringCap = 1 << 14
+
+// recorded returns the events ring kept — only those of kind, unless
+// kind is "" — and fails the test if the ring was too small to keep
+// them all. It reports through t.Errorf, so any goroutine may call it.
+func recorded(t testing.TB, ring *trace.Ring, kind string) []trace.Event {
+	t.Helper()
+	if n := ring.Dropped(); n > 0 {
+		t.Errorf("trace ring dropped %d events", n)
+	}
+	evs := ring.Events()
+	if kind == "" {
+		return evs
+	}
+	return slices.DeleteFunc(evs, func(e trace.Event) bool { return e.Kind != kind })
+}
+
 // TestSortEmitsTrace checks the observable event stream of one sort:
 // start/done per rank, the duplicated-pivot report on skewed data, and
 // the exchange plan with plausible volumes.
 func TestSortEmitsTrace(t *testing.T) {
 	topo := cluster.Topology{Nodes: 4, CoresPerNode: 1}
-	rec := trace.NewRecorder()
+	rec := trace.NewRing(ringCap)
 	in := makeTagged(topo.Size(), 400, func(rank, i int) float64 {
 		return float64(i % 2) // heavy duplication forces pivot runs
 	})
@@ -28,16 +48,16 @@ func TestSortEmitsTrace(t *testing.T) {
 	out := runSort(t, topo, in, opt)
 	checkSorted(t, in, out, false)
 
-	if got := len(rec.ByKind("sort.start")); got != topo.Size() {
+	if got := len(recorded(t, rec, "sort.start")); got != topo.Size() {
 		t.Fatalf("%d sort.start events, want %d", got, topo.Size())
 	}
-	if got := len(rec.ByKind("sort.done")); got != topo.Size() {
+	if got := len(recorded(t, rec, "sort.done")); got != topo.Size() {
 		t.Fatalf("%d sort.done events, want %d", got, topo.Size())
 	}
-	if len(rec.ByKind("pivots.duplicated")) == 0 {
+	if len(recorded(t, rec, "pivots.duplicated")) == 0 {
 		t.Fatal("no duplicated-pivot events on 2-value data")
 	}
-	plans := rec.ByKind("exchange.plan")
+	plans := recorded(t, rec, "exchange.plan")
 	if len(plans) != topo.Size() {
 		t.Fatalf("%d exchange plans", len(plans))
 	}
@@ -55,7 +75,7 @@ func TestSortEmitsTrace(t *testing.T) {
 // TestSortTraceNodeMerge checks leader/follower events on the τm path.
 func TestSortTraceNodeMerge(t *testing.T) {
 	topo := cluster.Topology{Nodes: 2, CoresPerNode: 3}
-	rec := trace.NewRecorder()
+	rec := trace.NewRing(ringCap)
 	in := makeTagged(topo.Size(), 200, uniformGen(60))
 	opt := DefaultOptions()
 	opt.TauM = 1 << 40
@@ -68,10 +88,10 @@ func TestSortTraceNodeMerge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(rec.ByKind("nodemerge.follower")); got != 4 {
+	if got := len(recorded(t, rec, "nodemerge.follower")); got != 4 {
 		t.Fatalf("%d followers, want 4", got)
 	}
-	if got := len(rec.ByKind("nodemerge.leader")); got != 2 {
+	if got := len(recorded(t, rec, "nodemerge.leader")); got != 2 {
 		t.Fatalf("%d leaders, want 2", got)
 	}
 }
@@ -100,7 +120,7 @@ func TestFailedExchangeClosesSpans(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rec := trace.NewRecorder()
+			rec := trace.NewRing(ringCap)
 			in := makeTagged(topo.Size(), 400, uniformGen(77))
 			opt := DefaultOptions()
 			opt.TauM = 0
@@ -120,7 +140,7 @@ func TestFailedExchangeClosesSpans(t *testing.T) {
 				t.Errorf("WindowBytes = %d after every rank returned, want 0", w)
 			}
 			failed := 0
-			for _, sp := range trace.BuildSpans(rec.Events()) {
+			for _, sp := range trace.BuildSpans(recorded(t, rec, "")) {
 				if sp.Open {
 					t.Errorf("rank %d left span %q open", sp.Rank, sp.Name)
 				}
@@ -151,7 +171,7 @@ func TestFailedPhaseClosesSpans(t *testing.T) {
 	in := makeTagged(topo.Size(), 400, uniformGen(78))
 	run := func(t *testing.T, opt Options, wrap func(comm.Transport) comm.Transport) []trace.SpanRecord {
 		t.Helper()
-		rec := trace.NewRecorder()
+		rec := trace.NewRing(ringCap)
 		opt.Trace = rec
 		err := cluster.RunOpts(topo, cluster.Options{WrapTransport: wrap}, func(c *comm.Comm) error {
 			local := append([]codec.Tagged(nil), in[c.Rank()]...)
@@ -163,7 +183,7 @@ func TestFailedPhaseClosesSpans(t *testing.T) {
 		}
 		// Snapshots the failed ranks enqueued may still be in flight.
 		opt.Checkpoint.Wait()
-		spans := trace.BuildSpans(rec.Events())
+		spans := trace.BuildSpans(recorded(t, rec, ""))
 		for _, sp := range spans {
 			if sp.Open {
 				t.Errorf("rank %d left span %q open", sp.Rank, sp.Name)

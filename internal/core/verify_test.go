@@ -135,27 +135,6 @@ func TestSortThenVerify(t *testing.T) {
 	}
 }
 
-func TestSortHistogramPivots(t *testing.T) {
-	for _, stable := range []bool{false, true} {
-		topo := cluster.Topology{Nodes: 4, CoresPerNode: 2}
-		in := makeTagged(topo.Size(), 500, zipfGen(51, 1.4))
-		opt := DefaultOptions()
-		opt.Pivots = PivotHistogram
-		opt.Stable = stable
-		out := runSort(t, topo, in, opt)
-		checkSorted(t, in, out, stable)
-	}
-}
-
-func TestSortHistogramPivotsUniform(t *testing.T) {
-	topo := cluster.Topology{Nodes: 4, CoresPerNode: 1}
-	in := makeTagged(topo.Size(), 800, uniformGen(52))
-	opt := DefaultOptions()
-	opt.Pivots = PivotHistogram
-	out := runSort(t, topo, in, opt)
-	checkSorted(t, in, out, false)
-}
-
 func TestNodeMergeAllOnOneNode(t *testing.T) {
 	// Every rank on a single node: the merge concentrates everything on
 	// rank 0, and p'=1 means no exchange happens at all.

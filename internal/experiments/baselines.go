@@ -87,7 +87,7 @@ func runRadix(topo cluster.Topology, gen func(rank int) []float64) outcome {
 	loads := make([]int, p)
 	start := time.Now()
 	err := cluster.Run(topo, func(c *comm.Comm) error {
-		out, err := radix.Sort(c, gen(c.Rank()), f64codec, f64codec.Uint64Key, radix.Options{})
+		out, err := radix.Sort(c, gen(c.Rank()), f64codec, f64codec.Uint64Key)
 		if err != nil {
 			return err
 		}

@@ -16,7 +16,6 @@ import (
 
 	"sdssort/internal/codec"
 	"sdssort/internal/comm"
-	"sdssort/internal/metrics"
 	"sdssort/internal/psort"
 )
 
@@ -29,26 +28,10 @@ const topBits = 14
 
 const numBuckets = 1 << topBits
 
-// Options configures the parallel radix sort.
-type Options struct {
-	// Timer accrues per-phase time when non-nil.
-	Timer *metrics.PhaseTimer
-}
-
-func (o Options) timer() *metrics.PhaseTimer {
-	if o.Timer != nil {
-		return o.Timer
-	}
-	return metrics.NewPhaseTimer()
-}
-
 // Sort sorts records distributed across the communicator by the uint64
 // key extracted by key(). Rank order of the output blocks follows key
 // order. The sort is stable with respect to the key (LSD radix).
-func Sort[T any](c *comm.Comm, data []T, cd codec.Codec[T], key func(T) uint64, opt Options) ([]T, error) {
-	tm := opt.timer()
-	tm.Start(metrics.PhaseOther)
-	defer tm.Stop()
+func Sort[T any](c *comm.Comm, data []T, cd codec.Codec[T], key func(T) uint64) ([]T, error) {
 	p := c.Size()
 	if p == 1 {
 		LSDSort(data, key)
@@ -56,7 +39,6 @@ func Sort[T any](c *comm.Comm, data []T, cd codec.Codec[T], key func(T) uint64, 
 	}
 
 	// Global histogram over the top bits.
-	tm.Start(metrics.PhasePivotSelection)
 	local := make([]int64, numBuckets)
 	for _, rec := range data {
 		local[key(rec)>>(64-topBits)]++
@@ -98,7 +80,6 @@ func Sort[T any](c *comm.Comm, data []T, cd codec.Codec[T], key func(T) uint64, 
 	}
 
 	// Route each record to its bucket range's owner.
-	tm.Start(metrics.PhaseExchange)
 	owner := make([]int, numBuckets)
 	for j := 0; j < p; j++ {
 		for b := cut[j]; b < cut[j+1]; b++ {
@@ -126,7 +107,6 @@ func Sort[T any](c *comm.Comm, data []T, cd codec.Codec[T], key func(T) uint64, 
 		return nil, fmt.Errorf("radix: exchange: %w", err)
 	}
 
-	tm.Start(metrics.PhaseLocalOrdering)
 	var mine []T
 	for src := 0; src < p; src++ {
 		mine, err = codec.DecodeAppend(cd, mine, recv[src])
@@ -138,7 +118,7 @@ func Sort[T any](c *comm.Comm, data []T, cd codec.Codec[T], key func(T) uint64, 
 	return mine, nil
 }
 
-// DispatchLocal sorts data by cmp with the radix kernel when cd has an
+// Dispatch sorts data by cmp with the radix kernel when cd has an
 // integer key (codec.Uint64Keyer) that an O(n) sweep finds orders the
 // records as cmp does: the one place the kernel meets a caller's
 // comparator. buf is the kernel's scratch, returned for the caller to
@@ -150,15 +130,11 @@ func Sort[T any](c *comm.Comm, data []T, cd codec.Codec[T], key func(T) uint64, 
 // by agrees, and merges them, X first on ties: a refused H1 leaves data
 // as it came, a refused H2 is comparison-sorted where it lies, Y its
 // scratch. docs/INTERNALS.md has the proof.
-func DispatchLocal[T any](data, buf []T, cd codec.Codec[T], cmp func(a, b T) int, stable bool) (scratch []T, sorted bool, rejected int) {
-	scratch, sorted, rejected, _ = Dispatch(data, buf, cd, cmp, stable, 0)
-	return scratch, sorted, rejected
-}
-
-// Dispatch is DispatchLocal with the run gate on the kernel's first
-// read: when runs > 0 and psort.Sortedness over the keys (over cmp, for a
-// codec without one) is at least runs, data is left as it came and gated
-// asks for the caller's natural-run merge.
+//
+// The run gate rides the kernel's first read: when runs > 0 and
+// psort.Sortedness over the keys (over cmp, for a codec without one) is
+// at least runs, data is left as it came and gated asks for the caller's
+// natural-run merge.
 func Dispatch[T any](data, buf []T, cd codec.Codec[T], cmp func(a, b T) int, stable bool, runs float64) (scratch []T, sorted bool, rejected int, gated bool) {
 	key, ok := codec.Uint64KeyOf(cd)
 	if !ok {

@@ -203,7 +203,7 @@ func TestParallelRadixSort(t *testing.T) {
 		topo := cluster.Topology{Nodes: p, CoresPerNode: 1}
 		out, err := cluster.Gather(topo, cluster.Options{}, func(c *comm.Comm) ([]uint64, error) {
 			local := append([]uint64(nil), in[c.Rank()]...)
-			return Sort(c, local, u64, ident, Options{})
+			return Sort(c, local, u64, ident)
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -241,7 +241,7 @@ func TestParallelRadixClusteredKeys(t *testing.T) {
 	topo := cluster.Topology{Nodes: p, CoresPerNode: 1}
 	out, err := cluster.Gather(topo, cluster.Options{}, func(c *comm.Comm) ([]uint64, error) {
 		local := append([]uint64(nil), in[c.Rank()]...)
-		return Sort(c, local, u64, ident, Options{})
+		return Sort(c, local, u64, ident)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -377,7 +377,7 @@ func TestKeyFieldHonoured(t *testing.T) {
 		read     bool
 	}{{8, true, true}, {8, false, false}, {9, true, false}, {-1, true, false}} {
 		data := slices.Clone(in)
-		_, sorted, _ := DispatchLocal[rec2](data, nil, wrongField{tc.off, tc.zeroCopy}, bySeq, false)
+		_, sorted, _, _ := Dispatch[rec2](data, nil, wrongField{tc.off, tc.zeroCopy}, bySeq, false, 0)
 		if sorted == tc.read {
 			t.Errorf("field at %d, zero-copy %v: read in place %v, want %v", tc.off, tc.zeroCopy, !sorted, tc.read)
 		}

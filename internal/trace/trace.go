@@ -8,7 +8,6 @@ package trace
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"sync"
 	"time"
@@ -36,7 +35,7 @@ type Event struct {
 }
 
 // copyDetail shallow-copies a caller-owned detail map. Sinks that
-// retain events past the Emit call (Ring, Recorder) must not alias the
+// retain events past the Emit call (Ring) must not alias the
 // caller's map: callers routinely reuse or mutate detail maps after
 // emitting, which the race detector rightly flags.
 func copyDetail(detail map[string]any) map[string]any {
@@ -101,63 +100,4 @@ func (j *JSONL) Err() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.err
-}
-
-// Recorder buffers events in memory, for tests and interactive
-// inspection.
-type Recorder struct {
-	mu     sync.Mutex
-	events []Event
-	start  time.Time
-}
-
-// NewRecorder returns an empty recorder.
-func NewRecorder() *Recorder {
-	return &Recorder{start: time.Now()}
-}
-
-// Emit implements Tracer.
-func (r *Recorder) Emit(rank int, kind string, detail map[string]any) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	now := time.Now()
-	r.events = append(r.events, Event{
-		Seq:       int64(len(r.events) + 1),
-		ElapsedUS: now.Sub(r.start).Microseconds(),
-		UnixUS:    now.UnixMicro(),
-		Rank:      rank,
-		Kind:      kind,
-		Detail:    copyDetail(detail),
-	})
-}
-
-// Events returns a copy of everything recorded so far.
-func (r *Recorder) Events() []Event {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]Event(nil), r.events...)
-}
-
-// ByKind returns the recorded events with the given kind.
-func (r *Recorder) ByKind(kind string) []Event {
-	var out []Event
-	for _, e := range r.Events() {
-		if e.Kind == kind {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// Summary renders a one-line-per-kind count, for quick looks.
-func (r *Recorder) Summary() string {
-	counts := map[string]int{}
-	for _, e := range r.Events() {
-		counts[e.Kind]++
-	}
-	out := ""
-	for kind, n := range counts {
-		out += fmt.Sprintf("%s=%d ", kind, n)
-	}
-	return out
 }

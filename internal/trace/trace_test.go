@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -62,30 +61,8 @@ func TestJSONLStopsAfterError(t *testing.T) {
 	}
 }
 
-func TestRecorder(t *testing.T) {
-	r := NewRecorder()
-	r.Emit(0, "x", nil)
-	r.Emit(1, "y", map[string]any{"k": 1})
-	r.Emit(2, "x", nil)
-	if got := len(r.Events()); got != 3 {
-		t.Fatalf("%d events", got)
-	}
-	if got := len(r.ByKind("x")); got != 2 {
-		t.Fatalf("%d x events", got)
-	}
-	if !strings.Contains(r.Summary(), "x=2") {
-		t.Fatalf("summary: %s", r.Summary())
-	}
-	// Events returns a copy.
-	evs := r.Events()
-	evs[0].Kind = "mutated"
-	if r.Events()[0].Kind != "x" {
-		t.Fatal("Events leaked internal state")
-	}
-}
-
 func TestConcurrentEmit(t *testing.T) {
-	r := NewRecorder()
+	r := NewRing(800)
 	var buf bytes.Buffer
 	j := NewJSONL(&buf)
 	var wg sync.WaitGroup
@@ -100,8 +77,8 @@ func TestConcurrentEmit(t *testing.T) {
 		}(rank)
 	}
 	wg.Wait()
-	if got := len(r.Events()); got != 800 {
-		t.Fatalf("recorder lost events: %d", got)
+	if got := len(r.Events()); got != 800 || r.Dropped() != 0 {
+		t.Fatalf("ring lost events: %d kept, %d dropped", got, r.Dropped())
 	}
 	if err := j.Err(); err != nil {
 		t.Fatal(err)

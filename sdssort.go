@@ -176,12 +176,6 @@ func MemoryBudget(bytes int64) Option { return func(c *config) { c.mem = bytes }
 // buffer + staging window.
 func StageBytes(bytes int64) Option { return func(c *config) { c.opt.StageBytes = bytes } }
 
-// HistogramPivots selects global pivots by iterative histogram
-// refinement (HykSort's method) instead of the paper's regular sampling.
-// Correctness is unaffected — the skew-aware partition handles whatever
-// pivots it is given — making this an ablation knob.
-func HistogramPivots() Option { return func(c *config) { c.opt.Pivots = core.PivotHistogram } }
-
 // TraceJSON streams structured events (adaptive decisions, exchange
 // volumes, partition summaries) as JSON lines to w. The writer must
 // tolerate concurrent ranks; the encoder serialises writes.
