@@ -35,8 +35,10 @@ test:
 race:
 	$(GO) test -race -count=1 ./...
 
+# gofmt too, so formatting drift fails without golangci-lint installed.
 vet:
 	$(GO) vet ./...
+	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 
 # Mirrors the CI lint job; requires golangci-lint on PATH.
 lint:
@@ -133,12 +135,14 @@ experiments:
 experiments-quick:
 	$(GO) run ./cmd/sdsbench -exp all -quick
 
-# Short fuzzing pass over the sort, partition, checkpoint-manifest,
-# exchange-decode, float-key, key-field, radix-kernel,
-# stable-radix-dispatch, run-file-reader and job-manifest invariants.
+# Short fuzzing pass over the sort, run-merge, partition,
+# checkpoint-manifest, exchange-decode, float-key, key-field,
+# radix-kernel, stable-radix-dispatch, run-file-reader and job-manifest
+# invariants.
 fuzz:
 	$(GO) test ./internal/psort -fuzz FuzzSort -fuzztime 30s -run xxx
 	$(GO) test ./internal/psort -fuzz FuzzStableSort -fuzztime 30s -run xxx
+	$(GO) test ./internal/psort -fuzz FuzzMergeRuns -fuzztime 30s -run xxx
 	$(GO) test ./internal/partition -fuzz FuzzFastPartition -fuzztime 30s -run xxx
 	$(GO) test ./internal/partition -fuzz FuzzStablePartition -fuzztime 30s -run xxx
 	$(GO) test ./internal/checkpoint -fuzz FuzzManifest -fuzztime 30s -run xxx

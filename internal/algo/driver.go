@@ -79,10 +79,10 @@ func (o Options) tracer() trace.Tracer {
 }
 
 // Driver is one distributed sort algorithm. Sort is collective: every
-// rank of c calls it with its local slice (which the driver may
-// reorder) and receives its block of the globally sorted output, rank
-// order = value order. Cancellation via ctx is checked at phase
-// boundaries, not mid-collective.
+// rank of c calls it with its local slice, which the driver overwrites
+// and whose storage may hold the output, and receives its block of the
+// globally sorted output, rank order = value order. Cancellation via ctx
+// is checked at phase boundaries, not mid-collective.
 type Driver[T any] interface {
 	Info() Info
 	Sort(ctx context.Context, c *comm.Comm, data []T, cd codec.Codec[T], cmp func(a, b T) int, opt Options) ([]T, error)

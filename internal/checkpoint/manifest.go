@@ -179,7 +179,7 @@ func DecodeManifest(buf []byte) (*Manifest, error) {
 	if ph != PhaseLocalSort && ph != PhasePartition && ph != PhaseFinal {
 		return nil, fmt.Errorf("%w: invalid phase %d", ErrCorrupt, buf[6])
 	}
-	if buf[7] &^ (flagMerged | flagLeader) != 0 {
+	if buf[7]&^(flagMerged|flagLeader) != 0 {
 		return nil, fmt.Errorf("%w: unknown flags %#x", ErrCorrupt, buf[7])
 	}
 	nbounds := binary.LittleEndian.Uint32(buf[40:])

@@ -195,17 +195,29 @@ func (r *run[T]) stagedExchange(pl exchangePlan, src chunkSource, sink chunkSink
 	return st, nil
 }
 
-// localOrder turns the received rank-ordered chunks into this rank's
-// sorted block (Fig. 1 lines 17-21): a k-way merge below τs — O(m log p),
-// stable by source rank (SdssMergeAll) — or a re-sort of the slab at and
-// above it — O(m log m) but independent of p (SdssLocalSort).
+// localOrder turns the received rank-ordered chunks, the regions of slab
+// in order, into this rank's sorted block (Fig. 1 lines 17-21): a k-way
+// merge below τs — O(m log p), stable by source rank (SdssMergeAll) — or
+// a re-sort of the slab at and above it — O(m log m) but independent of
+// p (SdssLocalSort). The merge runs its levels between the slab and the
+// spent work slab, which the synchronous exchange no longer reads, so
+// the block lands in either; only a rank receiving more records than it
+// sent takes a fresh buffer instead of work.
 func (r *run[T]) localOrder(slab []T, chunks [][]T) []T {
 	r.tm.Start(metrics.PhaseLocalOrdering)
 	merge := len(chunks) < r.opt.TauS
 	osp := trace.StartSpan(r.tr, r.rank, r.opt.Span, "localorder", map[string]any{"merge": merge})
 	detail := map[string]any{"kernel": "runs"}
 	if merge {
-		slab = psort.KWayMerge(chunks, r.cmp)
+		lens := make([]int, len(chunks))
+		for i, c := range chunks {
+			lens[i] = len(c)
+		}
+		spare := r.work
+		if len(spare) < len(slab) {
+			spare = make([]T, len(slab))
+		}
+		slab = psort.MergeRuns(slab, spare, lens, r.cmp)
 	} else {
 		r.resort(slab, detail)
 	}

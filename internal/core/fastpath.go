@@ -31,7 +31,8 @@ func (r *run[T]) sortChunk(data []T, detail map[string]any) {
 // finds the caller's comparator orders differently — detail then says
 // fallback, and a stable sort which leaf. The kernel's scratch stays
 // with the run, which hands it to the exchange as its receive slab; a
-// one-core stable fallback, keyed or not, merge-sorts in it, grown.
+// one-core stable fallback, keyed or not, merge-sorts in it, grown, and
+// so does sortChunk's natural-run merge.
 func (r *run[T]) resort(data []T, detail map[string]any) { r.order(data, 0, detail) }
 
 // order is sortChunk with the run gate at runs, resort with it off.
@@ -41,7 +42,7 @@ func (r *run[T]) order(data []T, runs float64, detail map[string]any) {
 	r.scratch = scratch
 	switch {
 	case gated:
-		psort.NaturalMergeSort(data, r.cmp)
+		r.scratch = psort.NaturalMergeSortBuf(data, r.scratch, r.cmp)
 		detail["kernel"] = "runs"
 		return
 	case sorted:

@@ -19,11 +19,12 @@ const (
 )
 
 // Sort runs SDS-Sort collectively: every rank of c calls it with its
-// local slice of the input (which Sort may reorder) and receives its
-// block of the globally sorted output. Concatenating the returned
-// slices in rank order yields the sorted dataset; with opt.Stable the
-// concatenation also preserves the input order of equal records (input
-// order = rank order, then local position).
+// local slice of the input and receives its block of the globally sorted
+// output. Sort overwrites the input, and the returned block may occupy
+// its storage. Concatenating the returned slices in rank order yields
+// the sorted dataset; with opt.Stable the concatenation also preserves
+// the input order of equal records (input order = rank order, then local
+// position).
 //
 // When node-level merging triggers (τm), the output lives on each
 // node's leader rank and the other ranks return empty slices — the same

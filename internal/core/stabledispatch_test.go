@@ -5,12 +5,14 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
 	"sdssort/internal/cluster"
 	"sdssort/internal/codec"
 	"sdssort/internal/comm"
+	"sdssort/internal/metrics"
 	"sdssort/internal/radix"
 	"sdssort/internal/trace"
 )
@@ -193,6 +195,41 @@ func TestStableDispatchLeavesInputForFallback(t *testing.T) {
 		if got := r.takeSlab(n); &got[0] != &scratch[0] || r.scratch != nil {
 			t.Errorf("%s: the scratch did not become the receive slab", tc.name)
 		}
+	}
+}
+
+// TestLocalOrderTwoSlabs: a stable localOrder merges the received runs
+// between the receive slab and the spent work slab. With work at least
+// as long as what arrived, the block it returns lies in one of the two,
+// is the stable merge, and costs less than one n-record allocation.
+func TestLocalOrderTwoSlabs(t *testing.T) {
+	const n, k = 1 << 16, 9
+	rng := rand.New(rand.NewSource(34))
+	slab := ptfInput(n, func(int) float64 { return float64(rng.Intn(500)) })
+	chunks := make([][]codec.PTFRecord, k)
+	for i := range chunks {
+		chunks[i] = slab[i*n/k : (i+1)*n/k]
+		slices.SortStableFunc(chunks[i], codec.ComparePTF)
+	}
+	want := slices.Clone(slab)
+	slices.SortStableFunc(want, codec.ComparePTF)
+	work := make([]codec.PTFRecord, n)
+	r := &run[codec.PTFRecord]{
+		cd: ptfCodec, cmp: codec.ComparePTF, opt: Options{Stable: true, TauS: k + 1},
+		tm: metrics.NewPhaseTimer(), tr: trace.Nop{}, work: work,
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	out := r.localOrder(slab, chunks)
+	runtime.ReadMemStats(&after)
+	if grew, slice := after.TotalAlloc-before.TotalAlloc, uint64(n*ptfCodec.Size()); grew >= slice {
+		t.Errorf("localOrder allocated %d bytes; one %d-record slice is %d", grew, n, slice)
+	}
+	if !samePTF(out, want) {
+		t.Fatal("the block is not the stable merge of the runs")
+	}
+	if p := &out[0]; p != &slab[0] && p != &work[0] {
+		t.Error("the block lies in neither the receive slab nor the work slab")
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"sdssort/internal/core"
 	"sdssort/internal/metrics"
 	"sdssort/internal/psort"
+	"sdssort/internal/radix"
 	"sdssort/internal/simnet"
 	"sdssort/internal/workload"
 )
@@ -150,9 +151,11 @@ func Fig5b(cfg Config) (*Result, error) {
 
 // Fig5c reproduces Figure 5c: performing the final local ordering by
 // k-way merging the p received chunks (O(m·log p)) versus re-sorting the
-// concatenation (O(m·log m), p-independent). The paper's crossover on
-// Edison is at ~4000 processes; the same shapes — merge cost rising with
-// p, sort cost flat — appear at any scale.
+// concatenation (p-independent). The paper's crossover on Edison is at
+// ~4000 processes; the same shapes — merge cost rising with p, sort cost
+// flat — appear at any scale. Each side is the kernel localOrder runs
+// for float64 keys: the pairwise merge levels, or the radix kernel (a
+// comparison sort if its sweep disagrees).
 func Fig5c(cfg Config) (*Result, error) {
 	ps := []int{4, 16, 64, 256, 1024}
 	total := 1 << 20
@@ -187,7 +190,9 @@ func Fig5c(cfg Config) (*Result, error) {
 		sortTime := median3(func() time.Duration {
 			cp := append([]float64(nil), concat...)
 			start := time.Now()
-			psort.ParallelSort(cp, 1, false, cmpF64)
+			if _, sorted, _, _ := radix.Dispatch(cp, nil, codec.Float64{}, cmpF64, false, 0); !sorted {
+				psort.Sort(cp, cmpF64)
+			}
 			return time.Since(start)
 		})
 		winner := "Merge"

@@ -64,6 +64,53 @@ func FuzzNaturalMergeSort(f *testing.F) {
 	})
 }
 
+// FuzzMergeRuns: k ∈ [0, 70] runs of fuzzed lengths, empty ones
+// included, lying next to each other. Records carry (key, run, pos) and
+// keys repeat, so the merge must be slices.SortStableFunc by key — ties
+// to the lower run, then the lower position — and KWayMerge over the
+// same runs must agree with it.
+func FuzzMergeRuns(f *testing.F) {
+	f.Add([]byte{}, uint8(0))
+	f.Add([]byte{3, 1, 1, 2, 0, 2, 5, 5}, uint8(3))
+	f.Add([]byte{7, 0, 9, 9, 9, 1, 4, 2, 2, 0, 0, 30, 3, 3, 3, 3}, uint8(70))
+	f.Fuzz(func(t *testing.T, raw []byte, k uint8) {
+		type rec struct{ key, run, pos int }
+		byKey := func(a, b rec) int { return a.key - b.key }
+		next := func() int {
+			if len(raw) == 0 {
+				return 0
+			}
+			b := raw[0]
+			raw = raw[1:]
+			return int(b)
+		}
+		lens := make([]int, int(k)%71)
+		var in []rec
+		var chunks [][]rec
+		for r := range lens {
+			keys := make([]int, next()%40)
+			for i := range keys {
+				keys[i] = next() % 16
+			}
+			slices.Sort(keys)
+			for i, key := range keys {
+				in = append(in, rec{key, r, i})
+			}
+			lens[r] = len(keys)
+			chunks = append(chunks, in[len(in)-len(keys):])
+		}
+		want := slices.Clone(in)
+		slices.SortStableFunc(want, byKey)
+		got := MergeRuns(slices.Clone(in), make([]rec, len(in)), slices.Clone(lens), byKey)
+		if !slices.Equal(got, want) {
+			t.Fatalf("MergeRuns over %v: got %v, want %v", lens, got, want)
+		}
+		if kw := KWayMerge(chunks, byKey); !slices.Equal(kw, want) {
+			t.Fatalf("KWayMerge over %v: got %v, want %v", lens, kw, want)
+		}
+	})
+}
+
 func FuzzKWayMerge(f *testing.F) {
 	f.Add([]byte{1, 0, 2, 0, 3, 0}, []byte{2, 0, 4, 0}, uint8(2))
 	f.Fuzz(func(t *testing.T, a, b []byte, split uint8) {

@@ -1,5 +1,7 @@
 package psort
 
+import "math/bits"
+
 // KWayMerge merges k sorted chunks into a new slice, stably: ties are
 // won by the chunk with the lower index, so if chunk order reflects
 // original record order (chunks of one array, or data received from
@@ -16,80 +18,77 @@ func KWayMerge[T any](chunks [][]T, cmp func(a, b T) int) []T {
 }
 
 // KWayMergeInto merges chunks into dst, which must have exactly the
-// combined length. A binary heap of chunk heads keyed by (record, chunk
-// index) gives O(n log k) comparisons regardless of how skewed the chunk
-// sizes are.
+// combined length and alias none of them. It runs MergeRuns' levels: the
+// first reads the chunk pairs where they lie, into dst or into one
+// scratch of len(dst), whichever makes the last level land in dst.
 func KWayMergeInto[T any](dst []T, chunks [][]T, cmp func(a, b T) int) {
-	type src struct {
-		data []T
-		pos  int
-		id   int
-	}
-	var srcs []src
-	for i, c := range chunks {
+	var live [][]T
+	for _, c := range chunks {
 		if len(c) > 0 {
-			srcs = append(srcs, src{data: c, id: i})
+			live = append(live, c)
 		}
 	}
-	switch len(srcs) {
+	switch len(live) {
 	case 0:
 		return
 	case 1:
-		copy(dst, srcs[0].data)
+		copy(dst, live[0])
 		return
 	case 2:
-		MergeInto(dst, srcs[0].data, srcs[1].data, cmp)
+		MergeInto(dst, live[0], live[1], cmp)
 		return
 	}
+	scratch := make([]T, len(dst))
+	first, other := scratch, dst
+	if bits.Len(uint(len(live)-1))%2 == 1 { // ⌈log₂ k⌉ levels in all
+		first, other = dst, scratch
+	}
+	// Level one: chunk pairs, wherever they lie, into first.
+	pairs := make([]int, 0, (len(live)+1)/2)
+	for i, lo := 0, 0; i < len(live); i += 2 {
+		var b []T
+		if i+1 < len(live) {
+			b = live[i+1]
+		}
+		n := len(live[i]) + len(b)
+		MergeInto(first[lo:lo+n], live[i], b, cmp)
+		pairs, lo = append(pairs, n), lo+n
+	}
+	MergeRuns(first, other, pairs, cmp)
+}
 
-	// less orders heap entries by current head record, breaking ties by
-	// chunk index for stability.
-	less := func(a, b *src) bool {
-		c := cmp(a.data[a.pos], b.data[b.pos])
-		if c != 0 {
-			return c < 0
+// MergeRuns merges sorted runs that lie next to each other in a — run i
+// is the next lens[i] records — into one sorted run, stably, and returns
+// whichever of a and b holds it; the other holds garbage. b must have
+// room for all the records. Nothing is allocated: lens is the merge's
+// own, and it is overwritten.
+//
+// It is the multiway merge as a tree: empty runs dropped, ⌈log₂ k⌉
+// levels for the k left, each one pass of MergeInto's branchless kernel
+// over every adjacent pair of runs, from a into b and back. A level's
+// runs are the input runs in groups of 2^l, in order, and MergeInto
+// takes the left run on ties — the group of the lower input runs — so by
+// induction each group is the stable merge of its input runs, and the
+// last one is the whole: ties go to the lower run, record for record the
+// order a heap keyed on (record, run index) emits.
+func MergeRuns[T any](a, b []T, lens []int, cmp func(x, y T) int) []T {
+	n, k := 0, 0
+	for _, l := range lens {
+		if l > 0 {
+			n, lens[k], k = n+l, l, k+1
 		}
-		return a.id < b.id
 	}
-
-	// heap holds indices into srcs.
-	heap := make([]int, len(srcs))
-	for i := range heap {
-		heap[i] = i
-	}
-	siftDownHeap := func(root, end int) {
-		for {
-			child := 2*root + 1
-			if child >= end {
-				return
+	a, b = a[:n], b[:n]
+	for ; k > 1; k = (k + 1) / 2 {
+		for i, lo := 0, 0; i < k; i += 2 {
+			x, y := lens[i], 0
+			if i+1 < k {
+				y = lens[i+1]
 			}
-			if child+1 < end && less(&srcs[heap[child+1]], &srcs[heap[child]]) {
-				child++
-			}
-			if !less(&srcs[heap[child]], &srcs[heap[root]]) {
-				return
-			}
-			heap[root], heap[child] = heap[child], heap[root]
-			root = child
+			MergeInto(b[lo:lo+x+y], a[lo:lo+x], a[lo+x:lo+x+y], cmp)
+			lens[i/2], lo = x+y, lo+x+y
 		}
+		a, b = b, a
 	}
-	for i := len(heap)/2 - 1; i >= 0; i-- {
-		siftDownHeap(i, len(heap))
-	}
-
-	n := len(heap)
-	for out := 0; out < len(dst); out++ {
-		top := &srcs[heap[0]]
-		dst[out] = top.data[top.pos]
-		top.pos++
-		if top.pos >= len(top.data) {
-			// Source exhausted: shrink the heap.
-			n--
-			heap[0] = heap[n]
-			heap = heap[:n]
-		}
-		if n > 1 {
-			siftDownHeap(0, n)
-		}
-	}
+	return a
 }

@@ -1,6 +1,7 @@
 package psort
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -105,21 +106,35 @@ func TestKWayMergeSkewedChunkSizes(t *testing.T) {
 	}
 }
 
-func BenchmarkKWayMerge16(b *testing.B) {
-	rng := rand.New(rand.NewSource(12))
-	chunks := make([][]int, 16)
-	for i := range chunks {
-		c := randomInts(rng, 1<<12, 1<<30)
-		slices.Sort(c)
-		chunks[i] = c
-	}
-	total := 0
-	for _, c := range chunks {
-		total += len(c)
-	}
-	dst := make([]int, total)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		KWayMergeInto(dst, chunks, cmpInt)
+// BenchmarkMergeRuns merges k sorted runs of 16-byte records (the PTF
+// record's size), 256 Ki in all, lying next to each other as the
+// exchange's receive slab holds them; ns/record is per record merged.
+func BenchmarkMergeRuns(b *testing.B) {
+	const total = 1 << 18
+	for _, k := range []int{4, 16, 64} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(12))
+			in := make([]kv, total)
+			lens := make([]int, k)
+			for r := range lens {
+				lo, hi := r*total/k, (r+1)*total/k
+				for i := lo; i < hi; i++ {
+					in[i] = kv{K: rng.Intn(1 << 30), V: i}
+				}
+				slices.SortFunc(in[lo:hi], cmpKV)
+				lens[r] = hi - lo
+			}
+			a, buf, runs := make([]kv, total), make([]kv, total), make([]int, k)
+			b.SetBytes(total * 16)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				copy(a, in)
+				copy(runs, lens)
+				b.StartTimer()
+				MergeRuns(a, buf, runs, cmpKV)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/total, "ns/record")
+		})
 	}
 }

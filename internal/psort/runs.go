@@ -71,17 +71,31 @@ func CountRuns[T any](data []T, cmp func(a, b T) int) int {
 // nearly sorted data. This is the "sorting partially ordered data in
 // O(N)" path of the paper's §2.7.
 func NaturalMergeSort[T any](data []T, cmp func(a, b T) int) {
+	NaturalMergeSortBuf(data, nil, cmp)
+}
+
+// NaturalMergeSortBuf is NaturalMergeSort with its one buffer in the
+// caller's hands: buf serves when it has room for len(data) records. The
+// runs merge between data and the buffer (MergeRuns), copied back only
+// when the result lands in the buffer. The buffer the sort ended up with
+// — buf, a fresh one, or buf untouched when data is one run — is
+// returned for the caller to keep.
+func NaturalMergeSortBuf[T any](data, buf []T, cmp func(a, b T) int) []T {
 	runs := FindRuns(data, cmp)
 	if len(runs) <= 1 {
-		return
+		return buf
 	}
-	chunks := make([][]T, len(runs))
+	if cap(buf) < len(data) {
+		buf = make([]T, len(data))
+	}
+	lens := make([]int, len(runs))
 	for i, r := range runs {
-		chunks[i] = data[r.Start:r.End]
+		lens[i] = r.End - r.Start
 	}
-	out := make([]T, len(data))
-	KWayMergeInto(out, chunks, cmp)
-	copy(data, out)
+	if out := MergeRuns(data, buf[:len(data)], lens, cmp); &out[0] != &data[0] {
+		copy(data, out)
+	}
+	return buf
 }
 
 // Sortedness returns n/r, the average run length: n for sorted input,

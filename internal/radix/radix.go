@@ -11,6 +11,7 @@ package radix
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"unsafe"
 
@@ -251,17 +252,37 @@ type sorter[T any] struct {
 	passes int
 }
 
-// read returns the keys of src[i:], at most a block of them, in kb.
+// read returns the keys of src[i:], at most a block of them, in kb. It
+// picks the key source once per block; each loop then reads one kind.
 func (s *sorter[T]) read(src []T, i int, kb *[block]uint64) []uint64 {
 	src = src[i:min(i+block, len(src))]
-	for j := range src {
-		if s.fn != nil {
-			kb[j] = s.fn(src[j])
-		} else {
-			kb[j] = s.enc.Decode(*(*uint64)(unsafe.Add(unsafe.Pointer(&src[j]), s.off)))
+	ks := kb[:len(src)]
+	if s.fn != nil {
+		for j := range ks {
+			ks[j] = s.fn(src[j])
+		}
+		return ks
+	}
+	if len(src) == 0 {
+		return ks
+	}
+	base, size := unsafe.Add(unsafe.Pointer(&src[0]), s.off), unsafe.Sizeof(src[0])
+	field := func(j int) uint64 { return *(*uint64)(unsafe.Add(base, uintptr(j)*size)) }
+	switch s.enc {
+	case codec.KeyFloat:
+		for j := range ks {
+			ks[j] = codec.Float64Key(math.Float64frombits(field(j)))
+		}
+	case codec.KeyInt:
+		for j := range ks {
+			ks[j] = field(j) ^ 1<<63
+		}
+	default:
+		for j := range ks {
+			ks[j] = field(j)
 		}
 	}
-	return kb[:len(src)]
+	return ks
 }
 
 // summary is what a read learns: the key bits that differ, the descents.

@@ -52,7 +52,7 @@ func TestAggregatorSumsFabric(t *testing.T) {
 		"sds_fabric_gathers_total 1\n",
 		"sds_fabric_gather_errors_total 0\n",
 		"# TYPE sds_fabric_test_frames_total counter\n",
-		"sds_fabric_test_frames_total 33\n", // 10+11+12
+		"sds_fabric_test_frames_total 33\n",            // 10+11+12
 		`sds_fabric_test_job_seconds_bucket{le="1"} 4`, // rank 0 contributes {0.5, 0}, ranks 1 and 2 just {0.5}
 		"sds_fabric_test_job_seconds_count 6\n",
 	} {

@@ -163,7 +163,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	for _, ev := range s.opts.Trace() {
-		w.Write(ev)              //nolint:errcheck // best-effort
-		w.Write([]byte{'\n'})    //nolint:errcheck
+		w.Write(ev)           //nolint:errcheck // best-effort
+		w.Write([]byte{'\n'}) //nolint:errcheck
 	}
 }

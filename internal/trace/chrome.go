@@ -184,8 +184,8 @@ func ChromeTrace(events []Event) ([]byte, error) {
 		}
 		out = append(out, chromeEvent{
 			Name: e.Kind, Ph: "i",
-			TS: align(e) - origin,
-			S:  "t",
+			TS:  align(e) - origin,
+			S:   "t",
 			PID: chromePID, TID: tid(e.Rank),
 			Args: e.Detail,
 		})

@@ -209,8 +209,9 @@ func (s *Sorter[T]) options() core.Options {
 }
 
 // Sort runs the collective sort on communicator c: every rank passes its
-// local records (which Sort may reorder) and receives its block of the
-// globally sorted output. All ranks of c must call Sort.
+// local records and receives its block of the globally sorted output.
+// Sort overwrites the records, and the returned block may occupy their
+// storage. All ranks of c must call Sort.
 func (s *Sorter[T]) Sort(c *Comm, data []T) ([]T, error) {
 	return core.Sort(c, data, internalCodec(s.cd), s.cmp, s.options())
 }
