@@ -135,14 +135,16 @@ experiments:
 experiments-quick:
 	$(GO) run ./cmd/sdsbench -exp all -quick
 
-# Short fuzzing pass over the sort, run-merge, partition,
+# Short fuzzing pass over the sort, natural-run, run-merge, k-way merge, partition,
 # checkpoint-manifest, exchange-decode, float-key, key-field,
 # radix-kernel, stable-radix-dispatch, run-file-reader and job-manifest
 # invariants.
 fuzz:
 	$(GO) test ./internal/psort -fuzz FuzzSort -fuzztime 30s -run xxx
 	$(GO) test ./internal/psort -fuzz FuzzStableSort -fuzztime 30s -run xxx
+	$(GO) test ./internal/psort -fuzz FuzzNaturalMergeSort -fuzztime 30s -run xxx
 	$(GO) test ./internal/psort -fuzz FuzzMergeRuns -fuzztime 30s -run xxx
+	$(GO) test ./internal/psort -fuzz FuzzKWayMerge -fuzztime 30s -run xxx
 	$(GO) test ./internal/partition -fuzz FuzzFastPartition -fuzztime 30s -run xxx
 	$(GO) test ./internal/partition -fuzz FuzzStablePartition -fuzztime 30s -run xxx
 	$(GO) test ./internal/checkpoint -fuzz FuzzManifest -fuzztime 30s -run xxx

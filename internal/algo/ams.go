@@ -29,7 +29,7 @@ func (amsDriver[T]) Info() Info {
 }
 
 func (amsDriver[T]) Sort(ctx context.Context, c *comm.Comm, data []T, cd codec.Codec[T], cmp func(a, b T) int, opt Options) ([]T, error) {
-	s, err := begin(ctx, NameAMS, c, data, cd, cmp, opt)
+	s, data, err := begin(ctx, NameAMS, c, data, cd, cmp, opt)
 	if err != nil {
 		return nil, err
 	}

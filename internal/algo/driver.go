@@ -117,20 +117,20 @@ type sorter[T any] struct {
 // selection count, then core.OpenBaseline — sort.start, the "sort" root
 // span every level's spans nest under, so the critical-path analyzer sees
 // one tree per sort regardless of algorithm, the input reservation and
-// the local sort. Callers defer s.run.Close.
-func begin[T any](ctx context.Context, name string, c *comm.Comm, data []T, cd codec.Codec[T], cmp func(a, b T) int, opt Options) (*sorter[T], error) {
+// the local sort, whose block it returns. Callers defer s.run.Close.
+func begin[T any](ctx context.Context, name string, c *comm.Comm, data []T, cd codec.Codec[T], cmp func(a, b T) int, opt Options) (*sorter[T], []T, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := reject(name, opt); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	opt.Selection.Selected(name)
-	run, err := core.OpenBaseline(c, data, cd, cmp, opt.Core, map[string]any{"algo": name, "records": len(data), "p": c.Size()})
+	run, data, err := core.OpenBaseline(c, data, cd, cmp, opt.Core, map[string]any{"algo": name, "records": len(data), "p": c.Size()})
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", name, err)
+		return nil, nil, fmt.Errorf("%s: %w", name, err)
 	}
-	return &sorter[T]{name: name, ctx: ctx, c: c, cmp: cmp, run: run}, nil
+	return &sorter[T]{name: name, ctx: ctx, c: c, cmp: cmp, run: run}, data, nil
 }
 
 // oneShot is the single-exchange skeleton (hss, psrs): pick p-1

@@ -27,7 +27,7 @@ func (hssDriver[T]) Info() Info {
 }
 
 func (hssDriver[T]) Sort(ctx context.Context, c *comm.Comm, data []T, cd codec.Codec[T], cmp func(a, b T) int, opt Options) ([]T, error) {
-	s, err := begin(ctx, NameHSS, c, data, cd, cmp, opt)
+	s, data, err := begin(ctx, NameHSS, c, data, cd, cmp, opt)
 	if err != nil {
 		return nil, err
 	}

@@ -32,7 +32,7 @@ func (hykDriver[T]) Sort(ctx context.Context, c *comm.Comm, data []T, cd codec.C
 	// Every round takes the synchronous exchange, whose rank-ordered
 	// chunks keep the k-way merge deterministic.
 	opt.Core.TauO = 0
-	s, err := begin(ctx, NameHyk, c, data, cd, cmp, opt)
+	s, data, err := begin(ctx, NameHyk, c, data, cd, cmp, opt)
 	if err != nil {
 		return nil, err
 	}

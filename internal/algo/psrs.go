@@ -29,7 +29,7 @@ func (psrsDriver[T]) Sort(ctx context.Context, c *comm.Comm, data []T, cd codec.
 	// The classic formulation is one synchronous all-to-all followed by
 	// a k-way merge.
 	opt.Core.TauO = 0
-	s, err := begin(ctx, NamePSRS, c, data, cd, cmp, opt)
+	s, data, err := begin(ctx, NamePSRS, c, data, cd, cmp, opt)
 	if err != nil {
 		return nil, err
 	}

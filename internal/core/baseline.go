@@ -19,35 +19,35 @@ type Baseline[T any] struct{ r *run[T] }
 
 // OpenBaseline starts a driver call on c: it validates opt, emits
 // sort.start with detail and opens the "sort" root span, reserves the
-// input against opt.Mem and sorts data in place under a localsort span —
-// core.Sort's local sort, run gate and radix dispatch included. On
-// success the caller owns the Baseline and must Close it; on error
-// nothing is left to release. Node merging (τm) and checkpointing stay
-// core.Sort's.
-func OpenBaseline[T any](c *comm.Comm, data []T, cd codec.Codec[T], cmp func(a, b T) int, opt Options, detail map[string]any) (*Baseline[T], error) {
+// input against opt.Mem and sorts data under a localsort span —
+// core.Sort's local sort, run gate and radix dispatch included — into
+// the block it returns, which may occupy data's storage. On success the
+// caller owns the Baseline and must Close it; on error nothing is left
+// to release. Node merging (τm) and checkpointing stay core.Sort's.
+func OpenBaseline[T any](c *comm.Comm, data []T, cd codec.Codec[T], cmp func(a, b T) int, opt Options, detail map[string]any) (*Baseline[T], []T, error) {
 	r, err := newRun(c, cd, cmp, opt)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	r.start(detail)
 	r.work = data
 	if err := r.acct.reserve(int64(len(data)) * r.recSize); err != nil {
 		r.close()
-		return nil, fmt.Errorf("core: input buffer: %w", err)
+		return nil, nil, fmt.Errorf("core: input buffer: %w", err)
 	}
 	if err := r.runPhases([]phase{{name: "localsort", clock: metrics.PhaseLocalSort,
 		begin: map[string]any{"records": len(data)}, body: r.sortLocal}}); err != nil {
 		r.close()
-		return nil, err
+		return nil, nil, err
 	}
-	return &Baseline[T]{r}, nil
+	return &Baseline[T]{r}, r.work, nil
 }
 
 // Phase charges the wall time from here on to p.
 func (b *Baseline[T]) Phase(p metrics.Phase) { b.r.tm.Start(p) }
 
 // Exchange is one data exchange over wc, a communicator the caller's
-// rank belongs to. The working set — data as OpenBaseline sorted it, then
+// rank belongs to. The working set — the block OpenBaseline returned, then
 // what the last Exchange returned — goes out cut by bounds (len
 // wc.Size()+1) into one slice per rank of wc, and this rank's sorted block
 // comes back through core.Sort's count exchange, receive budget, spill

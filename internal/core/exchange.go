@@ -199,11 +199,11 @@ func (r *run[T]) stagedExchange(pl exchangePlan, src chunkSource, sink chunkSink
 // in order, into this rank's sorted block (Fig. 1 lines 17-21): a k-way
 // merge below τs — O(m log p), stable by source rank (SdssMergeAll) — or
 // a re-sort of the slab at and above it — O(m log m) but independent of
-// p (SdssLocalSort). The merge runs its levels between the slab and the
-// spent work slab, which the synchronous exchange no longer reads, so
-// the block lands in either; only a rank receiving more records than it
-// sent takes a fresh buffer instead of work.
-func (r *run[T]) localOrder(slab []T, chunks [][]T) []T {
+// p (SdssLocalSort). Both run between the slab and the spent work slab,
+// which the synchronous exchange no longer reads, so the block lands in
+// either; only a rank receiving more records than it sent takes a fresh
+// buffer instead of work.
+func (r *run[T]) localOrder(slab []T, chunks [][]T) ([]T, error) {
 	r.tm.Start(metrics.PhaseLocalOrdering)
 	merge := len(chunks) < r.opt.TauS
 	osp := trace.StartSpan(r.tr, r.rank, r.opt.Span, "localorder", map[string]any{"merge": merge})
@@ -219,11 +219,16 @@ func (r *run[T]) localOrder(slab []T, chunks [][]T) []T {
 		}
 		slab = psort.MergeRuns(slab, spare, lens, r.cmp)
 	} else {
-		r.resort(slab, detail)
+		r.scratch = r.work
+		var err error
+		if slab, err = r.order(slab, 0, detail); err != nil {
+			osp.End(spanFailed)
+			return nil, err
+		}
 	}
 	detail["records"] = len(slab)
 	osp.End(detail)
-	return slab
+	return slab, nil
 }
 
 // overlapExchange is the asynchronous path (Fig. 1 lines 23-27): a
@@ -399,9 +404,10 @@ func (r *run[T]) exchangeAndOrder() (map[string]any, error) {
 	case overlap:
 		out, err = r.overlapExchange(pl)
 	default:
+		r.sendFromInput(m)
 		slab, chunks, sink := r.recvSlab(pl.recv)
 		if _, err = r.stagedExchange(pl, r.partitionSource(), sink); err == nil {
-			out = r.localOrder(slab, chunks)
+			out, err = r.localOrder(slab, chunks)
 		}
 	}
 	if err != nil {

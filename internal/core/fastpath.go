@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"sdssort/internal/psort"
 	"sdssort/internal/radix"
 )
@@ -14,38 +16,37 @@ import (
 // comparison paths, which remain the fallback for every codec that does
 // not qualify.
 
-// sortChunk is the initial local sort (Fig. 1 line 2), of the whole
-// input or of one streamed chunk of it. Partially ordered inputs keep
-// the natural-run merge (the paper's §2.2 adaptivity beats any full
-// re-sort there); everything else is resorted. The run gate rides the
-// radix kernel's first read for a keyed codec and sweeps the comparator
-// for the rest. detail is the enclosing span's end detail: it learns
-// which kernel ordered the records — "runs", "radix" or "comparison".
-func (r *run[T]) sortChunk(data []T, detail map[string]any) {
-	r.order(data, r.opt.RunThreshold, detail)
-}
-
-// resort sorts data from scratch: codecs with an integer sort key skip
-// the comparison sort for the radix kernel (radix.Dispatch, stable sorts
-// as two verified leaves under one merge), unless its agreement sweep
-// finds the caller's comparator orders differently — detail then says
-// fallback, and a stable sort which leaf. The kernel's scratch stays
-// with the run, which hands it to the exchange as its receive slab; a
-// one-core stable fallback, keyed or not, merge-sorts in it, grown, and
-// so does sortChunk's natural-run merge.
-func (r *run[T]) resort(data []T, detail map[string]any) { r.order(data, 0, detail) }
-
-// order is sortChunk with the run gate at runs, resort with it off.
-func (r *run[T]) order(data []T, runs float64, detail map[string]any) {
+// order sorts data — the initial local sort (Fig. 1 line 2) of the whole
+// input or of one streamed chunk, or localOrder's τs re-sort — and returns
+// the block: data itself, or the run's scratch, whose place the spent data
+// then takes. Keyed codecs skip the comparison sort for the radix kernel
+// (radix.Dispatch) unless its sweep finds the caller's comparator orders
+// differently: detail then says fallback, and the comparison sort runs on
+// data, which the kernel never wrote. With runs > 0, partially ordered
+// input keeps the natural-run merge (the paper's §2.2 adaptivity beats
+// any re-sort there), gated on the kernel's first read, or a comparator
+// sweep without a key. detail learns the kernel: "runs", "radix" or
+// "comparison". The merge and a one-core stable fallback work in the
+// run's scratch, grown, which the exchange takes as its receive slab. A
+// heavy bucket's spare, held for the kernel call only, is booked after it.
+func (r *run[T]) order(data []T, runs float64, detail map[string]any) ([]T, error) {
 	stable := r.opt.Stable
-	scratch, sorted, rejected, gated := radix.Dispatch(data, r.scratch, r.cd, r.cmp, stable, runs)
-	r.scratch = scratch
+	block, v, spare := radix.Dispatch(data, &r.scratch, r.cd, r.cmp, stable, runs)
+	if b := int64(spare) * r.recSize; b > 0 {
+		if err := r.acct.reserve(b); err != nil {
+			return nil, fmt.Errorf("core: radix spare of %d records: %w", spare, err)
+		}
+		r.acct.release(b)
+	}
+	detail["kernel"] = "comparison"
 	switch {
-	case gated:
+	case v == radix.Sorted:
+		detail["kernel"] = "radix"
+		return block, nil
+	case v == radix.Gated:
 		r.scratch = psort.NaturalMergeSortBuf(data, r.scratch, r.cmp)
 		detail["kernel"] = "runs"
-		return
-	case sorted:
+		return data, nil
 	case stable && r.opt.cores() == 1:
 		if cap(r.scratch) < len(data) {
 			r.scratch = make([]T, len(data))
@@ -54,16 +55,10 @@ func (r *run[T]) order(data []T, runs float64, detail map[string]any) {
 	default:
 		psort.ParallelSort(data, r.opt.cores(), stable, r.cmp)
 	}
-	detail["kernel"] = "radix"
-	if !sorted || rejected > 0 {
-		detail["kernel"] = "comparison"
-	}
-	if rejected > 0 {
+	if v == radix.Refused {
 		detail["fallback"] = true
-		if stable {
-			detail["leaf"] = rejected
-		}
 	}
+	return data, nil
 }
 
 // takeSlab returns a slab of n records, the local sort's scratch when
@@ -75,4 +70,18 @@ func (r *run[T]) takeSlab(n int64) []T {
 		return make([]T, n)
 	}
 	return slab[:n]
+}
+
+// sendFromInput moves the block back into the spent input slab when a
+// rank receives more than that slab holds: the slab — often the caller's
+// input, which the caller may still hold — is then the one sent from, so
+// no third slab stays alive beside the fresh receive slab and the
+// merge's spare. Kept out of line: inlined, it moved the cosmology
+// build's merge loop into a code layout a quarter slower on a 2-vCPU Xeon.
+//
+//go:noinline
+func (r *run[T]) sendFromInput(m int64) {
+	if m > int64(cap(r.scratch)) && cap(r.scratch) >= len(r.work) {
+		r.work, r.scratch = append(r.scratch[:0], r.work...), r.work
+	}
 }

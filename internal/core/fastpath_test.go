@@ -117,7 +117,7 @@ func TestRadixDispatchComparatorFallback(t *testing.T) {
 		}
 		return 0
 	}
-	if _, sorted, rejected, _ := radix.Dispatch(data, nil, codec.Int64{}, reverse, false, 0); sorted || rejected != 1 {
+	if _, v, _ := radix.Dispatch(data, new([]int64), codec.Int64{}, reverse, false, 0); v != radix.Refused {
 		t.Fatal("dispatch claimed success against a disagreeing comparator")
 	}
 	// The core sort path must recover end to end.
@@ -134,8 +134,8 @@ func TestRadixDispatchComparatorFallback(t *testing.T) {
 
 	// And with the agreeing comparator the dispatch must fire and agree
 	// with the comparison sort exactly.
-	asc := append([]int64(nil), data...)
-	if _, sorted, _, _ := radix.Dispatch(asc, nil, codec.Int64{}, cmpInt64, false, 0); !sorted {
+	asc, v, _ := radix.Dispatch(append([]int64(nil), data...), new([]int64), codec.Int64{}, cmpInt64, false, 0)
+	if v != radix.Sorted {
 		t.Fatal("dispatch refused an agreeing comparator")
 	}
 	ref := append([]int64(nil), data...)
@@ -347,7 +347,8 @@ func TestOverlapMergesPerSource(t *testing.T) {
 // radix dispatch, agreement sweep included, against the comparison sort.
 
 // localSortBench times dispatch on fresh copies of src as "radix", and
-// sort as "comparison".
+// sort as "comparison". The dispatch's block lands in the scratch, which
+// then takes the block's place again, as a streamed sort's chunks do.
 func localSortBench[T any](b *testing.B, src []T, cd codec.Codec[T], cmp func(a, b T) int, stable bool, sort func([]T, func(a, b T) int)) {
 	n := len(src)
 	data := make([]T, n)
@@ -359,10 +360,11 @@ func localSortBench[T any](b *testing.B, src []T, cd codec.Codec[T], cmp func(a,
 		b.SetBytes(int64(n * cd.Size()))
 		for i := 0; i < b.N; i++ {
 			copy(data, src)
-			var sorted bool
-			if scratch, sorted, _, _ = radix.Dispatch(data, scratch, cd, cmp, stable, 0); !sorted {
-				b.Fatal("dispatch refused the records")
+			block, v, _ := radix.Dispatch(data, &scratch, cd, cmp, stable, 0)
+			if v != radix.Sorted || &block[0] == &data[0] {
+				b.Fatal("dispatch refused the records, or found them sorted")
 			}
+			scratch = block
 		}
 		report(b)
 	})
@@ -387,30 +389,16 @@ func BenchmarkLocalSortIntKeys(b *testing.B) {
 }
 
 // BenchmarkLocalSortFloatKeys: the uniform float64 keys uniform_inproc
-// and uniform_spill sort.
+// and uniform_spill sort (workload.Uniform).
 func BenchmarkLocalSortFloatKeys(b *testing.B) {
-	rng := rand.New(rand.NewSource(9))
-	src := make([]float64, 1<<20)
-	for i := range src {
-		src[i] = rng.Float64()
-	}
-	localSortBench(b, src, f64, cmpF, false, psort.Sort[float64])
+	localSortBench(b, workload.Uniform(9, 1<<20), f64, cmpF, false, psort.Sort[float64])
 }
 
-// BenchmarkLocalSortStableKeys: ptf_stable_tcp's records (16 bytes,
-// about 28 % of the scores repeated), two verified leaves under one
-// comparator merge in the scratch a run keeps, against the merge sort.
+// BenchmarkLocalSortStableKeys: ptf_stable_tcp's records (workload.PTF:
+// 16 bytes, 28 % of the scores 0, the rest u²), swept under the stable
+// agreement rule, against the merge sort.
 func BenchmarkLocalSortStableKeys(b *testing.B) {
-	rng := rand.New(rand.NewSource(9))
-	src := make([]codec.PTFRecord, 1<<20)
-	for i := range src {
-		score := rng.Float64()
-		if i > 0 && rng.Intn(100) < 28 {
-			score = src[rng.Intn(i)].Score
-		}
-		src[i] = codec.PTFRecord{Score: score, ObjID: uint64(i)}
-	}
-	localSortBench(b, src, codec.PTFCodec{}, codec.ComparePTF, true, psort.StableSort[codec.PTFRecord])
+	localSortBench(b, workload.PTF(9, 1<<20), codec.PTFCodec{}, codec.ComparePTF, true, psort.StableSort[codec.PTFRecord])
 }
 
 // BenchmarkLocalSortParticleKeys: cosmo_skew_inproc's 32-byte particles,

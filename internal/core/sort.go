@@ -93,8 +93,9 @@ func (r *run[T]) sortLocal() (map[string]any, error) {
 		r.ck.Recovery.Wasted(int64(len(r.work)))
 	}
 	detail := map[string]any{"records": len(r.work)}
-	r.sortChunk(r.work, detail)
-	return detail, nil
+	var err error
+	r.work, err = r.order(r.work, r.opt.RunThreshold, detail)
+	return detail, err
 }
 
 // selectPivots is sampling and global pivot selection (lines 8-9):

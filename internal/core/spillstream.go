@@ -245,14 +245,17 @@ func cutRuns[T any](r *run[T], in RecordSource[T], dir string, detail map[string
 		if len(chunk) == 0 {
 			return nil
 		}
-		r.sortChunk(chunk, detail)
+		block, err := r.order(chunk, r.opt.RunThreshold, detail)
+		if err != nil {
+			return err
+		}
 		path := filepath.Join(dir, fmt.Sprintf("local-%06d", len(paths)))
 		fw, err := extsort.CreateFile(path, sp.bufBytes())
 		if err != nil {
 			return err
 		}
 		defer fw.Abort()
-		if err := extsort.Records(fw, r.cd).Write(chunk...); err != nil {
+		if err := extsort.Records(fw, r.cd).Write(block...); err != nil {
 			return fmt.Errorf("core: spill run %s: %w", path, err)
 		}
 		if err := fw.Commit(); err != nil {
@@ -261,7 +264,10 @@ func cutRuns[T any](r *run[T], in RecordSource[T], dir string, detail map[string
 		sp.Stats.AddRun(int64(len(chunk)) * r.recSize)
 		paths = append(paths, path)
 		counts = append(counts, int64(len(chunk)))
-		samples = append(samples, pivots.RegularSample(chunk, p)...)
+		samples = append(samples, pivots.RegularSample(block, p)...)
+		if &block[0] != &chunk[0] {
+			r.scratch = block // the block took the scratch: chunk stays the one read into
+		}
 		chunk = chunk[:0]
 		return nil
 	}

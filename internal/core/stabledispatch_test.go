@@ -42,7 +42,7 @@ func ptfNaNFirst(a, b codec.PTFRecord) int { return gocmp.Compare(a.Score, b.Sco
 
 // ptfCoarseHigh is the key's order below highScore and a coarser one at
 // and above it: a generator that keeps high scores out of the first half
-// of the input makes it disagree with the key on leaf 2 alone.
+// of the input makes it disagree with the key on the second half alone.
 const highScore = 1000
 
 func ptfCoarseHigh(a, b codec.PTFRecord) int {
@@ -73,7 +73,7 @@ func samePTF(a, b []codec.PTFRecord) bool {
 
 // highOnlyInSecondHalf generates n scores whose first ⌈n/2⌉ stay far
 // below highScore and whose rest straddle it: under ptfCoarseHigh only
-// the second leaf of a stable dispatch can disagree with the key.
+// records from the second half of the input can disagree with the key.
 func highOnlyInSecondHalf(rng *rand.Rand, n int) func(i int) float64 {
 	return func(i int) float64 {
 		if i < (n+1)/2 {
@@ -83,20 +83,20 @@ func highOnlyInSecondHalf(rng *rand.Rand, n int) func(i int) float64 {
 	}
 }
 
-// stableResort runs resort under Stable on a copy of in and returns the
-// result and the span detail.
+// stableResort re-sorts a copy of in under Stable, as localOrder does, and
+// returns the sorted block and the span detail.
 func stableResort(in []codec.PTFRecord, cmp func(a, b codec.PTFRecord) int, cores int) ([]codec.PTFRecord, map[string]any) {
 	r := &run[codec.PTFRecord]{cd: ptfCodec, cmp: cmp, opt: Options{Stable: true, Cores: cores}}
-	data, detail := slices.Clone(in), map[string]any{}
-	r.resort(data, detail)
-	return data, detail
+	detail := map[string]any{}
+	block, _ := r.order(slices.Clone(in), 0, detail)
+	return block, detail
 }
 
-// TestStableDispatch holds resort under Stable byte-equal to
+// TestStableDispatch holds the re-sort under Stable byte-equal to
 // slices.SortStableFunc whatever the comparator thinks of the key, at
-// the sizes where the leaf arithmetic could slip, and pins what the span
-// says happened: radix when both leaves verify, otherwise a fallback
-// naming the leaf whose sweep refused.
+// the sizes where the block arithmetic could slip, and pins what the
+// span says happened: radix when every sweep verifies, otherwise a
+// fallback.
 func TestStableDispatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	negZero := math.Copysign(0, -1)
@@ -106,24 +106,24 @@ func TestStableDispatch(t *testing.T) {
 	dup := func(int) float64 { return float64(rng.Intn(40)) }
 	spread := func(int) float64 { return (rng.Float64() - 0.5) * 1e4 }
 	for _, tc := range []struct {
-		name string
-		gen  func(n int) func(i int) float64
-		cmp  func(a, b codec.PTFRecord) int
-		leaf int // the leaf rejected at n >= 100, 0 for none
+		name     string
+		gen      func(n int) func(i int) float64
+		cmp      func(a, b codec.PTFRecord) int
+		fallback bool // at n >= 100
 	}{
-		{"agreeing, duplicated", func(int) func(int) float64 { return dup }, codec.ComparePTF, 0},
-		{"agreeing, spread", func(int) func(int) float64 { return spread }, codec.ComparePTF, 0},
-		{"all equal", func(int) func(int) float64 { return func(int) float64 { return 2.5 } }, codec.ComparePTF, 0},
+		{"agreeing, duplicated", func(int) func(int) float64 { return dup }, codec.ComparePTF, false},
+		{"agreeing, spread", func(int) func(int) float64 { return spread }, codec.ComparePTF, false},
+		{"all equal", func(int) func(int) float64 { return func(int) float64 { return 2.5 } }, codec.ComparePTF, false},
 		{"signed zeros", func(int) func(int) float64 {
 			return func(i int) float64 { return []float64{negZero, 0, 1, -1}[rng.Intn(4)] }
-		}, codec.ComparePTF, 0},
-		{"coarser", func(int) func(int) float64 { return dup }, ptfCoarse, 1},
-		{"finer", func(int) func(int) float64 { return dup }, ptfFine, 1},
-		{"reversed", func(int) func(int) float64 { return spread }, ptfReverse, 1},
+		}, codec.ComparePTF, false},
+		{"coarser", func(int) func(int) float64 { return dup }, ptfCoarse, true},
+		{"finer", func(int) func(int) float64 { return dup }, ptfFine, true},
+		{"reversed", func(int) func(int) float64 { return spread }, ptfReverse, true},
 		{"NaN first", func(int) func(int) float64 {
 			return func(i int) float64 { return []float64{nan, negNaN, 1, -1, 3}[rng.Intn(5)] }
-		}, ptfNaNFirst, 1},
-		{"coarser on the second half only", func(n int) func(int) float64 { return highOnlyInSecondHalf(rng, n) }, ptfCoarseHigh, 2},
+		}, ptfNaNFirst, true},
+		{"coarser on the second half only", func(n int) func(int) float64 { return highOnlyInSecondHalf(rng, n) }, ptfCoarseHigh, true},
 	} {
 		for _, n := range []int{0, 1, 2, 3, 7, 100, 1001, 5000} {
 			in := ptfInput(n, tc.gen(n))
@@ -138,12 +138,11 @@ func TestStableDispatch(t *testing.T) {
 					continue
 				}
 				wantKernel := "radix"
-				if tc.leaf != 0 {
+				if tc.fallback {
 					wantKernel = "comparison"
 				}
-				leaf, _ := detail["leaf"].(int)
-				if detail["kernel"] != wantKernel || (detail["fallback"] == true) != (tc.leaf != 0) || leaf != tc.leaf {
-					t.Errorf("%s, n=%d, cores=%d: span detail %v, want kernel %s and rejected leaf %d", tc.name, n, cores, detail, wantKernel, tc.leaf)
+				if detail["kernel"] != wantKernel || (detail["fallback"] == true) != tc.fallback {
+					t.Errorf("%s, n=%d, cores=%d: span detail %v, want kernel %s and fallback %v", tc.name, n, cores, detail, wantKernel, tc.fallback)
 				}
 			}
 		}
@@ -151,23 +150,24 @@ func TestStableDispatch(t *testing.T) {
 }
 
 // TestStableDispatchLeavesInputForFallback: the order a stable fallback
-// needs must survive a rejection. A first-leaf rejection hands data back
-// exactly as it came; nothing more than the run's one scratch — 2⌈n/2⌉
-// records, kept across sorts — is ever allocated, on the accepted path,
-// on either rejection, or by the single-core fallback.
+// needs must survive a refusal: the dispatch never writes data, so a
+// refused sweep hands it back exactly as it came. Nothing more than the
+// run's one scratch — the block plus a bucket spare, kept across sorts —
+// is ever allocated, on the accepted path, on a refusal at the first
+// bucket or the last, or by the single-core fallback.
 func TestStableDispatchLeavesInputForFallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	const n = 1001
 	in := ptfInput(n, func(int) float64 { return float64(rng.Intn(300)) })
 	data := slices.Clone(in)
-	scratch, sorted, rejected, _ := radix.Dispatch(data, nil, ptfCodec, ptfReverse, true, 0)
-	if sorted || rejected != 1 {
-		t.Fatalf("reversed comparator: sorted %v, rejected leaf %d; want a first-leaf rejection", sorted, rejected)
+	var scratch []codec.PTFRecord
+	if _, v, _ := radix.Dispatch(data, &scratch, ptfCodec, ptfReverse, true, 0); v != radix.Refused {
+		t.Fatalf("reversed comparator: verdict %d, want a refusal", v)
 	}
 	if !samePTF(data, in) {
-		t.Fatal("a first-leaf rejection had already written to data")
+		t.Fatal("a refused dispatch had written to data")
 	}
-	if len(scratch) < n || cap(scratch) > n+1 {
+	if len(scratch) < n || cap(scratch) > 2*n {
 		t.Fatalf("scratch of %d records (cap %d) for %d", len(scratch), cap(scratch), n)
 	}
 
@@ -178,14 +178,17 @@ func TestStableDispatchLeavesInputForFallback(t *testing.T) {
 		cmp  func(a, b codec.PTFRecord) int
 	}{
 		{"accepted", in, codec.ComparePTF},
-		{"leaf 1 rejected", in, ptfReverse},
-		{"leaf 2 rejected", half, ptfCoarseHigh},
+		{"refused", in, ptfReverse},
+		{"refused on the second half", half, ptfCoarseHigh},
 	} {
 		r := &run[codec.PTFRecord]{cd: ptfCodec, cmp: tc.cmp, opt: Options{Stable: true}, scratch: scratch}
 		data, detail := make([]codec.PTFRecord, n), map[string]any{}
 		if allocs := testing.AllocsPerRun(10, func() {
 			copy(data, tc.in)
-			r.resort(data, detail)
+			// The next sort reads into data again, as a streamed sort's chunks do.
+			if block, _ := r.order(data, 0, detail); &block[0] != &data[0] {
+				r.scratch = block
+			}
 		}); allocs != 0 {
 			t.Errorf("%s: %v allocations with the scratch in hand, want none (detail %v)", tc.name, allocs, detail)
 		}
@@ -198,43 +201,68 @@ func TestStableDispatchLeavesInputForFallback(t *testing.T) {
 	}
 }
 
-// TestLocalOrderTwoSlabs: a stable localOrder merges the received runs
-// between the receive slab and the spent work slab. With work at least
-// as long as what arrived, the block it returns lies in one of the two,
-// is the stable merge, and costs less than one n-record allocation.
+// TestLocalOrderTwoSlabs: a stable localOrder merges the received runs —
+// or, from τs up, re-sorts them — between the receive slab and the spent
+// work slab. With work exactly as long as what arrived, the block it
+// returns lies in one of the two, is the stable sort, and costs less than
+// one n-record allocation.
 func TestLocalOrderTwoSlabs(t *testing.T) {
-	const n, k = 1 << 16, 9
-	rng := rand.New(rand.NewSource(34))
-	slab := ptfInput(n, func(int) float64 { return float64(rng.Intn(500)) })
-	chunks := make([][]codec.PTFRecord, k)
-	for i := range chunks {
-		chunks[i] = slab[i*n/k : (i+1)*n/k]
-		slices.SortStableFunc(chunks[i], codec.ComparePTF)
+	const n, k = 1 << 18, 9
+	for _, tauS := range []int{k + 1, k} {
+		rng := rand.New(rand.NewSource(34))
+		slab := ptfInput(n, func(int) float64 { return float64(rng.Intn(500)) })
+		chunks := make([][]codec.PTFRecord, k)
+		for i := range chunks {
+			chunks[i] = slab[i*n/k : (i+1)*n/k]
+			slices.SortStableFunc(chunks[i], codec.ComparePTF)
+		}
+		want := slices.Clone(slab)
+		slices.SortStableFunc(want, codec.ComparePTF)
+		work := make([]codec.PTFRecord, n)
+		r := &run[codec.PTFRecord]{
+			cd: ptfCodec, cmp: codec.ComparePTF, opt: Options{Stable: true, TauS: tauS},
+			tm: metrics.NewPhaseTimer(), tr: trace.Nop{}, work: work,
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		out, err := r.localOrder(slab, chunks)
+		runtime.ReadMemStats(&after)
+		if grew, slice := after.TotalAlloc-before.TotalAlloc, uint64(n*ptfCodec.Size()); grew >= slice {
+			t.Errorf("τs %d: localOrder allocated %d bytes; one %d-record slice is %d", tauS, grew, n, slice)
+		}
+		if err != nil || !samePTF(out, want) {
+			t.Fatalf("τs %d: the block is not the stable sort of the runs (%v)", tauS, err)
+		}
+		if p := &out[0]; p != &slab[0] && p != &work[0] {
+			t.Errorf("τs %d: the block lies in neither the receive slab nor the work slab", tauS)
+		}
 	}
-	want := slices.Clone(slab)
-	slices.SortStableFunc(want, codec.ComparePTF)
-	work := make([]codec.PTFRecord, n)
-	r := &run[codec.PTFRecord]{
-		cd: ptfCodec, cmp: codec.ComparePTF, opt: Options{Stable: true, TauS: k + 1},
-		tm: metrics.NewPhaseTimer(), tr: trace.Nop{}, work: work,
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	out := r.localOrder(slab, chunks)
-	runtime.ReadMemStats(&after)
-	if grew, slice := after.TotalAlloc-before.TotalAlloc, uint64(n*ptfCodec.Size()); grew >= slice {
-		t.Errorf("localOrder allocated %d bytes; one %d-record slice is %d", grew, n, slice)
-	}
-	if !samePTF(out, want) {
-		t.Fatal("the block is not the stable merge of the runs")
-	}
-	if p := &out[0]; p != &slab[0] && p != &work[0] {
-		t.Error("the block lies in neither the receive slab nor the work slab")
+}
+
+// TestSendFromInput: a rank about to receive more records than its spent
+// input slab holds sends from that slab instead, the block moved back into
+// it, so the slab the kernel sorted into can go; one receiving no more
+// keeps the roles, the input slab its receive slab.
+func TestSendFromInput(t *testing.T) {
+	const n = 1000
+	block, input := ptfInput(n, func(i int) float64 { return float64(i) }), make([]codec.PTFRecord, n)
+	for _, tc := range []struct {
+		m    int64
+		move bool
+	}{{n, false}, {n + 1, true}} {
+		r := &run[codec.PTFRecord]{work: block, scratch: input}
+		r.sendFromInput(tc.m)
+		if moved := &r.work[0] == &input[0]; moved != tc.move || !samePTF(r.work, block) {
+			t.Errorf("m=%d: block moved into the input slab %v, want %v, content kept", tc.m, moved, tc.move)
+		}
+		if tc.move && &r.scratch[0] != &block[0] {
+			t.Errorf("m=%d: the kernel's slab did not become the scratch", tc.m)
+		}
 	}
 }
 
 // FuzzStableDispatch: any records, any of the comparators, one invariant —
-// resort under Stable is slices.SortStableFunc. Scores come from a small
+// the re-sort under Stable is slices.SortStableFunc. Scores come from a small
 // universe (with both zeros, an infinity and both NaNs in it) so equal
 // and key-distinct-but-comparator-equal neighbours are the common case.
 func FuzzStableDispatch(f *testing.F) {
@@ -264,7 +292,7 @@ func FuzzStableDispatch(f *testing.F) {
 		want := slices.Clone(in)
 		slices.SortStableFunc(want, cmp)
 		if got, detail := stableResort(in, cmp, 1); !samePTF(got, want) {
-			t.Fatalf("resort is not the stable sort of %v under comparator %d (detail %v)", in, which, detail)
+			t.Fatalf("the re-sort is not the stable sort of %v under comparator %d (detail %v)", in, which, detail)
 		}
 	})
 }

@@ -190,7 +190,7 @@ func Fig5c(cfg Config) (*Result, error) {
 		sortTime := median3(func() time.Duration {
 			cp := append([]float64(nil), concat...)
 			start := time.Now()
-			if _, sorted, _, _ := radix.Dispatch(cp, nil, codec.Float64{}, cmpF64, false, 0); !sorted {
+			if _, v, _ := radix.Dispatch(cp, new([]float64), codec.Float64{}, cmpF64, false, 0); v != radix.Sorted {
 				psort.Sort(cp, cmpF64)
 			}
 			return time.Since(start)

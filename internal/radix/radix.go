@@ -1,7 +1,8 @@
 // Package radix is mostly the local sort's radix kernel: Dispatch orders
 // a keyed codec's records by their integer key, read in place from the
 // field the codec declares (codec.KeyFielder) or through a key func, in
-// cache-sized buckets, and holds the result to the caller's comparator.
+// buckets balanced to fit the cache, and holds the result to the
+// caller's comparator.
 // Sort is a parallel radix sort around the kernel, one of the related-work
 // algorithms the paper positions against (§5): a global histogram over
 // the top bits assigns contiguous bucket ranges to ranks, each of which
@@ -13,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sync"
 	"unsafe"
 
 	"sdssort/internal/codec"
@@ -61,30 +63,16 @@ func Sort[T any](c *comm.Comm, data []T, cd codec.Codec[T], key func(T) uint64) 
 		}
 	}
 
-	// Assign contiguous bucket ranges to ranks, balancing record
-	// counts: rank j owns buckets [cut[j], cut[j+1]).
-	cut := make([]int, p+1)
-	cut[p] = numBuckets
-	var running int64
-	nextRank := 1
-	for b := 0; b < numBuckets && nextRank < p; b++ {
-		running += global[b]
-		for nextRank < p && running >= int64(nextRank)*total/int64(p) {
-			cut[nextRank] = b + 1
-			nextRank++
-		}
-	}
-	for j := 1; j < p; j++ {
-		if cut[j] < cut[j-1] {
-			cut[j] = cut[j-1]
-		}
-	}
-
-	// Route each record to its bucket range's owner.
+	// Assign contiguous bucket ranges to ranks, balancing record counts:
+	// rank j's range ends with the bucket that brings the running count
+	// to j+1 p-ths of the total. Route each record to its range's owner.
 	owner := make([]int, numBuckets)
-	for j := 0; j < p; j++ {
-		for b := cut[j]; b < cut[j+1]; b++ {
-			owner[b] = j
+	var running int64
+	for b, j := 0, 0; b < numBuckets; b++ {
+		owner[b] = j
+		running += global[b]
+		for j < p-1 && running >= int64(j+1)*total/int64(p) {
+			j++
 		}
 	}
 	outParts := make([][]T, p)
@@ -93,21 +81,17 @@ func Sort[T any](c *comm.Comm, data []T, cd codec.Codec[T], key func(T) uint64) 
 		outParts[dst] = append(outParts[dst], rec)
 	}
 	sendParts := make([][]byte, p)
-	for dst := 0; dst < p; dst++ {
-		// Zero-copy-capable codecs scatter straight from the bucket
-		// slab; the buckets are not touched again until the exchange
-		// returns, so aliasing the storage is safe.
-		if wire, ok := codec.View(cd, outParts[dst]); ok {
-			sendParts[dst] = wire
-			continue
+	for dst, part := range outParts {
+		// Zero-copy codecs send the bucket slab itself, untouched until the exchange returns.
+		var ok bool
+		if sendParts[dst], ok = codec.View(cd, part); !ok {
+			sendParts[dst] = codec.EncodeSlice(cd, nil, part)
 		}
-		sendParts[dst] = codec.EncodeSlice(cd, nil, outParts[dst])
 	}
 	recv, err := c.Alltoall(sendParts)
 	if err != nil {
 		return nil, fmt.Errorf("radix: exchange: %w", err)
 	}
-
 	var mine []T
 	for src := 0; src < p; src++ {
 		mine, err = codec.DecodeAppend(cd, mine, recv[src])
@@ -119,137 +103,86 @@ func Sort[T any](c *comm.Comm, data []T, cd codec.Codec[T], key func(T) uint64) 
 	return mine, nil
 }
 
-// Dispatch sorts data by cmp with the radix kernel when cd has an
-// integer key (codec.Uint64Keyer) that an O(n) sweep finds orders the
-// records as cmp does: the one place the kernel meets a caller's
-// comparator. buf is the kernel's scratch, returned for the caller to
-// keep. sorted reports whether data is now sorted (stably, if asked);
-// rejected names the sweep that refused: 0 none, and (0, false) a codec
-// without a key. A non-stable sort runs in place, swept by IsSorted. A
-// stable one sorts H1 and H2, the halves of data, into the halves X and
-// Y of buf — H1 never writing data, H2 through H1's place — each swept
-// by agrees, and merges them, X first on ties: a refused H1 leaves data
-// as it came, a refused H2 is comparison-sorted where it lies, Y its
-// scratch. docs/INTERNALS.md has the proof.
-//
-// The run gate rides the kernel's first read: when runs > 0 and
-// psort.Sortedness over the keys (over cmp, for a codec without one) is
-// at least runs, data is left as it came and gated asks for the caller's
-// natural-run merge.
-func Dispatch[T any](data, buf []T, cd codec.Codec[T], cmp func(a, b T) int, stable bool, runs float64) (scratch []T, sorted bool, rejected int, gated bool) {
+// Verdict is what Dispatch did with data.
+type Verdict uint8
+
+const (
+	Keyless Verdict = iota // no integer key, or 2³² records or more; data as it came
+	Sorted                 // the block holds data's records in cmp order
+	Refused                // a sweep found cmp ordering otherwise; data as it came
+	Gated                  // the run gate fired; data as it came
+)
+
+// Dispatch sorts data by cmp with the radix kernel when cd has an integer
+// key (codec.Uint64Keyer) that the kernel's sweeps find orders records as
+// cmp does. It never writes data: the block is data itself when its keys
+// ascend, or lands in *scratch, grown to hold it and a bucket spare, whose
+// place the spent data, capped, takes. spare counts the records a heavy
+// bucket of distinct keys took. Gated: runs > 0 and psort.Sortedness over
+// the keys (over cmp, without a key) is at least runs.
+func Dispatch[T any](data []T, scratch *[]T, cd codec.Codec[T], cmp func(a, b T) int, stable bool, runs float64) (block []T, v Verdict, spare int) {
 	key, ok := codec.Uint64KeyOf(cd)
-	if !ok {
-		return buf, false, 0, runs > 0 && psort.Sortedness(data, cmp) >= runs
+	if !ok || uint64(len(data)) > math.MaxUint32 { // the split counts in 32 bits
+		if runs > 0 && psort.Sortedness(data, cmp) >= runs {
+			return data, Gated, 0
+		}
+		return data, Keyless, 0
 	}
-	var s sorter[T]
-	s.fn = key
+	s := sorter[T]{fn: key, cmp: cmp, stable: stable}
 	if kf, ok := any(cd).(codec.KeyFielder); ok && codec.IsZeroCopy(cd) {
 		if off, enc := kf.KeyField(); off >= 0 && off+8 <= cd.Size() {
 			s.fn, s.off, s.enc = nil, uintptr(off), enc // the record's memory image holds it
 		}
 	}
-	n := len(data)
-	if !stable || n < 2 {
-		if buf, gated = s.inPlace(data, buf, runs); gated {
-			return buf, false, 0, true
-		}
-		if psort.IsSorted(data, cmp) {
-			return buf, true, 0, false
-		}
-		return buf, false, 1, false
+	f := s.survey(data, 64)
+	if runs > 0 && float64(max(len(data), 1))/float64(f.descents+1) >= runs {
+		return data, Gated, 0
 	}
-	h := (n + 1) / 2
-	h1, h2 := data[:h], data[h:]
-	f := s.survey(h1, 64)
-	// Only when H1's runs alone are long enough do the seam and H2 decide.
-	if gate(n, f.descents, runs) && gate(n, f.descents+s.survey(data[h-1:], 0).descents, runs) {
-		return buf, false, 0, true
+	if block, ok = s.into(data, scratch, f); !ok {
+		return data, Refused, cap(s.heavy)
 	}
-	if cap(buf) < 2*h {
-		buf = make([]T, 2*h)
-	}
-	x, y := buf[:h], buf[h:2*h]
-	s1, s2 := x, y[:len(h2)]
-	s.sort(h1, s1, y, f)
-	if !agrees(s1, key, cmp) {
-		return buf, false, 1, false
-	}
-	s.sort(h2, s2, h1[:len(h2)], s.survey(h2, 64))
-	if !agrees(s2, key, cmp) {
-		psort.StableSortBuf(h2, y, cmp)
-		s2, rejected = h2, 2
-	}
-	psort.MergeInto(data, s1, s2, cmp)
-	return buf, true, rejected, false
+	return block, Sorted, cap(s.heavy)
 }
 
-// gate is the run gate: n records whose keys descend descents times
-// have runs at least runs records long on average.
-func gate(n, descents int, runs float64) bool {
-	return runs > 0 && float64(max(n, 1))/float64(descents+1) >= runs
-}
-
-// agrees is the stable dispatch's sweep over a key-sorted leaf: every
-// adjacent pair is in cmp order, and cmp-equal exactly when key-equal.
-func agrees[T any](s []T, key func(T) uint64, cmp func(a, b T) int) bool {
-	if len(s) == 0 {
-		return true
-	}
-	prev := key(s[0])
-	for i := 1; i < len(s); i++ {
-		k, c := key(s[i]), cmp(s[i-1], s[i])
-		if c > 0 || (c == 0) != (k == prev) {
-			return false
-		}
-		prev = k
-	}
-	return true
-}
-
-// LSDSort sorts data in place by the uint64 key, stably.
-func LSDSort[T any](data []T, key func(T) uint64) { LSDSortBuf(data, nil, key) }
-
-// LSDSortBuf is LSDSort with the scratch slab in the caller's hands:
-// buf serves when it has room for len(data) records, and the slab the
-// sort ended up with (buf, a fresh one, or buf untouched when no pass
-// had to run) is returned for the caller to keep. It is the kernel with
-// the input as its second buffer.
-func LSDSortBuf[T any](data, buf []T, key func(T) uint64) []T {
-	var s sorter[T]
-	s.fn = key
-	buf, _ = s.inPlace(data, buf, 0)
-	return buf
+// LSDSort sorts data, under 2³² records, in place, stably by key.
+func LSDSort[T any](data []T, key func(T) uint64) {
+	s, scratch := sorter[T]{fn: key}, []T(nil)
+	block, _ := s.into(data, &scratch, s.survey(data, 64))
+	place(data, block)
 }
 
 // The kernel reads the keys once for the bits they differ in and their
-// descents. Up to bucketBytes is one bucket; more takes a stable MSD
-// pass on the bits below those all keys share, into buckets that fit,
-// each sorted in cache by the one LSD pass loop over the 11-bit digits
-// its keys differ in, or by insertion up to tiny records. bucketBytes
-// keeps a bucket, its second buffer and the histograms in a core's L2
-// (256 KiB to 1 MiB measured alike in BenchmarkLocalSort* on a 2-vCPU
-// Xeon, 2 MiB L2). Loops read keys a block at a time onto the stack: only
-// the read calls a key func, and the field read inlines there.
+// descents. Up to bucketBytes is one bucket; more takes one split pass on a
+// window of windowBits key bits into buckets that fit, but for single window
+// values, each sorted in cache by the LSD pass loop or, up to tiny records,
+// by insertion. bucketBytes keeps a bucket, its spare and the histograms in
+// a core's L2 (256 KiB to 1 MiB measured alike on a 2-vCPU Xeon, 2 MiB L2).
+// Loops read keys a block at a time onto the stack; only read calls fn.
 const (
 	digitBits   = 11
 	digits      = (64 + digitBits - 1) / digitBits
 	buckets     = 1 << digitBits
 	msdBits     = 8
+	windowBits  = 16
 	bucketBytes = 512 << 10
 	tiny        = 32 // at most a block
 	block       = 64
 )
 
 // sorter is one kernel call: where it reads a key — in place, off into
-// the record (fn nil), or through fn — and the histograms of the low
-// digits, live[:passes] those the bucket in hand is sorted by.
+// the record (fn nil), or through fn — how it sweeps (cmp nil: not at
+// all), its spares, the last record swept, and the low digits' histograms.
 type sorter[T any] struct {
-	fn     func(T) uint64
-	off    uintptr
-	enc    codec.KeyEnc
-	counts [digits][buckets]int
-	live   [digits]int
-	passes int
+	fn      func(T) uint64
+	off     uintptr
+	enc     codec.KeyEnc
+	cmp     func(a, b T) int
+	stable  bool
+	tail    []T // a bucket's spare: the scratch past the block, if it has room
+	heavy   []T // a heavy bucket's spare, taken when one has distinct keys
+	last    *T  // the last record swept, keyed lastKey
+	lastKey uint64
+	counts  [digits][buckets]int
 }
 
 // read returns the keys of src[i:], at most a block of them, in kb. It
@@ -257,13 +190,10 @@ type sorter[T any] struct {
 func (s *sorter[T]) read(src []T, i int, kb *[block]uint64) []uint64 {
 	src = src[i:min(i+block, len(src))]
 	ks := kb[:len(src)]
-	if s.fn != nil {
+	if s.fn != nil || len(src) == 0 {
 		for j := range ks {
 			ks[j] = s.fn(src[j])
 		}
-		return ks
-	}
-	if len(src) == 0 {
 		return ks
 	}
 	base, size := unsafe.Add(unsafe.Pointer(&src[0]), s.off), unsafe.Sizeof(src[0])
@@ -291,7 +221,8 @@ type summary struct {
 	descents int
 }
 
-func fits[T any](n int) bool { return uintptr(n)*unsafe.Sizeof(*new(T)) <= bucketBytes }
+// room is how many records make a bucket.
+func room[T any]() int { return bucketBytes / max(int(unsafe.Sizeof(*new(T))), 1) }
 
 func same[T any](a, b []T) bool { return unsafe.SliceData(a) == unsafe.SliceData(b) }
 
@@ -301,22 +232,25 @@ func place[T any](dst, src []T) {
 	}
 }
 
-// inPlace sorts data by key through buf, grown only when a pass must
-// run; gated reports that the run gate left data as it came.
-func (s *sorter[T]) inPlace(data, buf []T, runs float64) (_ []T, gated bool) {
-	n, f := len(data), s.survey(data, 64)
-	if gate(n, f.descents, runs) {
-		return buf, true
+// into sorts data by key into *scratch, grown to hold the block, and a
+// bucket spare past it or apart, and hands data back as *scratch; data is
+// the block when its keys ascend. ok is false when a sweep refused.
+func (s *sorter[T]) into(data []T, scratch *[]T, f summary) (block []T, ok bool) {
+	if f.descents == 0 {
+		return data, s.sweep(data)
 	}
-	spare := data // unread when no pass runs
-	if n > tiny && f.descents > 0 {
-		if cap(buf) < n {
-			buf = make([]T, n)
-		}
-		spare = buf[:n]
+	n, spare := len(data), min(len(data), room[T]())
+	if cap(*scratch) < n {
+		*scratch = make([]T, n+spare)
 	}
-	s.sort(data, data, spare, f)
-	return buf, false
+	if block, s.tail = (*scratch)[:n], (*scratch)[n:cap(*scratch)]; len(s.tail) < spare {
+		s.tail = make([]T, spare)
+	}
+	if !s.sort(data, block, f) {
+		return data, false
+	}
+	*scratch = data[:n:n]
+	return block, true
 }
 
 // survey reads src's keys once. When src is one bucket with passes to
@@ -324,7 +258,7 @@ func (s *sorter[T]) inPlace(data, buf []T, runs float64) (_ []T, gated bool) {
 // of the digits below, cleared first: all the passes need.
 func (s *sorter[T]) survey(src []T, below int) summary {
 	nd := 0
-	if len(src) > tiny && fits[T](len(src)) {
+	if len(src) > tiny && len(src) <= room[T]() {
 		nd = (below + digitBits - 1) / digitBits
 	}
 	clear(s.counts[:nd])
@@ -342,9 +276,9 @@ func (s *sorter[T]) survey(src []T, below int) summary {
 	return summary{or & nor, int(descents)}
 }
 
-// sort leaves src stably sorted by key in dst, through spare; f is its
-// survey. src may be dst or spare, and is otherwise only read.
-func (s *sorter[T]) sort(src, dst, spare []T, f summary) {
+// sort leaves src's records, stably sorted by key, in dst and sweeps them
+// there; f is src's survey. src may be dst, and is otherwise only read.
+func (s *sorter[T]) sort(src, dst []T, f summary) bool {
 	switch n := len(src); {
 	case f.descents == 0:
 		place(dst, src)
@@ -357,63 +291,100 @@ func (s *sorter[T]) sort(src, dst, spare []T, f summary) {
 				dst[j], dst[j-1], ks[j], ks[j-1] = dst[j-1], dst[j], ks[j-1], ks[j]
 			}
 		}
-	case !fits[T](n):
-		s.msd(src, dst, spare, f.diff)
+	case n > room[T]():
+		return s.split(src, dst, f.diff)
 	default:
-		s.passes = 0
-		for d := range digits {
-			if f.diff>>(d*digitBits)&(buckets-1) != 0 {
-				s.live[s.passes], s.passes = d, s.passes+1
-			}
-		}
-		a, b := spare, dst // so that the last pass writes dst, if src allows
-		if same(src, spare) || !same(src, dst) && s.passes%2 == 1 {
-			a, b = dst, spare
-		}
-		place(dst, s.scatter(src, a, b))
+		s.scatter(src, dst, s.tail[:n], f.diff)
 	}
+	return s.sweep(dst)
 }
 
-// msd is the counting-sort pass over a slab too big for the cache, into
-// whichever buffer src is not, on the bits below those all keys share:
-// up to msdBits, two to four times the buckets the slab would fill, for
-// skew. Each bucket is then sorted into dst, by another pass if need be.
-func (s *sorter[T]) msd(src, dst, spare []T, diff uint64) {
-	const mask = 1<<msdBits - 1
-	nb := min(msdBits, bits.Len(uint(uintptr(len(src))*unsafe.Sizeof(*new(T))/bucketBytes))+1)
-	shift := max(bits.Len64(diff)-nb, 0)
-	var pos [mask + 1]int
+// tables are a split's window counts, then value buckets, and bucket slots.
+type tables struct {
+	win [1 << windowBits]uint32
+	pos [1 << windowBits]int
+}
+
+var tablePool = sync.Pool{New: func() any { return new(tables) }}
+
+// split is the one pass over a slab too big for the cache: it scatters
+// src by bucket (plan) into dst, then sorts each bucket into dst in turn,
+// in cache. Only a bucket of one window value can exceed bucketBytes: its
+// keys are all equal, or it splits again, out of dst into the heavy spare
+// and back, taking the spare's first records: buckets the enclosing
+// splits are done with.
+func (s *sorter[T]) split(src, dst []T, diff uint64) bool {
+	t := tablePool.Get().(*tables)
+	shift, mask, below, n := s.plan(src, diff, t)
+	to := dst
+	if same(src, dst) {
+		if cap(s.heavy) < len(src) {
+			s.heavy = make([]T, len(src))
+		}
+		to = s.heavy[:len(src)]
+	}
+	var kb [block]uint64
+	for i := 0; i < len(src); i += block {
+		for j, k := range s.read(src, i, &kb) {
+			b := t.win[k>>shift&mask]
+			to[t.pos[b]] = src[i+j]
+			t.pos[b]++
+		}
+	}
+	ok := true
+	for b, lo := 0, 0; ok && b < n; lo, b = t.pos[b], b+1 {
+		ok = s.sort(to[lo:t.pos[b]], dst[lo:t.pos[b]], s.survey(to[lo:t.pos[b]], below))
+	}
+	tablePool.Put(t)
+	return ok
+}
+
+// plan counts src's window, the windowBits key bits just below those all
+// keys share, and numbers its n buckets: runs of adjacent window values
+// within the aligned buckets an MSD pass of up to msdBits would make (two
+// to four times the buckets the slab fills), cut greedily at bucketBytes,
+// so evenly spread keys keep the aligned buckets and their LSD passes.
+// Key k's bucket is t.win[k>>shift&mask], its first slot t.pos; bucket
+// keys agree from bit below up.
+func (s *sorter[T]) plan(src []T, diff uint64, t *tables) (shift uint, mask uint64, below, n int) {
+	top := bits.Len64(diff)
+	shift, mask = uint(max(top-windowBits, 0)), 1<<min(top, windowBits)-1
+	clear(t.win[:mask+1])
 	var kb [block]uint64
 	for i := 0; i < len(src); i += block {
 		for _, k := range s.read(src, i, &kb) {
-			pos[k>>shift&mask]++
+			t.win[k>>shift&mask]++
 		}
 	}
-	for b, slot := 0, 0; b <= mask; b++ {
-		pos[b], slot = slot, slot+pos[b]
-	}
-	to := spare
-	if same(src, spare) {
-		to = dst
-	}
-	for i := 0; i < len(src); i += block {
-		for j, k := range s.read(src, i, &kb) {
-			to[pos[k>>shift&mask]] = src[i+j]
-			pos[k>>shift&mask]++
+	nb := min(msdBits, bits.Len(uint(len(src)/room[T]()))+1)
+	width, fill, slot := max(int(mask+1)>>nb, 1), 0, 0
+	for v, c := range t.win[:mask+1] {
+		if v&(width-1) == 0 || fill > 0 && fill+int(c) > room[T]() {
+			n, fill = n+1, 0
+			t.pos[n-1] = slot
 		}
+		t.win[v], fill, slot = uint32(n-1), fill+int(c), slot+int(c)
 	}
-	for b, lo := 0, 0; b <= mask; lo, b = pos[b], b+1 {
-		s.sort(to[lo:pos[b]], dst[lo:pos[b]], spare[lo:pos[b]], s.survey(to[lo:pos[b]], shift))
-	}
+	return shift, mask, int(shift) + bits.Len(uint(width-1)), n
 }
 
-// scatter is the LSD pass loop, the only one: src into a, a into b, b
-// into a, … one counting-sort pass per live digit. src is never written
-// (unless it is b); the slice the last pass wrote is returned.
-func (s *sorter[T]) scatter(src, a, b []T) []T {
-	dst, next := a, b
+// scatter is the LSD pass loop, the only one: one counting-sort pass per
+// digit the keys differ in, from src into dst through spare, ordered so
+// that the last pass writes dst if src allows, else copied there once.
+// src is only read, unless it is dst.
+func (s *sorter[T]) scatter(src, dst, spare []T, diff uint64) {
+	live := make([]int, 0, digits)
+	for d := range digits {
+		if diff>>(d*digitBits)&(buckets-1) != 0 {
+			live = append(live, d)
+		}
+	}
+	out, next := spare, dst
+	if !same(src, dst) && len(live)%2 == 1 {
+		out, next = dst, spare
+	}
 	var kb [block]uint64
-	for _, d := range s.live[:s.passes] {
+	for _, d := range live {
 		// Turn the digit's counts into each bucket's first output slot.
 		pos, slot := &s.counts[d], 0
 		for i, c := range pos {
@@ -422,11 +393,38 @@ func (s *sorter[T]) scatter(src, a, b []T) []T {
 		shift := uint(d * digitBits)
 		for i := 0; i < len(src); i += block {
 			for j, k := range s.read(src, i, &kb) {
-				dst[pos[k>>shift&(buckets-1)]] = src[i+j]
+				out[pos[k>>shift&(buckets-1)]] = src[i+j]
 				pos[k>>shift&(buckets-1)]++
 			}
 		}
-		src, dst, next = dst, next, dst
+		src, out, next = out, next, out
 	}
-	return src
+	place(dst, src)
+}
+
+// sweep holds b, the block's next key-sorted bucket, to cmp, seam to the
+// bucket before included: psort.IsSorted or, under stable, the agreement
+// rule — every adjacent pair in cmp order, cmp-equal exactly when key-equal.
+// Over adjacent pairs, the buckets' pairs and the seams are the block's.
+func (s *sorter[T]) sweep(b []T) bool {
+	if len(b) == 0 || s.cmp == nil {
+		return true
+	}
+	if !s.stable {
+		ok := (s.last == nil || s.cmp(*s.last, b[0]) <= 0) && psort.IsSorted(b, s.cmp)
+		s.last = &b[len(b)-1]
+		return ok
+	}
+	var kb [block]uint64
+	for i := 0; i < len(b); i += block {
+		for j, k := range s.read(b, i, &kb) {
+			if s.last != nil {
+				if c := s.cmp(*s.last, b[i+j]); c > 0 || (c == 0) != (k == s.lastKey) {
+					return false
+				}
+			}
+			s.last, s.lastKey = &b[i+j], k
+		}
+	}
+	return true
 }

@@ -13,6 +13,7 @@ import (
 	"sdssort/internal/codec"
 	"sdssort/internal/comm"
 	"sdssort/internal/psort"
+	"sdssort/internal/workload"
 )
 
 var u64 = codec.Uint64{}
@@ -63,20 +64,18 @@ func TestLSDSortProperty(t *testing.T) {
 	}
 }
 
-// TestLSDSortBufScratch pins the scratch contract the sort's run relies
-// on: a slab with room is the one used and handed back, a missing or
-// short one is replaced, and keys that agree on every digit decide that
-// before anything is allocated. It also counts key calls — one
-// histogram read plus one per record per executed pass.
-func TestLSDSortBufScratch(t *testing.T) {
-	type rec struct {
-		key uint64
-		seq int
-	}
+// TestDispatchScratch pins the scratch contract the sort's run relies
+// on: a scratch with room is the one the block lands in, the spent input
+// takes its place, a missing or short one is replaced, and keys that
+// already ascend are their own block before anything is allocated. It
+// also counts key calls — one read for the survey plus one per record per
+// executed pass.
+func TestDispatchScratch(t *testing.T) {
 	const n = 3000
 	rng := rand.New(rand.NewSource(4))
 	calls := 0
-	key := func(r rec) uint64 { calls++; return r.key }
+	cd := countingCodec{&calls}
+	byKey := func(a, b rec2) int { return cmp.Compare(a.raw, b.raw) }
 	for _, tc := range []struct {
 		name   string
 		gen    func() uint64
@@ -86,52 +85,61 @@ func TestLSDSortBufScratch(t *testing.T) {
 		{"two digits", func() uint64 { return uint64(rng.Intn(1 << (2 * digitBits))) }, 2},
 		{"every digit", rng.Uint64, digits},
 	} {
-		data := make([]rec, n)
+		data := make([]rec2, n)
 		for i := range data {
-			data[i] = rec{tc.gen(), i}
+			data[i] = rec2{uint64(i), tc.gen()}
 		}
-		want := slices.Clone(data)
-		slices.SortStableFunc(want, func(a, b rec) int { return cmp.Compare(a.key, b.key) })
-		buf := make([]rec, n+5)
+		in, want := slices.Clone(data), slices.Clone(data)
+		slices.SortStableFunc(want, byKey)
+		scratch := make([]rec2, 2*n+5)
+		buf := scratch
 		calls = 0
-		got := LSDSortBuf(data, buf, key)
-		if !slices.Equal(data, want) {
-			t.Fatalf("%s: not the stable sort by key", tc.name)
+		block, v, _ := Dispatch[rec2](data, &scratch, cd, byKey, false, 0)
+		if v != Sorted || !slices.Equal(block, want) || !slices.Equal(data, in) {
+			t.Fatalf("%s: verdict %d; want the stable sort by key in the block and data as it came", tc.name, v)
 		}
-		if &got[0] != &buf[0] || cap(got) != cap(buf) {
-			t.Errorf("%s: a scratch with room was not the one handed back", tc.name)
+		if &block[0] != &buf[0] || &scratch[0] != &data[0] || cap(scratch) != n {
+			t.Errorf("%s: the block is not in the scratch with room, or the spent input did not take its place", tc.name)
 		}
-		if most := n*(1+tc.passes) + 1; calls > most {
+		if most := n * (1 + tc.passes); calls > most {
 			t.Errorf("%s: %d key calls for %d records and %d passes, want at most %d", tc.name, calls, n, tc.passes, most)
 		}
 	}
 
-	data := make([]rec, n)
+	data := make([]rec2, n)
 	for i := range data {
-		data[i] = rec{rng.Uint64(), i}
+		data[i] = rec2{uint64(i), rng.Uint64()}
 	}
-	if got := LSDSortBuf(slices.Clone(data), make([]rec, n-1), key); cap(got) < n {
-		t.Errorf("short scratch: handed back a slab of %d records for %d", cap(got), n)
+	short := make([]rec2, n-1)
+	if block, _, _ := Dispatch[rec2](slices.Clone(data), &short, cd, byKey, false, 0); cap(block) < n {
+		t.Errorf("short scratch: a block of capacity %d for %d records", cap(block), n)
 	}
 	for i := range data {
-		data[i].key = 42
+		data[i].raw = 42
 	}
+	var none []rec2
 	if allocs := testing.AllocsPerRun(5, func() {
-		if got := LSDSortBuf(data, nil, key); got != nil {
-			t.Error("constant keys: a scratch was allocated")
+		if block, v, _ := Dispatch[rec2](data, &none, cd, byKey, false, 0); v != Sorted || &block[0] != &data[0] || none != nil {
+			t.Error("constant keys: not sorted where they lie, or a scratch was taken")
 		}
 	}); allocs != 0 {
 		t.Errorf("constant keys: %v allocations, want none", allocs)
 	}
-	if !slices.IsSortedFunc(data, func(a, b rec) int { return cmp.Compare(a.seq, b.seq) }) {
-		t.Error("constant keys: records moved")
-	}
 }
 
-// TestLSDIntoLeavesSource: the three-slice form of the kernel, which the
-// stable dispatch verifies its leaves from, must land the stable sort by
-// key in dst whatever the number of passes — none, odd, even — and must
-// only read src.
+// countingCodec keys rec2 by raw through Uint64Key, counting the calls;
+// it declares no key field, so the kernel calls it for every key it reads.
+type countingCodec struct{ calls *int }
+
+func (countingCodec) Size() int                  { return 16 }
+func (countingCodec) Marshal(dst []byte, r rec2) { fieldCodec{}.Marshal(dst, r) }
+func (countingCodec) Unmarshal(src []byte) rec2  { return fieldCodec{}.Unmarshal(src) }
+func (c countingCodec) Uint64Key(r rec2) uint64  { *c.calls++; return r.raw }
+
+// TestLSDIntoLeavesSource: the kernel, which a refused sweep hands the
+// untouched input back from, must land the stable sort by key in its
+// block whatever the number of passes — none, odd, even — and must only
+// read src.
 func TestLSDIntoLeavesSource(t *testing.T) {
 	type rec struct {
 		key uint64
@@ -153,10 +161,8 @@ func TestLSDIntoLeavesSource(t *testing.T) {
 			orig := slices.Clone(src)
 			want := slices.Clone(src)
 			slices.SortStableFunc(want, func(a, b rec) int { return cmp.Compare(a.key, b.key) })
-			dst, spare := make([]rec, n), make([]rec, n)
-			lsdInto(src, dst, spare, key)
-			if !slices.Equal(dst, want) {
-				t.Errorf("%d passes, n=%d: dst is not the stable sort by key", passes, n)
+			if block := lsdInto(src, key); !slices.Equal(block, want) {
+				t.Errorf("%d passes, n=%d: the block is not the stable sort by key", passes, n)
 			}
 			if !slices.Equal(src, orig) {
 				t.Errorf("%d passes, n=%d: src was written", passes, n)
@@ -258,13 +264,13 @@ func TestParallelRadixClusteredKeys(t *testing.T) {
 	}
 }
 
-// lsdInto is the kernel's three-slice form with a key func: src's
-// records, stably sorted by key, land in dst; the passes run through
-// spare and dst (each len(src) records) and src is only read.
-func lsdInto[T any](src, dst, spare []T, key func(T) uint64) {
-	var s sorter[T]
-	s.fn = key
-	s.sort(src, dst, spare, s.survey(src, 64))
+// lsdInto is the kernel with a key func: it returns the block holding
+// src's records, stably sorted by key; src is only read.
+func lsdInto[T any](src []T, key func(T) uint64) []T {
+	s := sorter[T]{fn: key}
+	var scratch []T
+	block, _ := s.into(src, &scratch, s.survey(src, 64))
+	return block
 }
 
 // rec2 is a record whose key field is its second word, raw, decoded as
@@ -299,14 +305,15 @@ func rawOf(enc codec.KeyEnc, key uint64) uint64 {
 // oneBucket is the most rec2 records the kernel sorts as one bucket.
 const oneBucket = bucketBytes / 16
 
-// FuzzRadixKernel holds both forms of the kernel — in place, and into a
-// second buffer — to slices.SortStableFunc by key, reading the key in
-// place and through the key func, on inputs either side of the MSD
-// cutoff whose keys differ only in bit 63, only in bit 0, share a long
-// prefix, crowd into one MSD bucket, or repeat a few values; the second
-// form must leave its source bit for bit as it was.
+// FuzzRadixKernel holds the kernel to slices.SortStableFunc by key,
+// reading the key in place and through the key func, on inputs either
+// side of the split cutoff whose keys differ only in bit 63, only in bit
+// 0, share a long prefix, crowd into one aligned bucket, repeat a few
+// values, square a uniform float, or pile into one window value with
+// distinct bits below — again within it, the split's recursion; src must
+// stay bit for bit as it was.
 func FuzzRadixKernel(f *testing.F) {
-	for shape := uint8(0); shape < 6; shape++ {
+	for shape := uint8(0); shape < 8; shape++ {
 		for _, n := range []uint32{0, 1, 2, tiny, tiny + 1, 1000, oneBucket, oneBucket + 1, 2*oneBucket + 77} {
 			f.Add(int64(shape)+int64(n), n, shape)
 		}
@@ -327,7 +334,15 @@ func FuzzRadixKernel(f *testing.F) {
 				return base&^(1<<44-1) | rng.Uint64()&(1<<44-1)
 			},
 			func() uint64 { return base + uint64(rng.Intn(5))<<40 },
-		}[shape%6]
+			func() uint64 { u := rng.Float64(); return codec.Float64Key(u * u) },
+			func() uint64 { // one in 64 anywhere, one under the top window, one under two, the rest under three
+				low := 16
+				if i := rng.Intn(64); i < 3 {
+					low = 64 - 16*i
+				}
+				return base&^(1<<low-1) | rng.Uint64()&(1<<low-1)
+			},
+		}[shape%8]
 		enc := codec.KeyEnc(uint64(seed) % 3)
 		cd := fieldCodec{enc}
 		src := make([]rec2, n)
@@ -336,24 +351,17 @@ func FuzzRadixKernel(f *testing.F) {
 		}
 		orig, want := slices.Clone(src), slices.Clone(src)
 		slices.SortStableFunc(want, func(a, b rec2) int { return cmp.Compare(cd.Uint64Key(a), cd.Uint64Key(b)) })
-		for _, inPlace := range []bool{true, false} {
-			var s sorter[rec2]
-			s.fn = cd.Uint64Key
-			if inPlace {
+		for _, field := range []bool{true, false} {
+			s := sorter[rec2]{fn: cd.Uint64Key}
+			if field {
 				s.fn, s.off, s.enc = nil, 8, enc
 			}
-			data := slices.Clone(src)
-			s.inPlace(data, nil, 0)
-			if !slices.Equal(data, want) {
-				t.Fatalf("in place (field read %v, enc %d, shape %d, n %d): not the stable sort by key", inPlace, enc, shape, n)
-			}
-			dst, spare := make([]rec2, n), make([]rec2, n)
-			s.sort(src, dst, spare, s.survey(src, 64))
-			if !slices.Equal(dst, want) {
-				t.Fatalf("into (field read %v, enc %d, shape %d, n %d): not the stable sort by key", inPlace, enc, shape, n)
+			var scratch []rec2
+			if block, _ := s.into(src, &scratch, s.survey(src, 64)); !slices.Equal(block, want) {
+				t.Fatalf("field read %v, enc %d, shape %d, n %d: not the stable sort by key", field, enc, shape, n)
 			}
 			if !slices.Equal(src, orig) {
-				t.Fatalf("into (field read %v, enc %d, shape %d, n %d): src was written", inPlace, enc, shape, n)
+				t.Fatalf("field read %v, enc %d, shape %d, n %d: src was written", field, enc, shape, n)
 			}
 		}
 	})
@@ -377,8 +385,8 @@ func TestKeyFieldHonoured(t *testing.T) {
 		read     bool
 	}{{8, true, true}, {8, false, false}, {9, true, false}, {-1, true, false}} {
 		data := slices.Clone(in)
-		_, sorted, _, _ := Dispatch[rec2](data, nil, wrongField{tc.off, tc.zeroCopy}, bySeq, false, 0)
-		if sorted == tc.read {
+		_, v, _ := Dispatch(data, new([]rec2), wrongField{tc.off, tc.zeroCopy}, bySeq, false, 0)
+		if sorted := v == Sorted; sorted == tc.read {
 			t.Errorf("field at %d, zero-copy %v: read in place %v, want %v", tc.off, tc.zeroCopy, !sorted, tc.read)
 		}
 	}
@@ -399,8 +407,7 @@ func (w wrongField) KeyField() (int, codec.KeyEnc) { return w.off, codec.KeyUint
 
 // TestDispatchRunGate: the run gate Dispatch reads off the keys is
 // psort.Sortedness over the comparator, for keys that agree with it,
-// stable or not — a stable dispatch included, whose first read covers H1
-// only — and a gated sort leaves data as it came.
+// stable or not, and a gated sort leaves data as it came.
 func TestDispatchRunGate(t *testing.T) {
 	const n, runs = 4001, 32
 	rng := rand.New(rand.NewSource(13))
@@ -414,28 +421,113 @@ func TestDispatchRunGate(t *testing.T) {
 		}
 		return s
 	}
-	// 125 runs of 16, each below the one before, after a sorted H1 that
-	// ends above them all: the seam's descent is the one that tips
-	// n/(descents+1) under runs.
+	// 125 runs of 16, each below the one before, after a sorted first
+	// half that ends above them all: the seam's descent is the one that
+	// tips n/(descents+1) under runs.
 	seam := slices.Clone(sorted[:n/2+1])
 	for i := range n / 2 {
 		seam = append(seam, uint64((124-i/16)*100+i%16))
 	}
 	for name, in := range map[string][]uint64{
-		"sorted":                 sorted,
-		"random":                 random(make([]uint64, n)),
-		"sorted H1, random H2":   append(slices.Clone(sorted[:n/2+1]), random(make([]uint64, n/2))...),
-		"sorted halves, swapped": append(slices.Clone(sorted[n/2+1:]), sorted[:n/2+1]...),
-		"random H1, sorted H2":   append(random(make([]uint64, n/2+1)), sorted[n/2+1:]...),
-		"the seam decides":       seam,
+		"sorted":                   sorted,
+		"random":                   random(make([]uint64, n)),
+		"sorted half, random half": append(slices.Clone(sorted[:n/2+1]), random(make([]uint64, n/2))...),
+		"sorted halves, swapped":   append(slices.Clone(sorted[n/2+1:]), sorted[:n/2+1]...),
+		"random half, sorted half": append(random(make([]uint64, n/2+1)), sorted[n/2+1:]...),
+		"the seam decides":         seam,
 	} {
 		want := psort.Sortedness(in, cmp.Compare[uint64]) >= runs
 		for _, stable := range []bool{false, true} {
 			data := slices.Clone(in)
-			_, ok, _, gated := Dispatch(data, nil, u64, cmp.Compare[uint64], stable, runs)
+			_, v, _ := Dispatch(data, new([]uint64), u64, cmp.Compare[uint64], stable, runs)
+			ok, gated := v == Sorted, v == Gated
 			if gated != want || gated && !slices.Equal(data, in) || !gated && !ok {
 				t.Errorf("%s, stable %v: gated %v sorted %v, want gated %v with data untouched", name, stable, gated, ok, want)
 			}
 		}
 	}
+}
+
+// TestSplitFitsCache: on the workloads' own keys — 1 Mi uniform float64,
+// 1 Mi PTF records, 256 Ki particles — the kernel makes exactly one
+// DRAM-sized split pass. Every bucket plan lays out fits in bucketBytes
+// unless its keys are all equal, so none splits again, and the dispatch
+// takes no heavy-bucket spare.
+func TestSplitFitsCache(t *testing.T) {
+	splitFits(t, "uniform", workload.Uniform(1, 1<<20), codec.Float64{}, cmp.Compare[float64], false)
+	splitFits(t, "ptf", workload.PTF(9, 1<<20), codec.PTFCodec{}, codec.ComparePTF, true)
+	splitFits(t, "cosmology", workload.Cosmology(9, 1<<18), codec.ParticleCodec{}, codec.CompareParticles, false)
+}
+
+func splitFits[T any](t *testing.T, name string, data []T, cd codec.Codec[T], cmp func(a, b T) int, stable bool) {
+	t.Helper()
+	key, _ := codec.Uint64KeyOf(cd)
+	s := sorter[T]{fn: key}
+	f := s.survey(data, 64)
+	if len(data) <= room[T]() || f.descents == 0 {
+		t.Fatalf("%s: %d records take no split pass", name, len(data))
+	}
+	var tb tables
+	shift, mask, _, nb := s.plan(data, f.diff, &tb)
+	size, lo, hi := make([]int, nb), make([]uint64, nb), make([]uint64, nb)
+	for b := range lo {
+		lo[b] = math.MaxUint64
+	}
+	for _, r := range data {
+		k := key(r)
+		b := tb.win[k>>shift&mask]
+		size[b]++
+		lo[b], hi[b] = min(lo[b], k), max(hi[b], k)
+	}
+	for b := range size {
+		if size[b] > room[T]() && lo[b] != hi[b] {
+			t.Errorf("%s: bucket %d of %d holds %d records of distinct keys; %d fit in bucketBytes", name, b, nb, size[b], room[T]())
+		}
+	}
+	if _, v, spare := Dispatch(slices.Clone(data), new([]T), cd, cmp, stable, 0); v != Sorted || spare != 0 {
+		t.Errorf("%s: verdict %d, heavy spare of %d records; want sorted with none", name, v, spare)
+	}
+}
+
+// TestDispatchRefusalLeavesInput: a float64 dispatch that a sweep
+// refuses — under a reversed comparator; under cmp.Compare, which puts
+// NaNs first where the key puts them last; and under one that puts the
+// positives first, which above the split cutoff only a seam between
+// buckets shows — leaves data bit for bit as it came, below and above
+// the cutoff, stable or not.
+func TestDispatchRefusalLeavesInput(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	comparators := map[string]func(a, b float64) int{
+		"reversed":        func(a, b float64) int { return cmp.Compare(b, a) },
+		"NaN first":       cmp.Compare[float64],
+		"positives first": func(a, b float64) int { return cmp.Or(cmp.Compare(side(a), side(b)), cmp.Compare(a, b)) },
+	}
+	for _, n := range []int{1000, 3 * bucketBytes / 8} {
+		for name, c := range comparators {
+			in := make([]float64, n)
+			for i := range in {
+				in[i] = rng.NormFloat64()
+				if i%16 == 0 && name == "NaN first" {
+					in[i] = math.NaN()
+				}
+			}
+			for _, stable := range []bool{false, true} {
+				data := slices.Clone(in)
+				if _, v, _ := Dispatch(data, new([]float64), codec.Float64{}, c, stable, 0); v != Refused {
+					t.Fatalf("%s, n=%d, stable %v: verdict %d, want a refusal", name, n, stable, v)
+				}
+				if !slices.EqualFunc(data, in, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+					t.Errorf("%s, n=%d, stable %v: a refused dispatch wrote data", name, n, stable)
+				}
+			}
+		}
+	}
+}
+
+// side puts positives before negatives.
+func side(x float64) int {
+	if x >= 0 {
+		return 0
+	}
+	return 1
 }
