@@ -115,10 +115,12 @@ soak-spill:
 	FAULTNET_SEED=$(FAULTNET_SEED) $(GO) test -race -run 'ExternalSortFile|ShardRange' -count=3 -timeout 15m . ./internal/recordio/
 	FAULTNET_SEED=$(FAULTNET_SEED) $(GO) test -race -run 'DistributedSpilledSort|CLISpilledSort|CLIExternal' -count=1 -timeout 15m ./cmd/sdsnode/ ./cmd/sdssort/
 
-# Telemetry smoke: boot a real 2-process sdsnode world in -serve mode
-# and curl /healthz and /metrics mid-soak, requiring the local series,
-# the fabric-wide aggregated totals and a clean drain. The Go-level
-# twins (scrape-under-load, the e2e serve test) run under `test`.
+# Telemetry smoke: boot a real 2-process sdsnode world in -serve mode,
+# each rank serving its own telemetry, and curl both ranks' /healthz
+# and /metrics while a held job keeps the stream open, requiring each
+# rank's series, a scraper-side sum of jobs done and a clean drain. The
+# Go-level twins (scrape-under-load, the e2e serve test) run under
+# `test`.
 telemetry-smoke:
 	sh scripts/telemetry_smoke.sh
 
@@ -137,8 +139,10 @@ experiments-quick:
 
 # Short fuzzing pass over the sort, natural-run, run-merge, k-way merge, partition,
 # checkpoint-manifest, exchange-decode, float-key, key-field,
-# radix-kernel, stable-radix-dispatch, run-file-reader and job-manifest
-# invariants.
+# radix-kernel, stable-radix-dispatch, run-file-reader, job-manifest and
+# trace-reader invariants. The trace reader's seeds are kilobyte
+# streams, so its minimization budget is capped: at the default 60 s
+# the first coverage-raising input would eat the whole run.
 fuzz:
 	$(GO) test ./internal/psort -fuzz FuzzSort -fuzztime 30s -run xxx
 	$(GO) test ./internal/psort -fuzz FuzzStableSort -fuzztime 30s -run xxx
@@ -155,6 +159,7 @@ fuzz:
 	$(GO) test ./internal/core -fuzz FuzzStableDispatch -fuzztime 30s -run xxx
 	$(GO) test ./internal/extsort -fuzz FuzzRunReader -fuzztime 30s -run xxx
 	$(GO) test ./cmd/sdsnode -fuzz FuzzDecodeJobs -fuzztime 30s -run xxx
+	$(GO) test ./internal/trace -fuzz FuzzReadJSONL -fuzztime 30s -fuzzminimizetime 3s -run xxx
 
 clean:
 	$(GO) clean ./...

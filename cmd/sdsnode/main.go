@@ -70,7 +70,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"net/http"
 	"os"
 	"strings"
 	"sync/atomic"
@@ -185,7 +184,6 @@ type nodeEnv struct {
 	ring   *trace.Ring // feeds /debug/trace and /debug/spans; nil without -telemetry-addr
 	gauge  *memlimit.Gauge
 	exch   *metrics.ExchangeStats
-	agg    *telemetry.Aggregator // rank 0's fabric-wide totals; nil elsewhere and without -telemetry-addr
 
 	// skew accrues the per-phase load-imbalance diagnostics every sort
 	// of this rank observes, exported as the sds_phase_imbalance_* and
@@ -268,7 +266,7 @@ func parseFlags(args []string) (*config, int) {
 	fs.BoolVar(&cfg.serve, "serve", false, "serve a stream of jobs over the warm fabric instead of one sort")
 	fs.StringVar(&cfg.jobsPath, "jobs", "", "job manifest for -serve, one JSON spec per line (default: stdin)")
 
-	fs.StringVar(&cfg.telAddr, "telemetry-addr", "", "serve /metrics, /healthz, /debug/pprof and /debug/trace on this address (e.g. :9090); rank 0 also serves fabric-wide totals")
+	fs.StringVar(&cfg.telAddr, "telemetry-addr", "", "serve /metrics, /healthz, /debug/pprof and /debug/trace on this address (e.g. :9090)")
 	fs.StringVar(&cfg.trc, "trace", "", "write JSONL trace events here; the first write error fails the run")
 	fs.Int64Var(&cfg.memB, "mem", 0, "per-process memory budget in bytes, reserved against by sorts and exported at /metrics (0 = unlimited, untracked)")
 
@@ -484,12 +482,12 @@ func bootstrap(cfg *config, env *nodeEnv) (*fabric, int) {
 	return fab, exitOK
 }
 
-// startTelemetry builds the telemetry plane. Every rank builds a
-// registry and (rank > 0) parks an aggregation responder on the fabric,
-// so a coordinator scrape can sum the whole world even when only rank 0
-// carries -telemetry-addr. The HTTP server itself is per-flag; stop
-// closes it.
+// startTelemetry serves this rank's registry under -telemetry-addr and
+// does nothing without it; stop closes the server.
 func startTelemetry(cfg *config, fab *fabric, env *nodeEnv) (stop func(), code int) {
+	if cfg.telAddr == "" {
+		return func() {}, exitOK
+	}
 	reg := telemetry.NewRegistry()
 	fab.tcp.Stats().Register(reg)
 	telemetry.RegisterNodeInfo(reg, cfg.rank, cfg.size, fab.epoch)
@@ -509,43 +507,24 @@ func startTelemetry(cfg *config, fab *fabric, env *nodeEnv) (stop func(), code i
 	reg.CounterFunc("sds_node_jobs_failed_total", "Jobs this rank saw fail or skip.",
 		func() float64 { return float64(env.jobsFailed.Load()) })
 	env.jobSeconds = reg.Histogram("sds_node_job_seconds", "Wall time of this rank's jobs.", telemetry.DefaultLatencyBuckets())
-	if env.ring != nil {
-		reg.CounterFunc("sds_trace_dropped_total", "Trace events the ring buffer overwrote before they could be read.",
-			telemetry.FInt(env.ring.Dropped))
-	}
-	if cfg.rank != 0 {
-		telemetry.StartResponder(fab.tr, fab.name, reg)
-	}
-	if cfg.telAddr == "" {
-		return func() {}, exitOK
-	}
-	opts := telemetry.ServerOptions{
+	reg.CounterFunc("sds_trace_dropped_total", "Trace events the ring buffer overwrote before they could be read.",
+		telemetry.FInt(env.ring.Dropped))
+	srv, err := telemetry.NewServer(cfg.telAddr, reg, telemetry.ServerOptions{
 		Trace: env.ring.MarshalJSONL,
 		Spans: func() any { return trace.BuildSpans(env.ring.Events()) },
 		Health: func() telemetry.Health {
 			h := telemetry.Health{
 				Status: "ok", Rank: cfg.rank, Size: cfg.size, Epoch: fab.epoch,
-				JobsDone:         env.jobsDone.Load(),
-				JobsFailed:       env.jobsFailed.Load(),
-				GatherAgeSeconds: -1,
+				JobsDone:   env.jobsDone.Load(),
+				JobsFailed: env.jobsFailed.Load(),
 			}
 			if env.degraded.Load() {
 				h.Degraded = true
 				h.WorldSize = int(env.worldSize.Load())
 			}
-			if env.agg != nil {
-				if age := env.agg.GatherAge(); age >= 0 {
-					h.GatherAgeSeconds = age.Seconds()
-				}
-			}
 			return h
 		},
-	}
-	if cfg.rank == 0 {
-		env.agg = telemetry.NewAggregator(fab.tr, fab.name, reg, 2*time.Second)
-		opts.Aggregate = func(w http.ResponseWriter) { env.agg.Render(w) }
-	}
-	srv, err := telemetry.NewServer(cfg.telAddr, reg, opts)
+	})
 	if err != nil {
 		log.Printf("telemetry: %v", err)
 		return nil, exitLocalError

@@ -85,11 +85,6 @@ func shrinkAndResume(cfg *config, fab *fabric, sortErr error, ck *core.Checkpoin
 	// the degraded sort already reports the shrunken world.
 	env.worldSize.Store(int64(c.Size()))
 	env.degraded.Store(true)
-	if env.agg != nil {
-		for _, r := range plan.Epoch.Lost {
-			env.agg.MarkLost(r)
-		}
-	}
 
 	// The degraded sort starts with no local input: every record of the
 	// resumed run comes out of the redistributed store.

@@ -40,7 +40,7 @@ func tryScrape(addr, path string) (string, error) {
 }
 
 // childLog collects a child's stderr as it is written, so the test can
-// read the address rank 0 reports and, when a scrape never lands, show
+// read the address the rank reports and, when a scrape never lands, show
 // what the child was doing — "port taken" and "stream drained" look the
 // same from the scraper's side.
 type childLog struct {
@@ -72,7 +72,7 @@ func telemetryAddr(t *testing.T, l *childLog) string {
 			}
 		}
 	}
-	t.Fatalf("rank 0 never reported a telemetry address; its stderr:\n%s", l)
+	t.Fatalf("the rank never reported a telemetry address; its stderr:\n%s", l)
 	return ""
 }
 
@@ -90,7 +90,7 @@ func waitScrape(t *testing.T, l *childLog, addr, path string, pred func(string) 
 		}
 		time.Sleep(25 * time.Millisecond)
 	}
-	t.Fatalf("%s never matched; last error: %v, last body:\n%s\nrank 0 stderr:\n%s", path, err, body, l)
+	t.Fatalf("%s on %s never matched; last error: %v, last body:\n%s\nthe rank's stderr:\n%s", path, addr, err, body, l)
 	return ""
 }
 
@@ -107,10 +107,10 @@ func metricValue(body, name string) float64 {
 }
 
 // TestServeTelemetryPlane is the end-to-end acceptance run: a real
-// 2-process TCP world in -serve mode with -telemetry-addr on the
-// coordinator, scraped over HTTP while a job stream runs. It checks the
-// local series, the fabric-wide totals (which need rank 1's responder
-// to answer over the fabric), /healthz, /debug/pprof and /debug/trace.
+// 2-process TCP world in -serve mode with -telemetry-addr on every
+// rank, each scraped over HTTP while a job stream runs. Every rank
+// serves its own series, /healthz, /debug/pprof and /debug/trace; a
+// fabric-wide figure is the scraper's sum over the ranks.
 // The stream cannot drain under the scrapers: its last job writes each
 // rank's shard into a FIFO nobody reads until every scrape-dependent
 // assertion has passed.
@@ -146,21 +146,17 @@ func TestServeTelemetryPlane(t *testing.T) {
 		}
 	}
 
-	// Rank 0 binds the telemetry port itself (:0) and reports it on
+	// Every rank binds its telemetry port itself (:0) and reports it on
 	// stderr: no probe-then-bind window for another process to take it.
-	var log0 childLog
+	logs := make([]childLog, p)
 	cmds := make([]*exec.Cmd, p)
 	for r := 0; r < p; r++ {
-		args := []string{
+		cmd := exec.Command(os.Args[0],
 			"-rank", fmt.Sprint(r), "-size", fmt.Sprint(p),
 			"-registry", registry, "-serve",
-			"-mem", fmt.Sprint(256 << 20),
-		}
-		cmd := exec.Command(os.Args[0], args...)
-		if r == 0 {
-			cmd.Args = append(cmd.Args, "-telemetry-addr", "127.0.0.1:0")
-			cmd.Stderr = &log0
-		}
+			"-mem", fmt.Sprint(256<<20),
+			"-telemetry-addr", "127.0.0.1:0")
+		cmd.Stderr = &logs[r]
 		cmd.Env = append(os.Environ(), "SDSNODE_CLI_CHILD=1")
 		cmd.Stdin = strings.NewReader(manifest.String())
 		if err := cmd.Start(); err != nil {
@@ -171,72 +167,67 @@ func TestServeTelemetryPlane(t *testing.T) {
 		t.Cleanup(func() { cmd.Process.Kill() })
 	}
 
-	telAddr := telemetryAddr(t, &log0)
+	var jobsDone float64
+	for r := 0; r < p; r++ {
+		l := &logs[r]
+		addr := telemetryAddr(t, l)
 
-	// The plane is up while the stream runs: node info, the memory
-	// budget and the transport counters are scrapeable.
-	body := waitScrape(t, &log0, telAddr, "/metrics", func(b string) bool {
-		return strings.Contains(b, "sds_node_info")
-	})
-	if !strings.Contains(body, `sds_node_info{epoch="0",rank="0",size="2"} 1`) {
-		t.Errorf("node info series wrong:\n%s", body)
-	}
-	if v := metricValue(body, "sds_mem_budget_bytes"); v != 256<<20 {
-		t.Errorf("sds_mem_budget_bytes = %v, want %d", v, 256<<20)
-	}
+		// The plane is up while the stream runs: node info, the memory
+		// budget and the transport counters are scrapeable.
+		body := waitScrape(t, l, addr, "/metrics", func(b string) bool {
+			return strings.Contains(b, "sds_node_info")
+		})
+		if want := fmt.Sprintf(`sds_node_info{epoch="0",rank="%d",size="2"} 1`, r); !strings.Contains(body, want) {
+			t.Errorf("rank %d: node info series wrong, want %s:\n%s", r, want, body)
+		}
+		if v := metricValue(body, "sds_mem_budget_bytes"); v != 256<<20 {
+			t.Errorf("rank %d: sds_mem_budget_bytes = %v, want %d", r, v, 256<<20)
+		}
 
-	// At least one job completes and its sort crossed the wire.
-	body = waitScrape(t, &log0, telAddr, "/metrics", func(b string) bool {
-		return metricValue(b, "sds_node_jobs_done_total") >= 1 &&
-			metricValue(b, "sds_tcp_frames_sent_total") >= 1
-	})
-	if v := metricValue(body, "sds_node_jobs_failed_total"); v != 0 {
-		t.Errorf("sds_node_jobs_failed_total = %v, want 0", v)
-	}
+		// At least one job completes and its sort crossed the wire.
+		body = waitScrape(t, l, addr, "/metrics", func(b string) bool {
+			return metricValue(b, "sds_node_jobs_done_total") >= 1 &&
+				metricValue(b, "sds_tcp_frames_sent_total") >= 1
+		})
+		if v := metricValue(body, "sds_node_jobs_failed_total"); v != 0 {
+			t.Errorf("rank %d: sds_node_jobs_failed_total = %v, want 0", r, v)
+		}
+		// A rank serves only its own registry: no fabric-wide families.
+		if strings.Contains(body, "_fabric_") {
+			t.Errorf("rank %d serves fabric-wide series:\n%s", r, body)
+		}
+		jobsDone += metricValue(body, "sds_node_jobs_done_total")
 
-	// Fabric-wide totals: scrapes kick background gathers until rank
-	// 1's snapshot lands.
-	body = waitScrape(t, &log0, telAddr, "/metrics", func(b string) bool {
-		return metricValue(b, "sds_fabric_node_jobs_done_total") >= 1
-	})
-	if v := metricValue(body, "sds_fabric_ranks"); v != p {
-		t.Errorf("sds_fabric_ranks = %v, want %d", v, p)
-	}
-	// The fabric total sums both ranks' sends, but at the cached gather
-	// instant — it can trail the live local counter, so presence is all
-	// a point-in-time scrape can assert (the summation itself is pinned
-	// down by the aggregator unit tests).
-	if v := metricValue(body, "sds_fabric_tcp_frames_sent_total"); v < 1 {
-		t.Errorf("sds_fabric_tcp_frames_sent_total = %v, want >= 1", v)
-	}
+		// /healthz agrees, as JSON.
+		hb := waitScrape(t, l, addr, "/healthz", func(b string) bool { return true })
+		var h struct {
+			Status string `json:"status"`
+			Rank   int    `json:"rank"`
+			Size   int    `json:"size"`
+			Done   int64  `json:"jobs_done"`
+		}
+		if err := json.Unmarshal([]byte(hb), &h); err != nil {
+			t.Fatalf("rank %d: healthz not JSON: %v\n%s", r, err, hb)
+		}
+		if h.Status != "ok" || h.Rank != r || h.Size != p || h.Done < 1 {
+			t.Errorf("rank %d: healthz payload: %+v", r, h)
+		}
 
-	// /healthz agrees, as JSON, with a non-negative gather age now that
-	// a fabric gather has landed.
-	hb := waitScrape(t, &log0, telAddr, "/healthz", func(b string) bool { return true })
-	var h struct {
-		Status string  `json:"status"`
-		Rank   int     `json:"rank"`
-		Size   int     `json:"size"`
-		Done   int64   `json:"jobs_done"`
-		Age    float64 `json:"gather_age_seconds"`
+		// /debug/trace replays recent events as JSONL; /debug/pprof is
+		// mounted.
+		tb := waitScrape(t, l, addr, "/debug/trace", func(b string) bool {
+			return strings.Contains(b, "sort.done")
+		})
+		if !strings.Contains(tb, `"kind":`) {
+			t.Errorf("rank %d: trace not JSONL:\n%s", r, tb)
+		}
+		if _, err := tryScrape(addr, "/debug/pprof/"); err != nil {
+			t.Errorf("rank %d: pprof: %v", r, err)
+		}
 	}
-	if err := json.Unmarshal([]byte(hb), &h); err != nil {
-		t.Fatalf("healthz not JSON: %v\n%s", err, hb)
-	}
-	if h.Status != "ok" || h.Rank != 0 || h.Size != p || h.Done < 1 || h.Age < 0 {
-		t.Errorf("healthz payload: %+v", h)
-	}
-
-	// /debug/trace replays recent events as JSONL; /debug/pprof is
-	// mounted.
-	tb := waitScrape(t, &log0, telAddr, "/debug/trace", func(b string) bool {
-		return strings.Contains(b, "sort.done")
-	})
-	if !strings.Contains(tb, `"kind":`) {
-		t.Errorf("trace not JSONL:\n%s", tb)
-	}
-	if _, err := tryScrape(telAddr, "/debug/pprof/"); err != nil {
-		t.Errorf("pprof: %v", err)
+	// The fabric-wide figure is the scraper's sum: every rank ran a job.
+	if jobsDone < p {
+		t.Errorf("sds_node_jobs_done_total summed over the ranks = %v, want >= %d", jobsDone, p)
 	}
 
 	// Release the last job; the stream drains and the world exits clean.

@@ -73,7 +73,7 @@ func TestScrapeUnderLoad(t *testing.T) {
 	telemetry.RegisterMem(reg, gauge)
 	srv, err := telemetry.NewServer("127.0.0.1:0", reg, telemetry.ServerOptions{
 		Health: func() telemetry.Health {
-			return telemetry.Health{Status: "ok", Size: topo.Size(), JobsDone: done.Load(), GatherAgeSeconds: -1}
+			return telemetry.Health{Status: "ok", Size: topo.Size(), JobsDone: done.Load()}
 		},
 	})
 	if err != nil {

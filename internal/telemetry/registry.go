@@ -1,16 +1,17 @@
-// Package telemetry is the live observability plane of the repository:
-// a dependency-free metrics registry rendering the Prometheus text
-// exposition format, an HTTP server exposing /metrics, /healthz,
-// /debug/pprof and /debug/trace, and a fabric-wide aggregation layer
-// that lets the coordinator's scrape serve cluster totals gathered from
-// every rank of a TCP world.
+// Package telemetry is the live observability plane of one process: a
+// dependency-free metrics registry rendering the Prometheus text
+// exposition format, and an HTTP server exposing /metrics, /healthz,
+// /debug/pprof, /debug/trace and /debug/spans for that process alone.
+// A multi-rank world is watched by scraping every rank; the scraper
+// sums across targets.
 //
 // The registry deliberately reimplements the small slice of the
 // Prometheus client library this repository needs — counters, gauges,
 // function-backed collectors read at scrape time, and fixed-bucket
-// histograms — so the transport, engine and sort layers stay free of
-// external dependencies. Everything is safe for concurrent use; the
-// instruments are single atomics on the hot path.
+// histograms — so the transport and sort layers stay free of external
+// dependencies. The package imports nothing internal: subsystems
+// register into it, never the other way. Everything is safe for
+// concurrent use; the instruments are single atomics on the hot path.
 package telemetry
 
 import (
@@ -51,8 +52,7 @@ func (k Kind) String() string {
 
 // Label is one name/value pair attached to a series.
 type Label struct {
-	Key   string `json:"k"`
-	Value string `json:"v"`
+	Key, Value string
 }
 
 // L is shorthand for constructing a Label.
@@ -155,18 +155,6 @@ func DefaultLatencyBuckets() []float64 {
 	return []float64{0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30}
 }
 
-// Sample is one flattened series value, the unit the fabric aggregation
-// ships between ranks. Suffix distinguishes the sub-series of a
-// histogram family ("_bucket", "_sum", "_count"); it is empty for
-// counters and gauges.
-type Sample struct {
-	Name   string  `json:"n"`
-	Kind   Kind    `json:"k"`
-	Suffix string  `json:"s,omitempty"`
-	Labels []Label `json:"l,omitempty"`
-	Value  float64 `json:"v"`
-}
-
 // series is one labelled instrument of a family.
 type series struct {
 	labels []Label // sorted by key
@@ -191,7 +179,7 @@ type family struct {
 // Registry holds metric families and renders them in the Prometheus
 // text exposition format. Register instruments up front (registration
 // panics on a conflicting re-registration — a programming error), then
-// scrape with WriteTo or flatten with Snapshot.
+// scrape with WriteTo.
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
@@ -316,31 +304,6 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Labe
 	return h
 }
 
-// Snapshot flattens every series into samples — the wire unit of the
-// fabric aggregation. Histogram buckets flatten to cumulative "_bucket"
-// samples, which sum correctly across ranks.
-func (r *Registry) Snapshot() []Sample {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out []Sample
-	for _, name := range r.names {
-		f := r.families[name]
-		for _, sig := range f.order {
-			s := f.series[sig]
-			for _, p := range s.read() {
-				out = append(out, Sample{
-					Name:   f.name,
-					Kind:   f.kind,
-					Suffix: p.suffix,
-					Labels: append(append([]Label(nil), s.labels...), p.extra...),
-					Value:  p.value,
-				})
-			}
-		}
-	}
-	return out
-}
-
 // WriteTo renders the registry in the Prometheus text exposition format
 // (version 0.0.4): families sorted by name, series sorted by label
 // signature, label keys sorted within a series (a histogram's "le"
@@ -411,43 +374,6 @@ func writeSampleLine(w io.Writer, name string, labels []Label, value float64) er
 	b.WriteByte('\n')
 	_, err := io.WriteString(w, b.String())
 	return err
-}
-
-// writeSamples renders pre-flattened samples (the fabric aggregation's
-// output) grouped into families, sorted by name. help maps a family
-// name to its HELP line; missing entries render without one.
-func writeSamples(w io.Writer, samples []Sample, help func(name string) string) error {
-	byName := map[string][]Sample{}
-	var names []string
-	for _, s := range samples {
-		if _, ok := byName[s.Name]; !ok {
-			names = append(names, s.Name)
-		}
-		byName[s.Name] = append(byName[s.Name], s)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		group := byName[name]
-		var h string
-		if help != nil {
-			h = help(name)
-		}
-		if err := writeFamilyHeader(w, name, h, group[0].Kind); err != nil {
-			return err
-		}
-		sort.SliceStable(group, func(i, j int) bool {
-			if group[i].Suffix != group[j].Suffix {
-				return group[i].Suffix < group[j].Suffix
-			}
-			return signature(group[i].Labels) < signature(group[j].Labels)
-		})
-		for _, s := range group {
-			if err := writeSampleLine(w, s.Name+s.Suffix, s.Labels, s.Value); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
 func escapeHelp(s string) string {

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -128,81 +127,6 @@ func TestRegistrationConflictsPanic(t *testing.T) {
 	mustPanic("invalid name", func() { r.Counter("0bad-name", "") })
 	// Same family, distinct labels: fine.
 	r.Counter("sds_test_total", "", L("a", "2"))
-}
-
-func TestSnapshotRoundTripsThroughJSON(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("sds_test_a_total", "", L("rank", "1")).Add(7)
-	h := r.Histogram("sds_test_b_seconds", "", []float64{1})
-	h.Observe(0.5)
-
-	buf, err := json.Marshal(r.Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back []Sample
-	if err := json.Unmarshal(buf, &back); err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != 1+4 { // counter + (2 buckets, sum, count)
-		t.Fatalf("got %d samples: %+v", len(back), back)
-	}
-	if back[0].Name != "sds_test_a_total" || back[0].Value != 7 || back[0].Labels[0] != L("rank", "1") {
-		t.Errorf("counter sample mangled: %+v", back[0])
-	}
-	var infSeen bool
-	for _, s := range back[1:] {
-		if s.Suffix == "_bucket" && s.Labels[len(s.Labels)-1].Value == "+Inf" {
-			infSeen = true
-			if s.Value != 1 {
-				t.Errorf("+Inf bucket = %v, want 1", s.Value)
-			}
-		}
-	}
-	if !infSeen {
-		t.Errorf("no +Inf bucket in %+v", back)
-	}
-}
-
-func TestSumSamplesMergesRanks(t *testing.T) {
-	rank := func(n float64) []Sample {
-		return []Sample{
-			{Name: "sds_tcp_frames_sent_total", Kind: KindCounter, Value: n},
-			{Name: "sds_job_seconds", Kind: KindHistogram, Suffix: "_bucket", Labels: []Label{L("le", "1")}, Value: n},
-			{Name: "sds_job_seconds", Kind: KindHistogram, Suffix: "_count", Value: 1},
-			{Name: "sds_node_info", Kind: KindGauge, Labels: []Label{L("rank", formatFloat(n))}, Value: 1},
-		}
-	}
-	got := sumSamples(append(rank(2), rank(3)...))
-
-	find := func(name, suffix string) *Sample {
-		for i := range got {
-			if got[i].Name == name && got[i].Suffix == suffix {
-				return &got[i]
-			}
-		}
-		t.Fatalf("no %s%s in %+v", name, suffix, got)
-		return nil
-	}
-	if s := find("sds_fabric_tcp_frames_sent_total", ""); s.Value != 5 {
-		t.Errorf("summed counter = %v, want 5", s.Value)
-	}
-	if s := find("sds_fabric_job_seconds", "_bucket"); s.Value != 5 {
-		t.Errorf("summed bucket = %v, want 5", s.Value)
-	}
-	if s := find("sds_fabric_job_seconds", "_count"); s.Value != 2 {
-		t.Errorf("summed count = %v, want 2", s.Value)
-	}
-	// Distinctly-labelled series stay distinct.
-	var infoSeries int
-	for _, s := range got {
-		if s.Name == "sds_fabric_node_info" {
-			infoSeries++
-		}
-	}
-	if infoSeries != 2 {
-		t.Errorf("node_info series = %d, want 2 (distinct labels must not merge)", infoSeries)
-	}
 }
 
 func TestFormatFloatEdges(t *testing.T) {

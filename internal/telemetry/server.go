@@ -10,8 +10,8 @@ import (
 	"time"
 )
 
-// Health is the /healthz payload: a point-in-time view of the fabric
-// from the serving rank. Fields the caller does not know stay zero.
+// Health is the /healthz payload: a point-in-time view of the serving
+// rank. Fields the caller does not know stay zero.
 type Health struct {
 	// Status is "ok" or "degraded"; the HTTP code follows it.
 	Status string `json:"status"`
@@ -27,14 +27,9 @@ type Health struct {
 	// serve flips Status (and with it the HTTP code).
 	Degraded  bool `json:"degraded"`
 	WorldSize int  `json:"world_size,omitempty"`
-	// Job-loop state, when a serve-mode job loop is running.
-	JobsQueued  int64 `json:"jobs_queued"`
-	JobsRunning int64 `json:"jobs_running"`
-	JobsDone    int64 `json:"jobs_done"`
-	JobsFailed  int64 `json:"jobs_failed"`
-	// GatherAge is the age of the last successful fabric-wide metric
-	// gather; negative when aggregation is not enabled on this rank.
-	GatherAgeSeconds float64 `json:"gather_age_seconds"`
+	// Jobs this rank finished and failed so far.
+	JobsDone   int64 `json:"jobs_done"`
+	JobsFailed int64 `json:"jobs_failed"`
 	// Detail carries a human-readable reason when degraded.
 	Detail string `json:"detail,omitempty"`
 }
@@ -49,10 +44,6 @@ type ServerOptions struct {
 	// last, rendered as JSONL so the output pipes straight into
 	// sdstrace. Nil returns 404 from /debug/trace.
 	Trace func() []json.RawMessage
-	// Aggregate, when set, is consulted by /metrics to append
-	// fabric-wide totals after the local registry dump (coordinator
-	// only). It must not block on the network.
-	Aggregate func(w http.ResponseWriter)
 	// Spans supplies the reconstructed span list for /debug/spans —
 	// typically trace.BuildSpans over the process's ring buffer. The
 	// returned value is rendered as indented JSON. Nil returns 404.
@@ -123,14 +114,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if _, err := s.reg.WriteTo(w); err != nil {
 		return // client went away mid-scrape
 	}
-	if s.opts.Aggregate != nil {
-		s.opts.Aggregate(w)
-	}
 	s.scrapeDur.Observe(time.Since(start).Seconds())
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	h := Health{Status: "ok", GatherAgeSeconds: -1}
+	h := Health{Status: "ok"}
 	if s.opts.Health != nil {
 		h = s.opts.Health()
 	}

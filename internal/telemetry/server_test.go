@@ -26,7 +26,7 @@ func TestServerEndpoints(t *testing.T) {
 	reg.Counter("sds_test_jobs_total", "Jobs.").Add(2)
 	srv, err := NewServer("127.0.0.1:0", reg, ServerOptions{
 		Health: func() Health {
-			return Health{Status: "ok", Rank: 0, Size: 4, JobsDone: 3, GatherAgeSeconds: -1}
+			return Health{Status: "ok", Rank: 0, Size: 4, JobsDone: 3}
 		},
 		Trace: func() []json.RawMessage {
 			return []json.RawMessage{
@@ -68,7 +68,7 @@ func TestServerEndpoints(t *testing.T) {
 	if err := json.Unmarshal([]byte(body2), &hlt); err != nil {
 		t.Fatalf("healthz not JSON: %v\n%s", err, body2)
 	}
-	if hlt.Size != 4 || hlt.JobsDone != 3 || hlt.GatherAgeSeconds != -1 {
+	if hlt.Size != 4 || hlt.JobsDone != 3 {
 		t.Errorf("healthz payload: %+v", hlt)
 	}
 

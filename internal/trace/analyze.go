@@ -10,10 +10,11 @@ import (
 )
 
 // ReadJSONL parses a stream of events as written by the JSONL sink.
-// Blank lines are skipped; a malformed line aborts with its number.
+// Blank lines are skipped; a malformed line aborts with its number. An
+// empty detail object reads as no detail, as the sink writes it.
 func ReadJSONL(r io.Reader) ([]Event, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(nil, 1<<20) // grows to 1 MiB lines only when it meets one
 	var out []Event
 	lineNo := 0
 	for sc.Scan() {
@@ -25,6 +26,9 @@ func ReadJSONL(r io.Reader) ([]Event, error) {
 		var e Event
 		if err := json.Unmarshal([]byte(line), &e); err != nil {
 			return nil, fmt.Errorf("trace: line %d: %w", lineNo, err)
+		}
+		if len(e.Detail) == 0 {
+			e.Detail = nil
 		}
 		out = append(out, e)
 	}

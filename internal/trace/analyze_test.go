@@ -2,9 +2,61 @@ package trace
 
 import (
 	"bytes"
+	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 )
+
+// jsonl renders events one JSON object per line, as the JSONL sink
+// writes them.
+func jsonl(tb testing.TB, events []Event) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	for _, e := range events {
+		if err := enc.Encode(e); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return buf.Bytes()
+}
+
+// FuzzReadJSONL feeds arbitrary bytes to the trace reader, which parses
+// trace files off disk and /debug/trace replies. Every stream it
+// accepts must survive each read-side analysis without panicking, and
+// must round-trip: re-marshalled and read back, the events are equal.
+func FuzzReadJSONL(f *testing.F) {
+	golden := goldenEvents()
+	f.Add(jsonl(f, golden))
+	f.Add(jsonl(f, golden[:len(golden)-3])) // the last rank's spans never end
+	f.Add(jsonl(f, golden[3:]))             // rank 0's sort ends without a begin
+	f.Add([]byte(`{"kind":"span.end","detail":{"span":1,"name":"sort"}}` + "\n" +
+		`{"kind":"span.begin","elapsed_us":-5,"detail":{"span":1,"parent":1,"name":"sort"}}` + "\n"))
+	f.Add([]byte(`{"rank":-1,"kind":"span.begin","unix_us":9,"detail":{"span":1e300,"parent":"x"}}` + "\n\n" +
+		`{"rank":-1,"kind":"clock.offset","detail":{"offset_us":-1e19}}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		events, err := ReadJSONL(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		Analyze(events).Render()
+		BuildSpans(events)
+		if cp, ok := CriticalPath(events); ok {
+			cp.Render()
+		}
+		if _, err := ChromeTrace(events); err != nil {
+			t.Fatalf("ChromeTrace refused a stream ReadJSONL accepted: %v", err)
+		}
+		back, err := ReadJSONL(bytes.NewReader(jsonl(t, events)))
+		if err != nil {
+			t.Fatalf("re-reading re-marshalled events: %v", err)
+		}
+		if !reflect.DeepEqual(back, events) {
+			t.Fatalf("round trip changed the events:\nread  %#v\nback  %#v", events, back)
+		}
+	})
+}
 
 func TestReadJSONLRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
