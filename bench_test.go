@@ -1,10 +1,12 @@
 package sdssort
 
 // The benchmark harness: one testing.B benchmark per table/figure of
-// the paper's evaluation (each delegates to the experiment driver that
-// regenerates the artifact; `cmd/sdsbench -exp <id>` prints the full
-// rows), plus micro-benchmarks of the public sorting API across the
-// paper's workload regimes.
+// the paper's evaluation that makes its own runs (each delegates to the
+// experiment driver that regenerates the artifact; `cmd/sdsbench -exp
+// <id>` prints the full rows). Tables 3 and 4 print the runs of Figs.
+// 7-8 and 9-10, so those figures' benchmarks time them. Plus
+// micro-benchmarks of the public sorting API across the paper's
+// workload regimes.
 //
 // Run everything with:
 //
@@ -46,10 +48,8 @@ func BenchmarkFig6bPartition(b *testing.B)         { benchExperiment(b, "fig6b")
 func BenchmarkFig6cSkewSweep(b *testing.B)         { benchExperiment(b, "fig6c") }
 func BenchmarkFig7WeakScalingUniform(b *testing.B) { benchExperiment(b, "fig7") }
 func BenchmarkFig8WeakScalingZipf(b *testing.B)    { benchExperiment(b, "fig8") }
-func BenchmarkTable3RDFA(b *testing.B)             { benchExperiment(b, "tab3") }
 func BenchmarkFig9PTF(b *testing.B)                { benchExperiment(b, "fig9") }
 func BenchmarkFig10Cosmology(b *testing.B)         { benchExperiment(b, "fig10") }
-func BenchmarkTable4RealRDFA(b *testing.B)         { benchExperiment(b, "tab4") }
 func BenchmarkAblations(b *testing.B)              { benchExperiment(b, "ablation") }
 
 // --- Micro-benchmarks of the public API across workload regimes. ---

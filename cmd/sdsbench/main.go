@@ -11,6 +11,8 @@
 //
 // Each experiment prints rows/series matching the corresponding paper
 // artifact; EXPERIMENTS.md records the paper-vs-measured comparison.
+// Experiments of one invocation share their runs: -exp fig9,fig10,tab4
+// sorts each dataset once, and Table 4 prints those runs' RDFA.
 package main
 
 import (
@@ -21,7 +23,6 @@ import (
 	"strings"
 	"time"
 
-	"sdssort/internal/algo"
 	"sdssort/internal/buildinfo"
 	"sdssort/internal/experiments"
 )
@@ -51,25 +52,17 @@ func writeCSV(dir string, res *experiments.Result) error {
 
 func main() {
 	var (
-		exp      = flag.String("exp", "", "comma-separated experiment ids, or 'all'")
-		quick    = flag.Bool("quick", false, "shrink data sizes for a fast pass")
-		seed     = flag.Int64("seed", 42, "workload seed")
-		list     = flag.Bool("list", false, "list available experiments")
-		csvDir   = flag.String("csv", "", "also write each table as CSV into this directory")
-		algoName = flag.String("algo", "", "restrict the algorithm-comparison experiments to one driver: "+strings.Join(algo.Names(), " | "))
-		ver      = flag.Bool("version", false, "print the build version and exit")
+		exp    = flag.String("exp", "", "comma-separated experiment ids, or 'all'")
+		quick  = flag.Bool("quick", false, "shrink data sizes for a fast pass")
+		seed   = flag.Int64("seed", 42, "workload seed")
+		list   = flag.Bool("list", false, "list available experiments")
+		csvDir = flag.String("csv", "", "also write each table as CSV into this directory")
+		ver    = flag.Bool("version", false, "print the build version and exit")
 	)
 	flag.Parse()
 	if *ver {
 		fmt.Println(buildinfo.String("sdsbench"))
 		return
-	}
-
-	if *algoName != "" {
-		if _, ok := algo.Lookup(*algoName); !ok {
-			fmt.Fprintln(os.Stderr, &algo.UnknownError{Name: *algoName})
-			os.Exit(2)
-		}
 	}
 
 	if *list || *exp == "" {
@@ -93,7 +86,7 @@ func main() {
 		}
 	}
 
-	cfg := experiments.Config{Quick: *quick, Seed: *seed, Algo: *algoName}
+	cfg := experiments.Config{Quick: *quick, Seed: *seed, Runs: new(experiments.Runs)}
 	failed := 0
 	for _, id := range ids {
 		run, ok := experiments.Lookup(id)

@@ -29,7 +29,7 @@ func TestListExperiments(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v\n%s", err, out)
 	}
-	for _, id := range []string{"fig5a", "fig8", "tab3", "baselines", "tausweep"} {
+	for _, id := range []string{"fig5a", "fig8", "tab3", "tab4", "baselines"} {
 		if !strings.Contains(out, id) {
 			t.Fatalf("listing missing %s:\n%s", id, out)
 		}

@@ -51,28 +51,23 @@ func Ablation(cfg Config) (*Result, error) {
 	runTbl.AddRow("blind re-sort", metrics.FmtDur(withoutDetect))
 	res.Tables = append(res.Tables, runTbl)
 
-	// 2. Stability overhead end to end.
-	p, perRank := 8, 4000
-	if cfg.Quick {
-		p, perRank = 4, 1000
+	// 2. Stability overhead end to end: the sds pair of the baselines'
+	// Zipf race.
+	fast, err := baselineRun(cfg, baselineZipf, string(kindSDS))
+	if err != nil {
+		return nil, fmt.Errorf("ablation stability: %w", err)
 	}
-	topo := cluster.Topology{Nodes: p, CoresPerNode: 1}
-	gen := func(rank int) []float64 {
-		return workload.ZipfKeys(cfg.Seed+int64(rank)*211, perRank, 1.4, workload.DefaultZipfUniverse)
-	}
-	rc := runCfg{topo: topo, opt: core.DefaultOptions()}
-	fast := runSort(kindSDS, rc, gen, f64codec, cmpF64)
-	stable := runSort(kindSDSStable, rc, gen, f64codec, cmpF64)
-	if fast.Err != nil || stable.Err != nil {
-		return nil, fmt.Errorf("ablation stability: %v / %v", fast.Err, stable.Err)
+	stable, err := baselineRun(cfg, baselineZipf, string(kindSDSStable))
+	if err != nil {
+		return nil, fmt.Errorf("ablation stability: %w", err)
 	}
 	stTbl := &metrics.Table{
-		Title:   fmt.Sprintf("Ablation 2 — cost of stability, Zipf α=1.4, p=%d", p),
+		Title:   "Ablation 2 — cost of stability, the baselines' " + baselineZipf.name + " runs",
 		Headers: []string{"mode", "time", "overhead"},
 	}
-	stTbl.AddRow("fast", metrics.FmtDur(fast.Elapsed), "1.00x")
-	stTbl.AddRow("stable", metrics.FmtDur(stable.Elapsed),
-		fmt.Sprintf("%.2fx", float64(stable.Elapsed)/float64(fast.Elapsed)))
+	stTbl.AddRow("fast", metrics.FmtDur(fast.o.Elapsed), "1.00x")
+	stTbl.AddRow("stable", metrics.FmtDur(stable.o.Elapsed),
+		fmt.Sprintf("%.2fx", float64(stable.o.Elapsed)/float64(fast.o.Elapsed)))
 	res.Tables = append(res.Tables, stTbl)
 	res.Notes = append(res.Notes,
 		"stability costs show in the stable merge sort and the duplicate-count collective; at small p the fast mode's overlapped exchange can cost as much as stability does, so the ratio hovers near 1 here (the paper's ~2x gap appears at scale)")

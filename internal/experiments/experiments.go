@@ -3,7 +3,9 @@
 // between the cmd/sdsbench binary and the repository's benchmarks. Each
 // driver returns rendered tables whose rows/series correspond to what
 // the paper plots; EXPERIMENTS.md records the paper-versus-measured
-// comparison.
+// comparison. An artifact the paper draws from another's runs (Table 3
+// from Figs. 7-8, Table 4 from Figs. 9-10) renders those runs: under a
+// shared Runs each measurement is made once.
 package experiments
 
 import (
@@ -11,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"time"
 
 	"sdssort/internal/algo"
@@ -29,9 +32,44 @@ type Config struct {
 	Quick bool
 	// Seed makes runs reproducible.
 	Seed int64
-	// Algo, when non-empty, restricts the algorithm-comparison
-	// experiments (algocmp) to one registered driver name.
-	Algo string
+	// Runs, when non-nil, keeps the measurements made under this Config,
+	// so a later artifact drawn from the same runs renders them instead
+	// of sorting again. nil makes every artifact run its own.
+	Runs *Runs
+}
+
+// Runs holds the measurements of a sequence of experiments, keyed by
+// what was measured and under which Quick/Seed. The zero value is ready
+// to use; it is not safe for concurrent experiments.
+type Runs struct {
+	done map[runKey]any
+}
+
+type runKey struct {
+	name  string
+	quick bool
+	seed  int64
+}
+
+// measured returns the measurements named name: cfg.Runs' copy when an
+// earlier experiment made them, otherwise run's, kept for the next.
+func measured[R any](cfg Config, name string, run func() (R, error)) (R, error) {
+	if cfg.Runs == nil {
+		return run()
+	}
+	key := runKey{name, cfg.Quick, cfg.Seed}
+	if r, ok := cfg.Runs.done[key]; ok {
+		return r.(R), nil
+	}
+	r, err := run()
+	if err != nil {
+		return r, err
+	}
+	if cfg.Runs.done == nil {
+		cfg.Runs.done = make(map[runKey]any)
+	}
+	cfg.Runs.done[key] = r
+	return r, nil
 }
 
 // Result is one experiment's output.
@@ -84,11 +122,9 @@ func init() {
 		{"fig9", Fig9, "PTF dataset phase breakdown"},
 		{"fig10", Fig10, "cosmology dataset phase breakdown"},
 		{"tab4", Table4, "RDFA on the PTF and cosmology datasets"},
-		{"ablation", Ablation, "ablations: run detection, locators, stability overhead"},
-		{"baselines", Baselines, "eight sorters compared on Uniform and Zipf workloads"},
-		{"algocmp", AlgoCompare, "pluggable drivers across the workload presets, with auto's resolved choices"},
-		{"tausweep", TauSweep, "systematic τm/τo/τs parameter study (the paper's §6 future work)"},
-		{"transport", Transport, "same sort over the in-process and TCP transports"},
+		{"ablation", Ablation, "ablations: run detection, stability overhead, merge balance, skew-aware partition"},
+		{"baselines", Baselines, "every registered driver, bitonic and radix on Uniform, Zipf and (full mode) 16 distinct values"},
+		{"algocmp", AlgoCompare, "the registered drivers of the baselines race, with auto's resolved choice"},
 	}
 }
 
@@ -121,39 +157,16 @@ func Lookup(id string) (Runner, bool) {
 	return nil, false
 }
 
-// sorterKind selects the algorithm under test. The values are the
-// display labels the tables print; driverName maps them onto the algo
-// registry.
+// sorterKind names the sorter under test: a driver of the algo
+// registry, or kindSDSStable, the sds driver in its stable mode.
 type sorterKind string
 
 const (
-	kindSDS       sorterKind = "SDS-Sort"
-	kindSDSStable sorterKind = "SDS-Sort/stable"
-	kindHyk       sorterKind = "HykSort"
-	kindPSRS      sorterKind = "PSRS"
-	kindHSS       sorterKind = "HSS"
-	kindAMS       sorterKind = "AMS"
-	kindAuto      sorterKind = "auto"
+	kindSDS       sorterKind = algo.NameSDS
+	kindSDSStable sorterKind = algo.NameSDS + "/stable"
+	kindHyk       sorterKind = algo.NameHyk
+	kindPSRS      sorterKind = algo.NamePSRS
 )
-
-// driverName maps a display kind onto its algo-registry name.
-func driverName(kind sorterKind) string {
-	switch kind {
-	case kindSDS, kindSDSStable:
-		return algo.NameSDS
-	case kindHyk:
-		return algo.NameHyk
-	case kindPSRS:
-		return algo.NamePSRS
-	case kindHSS:
-		return algo.NameHSS
-	case kindAMS:
-		return algo.NameAMS
-	case kindAuto:
-		return algo.NameAuto
-	}
-	return string(kind)
-}
 
 // outcome is one distributed sort run's measurement.
 type outcome struct {
@@ -177,7 +190,7 @@ type runCfg struct {
 	// drivers map the subset they understand).
 	opt core.Options
 	// selection, when non-nil, counts which driver each rank actually
-	// ran (the resolved choice under kindAuto).
+	// ran (the resolved choice under auto).
 	selection *metrics.AlgoStats
 	wrap      func(comm.Transport) comm.Transport
 }
@@ -193,7 +206,7 @@ func runSort[T any](kind sorterKind, rc runCfg, gen func(rank int) []T, cd codec
 	for i := range timers {
 		timers[i] = metrics.NewPhaseTimer()
 	}
-	drv, err := algo.New[T](driverName(kind))
+	drv, err := algo.New[T](strings.TrimSuffix(string(kind), "/stable"))
 	if err != nil {
 		return outcome{Err: err}
 	}
@@ -238,6 +251,15 @@ func fmtOutcomeTime(o outcome) string {
 		return "ERR"
 	}
 	return metrics.FmtDur(o.Elapsed)
+}
+
+// fmtOutcomeRDFA renders a run's RDFA cell: inf for a failed run, as the
+// paper's tables print HykSort's OOM.
+func fmtOutcomeRDFA(o outcome) string {
+	if o.Err != nil {
+		return "inf"
+	}
+	return metrics.FmtRDFA(metrics.RDFA(o.Loads))
 }
 
 // sizeLabel renders a byte count the way the paper labels its axes.

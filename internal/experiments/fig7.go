@@ -20,9 +20,16 @@ type scalingPoint struct {
 // weakScaling runs the Fig 7/8 weak-scaling sweep: fixed records per
 // rank (the paper fixes 400MB ≈ 1e8 records per process), growing p.
 // zipfAlpha == 0 selects the Uniform workload; otherwise Zipf keys. A
-// 4× fair-share memory budget reproduces the paper's OOM behaviour for
-// HykSort on the skewed workload.
+// 5× fair-share memory budget reproduces the paper's OOM behaviour for
+// HykSort on the skewed workload. Fig 7 and Fig 8 make these runs;
+// Table 3 renders the same ones.
 func weakScaling(cfg Config, zipfAlpha float64) ([]scalingPoint, error) {
+	return measured(cfg, fmt.Sprintf("weak scaling α=%g", zipfAlpha), func() ([]scalingPoint, error) {
+		return runWeakScaling(cfg, zipfAlpha)
+	})
+}
+
+func runWeakScaling(cfg Config, zipfAlpha float64) ([]scalingPoint, error) {
 	ps := []int{8, 16, 32}
 	perRank := 8000
 	if cfg.Quick {
@@ -125,7 +132,7 @@ func Fig8(cfg Config) (*Result, error) {
 }
 
 // Table3 reproduces Table 3: the RDFA load-balance metric of each
-// sorter across the scaling runs, Uniform and Zipf. The paper reports
+// sorter across the Fig 7 and Fig 8 scaling runs. The paper reports
 // ≈1.0 for all sorters on Uniform, ≈1.7-2.7 for SDS on Zipf (within the
 // 4N/p bound), and ∞ for HykSort on Zipf (OOM).
 func Table3(cfg Config) (*Result, error) {
@@ -147,13 +154,7 @@ func Table3(cfg Config) (*Result, error) {
 			Headers: []string{"p", "HykSort", "SDS-Sort", "SDS-Sort/stable"},
 		}
 		for _, pt := range set.points {
-			rdfa := func(o outcome) string {
-				if o.Err != nil {
-					return "inf"
-				}
-				return metrics.FmtRDFA(metrics.RDFA(o.Loads))
-			}
-			tbl.AddRow(fmt.Sprint(pt.p), rdfa(pt.hyk), rdfa(pt.sds), rdfa(pt.stable))
+			tbl.AddRow(fmt.Sprint(pt.p), fmtOutcomeRDFA(pt.hyk), fmtOutcomeRDFA(pt.sds), fmtOutcomeRDFA(pt.stable))
 		}
 		res.Tables = append(res.Tables, tbl)
 	}
