@@ -23,11 +23,6 @@ const defaultAMSArity = 4
 // the group (sorter.levels).
 type amsDriver[T any] struct{}
 
-func (amsDriver[T]) Info() Info {
-	in, _ := Lookup(NameAMS)
-	return in
-}
-
 func (amsDriver[T]) Sort(ctx context.Context, c *comm.Comm, data []T, cd codec.Codec[T], cmp func(a, b T) int, opt Options) ([]T, error) {
 	s, data, err := begin(ctx, NameAMS, c, data, cd, cmp, opt)
 	if err != nil {

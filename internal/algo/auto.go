@@ -21,11 +21,6 @@ const autoSamplePerRank = 64
 // its inputs are traced as "algo.selected".
 type autoDriver[T any] struct{}
 
-func (autoDriver[T]) Info() Info {
-	in, _ := Lookup(NameAuto)
-	return in
-}
-
 func (autoDriver[T]) Sort(ctx context.Context, c *comm.Comm, data []T, cd codec.Codec[T], cmp func(a, b T) int, opt Options) ([]T, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

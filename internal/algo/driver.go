@@ -28,8 +28,6 @@ import (
 type Capabilities struct {
 	// Stable: duplicate keys keep their global input order.
 	Stable bool
-	// Spill: the exchange can divert through the out-of-core tier.
-	Spill bool
 	// Checkpoint: phase-checkpointed recovery is supported.
 	Checkpoint bool
 }
@@ -53,13 +51,6 @@ type Options struct {
 	// K is the splitting arity of the multi-way drivers (hyksort: 128,
 	// ams: 4 when zero).
 	K int
-	// HistogramRounds bounds splitter-refinement iterations (hyksort: 3,
-	// hss: 8 when zero).
-	HistogramRounds int
-	// Epsilon is hss's splitter tolerance: a splitter is accepted once
-	// its global rank is within Epsilon·N/p of the ideal cut (0.05 when
-	// zero).
-	Epsilon float64
 	// Selection, when non-nil, counts which driver each sort actually
 	// ran (the resolved choice under auto).
 	Selection *metrics.AlgoStats
@@ -84,7 +75,6 @@ func (o Options) tracer() trace.Tracer {
 // globally sorted output, rank order = value order. Cancellation via ctx
 // is checked at phase boundaries, not mid-collective.
 type Driver[T any] interface {
-	Info() Info
 	Sort(ctx context.Context, c *comm.Comm, data []T, cd codec.Codec[T], cmp func(a, b T) int, opt Options) ([]T, error)
 }
 

@@ -14,7 +14,9 @@ import (
 	"sdssort/internal/codec"
 	"sdssort/internal/comm"
 	"sdssort/internal/comm/tcpcomm"
+	"sdssort/internal/core"
 	"sdssort/internal/memlimit"
+	"sdssort/internal/metrics"
 	"sdssort/internal/trace"
 	"sdssort/internal/workload"
 )
@@ -121,13 +123,14 @@ func checkEquivalent(t *testing.T, outs [][]float64, want []float64) {
 	}
 }
 
-func sortInproc(name string, p, perRank int, gen func(rank, p, perRank int) []float64, tr trace.Tracer) ([][]float64, error) {
+func sortInproc(name string, p, perRank int, gen func(rank, p, perRank int) []float64, tr trace.Tracer, spill *core.SpillOptions) ([][]float64, error) {
 	drv, err := New[float64](name)
 	if err != nil {
 		return nil, err
 	}
 	opt := DefaultOptions()
 	opt.Core.Trace = tr
+	opt.Core.Spill = spill
 	topo := cluster.Topology{Nodes: p, CoresPerNode: 1}
 	return cluster.Gather(topo, cluster.Options{}, func(c *comm.Comm) ([]float64, error) {
 		return drv.Sort(context.Background(), c, gen(c.Rank(), p, perRank), codec.Float64{}, cmpF64, opt)
@@ -208,18 +211,38 @@ func sortTCP(name string, p, perRank int, gen func(rank, p, perRank int) []float
 // sorts of an -algo hss|ams|hyksort|psrs run as it does an sds one.
 // p=8 keeps ams genuinely multi-level (k=4 → two levels).
 func TestDriverEquivalenceInproc(t *testing.T) {
+	driverEquivalenceInproc(t, false)
+}
+
+// TestDriverEquivalenceInprocSpill repeats the in-process matrix with
+// every exchange forced through the out-of-core tier: each driver's
+// receive side spills to run files and merges back, and the output must
+// still be the reference sequence, byte for byte.
+func TestDriverEquivalenceInprocSpill(t *testing.T) {
+	driverEquivalenceInproc(t, true)
+}
+
+func driverEquivalenceInproc(t *testing.T, forceSpill bool) {
 	const p, perRank = 8, 3000
 	for _, in := range builtins {
 		for _, input := range eqInputs(t) {
 			t.Run(in.Name+"/"+input.name, func(t *testing.T) {
 				want := reference(p, perRank, input.gen)
 				rec := trace.NewRing(ringCap)
-				outs, err := sortInproc(in.Name, p, perRank, input.gen, rec)
+				var spill *core.SpillOptions
+				stats := &metrics.SpillStats{}
+				if forceSpill {
+					spill = &core.SpillOptions{Dir: t.TempDir(), Force: true, Stats: stats}
+				}
+				outs, err := sortInproc(in.Name, p, perRank, input.gen, rec, spill)
 				if err != nil {
 					t.Fatal(err)
 				}
 				checkEquivalent(t, outs, want)
 				checkTraceComplete(t, recorded(t, rec, ""), p)
+				if forceSpill && len(want) > 0 && stats.SpilledSorts.Load() == 0 {
+					t.Fatal("a forced-spill sort never entered the spill tier")
+				}
 			})
 		}
 	}

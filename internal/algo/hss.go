@@ -21,27 +21,14 @@ import (
 // driver routes such inputs to sds instead.
 type hssDriver[T any] struct{}
 
-func (hssDriver[T]) Info() Info {
-	in, _ := Lookup(NameHSS)
-	return in
-}
-
 func (hssDriver[T]) Sort(ctx context.Context, c *comm.Comm, data []T, cd codec.Codec[T], cmp func(a, b T) int, opt Options) ([]T, error) {
 	s, data, err := begin(ctx, NameHSS, c, data, cd, cmp, opt)
 	if err != nil {
 		return nil, err
 	}
 	defer s.run.Close()
-	rounds := opt.HistogramRounds
-	if rounds <= 0 {
-		rounds = 8
-	}
-	eps := opt.Epsilon
-	if eps <= 0 {
-		eps = 0.05
-	}
 	return s.oneShot(data, func() ([]T, error) {
-		sp, st, err := hssSplitters(c, data, c.Size()-1, rounds, eps, cd, cmp)
+		sp, st, err := hssSplitters(c, data, c.Size()-1, cd, cmp)
 		if err == nil {
 			opt.tracer().Emit(c.Rank(), "hss.splitters", map[string]any{
 				"rounds": st.rounds, "candidates": st.candidates,
@@ -52,6 +39,13 @@ func (hssDriver[T]) Sort(ctx context.Context, c *comm.Comm, data []T, cd codec.C
 	})
 }
 
+// hssRounds caps splitter refinement, and hssEpsilon is the tolerance a
+// cut's global rank must reach: within hssEpsilon·N/p of the ideal.
+const (
+	hssRounds  = 8
+	hssEpsilon = 0.05
+)
+
 // hssStats summarises one splitter selection for the trace.
 type hssStats struct {
 	rounds     int
@@ -60,12 +54,13 @@ type hssStats struct {
 	tol        int64
 }
 
-// hssSplitters refines nsplit splitters until every cut's global rank is
-// within tol = max(1, eps·N/(nsplit+1)) of ideal, probing only the
-// bracket of each unresolved cut — the sample-volume saving that is
-// HSS's contribution over one-shot sampling. All decisions derive from
-// all-gathered state, so every rank runs the same number of collectives.
-func hssSplitters[T any](c *comm.Comm, sorted []T, nsplit, maxRounds int, eps float64, cd codec.Codec[T], cmp func(a, b T) int) ([]T, hssStats, error) {
+// hssSplitters refines nsplit splitters, for at most hssRounds rounds,
+// until every cut's global rank is within tol = max(1,
+// hssEpsilon·N/(nsplit+1)) of ideal, probing only the bracket of each
+// unresolved cut — the sample-volume saving that is HSS's contribution
+// over one-shot sampling. All decisions derive from all-gathered state,
+// so every rank runs the same number of collectives.
+func hssSplitters[T any](c *comm.Comm, sorted []T, nsplit int, cd codec.Codec[T], cmp func(a, b T) int) ([]T, hssStats, error) {
 	var st hssStats
 	if nsplit <= 0 {
 		return nil, st, nil
@@ -81,7 +76,7 @@ func hssSplitters[T any](c *comm.Comm, sorted []T, nsplit, maxRounds int, eps fl
 	for i := range targets {
 		targets[i] = int64(i+1) * total / int64(nsplit+1)
 	}
-	tol := int64(eps * float64(total) / float64(nsplit+1))
+	tol := int64(hssEpsilon * float64(total) / float64(nsplit+1))
 	if tol < 1 {
 		tol = 1
 	}
@@ -96,7 +91,7 @@ func hssSplitters[T any](c *comm.Comm, sorted []T, nsplit, maxRounds int, eps fl
 
 	chosen := make([]T, nsplit)
 	resolved := make([]bool, nsplit)
-	for round := 0; round < maxRounds; round++ {
+	for round := 0; round < hssRounds; round++ {
 		if len(pool) == 0 {
 			break
 		}
@@ -139,7 +134,7 @@ func hssSplitters[T any](c *comm.Comm, sorted []T, nsplit, maxRounds int, eps fl
 			}
 			probes = append(probes, pivots.RegularSample(sorted[lo:hi], 4)...)
 		}
-		if allDone || round == maxRounds-1 {
+		if allDone || round == hssRounds-1 {
 			break
 		}
 		// Always enter the collective: whether refinement found local

@@ -23,10 +23,8 @@ import (
 // and Tables 3/4 document.
 type hykDriver[T any] struct{}
 
-func (hykDriver[T]) Info() Info {
-	in, _ := Lookup(NameHyk)
-	return in
-}
+// hykRounds caps the histogram refinement of each level's splitters.
+const hykRounds = 3
 
 func (hykDriver[T]) Sort(ctx context.Context, c *comm.Comm, data []T, cd codec.Codec[T], cmp func(a, b T) int, opt Options) ([]T, error) {
 	// Every round takes the synchronous exchange, whose rank-ordered
@@ -39,16 +37,13 @@ func (hykDriver[T]) Sort(ctx context.Context, c *comm.Comm, data []T, cd codec.C
 	defer s.run.Close()
 	// The published configuration: the HykSort paper found k = 128
 	// optimal on their testbed and the SDS-Sort paper uses that value.
-	k, rounds := 128, 3
+	k := 128
 	if opt.K > 0 {
 		k = max(opt.K, 2)
 	}
-	if opt.HistogramRounds > 0 {
-		rounds = opt.HistogramRounds
-	}
 	// Histogram-based splitter selection (no duplicate awareness).
 	pick := func(cur *comm.Comm, local []T, b int) ([]T, error) {
-		return pivots.HistogramSplitters(cur, local, b-1, rounds, cd, cmp)
+		return pivots.HistogramSplitters(cur, local, b-1, hykRounds, cd, cmp)
 	}
 	out, _, err := s.levels(data, k, pick, hykDeliver)
 	return out, err

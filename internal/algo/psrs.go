@@ -20,11 +20,6 @@ import (
 // merge. Not stable, not skew-aware — by design.
 type psrsDriver[T any] struct{}
 
-func (psrsDriver[T]) Info() Info {
-	in, _ := Lookup(NamePSRS)
-	return in
-}
-
 func (psrsDriver[T]) Sort(ctx context.Context, c *comm.Comm, data []T, cd codec.Codec[T], cmp func(a, b T) int, opt Options) ([]T, error) {
 	// The classic formulation is one synchronous all-to-all followed by
 	// a k-way merge.

@@ -2,9 +2,7 @@ package algo
 
 import (
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
 )
 
 // Registry names of the built-in drivers.
@@ -20,55 +18,18 @@ const (
 // builtins, in display order. Keep About lines to one sentence; they
 // feed -list output and the README algorithm table.
 var builtins = []Info{
-	{Name: NameSDS, About: "skew-aware sample sort (the paper's algorithm): adaptive τm/τo/τs, duplicate-safe partition", Caps: Capabilities{Stable: true, Spill: true, Checkpoint: true}},
-	{Name: NameHSS, About: "histogram sort with sampling (arXiv 1803.01237): iterative splitter refinement, small sample volume", Caps: Capabilities{Spill: true}},
-	{Name: NameAMS, About: "multi-level AMS-sort (arXiv 1606.08766): recursive k-way partitioning, O(log_k p) exchange levels", Caps: Capabilities{Spill: true}},
-	{Name: NameHyk, About: "HykSort (ICS'13): recursive hypercube splits with histogram splitters; collapses on duplicates", Caps: Capabilities{Spill: true}},
-	{Name: NamePSRS, About: "classic parallel sorting by regular sampling (1993): one-shot sample, no duplicate handling", Caps: Capabilities{Spill: true}},
-	{Name: NameAuto, About: "runtime selection: profiles a sample (duplicates, skew, p, record width, spill pressure) and dispatches", Caps: Capabilities{Stable: true, Spill: true, Checkpoint: true}},
-}
-
-// External registrations: a boxed func() Driver[T] per record type,
-// because Go cannot hold heterogeneous generic values in one map.
-var (
-	extMu        sync.Mutex
-	extInfos     []Info
-	extFactories = map[string][]any{}
-)
-
-// Register adds an external driver to the registry. factories is one or
-// more `func() Driver[T]` values, one per record type the driver should
-// be constructible for; New matches them by type assertion.
-func Register(info Info, factories ...any) error {
-	if info.Name == "" {
-		return fmt.Errorf("algo: driver with empty name")
-	}
-	if _, ok := Lookup(info.Name); ok {
-		return fmt.Errorf("algo: driver %q already registered", info.Name)
-	}
-	extMu.Lock()
-	defer extMu.Unlock()
-	extInfos = append(extInfos, info)
-	extFactories[info.Name] = factories
-	return nil
-}
-
-// Infos returns every registered driver, built-ins first in display
-// order, external registrations after in name order.
-func Infos() []Info {
-	out := append([]Info(nil), builtins...)
-	extMu.Lock()
-	ext := append([]Info(nil), extInfos...)
-	extMu.Unlock()
-	sort.Slice(ext, func(i, j int) bool { return ext[i].Name < ext[j].Name })
-	return append(out, ext...)
+	{Name: NameSDS, About: "skew-aware sample sort (the paper's algorithm): adaptive τm/τo/τs, duplicate-safe partition", Caps: Capabilities{Stable: true, Checkpoint: true}},
+	{Name: NameHSS, About: "histogram sort with sampling (arXiv 1803.01237): iterative splitter refinement, small sample volume"},
+	{Name: NameAMS, About: "multi-level AMS-sort (arXiv 1606.08766): recursive k-way partitioning, O(log_k p) exchange levels"},
+	{Name: NameHyk, About: "HykSort (ICS'13): recursive hypercube splits with histogram splitters; collapses on duplicates"},
+	{Name: NamePSRS, About: "classic parallel sorting by regular sampling (1993): one-shot sample, no duplicate handling"},
+	{Name: NameAuto, About: "runtime selection: profiles a sample (duplicates, skew, p, record width, spill pressure) and dispatches", Caps: Capabilities{Stable: true, Checkpoint: true}},
 }
 
 // Names returns the selectable driver names in display order.
 func Names() []string {
-	infos := Infos()
-	names := make([]string, len(infos))
-	for i, in := range infos {
+	names := make([]string, len(builtins))
+	for i, in := range builtins {
 		names[i] = in.Name
 	}
 	return names
@@ -76,7 +37,7 @@ func Names() []string {
 
 // Lookup returns the Info registered under name.
 func Lookup(name string) (Info, bool) {
-	for _, in := range Infos() {
+	for _, in := range builtins {
 		if in.Name == name {
 			return in, true
 		}
@@ -110,16 +71,5 @@ func New[T any](name string) (Driver[T], error) {
 	case NameAuto:
 		return autoDriver[T]{}, nil
 	}
-	extMu.Lock()
-	factories, ok := extFactories[name]
-	extMu.Unlock()
-	if !ok {
-		return nil, &UnknownError{Name: name}
-	}
-	for _, f := range factories {
-		if mk, ok := f.(func() Driver[T]); ok {
-			return mk(), nil
-		}
-	}
-	return nil, fmt.Errorf("algo: driver %q is not registered for this record type", name)
+	return nil, &UnknownError{Name: name}
 }

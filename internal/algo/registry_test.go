@@ -1,12 +1,8 @@
 package algo
 
 import (
-	"context"
 	"strings"
 	"testing"
-
-	"sdssort/internal/codec"
-	"sdssort/internal/comm"
 )
 
 func TestRegistryNamesAndLookup(t *testing.T) {
@@ -40,9 +36,6 @@ func TestRegistryCapabilities(t *testing.T) {
 		if (in.Caps.Stable && in.Caps.Checkpoint) != wantFull {
 			t.Errorf("%s: caps %+v, full-capability should be %v", in.Name, in.Caps, wantFull)
 		}
-		if !in.Caps.Spill {
-			t.Errorf("%s: every driver exchanges through the spill-capable path", in.Name)
-		}
 	}
 }
 
@@ -60,42 +53,5 @@ func TestUnknownErrorListsDrivers(t *testing.T) {
 		if !strings.Contains(msg, name) {
 			t.Errorf("error %q does not list %q", msg, name)
 		}
-	}
-}
-
-// extDriver is a minimal external registration used to exercise the
-// boxed-factory path.
-type extDriver struct{ info Info }
-
-func (d extDriver) Info() Info { return d.info }
-func (d extDriver) Sort(ctx context.Context, c *comm.Comm, data []float64, cd codec.Codec[float64], cmp func(a, b float64) int, opt Options) ([]float64, error) {
-	return data, nil
-}
-
-func TestExternalRegistration(t *testing.T) {
-	info := Info{Name: "ext-test", About: "test-only driver", Caps: Capabilities{}}
-	if err := Register(info, func() Driver[float64] { return extDriver{info: info} }); err != nil {
-		t.Fatal(err)
-	}
-	if err := Register(info, func() Driver[float64] { return extDriver{info: info} }); err == nil {
-		t.Fatal("duplicate registration accepted")
-	}
-	if err := Register(Info{}, func() Driver[float64] { return extDriver{} }); err == nil {
-		t.Fatal("empty name accepted")
-	}
-	if _, ok := Lookup("ext-test"); !ok {
-		t.Fatal("external driver not listed")
-	}
-	d, err := New[float64]("ext-test")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Info().Name != "ext-test" {
-		t.Fatalf("constructed %q", d.Info().Name)
-	}
-	// Registered for float64 only: another record type must fail with a
-	// type error, not a panic.
-	if _, err := New[int64]("ext-test"); err == nil {
-		t.Fatal("external driver constructed for an unregistered record type")
 	}
 }

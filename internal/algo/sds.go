@@ -13,11 +13,6 @@ import (
 // checkpointed recovery and the spill tier are all honoured.
 type sdsDriver[T any] struct{}
 
-func (sdsDriver[T]) Info() Info {
-	in, _ := Lookup(NameSDS)
-	return in
-}
-
 func (sdsDriver[T]) Sort(ctx context.Context, c *comm.Comm, data []T, cd codec.Codec[T], cmp func(a, b T) int, opt Options) ([]T, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

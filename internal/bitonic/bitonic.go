@@ -132,12 +132,14 @@ func GatherSort[T any](c *comm.Comm, local []T, cd codec.Codec[T], cmp func(a, b
 
 // DistributedSort picks the bitonic network when its preconditions hold
 // and falls back to GatherSort otherwise. All ranks make the same
-// decision because block sizes are exchanged first.
-func DistributedSort[T any](c *comm.Comm, local []T, cd codec.Codec[T], cmp func(a, b T) int) ([]T, error) {
+// decision because block sizes are exchanged first. Both paths return
+// blocks of the input's length, so the gathered sizes — returned, indexed
+// by rank — are also the sorted blocks' sizes.
+func DistributedSort[T any](c *comm.Comm, local []T, cd codec.Codec[T], cmp func(a, b T) int) ([]T, []int64, error) {
 	p := c.Size()
 	sizes, err := c.AllgatherInt64(int64(len(local)))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// Decide from the gathered vector alone so every rank reaches the
 	// same verdict.
@@ -148,8 +150,14 @@ func DistributedSort[T any](c *comm.Comm, local []T, cd codec.Codec[T], cmp func
 			break
 		}
 	}
+	var sorted []T
 	if uniform {
-		return Sort(c, local, cd, cmp)
+		sorted, err = Sort(c, local, cd, cmp)
+	} else {
+		sorted, err = GatherSort(c, local, cd, cmp)
 	}
-	return GatherSort(c, local, cd, cmp)
+	if err != nil {
+		return nil, nil, err
+	}
+	return sorted, sizes, nil
 }

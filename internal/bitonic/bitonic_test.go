@@ -157,18 +157,25 @@ func TestGatherSortArbitraryShapes(t *testing.T) {
 
 func TestDistributedSortDispatch(t *testing.T) {
 	// Uniform power-of-two: served by the bitonic network. Ragged:
-	// served by gather-sort. Both must sort.
-	in := makeIn(7, 4, 32)
-	out := runDistributed(t, 4, in, func(c *comm.Comm, local []float64) ([]float64, error) {
-		return DistributedSort(c, local, f64, cmpF)
-	})
-	verifyGlobal(t, in, out)
-
-	in2 := [][]float64{{3, 1}, {2}, {5, 4, 0}, {}}
-	out2 := runDistributed(t, 4, in2, func(c *comm.Comm, local []float64) ([]float64, error) {
-		return DistributedSort(c, local, f64, cmpF)
-	})
-	verifyGlobal(t, in2, out2)
+	// served by gather-sort. Both must sort, and both return the
+	// gathered sizes, which are every rank's input and output lengths.
+	for _, in := range [][][]float64{makeIn(7, 4, 32), {{3, 1}, {2}, {5, 4, 0}, {}}} {
+		out := runDistributed(t, 4, in, func(c *comm.Comm, local []float64) ([]float64, error) {
+			sorted, sizes, err := DistributedSort(c, local, f64, cmpF)
+			for r, n := range sizes {
+				if int(n) != len(in[r]) {
+					t.Errorf("rank %d sees size %d for rank %d, which holds %d", c.Rank(), n, r, len(in[r]))
+				}
+			}
+			return sorted, err
+		})
+		verifyGlobal(t, in, out)
+		for r := range out {
+			if len(out[r]) != len(in[r]) {
+				t.Fatalf("rank %d: block size changed %d -> %d", r, len(in[r]), len(out[r]))
+			}
+		}
+	}
 }
 
 func BenchmarkBitonicSort(b *testing.B) {

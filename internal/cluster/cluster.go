@@ -7,13 +7,11 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 
 	"sdssort/internal/checkpoint"
 	"sdssort/internal/comm"
 	"sdssort/internal/memlimit"
-	"sdssort/internal/metrics"
 	"sdssort/internal/trace"
 )
 
@@ -50,9 +48,6 @@ type Options struct {
 	// Trace, when non-nil, receives the supervisor.* events at rank -1
 	// alongside whatever the job itself emits.
 	Trace trace.Tracer
-	// Recovery, when non-nil, accumulates restart and lost-rank
-	// counters across the supervised run.
-	Recovery *metrics.RecoveryStats
 	// Mem, when non-nil, is the memory gauge the job reserves against
 	// (typically the same one passed to core.Options.Mem). After a
 	// fully successful epoch the launcher asserts it has drained back
@@ -240,19 +235,16 @@ func RunSupervised(topo Topology, opts Options, fn func(ep Epoch, c *comm.Comm) 
 			}
 			return nil
 		}
-		esp.End(map[string]any{"outcome": "error", "error": err.Error()})
 		// Only a lost peer or a rank panic is worth a restart: a
 		// deterministic failure — bad input, a codec mismatch, a local I/O
-		// error — would just repeat.
+		// error — would just repeat. The span counts both verdicts.
 		peers, panics := blame(err)
+		esp.End(map[string]any{
+			"outcome": "error", "error": err.Error(),
+			"peers_lost": len(peers), "panics": len(panics),
+		})
 		if len(peers)+len(panics) == 0 {
 			return err
-		}
-		for range peers {
-			opts.Recovery.PeerLost()
-		}
-		for range panics {
-			opts.Recovery.RankPanic()
 		}
 		// In-process the joined error carries every rank's verdict, so
 		// the liveness oracle is read off it (Failure.Alive nil).
@@ -267,27 +259,6 @@ func RunSupervised(topo Topology, opts Options, fn func(ep Epoch, c *comm.Comm) 
 		}
 		cur = plan.Epoch
 	}
-}
-
-// Report renders the joined error from Run/RunOpts as a per-rank
-// failure report, flagging ranks that abandoned a peer after
-// exhausting their retry budget (comm.ErrPeerLost). It is what
-// launchers print when a distributed sort degrades instead of
-// deadlocking.
-func Report(err error) string {
-	if err == nil {
-		return "cluster: all ranks completed"
-	}
-	var b strings.Builder
-	b.WriteString("cluster: failed ranks:")
-	for _, e := range flatten(err) {
-		if r, ok := comm.PeerLost(e); ok {
-			fmt.Fprintf(&b, "\n  %v [gave up on peer rank %d]", e, r)
-		} else {
-			fmt.Fprintf(&b, "\n  %v", e)
-		}
-	}
-	return b.String()
 }
 
 // flatten splits an errors.Join result into its members (or wraps a

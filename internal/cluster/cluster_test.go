@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"sdssort/internal/comm"
-	"sdssort/internal/metrics"
 	"sdssort/internal/trace"
 )
 
@@ -27,6 +26,33 @@ func recorded(t testing.TB, ring *trace.Ring) []trace.Event {
 		t.Errorf("trace ring dropped %d events", n)
 	}
 	return ring.Events()
+}
+
+// tally counts a supervised run's recovery verdicts off its trace:
+// supervisor.restart and supervisor.shrink events (with the ranks each
+// shrink shed) and the blame each failed epoch span ends with.
+type tally struct{ restarts, shrinks, shed, peersLost, panics int }
+
+func tallyOf(events []trace.Event) tally {
+	var c tally
+	for _, e := range events {
+		switch e.Kind {
+		case "supervisor.restart":
+			c.restarts++
+		case "supervisor.shrink":
+			c.shrinks++
+			lost, _ := e.Detail["lost"].([]int)
+			c.shed += len(lost)
+		case trace.KindSpanEnd:
+			if e.Detail["name"] == "epoch" {
+				n, _ := e.Detail["peers_lost"].(int)
+				c.peersLost += n
+				n, _ = e.Detail["panics"].(int)
+				c.panics += n
+			}
+		}
+	}
+	return c
 }
 
 func TestRunAllRanksExecute(t *testing.T) {
@@ -194,28 +220,13 @@ func TestFaultPeerLostPropagatesThroughRun(t *testing.T) {
 	if _, ok := comm.PeerLost(err); !ok {
 		t.Fatalf("want comm.ErrPeerLost in the joined error, got: %v", err)
 	}
-	report := Report(err)
-	if !strings.Contains(report, "gave up on peer rank") {
-		t.Fatalf("report does not flag the lost peer:\n%s", report)
-	}
-}
-
-func TestReportNilAndPlainErrors(t *testing.T) {
-	if got := Report(nil); !strings.Contains(got, "all ranks completed") {
-		t.Fatalf("nil report: %q", got)
-	}
-	plain := errors.New("rank 3: something else")
-	if got := Report(plain); !strings.Contains(got, "something else") {
-		t.Fatalf("plain report: %q", got)
-	}
 }
 
 func TestRunSupervisedRecoversPanicWithOneRestart(t *testing.T) {
 	topo := Topology{Nodes: 2, CoresPerNode: 2}
 	rec := trace.NewRing(ringCap)
-	var stats metrics.RecoveryStats
 	var attempts atomic.Int32
-	err := RunSupervised(topo, Options{MaxRestarts: 2, Trace: rec, Recovery: &stats},
+	err := RunSupervised(topo, Options{MaxRestarts: 2, Trace: rec},
 		func(ep Epoch, c *comm.Comm) error {
 			if c.Rank() == 0 {
 				attempts.Add(1)
@@ -231,9 +242,8 @@ func TestRunSupervisedRecoversPanicWithOneRestart(t *testing.T) {
 	if got := attempts.Load(); got != 2 {
 		t.Fatalf("ran %d epochs, want 2", got)
 	}
-	snap := stats.Snapshot()
-	if snap.Restarts != 1 || snap.RankPanics != 1 {
-		t.Fatalf("recovery stats %+v", snap)
+	if got := tallyOf(recorded(t, rec)); got.restarts != 1 || got.panics != 1 || got.peersLost != 0 {
+		t.Fatalf("recovery tally %+v, want one restart after one panic", got)
 	}
 	var kinds []string
 	for _, e := range recorded(t, rec) {
@@ -263,8 +273,8 @@ func TestRunSupervisedDoesNotRetryDeterministicErrors(t *testing.T) {
 	topo := Topology{Nodes: 1, CoresPerNode: 2}
 	sentinel := errors.New("bad input file")
 	var attempts atomic.Int32
-	var stats metrics.RecoveryStats
-	err := RunSupervised(topo, Options{MaxRestarts: 5, Recovery: &stats},
+	rec := trace.NewRing(ringCap)
+	err := RunSupervised(topo, Options{MaxRestarts: 5, Trace: rec},
 		func(ep Epoch, c *comm.Comm) error {
 			if c.Rank() == 0 {
 				attempts.Add(1)
@@ -280,7 +290,7 @@ func TestRunSupervisedDoesNotRetryDeterministicErrors(t *testing.T) {
 	if attempts.Load() != 1 {
 		t.Fatalf("deterministic failure retried %d times", attempts.Load())
 	}
-	if stats.Snapshot().Restarts != 0 {
+	if got := tallyOf(recorded(t, rec)); got.restarts != 0 {
 		t.Fatal("restart counted for a non-recoverable failure")
 	}
 }
@@ -288,10 +298,10 @@ func TestRunSupervisedDoesNotRetryDeterministicErrors(t *testing.T) {
 func TestRunSupervisedBudgetExhaustedStaysTyped(t *testing.T) {
 	topo := Topology{Nodes: 2, CoresPerNode: 1}
 	policy := comm.RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond}
-	var stats metrics.RecoveryStats
+	rec := trace.NewRing(ringCap)
 	err := RunSupervised(topo, Options{
 		MaxRestarts: 1,
-		Recovery:    &stats,
+		Trace:       rec,
 		WrapTransport: func(tr comm.Transport) comm.Transport {
 			// Rank 1's sends fail in every epoch: the restart budget
 			// cannot save this job.
@@ -307,9 +317,8 @@ func TestRunSupervisedBudgetExhaustedStaysTyped(t *testing.T) {
 	if _, ok := comm.PeerLost(err); !ok {
 		t.Fatalf("budget-exhausted error no longer matches comm.ErrPeerLost: %v", err)
 	}
-	snap := stats.Snapshot()
-	if snap.Restarts != 1 || snap.PeersLost == 0 {
-		t.Fatalf("recovery stats %+v", snap)
+	if got := tallyOf(recorded(t, rec)); got.restarts != 1 || got.peersLost == 0 {
+		t.Fatalf("recovery tally %+v", got)
 	}
 }
 

@@ -115,7 +115,7 @@ type Plan struct {
 // identifiably dead, Redistribute failing (a cascading loss
 // mid-redistribution lands there) or finding no cut — falls back to a
 // full relaunch. Every supervisor.* decision event is emitted here, at
-// rank -1 on opts.Trace, and counted on opts.Recovery.
+// rank -1 on opts.Trace.
 func Decide(f Failure, opts Options) Plan {
 	tr := opts.tracer()
 	if f.Epoch >= opts.MaxRestarts {
@@ -139,7 +139,6 @@ func Decide(f Failure, opts Options) Plan {
 				err = errors.New("no consistent cut")
 			}
 			if err == nil {
-				opts.Recovery.Shrink(len(lost))
 				tr.Emit(-1, "supervisor.shrink", map[string]any{
 					"epoch": next, "lost": lost, "world": len(survivors),
 					"resume_epoch": cut.Epoch, "resume_phase": cut.Phase.String(),
@@ -156,7 +155,6 @@ func Decide(f Failure, opts Options) Plan {
 		}
 		why = err
 	}
-	opts.Recovery.Restart()
 	tr.Emit(-1, "supervisor.restart", map[string]any{
 		"epoch": next, "error": f.Err.Error(),
 	})

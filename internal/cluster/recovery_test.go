@@ -14,7 +14,6 @@ import (
 	"sdssort/internal/codec"
 	"sdssort/internal/comm"
 	"sdssort/internal/faultnet"
-	"sdssort/internal/metrics"
 	"sdssort/internal/trace"
 )
 
@@ -75,7 +74,6 @@ func TestDecideTable(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rec := trace.NewRing(ringCap)
-			var stats metrics.RecoveryStats
 			var sawLost []int
 			hook := func(lost []int, oldSize, newEpoch int) (checkpoint.Cut, error) {
 				if tc.hook == nil {
@@ -89,7 +87,7 @@ func TestDecideTable(t *testing.T) {
 				return tc.hook(lost, oldSize, newEpoch)
 			}
 			plan := Decide(Failure{Err: tc.err, Epoch: tc.epoch, Size: 4, Alive: tc.alive}, Options{
-				MaxRestarts: tc.maxRestarts, Trace: rec, Recovery: &stats,
+				MaxRestarts: tc.maxRestarts, Trace: rec,
 				Shrink: ShrinkPolicy{Enabled: !tc.off, MinRanks: tc.minRanks, Redistribute: hook},
 			})
 
@@ -116,7 +114,7 @@ func TestDecideTable(t *testing.T) {
 				t.Errorf("Plan.Err = %v, want it to mention %q", plan.Err, tc.planErr)
 			}
 
-			snap := stats.Snapshot()
+			got := tallyOf(recorded(t, rec))
 			switch tc.action {
 			case Resume:
 				want := Epoch{N: tc.epoch + 1, Degraded: true, Resume: cut, Lost: tc.lost}
@@ -126,22 +124,22 @@ func TestDecideTable(t *testing.T) {
 				if !slices.Equal(plan.Survivors, tc.survivors) {
 					t.Errorf("survivors %v, want %v", plan.Survivors, tc.survivors)
 				}
-				if snap.Shrinks != 1 || snap.RanksShed != int64(len(tc.lost)) || snap.Restarts != 0 {
-					t.Errorf("recovery stats %+v", snap)
+				if got.shrinks != 1 || got.shed != len(tc.lost) || got.restarts != 0 {
+					t.Errorf("recovery tally %+v", got)
 				}
 			case Relaunch:
 				if plan.Epoch.N != tc.epoch+1 || plan.Epoch.Degraded || plan.Survivors != nil {
 					t.Errorf("relaunch plan %+v, want a plain full-world epoch %d", plan, tc.epoch+1)
 				}
-				if snap.Restarts != 1 || snap.Shrinks != 0 {
-					t.Errorf("recovery stats %+v", snap)
+				if got.restarts != 1 || got.shrinks != 0 {
+					t.Errorf("recovery tally %+v", got)
 				}
 			case GiveUp:
 				if _, ok := comm.PeerLost(plan.Err); !ok {
 					t.Errorf("budget-exhausted error no longer matches comm.ErrPeerLost: %v", plan.Err)
 				}
-				if snap.Restarts != 0 || snap.Shrinks != 0 {
-					t.Errorf("recovery stats %+v", snap)
+				if got.restarts != 0 || got.shrinks != 0 {
+					t.Errorf("recovery tally %+v", got)
 				}
 			}
 		})

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"sdssort/internal/checkpoint"
-	"sdssort/internal/metrics"
 )
 
 // Checkpointing wires Sort to a checkpoint.Store: each rank snapshots
@@ -22,6 +21,11 @@ import (
 // as checkpointed (cmd/sdsnode does, before its final barrier). A
 // crash before a commit simply leaves the previous cut as the newest
 // consistent one.
+//
+// Checkpointing keeps no counters. What a failure cost — the epochs
+// that ran, how each ended, the ranks blamed, whether the world shrank
+// or relaunched — is in the supervisor's trace: cluster.RunSupervised's
+// epoch span and supervisor.* events.
 type Checkpointing struct {
 	// Store receives the snapshots. All ranks of the job must point at
 	// the same directory (in-process: share the Store; distributed: a
@@ -41,9 +45,6 @@ type Checkpointing struct {
 	// deterministic anchor for fault-injection triggers keyed on
 	// manifest files.
 	Sync bool
-	// Recovery, when non-nil, accrues the wasted-work counter: records
-	// re-sorted from scratch because no resumable cut survived.
-	Recovery *metrics.RecoveryStats
 
 	mu       sync.Mutex
 	queue    []func()

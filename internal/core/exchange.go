@@ -69,9 +69,18 @@ var spanFailed = map[string]any{"reason": "error"}
 // the window and, unless the caller ended the span first, closes it as
 // failed; callers defer it.
 func (r *run[T]) open(pl exchangePlan, overlap bool, src chunkSource) (*trace.Span, func(), error) {
-	sp := trace.StartSpan(r.tr, r.rank, r.opt.Span, pl.span, map[string]any{
-		"overlap": overlap, "staged": pl.stage > 0, "zero_copy": src.pool == nil,
-	})
+	detail := map[string]any{"overlap": overlap, "staged": pl.stage > 0, "zero_copy": src.pool == nil}
+	if pl.span == "spill" {
+		// Each source with a payload becomes one run file.
+		runs := 0
+		for _, b := range pl.recv {
+			if b > 0 {
+				runs++
+			}
+		}
+		detail["stage_bytes"], detail["runs"] = pl.stage, runs
+	}
+	sp := trace.StartSpan(r.tr, r.rank, r.opt.Span, pl.span, detail)
 	window := pl.stage
 	if window == 0 {
 		window = max(slices.Max(pl.send), slices.Max(pl.recv))

@@ -216,7 +216,7 @@ func runSupervisedSort(t *testing.T, topo cluster.Topology, opts cluster.Options
 	var mu sync.Mutex
 	err := cluster.RunSupervised(topo, opts, func(ep cluster.Epoch, c *comm.Comm) error {
 		opt := base
-		ck := &Checkpointing{Store: store, Epoch: ep.N, Recovery: opts.Recovery}
+		ck := &Checkpointing{Store: store, Epoch: ep.N}
 		if ep.N > 0 {
 			cut, ok, err := checkpoint.AgreeCut(c, store)
 			if err != nil {
@@ -296,10 +296,10 @@ func TestRecoveryKillAtPhaseBoundaries(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					var stats metrics.RecoveryStats
+					rec := trace.NewRing(ringCap)
 					opts := cluster.Options{
 						MaxRestarts: 2,
-						Recovery:    &stats,
+						Trace:       rec,
 						WrapTransport: func(tr comm.Transport) comm.Transport {
 							return inj.Wrap(tr)
 						},
@@ -311,7 +311,7 @@ func TestRecoveryKillAtPhaseBoundaries(t *testing.T) {
 					if k := inj.Stats().Kills; k != 1 {
 						t.Fatalf("kill fired %d times, want 1", k)
 					}
-					if r := stats.Snapshot().Restarts; r != 1 {
+					if r := len(recorded(t, rec, "supervisor.restart")); r != 1 {
 						t.Fatalf("recovered with %d restarts, want exactly 1", r)
 					}
 					equalOutputs(t, baseline, got, "kill@"+ph.String())

@@ -87,11 +87,6 @@ func Sort[T any](c *comm.Comm, data []T, cd codec.Codec[T], cmp func(a, b T) int
 // input-side: how evenly the records arrived, before any skew-aware
 // machinery has run.
 func (r *run[T]) sortLocal() (map[string]any, error) {
-	if r.ck.enabled() && r.ck.Epoch > 0 {
-		// Restarted with nothing resumable: everything the failed
-		// epochs computed is being redone.
-		r.ck.Recovery.Wasted(int64(len(r.work)))
-	}
 	detail := map[string]any{"records": len(r.work)}
 	var err error
 	r.work, err = r.order(r.work, r.opt.RunThreshold, detail)

@@ -215,18 +215,13 @@ func (r *run[T]) spillReceive(dir string, pl exchangePlan, src chunkSource) ([]s
 	}
 	pl.span, pl.sinkBuf = "spill", int64(sp.bufBytes())
 	pl.stage = effStage(sp.stageBytes(r.opt.StageBytes), r.recSize)
-	st, err := r.stagedExchange(pl, src, spool.drain)
-	if err != nil {
+	if _, err := r.stagedExchange(pl, src, spool.drain); err != nil {
 		if spool.active != nil {
 			spool.active.Abort() // committed runs die with the spill directory
 		}
 		return nil, err
 	}
-	runs := slices.DeleteFunc(spool.runs, func(path string) bool { return path == "" })
-	r.tr.Emit(r.rank, "spill.exchange", map[string]any{
-		"runs": len(runs), "bytes": st.BytesStaged, "stage_bytes": pl.stage,
-	})
-	return runs, nil
+	return slices.DeleteFunc(spool.runs, func(path string) bool { return path == "" }), nil
 }
 
 // spillExchange runs the all-to-all with its receive side on disk and

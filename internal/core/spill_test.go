@@ -22,6 +22,7 @@ import (
 	"sdssort/internal/memlimit"
 	"sdssort/internal/metrics"
 	"sdssort/internal/recordio"
+	"sdssort/internal/trace"
 )
 
 // collisionFree generates keys that are unique across every (rank, i),
@@ -202,8 +203,10 @@ func TestSpillDecisionIsCollective(t *testing.T) {
 	want := runSort(t, topo, in, base)
 
 	stats := &metrics.SpillStats{}
+	rec := trace.NewRing(ringCap)
 	got, err := cluster.Gather(topo, cluster.Options{}, func(c *comm.Comm) ([]codec.Tagged, error) {
 		opt := base
+		opt.Trace = rec
 		opt.StageBytes = 2 << 10
 		opt.Spill = &SpillOptions{Dir: t.TempDir(), BufBytes: 1 << 10, Stats: stats}
 		if c.Rank() == 1 {
@@ -221,6 +224,23 @@ func TestSpillDecisionIsCollective(t *testing.T) {
 	equalOutputs(t, want, got, "collective-spill")
 	if n := stats.SpilledSorts.Load(); n != int64(p) {
 		t.Fatalf("%d ranks spilled, want all %d — the decision must be collective", n, p)
+	}
+	// Each spill span announces its run files and chunk bound up front;
+	// the runs it announced are the runs the spool wrote.
+	runs, spans := 0, 0
+	for _, sp := range trace.BuildSpans(recorded(t, rec, "")) {
+		if sp.Name != "spill" {
+			continue
+		}
+		spans++
+		n, _ := sp.Detail["runs"].(int)
+		runs += n
+		if stage, _ := sp.Detail["stage_bytes"].(int64); stage <= 0 {
+			t.Errorf("rank %d spill span stage_bytes %v, want the positive chunk bound", sp.Rank, sp.Detail["stage_bytes"])
+		}
+	}
+	if spans != p || int64(runs) != stats.RunsSpilled.Load() {
+		t.Fatalf("%d spill spans announcing %d runs; want %d spans and the %d runs spilled", spans, runs, p, stats.RunsSpilled.Load())
 	}
 }
 
@@ -497,10 +517,10 @@ func TestSpillCrashResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rec metrics.RecoveryStats
+	rec := trace.NewRing(ringCap)
 	opts := cluster.Options{
 		MaxRestarts: 2,
-		Recovery:    &rec,
+		Trace:       rec,
 		WrapTransport: func(tr comm.Transport) comm.Transport {
 			return inj.Wrap(tr)
 		},
@@ -515,7 +535,7 @@ func TestSpillCrashResume(t *testing.T) {
 	if k := inj.Stats().Kills; k != 1 {
 		t.Fatalf("kill fired %d times, want 1", k)
 	}
-	if r := rec.Snapshot().Restarts; r != 1 {
+	if r := len(recorded(t, rec, "supervisor.restart")); r != 1 {
 		t.Fatalf("recovered with %d restarts, want exactly 1", r)
 	}
 	equalOutputs(t, baseline, got, "crash-mid-spill")

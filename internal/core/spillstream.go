@@ -154,7 +154,6 @@ func SortStream[T any](c *comm.Comm, in RecordSource[T], cd codec.Codec[T], cmp 
 				return nil, err
 			}
 			runs, records = local, sum(counts)
-			r.tr.Emit(r.rank, "spill.localruns", map[string]any{"runs": len(runs), "records": records})
 			if p == 1 {
 				r.exit = "single"
 			}

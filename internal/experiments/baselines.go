@@ -161,7 +161,7 @@ func runBitonic(topo cluster.Topology, gen func(rank int) []float64) outcome {
 	loads := make([]int, p)
 	start := time.Now()
 	err := cluster.Run(topo, func(c *comm.Comm) error {
-		out, err := bitonic.DistributedSort(c, gen(c.Rank()), f64codec, cmpF64)
+		out, _, err := bitonic.DistributedSort(c, gen(c.Rank()), f64codec, cmpF64)
 		if err != nil {
 			return err
 		}

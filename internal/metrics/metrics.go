@@ -99,24 +99,6 @@ func (t *PhaseTimer) Add(p Phase, d time.Duration) {
 // Get returns the accumulated time for phase p, excluding a running span.
 func (t *PhaseTimer) Get(p Phase) time.Duration { return t.acc[p] }
 
-// Total returns the sum over all phases.
-func (t *PhaseTimer) Total() time.Duration {
-	var s time.Duration
-	for _, d := range t.acc {
-		s += d
-	}
-	return s
-}
-
-// Breakdown returns a copy of the per-phase accumulation keyed by phase.
-func (t *PhaseTimer) Breakdown() map[Phase]time.Duration {
-	m := make(map[Phase]time.Duration, numPhases)
-	for p := Phase(0); p < numPhases; p++ {
-		m[p] = t.acc[p]
-	}
-	return m
-}
-
 // MergeMax folds per-rank timers into a single breakdown taking, for each
 // phase, the maximum across ranks. Parallel runtime is gated by the
 // slowest rank, so this is the number the paper's stacked bars report.

@@ -24,20 +24,13 @@ func TestPhaseTimerAccumulation(t *testing.T) {
 	if got := tm.Get(PhaseExchange); got != 5*time.Millisecond {
 		t.Fatalf("exchange: %v", got)
 	}
-	if got := tm.Total(); got != 15*time.Millisecond {
-		t.Fatalf("total: %v", got)
-	}
 	tm.Stop() // double stop is a no-op
-	if tm.Total() != 15*time.Millisecond {
+	if tm.Get(PhaseExchange) != 5*time.Millisecond {
 		t.Fatal("double Stop changed totals")
 	}
 	tm.Add(PhaseOther, time.Millisecond)
 	if tm.Get(PhaseOther) != time.Millisecond {
 		t.Fatal("Add failed")
-	}
-	bd := tm.Breakdown()
-	if bd[PhasePivotSelection] != 10*time.Millisecond || len(bd) != 5 {
-		t.Fatalf("breakdown: %v", bd)
 	}
 }
 
@@ -138,29 +131,5 @@ func TestTableWriteCSV(t *testing.T) {
 	want := "a,b\n1,\"x,y\"\n"
 	if buf.String() != want {
 		t.Fatalf("got %q want %q", buf.String(), want)
-	}
-}
-
-func TestRecoveryStatsNilSafeAndCounts(t *testing.T) {
-	var nilStats *RecoveryStats
-	nilStats.Restart() // must not panic
-	nilStats.PeerLost()
-	nilStats.RankPanic()
-	nilStats.Wasted(10)
-	if nilStats.Snapshot() != (RecoverySnapshot{}) {
-		t.Fatal("nil snapshot not zero")
-	}
-
-	var r RecoveryStats
-	r.Restart()
-	r.Restart()
-	r.PeerLost()
-	r.RankPanic()
-	r.Wasted(100)
-	r.Wasted(-5) // negative waste is ignored
-	got := r.Snapshot()
-	want := RecoverySnapshot{Restarts: 2, PeersLost: 1, RankPanics: 1, WastedRecords: 100}
-	if got != want {
-		t.Fatalf("snapshot %+v want %+v", got, want)
 	}
 }

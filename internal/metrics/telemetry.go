@@ -23,16 +23,3 @@ func (s *SpillStats) Register(r *telemetry.Registry) {
 	r.GaugeFunc("sds_spill_max_fan_in", "Widest single merge pass over spill runs.", telemetry.FInt(s.MaxFanIn.Load))
 	r.CounterFunc("sds_spill_sorts_total", "Sort calls that entered the out-of-core spill regime.", telemetry.FInt(s.SpilledSorts.Load))
 }
-
-// Register exposes supervisor-level recovery counters.
-func (s *RecoveryStats) Register(r *telemetry.Registry) {
-	snap := func(f func(RecoverySnapshot) int64) func() float64 {
-		return func() float64 { return float64(f(s.Snapshot())) }
-	}
-	r.CounterFunc("sds_recovery_restarts_total", "Supervisor restarts (full-world relaunch epochs).", snap(func(v RecoverySnapshot) int64 { return v.Restarts }))
-	r.CounterFunc("sds_recovery_shrinks_total", "Degraded-mode resumes (world shrunk onto the survivors).", snap(func(v RecoverySnapshot) int64 { return v.Shrinks }))
-	r.CounterFunc("sds_recovery_ranks_shed_total", "Ranks dropped from the world by degraded resumes.", snap(func(v RecoverySnapshot) int64 { return v.RanksShed }))
-	r.CounterFunc("sds_recovery_peers_lost_total", "Ranks lost to transport failure.", snap(func(v RecoverySnapshot) int64 { return v.PeersLost }))
-	r.CounterFunc("sds_recovery_rank_panics_total", "Ranks lost to panic.", snap(func(v RecoverySnapshot) int64 { return v.RankPanics }))
-	r.CounterFunc("sds_recovery_wasted_records_total", "Records re-sorted because an epoch failed.", snap(func(v RecoverySnapshot) int64 { return v.WastedRecords }))
-}

@@ -57,15 +57,11 @@ func SelectGlobal[T any](c *comm.Comm, localPivots []T, cd codec.Codec[T], cmp f
 	if p == 1 {
 		return nil, nil
 	}
-	sorted, err := bitonic.DistributedSort(c, localPivots, cd, cmp)
+	sorted, sizes, err := bitonic.DistributedSort(c, localPivots, cd, cmp)
 	if err != nil {
 		return nil, fmt.Errorf("pivots: distributed sort: %w", err)
 	}
 	// Global offset of my block and the pool size.
-	sizes, err := c.AllgatherInt64(int64(len(sorted)))
-	if err != nil {
-		return nil, fmt.Errorf("pivots: size exchange: %w", err)
-	}
 	var offset, total int64
 	for r, s := range sizes {
 		if r < c.Rank() {
