@@ -74,8 +74,8 @@ bench-pairs:
 	bash scripts/bench_pairs.sh $(PARENT) $(WORKLOAD) $(PAIRS)
 
 # The cross-driver algorithm matrix: every registered driver must emit
-# byte-identical output — and a complete trace: one sort.start/sort.done
-# pair per rank, no open span — across the workload grid on both
+# byte-identical output — and a complete trace: one completed sort root
+# span per rank, no open span — across the workload grid on both
 # transports, -algo auto must resolve as the decision rule documents,
 # and the hyksort/psrs baseline cases (multi-round splits, skew
 # collapse, OOM under a budget, the sds-vs-psrs ablation) must hold, a

@@ -55,11 +55,9 @@ func shrinkAndResume(cfg *config, fab *fabric, sortErr error, ck *core.Checkpoin
 		// This process heals itself once; any further restart budget is
 		// the external supervisor's.
 		MaxRestarts: fab.epoch + 1,
+		Trace:       env.tracer,
 		Shrink: cluster.ShrinkPolicy{Enabled: true, Redistribute: func(lost []int, oldSize, newEpoch int) (cut checkpoint.Cut, err error) {
 			log.Printf("shrink: ranks %v are gone; re-forming world on %d survivors", lost, oldSize-len(lost))
-			env.tracer.Emit(cfg.rank, "node.shrink", map[string]any{
-				"lost": lost, "world": oldSize - len(lost), "epoch": newEpoch,
-			})
 			c, shrunk, cut, err = cluster.ReformAndAgree(fab.tr, cfg.ckptDir, lost, newEpoch, reformTimeout,
 				func(lost []int, oldSize, newEpoch int) (checkpoint.Cut, error) {
 					return checkpoint.RedistributeLatest(cfg.ckptDir, oldSize, lost, newEpoch, codec.Float64{}, cmpF)

@@ -139,8 +139,8 @@ func TestDistributedShrink(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !strings.Contains(string(trc), `"node.shrink"`) {
-			t.Errorf("rank %d trace has no node.shrink event", r)
+		if !strings.Contains(string(trc), `"supervisor.shrink"`) {
+			t.Errorf("rank %d trace has no supervisor.shrink event", r)
 		}
 	}
 }

@@ -216,7 +216,7 @@ func TestServeTelemetryPlane(t *testing.T) {
 		// /debug/trace replays recent events as JSONL; /debug/pprof is
 		// mounted.
 		tb := waitScrape(t, l, addr, "/debug/trace", func(b string) bool {
-			return strings.Contains(b, "sort.done")
+			return strings.Contains(b, `"name":"sort","reason":`)
 		})
 		if !strings.Contains(tb, `"kind":`) {
 			t.Errorf("rank %d: trace not JSONL:\n%s", r, tb)

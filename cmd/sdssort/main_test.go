@@ -269,7 +269,7 @@ func TestCLITraceOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(blob), "sort.start") {
+	if !strings.Contains(string(blob), `"name":"sort"`) {
 		t.Fatalf("trace missing events:\n%s", blob)
 	}
 }
@@ -336,8 +336,12 @@ func TestCLITraceWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(data), `"kind":"sort.start"`) {
-		t.Fatalf("trace missing sort.start:\n%.400s", data)
+	events, err := trace.ReadJSONL(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a := trace.Analyze(events); a.SortsStarted == 0 || a.SortsCompleted != a.SortsStarted {
+		t.Fatalf("trace holds %d sorts, %d completed:\n%.400s", a.SortsStarted, a.SortsCompleted, data)
 	}
 }
 

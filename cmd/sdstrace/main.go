@@ -1,7 +1,10 @@
 // Command sdstrace summarises a JSONL event trace produced by
-// cmd/sdssort -trace (or sdssort.TraceJSON): event counts per kind,
-// per-rank exchange volumes with the observed imbalance, how the sorts
-// terminated, and whether skew-aware duplicate splitting engaged.
+// cmd/sdssort -trace (or sdssort.TraceJSON). It reads the run's span
+// tree and prints one report: event counts per kind, per-rank exchange
+// volumes with the observed imbalance, how the sorts terminated and
+// whether skew-aware duplicate splitting engaged, then — when the trace
+// holds a "sort" root span — the critical path: the slowest rank of
+// each phase.
 //
 // Multiple trace files — one per rank or per sdsnode process — are
 // merged into a single timeline before analysis. When every event
@@ -13,7 +16,6 @@
 //	sdstrace run.jsonl
 //	sdstrace rank0.jsonl rank1.jsonl rank2.jsonl
 //	sdstrace -format chrome run.jsonl > timeline.json   # Perfetto / chrome://tracing
-//	sdstrace -critical-path run.jsonl                   # slowest-rank attribution
 package main
 
 import (
@@ -31,7 +33,6 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("sdstrace: ")
 	format := flag.String("format", "summary", "output format: summary | chrome (Perfetto/chrome://tracing JSON)")
-	critPath := flag.Bool("critical-path", false, "print the per-phase critical path (slowest rank per phase) instead of the summary")
 	version := flag.Bool("version", false, "print the build version and exit")
 	flag.Parse()
 	if *version {
@@ -39,7 +40,7 @@ func main() {
 		return
 	}
 	if flag.NArg() < 1 {
-		log.Fatal("usage: sdstrace [-format chrome] [-critical-path] <trace.jsonl> [more.jsonl ...]")
+		log.Fatal("usage: sdstrace [-format chrome] <trace.jsonl> [more.jsonl ...]")
 	}
 	var events []trace.Event
 	for _, name := range flag.Args() {
@@ -52,22 +53,19 @@ func main() {
 	if flag.NArg() > 1 {
 		mergeTimelines(events)
 	}
-	switch {
-	case *critPath:
-		cp, ok := trace.CriticalPath(events)
-		if !ok {
-			log.Fatal("no complete root span (\"sort\") in the trace — re-run with span tracing enabled")
-		}
-		fmt.Print(cp.Render())
-	case *format == "chrome":
+	switch *format {
+	case "chrome":
 		out, err := trace.ChromeTrace(events)
 		if err != nil {
 			log.Fatal(err)
 		}
 		os.Stdout.Write(out)
 		fmt.Println()
-	case *format == "summary":
+	case "summary":
 		fmt.Print(trace.Analyze(events).Render())
+		if cp, ok := trace.CriticalPath(events); ok && cp.RootName == "sort" {
+			fmt.Print(cp.Render())
+		}
 	default:
 		log.Fatalf("unknown -format %q (want summary or chrome)", *format)
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -26,11 +27,7 @@ func runCLI(t *testing.T, args ...string) (string, error) {
 
 func TestSummariseTrace(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.jsonl")
-	lines := strings.Join([]string{
-		`{"seq":1,"elapsed_us":0,"rank":0,"kind":"sort.start","detail":{"records":10}}`,
-		`{"seq":2,"elapsed_us":50,"rank":0,"kind":"exchange.plan","detail":{"recv_records":10}}`,
-		`{"seq":3,"elapsed_us":90,"rank":0,"kind":"sort.done"}`,
-	}, "\n")
+	lines := strings.Join(sortSpans(0, 0, "exchange", 10, "completed"), "\n")
 	if err := os.WriteFile(path, []byte(lines), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -38,8 +35,47 @@ func TestSummariseTrace(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v\n%s", err, out)
 	}
-	if !strings.Contains(out, "3 events") || !strings.Contains(out, "exchange: 10 records") {
-		t.Fatalf("summary:\n%s", out)
+	for _, want := range []string{
+		"4 events",
+		"exchange: 10 records",
+		"sorts: 1 started, 1 completed",
+		"critical path: sort over 1 rank(s), 0.090ms",
+		"exchange            0.040ms",
+	} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("report missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// sortSpans is one rank's sort as span events: the root, one exchange
+// (or spill) child receiving recv records, and the root's end reason.
+func sortSpans(rank, t0 int, exchange string, recv int, reason string) []string {
+	ev := func(seq, at int, kind, detail string) string {
+		return fmt.Sprintf(`{"seq":%d,"elapsed_us":%d,"rank":%d,"kind":%q,"detail":{%s}}`, seq, t0+at, rank, kind, detail)
+	}
+	return []string{
+		ev(1, 0, "span.begin", `"span":1,"name":"sort","records":10`),
+		ev(2, 40, "span.begin", fmt.Sprintf(`"span":2,"parent":1,"name":%q`, exchange)),
+		ev(3, 80, "span.end", fmt.Sprintf(`"span":2,"name":%q,"recv_records":%d`, exchange, recv)),
+		ev(4, 90, "span.end", fmt.Sprintf(`"span":1,"name":"sort","reason":%q`, reason)),
+	}
+}
+
+// TestReportWithoutSortRoot: a trace with no "sort" root span still
+// gets its summary, and no critical path.
+func TestReportWithoutSortRoot(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.jsonl")
+	line := `{"seq":1,"elapsed_us":0,"rank":0,"kind":"clock.offset","detail":{"offset_us":0}}`
+	if err := os.WriteFile(path, []byte(line), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err := runCLI(t, path)
+	if err != nil {
+		t.Fatalf("%v\n%s", err, out)
+	}
+	if !strings.Contains(out, "1 events") || strings.Contains(out, "critical path") {
+		t.Fatalf("report:\n%s", out)
 	}
 }
 
@@ -56,18 +92,10 @@ func TestMergeMultipleTraces(t *testing.T) {
 	dir := t.TempDir()
 	r0 := filepath.Join(dir, "rank0.jsonl")
 	r1 := filepath.Join(dir, "rank1.jsonl")
-	if err := os.WriteFile(r0, []byte(strings.Join([]string{
-		`{"seq":1,"elapsed_us":0,"rank":0,"kind":"sort.start","detail":{"records":10}}`,
-		`{"seq":2,"elapsed_us":40,"rank":0,"kind":"exchange.plan","detail":{"recv_records":6}}`,
-		`{"seq":3,"elapsed_us":90,"rank":0,"kind":"sort.done","detail":{"reason":"completed"}}`,
-	}, "\n")), 0o644); err != nil {
+	if err := os.WriteFile(r0, []byte(strings.Join(sortSpans(0, 0, "exchange", 6, "completed"), "\n")), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(r1, []byte(strings.Join([]string{
-		`{"seq":1,"elapsed_us":5,"rank":1,"kind":"sort.start","detail":{"records":10}}`,
-		`{"seq":2,"elapsed_us":45,"rank":1,"kind":"exchange.plan","detail":{"recv_records":4}}`,
-		`{"seq":3,"elapsed_us":80,"rank":1,"kind":"sort.done","detail":{"reason":"follower"}}`,
-	}, "\n")), 0o644); err != nil {
+	if err := os.WriteFile(r1, []byte(strings.Join(sortSpans(1, 5, "spill", 4, "spilled"), "\n")), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	out, err := runCLI(t, r0, r1)
@@ -75,10 +103,11 @@ func TestMergeMultipleTraces(t *testing.T) {
 		t.Fatalf("%v\n%s", err, out)
 	}
 	for _, want := range []string{
-		"6 events across 2 ranks",
+		"8 events across 2 ranks",
 		"exchange: 10 records",
 		"sorts: 2 started, 2 completed",
-		"done reasons: completed=1 follower=1",
+		"done reasons: completed=1 spilled=1",
+		"critical path: sort over 2 rank(s)",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("summary missing %q:\n%s", want, out)
@@ -89,7 +118,7 @@ func TestMergeMultipleTraces(t *testing.T) {
 func TestMergeRejectsBadFileAmongMany(t *testing.T) {
 	dir := t.TempDir()
 	good := filepath.Join(dir, "good.jsonl")
-	if err := os.WriteFile(good, []byte(`{"seq":1,"elapsed_us":0,"rank":0,"kind":"sort.start"}`), 0o644); err != nil {
+	if err := os.WriteFile(good, []byte(sortSpans(0, 0, "exchange", 1, "completed")[0]), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if out, err := runCLI(t, good, filepath.Join(dir, "missing.jsonl")); err == nil {

@@ -104,8 +104,8 @@ type sorter[T any] struct {
 }
 
 // begin is the prelude: cancellation and capability checks, the
-// selection count, then core.OpenBaseline — sort.start, the "sort" root
-// span every level's spans nest under, so the critical-path analyzer sees
+// selection count, then core.OpenBaseline — the "sort" root span every
+// level's spans nest under, so the critical-path analyzer sees
 // one tree per sort regardless of algorithm, the input reservation and
 // the local sort, whose block it returns. Callers defer s.run.Close.
 func begin[T any](ctx context.Context, name string, c *comm.Comm, data []T, cd codec.Codec[T], cmp func(a, b T) int, opt Options) (*sorter[T], []T, error) {

@@ -143,10 +143,10 @@ func checkTraceComplete(t *testing.T, events []trace.Event, p int) {
 	t.Helper()
 	a := trace.Analyze(events)
 	if a.SortsStarted != p || a.SortsCompleted != p {
-		t.Errorf("%d sort.start, %d sort.done events, want %d of each", a.SortsStarted, a.SortsCompleted, p)
+		t.Errorf("%d sorts started, %d completed, want %d of each", a.SortsStarted, a.SortsCompleted, p)
 	}
 	if len(a.UnterminatedRanks) != 0 {
-		t.Errorf("ranks %v never emitted sort.done", a.UnterminatedRanks)
+		t.Errorf("ranks %v never completed their sort", a.UnterminatedRanks)
 	}
 	for _, sp := range trace.BuildSpans(events) {
 		if sp.Open {
@@ -325,9 +325,9 @@ func TestDriverInvalidOptionsDrainGauge(t *testing.T) {
 // TestLevelsAttributeToWorldRank: a multi-level driver reports every
 // level under the caller's world rank. ams with K = 2 takes three levels
 // on 8 ranks, the later two over groups whose ranks are not the world's;
-// each level's exchange.plan, partition.histogram and exchange span must
-// still name the rank whose sort it belongs to, and every span must hang
-// under a span of that same rank.
+// each level's exchange span, with its send counts, must still name the
+// rank whose sort it belongs to, and every span must hang under a span
+// of that same rank.
 func TestLevelsAttributeToWorldRank(t *testing.T) {
 	const p, perRank, levels = 8, 500, 3
 	ring := trace.NewRing(ringCap)
@@ -343,15 +343,10 @@ func TestLevelsAttributeToWorldRank(t *testing.T) {
 	}
 	events := recorded(t, ring, "")
 	checkTraceComplete(t, events, p)
-	want := map[string]int{"exchange.plan": levels, "partition.histogram": levels, "exchange": levels, "sort": 1, "localsort": 1}
+	want := map[string]int{"exchange": levels, "sort": 1, "localsort": 1}
 	counts := map[string][]int{}
 	for kind := range want {
 		counts[kind] = make([]int, p)
-	}
-	for _, e := range events {
-		if byRank, ok := counts[e.Kind]; ok {
-			byRank[e.Rank]++
-		}
 	}
 	spans := trace.BuildSpans(events)
 	rankOf := map[int64]int{}
@@ -359,6 +354,9 @@ func TestLevelsAttributeToWorldRank(t *testing.T) {
 		rankOf[sp.Span] = sp.Rank
 		if byRank, ok := counts[sp.Name]; ok {
 			byRank[sp.Rank]++
+		}
+		if _, ok := sp.Detail["sent"].([]int64); sp.Name == "exchange" && !ok {
+			t.Errorf("rank %d: exchange span without its send counts: %v", sp.Rank, sp.Detail)
 		}
 	}
 	for kind, byRank := range counts {

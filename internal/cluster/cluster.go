@@ -228,11 +228,6 @@ func RunSupervised(topo Topology, opts Options, fn func(ep Epoch, c *comm.Comm) 
 		})
 		if err == nil {
 			esp.End(map[string]any{"outcome": "ok"})
-			if cur.N > 0 {
-				tr.Emit(-1, "supervisor.done", map[string]any{
-					"epochs": cur.N + 1, "degraded": cur.Degraded, "world": size,
-				})
-			}
 			return nil
 		}
 		// Only a lost peer or a rank panic is worth a restart: a

@@ -250,11 +250,11 @@ func TestRunSupervisedRecoversPanicWithOneRestart(t *testing.T) {
 		kinds = append(kinds, e.Kind)
 	}
 	// Each supervised attempt is wrapped in an "epoch" span: the failed
-	// epoch 0 closes before the restart marker, the succeeding epoch 1
-	// before the done marker.
+	// epoch 0 closes before the restart marker, and the succeeding epoch
+	// 1's end is the run's last record.
 	want := []string{
 		"span.begin", "span.end", "supervisor.restart",
-		"span.begin", "span.end", "supervisor.done",
+		"span.begin", "span.end",
 	}
 	if fmt.Sprint(kinds) != fmt.Sprint(want) {
 		t.Fatalf("trace kinds %v, want %v", kinds, want)

@@ -17,8 +17,8 @@ import (
 // goroutine.
 type Baseline[T any] struct{ r *run[T] }
 
-// OpenBaseline starts a driver call on c: it validates opt, emits
-// sort.start with detail and opens the "sort" root span, reserves the
+// OpenBaseline starts a driver call on c: it validates opt, opens the
+// "sort" root span with detail, reserves the
 // input against opt.Mem and sorts data under a localsort span —
 // core.Sort's local sort, run gate and radix dispatch included — into
 // the block it returns, which may occupy data's storage. On success the
@@ -66,9 +66,10 @@ func (b *Baseline[T]) Exchange(wc *comm.Comm, bounds []int) ([]T, error) {
 	return r.work, nil
 }
 
-// Done ends a successful call with sort.done — reason is completed,
-// single (the caller's rank was alone) or empty (no records anywhere) —
-// and returns the working set, the rank's block of the output.
+// Done ends a successful call by closing the root span — reason is
+// completed, single (the caller's rank was alone) or empty (no records
+// anywhere) — and returns the working set, the rank's block of the
+// output.
 func (b *Baseline[T]) Done(reason string) []T {
 	b.r.exit = reason
 	b.r.done(len(b.r.work))

@@ -61,15 +61,22 @@ type exchangePlan struct {
 // spanFailed closes a span on an error exit.
 var spanFailed = map[string]any{"reason": "error"}
 
-// open starts the exchange's span and reserves its staging window: one
-// incoming chunk, one outgoing chunk when the source encodes into a
-// buffer of its own (views of the work slab occupy nothing), and the
-// sink's write buffer. A chunk is stage bytes, or — with no chunk bound
-// — this rank's largest per-peer payload. The returned func releases
-// the window and, unless the caller ended the span first, closes it as
-// failed; callers defer it.
+// open starts the exchange's span, whose begin detail is the plan: the
+// per-destination send counts in records, the chunk bound and the path.
+// It reserves the staging window: one incoming chunk, one outgoing
+// chunk when the source encodes into a buffer of its own (views of the
+// work slab occupy nothing), and the sink's write buffer. A chunk is
+// stage bytes, or — with no chunk bound — this rank's largest per-peer
+// payload. The returned func releases the window and, unless the caller
+// ended the span first, closes it as failed; callers defer it.
 func (r *run[T]) open(pl exchangePlan, overlap bool, src chunkSource) (*trace.Span, func(), error) {
-	detail := map[string]any{"overlap": overlap, "staged": pl.stage > 0, "zero_copy": src.pool == nil}
+	sent := make([]int64, len(pl.send))
+	for dst, b := range pl.send {
+		sent[dst] = b / r.recSize
+	}
+	detail := map[string]any{
+		"sent": sent, "overlap": overlap, "stage_bytes": pl.stage, "staged": pl.stage > 0, "zero_copy": src.pool == nil,
+	}
 	if pl.span == "spill" {
 		// Each source with a payload becomes one run file.
 		runs := 0
@@ -78,7 +85,7 @@ func (r *run[T]) open(pl exchangePlan, overlap bool, src chunkSource) (*trace.Sp
 				runs++
 			}
 		}
-		detail["stage_bytes"], detail["runs"] = pl.stage, runs
+		detail["runs"] = runs
 	}
 	sp := trace.StartSpan(r.tr, r.rank, r.opt.Span, pl.span, detail)
 	window := pl.stage
@@ -364,28 +371,19 @@ func (pl exchangePlan) sendChunks(wc *comm.Comm, src chunkSource, ex *metrics.Ex
 // as the spill trigger — then move the data and order it on the path
 // the spill vote and τo select. On success work's claim on the ledger
 // has been settled and the output's made — it holds len(out) records
-// where it held len(work) — work is the output, and exit the sort.done
-// reason of the path taken, "completed" or "spilled". The skew observed
+// where it held len(work) — work is the output, and exit the root span's
+// end reason for the path taken, "completed" or "spilled". The skew observed
 // here is output-side: the received partition sizes, the loads the
 // paper's RDFA metric measures and skew-aware splitting bounds.
 func (r *run[T]) exchangeAndOrder() (map[string]any, error) {
 	wc, recSize := r.wc, r.recSize
-	scounts := partition.Counts(r.bounds)
-	// The per-destination histogram is genuinely per-rank data, so every
-	// rank emits its own.
-	sent := scale(scounts, 1)
-	r.tr.Emit(r.rank, "partition.histogram", map[string]any{"sent": sent, "records": sum(sent), "dests": len(sent)})
-	pl, err := r.plan(scounts)
+	pl, err := r.plan(partition.Counts(r.bounds))
 	if err != nil {
 		return nil, err
 	}
 	pl.stage = effStage(r.opt.StageBytes, recSize)
 	m := sum(pl.recv) / recSize
 	overlap := !r.opt.Stable && wc.Size() <= r.opt.TauO
-	r.tr.Emit(r.rank, "exchange.plan", map[string]any{
-		"send_records": len(r.work), "recv_records": m, "overlap": overlap,
-		"stage_bytes": pl.stage, "staged": pl.stage > 0, "zero_copy": codec.IsZeroCopy(r.cd),
-	})
 	if err := r.observeSkew(metrics.SkewExchange, m); err != nil {
 		return nil, err
 	}

@@ -17,7 +17,6 @@ import (
 // communicator the rest of the sort runs on in wc. A rank merged onto
 // its leader drops out; a world merged down to one leader is done.
 func (r *run[T]) mergeNodes() (map[string]any, error) {
-	before := len(r.work)
 	leader, err := r.mergeOntoLeader()
 	if err != nil {
 		return nil, err
@@ -30,11 +29,7 @@ func (r *run[T]) mergeNodes() (map[string]any, error) {
 	if r.merged = r.wc != r.c; r.merged {
 		r.localSnap = false
 	}
-	if len(r.work) != before || r.merged {
-		r.tr.Emit(r.rank, "nodemerge.leader", map[string]any{
-			"merged_records": len(r.work), "leaders": r.wc.Size(),
-		})
-	}
+	detail["leaders"] = r.wc.Size()
 	if r.wc.Size() == 1 {
 		r.exit = "single"
 	}

@@ -37,9 +37,9 @@ func TestOverlapDeterministic(t *testing.T) {
 			opt.Trace = rec
 			want := runSort(t, topo, in, opt)
 			checkSorted(t, in, want, false)
-			for _, e := range recorded(t, rec, "exchange.plan") {
-				if e.Detail["overlap"] != true {
-					t.Fatalf("rank %d took the synchronous exchange", e.Rank)
+			for _, s := range spansNamed(t, rec, "exchange") {
+				if s.Detail["overlap"] != true {
+					t.Fatalf("rank %d took the synchronous exchange", s.Rank)
 				}
 			}
 			opt.Trace = nil

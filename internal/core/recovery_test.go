@@ -2,6 +2,7 @@ package core
 
 import (
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -168,16 +169,16 @@ func TestResumeAccounting(t *testing.T) {
 			}
 			equalOutputs(t, [][]codec.Tagged{flatWant}, [][]codec.Tagged{flatGot}, tc.name)
 
-			resumes := recorded(t, rec, "ckpt.resume")
+			resumes := slices.DeleteFunc(spansNamed(t, rec, "checkpoint"), func(s trace.SpanRecord) bool { return s.Detail["op"] != "load" })
 			if len(resumes) != rtopo.Size() {
-				t.Fatalf("%d ckpt.resume events, want %d", len(resumes), rtopo.Size())
+				t.Fatalf("%d checkpoint loads, want %d", len(resumes), rtopo.Size())
 			}
 			grew := false
-			for _, e := range resumes {
-				loaded := int64(e.Detail["records"].(int)) * recSize
-				grew = grew || loaded > int64(len(input[e.Rank]))*recSize
-				if peak := gauges[e.Rank].Peak(); peak < loaded {
-					t.Errorf("rank %d loaded %d bytes but its ledger peaked at %d", e.Rank, loaded, peak)
+			for _, s := range resumes {
+				loaded := int64(s.Detail["records"].(int)) * recSize
+				grew = grew || loaded > int64(len(input[s.Rank]))*recSize
+				if peak := gauges[s.Rank].Peak(); peak < loaded {
+					t.Errorf("rank %d loaded %d bytes but its ledger peaked at %d", s.Rank, loaded, peak)
 				}
 			}
 			if !grew {
@@ -200,7 +201,7 @@ func TestResumeAccounting(t *testing.T) {
 			if resumedAtLocalSort := cut.Phase == checkpoint.PhaseLocalSort; (inputSide == 1) != resumedAtLocalSort {
 				t.Errorf("%d input-side skew observations resuming at %s", inputSide, cut.Phase)
 			}
-			if followers := len(recorded(t, rec, "nodemerge.follower")); tc.tauM > 0 && tc.cut == checkpoint.PhasePartition && followers != 2 {
+			if followers := trace.Analyze(recorded(t, rec, "")).DoneReasons["follower"]; tc.tauM > 0 && tc.cut == checkpoint.PhasePartition && followers != 2 {
 				t.Fatalf("%d follower drop-outs on the merged partition resume, want 2", followers)
 			}
 		})

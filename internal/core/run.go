@@ -39,7 +39,7 @@ type run[T any] struct {
 	// localSnap: this epoch's local-sort snapshot is work byte for byte,
 	// so later boundaries alias it instead of re-encoding.
 	localSnap bool
-	// exit is the sort.done reason, set by whatever ended the sort:
+	// exit is the root span's end reason, set by whatever ended the sort:
 	// follower, single, empty, resume, completed, spilled.
 	exit string
 }
@@ -64,13 +64,12 @@ func newRun[T any](c *comm.Comm, cd codec.Codec[T], cmp func(a, b T) int, opt Op
 	return r, nil
 }
 
-// start opens a sort's books: the clock, sort.start and the root span.
-// Phase spans become the root's children through opt.Span, which is
-// rebound to its scope so every helper parents correctly. With tracing
-// off the span is nil and all span calls are free no-ops.
+// start opens a sort's books: the clock and the root span. Phase spans
+// become the root's children through opt.Span, which is rebound to its
+// scope so every helper parents correctly. With tracing off the span is
+// nil and all span calls are free no-ops.
 func (r *run[T]) start(detail map[string]any) {
 	r.tm.Start(metrics.PhaseOther)
-	r.tr.Emit(r.rank, "sort.start", detail)
 	r.root = trace.StartSpan(r.tr, r.rank, r.opt.Span, "sort", detail)
 	r.opt.Span = r.root.Scope()
 }
@@ -85,9 +84,9 @@ func (r *run[T]) close() {
 	r.tm.Stop()
 }
 
-// done emits the terminal event every successful exit must produce.
+// done closes the root span with the record count and exit reason every
+// successful exit must report.
 func (r *run[T]) done(records any) {
-	r.tr.Emit(r.rank, "sort.done", map[string]any{"records": records, "reason": r.exit})
 	r.root.End(map[string]any{"records": records, "reason": r.exit})
 }
 
@@ -166,7 +165,6 @@ func (r *run[T]) setBounds(bounds []int) error {
 func (r *run[T]) dropOut() {
 	r.work, r.bounds, r.localSnap = []T{}, nil, false
 	r.merged, r.follower, r.exit = true, true, "follower"
-	r.tr.Emit(r.rank, "nodemerge.follower", nil)
 }
 
 // commit snapshots boundary ph under the current epoch from the run's
@@ -188,28 +186,28 @@ func (r *run[T]) commit(ph checkpoint.Phase) {
 		}
 	}
 	store := ck.Store
-	detail := map[string]any{"phase": ph.String(), "epoch": ck.Epoch}
-	if r.localSnap && ph != checkpoint.PhaseLocalSort {
-		src := checkpoint.PhaseLocalSort
-		ck.enqueue(ph, func() error { return checkpoint.SaveAlias(store, m, src) })
-		detail["alias"] = src.String()
-	} else {
-		// The span covers what the sort actually pays for: the in-place
-		// encode, plus — in Sync mode — the inline disk commit. Async
-		// commits run on the background writer, off the critical path,
-		// so they stay outside the span (sync=false marks those).
-		csp := trace.StartSpan(r.tr, r.rank, r.opt.Span, "checkpoint", map[string]any{
-			"phase": ph.String(), "op": "save", "sync": ck.Sync,
-		})
-		size := r.cd.Size()
-		payload := codec.EncodeSlice(r.cd, make([]byte, 0, len(r.work)*size), r.work)
-		n := int64(len(r.work))
-		ck.enqueue(ph, func() error { return checkpoint.SaveBytes(store, m, payload, n, size) })
-		csp.End(map[string]any{"records": len(r.work)})
-		detail["records"] = len(r.work)
-		r.localSnap = ph == checkpoint.PhaseLocalSort
+	// Every save is one span. It covers what the sort actually pays
+	// for: the in-place encode, plus — in Sync mode — the inline disk
+	// commit. Async commits run on the background writer, off the
+	// critical path, so they stay outside the span (sync=false marks
+	// those). An aliased save encodes nothing.
+	detail := map[string]any{"phase": ph.String(), "op": "save", "sync": ck.Sync, "epoch": ck.Epoch}
+	alias := r.localSnap && ph != checkpoint.PhaseLocalSort
+	if alias {
+		detail["alias"] = checkpoint.PhaseLocalSort.String()
 	}
-	r.tr.Emit(r.rank, "ckpt.save", detail)
+	csp := trace.StartSpan(r.tr, r.rank, r.opt.Span, "checkpoint", detail)
+	if alias {
+		ck.enqueue(ph, func() error { return checkpoint.SaveAlias(store, m, checkpoint.PhaseLocalSort) })
+		csp.End(nil)
+		return
+	}
+	size := r.cd.Size()
+	payload := codec.EncodeSlice(r.cd, make([]byte, 0, len(r.work)*size), r.work)
+	n := int64(len(r.work))
+	ck.enqueue(ph, func() error { return checkpoint.SaveBytes(store, m, payload, n, size) })
+	csp.End(map[string]any{"records": len(r.work)})
+	r.localSnap = ph == checkpoint.PhaseLocalSort
 }
 
 // restore is the one resume rule. It loads this rank's snapshot of the
@@ -229,7 +227,7 @@ func (r *run[T]) restore() (checkpoint.Phase, error) {
 	}
 	ph, epoch := ck.Resume.Phase, ck.Resume.Epoch
 	csp := trace.StartSpan(r.tr, r.rank, r.opt.Span, "checkpoint", map[string]any{
-		"phase": ph.String(), "op": "load",
+		"phase": ph.String(), "op": "load", "from_epoch": epoch, "epoch": ck.Epoch,
 	})
 	m, recs, err := checkpoint.Load[T](ck.Store, epoch, ph, r.rank, r.cd)
 	if err != nil {
@@ -237,9 +235,6 @@ func (r *run[T]) restore() (checkpoint.Phase, error) {
 		return ph, fmt.Errorf("core: resume from %s@e%d: %w", ph, epoch, err)
 	}
 	csp.End(map[string]any{"records": len(recs)})
-	r.tr.Emit(r.rank, "ckpt.resume", map[string]any{
-		"phase": ph.String(), "from_epoch": epoch, "epoch": ck.Epoch, "records": len(recs),
-	})
 	if extra := int64(len(recs)-len(r.work)) * r.recSize; extra > 0 {
 		if err := r.acct.reserve(extra); err != nil {
 			return ph, fmt.Errorf("core: resume buffer: %w", err)

@@ -3,6 +3,7 @@ package core
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -167,9 +168,8 @@ func TestShrinkSoak(t *testing.T) {
 	if ev := recorded(t, rec, "supervisor.restart"); len(ev) != 0 {
 		t.Fatalf("the world was relaunched, not shrunk: %v", supervisorTrail(t, rec))
 	}
-	done := recorded(t, rec, "supervisor.done")
-	if len(done) != 1 || done[0].Detail["degraded"] != true {
-		t.Fatalf("supervisor.done missing or not degraded: %v", done)
+	if ok := okEpochs(t, rec); len(ok) != 1 || ok[0].Detail["degraded"] != true {
+		t.Fatalf("the succeeding epoch is missing or not degraded: %v", ok)
 	}
 	// launchSized asserts gauge drain per epoch; this is the end-to-end
 	// restatement across the whole supervised run.
@@ -257,13 +257,17 @@ func TestShrinkCascade(t *testing.T) {
 	if len(recorded(t, rec, "supervisor.shrink")) != 1 || len(recorded(t, rec, "supervisor.restart")) != 1 {
 		t.Fatalf("want one shrink then one relaunch: %v", supervisorTrail(t, rec))
 	}
-	done := recorded(t, rec, "supervisor.done")
-	if len(done) != 1 || done[0].Detail["degraded"] != false {
-		t.Fatalf("final epoch should be the relaunched full world: %v", done)
+	if ok := okEpochs(t, rec); len(ok) != 1 || ok[0].Detail["degraded"] != false {
+		t.Fatalf("final epoch should be the relaunched full world: %v", ok)
 	}
 	if used := gauge.Used(); used != 0 {
 		t.Fatalf("memory gauge holds %d bytes after the cascade", used)
 	}
+}
+
+// okEpochs returns the supervisor's epoch spans that ended in success.
+func okEpochs(t *testing.T, rec *trace.Ring) []trace.SpanRecord {
+	return slices.DeleteFunc(spansNamed(t, rec, "epoch"), func(s trace.SpanRecord) bool { return s.Detail["outcome"] != "ok" })
 }
 
 // supervisorTrail lists the supervisor's events in order: what a failed

@@ -107,16 +107,15 @@ func (r *run[T]) selectPivots() (map[string]any, error) {
 	if err := r.checkPivots(r.pg); err != nil {
 		return nil, err
 	}
+	detail := map[string]any{"pivots": len(r.pg)}
 	if dupRuns := partition.Runs(r.pg, r.cmp); len(dupRuns) > 0 {
 		total := 0
 		for _, run := range dupRuns {
 			total += run.Len
 		}
-		r.tr.Emit(r.rank, "pivots.duplicated", map[string]any{
-			"runs": len(dupRuns), "duplicated_pivots": total, "pivots": len(r.pg),
-		})
+		detail["dup_runs"], detail["duplicated_pivots"] = len(dupRuns), total
 	}
-	return map[string]any{"pivots": len(r.pg)}, nil
+	return detail, nil
 }
 
 // splitWork is the skew-aware partition (line 10), fast or stable,

@@ -198,9 +198,6 @@ func SortStream[T any](c *comm.Comm, in RecordSource[T], cd codec.Codec[T], cmp 
 				return nil, err
 			}
 			records = sum(pl.recv) / recSize
-			r.tr.Emit(r.rank, "exchange.plan", map[string]any{
-				"send_records": sum(counts), "recv_records": records, "staged": true, "spilled": true,
-			})
 			src, closeSrc := runSource(local, ubs, cd, cmp, recSize, sp.mergeOptions(dir, opt.Mem))
 			defer closeSrc()
 			if runs, err = r.spillReceive(dir, pl, src); err != nil {

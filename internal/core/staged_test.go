@@ -161,18 +161,18 @@ func TestSortStagedPeakReservation(t *testing.T) {
 	}
 }
 
-// largestPayload reads the per-rank partition.histogram events (what
+// largestPayload reads the per-rank exchange spans' sent counts (what
 // each rank sends to every destination) and returns the most records
 // rank r exchanges with any single peer, in either direction.
 func largestPayload(t *testing.T, traces []*trace.Ring, r int) int64 {
 	t.Helper()
 	var most int64
 	for src, rec := range traces {
-		hs := recorded(t, rec, "partition.histogram")
-		if len(hs) != 1 {
-			t.Fatalf("rank %d emitted %d partition histograms", src, len(hs))
+		ex := spansNamed(t, rec, "exchange")
+		if len(ex) != 1 {
+			t.Fatalf("rank %d opened %d exchange spans", src, len(ex))
 		}
-		sent := hs[0].Detail["sent"].([]int64)
+		sent := ex[0].Detail["sent"].([]int64)
 		most = max(most, sent[r]) // what r receives from src
 		if src == r {
 			most = max(most, slices.Max(sent)) // what r sends
@@ -326,9 +326,10 @@ func TestSortPhaseAttribution(t *testing.T) {
 	}
 }
 
-// TestSortTraceCompleteness: every sort.start must pair with a
-// sort.done on every rank, across the τm-merge, single-rank and empty
-// worlds — the paths that used to return without the terminal event.
+// TestSortTraceCompleteness: every rank's "sort" root span must close
+// with its exit reason and record count, across the τm-merge,
+// single-rank and empty worlds — the paths that used to return without
+// the terminal record.
 func TestSortTraceCompleteness(t *testing.T) {
 	worlds := []struct {
 		name   string
@@ -359,10 +360,10 @@ func TestSortTraceCompleteness(t *testing.T) {
 			p := w.topo.Size()
 			a := trace.Analyze(recorded(t, rec, ""))
 			if a.SortsStarted != p || a.SortsCompleted != p {
-				t.Fatalf("%d starts, %d dones, want %d of each", a.SortsStarted, a.SortsCompleted, p)
+				t.Fatalf("%d sorts started, %d completed, want %d of each", a.SortsStarted, a.SortsCompleted, p)
 			}
 			if len(a.UnterminatedRanks) != 0 {
-				t.Fatalf("ranks %v never emitted sort.done", a.UnterminatedRanks)
+				t.Fatalf("ranks %v never completed their sort", a.UnterminatedRanks)
 			}
 			followers := a.DoneReasons["follower"]
 			if w.name == "merged" {
@@ -375,17 +376,17 @@ func TestSortTraceCompleteness(t *testing.T) {
 			if got := a.DoneReasons[w.reason]; got != p-followers {
 				t.Fatalf("reason %q on %d ranks, want %d (all: %v)", w.reason, got, p-followers, a.DoneReasons)
 			}
-			// Every done event must carry its record count.
+			// Every root span's end must carry its record count.
 			var records int64
-			for _, e := range recorded(t, rec, "sort.done") {
-				n, ok := e.Detail["records"].(int)
+			for _, s := range spansNamed(t, rec, "sort") {
+				n, ok := s.Detail["records"].(int)
 				if !ok {
-					t.Fatalf("sort.done without a records field: %v", e.Detail)
+					t.Fatalf("sort span without a records field: %v", s.Detail)
 				}
 				records += int64(n)
 			}
 			if int(records) != p*w.per {
-				t.Fatalf("done events account for %d records, want %d", records, p*w.per)
+				t.Fatalf("sort spans account for %d records, want %d", records, p*w.per)
 			}
 		})
 	}

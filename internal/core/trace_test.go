@@ -33,9 +33,16 @@ func recorded(t testing.TB, ring *trace.Ring, kind string) []trace.Event {
 	return slices.DeleteFunc(evs, func(e trace.Event) bool { return e.Kind != kind })
 }
 
-// TestSortEmitsTrace checks the observable event stream of one sort:
-// start/done per rank, the duplicated-pivot report on skewed data, and
-// the exchange plan with plausible volumes.
+// spansNamed returns the spans the ring's events build that are named
+// name, through recorded's check that the ring kept every event.
+func spansNamed(t testing.TB, ring *trace.Ring, name string) []trace.SpanRecord {
+	t.Helper()
+	return slices.DeleteFunc(trace.BuildSpans(recorded(t, ring, "")), func(s trace.SpanRecord) bool { return s.Name != name })
+}
+
+// TestSortEmitsTrace checks the observable span tree of one sort: a
+// completed root per rank, the duplicated-pivot report on skewed data,
+// and the exchange with plausible volumes.
 func TestSortEmitsTrace(t *testing.T) {
 	topo := cluster.Topology{Nodes: 4, CoresPerNode: 1}
 	rec := trace.NewRing(ringCap)
@@ -48,31 +55,41 @@ func TestSortEmitsTrace(t *testing.T) {
 	out := runSort(t, topo, in, opt)
 	checkSorted(t, in, out, false)
 
-	if got := len(recorded(t, rec, "sort.start")); got != topo.Size() {
-		t.Fatalf("%d sort.start events, want %d", got, topo.Size())
+	roots := spansNamed(t, rec, "sort")
+	if len(roots) != topo.Size() {
+		t.Fatalf("%d sort spans, want %d", len(roots), topo.Size())
 	}
-	if got := len(recorded(t, rec, "sort.done")); got != topo.Size() {
-		t.Fatalf("%d sort.done events, want %d", got, topo.Size())
+	for _, s := range roots {
+		if s.Open || s.Detail["reason"] != "completed" {
+			t.Fatalf("rank %d sort span open=%v reason %v, want completed", s.Rank, s.Open, s.Detail["reason"])
+		}
 	}
-	if len(recorded(t, rec, "pivots.duplicated")) == 0 {
-		t.Fatal("no duplicated-pivot events on 2-value data")
+	dup := 0
+	for _, s := range spansNamed(t, rec, "pivots") {
+		if s.Detail["dup_runs"] != nil {
+			dup++
+		}
 	}
-	plans := recorded(t, rec, "exchange.plan")
-	if len(plans) != topo.Size() {
-		t.Fatalf("%d exchange plans", len(plans))
+	if dup == 0 {
+		t.Fatal("no pivots span reported duplicated pivots on 2-value data")
+	}
+	exchanges := spansNamed(t, rec, "exchange")
+	if len(exchanges) != topo.Size() {
+		t.Fatalf("%d exchange spans", len(exchanges))
 	}
 	var totalRecv int64
-	for _, e := range plans {
+	for _, s := range exchanges {
 		// The in-memory recorder keeps native types (the JSONL sink
 		// would render them as JSON numbers).
-		totalRecv += e.Detail["recv_records"].(int64)
+		totalRecv += s.Detail["recv_records"].(int64)
 	}
 	if int(totalRecv) != topo.Size()*400 {
-		t.Fatalf("exchange plans account for %v records, want %d", totalRecv, topo.Size()*400)
+		t.Fatalf("exchange spans account for %v records, want %d", totalRecv, topo.Size()*400)
 	}
 }
 
-// TestSortTraceNodeMerge checks leader/follower events on the τm path.
+// TestSortTraceNodeMerge checks the leader/follower split on the τm
+// path, read off the nodemerge spans and the followers' root spans.
 func TestSortTraceNodeMerge(t *testing.T) {
 	topo := cluster.Topology{Nodes: 2, CoresPerNode: 3}
 	rec := trace.NewRing(ringCap)
@@ -88,11 +105,19 @@ func TestSortTraceNodeMerge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(recorded(t, rec, "nodemerge.follower")); got != 4 {
-		t.Fatalf("%d followers, want 4", got)
+	leaders, followers := 0, 0
+	for _, s := range spansNamed(t, rec, "nodemerge") {
+		if s.Detail["leader"] == true && s.Detail["leaders"] == 2 {
+			leaders++
+		} else if s.Detail["leader"] == false {
+			followers++
+		}
 	}
-	if got := len(recorded(t, rec, "nodemerge.leader")); got != 2 {
-		t.Fatalf("%d leaders, want 2", got)
+	if leaders != 2 || followers != 4 {
+		t.Fatalf("%d leaders of 2, %d followers, want 2 and 4", leaders, followers)
+	}
+	if a := trace.Analyze(recorded(t, rec, "")); a.DoneReasons["follower"] != 4 {
+		t.Fatalf("done reasons %v, want 4 followers", a.DoneReasons)
 	}
 }
 

@@ -83,31 +83,6 @@ func (c *Counter) Value() int64 {
 	return c.v.Load()
 }
 
-// Gauge is an integer value that may go up and down.
-type Gauge struct{ v atomic.Int64 }
-
-// Set replaces the value.
-func (g *Gauge) Set(n int64) {
-	if g != nil {
-		g.v.Store(n)
-	}
-}
-
-// Add accrues a (possibly negative) delta.
-func (g *Gauge) Add(n int64) {
-	if g != nil {
-		g.v.Add(n)
-	}
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
-}
-
 // Histogram is a fixed-bucket cumulative histogram.
 type Histogram struct {
 	bounds []float64      // sorted upper bounds; +Inf bucket is implicit
@@ -254,15 +229,6 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 		return []point{{value: float64(c.Value())}}
 	})
 	return c
-}
-
-// Gauge registers and returns a gauge series.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	g := &Gauge{}
-	r.register(name, help, KindGauge, labels, func() []point {
-		return []point{{value: float64(g.Value())}}
-	})
-	return g
 }
 
 // CounterFunc registers a counter whose value is read by fn at scrape

@@ -20,9 +20,7 @@ func TestCounterGaugeExposition(t *testing.T) {
 	c.Add(3)
 	c.Inc()
 	c.Add(-7) // ignored: counters are monotonic
-	g := r.Gauge("sds_test_depth", "Queue depth.")
-	g.Set(5)
-	g.Add(-2)
+	r.GaugeFunc("sds_test_depth", "Queue depth.", func() float64 { return 3 })
 
 	out := render(t, r)
 	for _, want := range []string{
@@ -123,7 +121,7 @@ func TestRegistrationConflictsPanic(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("sds_test_total", "", L("a", "1"))
 	mustPanic("duplicate series", func() { r.Counter("sds_test_total", "", L("a", "1")) })
-	mustPanic("kind mismatch", func() { r.Gauge("sds_test_total", "", L("a", "2")) })
+	mustPanic("kind mismatch", func() { r.GaugeFunc("sds_test_total", "", func() float64 { return 0 }, L("a", "2")) })
 	mustPanic("invalid name", func() { r.Counter("0bad-name", "") })
 	// Same family, distinct labels: fine.
 	r.Counter("sds_test_total", "", L("a", "2"))

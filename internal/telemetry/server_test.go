@@ -30,8 +30,8 @@ func TestServerEndpoints(t *testing.T) {
 		},
 		Trace: func() []json.RawMessage {
 			return []json.RawMessage{
-				json.RawMessage(`{"kind":"sort.start"}`),
-				json.RawMessage(`{"kind":"sort.done"}`),
+				json.RawMessage(`{"kind":"span.begin"}`),
+				json.RawMessage(`{"kind":"span.end"}`),
 			}
 		},
 	})
@@ -73,7 +73,7 @@ func TestServerEndpoints(t *testing.T) {
 	}
 
 	if res3, body3 := get(t, h, "/debug/trace"); res3.StatusCode != http.StatusOK ||
-		body3 != "{\"kind\":\"sort.start\"}\n{\"kind\":\"sort.done\"}\n" {
+		body3 != "{\"kind\":\"span.begin\"}\n{\"kind\":\"span.end\"}\n" {
 		t.Errorf("/debug/trace = %d:\n%q", res3.StatusCode, body3)
 	}
 

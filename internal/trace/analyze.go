@@ -38,7 +38,8 @@ func ReadJSONL(r io.Reader) ([]Event, error) {
 	return out, nil
 }
 
-// Analysis summarises an event stream.
+// Analysis summarises an event stream. The event counts are of raw
+// events; everything about the sorts is read off their span tree.
 type Analysis struct {
 	// Events is the total count.
 	Events int
@@ -46,20 +47,21 @@ type Analysis struct {
 	Kinds map[string]int
 	// Ranks maps rank to its event count.
 	Ranks map[int]int
-	// ExchangeRecv maps rank to its planned receive volume in records
-	// (from exchange.plan events).
+	// ExchangeRecv maps rank to the records it received, summed over the
+	// recv_records of its closed exchange and spill spans.
 	ExchangeRecv map[int]int64
-	// DuplicatedPivotRuns counts pivots.duplicated reports.
+	// DuplicatedPivotRuns counts pivots spans that reported duplicated
+	// pivots (dup_runs > 0).
 	DuplicatedPivotRuns int
-	// SortsStarted and SortsCompleted count sort.start and sort.done
-	// events; every successful sort must emit both, so a difference
-	// means either a failed run or a missing terminal event.
+	// SortsStarted counts "sort" root spans, SortsCompleted those that
+	// closed with a reason other than "error"; a difference means a
+	// failed run or a rank that never finished.
 	SortsStarted, SortsCompleted int
-	// UnterminatedRanks lists ranks whose sort.start count exceeds
-	// their sort.done count, sorted ascending.
+	// UnterminatedRanks lists ranks with a sort that never completed,
+	// sorted ascending.
 	UnterminatedRanks []int
-	// DoneReasons counts sort.done events by their exit reason
-	// ("completed", "follower", "single", "empty", "resume").
+	// DoneReasons counts completed sorts by their exit reason
+	// ("completed", "follower", "single", "empty", "resume", "spilled").
 	DoneReasons map[string]int
 	// SpanUS is the elapsed microseconds between the first and last
 	// event.
@@ -76,7 +78,6 @@ func Analyze(events []Event) Analysis {
 	}
 	a.Events = len(events)
 	var minT, maxT int64
-	balance := map[int]int{} // per-rank sort.start minus sort.done
 	for i, e := range events {
 		a.Kinds[e.Kind]++
 		a.Ranks[e.Rank]++
@@ -86,21 +87,30 @@ func Analyze(events []Event) Analysis {
 		if e.ElapsedUS > maxT {
 			maxT = e.ElapsedUS
 		}
-		switch e.Kind {
-		case "exchange.plan":
-			if v, ok := asInt64(e.Detail["recv_records"]); ok {
-				a.ExchangeRecv[e.Rank] += v
-			}
-		case "pivots.duplicated":
-			a.DuplicatedPivotRuns++
-		case "sort.start":
+	}
+	if len(events) > 0 {
+		a.SpanUS = maxT - minT
+	}
+	balance := map[int]int{} // per-rank sorts started minus completed
+	for _, s := range BuildSpans(events) {
+		switch s.Name {
+		case "sort":
 			a.SortsStarted++
-			balance[e.Rank]++
-		case "sort.done":
-			a.SortsCompleted++
-			balance[e.Rank]--
-			if r, ok := e.Detail["reason"].(string); ok {
-				a.DoneReasons[r]++
+			balance[s.Rank]++
+			if reason, _ := s.Detail["reason"].(string); !s.Open && reason != "error" {
+				a.SortsCompleted++
+				balance[s.Rank]--
+				if reason != "" {
+					a.DoneReasons[reason]++
+				}
+			}
+		case "exchange", "spill":
+			if v, ok := asInt64(s.Detail["recv_records"]); ok {
+				a.ExchangeRecv[s.Rank] += v
+			}
+		case "pivots":
+			if v, ok := asInt64(s.Detail["dup_runs"]); ok && v > 0 {
+				a.DuplicatedPivotRuns++
 			}
 		}
 	}
@@ -110,9 +120,6 @@ func Analyze(events []Event) Analysis {
 		}
 	}
 	sort.Ints(a.UnterminatedRanks)
-	if len(events) > 0 {
-		a.SpanUS = maxT - minT
-	}
 	return a
 }
 

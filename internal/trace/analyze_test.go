@@ -61,24 +61,29 @@ func FuzzReadJSONL(f *testing.F) {
 func TestReadJSONLRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	j := NewJSONL(&buf)
-	j.Emit(0, "sort.start", map[string]any{"records": 100})
-	j.Emit(0, "exchange.plan", map[string]any{"recv_records": int64(40)})
-	j.Emit(1, "exchange.plan", map[string]any{"recv_records": int64(60)})
-	j.Emit(0, "pivots.duplicated", map[string]any{"runs": 1})
-	j.Emit(1, "sort.done", nil)
+	root0 := StartSpan(j, 0, Scope{}, "sort", map[string]any{"records": 100})
+	piv := StartSpan(j, 0, root0.Scope(), "pivots", nil)
+	piv.End(map[string]any{"pivots": 1, "dup_runs": 1, "duplicated_pivots": 2})
+	ex0 := StartSpan(j, 0, root0.Scope(), "exchange", nil)
+	ex0.End(map[string]any{"recv_records": int64(40)})
+	root1 := StartSpan(j, 1, Scope{}, "sort", map[string]any{"records": 100})
+	ex1 := StartSpan(j, 1, root1.Scope(), "spill", nil)
+	ex1.End(map[string]any{"recv_records": int64(60)})
+	root1.End(map[string]any{"records": 60, "reason": "spilled"})
+	root0.End(map[string]any{"records": 40, "reason": "completed"})
 
 	events, err := ReadJSONL(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(events) != 5 {
+	if len(events) != 10 {
 		t.Fatalf("%d events", len(events))
 	}
 	a := Analyze(events)
-	if a.Events != 5 || len(a.Ranks) != 2 {
+	if a.Events != 10 || len(a.Ranks) != 2 {
 		t.Fatalf("analysis: %+v", a)
 	}
-	if a.Kinds["exchange.plan"] != 2 {
+	if a.Kinds[KindSpanBegin] != 5 || a.Kinds[KindSpanEnd] != 5 {
 		t.Fatalf("kinds: %+v", a.Kinds)
 	}
 	if a.ExchangeRecv[0] != 40 || a.ExchangeRecv[1] != 60 {
@@ -87,12 +92,44 @@ func TestReadJSONLRoundTrip(t *testing.T) {
 	if a.DuplicatedPivotRuns != 1 {
 		t.Fatalf("dup runs: %d", a.DuplicatedPivotRuns)
 	}
+	if a.SortsStarted != 2 || a.SortsCompleted != 2 || len(a.UnterminatedRanks) != 0 {
+		t.Fatalf("sorts: %+v", a)
+	}
+	if a.DoneReasons["completed"] != 1 || a.DoneReasons["spilled"] != 1 {
+		t.Fatalf("done reasons: %v", a.DoneReasons)
+	}
 
 	out := a.Render()
-	for _, want := range []string{"5 events", "exchange.plan", "100 records total", "skew-aware"} {
+	for _, want := range []string{"10 events", KindSpanBegin, "100 records total", "skew-aware", "sorts: 2 started, 2 completed"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestAnalyzeUnterminatedSorts: a sort whose root span closed as failed,
+// or never closed, is started but not completed, and names its rank.
+func TestAnalyzeUnterminatedSorts(t *testing.T) {
+	rec := NewRing(16)
+	StartSpan(rec, 0, Scope{}, "sort", nil).End(map[string]any{"reason": "completed"})
+	failed := StartSpan(rec, 1, Scope{}, "sort", nil)
+	ex := StartSpan(rec, 1, failed.Scope(), "exchange", nil)
+	ex.End(map[string]any{"reason": "error"})
+	failed.End(map[string]any{"reason": "error"})
+	StartSpan(rec, 2, Scope{}, "sort", nil) // still running
+
+	a := Analyze(rec.Events())
+	if a.SortsStarted != 3 || a.SortsCompleted != 1 {
+		t.Fatalf("%d started, %d completed, want 3 and 1", a.SortsStarted, a.SortsCompleted)
+	}
+	if len(a.UnterminatedRanks) != 2 || a.UnterminatedRanks[0] != 1 || a.UnterminatedRanks[1] != 2 {
+		t.Fatalf("unterminated ranks %v, want [1 2]", a.UnterminatedRanks)
+	}
+	if len(a.DoneReasons) != 1 || len(a.ExchangeRecv) != 0 {
+		t.Fatalf("a failed sort counted as done: %v / %v", a.DoneReasons, a.ExchangeRecv)
+	}
+	if !strings.Contains(a.Render(), "UNTERMINATED on ranks [1 2]") {
+		t.Fatalf("render:\n%s", a.Render())
 	}
 }
 

@@ -176,7 +176,7 @@ func ChromeTrace(events []Event) ([]byte, error) {
 	}
 
 	// Everything that is not a span becomes a thread-scoped instant,
-	// so decisions (pivots.duplicated, algo.selected, skew.phase...)
+	// so decisions (algo.selected, skew.phase, supervisor.*...)
 	// show up as ticks on the rank that made them.
 	for _, e := range events {
 		if e.Kind == KindSpanBegin || e.Kind == KindSpanEnd {

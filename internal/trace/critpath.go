@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -68,14 +69,7 @@ func CriticalPath(events []Event) (CritPath, bool) {
 	// Root selection: prefer the canonical per-rank "sort" roots over
 	// job/epoch wrappers so the phase decomposition is the sort's.
 	isRoot := func(s SpanRecord) bool { return s.Name == "sort" }
-	any := false
-	for _, s := range spans {
-		if isRoot(s) {
-			any = true
-			break
-		}
-	}
-	if !any {
+	if !slices.ContainsFunc(spans, isRoot) {
 		isRoot = func(s SpanRecord) bool { return s.Parent == 0 }
 	}
 
@@ -192,17 +186,10 @@ func (c CritPath) Render() string {
 	if slack := c.TotalUS - c.AccountedUS; len(c.Steps) > 0 {
 		fmt.Fprintf(&b, "  %-14s %10.3fms  %5.1f%%  (setup, barriers, teardown)\n",
 			"un-spanned", float64(slack)/1000,
-			100*float64(slack)/float64(max64(c.TotalUS, 1)))
+			100*float64(slack)/float64(max(c.TotalUS, 1)))
 	}
 	if c.OtherTraces > 0 {
 		fmt.Fprintf(&b, "  (%d other trace(s) in the stream not analyzed)\n", c.OtherTraces)
 	}
 	return b.String()
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"encoding/json"
+	"maps"
 	"sync"
 	"time"
 )
@@ -38,7 +39,7 @@ func (r *Ring) Emit(rank int, kind string, detail map[string]any) {
 		UnixUS:    now.UnixMicro(),
 		Rank:      rank,
 		Kind:      kind,
-		Detail:    copyDetail(detail),
+		Detail:    maps.Clone(detail),
 	}
 }
 
@@ -88,13 +89,20 @@ func (r *Ring) MarshalJSONL() []json.RawMessage {
 // durable JSONL file and a live ring at once.
 type Tee []Tracer
 
-// NewTee builds a Tee, dropping nil sinks.
-func NewTee(sinks ...Tracer) Tee {
+// NewTee fans out to sinks, dropping nil ones. With none left it returns
+// Nop, so StartSpan costs nothing; with one, that sink itself.
+func NewTee(sinks ...Tracer) Tracer {
 	var t Tee
 	for _, s := range sinks {
 		if s != nil {
 			t = append(t, s)
 		}
+	}
+	switch len(t) {
+	case 0:
+		return Nop{}
+	case 1:
+		return t[0]
 	}
 	return t
 }

@@ -34,8 +34,8 @@ func TestRingRetainsLastN(t *testing.T) {
 
 func TestRingMarshalJSONL(t *testing.T) {
 	r := NewRing(4)
-	r.Emit(0, "sort.start", map[string]any{"records": 10})
-	r.Emit(0, "sort.done", map[string]any{"reason": "completed"})
+	r.Emit(0, "skew.phase", map[string]any{"records": 10})
+	r.Emit(0, "algo.selected", map[string]any{"algo": "sds"})
 	lines := r.MarshalJSONL()
 	if len(lines) != 2 {
 		t.Fatalf("got %d lines", len(lines))
@@ -45,7 +45,7 @@ func TestRingMarshalJSONL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(events) != 2 || events[0].Kind != "sort.start" || events[1].Kind != "sort.done" {
+	if len(events) != 2 || events[0].Kind != "skew.phase" || events[1].Kind != "algo.selected" {
 		t.Fatalf("round trip mangled events: %+v", events)
 	}
 }
@@ -87,14 +87,27 @@ func TestRingCopiesDetailOnEmit(t *testing.T) {
 
 func TestTeeFansOutAndDropsNil(t *testing.T) {
 	a, b := NewRing(2), NewRing(2)
-	tee := NewTee(a, nil, b)
-	if len(tee) != 2 {
-		t.Fatalf("tee kept %d sinks, want 2 (nil dropped)", len(tee))
+	tee, ok := NewTee(a, nil, b).(Tee)
+	if !ok || len(tee) != 2 {
+		t.Fatalf("tee = %#v, want a Tee of 2 sinks (nil dropped)", tee)
 	}
 	tee.Emit(1, "ev", nil)
 	if len(a.Events()) != 1 || len(b.Events()) != 1 {
 		t.Errorf("fan-out missed a sink: %d/%d", len(a.Events()), len(b.Events()))
 	}
-	// An empty tee is a usable no-op sink.
-	NewTee().Emit(0, "ignored", nil)
+	// One surviving sink is returned as itself, not wrapped.
+	if got := NewTee(nil, a); got != Tracer(a) {
+		t.Errorf("NewTee(nil, a) = %#v, want a itself", got)
+	}
+}
+
+// TestEmptyTeeSpansNothing: a process with no trace sink must not build
+// spans for nobody — an empty tee is Nop, so StartSpan returns nil.
+func TestEmptyTeeSpansNothing(t *testing.T) {
+	if sp := StartSpan(NewTee(), 0, Scope{}, "sort", map[string]any{"records": 1}); sp != nil {
+		t.Fatalf("StartSpan on an empty tee = %+v, want nil", sp)
+	}
+	if sp := StartSpan(NewTee(nil, nil), 0, Scope{}, "sort", nil); sp != nil {
+		t.Fatalf("StartSpan on an all-nil tee = %+v, want nil", sp)
+	}
 }

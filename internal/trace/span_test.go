@@ -126,7 +126,7 @@ func TestBuildSpansCrossProcessIDCollision(t *testing.T) {
 func TestBuildSpansOpenSpanExtendsToLastSighting(t *testing.T) {
 	events := []Event{
 		evt(3, KindSpanBegin, 5, 1005, map[string]any{"span": int64(9), "name": "exchange"}),
-		evt(3, "exchange.plan", 40, 1040, nil),
+		evt(3, "skew.phase", 40, 1040, nil),
 		evt(3, "heartbeat", 90, 1090, nil),
 	}
 	spans := BuildSpans(events)

@@ -1,6 +1,6 @@
-// Package trace records structured per-rank events from a sort run —
-// phase transitions, exchange volumes, partition summaries — as JSON
-// lines. Traces make the adaptive decisions (τm/τo/τs branches, pivot
+// Package trace records structured per-rank events from a sort run as
+// JSON lines: the spans of its phases, each carrying what the phase
+// decided and moved, and the few point events no span covers. Traces make the adaptive decisions (τm/τo/τs branches, pivot
 // duplication, per-destination send counts) observable after the fact,
 // which is how the experiments' claims were debugged and is what a
 // production operator would ship to their log pipeline.
@@ -32,21 +32,6 @@ type Event struct {
 	Kind string `json:"kind"`
 	// Detail is the event-specific payload.
 	Detail map[string]any `json:"detail,omitempty"`
-}
-
-// copyDetail shallow-copies a caller-owned detail map. Sinks that
-// retain events past the Emit call (Ring) must not alias the
-// caller's map: callers routinely reuse or mutate detail maps after
-// emitting, which the race detector rightly flags.
-func copyDetail(detail map[string]any) map[string]any {
-	if detail == nil {
-		return nil
-	}
-	cp := make(map[string]any, len(detail))
-	for k, v := range detail {
-		cp[k] = v
-	}
-	return cp
 }
 
 // Tracer receives events. Implementations must be safe for concurrent

@@ -11,8 +11,8 @@ import (
 func TestJSONLEmit(t *testing.T) {
 	var buf bytes.Buffer
 	j := NewJSONL(&buf)
-	j.Emit(0, "sort.start", map[string]any{"records": 10})
-	j.Emit(1, "sort.done", nil)
+	j.Emit(0, "skew.phase", map[string]any{"records": 10})
+	j.Emit(1, "algo.selected", nil)
 	if err := j.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestJSONLEmit(t *testing.T) {
 	if len(events) != 2 {
 		t.Fatalf("got %d events", len(events))
 	}
-	if events[0].Kind != "sort.start" || events[0].Rank != 0 || events[0].Seq != 1 {
+	if events[0].Kind != "skew.phase" || events[0].Rank != 0 || events[0].Seq != 1 {
 		t.Fatalf("event 0: %+v", events[0])
 	}
 	if events[0].Detail["records"] != float64(10) {

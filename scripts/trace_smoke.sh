@@ -3,7 +3,7 @@
 # span tracing and telemetry on, assert /debug/spans serves a
 # well-formed span tree mid-soak, then validate the read side end to
 # end on the written traces: the clock-aligned chrome export and the
-# critical-path analyzer. This is the curl-level twin of the trace
+# report — the summary of the span tree and its critical path. This is the curl-level twin of the trace
 # package's Go tests; CI runs it from the observability-smoke lane,
 # `make trace-smoke` runs it locally. The hot-path cost of the tracing
 # hooks themselves is not measured here: read trace.overhead_frac from
@@ -89,11 +89,20 @@ echo "== chrome export (clock-aligned merge of both ranks)"
 "$dir/sdstrace" -format chrome "$dir/rank0.trace" "$dir/rank1.trace" >"$dir/timeline.json"
 "$dir/tracecheck" -mode chrome -want sort "$dir/timeline.json"
 
-echo "== critical path"
-"$dir/sdstrace" -critical-path "$dir/rank0.trace" "$dir/rank1.trace" | tee "$dir/critpath.txt"
-grep -q '^critical path: sort over 2 rank(s)' "$dir/critpath.txt" || {
+echo "== report (summary and critical path)"
+"$dir/sdstrace" "$dir/rank0.trace" "$dir/rank1.trace" | tee "$dir/report.txt"
+grep -q '^critical path: sort over 2 rank(s)' "$dir/report.txt" || {
 	echo "FAIL: critical path did not attribute a 2-rank sort"
 	exit 1
 }
+# 10 jobs x 2 ranks, every sort root closed with a non-error reason.
+grep -q '^sorts: 20 started, 20 completed$' "$dir/report.txt" || {
+	echo "FAIL: want 20 sorts started and completed"
+	exit 1
+}
+if grep -q 'UNTERMINATED' "$dir/report.txt"; then
+	echo "FAIL: a rank left a sort unterminated"
+	exit 1
+fi
 
 echo "PASS: trace smoke"

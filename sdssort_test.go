@@ -266,7 +266,7 @@ func TestTraceJSONOption(t *testing.T) {
 	if _, err := sorter.SortLocal(topo, [][]float64{{2, 1}, {4, 3}}); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "sort.start") {
+	if !strings.Contains(buf.String(), `"name":"sort"`) {
 		t.Fatalf("trace missing events: %q", buf.String())
 	}
 }
