@@ -139,7 +139,7 @@ experiments-quick:
 
 # Short fuzzing pass over the sort, natural-run, run-merge, k-way merge, partition,
 # checkpoint-manifest, exchange-decode, float-key, key-field,
-# radix-kernel, stable-radix-dispatch, run-file-reader, job-manifest and
+# radix-kernel, stable-radix-dispatch, run-file-reader, run-file-merge, job-manifest and
 # trace-reader invariants. The trace reader's seeds are kilobyte
 # streams, so its minimization budget is capped: at the default 60 s
 # the first coverage-raising input would eat the whole run.
@@ -158,6 +158,7 @@ fuzz:
 	$(GO) test ./internal/radix -fuzz FuzzRadixKernel -fuzztime 30s -run xxx
 	$(GO) test ./internal/core -fuzz FuzzStableDispatch -fuzztime 30s -run xxx
 	$(GO) test ./internal/extsort -fuzz FuzzRunReader -fuzztime 30s -run xxx
+	$(GO) test ./internal/extsort -fuzz FuzzRunMerge -fuzztime 30s -run xxx
 	$(GO) test ./cmd/sdsnode -fuzz FuzzDecodeJobs -fuzztime 30s -run xxx
 	$(GO) test ./internal/trace -fuzz FuzzReadJSONL -fuzztime 30s -fuzzminimizetime 3s -run xxx
 

@@ -289,9 +289,9 @@ func cutRuns[T any](r *run[T], in RecordSource[T], dir string, detail map[string
 // lazy merge of that destination's segments of the local runs (ubs[r]
 // are run r's per-destination record bounds), filled chunk by chunk into
 // pooled buffers — in place, viewed as records, for zero-copy codecs,
-// marshalled record by record otherwise. Destinations are visited one
-// per round, each payload fully streamed, so one merge is open at a
-// time; the returned func closes whichever is.
+// through a small block of records encoded into the chunk otherwise.
+// Destinations are visited one per round, each payload fully streamed,
+// so one merge is open at a time; the returned func closes whichever is.
 func runSource[T any](runs []string, ubs [][]int64, cd codec.Codec[T], cmp func(a, b T) int, recSize int64, mo extsort.MergeOptions) (chunkSource, func()) {
 	var cur *extsort.MergeStream[T]
 	curDst := -1
@@ -302,6 +302,7 @@ func runSource[T any](runs []string, ubs [][]int64, cd codec.Codec[T], cmp func(
 		}
 	}
 	pool := &codec.BufferPool{}
+	var blk [64]T // a codec without zero copy fills this and encodes it
 	return chunkSource{pool: pool, fill: func(dst int, off, n int64) ([]byte, error) {
 		if dst != curDst {
 			closeCur() // the previous destination's merge is exhausted
@@ -318,22 +319,23 @@ func runSource[T any](runs []string, ubs [][]int64, cd codec.Codec[T], cmp func(
 			cur, curDst = ms, dst
 		}
 		buf := pool.Get(int(n))[:n]
-		if recs, ok := codec.Records(cd, buf); ok {
-			k, err := cur.Fill(recs)
-			if err == nil && k < len(recs) {
+		recs, zc := codec.Records(cd, buf)
+		for b := int64(0); b < n; {
+			out := blk[:min(int64(len(blk)), (n-b)/recSize)]
+			if zc {
+				out = recs[b/recSize:] // a zero-copy chunk is filled in place
+			}
+			k, err := cur.Fill(out)
+			if err == nil && k == 0 {
 				err = io.EOF
 			}
 			if err != nil {
-				return nil, fmt.Errorf("core: fill for rank %d at %d: %w", dst, off+int64(k)*recSize, err)
+				return nil, fmt.Errorf("core: fill for rank %d at %d: %w", dst, off+b+int64(k)*recSize, err)
 			}
-			return buf, nil
-		}
-		for b := int64(0); b < n; b += recSize {
-			rec, err := cur.Next()
-			if err != nil {
-				return nil, fmt.Errorf("core: fill for rank %d at %d: %w", dst, off+b, err)
+			if !zc {
+				codec.EncodeSlice(cd, buf[b:b], blk[:k])
 			}
-			cd.Marshal(buf[b:b+recSize], rec)
+			b += int64(k) * recSize
 		}
 		return buf, nil
 	}}, closeCur

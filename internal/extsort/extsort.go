@@ -1,12 +1,12 @@
 // Package extsort is the run-file layer of the out-of-core spill tier:
 // files that appear at their path only once complete (File), sorted runs
-// in the recordio format viewed as segments, and a lazy k-way merge over
-// them with a bounded fan-in (runs.go). It holds no sorter — nothing
-// here takes unsorted input. The one out-of-core sort is core.SortStream,
-// which cuts, exchanges and merges runs through this package; the
-// external sort of a single file is that sort on a one-rank world. This
-// is the regime the paper's related work (TritonSort, NTOSort — §5)
-// addresses; SDS-Sort itself is in-memory.
+// in the recordio format viewed as segments, and a lazy merge over them,
+// a tree of branchless two-way merges with a bounded fan-in (runs.go).
+// It holds no sorter — nothing here takes unsorted input. The one
+// out-of-core sort is core.SortStream, which cuts, exchanges and merges
+// runs through this package; the external sort of a single file is that
+// sort on a one-rank world. This is the regime the paper's related work
+// (TritonSort, NTOSort — §5) addresses; SDS-Sort itself is in-memory.
 package extsort
 
 import (

@@ -10,6 +10,7 @@ import (
 	"sdssort/internal/codec"
 	"sdssort/internal/memlimit"
 	"sdssort/internal/metrics"
+	"sdssort/internal/psort"
 )
 
 // MergeOptions configures a lazy merge over run files.
@@ -19,10 +20,10 @@ type MergeOptions struct {
 	// intermediate runs first (consuming — deleting — their inputs).
 	// Default 64.
 	MaxFanIn int
-	// BufBytes sizes each buffer of a merge. openCursors reserves one
-	// per cursor from Mem, holding the run's current block of records;
-	// a pre-merge pass reserves one more for its output block. Default
-	// 256 KiB.
+	// BufBytes sizes each run's share of a merge. openCursors reserves
+	// one per run from Mem, holding the run's current block of records
+	// and at most one merge node's buffer; a pre-merge pass reserves
+	// one more for its output block. Default 256 KiB.
 	BufBytes int
 	// Mem accounts the cursor buffers; nil means unlimited.
 	Mem *memlimit.Gauge
@@ -71,8 +72,8 @@ func WholeRuns(runs []string) []RunSegment {
 }
 
 // Cursor reads one segment front to back, a block of records at a time.
-// The merge holds one per open run; it is also how a file shard streams
-// into the sort.
+// The merge tree has one at each leaf, one per open run; it is also how
+// a file shard streams into the sort.
 type Cursor[T any] struct {
 	f    *os.File
 	cd   codec.Codec[T]
@@ -81,8 +82,6 @@ type Cursor[T any] struct {
 	wire []byte // blk's byte view (zero-copy), else the bytes blk decodes from
 	zc   bool
 	left int64 // records of the segment not yet read from the file; -1 = until EOF
-	head T     // in a merge: the record at the front of the run,
-	idx  int   // and the run's index, the stability tiebreaker
 }
 
 // newBlock carves bufBytes into a block of at least one record and its
@@ -166,51 +165,95 @@ func (c *Cursor[T]) fill() error {
 	return nil
 }
 
-// Close releases the cursor's file.
-func (c *Cursor[T]) Close() error { return c.f.Close() }
+// Close releases the cursor's file. Safe to call more than once.
+func (c *Cursor[T]) Close() error {
+	if c.f == nil {
+		return nil
+	}
+	err := c.f.Close()
+	c.f = nil
+	return err
+}
+
+// next makes the cursor a leaf of a merge tree (see source); at the
+// segment's end it closes the file at once.
+func (c *Cursor[T]) next(taken int) ([]T, error) {
+	c.pos += taken
+	if c.pos == len(c.blk) {
+		switch err := c.fill(); err {
+		case nil:
+		case io.EOF:
+			c.left = 0 // fill answers io.EOF from now on, without the file
+			c.Close()
+		default:
+			return nil, fmt.Errorf("extsort: run %s: %w", c.f.Name(), err)
+		}
+	}
+	return c.blk[c.pos:], nil
+}
+
+// A source is a node of a merge tree: a run's Cursor at a leaf, a
+// merge2 above. next consumes the first taken records of the block it
+// returned last and returns those it has ready now, in order, refilling
+// once they are spent; the block is empty only once the source is.
+type source[T any] interface {
+	next(taken int) ([]T, error)
+}
+
+// merge2 is an inner node of the merge tree: the stable two-way merge
+// of its children, l holding the lower-indexed runs. Below the root it
+// merges into its own buffer out, of which out[:pos] is taken.
+type merge2[T any] struct {
+	l, r source[T]
+	cmp  func(a, b T) int
+	out  []T
+	pos  int
+}
+
+func (m *merge2[T]) next(taken int) ([]T, error) {
+	m.pos += taken
+	if m.pos == len(m.out) {
+		n, err := m.merge(m.out[:cap(m.out)])
+		m.out, m.pos = m.out[:n], 0
+		if err != nil {
+			return nil, err
+		}
+	}
+	return m.out[m.pos:], nil
+}
+
+// merge fills dst with the children's next records, as Fill does.
+// MergeSome stops whenever one side's ready block is spent, so that side
+// refills before a record of the other passes it.
+func (m *merge2[T]) merge(dst []T) (k int, err error) {
+	var a, b []T
+	for i, j := 0, 0; ; k += i + j {
+		if a, err = m.l.next(i); err == nil {
+			b, err = m.r.next(j)
+		}
+		if err != nil || k == len(dst) || len(a)+len(b) == 0 {
+			return k, err
+		}
+		i, j = psort.MergeSome(dst[k:], a, b, m.cmp)
+		switch {
+		case len(b) == 0:
+			i = copy(dst[k:], a)
+		case len(a) == 0:
+			j = copy(dst[k:], b)
+		}
+	}
+}
 
 // MergeStream is a lazy cursor over the merged order of a set of
-// sorted run files. Records stream from disk through per-run blocks;
-// nothing is held resident beyond one BufBytes block per cursor, which
-// is reserved from MergeOptions.Mem for the stream's lifetime.
+// sorted run files: a balanced tree of two-way merges over the runs'
+// cursors, in run order. Nothing is held resident beyond one BufBytes
+// share per run, reserved from MergeOptions.Mem for its lifetime.
 type MergeStream[T any] struct {
-	// heap is a binary min-heap of the open runs by (head record, run
-	// index). Only its root ever changes — replaced by its run's next
-	// record, or removed with the run — so sifting down is its one
-	// operation, written out over the concrete types: container/heap
-	// would reach cmp through three interface calls per level, per record.
-	heap     []*Cursor[T]
+	root     *merge2[T]
+	runs     []*Cursor[T]
 	cd       codec.Codec[T]
-	cmp      func(a, b T) int
 	mem      *memlimit.Gauge
 	reserved int64
-	closed   bool
-}
-
-func (ms *MergeStream[T]) less(a, b *Cursor[T]) bool {
-	if c := ms.cmp(a.head, b.head); c != 0 {
-		return c < 0
-	}
-	return a.idx < b.idx
-}
-
-// down restores heap order below position i.
-func (ms *MergeStream[T]) down(i int) {
-	h := ms.heap
-	for {
-		kid := 2*i + 1
-		if kid >= len(h) {
-			return
-		}
-		if r := kid + 1; r < len(h) && ms.less(h[r], h[kid]) {
-			kid = r
-		}
-		if !ms.less(h[kid], h[i]) {
-			return
-		}
-		h[i], h[kid] = h[kid], h[i]
-		i = kid
-	}
 }
 
 // OpenMerge opens a merge stream over runs (paths of committed run
@@ -269,75 +312,57 @@ func openMergeCapped[T any](segs []RunSegment, consume bool, cd codec.Codec[T], 
 	return ms, nil
 }
 
-// openCursors opens one read cursor per segment and heapifies the
-// heads.
+// openCursors opens one cursor per segment, drops the empty ones and
+// builds the tree over the rest. Each run's BufBytes share holds its
+// cursor's block (¾) and at most one inner node's buffer (¼): k leaves
+// have k-1 inner nodes, and the root merges straight into Fill's dst.
 func openCursors[T any](segs []RunSegment, cd codec.Codec[T], cmp func(a, b T) int, opt MergeOptions) (*MergeStream[T], error) {
-	ms := &MergeStream[T]{cd: cd, cmp: cmp, mem: opt.Mem}
-	need := int64(len(segs)) * int64(opt.bufBytes())
+	ms := &MergeStream[T]{cd: cd, mem: opt.Mem}
+	buf := opt.bufBytes()
+	need := int64(len(segs)) * int64(buf)
 	if err := opt.Mem.Reserve(need); err != nil {
 		return nil, fmt.Errorf("extsort: merge buffers for %d runs: %w", len(segs), err)
 	}
 	ms.reserved = need
-	for idx, seg := range segs {
-		cur, err := OpenSegment(seg, cd, opt.bufBytes())
+	var level []source[T]
+	for _, seg := range segs {
+		cur, err := OpenSegment(seg, cd, buf-buf/4)
 		if err != nil {
 			ms.Close()
 			return nil, err
 		}
-		cur.idx = idx
-		switch cur.head, err = cur.Read(); err {
-		case nil:
-			ms.heap = append(ms.heap, cur)
-		case io.EOF:
-			cur.Close() // an empty run
-		default:
-			cur.Close()
+		ms.runs = append(ms.runs, cur)
+		if blk, err := cur.next(0); err != nil {
 			ms.Close()
-			return nil, fmt.Errorf("extsort: run %d: %w", idx, err)
+			return nil, err
+		} else if len(blk) > 0 {
+			level = append(level, cur)
 		}
 	}
-	for i := len(ms.heap)/2 - 1; i >= 0; i-- {
-		ms.down(i)
+	var z T
+	nodeRecs := max(buf/4/int(unsafe.Sizeof(z)), 1)
+	for len(level) > 2 {
+		next := level[:0:0]
+		for i := 0; i+1 < len(level); i += 2 {
+			next = append(next, &merge2[T]{l: level[i], r: level[i+1], cmp: cmp, out: make([]T, 0, nodeRecs)})
+		}
+		if len(level)%2 == 1 {
+			next = append(next, level[len(level)-1]) // the odd run out passes up unmerged
+		}
+		level = next
 	}
+	for len(level) < 2 {
+		level = append(level, &Cursor[T]{}) // a spent cursor: a missing child
+	}
+	ms.root = &merge2[T]{l: level[0], r: level[1], cmp: cmp}
 	return ms, nil
 }
 
 // Fill copies the next records in merged order into dst, in place, and
 // returns how many: len(dst) unless the merge ends (or fails) first.
-// The root's next head comes from its cursor's block; the cursor reads
-// only when that block is spent.
+// The root merges its two subtrees straight into dst.
 func (ms *MergeStream[T]) Fill(dst []T) (int, error) {
-	for i := range dst {
-		if len(ms.heap) == 0 {
-			return i, nil
-		}
-		top := ms.heap[0]
-		dst[i] = top.head
-		if top.pos < len(top.blk) {
-			top.head = top.blk[top.pos]
-			top.pos++
-		} else if rec, err := top.Read(); err == nil {
-			top.head = rec
-		} else if err == io.EOF {
-			top.Close()
-			last := len(ms.heap) - 1
-			ms.heap[0], ms.heap = ms.heap[last], ms.heap[:last]
-		} else {
-			return i, fmt.Errorf("extsort: run %d: %w", top.idx, err)
-		}
-		ms.down(0)
-	}
-	return len(dst), nil
-}
-
-// Next returns the next record in merged order, or io.EOF.
-func (ms *MergeStream[T]) Next() (T, error) {
-	var one [1]T
-	n, err := ms.Fill(one[:])
-	if n == 0 && err == nil {
-		err = io.EOF
-	}
-	return one[0], err
+	return ms.root.merge(dst)
 }
 
 // Stream writes every remaining record to w in wire format through one
@@ -365,14 +390,10 @@ func (ms *MergeStream[T]) Stream(w io.Writer, bufBytes int) (total int64, err er
 // Close releases the remaining cursors and the buffer reservation.
 // Safe to call more than once.
 func (ms *MergeStream[T]) Close() error {
-	if ms.closed {
-		return nil
-	}
-	ms.closed = true
-	for _, cur := range ms.heap {
+	for _, cur := range ms.runs {
 		cur.Close()
 	}
-	ms.heap = nil
+	ms.runs = nil
 	ms.mem.Release(ms.reserved)
 	ms.reserved = 0
 	return nil

@@ -2,6 +2,7 @@ package extsort_test
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -15,6 +16,7 @@ import (
 
 	"sdssort/internal/codec"
 	"sdssort/internal/extsort"
+	"sdssort/internal/memlimit"
 	"sdssort/internal/recordio"
 )
 
@@ -395,5 +397,142 @@ func BenchmarkRunMerge(b *testing.B) {
 				ms.Close()
 			}
 		})
+	}
+}
+
+// u64 and plainU64 carry FuzzRunMerge's tagged records on the zero-copy
+// and the marshal path.
+var (
+	u64      = codec.Uint64{}
+	plainU64 = codec.Funcs[uint64]{Width: 8, MarshalFn: u64.Marshal, UnmarshFn: u64.Unmarshal}
+)
+
+// cmpTagKey orders tagged records by key alone, the top byte: the run
+// and position below it ride along, so any reordering of equal keys
+// shows.
+func cmpTagKey(a, b uint64) int { return cmp.Compare(a>>56, b>>56) }
+
+// FuzzRunMerge fuzzes the merge tree against the stable sort of its
+// input. The bytes describe k ≤ 17 runs — each a length (empty runs
+// included) and keys from a four-letter alphabet, so ties cross runs —
+// stored as segments [Lo, Hi) of files padded on both sides with
+// records that must never be read. Each record carries its run and
+// position, and the merged order must equal slices.SortStableFunc over
+// the runs concatenated in run order, through Fill and through Stream,
+// at block and node buffers down to one record, on both codec paths and
+// under fan-in caps that force pre-merges.
+func FuzzRunMerge(f *testing.F) {
+	f.Add([]byte{3, 1, 0, 2, 4, 2, 2, 0, 1, 1, 0, 3, 3, 1, 2, 0}, uint8(5), uint8(0), uint8(0), false)
+	f.Add(bytes.Repeat([]byte{7, 0, 1, 2, 3}, 20), uint8(17), uint8(3), uint8(1), true)
+	f.Add([]byte{0, 0, 9, 1, 1, 1, 1, 1, 1, 1, 1, 1}, uint8(3), uint8(40), uint8(2), false)
+	f.Add([]byte{}, uint8(0), uint8(0), uint8(0), true)
+	f.Fuzz(func(t *testing.T, data []byte, kRaw, bufRaw, fanRaw uint8, marshal bool) {
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b)
+		}
+		k := int(kRaw) % 18
+		bufBytes := 8 * (1 + int(bufRaw)%16) // one record per block and per node at 8
+		cd := codec.Codec[uint64](u64)
+		if marshal {
+			cd = plainU64
+		}
+		dir := t.TempDir()
+		var segs []extsort.RunSegment
+		var want []uint64
+		for r := 0; r < k; r++ {
+			n, pre, post := next()%24, next()%3, next()%3
+			recs := make([]uint64, 0, pre+n+post)
+			for range pre {
+				recs = append(recs, math.MaxUint64) // padding: a key no run holds
+			}
+			for range n {
+				recs = append(recs, uint64(next()%4)<<56|uint64(r)<<16)
+			}
+			slices.SortStableFunc(recs[pre:], cmpTagKey)
+			for i := range recs[pre:] {
+				recs[pre+i] = recs[pre+i]&^0xffff | uint64(i) // tag positions in run order
+			}
+			want = append(want, recs[pre:]...)
+			for range post {
+				recs = append(recs, 0)
+			}
+			path := filepath.Join(dir, fmt.Sprintf("run-%02d", r))
+			if err := recordio.WriteFile(path, u64, recs); err != nil {
+				t.Fatal(err)
+			}
+			segs = append(segs, extsort.RunSegment{Path: path, Lo: int64(pre), Hi: int64(pre + n)})
+		}
+		slices.SortStableFunc(want, cmpTagKey)
+		opt := extsort.MergeOptions{BufBytes: bufBytes, MaxFanIn: 2 + int(fanRaw)%17, TempDir: dir}
+		open := func() *extsort.MergeStream[uint64] {
+			t.Helper()
+			ms, err := extsort.OpenMergeSegments(segs, cd, cmpTagKey, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return ms
+		}
+		ms := open()
+		got := make([]uint64, len(want)+1)
+		n, err := ms.Fill(got)
+		ms.Close()
+		if err != nil || !slices.Equal(got[:n], want) {
+			t.Fatalf("k=%d buf=%d fan=%d: Fill yielded %d of %d records out of stable order (err=%v)", k, bufBytes, opt.MaxFanIn, n, len(want), err)
+		}
+		ms = open()
+		var out bytes.Buffer
+		_, err = ms.Stream(&out, bufBytes)
+		ms.Close()
+		streamed, derr := codec.DecodeAppend(u64, nil, out.Bytes())
+		if err != nil || derr != nil || !slices.Equal(streamed, want) {
+			t.Fatalf("k=%d buf=%d fan=%d: Stream yielded %d of %d records out of stable order (err=%v)", k, bufBytes, opt.MaxFanIn, len(streamed), len(want), err)
+		}
+	})
+}
+
+// TestMergeLedger: a merge's memory is its reservation, which the tree
+// does not move — k runs hold exactly k × BufBytes from OpenMerge to
+// Close, their cursor blocks and node buffers carved from it; a
+// pre-merge pass holds exactly one BufBytes more, its output block; and
+// Close returns the gauge to zero.
+func TestMergeLedger(t *testing.T) {
+	const k, buf = 5, 4 << 10
+	g := memlimit.New(1 << 30)
+	ms, err := extsort.OpenMerge(writeRuns(t, k, 3000), f64, cmpF, extsort.MergeOptions{BufBytes: buf, Mem: g})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Used() != k*buf {
+		t.Fatalf("%d runs open hold %d bytes, want %d", k, g.Used(), k*buf)
+	}
+	if _, err := ms.Stream(io.Discard, buf); err != nil {
+		t.Fatal(err)
+	}
+	if g.Used() != k*buf || g.Peak() != k*buf {
+		t.Fatalf("draining moved the ledger: %d used, %d peak, want %d", g.Used(), g.Peak(), k*buf)
+	}
+	ms.Close()
+	if g.Used() != 0 {
+		t.Fatalf("%d bytes held after Close", g.Used())
+	}
+
+	// Five runs under a fan-in of four: one pre-merge pass of four, then
+	// a merge of its output and the fifth run.
+	g = memlimit.New(1 << 30)
+	ms, err = extsort.OpenMerge(writeRuns(t, k, 3000), f64, cmpF, extsort.MergeOptions{BufBytes: buf, Mem: g, MaxFanIn: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Peak() != (4+1)*buf || g.Used() != 2*buf {
+		t.Fatalf("pre-merge peaked at %d and left %d held, want %d and %d", g.Peak(), g.Used(), (4+1)*buf, 2*buf)
+	}
+	ms.Close()
+	if g.Used() != 0 {
+		t.Fatalf("%d bytes held after Close", g.Used())
 	}
 }

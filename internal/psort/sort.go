@@ -179,31 +179,43 @@ func insertionSortStable[T any](data []T, cmp func(a, b T) int) {
 // tail of dst itself: the write position only catches up with its read
 // position once the other input is exhausted, and what is left of it is
 // then already in place.
-// The kernel is branchless: the comparison outcome selects the source
-// element and advances the indices through conditional moves instead of
-// an unpredictable branch, so merging random keys is bound by memory and
-// the comparator, not by branch mispredictions. (The b-before-a tie
-// check is what makes take-a-on-ties fall out of `cmp(b, a) < 0`.)
+// The kernel is branchless: the comparison outcome, as 0 or 1, indexes
+// the pair of source addresses and advances the indices instead of
+// steering an unpredictable branch — selecting between the two values
+// themselves compiles to a branch for float records — so merging random
+// keys is bound by memory and the comparator, not by branch
+// mispredictions. (The b-before-a tie check is what makes
+// take-a-on-ties fall out of `cmp(b, a) < 0`.)
 func MergeInto[T any](dst, a, b []T, cmp func(x, y T) int) {
-	i, j := 0, 0
-	for k := 0; i < len(a) && j < len(b); k++ {
-		av, bv := a[i], b[j]
-		takeB := cmp(bv, av) < 0
-		v := av
-		if takeB {
-			v = bv
-		}
-		dst[k] = v
-		t := 0
-		if takeB {
-			t = 1
-		}
-		j += t
-		i += 1 - t
-	}
+	i, j := MergeSome(dst, a, b, cmp)
 	k := i + j
 	k += copy(dst[k:], a[i:])
 	copy(dst[k:], b[j:])
+}
+
+// MergeSome is MergeInto's kernel alone: it merges a[:i] and b[:j] into
+// dst[:i+j], taking from a on ties, and stops as soon as dst is full or
+// either input is spent — the caller refills the spent side, or copies
+// the other's tail. It is the two-way step of extsort's merge tree.
+func MergeSome[T any](dst, a, b []T, cmp func(x, y T) int) (i, j int) {
+	for {
+		// n steps can neither overrun dst nor step past either input's
+		// end, so the inner loop tests one bound instead of three.
+		n := min(len(dst)-i-j, len(a)-i, len(b)-j)
+		if n <= 0 {
+			return i, j
+		}
+		for k, end := i+j, i+j+n; k < end; k++ {
+			src := [2]*T{&a[i], &b[j]}
+			t := 0
+			if cmp(*src[1], *src[0]) < 0 {
+				t = 1
+			}
+			dst[k] = *src[t]
+			j += t
+			i += 1 - t
+		}
+	}
 }
 
 // MergeTwo returns the stable merge of two sorted slices, preferring a
