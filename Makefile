@@ -108,12 +108,13 @@ soak-shrink:
 # contract (internal/extsort drives the one sorter on one rank; the
 # library entry point is ExternalSortFile). FAULTNET_SEED=n varies the
 # fault schedule, plus the multi-process spilled e2e and the CLI's
-# spilled and external routes once.
+# spilled, external and resident routes once (the resident route drains
+# through the spilled route's tail).
 soak-spill:
 	FAULTNET_SEED=$(FAULTNET_SEED) $(GO) test -race -run 'Spill' -count=3 -timeout 15m ./internal/core/
 	FAULTNET_SEED=$(FAULTNET_SEED) $(GO) test -race -count=3 -timeout 15m ./internal/extsort/
 	FAULTNET_SEED=$(FAULTNET_SEED) $(GO) test -race -run 'ExternalSortFile|ShardRange' -count=3 -timeout 15m . ./internal/recordio/
-	FAULTNET_SEED=$(FAULTNET_SEED) $(GO) test -race -run 'DistributedSpilledSort|CLISpilledSort|CLIExternal' -count=1 -timeout 15m ./cmd/sdsnode/ ./cmd/sdssort/
+	FAULTNET_SEED=$(FAULTNET_SEED) $(GO) test -race -run 'DistributedSpilledSort|CLISpilledSort|CLIExternal|CLISortRoundTrip|CLICSVInput|CLIResident' -count=1 -timeout 15m ./cmd/sdsnode/ ./cmd/sdssort/
 
 # Telemetry smoke: boot a real 2-process sdsnode world in -serve mode,
 # each rank serving its own telemetry, and curl both ranks' /healthz

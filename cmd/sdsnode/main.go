@@ -608,21 +608,18 @@ func leave(c *comm.Comm) error {
 // checkpoints, resume and — under -allow-shrink — degraded recovery.
 func oneShot(cfg *config, fab *fabric, env *nodeEnv) int {
 	c, sc := fab.world, trace.Scope{Trace: fab.name}
-	if cfg.spillDir != "" && cfg.job.in != "" && cfg.ckptDir == "" {
-		// Fully out-of-core: the shard streams from the input file
-		// through the spill tier and into the output shard without ever
-		// being resident — a fixed -mem sorts inputs of any size. (With
-		// -ckpt-dir the resident driver below runs instead: it keeps
-		// phase snapshots and still spills its exchange under pressure.)
-		if code := spillSortJob(c, cfg.job, sc, env); code != exitOK {
+	// Fully out-of-core when it can be: the shard streams from the input
+	// file through the spill tier and into the output shard without ever
+	// being resident — a fixed -mem sorts inputs of any size. (With
+	// -ckpt-dir the resident driver runs instead: it keeps phase
+	// snapshots and still spills its exchange under pressure.)
+	stream := cfg.spillDir != "" && cfg.job.in != "" && cfg.ckptDir == ""
+	var data []float64
+	if !stream {
+		var code int
+		if data, code = loadJobData(cfg.job, cfg.rank, cfg.size); code != exitOK {
 			return code
 		}
-		return exitCode(leave(c))
-	}
-
-	data, code := loadJobData(cfg.job, cfg.rank, cfg.size)
-	if code != exitOK {
-		return code
 	}
 	var ck *core.Checkpointing
 	if cfg.ckptDir != "" {
@@ -647,7 +644,7 @@ func oneShot(cfg *config, fab *fabric, env *nodeEnv) int {
 		}
 	}
 
-	code, err := sortJob(c, cfg.job, data, ck, "", sc, env)
+	code, err := sortJob(c, cfg.job, data, stream, ck, "", sc, env)
 	if code == exitOK {
 		// A rank that died between its last send and the farewell
 		// barrier is still a loss the survivors can absorb: the final
@@ -723,7 +720,7 @@ func serveJobs(fab *fabric, cfg *config, jobs []NodeJob, env *nodeEnv) int {
 		}
 
 		sc := trace.Scope{Trace: JobCommName(fab.name, i), Job: p.name}
-		if code, _ := sortJob(jc, p, data, nil, fmt.Sprintf("job %d/%d %q: ", i+1, len(jobs), p.name), sc, env); code != exitOK {
+		if code, _ := sortJob(jc, p, data, false, nil, fmt.Sprintf("job %d/%d %q: ", i+1, len(jobs), p.name), sc, env); code != exitOK {
 			// A failed collective leaves this rank desynchronised from
 			// the stream; stop here rather than corrupt later jobs.
 			return code
@@ -789,11 +786,16 @@ func (e *nodeEnv) sortOptions(p jobParams, sc trace.Scope) core.Options {
 }
 
 // sortJob runs one collective sort on c with per-job metrics, reports
-// the phase breakdown, and writes the output shard when requested.
-// Every log line is prefixed with label so interleaved jobs of a served
-// stream stay attributable. Beside the exit code it returns the sort's
-// own error, when that is what failed — what a recovery decision reads.
-func sortJob(c *comm.Comm, p jobParams, data []float64, ck *core.Checkpointing, label string, sc trace.Scope, env *nodeEnv) (int, error) {
+// the phase breakdown, and writes the output shard when requested. The
+// block comes from the -algo driver over data, or, with stream set, from
+// core.SortFileShard: this rank's shard of p.in streams through the
+// spill tier — sorted runs spill under the spill dir, the exchange lands
+// run files, and the block is merged lazily into the output shard — so
+// peak memory is the tier's working set, not the shard. Every log line
+// is prefixed with label so interleaved jobs of a served stream stay
+// attributable. Beside the exit code it returns the sort's own error,
+// when that is what failed — what a recovery decision reads.
+func sortJob(c *comm.Comm, p jobParams, data []float64, stream bool, ck *core.Checkpointing, label string, sc trace.Scope, env *nodeEnv) (int, error) {
 	aopt := algo.Options{Core: env.sortOptions(p, sc), Selection: env.algoStats}
 	aopt.Core.Checkpoint = ck
 	drv, err := algo.New[float64](p.algo)
@@ -803,7 +805,26 @@ func sortJob(c *comm.Comm, p jobParams, data []float64, ck *core.Checkpointing, 
 	}
 
 	start := time.Now()
-	sorted, err := drv.Sort(context.Background(), c, data, codec.Float64{}, cmpF, aopt)
+	var records int64
+	var write func(w io.Writer) error
+	if stream {
+		var blk *core.Spilled[float64]
+		if blk, err = core.SortFileShard(c, p.in, codec.Float64{}, cmpF, aopt.Core); err == nil {
+			defer blk.Remove()
+			records, write = blk.Records(), blk.Stream
+		}
+	} else {
+		var sorted []float64
+		if sorted, err = drv.Sort(context.Background(), c, data, codec.Float64{}, cmpF, aopt); err == nil {
+			records, write = int64(len(sorted)), func(w io.Writer) error {
+				rw := recordio.NewWriter(w, codec.Float64{})
+				if err := rw.Write(sorted...); err != nil {
+					return err
+				}
+				return rw.Flush()
+			}
+		}
+	}
 	if err != nil {
 		env.finishJob(time.Since(start), true)
 		if lost, ok := comm.PeerLost(err); ok {
@@ -824,7 +845,11 @@ func sortJob(c *comm.Comm, p jobParams, data []float64, ck *core.Checkpointing, 
 		return exitLocalError, nil
 	}
 	env.finishJob(elapsed, false)
-	log.Printf("%sdone in %v: %d records held locally", label, elapsed.Round(time.Millisecond), len(sorted))
+	held := "held"
+	if stream {
+		held = "spilled"
+	}
+	log.Printf("%sdone in %v: %d records %s locally", label, elapsed.Round(time.Millisecond), records, held)
 	for _, ph := range metrics.Phases() {
 		log.Printf("  %-16s %s", ph.String(), metrics.FmtDur(aopt.Core.Timer.Get(ph)))
 	}
@@ -834,71 +859,32 @@ func sortJob(c *comm.Comm, p jobParams, data []float64, ck *core.Checkpointing, 
 		zc = "yes"
 	}
 	log.Printf("  zero-copy: %s", zc)
-	if env.spillStats != nil && env.spillStats.Spilled() {
+	if env.spillStats.Spilled() {
 		log.Printf("  %s", env.spillStats)
 	}
-
-	if p.out != "" {
-		if err := recordio.WriteFile(p.out, codec.Float64{}, sorted); err != nil {
-			log.Print(err)
-			return exitLocalError, nil
-		}
-		log.Printf("%swrote %s", label, p.out)
-	}
-	return exitOK, nil
-}
-
-// spillSortJob is the out-of-core one-shot: this rank's shard of p.in
-// streams through core.SortFileShard — sorted runs spill under the
-// spill dir, the exchange lands run files, and the resulting block is
-// lazily merged straight into the output shard. Peak memory is the
-// spill tier's working set, not the shard.
-func spillSortJob(c *comm.Comm, p jobParams, sc trace.Scope, env *nodeEnv) int {
-	opt := env.sortOptions(p, sc)
-
-	start := time.Now()
-	blk, err := core.SortFileShard(c, p.in, codec.Float64{}, cmpF, opt)
-	if err != nil {
-		env.finishJob(time.Since(start), true)
-		if lost, ok := comm.PeerLost(err); ok {
-			log.Printf("spill sort: peer rank %d lost (retry budget exhausted): %v", lost, err)
-		} else {
-			log.Printf("spill sort: %v", err)
-		}
-		return exitCode(err)
-	}
-	defer blk.Remove()
-	elapsed := time.Since(start)
-	env.finishJob(elapsed, false)
-	log.Printf("done in %v: %d records spilled locally", elapsed.Round(time.Millisecond), blk.Records())
-	for _, ph := range metrics.Phases() {
-		log.Printf("  %-16s %s", ph.String(), metrics.FmtDur(opt.Timer.Get(ph)))
-	}
-	log.Printf("  %s", env.exch)
-	log.Printf("  %s", env.spillStats)
 	if env.gauge != nil {
 		log.Printf("  mem peak: %d of %d bytes", env.gauge.Peak(), env.gauge.Budget())
 	}
 
 	if p.out != "" {
 		// Through the tier's file writer, like every run: committed by
-		// rename, so a crash mid-merge never leaves a truncated shard
+		// rename, so a crash mid-write never leaves a truncated shard
 		// behind — or written in place when the destination is /dev/null
 		// or a pipe, which a rename would replace.
 		dst, err := extsort.CreateFile(p.out, 0)
 		if err == nil {
 			defer dst.Abort()
-			if err = blk.Stream(dst); err == nil {
+			if err = write(dst); err == nil {
 				err = dst.Commit()
 			}
 		}
 		if err != nil {
 			log.Print(err)
-			return exitLocalError
+			return exitLocalError, nil
 		}
-		log.Printf("wrote %s", p.out)
+		log.Printf("%swrote %s", label, p.out)
 	}
-	return exitOK
+	return exitOK, nil
 }
 
 // syncClocks aligns this world's clocks (collective — every rank calls

@@ -87,7 +87,7 @@ func shrinkAndResume(cfg *config, fab *fabric, sortErr error, ck *core.Checkpoin
 	// The degraded sort starts with no local input: every record of the
 	// resumed run comes out of the redistributed store.
 	nck := &core.Checkpointing{Store: shrunk, Epoch: plan.Epoch.N, Resume: plan.Epoch.Resume, Sync: ck.Sync}
-	if code, _ := sortJob(c, cfg.job, nil, nck, "degraded: ", trace.Scope{Trace: cluster.WorldName(plan.Epoch.N, true, c.Size())}, env); code != exitOK {
+	if code, _ := sortJob(c, cfg.job, nil, false, nck, "degraded: ", trace.Scope{Trace: cluster.WorldName(plan.Epoch.N, true, c.Size())}, env); code != exitOK {
 		return code
 	}
 	if err := c.Barrier(); err != nil {

@@ -8,8 +8,12 @@
 //	sdssort -in zipf.f64 -algo hyksort -out sorted.f64
 //	sdssort -in huge.f64 -algo external -out sorted.f64
 //
-// The input is split evenly across the ranks, sorted collectively, and
-// the rank outputs are concatenated in order. -stats prints the phase
+// Every rank sorts its own shard of the input (recordio.ShardRange):
+// loaded resident by default, or streamed through the out-of-core spill
+// tier under -spill-dir and -algo external. Either way the rank blocks
+// then stream in rank order through one sortedness check (-verify) into
+// -out, which is committed by rename or, when it names something other
+// than a regular file, written through. -stats prints the phase
 // breakdown and the RDFA load-balance metric.
 package main
 
@@ -53,7 +57,7 @@ func main() {
 		tauS     = flag.Int("taus", core.DefaultOptions().TauS, "merge-vs-sort threshold τs (ranks)")
 		stage    = flag.Int64("stage", 0, "staging window for the data exchange in bytes (0 = one chunk per peer)")
 		stats    = flag.Bool("stats", true, "print phase breakdown and RDFA")
-		verify   = flag.Bool("verify", true, "run the distributed sortedness check after the sort")
+		verify   = flag.Bool("verify", true, "check the rank-ordered output's order and record count as it streams out")
 		trc      = flag.String("trace", "", "write a JSONL event trace to this file")
 
 		memB       = flag.Int64("mem", 0, "per-rank memory budget in bytes; with -spill-dir a fixed budget sorts inputs of any size (0 = unlimited)")
@@ -108,52 +112,36 @@ func main() {
 			}
 		}
 	}
-	if external || *spillDir != "" {
-		if !external && *algoName != "sds" {
-			log.Fatalf("-spill-dir requires -algo sds or external (got %q)", *algoName)
-		}
-		sc := spillConfig{
-			nodes: *nodes, cores: *cores, threads: 1, stable: *stable,
-			stage: *stage, mem: *memB, dir: *spillDir, chunk: *spillChunk,
-			stats: *stats, verify: *verify, tracer: tracer,
-		}
-		if external {
-			sc.nodes, sc.cores, sc.threads = 1, 1, *cores
-		}
-		var err error
-		switch {
-		case *typ == "f64":
-			err = runSpilled(*in, *out, codec.Float64{}, cmpOrdered[float64], sc)
-		case *typ == "ptf":
-			err = runSpilled(*in, *out, codec.PTFCodec{}, codec.ComparePTF, sc)
-		case *typ == "cosmo":
-			err = runSpilled(*in, *out, codec.ParticleCodec{}, codec.CompareParticles, sc)
-		case *typ == "csv" && external:
-			err = runSpilledCSV(*in, *col, *out, sc)
-		default:
-			log.Fatalf("the out-of-core tier needs a file-backed record type (f64 | ptf | cosmo; csv with -algo external), not %q", *typ)
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
-		finishTrace()
-		return
+	spill := external || *spillDir != ""
+	if spill && !external && *algoName != "sds" {
+		log.Fatalf("-spill-dir requires -algo sds or external (got %q)", *algoName)
 	}
-	switch *typ {
-	case "f64":
-		run(*in, *out, codec.Float64{}, cmpOrdered[float64], *algoName, *nodes, *cores, *stable, *tauM, *tauO, *tauS, *stage, *memB, *stats, *verify, tracer)
-	case "csv":
-		keys, err := recordio.ReadCSVColumn(*in, *col)
-		if err != nil {
-			log.Fatal(err)
-		}
-		runRecords(keys, *out, codec.Float64{}, cmpOrdered[float64], *algoName, *nodes, *cores, *stable, *tauM, *tauO, *tauS, *stage, *memB, *stats, *verify, tracer)
-	case "ptf":
-		run(*in, *out, codec.PTFCodec{}, codec.ComparePTF, *algoName, *nodes, *cores, *stable, *tauM, *tauO, *tauS, *stage, *memB, *stats, *verify, tracer)
-	case "cosmo":
-		run(*in, *out, codec.ParticleCodec{}, codec.CompareParticles, *algoName, *nodes, *cores, *stable, *tauM, *tauO, *tauS, *stage, *memB, *stats, *verify, tracer)
+	sc := sortConfig{
+		algo: *algoName, nodes: *nodes, cores: *cores, threads: 1, stable: *stable,
+		tauM: *tauM, tauO: *tauO, tauS: *tauS, stage: *stage, mem: *memB,
+		spill: spill, dir: *spillDir, chunk: *spillChunk,
+		stats: *stats, verify: *verify, tracer: tracer,
+	}
+	if external {
+		sc.nodes, sc.cores, sc.threads = 1, 1, *cores
+	}
+	var err error
+	switch {
+	case *typ == "f64":
+		err = sortFile(*in, *out, codec.Float64{}, cmpOrdered[float64], sc)
+	case *typ == "ptf":
+		err = sortFile(*in, *out, codec.PTFCodec{}, codec.ComparePTF, sc)
+	case *typ == "cosmo":
+		err = sortFile(*in, *out, codec.ParticleCodec{}, codec.CompareParticles, sc)
+	case *typ == "csv" && (external || !spill):
+		err = sortCSV(*in, *col, *out, sc)
+	case spill:
+		log.Fatalf("the out-of-core tier needs a file-backed record type (f64 | ptf | cosmo; csv with -algo external), not %q", *typ)
 	default:
 		log.Fatalf("unknown record type %q", *typ)
+	}
+	if err != nil {
+		log.Fatal(err)
 	}
 	finishTrace()
 }
@@ -168,167 +156,56 @@ func cmpOrdered[T float64 | int64 | uint64](a, b T) int {
 	return 0
 }
 
-func run[T any](in, out string, cd codec.Codec[T], cmp func(a, b T) int,
-	algoName string, nodes, cores int, stable bool, tauM int64, tauO, tauS int, stage, mem int64, stats, verify bool, tracer trace.Tracer) {
-
-	records, err := recordio.ReadFile(in, cd)
-	if err != nil {
-		log.Fatal(err)
-	}
-	runRecords(records, out, cd, cmp, algoName, nodes, cores, stable, tauM, tauO, tauS, stage, mem, stats, verify, tracer)
-}
-
-// runRecords sorts already-loaded records on an in-process cluster,
-// dispatching through the algorithm driver registry.
-func runRecords[T any](records []T, out string, cd codec.Codec[T], cmp func(a, b T) int,
-	algoName string, nodes, cores int, stable bool, tauM int64, tauO, tauS int, stage, mem int64, stats, verify bool, tracer trace.Tracer) {
-
-	topo := cluster.Topology{Nodes: nodes, CoresPerNode: cores}
-	p := topo.Size()
-	per := (len(records) + p - 1) / p
-	parts := make([][]T, p)
-	for r := 0; r < p; r++ {
-		lo := r * per
-		hi := min(lo+per, len(records))
-		if lo > len(records) {
-			lo = len(records)
-		}
-		parts[r] = records[lo:hi]
-	}
-
-	timers := make([]*metrics.PhaseTimer, p)
-	for i := range timers {
-		timers[i] = metrics.NewPhaseTimer()
-	}
-	// One shared, atomic stats block across the ranks, like the shared
-	// memory gauge. Every driver routes its exchange through the shared
-	// core path, so the zero-copy line below reflects what the exchange
-	// actually did for any -algo.
-	exch := &metrics.ExchangeStats{}
-	selection := &metrics.AlgoStats{}
-	// Shared across the in-process ranks, like the exchange stats: the
-	// skew observation is collective, and one process-wide block means
-	// every rank agrees it is on.
-	skew := metrics.NewSkewStats()
-	var gauges []*memlimit.Gauge
-	if mem > 0 {
-		gauges = make([]*memlimit.Gauge, p)
-		for i := range gauges {
-			gauges[i] = memlimit.New(mem)
-		}
-	}
-	drv, err := algo.New[T](algoName)
-	if err != nil {
-		log.Fatal(err)
-	}
-	start := time.Now()
-	outputs, err := cluster.Gather(topo, cluster.Options{}, func(c *comm.Comm) ([]T, error) {
-		local := append([]T(nil), parts[c.Rank()]...)
-		aopt := algo.DefaultOptions()
-		aopt.Core.Stable = stable
-		aopt.Core.TauM = tauM
-		aopt.Core.TauO = tauO
-		aopt.Core.TauS = tauS
-		aopt.Core.StageBytes = stage
-		aopt.Core.Exchange = exch
-		aopt.Core.Timer = timers[c.Rank()]
-		aopt.Core.Trace = tracer
-		aopt.Core.Skew = skew
-		aopt.Core.Span = trace.Scope{Trace: "sdssort"}
-		if gauges != nil {
-			aopt.Core.Mem = gauges[c.Rank()]
-		}
-		aopt.Selection = selection
-		sorted, err := drv.Sort(context.Background(), c, local, cd, cmp, aopt)
-		if err != nil {
-			return nil, err
-		}
-		if verify {
-			if err := core.Verify(c, sorted, cd, cmp); err != nil {
-				return nil, err
-			}
-		}
-		return sorted, nil
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	elapsed := time.Since(start)
-
-	total := 0
-	loads := make([]int, p)
-	for r, part := range outputs {
-		loads[r] = len(part)
-		total += len(part)
-	}
-	// Under -algo auto the profile resolved a concrete driver; report
-	// what actually ran.
-	ran := algoName
-	if algoName == algo.NameAuto {
-		for _, name := range algo.Names() {
-			if selection.Count(name) > 0 {
-				ran = algoName + "→" + name
-				break
-			}
-		}
-	}
-	fmt.Printf("sorted %d records with %s on %d×%d ranks in %v (%s)\n",
-		total, ran, nodes, cores, elapsed.Round(time.Microsecond),
-		metrics.FormatThroughput(metrics.Throughput(int64(total)*int64(cd.Size()), elapsed)))
-	if stats {
-		fmt.Printf("RDFA: %s\n", metrics.FmtRDFA(metrics.RDFA(loads)))
-		merged := metrics.MergeMax(timers)
-		for _, ph := range metrics.Phases() {
-			fmt.Printf("  %-16s %s\n", ph.String(), metrics.FmtDur(merged[ph]))
-		}
-		if exch != nil {
-			fmt.Printf("  %s\n", exch)
-			zc := "no"
-			if exch.ZeroCopyUsed() {
-				zc = "yes"
-			}
-			fmt.Printf("  zero-copy: %s (codec eligible: %v)\n", zc, codec.IsZeroCopy(cd))
-		}
-		if gauges != nil {
-			var peak int64
-			for _, g := range gauges {
-				peak = max(peak, g.Peak())
-			}
-			fmt.Printf("  mem peak: %d of %d bytes per rank\n", peak, mem)
-		}
-	}
-	if out != "" {
-		var flat []T
-		for _, part := range outputs {
-			flat = append(flat, part...)
-		}
-		if err := recordio.WriteFile(out, cd, flat); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote %s\n", out)
-	}
-}
-
-// spillConfig bundles the knobs of the out-of-core path.
-type spillConfig struct {
-	nodes, cores  int // the world: ranks per node
-	threads       int // sort goroutines per rank
+// sortConfig bundles the knobs of one run.
+type sortConfig struct {
+	algo          string // the driver of a resident run
+	nodes, cores  int    // the world: ranks per node
+	threads       int    // sort goroutines per rank
 	stable        bool
+	tauM          int64
+	tauO, tauS    int
 	stage, mem    int64
+	spill         bool // stream each shard through the out-of-core tier
 	dir           string
 	chunk         int
 	stats, verify bool
 	tracer        trace.Tracer
 }
 
-// runSpilled is the out-of-core driver: the input file is never loaded —
-// each rank streams its shard through core.SortFileShard, spilling
-// sorted runs under sc.dir, and the resulting blocks are lazily merged
-// straight into the output file. With -mem set, every rank runs under a
-// hard per-rank budget, so a fixed-memory invocation sorts inputs of
-// any size. On a 1×1 world (-algo external) there is no exchange and
-// this is the classical external sort.
-func runSpilled[T any](in, out string, cd codec.Codec[T], cmp func(a, b T) int, sc spillConfig) error {
+// block is one rank's share of the sorted output: resident, or spilled
+// to run files and merged lazily on read (*core.Spilled).
+type block interface {
+	Records() int64
+	Stream(w io.Writer) error
+	Remove() error
+}
+
+// resident is a block held in memory.
+type resident[T any] struct {
+	recs []T
+	cd   codec.Codec[T]
+}
+
+func (b resident[T]) Records() int64 { return int64(len(b.recs)) }
+func (b resident[T]) Remove() error  { return nil }
+
+func (b resident[T]) Stream(w io.Writer) error {
+	rw := recordio.NewWriter(w, b.cd)
+	if err := rw.Write(b.recs...); err != nil {
+		return err
+	}
+	return rw.Flush()
+}
+
+// sortFile sorts the record file in on an in-process cluster. Every rank
+// sorts its own shard of the file (recordio.ShardRange): loaded and
+// handed to the -algo driver, or, with sc.spill, streamed through
+// core.SortFileShard — sorted runs spill under sc.dir and the block is
+// merged lazily on read, so with -mem set a fixed per-rank budget sorts
+// inputs of any size. On a 1×1 world (-algo external) that is the
+// classical external sort. The blocks then drain in rank order into
+// out.
+func sortFile[T any](in, out string, cd codec.Codec[T], cmp func(a, b T) int, sc sortConfig) error {
 	// Sweep wreckage from a previous crashed invocation before spilling
 	// new runs next to it.
 	if sc.dir != "" {
@@ -338,8 +215,15 @@ func runSpilled[T any](in, out string, cd codec.Codec[T], cmp func(a, b T) int, 
 	}
 	topo := cluster.Topology{Nodes: sc.nodes, CoresPerNode: sc.cores}
 	p := topo.Size()
-	spStats := &metrics.SpillStats{}
+	// One shared, atomic block of each kind across the ranks, like the
+	// shared memory gauge: every driver routes its exchange through the
+	// shared core path, so the zero-copy line below reflects what the
+	// exchange actually did for any -algo, and the skew observation is
+	// collective, so every rank agrees it is on.
 	exch := &metrics.ExchangeStats{}
+	spStats := &metrics.SpillStats{}
+	selection := &metrics.AlgoStats{}
+	skew := metrics.NewSkewStats()
 	timers := make([]*metrics.PhaseTimer, p)
 	gauges := make([]*memlimit.Gauge, p)
 	for i := range timers {
@@ -348,23 +232,44 @@ func runSpilled[T any](in, out string, cd codec.Codec[T], cmp func(a, b T) int, 
 			gauges[i] = memlimit.New(sc.mem)
 		}
 	}
-	sp := &core.SpillOptions{Dir: sc.dir, ChunkRecords: sc.chunk, Stats: spStats}
-	sp.FitBudget(sc.mem)
-	skew := metrics.NewSkewStats()
+	var sp *core.SpillOptions
+	var drv algo.Driver[T]
+	if sc.spill {
+		sp = &core.SpillOptions{Dir: sc.dir, ChunkRecords: sc.chunk, Stats: spStats}
+		sp.FitBudget(sc.mem)
+	} else {
+		var err error
+		if drv, err = algo.New[T](sc.algo); err != nil {
+			return err
+		}
+	}
 	start := time.Now()
-	blocks, err := cluster.Gather(topo, cluster.Options{}, func(c *comm.Comm) (*core.Spilled[T], error) {
-		opt := core.DefaultOptions()
-		opt.Stable = sc.stable
-		opt.Cores = sc.threads
-		opt.StageBytes = sc.stage
-		opt.Exchange = exch
-		opt.Timer = timers[c.Rank()]
-		opt.Trace = sc.tracer
-		opt.Mem = gauges[c.Rank()]
-		opt.Spill = sp
-		opt.Skew = skew
-		opt.Span = trace.Scope{Trace: "sdssort"}
-		return core.SortFileShard(c, in, cd, cmp, opt)
+	blocks, err := cluster.Gather(topo, cluster.Options{}, func(c *comm.Comm) (block, error) {
+		opt := algo.DefaultOptions()
+		opt.Core.Stable = sc.stable
+		opt.Core.Cores = sc.threads
+		opt.Core.TauM = sc.tauM
+		opt.Core.TauO = sc.tauO
+		opt.Core.TauS = sc.tauS
+		opt.Core.StageBytes = sc.stage
+		opt.Core.Exchange = exch
+		opt.Core.Timer = timers[c.Rank()]
+		opt.Core.Trace = sc.tracer
+		opt.Core.Mem = gauges[c.Rank()]
+		opt.Core.Spill = sp
+		opt.Core.Skew = skew
+		opt.Core.Span = trace.Scope{Trace: "sdssort"}
+		opt.Selection = selection
+		if sp != nil {
+			blk, err := core.SortFileShard(c, in, cd, cmp, opt.Core)
+			return blk, err
+		}
+		local, err := recordio.ReadShard(in, cd, c.Rank(), p)
+		if err != nil {
+			return nil, err
+		}
+		sorted, err := drv.Sort(context.Background(), c, local, cd, cmp, opt)
+		return resident[T]{sorted, cd}, err
 	})
 	if err != nil {
 		return err
@@ -382,8 +287,22 @@ func runSpilled[T any](in, out string, cd codec.Codec[T], cmp func(a, b T) int, 
 		loads[r] = int(b.Records())
 		total += b.Records()
 	}
-	fmt.Printf("spill-sorted %d records on %d×%d ranks in %v (%s)\n",
-		total, sc.nodes, sc.cores, elapsed.Round(time.Microsecond),
+	head := fmt.Sprintf("spill-sorted %d records", total)
+	if !sc.spill {
+		// Under -algo auto the profile resolved a concrete driver;
+		// report what actually ran.
+		ran := sc.algo
+		if sc.algo == algo.NameAuto {
+			for _, name := range algo.Names() {
+				if selection.Count(name) > 0 {
+					ran = sc.algo + "→" + name
+					break
+				}
+			}
+		}
+		head = fmt.Sprintf("sorted %d records with %s", total, ran)
+	}
+	fmt.Printf("%s on %d×%d ranks in %v (%s)\n", head, sc.nodes, sc.cores, elapsed.Round(time.Microsecond),
 		metrics.FormatThroughput(metrics.Throughput(total*int64(cd.Size()), elapsed)))
 	if out != "" || sc.verify {
 		if err := drainBlocks(blocks, out, sc.verify, cd, cmp); err != nil {
@@ -399,7 +318,15 @@ func runSpilled[T any](in, out string, cd codec.Codec[T], cmp func(a, b T) int, 
 			fmt.Printf("  %-16s %s\n", ph.String(), metrics.FmtDur(merged[ph]))
 		}
 		fmt.Printf("  %s\n", exch)
-		fmt.Printf("  %s\n", spStats)
+		if sc.spill {
+			fmt.Printf("  %s\n", spStats)
+		} else {
+			zc := "no"
+			if exch.ZeroCopyUsed() {
+				zc = "yes"
+			}
+			fmt.Printf("  zero-copy: %s (codec eligible: %v)\n", zc, codec.IsZeroCopy(cd))
+		}
 		if sc.mem > 0 {
 			var peak int64
 			for _, g := range gauges {
@@ -416,7 +343,7 @@ func runSpilled[T any](in, out string, cd codec.Codec[T], cmp func(a, b T) int, 
 // committed by rename, so a failed or killed run never leaves a
 // truncated output behind, or written in place when the destination is
 // /dev/null or a pipe.
-func drainBlocks[T any](blocks []*core.Spilled[T], out string, verify bool, cd codec.Codec[T], cmp func(a, b T) int) error {
+func drainBlocks[T any](blocks []block, out string, verify bool, cd codec.Codec[T], cmp func(a, b T) int) error {
 	check := &orderChecker[T]{cd: cd, cmp: cmp}
 	var dst *extsort.File
 	var w io.Writer = check
@@ -455,9 +382,9 @@ func drainBlocks[T any](blocks []*core.Spilled[T], out string, verify bool, cd c
 	return nil
 }
 
-// runSpilledCSV is runSpilled for a CSV column: the tier reads record
-// files, so the parsed keys go through one, next to the spill runs.
-func runSpilledCSV(in string, col int, out string, sc spillConfig) error {
+// sortCSV sorts a CSV column: both routes read record files, so the
+// parsed keys go through one, next to the spill runs under -spill-dir.
+func sortCSV(in string, col int, out string, sc sortConfig) error {
 	keys, err := recordio.ReadCSVColumn(in, col)
 	if err != nil {
 		return err
@@ -471,38 +398,47 @@ func runSpilledCSV(in string, col int, out string, sc spillConfig) error {
 	if err := recordio.WriteFile(f.Name(), codec.Float64{}, keys); err != nil {
 		return err
 	}
-	return runSpilled(f.Name(), out, codec.Float64{}, cmpOrdered[float64], sc)
+	return sortFile(f.Name(), out, codec.Float64{}, cmpOrdered[float64], sc)
 }
 
 // orderChecker verifies global sortedness of a recordio stream flowing
-// through it as an io.Writer, without holding more than one partial
-// record — the streaming counterpart of core.Verify for the spilled
-// path, where the output never exists as a slice.
+// through it as an io.Writer: every record is at least its predecessor,
+// across write and block boundaries. It decodes the records where they
+// lie and holds at most one record split across two writes.
 type orderChecker[T any] struct {
 	cd   codec.Codec[T]
 	cmp  func(a, b T) int
-	buf  []byte
+	buf  []byte // the head of a record split across writes
 	prev T
 	n    int64
 	err  error
 }
 
 func (oc *orderChecker[T]) Write(p []byte) (int, error) {
+	n, size := len(p), oc.cd.Size()
+	if len(oc.buf) > 0 && oc.err == nil {
+		k := min(size-len(oc.buf), len(p))
+		oc.buf, p = append(oc.buf, p[:k]...), p[k:]
+		if len(oc.buf) == size {
+			oc.next(oc.buf)
+			oc.buf = oc.buf[:0]
+		}
+	}
+	for ; len(p) >= size && oc.err == nil; p = p[size:] {
+		oc.next(p[:size])
+	}
 	if oc.err != nil {
 		return 0, oc.err
 	}
 	oc.buf = append(oc.buf, p...)
-	size := oc.cd.Size()
-	i := 0
-	for ; i+size <= len(oc.buf); i += size {
-		rec := oc.cd.Unmarshal(oc.buf[i : i+size])
-		if oc.n > 0 && oc.cmp(oc.prev, rec) > 0 {
-			oc.err = fmt.Errorf("verify: output not sorted at record %d", oc.n)
-			return 0, oc.err
-		}
-		oc.prev = rec
-		oc.n++
+	return n, nil
+}
+
+func (oc *orderChecker[T]) next(wire []byte) {
+	rec := oc.cd.Unmarshal(wire)
+	if oc.n > 0 && oc.cmp(oc.prev, rec) > 0 {
+		oc.err = fmt.Errorf("verify: output not sorted at record %d", oc.n)
 	}
-	oc.buf = oc.buf[:copy(oc.buf, oc.buf[i:])]
-	return len(p), nil
+	oc.prev = rec
+	oc.n++
 }

@@ -201,7 +201,8 @@ func TestCLIExternalObservers(t *testing.T) {
 
 // TestCLIExternalIsSpillAtOneRank: -algo external is not a second
 // sorter but a spelling of the spill tier on a 1×1 world, so the two
-// must write the same bytes — also with equal keys under -stable.
+// must write the same bytes — also with equal keys under -stable — and
+// so must the resident route on a 2×2 world.
 func TestCLIExternalIsSpillAtOneRank(t *testing.T) {
 	dir := t.TempDir()
 	f64 := filepath.Join(dir, "in.f64")
@@ -221,6 +222,10 @@ func TestCLIExternalIsSpillAtOneRank(t *testing.T) {
 		if stdout, err := runCLI(t, append(args, "-out", spl, "-nodes", "1", "-cores", "1")...); err != nil {
 			t.Fatalf("%v\n%s", err, stdout)
 		}
+		res := filepath.Join(dir, "resident.out")
+		if stdout, err := runCLI(t, append(tc, "-out", res, "-nodes", "2", "-cores", "2")...); err != nil {
+			t.Fatalf("%v\n%s", err, stdout)
+		}
 		a, err := os.ReadFile(ext)
 		if err != nil {
 			t.Fatal(err)
@@ -232,6 +237,46 @@ func TestCLIExternalIsSpillAtOneRank(t *testing.T) {
 		if len(a) == 0 || !bytes.Equal(a, b) {
 			t.Fatalf("%v: -algo external wrote %d bytes, -nodes 1 -cores 1 -spill-dir %d, and they differ", tc, len(a), len(b))
 		}
+		if c, err := os.ReadFile(res); err != nil || !bytes.Equal(a, c) {
+			t.Fatalf("%v: the resident route wrote %d bytes, -algo external %d, and they differ (err=%v)", tc, len(c), len(a), err)
+		}
+	}
+}
+
+// TestCLIResidentRoute: the resident route drains through the same
+// tail as the spilled one — it verifies the concatenated rank blocks as
+// they stream out, and an -out naming a symlink is written through, not
+// replaced.
+func TestCLIResidentRoute(t *testing.T) {
+	dir := t.TempDir()
+	in := filepath.Join(dir, "in.f64")
+	target := filepath.Join(dir, "target.f64")
+	link := filepath.Join(dir, "link.f64")
+	keys := workload.ZipfKeys(14, 20000, 1.4, workload.DefaultZipfUniverse)
+	if err := recordio.WriteFile(in, codec.Float64{}, keys); err != nil {
+		t.Fatal(err)
+	}
+	if err := recordio.WriteFile(target, codec.Float64{}, workload.Uniform(15, 30000)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Symlink(target, link); err != nil {
+		t.Skipf("no symlinks here: %v", err)
+	}
+	stdout, err := runCLI(t, "-in", in, "-out", link, "-nodes", "2", "-cores", "2")
+	if err != nil {
+		t.Fatalf("%v\n%s", err, stdout)
+	}
+	for _, want := range []string{"sorted 20000 records with sds", "verified: output globally sorted (20000 records)", "wrote " + link, "zero-copy: "} {
+		if !strings.Contains(stdout, want) {
+			t.Fatalf("output missing %q:\n%s", want, stdout)
+		}
+	}
+	if st, err := os.Lstat(link); err != nil || st.Mode()&os.ModeSymlink == 0 {
+		t.Fatalf("-out was replaced, not written through: mode %v (err=%v)", st.Mode(), err)
+	}
+	slices.Sort(keys)
+	if got, err := recordio.ReadFile(target, codec.Float64{}); err != nil || !slices.Equal(got, keys) {
+		t.Fatalf("the link's target does not hold the sorted input (%d records, err=%v)", len(got), err)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 
 	"sdssort/internal/codec"
 	"sdssort/internal/comm"
+	"sdssort/internal/extsort"
 	"sdssort/internal/recordio"
 )
 
@@ -122,52 +123,37 @@ func saveBytes(s *Store, m Manifest, payload []byte, records int64, recSize int)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
-
-	f, err := os.CreateTemp(dir, ".dat-*")
-	if err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
+	if err := commit(s.DataPath(m.Epoch, m.Phase, m.Rank), payload); err != nil {
+		return err
 	}
-	if _, err := f.Write(payload); err != nil {
-		f.Close()
-		os.Remove(f.Name())
-		return fmt.Errorf("checkpoint: data for %s: %w", s.ManifestPath(m.Epoch, m.Phase, m.Rank), err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(f.Name())
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	if err := os.Rename(f.Name(), s.DataPath(m.Epoch, m.Phase, m.Rank)); err != nil {
-		os.Remove(f.Name())
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-
 	m.Records = records
 	m.RecordSize = recSize
 	m.Checksum = uint64(crc32.Checksum(payload, dataTable))
 	return s.writeManifest(m)
 }
 
-// writeManifest commits the manifest via temp-and-rename; its rename
-// is the snapshot's commit point. It stamps the store's rank count as
-// the manifest's world, so every committed snapshot records which
-// world size it belongs to.
+// writeManifest commits the manifest; its rename is the snapshot's
+// commit point. It stamps the store's rank count as the manifest's
+// world, so every committed snapshot records which world size it
+// belongs to.
 func (s *Store) writeManifest(m Manifest) error {
 	m.World = s.ranks
-	mf, err := os.CreateTemp(s.epochDir(m.Epoch), ".ckpt-*")
+	return commit(s.ManifestPath(m.Epoch, m.Phase, m.Rank), m.Encode())
+}
+
+// commit writes b to path through the spill tier's file writer: the
+// bytes land in a temp file beside path and appear there only on the
+// rename.
+func commit(path string, b []byte) error {
+	fw, err := extsort.CreateFile(path, 0)
 	if err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
-	if _, err := mf.Write(m.Encode()); err != nil {
-		mf.Close()
-		os.Remove(mf.Name())
-		return fmt.Errorf("checkpoint: manifest: %w", err)
-	}
-	if err := mf.Close(); err != nil {
-		os.Remove(mf.Name())
+	defer fw.Abort()
+	if _, err := fw.Write(b); err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
-	if err := os.Rename(mf.Name(), s.ManifestPath(m.Epoch, m.Phase, m.Rank)); err != nil {
-		os.Remove(mf.Name())
+	if err := fw.Commit(); err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
 	return nil

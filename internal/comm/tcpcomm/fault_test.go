@@ -264,7 +264,7 @@ func TestFaultFrameGapPoisonsMailbox(t *testing.T) {
 	newTr := func(gap time.Duration) *Transport {
 		return &Transport{
 			cfg:     Config{Rank: 0, Size: 2, GapTimeout: gap},
-			box:     newMailbox(),
+			box:     comm.NewMailbox(),
 			streams: make(map[int]*srcStream),
 			closed:  make(chan struct{}),
 		}
@@ -281,12 +281,12 @@ func TestFaultFrameGapPoisonsMailbox(t *testing.T) {
 		}
 	}
 	for want := uint64(0); want < 3; want++ {
-		data, err := tr.box.take(1, 0, 0, time.Second)
+		data, err := tr.box.Take(1, 0, 0, time.Second)
 		if err != nil || len(data) != 1 || data[0] != byte(want) {
 			t.Fatalf("frame %d arrived as %v, %v", want, data, err)
 		}
 	}
-	if _, err := tr.box.take(1, 0, 0, 50*time.Millisecond); !errors.Is(err, errRecvTimeout) {
+	if _, err := tr.box.Take(1, 0, 0, 50*time.Millisecond); !errors.Is(err, errRecvTimeout) {
 		t.Fatalf("duplicate leaked into the mailbox: %v", err)
 	}
 
@@ -298,10 +298,10 @@ func TestFaultFrameGapPoisonsMailbox(t *testing.T) {
 	if err := tr2.admitFrame(1, 4, frame(4)); err != nil {
 		t.Fatal(err) // frames 1..3 now missing
 	}
-	if data, err := tr2.box.take(1, 0, 0, time.Second); err != nil || data[0] != 0 {
+	if data, err := tr2.box.Take(1, 0, 0, time.Second); err != nil || data[0] != 0 {
 		t.Fatalf("in-order frame lost: %v, %v", data, err)
 	}
-	_, err := tr2.box.take(1, 0, 0, 5*time.Second)
+	_, err := tr2.box.Take(1, 0, 0, 5*time.Second)
 	lost, ok := comm.PeerLost(err)
 	if !ok || lost != 1 {
 		t.Fatalf("poisoned mailbox returned %v, want ErrPeerLost{Rank:1}", err)
@@ -311,15 +311,15 @@ func TestFaultFrameGapPoisonsMailbox(t *testing.T) {
 // TestFaultMailboxFailUnblocksPendingTake: a take already blocked when
 // the failure lands must wake with the typed error.
 func TestFaultMailboxFailUnblocksPendingTake(t *testing.T) {
-	b := newMailbox()
+	b := comm.NewMailbox()
 	done := make(chan error, 1)
 	go func() {
-		_, err := b.take(3, 0, 0, 0)
+		_, err := b.Take(3, 0, 0, 0)
 		done <- err
 	}()
 	time.Sleep(50 * time.Millisecond)
 	want := &comm.ErrPeerLost{Rank: 3}
-	b.fail(3, want)
+	b.Fail(3, want)
 	select {
 	case err := <-done:
 		if lost, ok := comm.PeerLost(err); !ok || lost != 3 {
@@ -329,15 +329,15 @@ func TestFaultMailboxFailUnblocksPendingTake(t *testing.T) {
 		t.Fatal("take still blocked after fail()")
 	}
 	// Frames that arrived before the failure still drain first.
-	b2 := newMailbox()
-	if err := b2.put(message{src: 1, ctx: 0, tag: 0, data: []byte("x")}); err != nil {
+	b2 := comm.NewMailbox()
+	if err := b2.Put(1, 0, 0, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	b2.fail(1, want)
-	if data, err := b2.take(1, 0, 0, 0); err != nil || string(data) != "x" {
+	b2.Fail(1, want)
+	if data, err := b2.Take(1, 0, 0, 0); err != nil || string(data) != "x" {
 		t.Fatalf("queued frame lost to fail(): %q, %v", data, err)
 	}
-	if _, err := b2.take(1, 0, 0, 0); err == nil {
+	if _, err := b2.Take(1, 0, 0, 0); err == nil {
 		t.Fatal("drained mailbox did not surface the failure")
 	}
 }

@@ -167,7 +167,7 @@ type Transport struct {
 	ln    net.Listener
 	peers []peerInfo // indexed by rank
 	epoch int        // effective epoch: the coordinator's, not necessarily cfg.Epoch
-	box   *mailbox
+	box   *comm.Mailbox
 	stats Stats
 
 	connMu sync.Mutex
@@ -182,6 +182,14 @@ type Transport struct {
 	closeOnce sync.Once
 	closed    chan struct{}
 	wg        sync.WaitGroup
+}
+
+// message is one frame as a connection reader hands it to admitFrame.
+type message struct {
+	src  int
+	ctx  uint64
+	tag  int32
+	data []byte
 }
 
 // srcStream is the receive-side state for one source rank: the next
@@ -224,7 +232,7 @@ func New(cfg Config) (*Transport, error) {
 		cfg:      cfg,
 		retry:    comm.NewRetrier(cfg.Retry),
 		ln:       ln,
-		box:      newMailbox(),
+		box:      comm.NewMailbox(),
 		conns:    make(map[int]*sendConn),
 		streams:  make(map[int]*srcStream),
 		accepted: make(map[net.Conn]struct{}),
@@ -384,7 +392,7 @@ func (t *Transport) Send(dst int, ctx uint64, tag int32, data []byte) error {
 	}
 	if dst == t.cfg.Rank {
 		cp := append([]byte(nil), data...)
-		return t.box.put(message{src: t.cfg.Rank, ctx: ctx, tag: tag, data: cp})
+		return t.box.Put(t.cfg.Rank, ctx, tag, cp)
 	}
 
 	sc := t.sendState(dst)
@@ -529,7 +537,7 @@ func (t *Transport) Recv(src int, ctx uint64, tag int32) ([]byte, error) {
 	if src < 0 || src >= t.cfg.Size {
 		return nil, fmt.Errorf("tcpcomm: recv from rank %d out of range", src)
 	}
-	data, err := t.box.take(src, ctx, tag, t.cfg.RecvTimeout)
+	data, err := t.box.Take(src, ctx, tag, t.cfg.RecvTimeout)
 	if errors.Is(err, errRecvTimeout) {
 		return nil, &comm.ErrPeerLost{Rank: src, Err: err}
 	}
@@ -584,7 +592,7 @@ func (t *Transport) admitFrame(src int, seq uint64, m message) error {
 		}
 		return nil
 	}
-	if err := t.box.put(m); err != nil {
+	if err := t.box.Put(m.src, m.ctx, m.tag, m.data); err != nil {
 		return err
 	}
 	s.expected++
@@ -594,7 +602,7 @@ func (t *Transport) admitFrame(src int, seq uint64, m message) error {
 			break
 		}
 		delete(s.pending, s.expected)
-		if err := t.box.put(next); err != nil {
+		if err := t.box.Put(next.src, next.ctx, next.tag, next.data); err != nil {
 			return err
 		}
 		s.expected++
@@ -632,7 +640,7 @@ func (t *Transport) gapExpired(src int) {
 	missing := lo - s.expected
 	t.seqMu.Unlock()
 	t.stats.PeersLost.Add(1)
-	t.box.fail(src, &comm.ErrPeerLost{
+	t.box.Fail(src, &comm.ErrPeerLost{
 		Rank: src,
 		Err:  fmt.Errorf("tcpcomm: %d frame(s) from rank %d lost across reconnect", missing, src),
 	})

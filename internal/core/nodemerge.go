@@ -96,11 +96,7 @@ func (r *run[T]) mergeOntoLeader() (bool, error) {
 	if err := r.acct.reserve(extra); err != nil {
 		return false, fmt.Errorf("core: node-merge buffer: %w", err)
 	}
-	if r.opt.cores() > 1 {
-		r.work = psort.SkewAwareParallelMerge(chunks, r.opt.cores(), r.opt.Stable, r.cmp)
-	} else {
-		r.work = psort.KWayMerge(chunks, r.cmp)
-	}
+	r.work = psort.SkewAwareParallelMerge(chunks, r.opt.cores(), r.opt.Stable, r.cmp)
 	r.wc = leaders
 	return true, nil
 }

@@ -66,11 +66,6 @@ func NewPhaseTimer() *PhaseTimer {
 	return &PhaseTimer{now: time.Now}
 }
 
-// NewPhaseTimerClock returns a timer reading time from now, for tests.
-func NewPhaseTimerClock(now func() time.Time) *PhaseTimer {
-	return &PhaseTimer{now: now}
-}
-
 // Start begins timing phase p, closing any phase already running.
 func (t *PhaseTimer) Start(p Phase) {
 	n := t.now()

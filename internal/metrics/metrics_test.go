@@ -10,7 +10,7 @@ import (
 func TestPhaseTimerAccumulation(t *testing.T) {
 	now := time.Unix(0, 0)
 	clock := func() time.Time { return now }
-	tm := NewPhaseTimerClock(clock)
+	tm := &PhaseTimer{now: clock}
 
 	tm.Start(PhasePivotSelection)
 	now = now.Add(10 * time.Millisecond)

@@ -36,11 +36,6 @@ var presets = []Preset{
 	}},
 }
 
-// Presets returns the named workload presets in display order.
-func Presets() []Preset {
-	return append([]Preset(nil), presets...)
-}
-
 // PresetNames returns the preset names in display order.
 func PresetNames() []string {
 	names := make([]string, len(presets))

@@ -4,7 +4,7 @@ import "testing"
 
 func TestPresetsRegistry(t *testing.T) {
 	names := PresetNames()
-	if len(names) != len(Presets()) {
+	if len(names) != len(presets) {
 		t.Fatalf("names/presets length mismatch")
 	}
 	for _, n := range names {
@@ -21,7 +21,7 @@ func TestPresetsRegistry(t *testing.T) {
 // TestPresetsDeterministic: the same (name, seed, n) must generate the
 // same bytes — CLI reproducibility is the presets' whole point.
 func TestPresetsDeterministic(t *testing.T) {
-	for _, pre := range Presets() {
+	for _, pre := range presets {
 		a := pre.Gen(99, 512)
 		b := pre.Gen(99, 512)
 		if len(a) != 512 || len(b) != 512 {

@@ -133,21 +133,6 @@ func KSorted(seed int64, n, blocks int) []float64 {
 	return out
 }
 
-// NearlySorted returns a sorted sequence perturbed by `swaps` random
-// transpositions.
-func NearlySorted(seed int64, n, swaps int) []float64 {
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = float64(i)
-	}
-	for s := 0; s < swaps && n > 1; s++ {
-		i, j := rng.Intn(n), rng.Intn(n)
-		out[i], out[j] = out[j], out[i]
-	}
-	return out
-}
-
 // Reversed returns a strictly decreasing sequence.
 func Reversed(n int) []float64 {
 	out := make([]float64, n)

@@ -121,22 +121,6 @@ func TestKSorted(t *testing.T) {
 	}
 }
 
-func TestNearlySorted(t *testing.T) {
-	data := NearlySorted(2, 1000, 5)
-	if len(data) != 1000 {
-		t.Fatalf("length %d", len(data))
-	}
-	inversions := 0
-	for i := 1; i < len(data); i++ {
-		if data[i] < data[i-1] {
-			inversions++
-		}
-	}
-	if inversions > 10 {
-		t.Fatalf("%d inversions from 5 swaps", inversions)
-	}
-}
-
 func TestReversed(t *testing.T) {
 	data := Reversed(10)
 	for i := 1; i < len(data); i++ {
