@@ -809,13 +809,13 @@ func sortJob(c *comm.Comm, p jobParams, data []float64, stream bool, ck *core.Ch
 	var write func(w io.Writer) error
 	if stream {
 		var blk *core.Spilled[float64]
-		if blk, err = core.SortFileShard(c, p.in, codec.Float64{}, cmpF, aopt.Core); err == nil {
+		if blk, err = core.SortFileShard(c, p.in, codec.Float64{}, codec.CompareOrdered[float64], aopt.Core); err == nil {
 			defer blk.Remove()
 			records, write = blk.Records(), blk.Stream
 		}
 	} else {
 		var sorted []float64
-		if sorted, err = drv.Sort(context.Background(), c, data, codec.Float64{}, cmpF, aopt); err == nil {
+		if sorted, err = drv.Sort(context.Background(), c, data, codec.Float64{}, codec.CompareOrdered[float64], aopt); err == nil {
 			records, write = int64(len(sorted)), func(w io.Writer) error {
 				rw := recordio.NewWriter(w, codec.Float64{})
 				if err := rw.Write(sorted...); err != nil {
@@ -903,14 +903,4 @@ func syncClocks(c *comm.Comm, env *nodeEnv) error {
 	}
 	env.tracer.Emit(rank, trace.KindClockOffset, d)
 	return nil
-}
-
-func cmpF(a, b float64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
 }

@@ -60,7 +60,7 @@ func shrinkAndResume(cfg *config, fab *fabric, sortErr error, ck *core.Checkpoin
 			log.Printf("shrink: ranks %v are gone; re-forming world on %d survivors", lost, oldSize-len(lost))
 			c, shrunk, cut, err = cluster.ReformAndAgree(fab.tr, cfg.ckptDir, lost, newEpoch, reformTimeout,
 				func(lost []int, oldSize, newEpoch int) (checkpoint.Cut, error) {
-					return checkpoint.RedistributeLatest(cfg.ckptDir, oldSize, lost, newEpoch, codec.Float64{}, cmpF)
+					return checkpoint.RedistributeLatest(cfg.ckptDir, oldSize, lost, newEpoch, codec.Float64{}, codec.CompareOrdered[float64])
 				})
 			return cut, err
 		}},

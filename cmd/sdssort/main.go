@@ -128,7 +128,7 @@ func main() {
 	var err error
 	switch {
 	case *typ == "f64":
-		err = sortFile(*in, *out, codec.Float64{}, cmpOrdered[float64], sc)
+		err = sortFile(*in, *out, codec.Float64{}, codec.CompareOrdered[float64], sc)
 	case *typ == "ptf":
 		err = sortFile(*in, *out, codec.PTFCodec{}, codec.ComparePTF, sc)
 	case *typ == "cosmo":
@@ -144,16 +144,6 @@ func main() {
 		log.Fatal(err)
 	}
 	finishTrace()
-}
-
-func cmpOrdered[T float64 | int64 | uint64](a, b T) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
 }
 
 // sortConfig bundles the knobs of one run.
@@ -398,7 +388,7 @@ func sortCSV(in string, col int, out string, sc sortConfig) error {
 	if err := recordio.WriteFile(f.Name(), codec.Float64{}, keys); err != nil {
 		return err
 	}
-	return sortFile(f.Name(), out, codec.Float64{}, cmpOrdered[float64], sc)
+	return sortFile(f.Name(), out, codec.Float64{}, codec.CompareOrdered[float64], sc)
 }
 
 // orderChecker verifies global sortedness of a recordio stream flowing

@@ -87,7 +87,7 @@ func runChild(rank, size, perRank int, registry string) {
 
 	data := workload.ZipfKeys(int64(rank+1), perRank, 1.4, workload.DefaultZipfUniverse)
 	start := time.Now()
-	sorted, err := core.Sort(c, data, codec.Float64{}, cmpF, core.DefaultOptions())
+	sorted, err := core.Sort(c, data, codec.Float64{}, codec.CompareOrdered[float64], core.DefaultOptions())
 	if err != nil {
 		log.Fatalf("rank %d sort: %v", rank, err)
 	}
@@ -101,14 +101,4 @@ func runChild(rank, size, perRank int, registry string) {
 	if err := c.Barrier(); err != nil {
 		log.Fatalf("rank %d: final barrier: %v", rank, err)
 	}
-}
-
-func cmpF(a, b float64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
 }

@@ -156,8 +156,50 @@ func TestCompareFunctions(t *testing.T) {
 	if CompareParticles(Particle{ClusterID: -5}, Particle{ClusterID: 3}) >= 0 {
 		t.Fatal("CompareParticles order")
 	}
-	if CompareTagged(Tagged{Key: 2, Rank: 0}, Tagged{Key: 2, Rank: 9}) != 0 {
-		t.Fatal("CompareTagged inspected payload")
+}
+
+// switchCompare is the comparator CompareOrdered replaced.
+func switchCompare[K float64 | int64 | uint64](a, b K) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	}
+	return 0
+}
+
+// TestCompareOrderedMatchesSwitch pins the branchless comparator to the
+// switch it replaced on every pair of a table that holds the float
+// corner cases — NaN (equal to everything), ±0 (equal), ±Inf, the
+// smallest subnormal — and the integer extremes.
+func TestCompareOrderedMatchesSwitch(t *testing.T) {
+	floats := []float64{math.NaN(), math.Copysign(0, -1), 0, math.Inf(-1), math.Inf(1),
+		-1, 1, 0.5, math.SmallestNonzeroFloat64, -math.MaxFloat64, math.MaxFloat64}
+	for _, a := range floats {
+		for _, b := range floats {
+			if got, want := CompareOrdered(a, b), switchCompare(a, b); got != want {
+				t.Errorf("CompareOrdered(%v, %v) = %d, the switch says %d", a, b, got, want)
+			}
+			pa, pb := PTFRecord{Score: a, ObjID: 1}, PTFRecord{Score: b, ObjID: 2}
+			if got, want := ComparePTF(pa, pb), switchCompare(a, b); got != want {
+				t.Errorf("ComparePTF(%v, %v) = %d, the switch says %d", a, b, got, want)
+			}
+		}
+	}
+	ints := []int64{math.MinInt64, -1, 0, 1, math.MaxInt64}
+	for _, a := range ints {
+		for _, b := range ints {
+			if got, want := CompareOrdered(a, b), switchCompare(a, b); got != want {
+				t.Errorf("CompareOrdered(%d, %d) = %d, the switch says %d", a, b, got, want)
+			}
+			if got, want := CompareParticles(Particle{ClusterID: a}, Particle{ClusterID: b}), switchCompare(a, b); got != want {
+				t.Errorf("CompareParticles(%d, %d) = %d, the switch says %d", a, b, got, want)
+			}
+			if got, want := CompareOrdered(uint64(a), uint64(b)), switchCompare(uint64(a), uint64(b)); got != want {
+				t.Errorf("CompareOrdered(%d, %d) = %d, the switch says %d", uint64(a), uint64(b), got, want)
+			}
+		}
 	}
 }
 

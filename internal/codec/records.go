@@ -14,16 +14,29 @@ type PTFRecord struct {
 	ObjID uint64  // detected-object identifier (payload)
 }
 
-// ComparePTF orders PTF records by score only; ObjID is payload and must
-// never influence the order (the paper's no-secondary-keys requirement).
-func ComparePTF(a, b PTFRecord) int {
-	switch {
-	case a.Score < b.Score:
-		return -1
-	case a.Score > b.Score:
+// CompareOrdered returns -1, 0 or +1 as a is below, equal to or above
+// b, without a branch: b2i(a > b) - b2i(a < b). NaN compares equal to
+// everything and -0 equal to +0, exactly as the `<`/`>` switch it
+// replaces; cmp.Compare differs there, ordering NaN first. Comparators
+// are what the branchless merge kernels (psort.MergeSome) still pay a
+// mispredicted branch for, so the record comparators use it.
+func CompareOrdered[K float64 | int64 | uint64](a, b K) int {
+	return b2i(a > b) - b2i(a < b)
+}
+
+// b2i is 1 for true and 0 for false; it compiles to a flag set, not a
+// jump.
+func b2i(b bool) int {
+	if b {
 		return 1
 	}
 	return 0
+}
+
+// ComparePTF orders PTF records by score only; ObjID is payload and must
+// never influence the order (the paper's no-secondary-keys requirement).
+func ComparePTF(a, b PTFRecord) int {
+	return CompareOrdered(a.Score, b.Score)
 }
 
 // PTFCodec serialises PTFRecord in 16 bytes.
@@ -62,13 +75,7 @@ type Particle struct {
 
 // CompareParticles orders particles by cluster ID only.
 func CompareParticles(a, b Particle) int {
-	switch {
-	case a.ClusterID < b.ClusterID:
-		return -1
-	case a.ClusterID > b.ClusterID:
-		return 1
-	}
-	return 0
+	return CompareOrdered(a.ClusterID, b.ClusterID)
 }
 
 // ParticleCodec serialises Particle in 32 bytes.
@@ -112,17 +119,6 @@ type Tagged struct {
 	Key   float64
 	Rank  int32
 	Index int32
-}
-
-// CompareTagged orders Tagged records by key only.
-func CompareTagged(a, b Tagged) int {
-	switch {
-	case a.Key < b.Key:
-		return -1
-	case a.Key > b.Key:
-		return 1
-	}
-	return 0
 }
 
 // TaggedCodec serialises Tagged in 16 bytes.

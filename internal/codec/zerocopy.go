@@ -93,8 +93,9 @@ func sliceBytes[T any](recs []T) []byte {
 }
 
 // appendRaw bulk-decodes wire (a whole number of records of size sz)
-// onto dst by a single memcpy. Caller guarantees the codec qualifies
-// for zero copy and len(wire)%sz == 0.
+// onto dst by a single memcpy — none when wire already is the memory
+// just past dst's end, as a chunk received in place is. Caller
+// guarantees the codec qualifies for zero copy and len(wire)%sz == 0.
 func appendRaw[T any](dst []T, wire []byte, sz int) []T {
 	n := len(wire) / sz
 	if n == 0 {
@@ -106,7 +107,9 @@ func appendRaw[T any](dst []T, wire []byte, sz int) []T {
 		dst = grown
 	}
 	dst = dst[:len(dst)+n]
-	copy(sliceBytes(dst[len(dst)-n:]), wire)
+	if tail := sliceBytes(dst[len(dst)-n:]); unsafe.SliceData(tail) != unsafe.SliceData(wire) {
+		copy(tail, wire)
+	}
 	return dst
 }
 

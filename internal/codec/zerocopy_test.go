@@ -253,3 +253,22 @@ func TestUint64KeyOrder(t *testing.T) {
 		t.Error("TaggedCodec claims an integer key")
 	}
 }
+
+// TestDecodeAppendInPlace: a chunk that already sits just past dst's
+// end — one a transport received into the receive slab — extends dst
+// over it, keeping its records, and the next chunk appends behind it.
+func TestDecodeAppendInPlace(t *testing.T) {
+	slab := []float64{1, 2, 3, 4, 5, 6}
+	wire, _ := View(Float64{}, slab[2:4])
+	got, err := DecodeAppend(Float64{}, slab[:2:6], wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &got[0] != &slab[0] || len(got) != 4 || got[2] != 3 || got[3] != 4 {
+		t.Fatalf("in-place chunk gave %v, want the slab's first 4 records", got)
+	}
+	next, _ := View(Float64{}, []float64{9})
+	if got, _ = DecodeAppend(Float64{}, got, next); &got[0] != &slab[0] || slab[4] != 9 {
+		t.Fatalf("chunk after an in-place one gave %v", got)
+	}
+}

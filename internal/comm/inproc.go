@@ -97,8 +97,8 @@ func (t *inprocTransport) Send(dst int, ctx uint64, tag int32, data []byte) erro
 	}
 	// Copy eagerly: the sender is free to reuse its buffer, and the
 	// receiver owns what it gets, exactly as with a buffered MPI send.
-	cp := append([]byte(nil), data...)
-	return t.w.boxes[dst].Put(t.rank, ctx, tag, cp)
+	// A posted receive region takes the copy itself.
+	return t.w.boxes[dst].PutCopy(t.rank, ctx, tag, data)
 }
 
 func (t *inprocTransport) Recv(src int, ctx uint64, tag int32) ([]byte, error) {
@@ -106,6 +106,16 @@ func (t *inprocTransport) Recv(src int, ctx uint64, tag int32) ([]byte, error) {
 		return nil, fmt.Errorf("comm: recv from rank %d out of range [0,%d)", src, t.w.size)
 	}
 	return t.w.boxes[t.rank].Take(src, ctx, tag, 0)
+}
+
+// Post implements Poster: Sends to this rank copy into region.
+func (t *inprocTransport) Post(src int, ctx uint64, tag int32, region []byte) {
+	t.w.boxes[t.rank].Post(src, ctx, tag, region)
+}
+
+// Revoke implements Poster.
+func (t *inprocTransport) Revoke(src int, ctx uint64, tag int32) {
+	t.w.boxes[t.rank].Revoke(src, ctx, tag)
 }
 
 func (t *inprocTransport) Close() error { return nil }

@@ -41,6 +41,15 @@ type StagedOptions struct {
 	// zero-copy path memcpys it into the receive slab; the generic
 	// path decodes it record by record).
 	Drain func(src int, off int64, chunk []byte) error
+	// RecvRegions, when non-nil, holds where each source's payload ends
+	// up: RecvRegions[src] is RecvBytes[src] bytes (or empty), the
+	// region Drain fills for src. The collective posts every peer's
+	// region to the transport (see Poster) before its first round and
+	// revokes the posts before it returns, on every exit; chunks that
+	// land in place reach Drain already at their offset in the region.
+	// Nil, or a transport that cannot post, means every chunk arrives
+	// in a buffer of its own.
+	RecvRegions [][]byte
 	// OnWindow, when non-nil, observes live stage-window occupancy: the
 	// collective calls it with +n when it takes hold of an n-byte chunk
 	// buffer (outgoing chunk filled, incoming chunk received) and -n
@@ -71,9 +80,16 @@ func (o *StagedOptions) validate(p int) error {
 	if o.Fill == nil || o.Drain == nil {
 		return fmt.Errorf("comm: staged alltoallv needs Fill and Drain callbacks")
 	}
+	if o.RecvRegions != nil && len(o.RecvRegions) != p {
+		return fmt.Errorf("comm: staged alltoallv needs %d receive regions, got %d", p, len(o.RecvRegions))
+	}
 	for r := 0; r < p; r++ {
 		if o.SendBytes[r] < 0 || o.RecvBytes[r] < 0 {
 			return fmt.Errorf("comm: staged alltoallv: negative byte count for rank %d", r)
+		}
+		if o.RecvRegions != nil && len(o.RecvRegions[r]) != 0 && int64(len(o.RecvRegions[r])) != o.RecvBytes[r] {
+			return fmt.Errorf("comm: staged alltoallv: %d-byte receive region for rank %d, which sends %d",
+				len(o.RecvRegions[r]), r, o.RecvBytes[r])
 		}
 	}
 	return nil
@@ -125,6 +141,15 @@ func (c *Comm) StagedAlltoallv(o StagedOptions) (StagedStats, error) {
 			win(-winHeld)
 		}
 	}()
+
+	// Post every peer's region before any round, so that its chunks —
+	// which may arrive while earlier rounds run — land in place; the
+	// self region is filled by Drain below.
+	for src, region := range o.RecvRegions {
+		if src != me && c.post(src, tagStaged, region) {
+			defer c.revoke(src, tagStaged)
+		}
+	}
 
 	// Round 0: the self "exchange" — chunked through the same Fill /
 	// Drain pipeline so the caller sees one code path and the stage

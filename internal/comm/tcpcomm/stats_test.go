@@ -143,6 +143,7 @@ func TestStatsRegister(t *testing.T) {
 	for _, name := range []string{
 		"sds_tcp_frames_sent_total", "sds_tcp_bytes_sent_total",
 		"sds_tcp_frames_received_total", "sds_tcp_bytes_received_total",
+		"sds_tcp_frames_in_place_total",
 		"sds_tcp_send_retries_total", "sds_tcp_connects_total",
 		"sds_tcp_reconnects_total", "sds_tcp_dedup_dropped_total",
 		"sds_tcp_send_errors_total", "sds_tcp_peers_lost_total",

@@ -18,7 +18,7 @@ import (
 )
 
 // freePort grabs an available localhost port for the registry.
-func freePort(t *testing.T) string {
+func freePort(t testing.TB) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

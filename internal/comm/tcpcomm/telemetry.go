@@ -10,6 +10,7 @@ func (st *Stats) Register(r *telemetry.Registry) {
 	r.CounterFunc("sds_tcp_bytes_sent_total", "Bytes written to the wire, headers included.", telemetry.FInt(st.BytesSent.Load))
 	r.CounterFunc("sds_tcp_frames_received_total", "Frames read off accepted connections, duplicates included.", telemetry.FInt(st.FramesReceived.Load))
 	r.CounterFunc("sds_tcp_bytes_received_total", "Bytes read off accepted connections, headers included.", telemetry.FInt(st.BytesReceived.Load))
+	r.CounterFunc("sds_tcp_frames_in_place_total", "Received frames whose body was read straight into a posted receive region.", telemetry.FInt(st.FramesInPlace.Load))
 	r.CounterFunc("sds_tcp_send_retries_total", "Send attempts retried after a failed dial or write.", telemetry.FInt(st.SendRetries.Load))
 	r.CounterFunc("sds_tcp_connects_total", "First successful dials, one per destination.", telemetry.FInt(st.Connects.Load))
 	r.CounterFunc("sds_tcp_reconnects_total", "Successful redials after a dropped connection.", telemetry.FInt(st.Reconnects.Load))

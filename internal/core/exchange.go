@@ -149,34 +149,48 @@ func (r *run[T]) partitionSource() chunkSource {
 	}}
 }
 
-// chunkSink consumes one arriving chunk of src's payload; it is the
-// comm.StagedOptions.Drain callback and must not retain chunk.
-type chunkSink func(src int, off int64, chunk []byte) error
+// chunkSink consumes the arriving chunks of each source's payload:
+// drain is the comm.StagedOptions.Drain callback and must not retain
+// chunk. land, when non-nil, holds each source's destination as bytes,
+// for the exchange to post as receive regions (comm.Poster): a chunk
+// the transport wrote there reaches drain already in place.
+type chunkSink struct {
+	drain func(src int, off int64, chunk []byte) error
+	land  [][]byte
+}
 
 // recvSlab lays out the resident receive side: one contiguous slab in
 // source-rank order — the local sort's radix scratch when that is large
 // enough — each source's region of it as an empty chunk with exactly
 // that region's capacity, and the sink that append-decodes an arriving
 // chunk into its source's region — one memcpy for zero-copy codecs,
-// per-record Unmarshal otherwise. Chunks of a source arrive in offset
-// order and never exceed the advertised count, so appending fills each
-// region in place: afterwards chunks are the rank-ordered sorted runs
-// the merge wants, and the slab is their concatenation, the re-sort's
-// working set.
+// none when the chunk was received in place, per-record Unmarshal
+// otherwise. Zero-copy codecs also land the regions, so the exchange
+// posts them. Chunks of a source arrive in offset order and never
+// exceed the advertised count, so appending fills each region in place:
+// afterwards chunks are the rank-ordered sorted runs the merge wants,
+// and the slab is their concatenation, the re-sort's working set.
 func (r *run[T]) recvSlab(recv []int64) ([]T, [][]T, chunkSink) {
 	cd, recSize := r.cd, r.recSize
 	chunks := make([][]T, len(recv))
 	slab := r.takeSlab(sum(recv) / recSize)
+	var land [][]byte
+	if codec.IsZeroCopy(cd) {
+		land = make([][]byte, len(recv))
+	}
 	var lo int64
 	for src, b := range recv {
 		hi := lo + b/recSize
 		chunks[src] = slab[lo:lo:hi]
+		if land != nil {
+			land[src], _ = codec.View(cd, slab[lo:hi])
+		}
 		lo = hi
 	}
-	return slab, chunks, func(src int, _ int64, chunk []byte) (err error) {
+	return slab, chunks, chunkSink{land: land, drain: func(src int, _ int64, chunk []byte) (err error) {
 		chunks[src], err = codec.DecodeAppend(cd, chunks[src], chunk)
 		return err
-	}
+	}}
 }
 
 // stagedExchange is the synchronous data exchange (SdssAlltoallv): the
@@ -184,7 +198,8 @@ func (r *run[T]) recvSlab(recv []int64) ([]T, [][]T, chunkSink) {
 // variant needs — the window reservation and its release, the exchange
 // counters, the span (closed on every exit) — and leaves what differs
 // to the source and the sink. Blocking exchange plus rank-ordered sinks
-// is what carries stability end to end.
+// is what carries stability end to end. The sink's regions are posted
+// for the length of the collective.
 func (r *run[T]) stagedExchange(pl exchangePlan, src chunkSource, sink chunkSink) (comm.StagedStats, error) {
 	sp, done, err := r.open(pl, false, src)
 	if err != nil {
@@ -192,13 +207,14 @@ func (r *run[T]) stagedExchange(pl exchangePlan, src chunkSource, sink chunkSink
 	}
 	defer done()
 	st, err := r.wc.StagedAlltoallv(comm.StagedOptions{
-		StageBytes: pl.stage,
-		SendBytes:  pl.send,
-		RecvBytes:  pl.recv,
-		Fill:       src.fill,
-		FillDone:   src.recycle,
-		Drain:      sink,
-		OnWindow:   r.opt.Exchange.AddWindow,
+		StageBytes:  pl.stage,
+		SendBytes:   pl.send,
+		RecvBytes:   pl.recv,
+		Fill:        src.fill,
+		FillDone:    src.recycle,
+		Drain:       sink.drain,
+		RecvRegions: sink.land,
+		OnWindow:    r.opt.Exchange.AddWindow,
 	})
 	src.book(r.opt.Exchange, st.BytesStaged, st.Chunks)
 	if err != nil {
@@ -287,7 +303,8 @@ func (r *run[T]) overlapExchange(pl exchangePlan) ([]T, error) {
 // appended to its slab region and merged once, when whole: at most p-1
 // merges whatever the stage size. The result grows from the back of out
 // — MergeInto takes the accumulated tail as an input — seeded with our
-// own partition, merged straight out of work.
+// own partition, merged straight out of work. Every source's slab
+// region is posted before the first receive and revoked on return.
 func (r *run[T]) drainAndMerge(pl exchangePlan) ([]T, int, error) {
 	wc, ex := r.wc, r.opt.Exchange
 	p, me := wc.Size(), wc.Rank()
@@ -295,6 +312,9 @@ func (r *run[T]) drainAndMerge(pl exchangePlan) ([]T, int, error) {
 	remaining := slices.Clone(pl.recv)
 	remaining[me] = 0
 	_, runs, sink := r.recvSlab(remaining)
+	for from, region := range sink.land {
+		defer wc.PostRecv(from, tagExchange, region)()
+	}
 	out := make([]T, sum(pl.recv)/r.recSize)
 	acc := r.work[r.bounds[me]:r.bounds[me+1]]
 	merges := 0
@@ -313,7 +333,7 @@ func (r *run[T]) drainAndMerge(pl exchangePlan) ([]T, int, error) {
 			// only the merge is local ordering. The encoded buffer counts
 			// toward the staging window until it has been decoded.
 			ex.AddWindow(n)
-			err = sink(from, 0, buf)
+			err = sink.drain(from, 0, buf)
 			ex.AddWindow(-n)
 			if err != nil {
 				return nil, 0, fmt.Errorf("core: decode from rank %d: %w", from, err)

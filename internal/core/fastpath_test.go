@@ -82,7 +82,7 @@ func TestSortNonZeroCopyCodecFallsBack(t *testing.T) {
 	opt.Exchange = &metrics.ExchangeStats{}
 	out, err := cluster.Gather(topo, cluster.Options{}, func(c *comm.Comm) ([]codec.Tagged, error) {
 		local := append([]codec.Tagged(nil), in[c.Rank()]...)
-		return Sort(c, local, plain, codec.CompareTagged, opt)
+		return Sort(c, local, plain, compareTagged, opt)
 	})
 	if err != nil {
 		t.Fatal(err)

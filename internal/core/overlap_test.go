@@ -60,7 +60,7 @@ func TestOverlapDeterministic(t *testing.T) {
 				t.Fatal(err)
 			}
 			got, err := cluster.Gather(topo, cluster.Options{WrapTransport: inj.Wrap}, func(c *comm.Comm) ([]codec.Tagged, error) {
-				return Sort(c, slices.Clone(in[c.Rank()]), taggedCodec, codec.CompareTagged, opt)
+				return Sort(c, slices.Clone(in[c.Rank()]), taggedCodec, compareTagged, opt)
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -100,7 +100,7 @@ func sortTaggedTCP(t *testing.T, topo cluster.Topology, in [][]codec.Tagged, opt
 			}
 			defer tr.Close()
 			c := comm.New(tr)
-			if outs[r], errs[r] = Sort(c, slices.Clone(in[r]), taggedCodec, codec.CompareTagged, opt); errs[r] == nil {
+			if outs[r], errs[r] = Sort(c, slices.Clone(in[r]), taggedCodec, compareTagged, opt); errs[r] == nil {
 				errs[r] = c.Barrier() // no transport closes under a peer still receiving
 			}
 		}(r)
@@ -156,7 +156,7 @@ func TestOverlapJoinsSender(t *testing.T) {
 		opt := DefaultOptions()
 		opt.TauM = 0
 		opt.Exchange = &metrics.ExchangeStats{}
-		_, err := Sort(c, slices.Clone(in[c.Rank()]), taggedCodec, codec.CompareTagged, opt)
+		_, err := Sort(c, slices.Clone(in[c.Rank()]), taggedCodec, compareTagged, opt)
 		probes[c.Rank()].returned.Store(true)
 		window[c.Rank()] = opt.Exchange.WindowBytes.Load()
 		return err

@@ -32,7 +32,7 @@ func runSortCkpt(t *testing.T, topo cluster.Topology, in [][]codec.Tagged, opt O
 	t.Helper()
 	out, err := cluster.Gather(topo, cluster.Options{}, func(c *comm.Comm) ([]codec.Tagged, error) {
 		local := append([]codec.Tagged(nil), in[c.Rank()]...)
-		return Sort(c, local, taggedCodec, codec.CompareTagged, opt)
+		return Sort(c, local, taggedCodec, compareTagged, opt)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -136,7 +136,7 @@ func TestResumeAccounting(t *testing.T) {
 			baseline := runSortCkpt(t, topo, in, ckptOpt(opt, store, 0, checkpoint.Cut{}))
 			rtopo, cut, input := topo, checkpoint.Cut{Epoch: 0, Phase: tc.cut}, in
 			if tc.degrade {
-				store, cut, err = checkpoint.Redistribute(store, cut, []int{3}, 1, taggedCodec, codec.CompareTagged)
+				store, cut, err = checkpoint.Redistribute(store, cut, []int{3}, 1, taggedCodec, compareTagged)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -152,7 +152,7 @@ func TestResumeAccounting(t *testing.T) {
 			out, err := cluster.Gather(rtopo, cluster.Options{}, func(c *comm.Comm) ([]codec.Tagged, error) {
 				ropt := opt
 				ropt.Checkpoint, ropt.Trace, ropt.Mem, ropt.Skew = ck, rec, gauges[c.Rank()], skew
-				return Sort(c, append([]codec.Tagged(nil), input[c.Rank()]...), taggedCodec, codec.CompareTagged, ropt)
+				return Sort(c, append([]codec.Tagged(nil), input[c.Rank()]...), taggedCodec, compareTagged, ropt)
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -229,7 +229,7 @@ func runSupervisedSort(t *testing.T, topo cluster.Topology, opts cluster.Options
 		}
 		opt.Checkpoint = ck
 		local := append([]codec.Tagged(nil), in[c.Rank()]...)
-		out, err := Sort(c, local, taggedCodec, codec.CompareTagged, opt)
+		out, err := Sort(c, local, taggedCodec, compareTagged, opt)
 		if err != nil {
 			// A failed epoch's snapshots may still be in flight; let them
 			// land before the test's store directory is torn down.

@@ -42,7 +42,7 @@ func shrinkPolicy(dir string, minRanks int) cluster.ShrinkPolicy {
 		Enabled:  true,
 		MinRanks: minRanks,
 		Redistribute: func(lost []int, oldSize, newEpoch int) (checkpoint.Cut, error) {
-			return checkpoint.RedistributeLatest(dir, oldSize, lost, newEpoch, taggedCodec, codec.CompareTagged)
+			return checkpoint.RedistributeLatest(dir, oldSize, lost, newEpoch, taggedCodec, compareTagged)
 		},
 	}
 }
@@ -81,7 +81,7 @@ func runShrinkSort(t *testing.T, topo cluster.Topology, opts cluster.Options, di
 		if !ep.Degraded {
 			local = append([]codec.Tagged(nil), in[c.Rank()]...)
 		}
-		out, err := Sort(c, local, taggedCodec, codec.CompareTagged, opt)
+		out, err := Sort(c, local, taggedCodec, compareTagged, opt)
 		// Drain the async snapshot writer on every path: the supervisor
 		// may redistribute this store the moment the epoch fails, and it
 		// must see every enqueued snapshot committed or absent — not in

@@ -22,7 +22,7 @@ func TestSkewStragglerOnLeaders(t *testing.T) {
 		if err != nil || leaders == nil {
 			return err
 		}
-		r, err := newRun(c, codec.TaggedCodec{}, codec.CompareTagged, opt)
+		r, err := newRun(c, codec.TaggedCodec{}, compareTagged, opt)
 		if err != nil {
 			return err
 		}

@@ -16,6 +16,10 @@ import (
 
 var taggedCodec = codec.TaggedCodec{}
 
+// compareTagged orders Tagged records by key only: a stable sort must
+// leave equal keys in (Rank, Index) order.
+func compareTagged(a, b codec.Tagged) int { return codec.CompareOrdered(a.Key, b.Key) }
+
 // plainCodec hides every optional capability of a codec (ZeroCopyCapable,
 // Uint64Keyer, BulkAppender) behind the bare Codec interface. The sort
 // reads eligibility for the zero-copy exchange and the radix dispatch
@@ -58,7 +62,7 @@ func runSortCodec(t *testing.T, topo cluster.Topology, in [][]codec.Tagged, cd c
 	t.Helper()
 	out, err := cluster.Gather(topo, cluster.Options{}, func(c *comm.Comm) ([]codec.Tagged, error) {
 		local := append([]codec.Tagged(nil), in[c.Rank()]...)
-		return Sort(c, local, cd, codec.CompareTagged, opt)
+		return Sort(c, local, cd, compareTagged, opt)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +97,7 @@ func checkSorted(t *testing.T, in, out [][]codec.Tagged, stable bool) {
 		}
 	}
 	canon := func(a, b codec.Tagged) int {
-		if c := codec.CompareTagged(a, b); c != 0 {
+		if c := compareTagged(a, b); c != 0 {
 			return c
 		}
 		if a.Rank != b.Rank {
@@ -312,7 +316,7 @@ func TestSortOOMInjection(t *testing.T) {
 		data := make([]codec.Tagged, 1000)
 		opt := DefaultOptions()
 		opt.Mem = memlimit.New(100) // bytes; far below 16KB input
-		_, err := Sort(c, data, taggedCodec, codec.CompareTagged, opt)
+		_, err := Sort(c, data, taggedCodec, compareTagged, opt)
 		if !errors.Is(err, memlimit.ErrOutOfMemory) {
 			return fmt.Errorf("got %v, want ErrOutOfMemory", err)
 		}
@@ -327,7 +331,7 @@ func TestSortInvalidOptions(t *testing.T) {
 	topo := cluster.Topology{Nodes: 1, CoresPerNode: 1}
 	err := cluster.Run(topo, func(c *comm.Comm) error {
 		opt := Options{Cores: -1}
-		_, err := Sort(c, nil, taggedCodec, codec.CompareTagged, opt)
+		_, err := Sort(c, nil, taggedCodec, compareTagged, opt)
 		if err == nil {
 			return errors.New("invalid options accepted")
 		}

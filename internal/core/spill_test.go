@@ -46,7 +46,7 @@ func flatten(parts [][]codec.Tagged) []codec.Tagged {
 // origin rank, then origin index. For collision-free keys it degrades
 // to key order; for duplicated keys it is the stable sort's output.
 func canonTagged(a, b codec.Tagged) int {
-	if c := codec.CompareTagged(a, b); c != 0 {
+	if c := compareTagged(a, b); c != 0 {
 		return c
 	}
 	if a.Rank != b.Rank {
@@ -141,7 +141,7 @@ func TestSpillBudgetTrigger(t *testing.T) {
 		opt.TauM = 0
 		opt.Mem = memlimit.New(budget)
 		local := append([]codec.Tagged(nil), in[c.Rank()]...)
-		_, err := Sort(c, local, taggedCodec, codec.CompareTagged, opt)
+		_, err := Sort(c, local, taggedCodec, compareTagged, opt)
 		if !errors.Is(err, memlimit.ErrOutOfMemory) {
 			return fmt.Errorf("rank %d: got %v, want ErrOutOfMemory", c.Rank(), err)
 		}
@@ -164,7 +164,7 @@ func TestSpillBudgetTrigger(t *testing.T) {
 		gauges[c.Rank()] = opt.Mem
 		opt.Spill = &SpillOptions{Dir: spillDir, BufBytes: 4 << 10, Stats: stats}
 		local := append([]codec.Tagged(nil), in[c.Rank()]...)
-		return Sort(c, local, taggedCodec, codec.CompareTagged, opt)
+		return Sort(c, local, taggedCodec, compareTagged, opt)
 	})
 	if err != nil {
 		t.Fatalf("budgeted sort died despite the spill tier: %v", err)
@@ -216,7 +216,7 @@ func TestSpillDecisionIsCollective(t *testing.T) {
 			opt.Mem = memlimit.New(24000)
 		}
 		local := append([]codec.Tagged(nil), in[c.Rank()]...)
-		return Sort(c, local, taggedCodec, codec.CompareTagged, opt)
+		return Sort(c, local, taggedCodec, compareTagged, opt)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -267,7 +267,7 @@ func (s *sliceSource[T]) Read() (T, error) {
 func runSortStream(t *testing.T, topo cluster.Topology, in [][]codec.Tagged, opt Options) [][]codec.Tagged {
 	t.Helper()
 	out, err := cluster.Gather(topo, cluster.Options{}, func(c *comm.Comm) ([]codec.Tagged, error) {
-		sp, err := SortStream[codec.Tagged](c, &sliceSource[codec.Tagged]{recs: in[c.Rank()]}, taggedCodec, codec.CompareTagged, opt)
+		sp, err := SortStream[codec.Tagged](c, &sliceSource[codec.Tagged]{recs: in[c.Rank()]}, taggedCodec, compareTagged, opt)
 		if err != nil {
 			return nil, err
 		}
@@ -381,7 +381,7 @@ func TestSpillStreamEdgeCases(t *testing.T) {
 	})
 	t.Run("needs-spill-options", func(t *testing.T) {
 		err := cluster.Run(cluster.Topology{Nodes: 1, CoresPerNode: 1}, func(c *comm.Comm) error {
-			_, err := SortStream[codec.Tagged](c, &sliceSource[codec.Tagged]{}, taggedCodec, codec.CompareTagged, DefaultOptions())
+			_, err := SortStream[codec.Tagged](c, &sliceSource[codec.Tagged]{}, taggedCodec, compareTagged, DefaultOptions())
 			if err == nil {
 				return errors.New("SortStream accepted a nil Spill")
 			}
@@ -434,7 +434,7 @@ func TestSpillFileShardBeyondMemory(t *testing.T) {
 			Dir: t.TempDir(), ChunkRecords: 512,
 			BufBytes: 4 << 10, MaxFanIn: 8, Stats: stats,
 		}
-		sp, err := SortFileShard(c, path, taggedCodec, codec.CompareTagged, opt)
+		sp, err := SortFileShard(c, path, taggedCodec, compareTagged, opt)
 		if err != nil {
 			return nil, err
 		}
@@ -591,7 +591,7 @@ func TestSpillSoak(t *testing.T) {
 		opt.StageBytes = 2 << 10
 		opt.Spill = &SpillOptions{Force: true, Dir: t.TempDir(), BufBytes: 4 << 10, Stats: stats}
 		local := append([]codec.Tagged(nil), in[c.Rank()]...)
-		out, err := Sort(c, local, taggedCodec, codec.CompareTagged, opt)
+		out, err := Sort(c, local, taggedCodec, compareTagged, opt)
 		if err != nil {
 			return err
 		}
@@ -660,7 +660,7 @@ func TestSpillKeylessStableScratchKept(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		err := cluster.Run(cluster.Topology{Nodes: 1, CoresPerNode: 1}, func(c *comm.Comm) error {
-			sp, err := SortStream[codec.Tagged](c, &sliceSource[codec.Tagged]{recs: in}, taggedCodec, codec.CompareTagged, opt)
+			sp, err := SortStream[codec.Tagged](c, &sliceSource[codec.Tagged]{recs: in}, taggedCodec, compareTagged, opt)
 			if err != nil {
 				return err
 			}

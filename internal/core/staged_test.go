@@ -129,7 +129,7 @@ func TestSortStagedPeakReservation(t *testing.T) {
 					opt.Trace = trace.NewRing(ringCap)
 					gauges[r], exch[r], traces[r] = opt.Mem, opt.Exchange, opt.Trace.(*trace.Ring)
 					local := append([]codec.Tagged(nil), in[r]...)
-					return Sort(c, local, taggedCodecFor(zc), codec.CompareTagged, opt)
+					return Sort(c, local, taggedCodecFor(zc), compareTagged, opt)
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -212,7 +212,7 @@ func TestSortRepeatedGaugeZero(t *testing.T) {
 				// readable.
 				out, err := cluster.Gather(run.topo, cluster.Options{Mem: g}, func(c *comm.Comm) ([]codec.Tagged, error) {
 					local := append([]codec.Tagged(nil), in[c.Rank()]...)
-					return Sort(c, local, taggedCodec, codec.CompareTagged, opt)
+					return Sort(c, local, taggedCodec, compareTagged, opt)
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -244,7 +244,7 @@ func TestSortGaugeZeroOnError(t *testing.T) {
 		opt := DefaultOptions()
 		opt.TauM = 0
 		opt.Mem = g
-		_, err := Sort(c, data, taggedCodec, codec.CompareTagged, opt)
+		_, err := Sort(c, data, taggedCodec, compareTagged, opt)
 		return err
 	})
 	if err == nil {
@@ -310,7 +310,7 @@ func TestSortPhaseAttribution(t *testing.T) {
 		opt.Timer = metrics.NewPhaseTimer()
 		timers[c.Rank()] = opt.Timer
 		local := append([]codec.Tagged(nil), in[c.Rank()]...)
-		return Sort(c, local, taggedCodec, codec.CompareTagged, opt)
+		return Sort(c, local, taggedCodec, compareTagged, opt)
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -99,7 +99,7 @@ func TestSortTraceNodeMerge(t *testing.T) {
 	opt.Trace = rec
 	err := cluster.Run(topo, func(c *comm.Comm) error {
 		local := append([]codec.Tagged(nil), in[c.Rank()]...)
-		_, err := Sort(c, local, taggedCodec, codec.CompareTagged, opt)
+		_, err := Sort(c, local, taggedCodec, compareTagged, opt)
 		return err
 	})
 	if err != nil {
@@ -155,7 +155,7 @@ func TestFailedExchangeClosesSpans(t *testing.T) {
 			path.tune(&opt)
 			err = cluster.RunOpts(topo, cluster.Options{WrapTransport: inj.Wrap}, func(c *comm.Comm) error {
 				local := append([]codec.Tagged(nil), in[c.Rank()]...)
-				_, err := Sort(c, local, taggedCodec, codec.CompareTagged, opt)
+				_, err := Sort(c, local, taggedCodec, compareTagged, opt)
 				return err
 			})
 			if err == nil || inj.Stats().Kills != 1 {
@@ -200,7 +200,7 @@ func TestFailedPhaseClosesSpans(t *testing.T) {
 		opt.Trace = rec
 		err := cluster.RunOpts(topo, cluster.Options{WrapTransport: wrap}, func(c *comm.Comm) error {
 			local := append([]codec.Tagged(nil), in[c.Rank()]...)
-			_, err := Sort(c, local, taggedCodec, codec.CompareTagged, opt)
+			_, err := Sort(c, local, taggedCodec, compareTagged, opt)
 			return err
 		})
 		if err == nil {

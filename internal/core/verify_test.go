@@ -124,11 +124,11 @@ func TestSortThenVerify(t *testing.T) {
 	in := makeTagged(topo.Size(), 300, zipfGen(50, 1.4))
 	err := cluster.Run(topo, func(c *comm.Comm) error {
 		local := append([]codec.Tagged(nil), in[c.Rank()]...)
-		out, err := Sort(c, local, taggedCodec, codec.CompareTagged, DefaultOptions())
+		out, err := Sort(c, local, taggedCodec, compareTagged, DefaultOptions())
 		if err != nil {
 			return err
 		}
-		return Verify(c, out, taggedCodec, codec.CompareTagged)
+		return Verify(c, out, taggedCodec, compareTagged)
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -16,15 +16,7 @@ import (
 
 var f64codec = codec.Float64{}
 
-func cmpF64(a, b float64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
-}
+var cmpF64 = codec.CompareOrdered[float64]
 
 // Fig5a reproduces Figure 5a: all-to-all exchange cost with and without
 // node-level merging, as the per-node data size grows. The paper ran

@@ -32,6 +32,9 @@ func cmpF(a, b float64) int {
 	return 0
 }
 
+// compareTagged orders Tagged records by key only.
+func compareTagged(a, b codec.Tagged) int { return codec.CompareOrdered(a.Key, b.Key) }
+
 func assertNoTemps(t *testing.T, dir string) {
 	t.Helper()
 	ents, err := os.ReadDir(dir)

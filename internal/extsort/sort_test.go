@@ -157,7 +157,7 @@ func TestSortStableAcrossRuns(t *testing.T) {
 	}
 	opt := spillOpts(core.SpillOptions{Dir: t.TempDir(), ChunkRecords: 700})
 	opt.Stable = true
-	if err := sortStream(&in, &out, cd, codec.CompareTagged, opt); err != nil {
+	if err := sortStream(&in, &out, cd, compareTagged, opt); err != nil {
 		t.Fatal(err)
 	}
 	got, err := recordio.NewReader(&out, cd).ReadAll()
