@@ -1,8 +1,12 @@
 package tcpcomm
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -363,4 +367,231 @@ func TestReconnectSendFailureExhaustionIsPeerLost(t *testing.T) {
 	if !ok || lost != 1 {
 		t.Fatalf("want ErrPeerLost{Rank:1}, got %v", err)
 	}
+}
+
+// rawFrame is a frame as the wire carries it, from src on (ctx, tag)
+// with sequence seq.
+func rawFrame(src int, ctx uint64, tag int32, seq uint64, body []byte) []byte {
+	var hdr [frameHeader]byte
+	binary.LittleEndian.PutUint32(hdr[0:], uint32(src))
+	binary.LittleEndian.PutUint64(hdr[4:], ctx)
+	binary.LittleEndian.PutUint32(hdr[12:], uint32(tag))
+	binary.LittleEndian.PutUint32(hdr[16:], uint32(len(body)))
+	binary.LittleEndian.PutUint64(hdr[20:], seq)
+	return append(hdr[:], body...)
+}
+
+// dialAs opens a data connection to tr that introduces itself as rank
+// src of tr's epoch.
+func dialAs(t *testing.T, tr *Transport, src int) net.Conn {
+	t.Helper()
+	conn, err := net.Dial("tcp", tr.ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hello [8]byte
+	binary.LittleEndian.PutUint32(hello[:], uint32(src))
+	binary.LittleEndian.PutUint32(hello[4:], uint32(tr.epoch))
+	if _, err := conn.Write(hello[:]); err != nil {
+		t.Fatal(err)
+	}
+	return conn
+}
+
+// awaitLanding waits until a frame from src is being read into a posted
+// region of tr.
+func awaitLanding(t *testing.T, tr *Transport, src int, within time.Duration) {
+	t.Helper()
+	for end := time.Now().Add(within); ; time.Sleep(time.Millisecond) {
+		tr.seqMu.Lock()
+		s := tr.streams[src]
+		on := s != nil && s.land.on
+		tr.seqMu.Unlock()
+		if on {
+			return
+		}
+		if time.Now().After(end) {
+			t.Fatal("no frame started landing in the posted region")
+		}
+	}
+}
+
+// TestFaultStalledLandingRevokes: a peer that stops partway through a
+// frame body being read into a posted region — hung, stopped, or cut
+// off without a FIN, so the read never fails — must not hold up the
+// exchange past the failure detector. Rank 1 reaches rank 0 through a
+// relay that forwards its first frame's header and half its body, once
+// rank 0 has posted its regions, and then goes silent with the
+// connections open; rank 0's staged exchange returns ErrPeerLost for
+// rank 1 at its receive timeout, the revoke on its way out included.
+func TestFaultStalledLandingRevokes(t *testing.T) {
+	const per, stage = 256 << 10, 64 << 10
+	t0, t1 := bootPair(t, func(r int, cfg *Config) {
+		cfg.Retry = fastRetry()
+		cfg.SendTimeout = 500 * time.Millisecond
+		if r == 0 {
+			cfg.RecvTimeout = 500 * time.Millisecond
+		}
+	})
+	defer t0.Close()
+	defer t1.Close()
+
+	relay, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// posted closes when rank 0 drains its own first chunk: the
+	// collective posts every region before that.
+	posted, stop := make(chan struct{}), make(chan struct{})
+	var held []net.Conn
+	var heldMu sync.Mutex
+	var relayed sync.WaitGroup
+	defer func() {
+		close(stop)
+		relay.Close()
+		heldMu.Lock()
+		for _, c := range held {
+			c.Close()
+		}
+		heldMu.Unlock()
+		relayed.Wait()
+	}()
+	relayed.Add(1)
+	go func() {
+		defer relayed.Done()
+		in, err := relay.Accept()
+		if err != nil {
+			return
+		}
+		out, err := net.Dial("tcp", t0.ln.Addr().String())
+		if err != nil {
+			in.Close()
+			return
+		}
+		heldMu.Lock()
+		held = append(held, in, out)
+		select {
+		case <-stop: // the cleanup has closed the others already
+			in.Close()
+			out.Close()
+		default:
+		}
+		heldMu.Unlock()
+		head := make([]byte, 8+frameHeader)
+		if _, err := io.ReadFull(in, head); err != nil {
+			return
+		}
+		n := binary.LittleEndian.Uint32(head[8+16:])
+		half := make([]byte, n/2)
+		if _, err := io.ReadFull(in, half); err != nil {
+			return
+		}
+		select {
+		case <-posted:
+			out.Write(append(head, half...)) // then silence
+		case <-stop:
+		}
+	}()
+	t1.peers[0].Addr = relay.Addr().String()
+
+	counts := []int64{per, per}
+	send := make([]byte, per)
+	exchange := func(tr *Transport, drain func(src int, off int64, chunk []byte) error) error {
+		regions := [][]byte{make([]byte, per), make([]byte, per)}
+		_, err := comm.New(tr).StagedAlltoallv(comm.StagedOptions{
+			StageBytes: stage, SendBytes: counts, RecvBytes: counts, RecvRegions: regions,
+			Fill:  func(dst int, off, n int64) ([]byte, error) { return send[off : off+n], nil },
+			Drain: drain,
+		})
+		return err
+	}
+	done1 := make(chan error, 1)
+	go func() { // its sends to rank 0 end in the relay
+		done1 <- exchange(t1, func(int, int64, []byte) error { return nil })
+	}()
+	defer func() {
+		t1.Close()
+		select {
+		case <-done1:
+		case <-time.After(10 * time.Second):
+			t.Error("rank 1's exchange did not return after its transport closed")
+		}
+	}()
+	errc := make(chan error, 1)
+	start := time.Now()
+	var once sync.Once
+	go func() {
+		errc <- exchange(t0, func(int, int64, []byte) error {
+			once.Do(func() { close(posted) })
+			return nil
+		})
+	}()
+	awaitLanding(t, t0, 1, 5*time.Second)
+	select {
+	case err := <-errc:
+		if lost, ok := comm.PeerLost(err); !ok || lost != 1 {
+			t.Fatalf("want ErrPeerLost{Rank:1}, got %v", err)
+		}
+		t.Logf("exchange failed after %v", time.Since(start).Round(time.Millisecond))
+	case <-time.After(10 * time.Second):
+		t.Fatal("exchange still blocked 10s after its peer went silent: the revoke waits on the stalled read")
+	}
+}
+
+// TestReconnectCopyCutsLanding: while one connection is landing frame
+// 0 of a source in a posted region and then goes silent, a whole copy
+// of frame 0 on a new connection — the sender's retransmit after it
+// redialled — is delivered at once, not after the dead connection or
+// the gap timer gives up. The landing is cut: the region is given back
+// untouched past what had arrived, and when the rest of the old body
+// does arrive it is dropped as a duplicate.
+func TestReconnectCopyCutsLanding(t *testing.T) {
+	const n = 64 << 10
+	t0, t1 := bootPair(t, func(r int, cfg *Config) { cfg.GapTimeout = time.Minute })
+	defer t0.Close()
+	defer t1.Close()
+	region := make([]byte, n)
+	t0.Post(1, 9, 5, region)
+
+	old := bytes.Repeat([]byte{0xAA}, n)
+	a := dialAs(t, t0, 1)
+	defer a.Close()
+	frame := rawFrame(1, 9, 5, 0, old)
+	if _, err := a.Write(frame[:frameHeader+n/2]); err != nil {
+		t.Fatal(err)
+	}
+	awaitLanding(t, t0, 1, 5*time.Second)
+
+	resent := bytes.Repeat([]byte{0x55}, n)
+	b := dialAs(t, t0, 1)
+	defer b.Close()
+	if _, err := b.Write(rawFrame(1, 9, 5, 0, resent)); err != nil {
+		t.Fatal(err)
+	}
+	got := faultWithin(t, 5*time.Second, func() error {
+		data, err := t0.Recv(1, 9, 5)
+		if err == nil && !bytes.Equal(data, resent) {
+			err = errors.New("delivered payload is not the retransmitted copy")
+		}
+		return err
+	})
+	if got != nil {
+		t.Fatal(got)
+	}
+
+	if _, err := a.Write(frame[frameHeader+n/2:]); err != nil {
+		t.Fatal(err)
+	}
+	for end := time.Now().Add(5 * time.Second); t0.stats.DedupDropped.Load() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(end) {
+			t.Fatal("the rest of the cut frame was not dropped as a duplicate")
+		}
+	}
+	if !bytes.Equal(region[n/2:], make([]byte, n/2)) {
+		t.Fatal("the cut reader wrote into the region after giving it back")
+	}
+	if in := t0.stats.FramesInPlace.Load(); in != 0 {
+		t.Fatalf("%d frames counted in place; the only landing was cut", in)
+	}
+	faultWithin(t, 5*time.Second, func() error { t0.Revoke(1, 9, 5); return nil })
 }
