@@ -420,6 +420,13 @@ func TestCLISpilledSort(t *testing.T) {
 			t.Fatalf("output missing %q:\n%s", want, stdout)
 		}
 	}
+	// The spilled route shares duplicates of a replicated pivot like the
+	// resident one does (1.07 on this file), so its load stays near fair.
+	_, after, _ := strings.Cut(stdout, "RDFA: ")
+	field, _, _ := strings.Cut(after, "\n")
+	if rdfa, err := strconv.ParseFloat(field, 64); err != nil || rdfa > 1.3 {
+		t.Fatalf("spilled RDFA %q, want at most 1.3 (err=%v)", field, err)
+	}
 	got, err := recordio.ReadFile(out, codec.Float64{})
 	if err != nil {
 		t.Fatal(err)

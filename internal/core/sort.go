@@ -51,7 +51,9 @@ func Sort[T any](c *comm.Comm, data []T, cd codec.Codec[T], cmp func(a, b T) int
 		{name: "localsort", clock: metrics.PhaseLocalSort, begin: map[string]any{"records": len(data)},
 			body: r.sortLocal, cut: checkpoint.PhaseLocalSort, skew: metrics.SkewLocalSort},
 		{name: "nodemerge", clock: metrics.PhaseLocalSort, body: r.mergeNodes},
-		{name: "pivots", clock: metrics.PhasePivotSelection, body: r.selectPivots},
+		{name: "pivots", clock: metrics.PhasePivotSelection, body: func() (map[string]any, error) {
+			return r.selectPivots(pivots.RegularSample(r.work, r.wc.Size()))
+		}},
 		{name: "partition", clock: metrics.PhasePivotSelection, body: r.splitWork, cut: checkpoint.PhasePartition},
 		{clock: metrics.PhaseExchange, body: r.exchangeAndOrder},
 	}
@@ -93,19 +95,16 @@ func (r *run[T]) sortLocal() (map[string]any, error) {
 	return detail, err
 }
 
-// selectPivots is sampling and global pivot selection (lines 8-9):
-// regular (equal-stripe) sampling of local pivots, ordered with a
-// distributed bitonic sort, global pivots taken at equal stride.
-// Duplicated pivots are kept — the skew-aware partition wants to see
-// them.
-func (r *run[T]) selectPivots() (map[string]any, error) {
+// selectPivots is global pivot selection (lines 8-9) on every route,
+// from the rank's local pivots — its regular (equal-stripe) sample: the
+// pool is ordered with a distributed bitonic sort and the global pivots
+// taken at equal stride. Duplicated pivots are kept, since the
+// skew-aware split wants to see them, and the pivots span reports how
+// many runs of them there are and how many pivots they hold.
+func (r *run[T]) selectPivots(local []T) (map[string]any, error) {
 	var err error
-	r.pg, err = pivots.SelectGlobal(r.wc, pivots.RegularSample(r.work, r.wc.Size()), r.cd, r.cmp)
-	if err != nil {
+	if r.pg, err = pivots.SelectGlobal(r.wc, local, r.cd, r.cmp); err != nil {
 		return nil, fmt.Errorf("core: pivot selection: %w", err)
-	}
-	if err := r.checkPivots(r.pg); err != nil {
-		return nil, err
 	}
 	detail := map[string]any{"pivots": len(r.pg)}
 	if dupRuns := partition.Runs(r.pg, r.cmp); len(dupRuns) > 0 {
@@ -115,57 +114,73 @@ func (r *run[T]) selectPivots() (map[string]any, error) {
 		}
 		detail["dup_runs"], detail["duplicated_pivots"] = len(dupRuns), total
 	}
-	return detail, nil
+	return detail, r.checkPivots(r.pg)
 }
 
-// splitWork is the skew-aware partition (line 10), fast or stable,
-// accelerated by the local pivots. The stable variant needs one
-// collective: the all-gather of per-run duplicate counts.
+// splitWork is the skew-aware partition (line 10), fast or stable, of
+// the rank's slab as one stripe, searched through the local pivots.
 func (r *run[T]) splitWork() (map[string]any, error) {
-	loc := partition.NewStripe(r.work, len(r.pg)+1, r.cmp)
-	var err error
-	if r.opt.Stable {
-		var dupCounts [][]int64
-		if dupCounts, err = r.gatherDupCounts(loc); err == nil {
-			r.bounds, err = partition.Stable(r.work, r.pg, loc, r.cmp, r.wc.Rank(), dupCounts)
-		}
-	} else {
-		r.bounds = partition.Fast(r.work, r.pg, loc, r.cmp)
-	}
-	if err == nil {
-		err = partition.Validate(r.bounds, len(r.work))
-	}
+	lb, ub := partition.Locate(r.work, r.pg, partition.NewStripe(r.work, len(r.pg)+1, r.cmp), r.cmp)
+	bounds, err := split(r, [][]int{lb}, [][]int{ub}, []int{len(r.work)})
 	if err != nil {
-		return nil, fmt.Errorf("core: partition: %w", err)
+		return nil, err
 	}
+	r.bounds = bounds[0]
 	return map[string]any{"dests": len(r.bounds) - 1}, nil
 }
 
-// gatherDupCounts all-gathers, per run of duplicated pivots, every
-// rank's count of records equal to the run's value.
-func (r *run[T]) gatherDupCounts(loc partition.Stripe[T]) ([][]int64, error) {
-	runs := partition.Runs(r.pg, r.cmp)
-	if len(runs) == 0 {
-		return nil, nil
+// split cuts the rank's sorted stripes — its resident slab, or its
+// local runs in input order — by partition.Split, given each stripe's
+// pivot bounds and length. Under the stable rule one collective places
+// the rank's duplicates after those of the ranks before it; every rank
+// holds the same pivots, so all skip it alike when none is replicated.
+func split[T any, I int | int64](r *run[T], lbs, ubs [][]I, ns []I) ([][]I, error) {
+	dupRuns := partition.Runs(r.pg, r.cmp)
+	var dups []partition.Dups
+	if r.opt.Stable && len(dupRuns) > 0 {
+		local := make([]int64, len(dupRuns))
+		for s := range ns {
+			for k, dr := range dupRuns {
+				local[k] += int64(ubs[s][dr.Start] - lbs[s][dr.Start])
+			}
+		}
+		var err error
+		if dups, err = r.gatherDupCounts(local); err != nil {
+			return nil, fmt.Errorf("core: partition: %w", err)
+		}
 	}
-	parts, err := r.wc.Allgather(comm.EncodeInt64s(partition.LocalDupCounts(r.work, r.pg, runs, loc)))
+	bounds := make([][]I, len(ns))
+	for s, n := range ns {
+		bounds[s] = partition.Split(dupRuns, lbs[s], ubs[s], n, dups)
+		if err := partition.Validate(bounds[s], n); err != nil {
+			return nil, fmt.Errorf("core: partition: %w", err)
+		}
+	}
+	return bounds, nil
+}
+
+// gatherDupCounts all-gathers local, this rank's count of records
+// equal to each replicated pivot run's value, and places the rank in
+// each run's duplicate order.
+func (r *run[T]) gatherDupCounts(local []int64) ([]partition.Dups, error) {
+	parts, err := r.wc.Allgather(comm.EncodeInt64s(local))
 	if err != nil {
 		return nil, fmt.Errorf("duplicate-count gather: %w", err)
 	}
-	dupCounts := make([][]int64, len(runs))
-	for k := range dupCounts {
-		dupCounts[k] = make([]int64, len(parts))
-	}
+	dups := make([]partition.Dups, len(local))
 	for src, buf := range parts {
 		vals, err := comm.DecodeInt64s(buf)
-		if err != nil || len(vals) != len(runs) {
+		if err != nil || len(vals) != len(local) {
 			return nil, fmt.Errorf("bad duplicate counts from rank %d", src)
 		}
 		for k, v := range vals {
-			dupCounts[k][src] = v
+			if src < r.wc.Rank() {
+				dups[k].Start += v // my duplicates follow those of every rank before me
+			}
+			dups[k].Total += v
 		}
 	}
-	return dupCounts, nil
+	return dups, nil
 }
 
 // plan performs the MPI_Alltoall of send counts (Fig. 1 line 11) — how

@@ -356,6 +356,91 @@ func TestSpillStreamMatchesSort(t *testing.T) {
 	}
 }
 
+// TestSpillStreamLoadBound is Theorem 1 on the out-of-core route: each
+// local run is a stripe of the skew-aware split, so the duplicates of a
+// replicated pivot are shared among the ranks that own it, as on the
+// resident route, and no rank's block passes 4N/p. The fast rule splits
+// every run's duplicates evenly, which can give a rank one record per
+// run in the world above its exact share: that is the slack. The
+// concatenation is the resident sort's — record for record under the
+// stable rule, key for key under the fast one, whose order among equal
+// keys is its own on either route.
+func TestSpillStreamLoadBound(t *testing.T) {
+	// Four local runs per rank: few enough that a floored stride over
+	// the pooled run samples would draw every pivot from their low end.
+	const perRank, chunk = 2000, 500
+	ptfLike := func(rank, i int) float64 {
+		h := uint64(rank*perRank+i) * 0x9E3779B97F4A7C15 >> 32
+		if h%100 < 28 {
+			return 1 << 31 // 28 % of the keys are one value
+		}
+		return float64(h)
+	}
+	inputs := []struct {
+		name string
+		gen  func(rank, i int) float64
+	}{
+		{"all-equal", func(rank, i int) float64 { return 7 }},
+		{"two-value", func(rank, i int) float64 { return float64(min(i%5, 3) / 3) }}, // 60 % zeros
+		{"zipf", zipfGen(11, 2.1)},
+		{"ptf-like", ptfLike},
+	}
+	for _, input := range inputs {
+		for _, p := range []int{4, 8, 16} {
+			for _, stable := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/p%d/stable=%v", input.name, p, stable), func(t *testing.T) {
+					topo := cluster.Topology{Nodes: p / 2, CoresPerNode: 2}
+					in := makeTagged(p, perRank, input.gen)
+					opt := DefaultOptions()
+					opt.Stable = stable
+					want := flatten(runSort(t, topo, in, opt))
+
+					ring := trace.NewRing(ringCap)
+					opt.Trace = ring
+					opt.Spill = &SpillOptions{Dir: t.TempDir(), ChunkRecords: chunk, BufBytes: 4 << 10}
+					out := runSortStream(t, topo, in, opt)
+					n, runs := p*perRank, p*perRank/chunk
+					bound := 4*n/p + runs
+					for r, block := range out {
+						if len(block) > bound {
+							t.Errorf("rank %d holds %d records, above 4N/p + %d runs = %d", r, len(block), runs, bound)
+						}
+					}
+					got := flatten(out)
+					if !stable {
+						got, want = keysOf(got), keysOf(want)
+					}
+					if !slices.Equal(got, want) {
+						t.Fatal("streamed sort's concatenation differs from the resident sort's")
+					}
+					if input.name != "all-equal" {
+						return
+					}
+					// The split fired, and the pivots span says so with its inputs.
+					spans := spansNamed(t, ring, "pivots")
+					if len(spans) != p {
+						t.Fatalf("%d pivots spans, want %d", len(spans), p)
+					}
+					for _, s := range spans {
+						if s.Detail["dup_runs"] != 1 || s.Detail["duplicated_pivots"] != p-1 {
+							t.Fatalf("rank %d pivots span %v, want 1 duplicated run of %d pivots", s.Rank, s.Detail, p-1)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// keysOf strips records to their keys: what a non-stable sort fixes.
+func keysOf(recs []codec.Tagged) []codec.Tagged {
+	keys := make([]codec.Tagged, len(recs))
+	for i, rec := range recs {
+		keys[i].Key = rec.Key
+	}
+	return keys
+}
+
 // TestSpillStreamEdgeCases: the single-rank world (pure external sort)
 // and the globally empty dataset, both of which skip the exchange.
 func TestSpillStreamEdgeCases(t *testing.T) {

@@ -10,6 +10,7 @@ import (
 	"sdssort/internal/comm"
 	"sdssort/internal/extsort"
 	"sdssort/internal/metrics"
+	"sdssort/internal/partition"
 	"sdssort/internal/pivots"
 	"sdssort/internal/psort"
 	"sdssort/internal/recordio"
@@ -26,14 +27,12 @@ import (
 //
 // Differences from the resident driver, by construction of the regime:
 // node-level merging (τm) and overlap (τo) do not apply (the exchange
-// is always the staged synchronous collective), pivots come from
-// per-run samples rather than the fully sorted local data, and the
-// per-run partition is the classical upper bound — all duplicates of a
-// pivot land on one destination, so extreme duplication skews load
-// where the resident skew-aware partition would split it. Stability
-// still holds end to end: runs are cut in input order, every merge
-// tiebreaks by run index, and the upper-bound rule routes all equal
-// records to the same destination.
+// is always the staged synchronous collective), and pivots come from
+// per-run samples rather than the fully sorted local data. The split is
+// the resident one, each local run a stripe of it. Stability holds end
+// to end: runs are cut in input order, the stable rule deals a
+// replicated value's duplicates out in (rank, run, position) order, and
+// every merge tiebreaks by run index, which is source rank on receipt.
 
 // RecordSource yields records until io.EOF; *recordio.Reader[T] and
 // *extsort.Cursor[T] implement it.
@@ -139,8 +138,8 @@ func SortStream[T any](c *comm.Comm, in RecordSource[T], cd codec.Codec[T], cmp 
 	var (
 		local   []string  // the sorted local run files
 		counts  []int64   // records per local run
-		samples []T       // p regular samples of every run, unsorted across runs
-		ubs     [][]int64 // per local run, its per-destination record bounds
+		samples []T       // p-1 regular samples of every run, unsorted across runs
+		bounds  [][]int64 // per local run, its per-destination record bounds
 		scounts = make([]int, p)
 		runs    []string // the block: the local runs on one rank, else what the exchange received
 		records int64
@@ -160,30 +159,35 @@ func SortStream[T any](c *comm.Comm, in RecordSource[T], cd codec.Codec[T], cmp 
 			detail["runs"], detail["records"] = len(runs), records
 			return detail, nil
 		}},
-		// Global pivots from the per-chunk regular samples.
+		// Global pivots from the per-chunk regular samples. The rank's
+		// p-1 local pivots are spaced exactly over the pooled samples: the
+		// pool is only (p-1) per run long, and RegularSample's floored
+		// stride would draw them all from its low end.
 		{name: "pivots", clock: metrics.PhasePivotSelection, body: func() (map[string]any, error) {
 			psort.ParallelSort(samples, opt.cores(), opt.Stable, cmp)
-			r.pg, err = pivots.SelectGlobal(c, pivots.RegularSample(samples, p), cd, cmp)
-			if err != nil {
-				return nil, fmt.Errorf("core: pivot selection: %w", err)
+			var lp []T
+			for i := 1; i < p && len(samples) > 0; i++ {
+				lp = append(lp, samples[i*len(samples)/p])
 			}
 			samples = nil
-			if len(r.pg) == 0 {
-				runs, records = nil, 0 // the empty exit's block
-			}
-			return map[string]any{"pivots": len(r.pg)}, r.checkPivots(r.pg)
+			return r.selectPivots(lp)
 		}},
-		// Partition each run by seek-based binary search — the classical
-		// upper bound per run, summed into send counts.
+		// Partition by the skew-aware split rule, each local run one
+		// stripe with its pivot bounds found by seek search; the send
+		// counts are the runs' shares summed.
 		{name: "partition", clock: metrics.PhasePivotSelection, body: func() (map[string]any, error) {
+			lbs, ubs := make([][]int64, len(local)), make([][]int64, len(local))
 			for i, path := range local {
-				ub, err := runBounds(path, cd, counts[i], r.pg, cmp)
-				if err != nil {
+				if lbs[i], ubs[i], err = runBounds(path, cd, counts[i], r.pg, cmp); err != nil {
 					return nil, fmt.Errorf("core: partition run %s: %w", path, err)
 				}
-				ubs = append(ubs, ub)
-				for dst := range scounts {
-					scounts[dst] += int(ub[dst+1] - ub[dst])
+			}
+			if bounds, err = split(r, lbs, ubs, counts); err != nil {
+				return nil, err
+			}
+			for _, b := range bounds {
+				for dst, n := range partition.Counts(b) {
+					scounts[dst] += int(n)
 				}
 			}
 			return map[string]any{"dests": p}, nil
@@ -198,7 +202,7 @@ func SortStream[T any](c *comm.Comm, in RecordSource[T], cd codec.Codec[T], cmp 
 				return nil, err
 			}
 			records = sum(pl.recv) / recSize
-			src, closeSrc := runSource(local, ubs, cd, cmp, recSize, sp.mergeOptions(dir, opt.Mem))
+			src, closeSrc := runSource(local, bounds, cd, cmp, recSize, sp.mergeOptions(dir, opt.Mem))
 			defer closeSrc()
 			if runs, err = r.spillReceive(dir, pl, src); err != nil {
 				return nil, err
@@ -367,48 +371,31 @@ func SortFileShard[T any](c *comm.Comm, path string, cd codec.Codec[T], cmp func
 	return SortStream(c, src, cd, cmp, opt)
 }
 
-// runBounds computes the classical upper-bound partition of one sorted
-// run file by seek-based binary search: ub[j+1] is the first record
-// index greater than pivot j. O(p log n) single-record reads, no
+// runBounds is partition.Search over one sorted run file of n records
+// by seek-based binary search: O(log n) single-record reads per
+// distinct pivot value, twice that for a replicated one, and no
 // residency.
-func runBounds[T any](path string, cd codec.Codec[T], n int64, pg []T, cmp func(a, b T) int) ([]int64, error) {
+func runBounds[T any](path string, cd codec.Codec[T], n int64, pg []T, cmp func(a, b T) int) (lb, ub []int64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer f.Close()
 	recSize := int64(cd.Size())
 	buf := make([]byte, recSize)
-	readAt := func(i int64) (T, error) {
-		if _, err := f.ReadAt(buf, i*recSize); err != nil {
-			var zero T
-			return zero, fmt.Errorf("read record %d: %w", i, err)
-		}
-		return cd.Unmarshal(buf), nil
-	}
-	p := len(pg) + 1
-	ub := make([]int64, p+1)
-	ub[p] = n
-	for j, piv := range pg {
-		lo, hi := ub[j], n // pivots ascend, so each bound starts at the last
-		for lo < hi {
+	var lo int64 // values ascend, so each search starts at the last bound
+	lb, ub = partition.Search(pg, cmp, func(v T, upper bool) int64 {
+		for hi := n; lo < hi && err == nil; {
 			mid := (lo + hi) / 2
-			rec, err := readAt(mid)
-			if err != nil {
-				return nil, err
-			}
-			if cmp(rec, piv) <= 0 {
+			if _, err = f.ReadAt(buf, mid*recSize); err != nil {
+				err = fmt.Errorf("read record %d: %w", mid, err)
+			} else if c := cmp(cd.Unmarshal(buf), v); c < 0 || upper && c == 0 {
 				lo = mid + 1
 			} else {
 				hi = mid
 			}
 		}
-		ub[j+1] = lo
-	}
-	for j := 1; j <= p; j++ {
-		if ub[j] < ub[j-1] {
-			ub[j] = ub[j-1]
-		}
-	}
-	return ub, nil
+		return lo
+	})
+	return lb, ub, err
 }

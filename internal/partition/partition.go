@@ -60,32 +60,8 @@ func LocalDupCounts[T any](data []T, pg []T, runs []PivotRun, loc Locator[T]) []
 // paper's Fig. 4 illustrates. The two readings coincide whenever the
 // span holds only duplicates.
 func Fast[T any](data []T, pg []T, loc Locator[T], cmp func(a, b T) int) []int {
-	p := len(pg) + 1
-	bounds := make([]int, p+1)
-	bounds[p] = len(data)
-	i := 0
-	for i < len(pg) {
-		j := i + 1
-		for j < len(pg) && cmp(pg[j], pg[i]) == 0 {
-			j++
-		}
-		rs := j - i
-		if rs == 1 {
-			bounds[i+1] = loc.UpperBound(data, pg[i])
-		} else {
-			v := pg[i]
-			lbv := loc.LowerBound(data, v)
-			pd := loc.UpperBound(data, v)
-			span := pd - lbv
-			for k := 1; k <= rs; k++ {
-				if i+k <= len(pg) {
-					bounds[i+k] = lbv + span*k/rs
-				}
-			}
-		}
-		i = j
-	}
-	return bounds
+	lb, ub := Locate(data, pg, loc, cmp)
+	return Split(Runs(pg, cmp), lb, ub, len(data), nil)
 }
 
 // Stable computes the send boundaries of the stable skew-aware
@@ -99,77 +75,97 @@ func Fast[T any](data []T, pg []T, loc Locator[T], cmp func(a, b T) int) []int {
 // group number is monotone in (rank, local position), rank order — and
 // therefore stability — is preserved without secondary sorting keys.
 func Stable[T any](data []T, pg []T, loc Locator[T], cmp func(a, b T) int, rank int, dupCounts [][]int64) ([]int, error) {
-	p := len(pg) + 1
-	bounds := make([]int, p+1)
-	bounds[p] = len(data)
-	runIdx := 0
-	i := 0
-	for i < len(pg) {
-		j := i + 1
-		for j < len(pg) && cmp(pg[j], pg[i]) == 0 {
-			j++
-		}
-		rs := j - i
-		if rs == 1 {
-			bounds[i+1] = loc.UpperBound(data, pg[i])
-			i = j
-			continue
-		}
-		if runIdx >= len(dupCounts) {
-			return nil, fmt.Errorf("partition: %d replicated runs but only %d count vectors", runIdx+1, len(dupCounts))
-		}
-		cv := dupCounts[runIdx]
-		runIdx++
+	runs := Runs(pg, cmp)
+	if len(runs) != len(dupCounts) {
+		return nil, fmt.Errorf("partition: %d replicated runs but %d count vectors", len(runs), len(dupCounts))
+	}
+	lb, ub := Locate(data, pg, loc, cmp)
+	dups := make([]Dups, len(runs))
+	for k, cv := range dupCounts {
 		if rank >= len(cv) {
 			return nil, fmt.Errorf("partition: rank %d outside count vector of length %d", rank, len(cv))
 		}
-
-		v := pg[i]
-		lbv := loc.LowerBound(data, v)
-		pd := loc.UpperBound(data, v)
-		cr := int64(pd - lbv)
-		if want := cv[rank]; want != cr {
-			return nil, fmt.Errorf("partition: local duplicate count %d disagrees with gathered count %d", cr, want)
+		if cr := int64(ub[runs[k].Start] - lb[runs[k].Start]); cr != cv[rank] {
+			return nil, fmt.Errorf("partition: local duplicate count %d disagrees with gathered count %d", cr, cv[rank])
 		}
-
-		// Global positions of my duplicates: [sb, sb+cr).
-		var sb, total int64
+		// My duplicates follow those of every rank before me.
 		for r, c := range cv {
 			if r < rank {
-				sb += c
+				dups[k].Start += c
 			}
-			total += c
+			dups[k].Total += c
 		}
-		// Group size: ceiling so rs groups always cover the space.
-		sa := (total + int64(rs) - 1) / int64(rs)
-		if sa == 0 {
-			sa = 1
-		}
-		for k := 1; k <= rs; k++ {
-			if i+k > len(pg) {
-				break
-			}
-			if k == rs {
-				bounds[i+k] = pd
-				break
-			}
-			// End of group k-1 in global positions, clipped to my
-			// local window.
-			local := int64(k)*sa - sb
-			if local < 0 {
-				local = 0
-			}
-			if local > cr {
-				local = cr
-			}
-			bounds[i+k] = lbv + int(local)
-		}
-		i = j
 	}
-	if runIdx != len(dupCounts) {
-		return nil, fmt.Errorf("partition: %d replicated runs but %d count vectors", runIdx, len(dupCounts))
+	return Split(runs, lb, ub, len(data), dups), nil
+}
+
+// Dups places one stripe's duplicates of a replicated pivot value in the
+// global duplicate order: they are positions [Start, Start+count) of
+// Total.
+type Dups struct{ Start, Total int64 }
+
+// Search returns the pivot bounds Split reads from one sorted stripe,
+// searching each distinct pivot value once: ub[j] is one past the
+// stripe's last record <= pg[j], and lb[j] its first record >= pg[j],
+// searched only where pg[j] is in a replicated run (0 elsewhere). find
+// is the stripe's search, called in ascending value order.
+func Search[T any, I int | int64](pg []T, cmp func(a, b T) int, find func(v T, upper bool) I) (lb, ub []I) {
+	lb, ub = make([]I, len(pg)), make([]I, len(pg))
+	for j, v := range pg {
+		if j > 0 && cmp(v, pg[j-1]) == 0 {
+			lb[j], ub[j] = lb[j-1], ub[j-1]
+			continue
+		}
+		if j+1 < len(pg) && cmp(v, pg[j+1]) == 0 {
+			lb[j] = find(v, false)
+		}
+		ub[j] = find(v, true)
 	}
-	return bounds, nil
+	return lb, ub
+}
+
+// Locate is Search over resident data through a Locator.
+func Locate[T any](data, pg []T, loc Locator[T], cmp func(a, b T) int) (lb, ub []int) {
+	return Search(pg, cmp, func(v T, upper bool) int {
+		if upper {
+			return loc.UpperBound(data, v)
+		}
+		return loc.LowerBound(data, v)
+	})
+}
+
+// Split is the skew-aware split rule (Fig. 2) over one sorted stripe —
+// a rank's slab, a chunk, or one run file — of n records, given its
+// pivot bounds from Search and the pivots' replicated runs: it returns
+// the stripe's p+1 send boundaries. A singleton pivot cuts at its upper
+// bound. The duplicates of a value shared by rs processes go to those
+// processes, and the records between the previous pivot and the value
+// stay with the first of them. dups nil selects the fast rule: each
+// process of a run takes an even share of this stripe's duplicates.
+// Otherwise dups[k] places this stripe's duplicates of run k in the
+// global duplicate order, which is cut into rs groups of
+// ⌈Total/rs⌉ positions, group g going to the run's g-th process — the
+// stable rule, monotone in (stripe, position). Split then moves dups
+// past this stripe's duplicates, where the next stripe's start.
+func Split[I int | int64](runs []PivotRun, lb, ub []I, n I, dups []Dups) []I {
+	bounds := make([]I, len(ub)+2)
+	copy(bounds[1:], ub)
+	bounds[len(ub)+1] = n
+	for k, r := range runs {
+		lo, span, rs := int64(lb[r.Start]), int64(ub[r.Start]-lb[r.Start]), int64(r.Len)
+		for g := int64(1); g < rs; g++ {
+			cut := span * g / rs
+			if dups != nil {
+				group := max((dups[k].Total+rs-1)/rs, 1)
+				cut = min(max(g*group-dups[k].Start, 0), span)
+			}
+			bounds[r.Start+int(g)] = I(lo + cut)
+		}
+		if dups != nil {
+			dups[k].Start += span
+		}
+	}
+	return bounds
 }
 
 // Classical computes the plain upper-bound partition every sample sort
@@ -190,8 +186,8 @@ func Classical[T any](data []T, pg []T, cmp func(a, b T) int) []int {
 }
 
 // Counts converts boundaries into per-destination record counts.
-func Counts(bounds []int) []int {
-	counts := make([]int, len(bounds)-1)
+func Counts[I int | int64](bounds []I) []I {
+	counts := make([]I, len(bounds)-1)
 	for i := range counts {
 		counts[i] = bounds[i+1] - bounds[i]
 	}
@@ -199,7 +195,7 @@ func Counts(bounds []int) []int {
 }
 
 // Validate checks that bounds is a monotone partition of n records.
-func Validate(bounds []int, n int) error {
+func Validate[I int | int64](bounds []I, n I) error {
 	if len(bounds) < 2 {
 		return fmt.Errorf("partition: need at least 2 boundaries, got %d", len(bounds))
 	}
