@@ -15,7 +15,7 @@ FAULTNET_SEED ?= 1
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS := -X sdssort/internal/buildinfo.Version=$(VERSION)
 
-.PHONY: all build install test race vet lint loc bench bench-e2e bench-test bench-pairs algo-matrix soak soak-shrink soak-spill telemetry-smoke trace-smoke experiments experiments-quick fuzz clean
+.PHONY: all build install test race vet lint loc bench bench-e2e bench-test bench-pairs bench-kernel algo-matrix soak soak-shrink soak-spill telemetry-smoke trace-smoke experiments experiments-quick fuzz clean
 
 all: build test
 
@@ -72,6 +72,13 @@ WORKLOAD ?= uniform_inproc
 PAIRS    ?= 10
 bench-pairs:
 	bash scripts/bench_pairs.sh $(PARENT) $(WORKLOAD) $(PAIRS)
+
+# A kernel claim's layer half: the four local-sort benchmarks (radix
+# dispatch vs comparison sort on the workloads' own keys, ns/record),
+# six counts each. The host drifts minute to minute: run it at both
+# commits, alternating, and compare the interleaved counts.
+bench-kernel:
+	$(GO) test -run xxx -bench 'BenchmarkLocalSort' -benchtime 20x -count 6 ./internal/core
 
 # The cross-driver algorithm matrix: every registered driver must emit
 # byte-identical output — and a complete trace: one completed sort root

@@ -26,15 +26,17 @@ import (
 // input keeps the natural-run merge (the paper's §2.2 adaptivity beats
 // any re-sort there), gated on the kernel's first read, or a comparator
 // sweep without a key. detail learns the kernel: "runs", "radix" or
-// "comparison". The merge and a one-core stable fallback work in the
-// run's scratch, grown, which the exchange takes as its receive slab. A
-// heavy bucket's spare, held for the kernel call only, is booked after it.
+// "comparison"; after radix, how many buckets the insertion pass
+// finished, how many it declined and how many overran its budget into the
+// LSD loop. The merge and a one-core stable fallback work in the run's
+// scratch, grown, which the exchange takes as its receive slab. A heavy
+// bucket's spare, held for the kernel call only, is booked after it.
 func (r *run[T]) order(data []T, runs float64, detail map[string]any) ([]T, error) {
 	stable := r.opt.Stable
-	block, v, spare := radix.Dispatch(data, &r.scratch, r.cd, r.cmp, stable, runs)
-	if b := int64(spare) * r.recSize; b > 0 {
+	block, v, st := radix.Dispatch(data, &r.scratch, r.cd, r.cmp, stable, runs)
+	if b := int64(st.Spare) * r.recSize; b > 0 {
 		if err := r.acct.reserve(b); err != nil {
-			return nil, fmt.Errorf("core: radix spare of %d records: %w", spare, err)
+			return nil, fmt.Errorf("core: radix spare of %d records: %w", st.Spare, err)
 		}
 		r.acct.release(b)
 	}
@@ -42,6 +44,9 @@ func (r *run[T]) order(data []T, runs float64, detail map[string]any) ([]T, erro
 	switch {
 	case v == radix.Sorted:
 		detail["kernel"] = "radix"
+		tally(detail, "insertion_finished", st.Finished)
+		tally(detail, "insertion_declined", st.Declined)
+		tally(detail, "insertion_overrun", st.Overrun)
 		return block, nil
 	case v == radix.Gated:
 		r.scratch = psort.NaturalMergeSortBuf(data, r.scratch, r.cmp)
@@ -59,6 +64,12 @@ func (r *run[T]) order(data []T, runs float64, detail map[string]any) ([]T, erro
 		detail["fallback"] = true
 	}
 	return data, nil
+}
+
+// tally adds n to detail's count k, summed over a streamed sort's chunks.
+func tally(detail map[string]any, k string, n int) {
+	c, _ := detail[k].(int)
+	detail[k] = c + n
 }
 
 // takeSlab returns a slab of n records, the local sort's scratch when

@@ -267,6 +267,59 @@ func TestFloatKeyDispatch(t *testing.T) {
 	}
 }
 
+// TestLocalSortInsertionDetail: the localsort span counts the buckets
+// the radix kernel's insertion finish sorted, those it declined and those
+// that overran its budget into the LSD loop — one bucket per rank here.
+// Wide random keys finish; keys nine in ten of which tie in their top two
+// digits decline it; keys whose top two digits repeat a 6-bit value, in
+// groups those digits' counts do not show, overrun; keys that differ in
+// two digits take the LSD loop alone.
+func TestLocalSortInsertionDetail(t *testing.T) {
+	const perRank = 2000
+	topo := cluster.Topology{Nodes: 2, CoresPerNode: 1}
+	for _, tc := range []struct {
+		name                        string
+		gen                         func(rng *rand.Rand) float64
+		finished, declined, overrun int
+	}{
+		{"wide keys", func(rng *rand.Rand) float64 { return rng.Float64() }, 1, 0, 0},
+		{"tied top digits", func(rng *rand.Rand) float64 {
+			if rng.Intn(10) == 0 {
+				return rng.Float64() * 1000
+			}
+			return 1 + rng.Float64()/(1<<20)
+		}, 0, 1, 0},
+		{"repeated top digits", func(rng *rand.Rand) float64 {
+			a := rng.Uint64() % 64
+			return math.Float64frombits(a<<55 | a<<44 | rng.Uint64()&(1<<44-1))
+		}, 0, 0, 1},
+		{"two digits", func(rng *rand.Rand) float64 { return 1 + float64(rng.Intn(1<<22))/(1<<52) }, 0, 0, 0},
+	} {
+		rng := rand.New(rand.NewSource(23))
+		in := make([][]float64, topo.Size())
+		for r := range in {
+			for range perRank {
+				in[r] = append(in[r], tc.gen(rng))
+			}
+		}
+		opt := DefaultOptions()
+		opt.TauM = 0
+		out, spans := sortFloats(t, topo, in, cmpF, opt)
+		if flat := slices.Concat(out...); len(flat) != topo.Size()*perRank || !slices.IsSorted(flat) {
+			t.Fatalf("%s: output not the input sorted", tc.name)
+		}
+		kernels := spanDetails(spans, "localsort", "kernel")
+		finished, declined := spanDetails(spans, "localsort", "insertion_finished"), spanDetails(spans, "localsort", "insertion_declined")
+		overrun := spanDetails(spans, "localsort", "insertion_overrun")
+		for r := range topo.Size() {
+			if kernels[r] != "radix" || finished[r] != tc.finished || declined[r] != tc.declined || overrun[r] != tc.overrun {
+				t.Errorf("%s, rank %d: kernel %v, insertion finished %v, declined %v, overran %v; want radix, %d, %d, %d",
+					tc.name, r, kernels[r], finished[r], declined[r], overrun[r], tc.finished, tc.declined, tc.overrun)
+			}
+		}
+	}
+}
+
 // TestLocalOrderKernelDetail: the localorder span names its kernel too —
 // the merge of the received runs below τs and the radix re-sort of the
 // slab above it, stable or not.

@@ -1,8 +1,9 @@
 // Package radix is mostly the local sort's radix kernel: Dispatch orders
 // a keyed codec's records by their integer key, read in place from the
 // field the codec declares (codec.KeyFielder) or through a key func, in
-// buckets balanced to fit the cache, and holds the result to the
-// caller's comparator.
+// buckets balanced to fit the cache — each sorted by counting passes on
+// its top two digits and an insertion pass, or by the LSD pass loop — and
+// holds the result to the caller's comparator.
 // Sort is a parallel radix sort around the kernel, one of the related-work
 // algorithms the paper positions against (§5): a global histogram over
 // the top bits assigns contiguous bucket ranges to ranks, each of which
@@ -113,20 +114,29 @@ const (
 	Gated                  // the run gate fired; data as it came
 )
 
+// Stats is what the kernel did on its way to a verdict. Buckets whose
+// keys differ in more than two digits are Finished, Declined or Overrun.
+type Stats struct {
+	Spare    int // records a heavy bucket of distinct keys took as its spare
+	Finished int // buckets the insertion pass finished after their top two digits
+	Declined int // buckets whose top two digits' counts foretold too many moves
+	Overrun  int // buckets whose insertion ran past its budget
+}
+
 // Dispatch sorts data by cmp with the radix kernel when cd has an integer
 // key (codec.Uint64Keyer) that the kernel's sweeps find orders records as
 // cmp does. It never writes data: the block is data itself when its keys
 // ascend, or lands in *scratch, grown to hold it and a bucket spare, whose
-// place the spent data, capped, takes. spare counts the records a heavy
-// bucket of distinct keys took. Gated: runs > 0 and psort.Sortedness over
-// the keys (over cmp, without a key) is at least runs.
-func Dispatch[T any](data []T, scratch *[]T, cd codec.Codec[T], cmp func(a, b T) int, stable bool, runs float64) (block []T, v Verdict, spare int) {
+// place the spent data, capped, takes. Gated: runs > 0 and
+// psort.Sortedness over the keys (over cmp, without a key) is at least
+// runs.
+func Dispatch[T any](data []T, scratch *[]T, cd codec.Codec[T], cmp func(a, b T) int, stable bool, runs float64) (block []T, v Verdict, st Stats) {
 	key, ok := codec.Uint64KeyOf(cd)
 	if !ok || uint64(len(data)) > math.MaxUint32 { // the split counts in 32 bits
 		if runs > 0 && psort.Sortedness(data, cmp) >= runs {
-			return data, Gated, 0
+			return data, Gated, st
 		}
-		return data, Keyless, 0
+		return data, Keyless, st
 	}
 	s := sorter[T]{fn: key, cmp: cmp, stable: stable}
 	if kf, ok := any(cd).(codec.KeyFielder); ok && codec.IsZeroCopy(cd) {
@@ -134,33 +144,38 @@ func Dispatch[T any](data []T, scratch *[]T, cd codec.Codec[T], cmp func(a, b T)
 			s.fn, s.off, s.enc = nil, uintptr(off), enc // the record's memory image holds it
 		}
 	}
-	f := s.survey(data, 64)
+	f := s.survey(data, whole)
 	if runs > 0 && float64(max(len(data), 1))/float64(f.descents+1) >= runs {
-		return data, Gated, 0
+		return data, Gated, st
 	}
-	if block, ok = s.into(data, scratch, f); !ok {
-		return data, Refused, cap(s.heavy)
+	block, ok = s.into(data, scratch, f)
+	st = Stats{cap(s.heavy), s.finished, s.declined, s.overrun}
+	if !ok {
+		return data, Refused, st
 	}
-	return block, Sorted, cap(s.heavy)
+	return block, Sorted, st
 }
 
 // LSDSort sorts data, under 2³² records, in place, stably by key.
 func LSDSort[T any](data []T, key func(T) uint64) {
 	s, scratch := sorter[T]{fn: key}, []T(nil)
-	block, _ := s.into(data, &scratch, s.survey(data, 64))
+	block, _ := s.into(data, &scratch, s.survey(data, whole))
 	place(data, block)
 }
 
 // The kernel reads the keys once for the bits they differ in and their
 // descents. Up to bucketBytes is one bucket; more takes one split pass on a
 // window of windowBits key bits into buckets that fit, but for single window
-// values, each sorted in cache by the LSD pass loop or, up to tiny records,
-// by insertion. bucketBytes keeps a bucket, its spare and the histograms in
+// values, each sorted in cache (scatter) or, up to tiny records, by
+// insertion. bucketBytes keeps a bucket, its spare and the histograms in
 // a core's L2 (256 KiB to 1 MiB measured alike on a 2-vCPU Xeon, 2 MiB L2).
-// Loops read keys a block at a time onto the stack; only read calls fn.
+// Loops read keys a block at a time onto the stack; only read and key call
+// fn. Digits lie on a grid anchored at the bit a bucket's keys agree from;
+// a whole key's is anchored at whole, which puts it on bit 0's.
 const (
 	digitBits   = 11
 	digits      = (64 + digitBits - 1) / digitBits
+	whole       = digits * digitBits
 	buckets     = 1 << digitBits
 	msdBits     = 8
 	windowBits  = 16
@@ -171,18 +186,22 @@ const (
 
 // sorter is one kernel call: where it reads a key — in place, off into
 // the record (fn nil), or through fn — how it sweeps (cmp nil: not at
-// all), its spares, the last record swept, and the low digits' histograms.
+// all), its spares, the last record swept, the digits' histograms, and
+// the buckets whose insertion pass finished, was declined or overran.
 type sorter[T any] struct {
-	fn      func(T) uint64
-	off     uintptr
-	enc     codec.KeyEnc
-	cmp     func(a, b T) int
-	stable  bool
-	tail    []T // a bucket's spare: the scratch past the block, if it has room
-	heavy   []T // a heavy bucket's spare, taken when one has distinct keys
-	last    *T  // the last record swept, keyed lastKey
-	lastKey uint64
-	counts  [digits][buckets]int
+	fn       func(T) uint64
+	off      uintptr
+	enc      codec.KeyEnc
+	cmp      func(a, b T) int
+	stable   bool
+	tail     []T // a bucket's spare: the scratch past the block, if it has room
+	heavy    []T // a heavy bucket's spare, taken when one has distinct keys
+	last     *T  // the last record swept, keyed lastKey
+	lastKey  uint64
+	counts   [digits][buckets]uint32
+	finished int
+	declined int
+	overrun  int
 }
 
 // read returns the keys of src[i:], at most a block of them, in kb. It
@@ -215,10 +234,22 @@ func (s *sorter[T]) read(src []T, i int, kb *[block]uint64) []uint64 {
 	return ks
 }
 
-// summary is what a read learns: the key bits that differ, the descents.
+// key reads r's key as read does.
+func (s *sorter[T]) key(r *T) uint64 {
+	if s.fn != nil {
+		return s.fn(*r)
+	}
+	return s.enc.Decode(*(*uint64)(unsafe.Add(unsafe.Pointer(r), s.off)))
+}
+
+// summary is what a read learns: the key bits that differ, the descents,
+// the bit the keys agree from, which anchors the digits, and the lowest
+// digit counted.
 type summary struct {
 	diff     uint64
 	descents int
+	below    int
+	counted  int
 }
 
 // room is how many records make a bucket.
@@ -255,29 +286,71 @@ func (s *sorter[T]) into(data []T, scratch *[]T, f summary) (block []T, ok bool)
 
 // survey reads src's keys once. When src is one bucket with passes to
 // run, whose keys agree from bit below up, it also counts the histograms
-// of the digits below, cleared first: all the passes need.
+// of digits below, cleared first: of a whole key, all of them, any of
+// which may be live; of a split's bucket, whose keys spread just below
+// the bits they share, the top two, which its top two live digits
+// almost always are.
 func (s *sorter[T]) survey(src []T, below int) summary {
-	nd := 0
+	from, to := 0, 0
 	if len(src) > tiny && len(src) <= room[T]() {
-		nd = (below + digitBits - 1) / digitBits
+		to = places(below)
 	}
-	clear(s.counts[:nd])
+	if below < whole {
+		from = max(to-2, 0)
+	}
+	clear(s.counts[from:to])
 	var or, nor, prev, descents uint64
 	var kb [block]uint64
 	for i := 0; i < len(src); i += block {
-		for _, k := range s.read(src, i, &kb) {
+		ks := s.read(src, i, &kb)
+		for _, k := range ks {
 			_, down := bits.Sub64(k, prev, 0) // no branch: random keys descend half the time
 			or, nor, prev, descents = or|k, nor|^k, k, descents+down
-			for d := range nd {
-				s.counts[d][k>>(d*digitBits)&(buckets-1)]++
-			}
+		}
+		s.tally(ks, below, from, to)
+	}
+	return summary{or & nor, int(descents), below, from}
+}
+
+// count reads src's keys once more for the histograms of digits from up
+// to, cleared first, which the survey left out.
+func (s *sorter[T]) count(src []T, below, from, to int) {
+	clear(s.counts[from:to])
+	var kb [block]uint64
+	for i := 0; i < len(src); i += block {
+		s.tally(s.read(src, i, &kb), below, from, to)
+	}
+}
+
+// tally adds a block of keys to the histograms of digits from up to, a
+// digit at a time.
+func (s *sorter[T]) tally(ks []uint64, below, from, to int) {
+	for d := from; d < to; d++ {
+		c := &s.counts[d]
+		shift, _ := digit(below, d)
+		for _, k := range ks {
+			c[k>>shift&(buckets-1)]++
 		}
 	}
-	return summary{or & nor, int(descents)}
+}
+
+// places is how many digits lie below bit below on its grid.
+func places(below int) int { return (below + digitBits - 1) / digitBits }
+
+// digit is digit d's place on the grid anchored at below, 0 the lowest:
+// the shift to its histogram index and how many bits up from there are
+// its own. The top digit ends at below, each next one digitBits lower;
+// the lowest, at bit 0, owns what is left and indexes a few bits of the
+// one above too, which that digit's pass then orders again.
+func digit(below, d int) (shift, width uint) {
+	lo := below - (places(below)-d)*digitBits
+	return uint(max(lo, 0)), uint(min(lo+digitBits, digitBits))
 }
 
 // sort leaves src's records, stably sorted by key, in dst and sweeps them
-// there; f is src's survey. src may be dst, and is otherwise only read.
+// there: by insertion up to tiny records, by split past a bucket, by
+// scatter in between. f is src's survey. src may be dst, and is otherwise
+// only read.
 func (s *sorter[T]) sort(src, dst []T, f summary) bool {
 	switch n := len(src); {
 	case f.descents == 0:
@@ -294,7 +367,7 @@ func (s *sorter[T]) sort(src, dst []T, f summary) bool {
 	case n > room[T]():
 		return s.split(src, dst, f.diff)
 	default:
-		s.scatter(src, dst, s.tail[:n], f.diff)
+		s.scatter(src, dst, s.tail[:n], f)
 	}
 	return s.sweep(dst)
 }
@@ -368,17 +441,57 @@ func (s *sorter[T]) plan(src []T, diff uint64, t *tables) (shift uint, mask uint
 	return shift, mask, int(shift) + bits.Len(uint(width-1)), n
 }
 
-// scatter is the LSD pass loop, the only one: one counting-sort pass per
-// digit the keys differ in, from src into dst through spare, ordered so
-// that the last pass writes dst if src allows, else copied there once.
-// src is only read, unless it is dst.
-func (s *sorter[T]) scatter(src, dst, spare []T, diff uint64) {
+// scatter sorts a bucket of src by key into dst through spare. At most
+// two live digits — digits the keys differ in — take the LSD pass loop.
+// More take two counting passes on the top two, src to spare to dst, and
+// finish by insertion, unless the top two's counts say the insertion
+// would move more than len(src) records; then, and when the insertion
+// overruns its budget, the whole LSD loop sorts the bucket, the second
+// time over dst, the top two digits' counts restored from the slots their
+// passes left. Live digits below those f counted are counted by one more
+// read before the passes or the LSD loop need them. Both stages are
+// stable. src is only read, unless it is dst.
+func (s *sorter[T]) scatter(src, dst, spare []T, f summary) {
 	live := make([]int, 0, digits)
-	for d := range digits {
-		if diff>>(d*digitBits)&(buckets-1) != 0 {
+	for d := range places(f.below) {
+		if shift, width := digit(f.below, d); f.diff>>shift&(1<<width-1) != 0 {
 			live = append(live, d)
 		}
 	}
+	top, counted := live[max(len(live)-2, 0):], f.counted
+	if top[0] < counted {
+		s.count(src, f.below, top[0], counted)
+		counted = top[0]
+	}
+	switch {
+	case len(top) == len(live): // the LSD loop alone
+	case s.moves(top, len(src)) > len(src):
+		s.declined++
+	default:
+		s.lsd(src, dst, spare, top, f.below)
+		if s.finish(dst) {
+			s.finished++
+			return
+		}
+		s.overrun++
+		for _, d := range top {
+			for i := buckets - 1; i > 0; i-- {
+				s.counts[d][i] -= s.counts[d][i-1]
+			}
+		}
+		src = dst
+	}
+	if live[0] < counted {
+		s.count(src, f.below, live[0], counted)
+	}
+	s.lsd(src, dst, spare, live, f.below)
+}
+
+// lsd is the LSD pass loop: one counting-sort pass per digit in live,
+// lowest first, from src into dst through spare, ordered so that the last
+// pass writes dst if src allows, else copied there once. A pass turns its
+// digit's counts into each bucket's slot past its last record.
+func (s *sorter[T]) lsd(src, dst, spare []T, live []int, below int) {
 	out, next := spare, dst
 	if !same(src, dst) && len(live)%2 == 1 {
 		out, next = dst, spare
@@ -386,11 +499,11 @@ func (s *sorter[T]) scatter(src, dst, spare []T, diff uint64) {
 	var kb [block]uint64
 	for _, d := range live {
 		// Turn the digit's counts into each bucket's first output slot.
-		pos, slot := &s.counts[d], 0
+		pos, slot := &s.counts[d], uint32(0)
 		for i, c := range pos {
 			pos[i], slot = slot, slot+c
 		}
-		shift := uint(d * digitBits)
+		shift, _ := digit(below, d)
 		for i := 0; i < len(src); i += block {
 			for j, k := range s.read(src, i, &kb) {
 				out[pos[k>>shift&(buckets-1)]] = src[i+j]
@@ -400,6 +513,54 @@ func (s *sorter[T]) scatter(src, dst, spare []T, diff uint64) {
 		src, out, next = out, next, out
 	}
 	place(dst, src)
+}
+
+// moves estimates the records the insertion finish moves after passes on
+// digits top: a group of g records that tie in them, in source order
+// below, takes about g²/4, and with the digits taken as independent the
+// groups' g² sum to the product, over the digits, of Σc²/n over each
+// digit's counts c. Digits that tie together more than their counts show
+// escape the estimate; the insertion's budget catches them.
+func (s *sorter[T]) moves(top []int, n int) int {
+	est := 1
+	for _, d := range top {
+		sq := 0
+		for _, c := range s.counts[d] {
+			sq += int(c) * int(c)
+		}
+		est *= sq / n
+	}
+	return est / 4
+}
+
+// finish is the insertion pass by key over b, which the top two digits'
+// passes left nearly sorted: each record moves down past the larger keys
+// before it, re-read one at a time. It stops once it has moved 2·len(b)
+// records, b then a permutation in which no record passed an equal key,
+// and reports whether b is sorted.
+func (s *sorter[T]) finish(b []T) bool {
+	budget := 2 * len(b)
+	var top uint64 // the largest key so far, b[i-1]'s
+	var kb [block]uint64
+	for i := 0; i < len(b); i += block {
+		for j, k := range s.read(b, i, &kb) {
+			if k >= top {
+				top = k
+				continue
+			}
+			at := i + j
+			r := b[at]
+			b[at], at, budget = b[at-1], at-1, budget-1
+			for at > 0 && budget > 0 && s.key(&b[at-1]) > k {
+				b[at], at, budget = b[at-1], at-1, budget-1
+			}
+			b[at] = r
+			if budget <= 0 {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // sweep holds b, the block's next key-sorted bucket, to cmp, seam to the

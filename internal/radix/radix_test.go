@@ -68,41 +68,77 @@ func TestLSDSortProperty(t *testing.T) {
 // on: a scratch with room is the one the block lands in, the spent input
 // takes its place, a missing or short one is replaced, and keys that
 // already ascend are their own block before anything is allocated. It
-// also counts key calls — one read for the survey plus one per record per
-// executed pass.
+// also counts key calls, which are reads: one for the survey, one per
+// executed pass, one for the insertion finish and its re-reads — one per
+// record moved, up to the budget of two per record — and one for a
+// stable sweep. Keys in every digit take the insertion finish, ties in
+// their top 22 bits moving a few records. Nine in ten under one 30-bit
+// prefix decline it: the top two digits' counts foretell the ties, and
+// the LSD loop runs alone. Top two digits that repeat one 6-bit value,
+// tied in groups their counts do not show, overrun its budget into the
+// LSD loop over every digit. So do eight buckets of a split, bits 61 up
+// apart: their survey counts their top two digits only, and the LSD loop
+// takes one more read to count the rest.
 func TestDispatchScratch(t *testing.T) {
-	const n = 3000
+	const n, split = 3000, 8 << 13 // split: eight 8192-record buckets of digits anchored at bit 61
 	rng := rand.New(rand.NewSource(4))
 	calls := 0
 	cd := countingCodec{&calls}
 	byKey := func(a, b rec2) int { return cmp.Compare(a.raw, b.raw) }
 	for _, tc := range []struct {
-		name   string
-		gen    func() uint64
-		passes int
+		name  string
+		n     int
+		gen   func() uint64
+		reads int // per record, a stable sweep's aside
+		moved int // re-reads past reads·n
+		st    Stats
 	}{
-		{"one digit", func() uint64 { return uint64(rng.Intn(1 << digitBits)) }, 1},
-		{"two digits", func() uint64 { return uint64(rng.Intn(1 << (2 * digitBits))) }, 2},
-		{"every digit", rng.Uint64, digits},
+		{"one digit", n, func() uint64 { return uint64(rng.Intn(1 << digitBits)) }, 1 + 1, 0, Stats{}},
+		{"two digits", n, func() uint64 { return uint64(rng.Intn(1 << (2 * digitBits))) }, 1 + 2, 0, Stats{}},
+		{"every digit", n, rng.Uint64, 1 + 2 + 1, 8, Stats{Finished: 1}},
+		{"tied top digits", n, func() uint64 {
+			if rng.Intn(10) == 0 {
+				return rng.Uint64()
+			}
+			return 42<<34 | rng.Uint64()&(1<<34-1)
+		}, 1 + digits, 0, Stats{Declined: 1}},
+		{"past the budget", n, func() uint64 {
+			a := rng.Uint64() % 64
+			return a<<55 | a<<44 | rng.Uint64()&(1<<44-1)
+		}, 1 + 2 + 1 + digits, 2 * n, Stats{Overrun: 1}},
+		{"past the budget after a split", split, func() uint64 {
+			a := rng.Uint64() % 64
+			return rng.Uint64()>>61<<61 | a<<50 | a<<39 | rng.Uint64()&(1<<39-1)
+		}, 3 + 1 + 2 + 1 + 1 + digits, 2 * split, Stats{Overrun: 8}},
 	} {
-		data := make([]rec2, n)
-		for i := range data {
-			data[i] = rec2{uint64(i), tc.gen()}
-		}
-		in, want := slices.Clone(data), slices.Clone(data)
-		slices.SortStableFunc(want, byKey)
-		scratch := make([]rec2, 2*n+5)
-		buf := scratch
-		calls = 0
-		block, v, _ := Dispatch[rec2](data, &scratch, cd, byKey, false, 0)
-		if v != Sorted || !slices.Equal(block, want) || !slices.Equal(data, in) {
-			t.Fatalf("%s: verdict %d; want the stable sort by key in the block and data as it came", tc.name, v)
-		}
-		if &block[0] != &buf[0] || &scratch[0] != &data[0] || cap(scratch) != n {
-			t.Errorf("%s: the block is not in the scratch with room, or the spent input did not take its place", tc.name)
-		}
-		if most := n * (1 + tc.passes); calls > most {
-			t.Errorf("%s: %d key calls for %d records and %d passes, want at most %d", tc.name, calls, n, tc.passes, most)
+		n := tc.n
+		for _, stable := range []bool{false, true} {
+			data := make([]rec2, n)
+			for i := range data {
+				data[i] = rec2{uint64(i), tc.gen()}
+			}
+			in, want := slices.Clone(data), slices.Clone(data)
+			slices.SortStableFunc(want, byKey)
+			scratch := make([]rec2, 2*n+5)
+			buf := scratch
+			calls = 0
+			block, v, st := Dispatch[rec2](data, &scratch, cd, byKey, stable, 0)
+			if v != Sorted || !slices.Equal(block, want) || !slices.Equal(data, in) {
+				t.Fatalf("%s, stable %v: verdict %d; want the stable sort by key in the block and data as it came", tc.name, stable, v)
+			}
+			if &block[0] != &buf[0] || &scratch[0] != &data[0] || cap(scratch) != n {
+				t.Errorf("%s, stable %v: the block is not in the scratch with room, or the spent input did not take its place", tc.name, stable)
+			}
+			reads := tc.reads
+			if stable {
+				reads++
+			}
+			if most := n*reads + tc.moved; calls > most {
+				t.Errorf("%s, stable %v: %d key calls for %d records, want at most %d", tc.name, stable, calls, n, most)
+			}
+			if st != tc.st {
+				t.Errorf("%s, stable %v: %+v, want %+v", tc.name, stable, st, tc.st)
+			}
 		}
 	}
 
@@ -269,7 +305,7 @@ func TestParallelRadixClusteredKeys(t *testing.T) {
 func lsdInto[T any](src []T, key func(T) uint64) []T {
 	s := sorter[T]{fn: key}
 	var scratch []T
-	block, _ := s.into(src, &scratch, s.survey(src, 64))
+	block, _ := s.into(src, &scratch, s.survey(src, whole))
 	return block
 }
 
@@ -309,11 +345,13 @@ const oneBucket = bucketBytes / 16
 // reading the key in place and through the key func, on inputs either
 // side of the split cutoff whose keys differ only in bit 63, only in bit
 // 0, share a long prefix, crowd into one aligned bucket, repeat a few
-// values, square a uniform float, or pile into one window value with
-// distinct bits below — again within it, the split's recursion; src must
-// stay bit for bit as it was.
+// values, square a uniform float, pile into one window value with
+// distinct bits below — again within it, the split's recursion — tie in
+// their top two digits, which declines the insertion finish, or tie in
+// groups those digits' counts do not show, which up to a bucket overruns
+// the insertion into the LSD loop; src must stay bit for bit as it was.
 func FuzzRadixKernel(f *testing.F) {
-	for shape := uint8(0); shape < 8; shape++ {
+	for shape := uint8(0); shape < 10; shape++ {
 		for _, n := range []uint32{0, 1, 2, tiny, tiny + 1, 1000, oneBucket, oneBucket + 1, 2*oneBucket + 77} {
 			f.Add(int64(shape)+int64(n), n, shape)
 		}
@@ -321,7 +359,7 @@ func FuzzRadixKernel(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, n uint32, shape uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		n %= 3 * oneBucket
-		base := rng.Uint64()
+		base, i := rng.Uint64(), 0
 		gen := []func() uint64{
 			rng.Uint64,
 			func() uint64 { return base&^(1<<63) | rng.Uint64()&(1<<63) },
@@ -342,7 +380,20 @@ func FuzzRadixKernel(f *testing.F) {
 				}
 				return base&^(1<<low-1) | rng.Uint64()&(1<<low-1)
 			},
-		}[shape%8]
+			func() uint64 { // nine in ten of the first ¾ bucket under one 30-bit prefix, the rest anywhere
+				if i++; i%10 == 0 || i > 3*oneBucket/4 {
+					return rng.Uint64()
+				}
+				return base&^(1<<34-1) | rng.Uint64()&(1<<34-1)
+			},
+			func() uint64 { // the top two digits repeat one of ⅔√n values, groups of 1.5√n a bucket: a whole key's, or, bits 61 up apart, a split's
+				a := rng.Uint64() % uint64(1+2*math.Sqrt(float64(min(n, oneBucket)))/3)
+				if n > oneBucket {
+					return rng.Uint64()>>61<<61 | a<<50 | a<<39 | rng.Uint64()&(1<<39-1)
+				}
+				return a<<55 | a<<44 | rng.Uint64()&(1<<44-1)
+			},
+		}[shape%10]
 		enc := codec.KeyEnc(uint64(seed) % 3)
 		cd := fieldCodec{enc}
 		src := make([]rec2, n)
@@ -357,7 +408,7 @@ func FuzzRadixKernel(f *testing.F) {
 				s.fn, s.off, s.enc = nil, 8, enc
 			}
 			var scratch []rec2
-			if block, _ := s.into(src, &scratch, s.survey(src, 64)); !slices.Equal(block, want) {
+			if block, _ := s.into(src, &scratch, s.survey(src, whole)); !slices.Equal(block, want) {
 				t.Fatalf("field read %v, enc %d, shape %d, n %d: not the stable sort by key", field, enc, shape, n)
 			}
 			if !slices.Equal(src, orig) {
@@ -463,7 +514,7 @@ func splitFits[T any](t *testing.T, name string, data []T, cd codec.Codec[T], cm
 	t.Helper()
 	key, _ := codec.Uint64KeyOf(cd)
 	s := sorter[T]{fn: key}
-	f := s.survey(data, 64)
+	f := s.survey(data, whole)
 	if len(data) <= room[T]() || f.descents == 0 {
 		t.Fatalf("%s: %d records take no split pass", name, len(data))
 	}
@@ -484,8 +535,8 @@ func splitFits[T any](t *testing.T, name string, data []T, cd codec.Codec[T], cm
 			t.Errorf("%s: bucket %d of %d holds %d records of distinct keys; %d fit in bucketBytes", name, b, nb, size[b], room[T]())
 		}
 	}
-	if _, v, spare := Dispatch(slices.Clone(data), new([]T), cd, cmp, stable, 0); v != Sorted || spare != 0 {
-		t.Errorf("%s: verdict %d, heavy spare of %d records; want sorted with none", name, v, spare)
+	if _, v, st := Dispatch(slices.Clone(data), new([]T), cd, cmp, stable, 0); v != Sorted || st.Spare != 0 {
+		t.Errorf("%s: verdict %d, heavy spare of %d records; want sorted with none", name, v, st.Spare)
 	}
 }
 
