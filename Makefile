@@ -84,13 +84,14 @@ bench-kernel:
 # byte-identical output — and a complete trace: one completed sort root
 # span per rank, no open span — across the workload grid on both
 # transports, -algo auto must resolve as the decision rule documents,
-# and the hyksort/psrs baseline cases (multi-round splits, skew
-# collapse, OOM under a budget, the sds-vs-psrs ablation) must hold, a
+# the hyksort/psrs baseline cases (multi-round splits, skew collapse,
+# OOM under a budget, the sds-vs-psrs ablation) and the histogram
+# splitter refinement HSS and HykSort share must hold, a
 # multi-level driver must report every level under the caller's world
 # rank, and a refused sort must drain the gauge. Mirrors the CI
 # algo-matrix job.
 algo-matrix:
-	$(GO) test -race -run 'TestDriverEquivalence|TestDriverInvalidOptionsDrainGauge|TestLevelsAttributeToWorldRank|TestAutoSelects|TestAutoSpillPressure|TestHykSort|TestPSRS|TestSkewAwareVsClassical' -count=1 -timeout 10m ./internal/algo/
+	$(GO) test -race -run 'TestDriverEquivalence|TestDriverInvalidOptionsDrainGauge|TestLevelsAttributeToWorldRank|TestAutoSelects|TestAutoSpillPressure|TestHykSort|TestHistogramSplitters|TestPSRS|TestSkewAwareVsClassical' -count=1 -timeout 10m ./internal/algo/
 
 # Fault-injection soak: repeat the Fault|Retry|Reconnect|Recovery test
 # families under the race detector. Vary the schedule with

@@ -37,7 +37,7 @@ func (amsDriver[T]) Sort(ctx context.Context, c *comm.Comm, data []T, cd codec.C
 	// per rank, pooled and cut at equal strides. Residual imbalance is
 	// repaired by the next level, not by refinement rounds.
 	pick := func(cur *comm.Comm, local []T, b int) ([]T, error) {
-		pool, err := pivots.ShareCandidates(cur, pivots.RegularSample(local, 4*b), cd, cmp)
+		pool, err := shareCandidates(cur, pivots.RegularSample(local, 4*b), cd, cmp)
 		return equalStrides(pool, b), err
 	}
 	out, levels, err := s.levels(data, k, pick, amsDeliver)

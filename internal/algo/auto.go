@@ -6,7 +6,6 @@ import (
 
 	"sdssort/internal/codec"
 	"sdssort/internal/comm"
-	"sdssort/internal/pivots"
 )
 
 // autoSamplePerRank bounds the profiling sample: the profile must stay
@@ -70,7 +69,7 @@ func profileSample[T any](c *comm.Comm, data []T, cd codec.Codec[T], cmp func(a,
 			local = append(local, data[i])
 		}
 	}
-	pool, err := pivots.ShareCandidates(c, local, cd, cmp)
+	pool, err := shareCandidates(c, local, cd, cmp)
 	if err != nil {
 		return pr, err
 	}

@@ -2,6 +2,7 @@ package algo
 
 import (
 	"context"
+	"fmt"
 
 	"sdssort/internal/codec"
 	"sdssort/internal/comm"
@@ -28,7 +29,7 @@ func (hssDriver[T]) Sort(ctx context.Context, c *comm.Comm, data []T, cd codec.C
 	}
 	defer s.run.Close()
 	return s.oneShot(data, func() ([]T, error) {
-		sp, st, err := hssSplitters(c, data, c.Size()-1, cd, cmp)
+		sp, st, err := histogramSplitters(c, data, c.Size()-1, hssRefine, cd, cmp)
 		if err == nil {
 			opt.tracer().Emit(c.Rank(), "hss.splitters", map[string]any{
 				"rounds": st.rounds, "candidates": st.candidates,
@@ -39,92 +40,82 @@ func (hssDriver[T]) Sort(ctx context.Context, c *comm.Comm, data []T, cd codec.C
 	})
 }
 
-// hssRounds caps splitter refinement, and hssEpsilon is the tolerance a
-// cut's global rank must reach: within hssEpsilon·N/p of the ideal.
-const (
-	hssRounds  = 8
-	hssEpsilon = 0.05
-)
+// refine parameterises histogramSplitters: seed and probe are the
+// RegularSample k of the seed pool and of each unresolved cut's bracket
+// probe, rounds caps the histogram rounds, and a cut is resolved within
+// eps·N/(nsplit+1) of its target rank (at least 1), or exactly when eps
+// is 0.
+type refine struct {
+	seed, probe, rounds int
+	eps                 float64
+}
 
-// hssStats summarises one splitter selection for the trace.
-type hssStats struct {
+// hssRefine seeds with 8 regular samples per rank — independent of p,
+// unlike PSRS's p samples per rank — and stops within 5 % of a bucket.
+var hssRefine = refine{seed: 8, probe: 4, rounds: 8, eps: 0.05}
+
+// splitStats summarises one splitter selection for the trace.
+type splitStats struct {
 	rounds     int
 	candidates int
 	resolved   int
 	tol        int64
 }
 
-// hssSplitters refines nsplit splitters, for at most hssRounds rounds,
-// until every cut's global rank is within tol = max(1,
-// hssEpsilon·N/(nsplit+1)) of ideal, probing only the bracket of each
-// unresolved cut — the sample-volume saving that is HSS's contribution
-// over one-shot sampling. All decisions derive from all-gathered state,
-// so every rank runs the same number of collectives.
-func hssSplitters[T any](c *comm.Comm, sorted []T, nsplit int, cd codec.Codec[T], cmp func(a, b T) int) ([]T, hssStats, error) {
-	var st hssStats
+// histogramSplitters is the histogram splitter selection HSS and
+// HykSort share: nsplit splitters aiming at equal global ranks, refined
+// round by round by probing only the bracket between the neighbours of
+// each unresolved cut's best candidate — the only interval a better
+// splitter can hide in, and the sample-volume saving that is HSS's
+// contribution over one-shot sampling. With heavily duplicated keys no
+// candidate separates records sharing a value, so several splitters
+// collapse onto one value — the load-imbalance failure mode the paper
+// measures. All decisions derive from all-gathered state, so every rank
+// runs the same number of collectives.
+func histogramSplitters[T any](c *comm.Comm, sorted []T, nsplit int, rf refine, cd codec.Codec[T], cmp func(a, b T) int) ([]T, splitStats, error) {
+	var st splitStats
 	if nsplit <= 0 {
 		return nil, st, nil
 	}
 	total, err := c.AllreduceInt64(int64(len(sorted)), func(a, b int64) int64 { return a + b })
-	if err != nil {
+	if err != nil || total == 0 {
 		return nil, st, err
-	}
-	if total == 0 {
-		return nil, st, nil
 	}
 	targets := make([]int64, nsplit)
 	for i := range targets {
 		targets[i] = int64(i+1) * total / int64(nsplit+1)
 	}
-	tol := int64(hssEpsilon * float64(total) / float64(nsplit+1))
-	if tol < 1 {
-		tol = 1
+	if rf.eps > 0 {
+		st.tol = max(int64(rf.eps*float64(total)/float64(nsplit+1)), 1)
 	}
-	st.tol = tol
-
-	// Seed pool: 8 regular samples per rank — independent of p, unlike
-	// PSRS's p samples per rank.
-	pool, err := pivots.ShareCandidates(c, pivots.RegularSample(sorted, 8), cd, cmp)
+	pool, err := shareCandidates(c, pivots.RegularSample(sorted, rf.seed), cd, cmp)
 	if err != nil {
 		return nil, st, err
 	}
 
 	chosen := make([]T, nsplit)
-	resolved := make([]bool, nsplit)
-	for round := 0; round < hssRounds; round++ {
-		if len(pool) == 0 {
-			break
-		}
+	for round := 0; round < rf.rounds && len(pool) > 0; round++ {
 		st.rounds = round + 1
-		cdf, err := pivots.GlobalCDF(c, sorted, pool, cmp)
+		cdf, err := globalCDF(c, sorted, pool, cmp)
 		if err != nil {
 			return nil, st, err
 		}
-		// Adopt, per cut, the candidate whose global rank is closest;
-		// within tolerance the cut is final. The probe for a cut still
-		// off target covers the bracket between the best candidate's
-		// neighbours — the only interval a better splitter can hide in.
-		allDone := true
+		// Adopt, per cut, the candidate whose global rank is closest.
+		// The pool only grows, so a resolved cut stays resolved.
+		st.resolved = 0
 		var probes []T
 		for ti, tgt := range targets {
 			best, bestDist := 0, int64(1)<<62
 			for ci, rank := range cdf {
-				d := rank - tgt
-				if d < 0 {
-					d = -d
-				}
-				if d < bestDist {
+				if d := max(rank-tgt, tgt-rank); d < bestDist {
 					best, bestDist = ci, d
 				}
 			}
 			chosen[ti] = pool[best]
-			if bestDist <= tol {
-				resolved[ti] = true
-			}
-			if resolved[ti] {
+			if bestDist <= st.tol {
+				st.resolved++
 				continue
 			}
-			allDone = false
 			lo, hi := 0, len(sorted)
 			if best > 0 {
 				lo = partition.LowerBound(sorted, pool[best-1], cmp)
@@ -132,15 +123,15 @@ func hssSplitters[T any](c *comm.Comm, sorted []T, nsplit int, cd codec.Codec[T]
 			if best < len(pool)-1 {
 				hi = partition.UpperBound(sorted, pool[best+1], cmp)
 			}
-			probes = append(probes, pivots.RegularSample(sorted[lo:hi], 4)...)
+			probes = append(probes, pivots.RegularSample(sorted[lo:hi], rf.probe)...)
 		}
-		if allDone || round == hssRounds-1 {
+		if st.resolved == nsplit || round == rf.rounds-1 {
 			break
 		}
 		// Always enter the collective: whether refinement found local
 		// probes differs per rank, and control flow around collectives
 		// must not.
-		extra, err := pivots.ShareCandidates(c, probes, cd, cmp)
+		extra, err := shareCandidates(c, probes, cd, cmp)
 		if err != nil {
 			return nil, st, err
 		}
@@ -151,11 +142,48 @@ func hssSplitters[T any](c *comm.Comm, sorted []T, nsplit int, cd codec.Codec[T]
 		psort.Sort(pool, cmp)
 	}
 	st.candidates = len(pool)
-	for _, r := range resolved {
-		if r {
-			st.resolved++
-		}
-	}
 	psort.Sort(chosen, cmp)
 	return chosen, st, nil
+}
+
+// shareCandidates all-gathers each rank's candidate values and returns
+// the sorted union (with duplicates preserved).
+func shareCandidates[T any](c *comm.Comm, local []T, cd codec.Codec[T], cmp func(a, b T) int) ([]T, error) {
+	parts, err := c.Allgather(codec.EncodeSlice(cd, nil, local))
+	if err != nil {
+		return nil, err
+	}
+	var pool []T
+	for r, buf := range parts {
+		if pool, err = codec.DecodeAppend(cd, pool, buf); err != nil {
+			return nil, fmt.Errorf("candidates from rank %d: %w", r, err)
+		}
+	}
+	psort.Sort(pool, cmp)
+	return pool, nil
+}
+
+// globalCDF returns, for each candidate, the number of records globally
+// <= the candidate (the histogram step: local binary searches plus one
+// vector all-gather).
+func globalCDF[T any](c *comm.Comm, sorted, candidates []T, cmp func(a, b T) int) ([]int64, error) {
+	local := make([]int64, len(candidates))
+	for i, cand := range candidates {
+		local[i] = int64(partition.UpperBound(sorted, cand, cmp))
+	}
+	parts, err := c.Allgather(comm.EncodeInt64s(local))
+	if err != nil {
+		return nil, err
+	}
+	global := make([]int64, len(candidates))
+	for r, buf := range parts {
+		vals, err := comm.DecodeInt64s(buf)
+		if err != nil || len(vals) != len(candidates) {
+			return nil, fmt.Errorf("bad histogram from rank %d", r)
+		}
+		for i, v := range vals {
+			global[i] += v
+		}
+	}
+	return global, nil
 }

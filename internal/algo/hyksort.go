@@ -5,7 +5,6 @@ import (
 
 	"sdssort/internal/codec"
 	"sdssort/internal/comm"
-	"sdssort/internal/pivots"
 )
 
 // hykDriver implements HykSort (Sundar, Malhotra, Biros — ICS'13), the
@@ -22,9 +21,6 @@ import (
 // load imbalance and out-of-memory failure the paper's Figs. 6c/8/10
 // and Tables 3/4 document.
 type hykDriver[T any] struct{}
-
-// hykRounds caps the histogram refinement of each level's splitters.
-const hykRounds = 3
 
 func (hykDriver[T]) Sort(ctx context.Context, c *comm.Comm, data []T, cd codec.Codec[T], cmp func(a, b T) int, opt Options) ([]T, error) {
 	// Every round takes the synchronous exchange, whose rank-ordered
@@ -43,11 +39,17 @@ func (hykDriver[T]) Sort(ctx context.Context, c *comm.Comm, data []T, cd codec.C
 	}
 	// Histogram-based splitter selection (no duplicate awareness).
 	pick := func(cur *comm.Comm, local []T, b int) ([]T, error) {
-		return pivots.HistogramSplitters(cur, local, b-1, hykRounds, cd, cmp)
+		sp, _, err := histogramSplitters(cur, local, b-1, hykRefine(b), cd, cmp)
+		return sp, err
 	}
 	out, _, err := s.levels(data, k, pick, hykDeliver)
 	return out, err
 }
+
+// hykRefine is HykSort's histogram refinement for b groups: a seed
+// pool that grows with b, and cuts refined until exact, for at most
+// three rounds.
+func hykRefine(b int) refine { return refine{seed: max(32, 4*b), probe: 8, rounds: 3} }
 
 // hykDeliver scatters bucket j to one rank of group j, spreading
 // senders round-robin across the group's members. The targets are

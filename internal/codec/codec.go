@@ -24,24 +24,12 @@ type Codec[T any] interface {
 	Unmarshal(src []byte) T
 }
 
-// BulkAppender is an optional codec fast path: a codec that also
-// implements it bulk-appends the wire form of a whole slice in one
-// call, skipping the per-record dispatch of the generic loop. The
-// exchange and checkpoint paths marshal every record through
-// EncodeSlice, so the built-in codecs provide it.
-type BulkAppender[T any] interface {
-	AppendSlice(dst []byte, recs []T) []byte
-}
-
 // EncodeSlice appends the wire form of recs to dst and returns the
 // extended buffer. Zero-copy-capable codecs (see IsZeroCopy) take a
 // single-memcpy fast path; the wire bytes are identical either way.
 func EncodeSlice[T any](c Codec[T], dst []byte, recs []T) []byte {
 	if wire, ok := View(c, recs); ok {
 		return append(dst, wire...)
-	}
-	if ba, ok := any(c).(BulkAppender[T]); ok {
-		return ba.AppendSlice(dst, recs)
 	}
 	sz := c.Size()
 	off := len(dst)
@@ -141,19 +129,6 @@ func (e KeyEnc) Decode(bits uint64) uint64 {
 		return Float64Key(math.Float64frombits(bits))
 	}
 	return bits
-}
-
-// AppendSlice is the BulkAppender fast path: a direct loop the
-// compiler can inline, several times faster than per-record Marshal
-// calls through the generic dictionary.
-func (Float64) AppendSlice(dst []byte, recs []float64) []byte {
-	off := len(dst)
-	dst = append(dst, make([]byte, 8*len(recs))...)
-	for _, v := range recs {
-		binary.LittleEndian.PutUint64(dst[off:], math.Float64bits(v))
-		off += 8
-	}
-	return dst
 }
 
 // Uint64 encodes uint64 keys little-endian.

@@ -232,10 +232,10 @@ func BenchmarkEncodeDecodePTF(b *testing.B) {
 	}
 }
 
-// TestBulkAppendMatchesGenericPath pins the BulkAppender fast path to
-// the byte-exact output of the per-record Marshal loop, including the
-// append-to-existing-prefix contract.
-func TestBulkAppendMatchesGenericPath(t *testing.T) {
+// TestEncodeSliceMatchesMarshalLoop pins EncodeSlice — the View memcpy
+// on a little-endian host — to the byte-exact output of the per-record
+// Marshal loop, including the append-to-existing-prefix contract.
+func TestEncodeSliceMatchesMarshalLoop(t *testing.T) {
 	generic := func(c Codec[float64], dst []byte, recs []float64) []byte {
 		sz := c.Size()
 		off := len(dst)

@@ -142,16 +142,3 @@ func (TaggedCodec) Unmarshal(src []byte) Tagged {
 		Index: int32(binary.LittleEndian.Uint32(src[12:])),
 	}
 }
-
-// AppendSlice is the BulkAppender fast path (see codec.EncodeSlice).
-func (TaggedCodec) AppendSlice(dst []byte, recs []Tagged) []byte {
-	off := len(dst)
-	dst = append(dst, make([]byte, 16*len(recs))...)
-	for _, r := range recs {
-		binary.LittleEndian.PutUint64(dst[off:], math.Float64bits(r.Key))
-		binary.LittleEndian.PutUint32(dst[off+8:], uint32(r.Rank))
-		binary.LittleEndian.PutUint32(dst[off+12:], uint32(r.Index))
-		off += 16
-	}
-	return dst
-}

@@ -21,7 +21,7 @@ var taggedCodec = codec.TaggedCodec{}
 func compareTagged(a, b codec.Tagged) int { return codec.CompareOrdered(a.Key, b.Key) }
 
 // plainCodec hides every optional capability of a codec (ZeroCopyCapable,
-// Uint64Keyer, BulkAppender) behind the bare Codec interface. The sort
+// Uint64Keyer, KeyFielder) behind the bare Codec interface. The sort
 // reads eligibility for the zero-copy exchange and the radix dispatch
 // off the codec, so wrapping is how a test selects the marshal exchange
 // and the comparison local ordering for the same records.
@@ -297,6 +297,31 @@ func TestSortNodeMergeStable(t *testing.T) {
 	opt.TauM = 1 << 40
 	out := runSort(t, topo, in, opt)
 	checkSorted(t, in, out, true)
+}
+
+// TestSortNodeMergeStableCores sends a stable sort through the node
+// merge with several workers: the chunks' duplicates of a replicated
+// merge pivot are cut in one order across the chunks, so the output
+// equals the one-worker merge record for record.
+func TestSortNodeMergeStableCores(t *testing.T) {
+	topo := cluster.Topology{Nodes: 2, CoresPerNode: 3}
+	in := makeTagged(topo.Size(), 400, func(rank, i int) float64 {
+		if i%10 < 7 {
+			return 1
+		}
+		return float64((rank*31 + i) % 13)
+	})
+	opt := DefaultOptions()
+	opt.Stable = true
+	opt.TauM = 1 << 40
+	want := runSort(t, topo, in, opt)
+	checkSorted(t, in, want, true)
+	for _, cores := range []int{2, 3} {
+		opt.Cores = cores
+		if got := runSort(t, topo, in, opt); !slices.EqualFunc(got, want, slices.Equal[[]codec.Tagged]) {
+			t.Errorf("Cores=%d: stable output differs from Cores=1", cores)
+		}
+	}
 }
 
 func TestSortCoresParallelLocal(t *testing.T) {

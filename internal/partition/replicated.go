@@ -9,8 +9,8 @@ package partition
 // undefined; callers then bound the span with lower_bound of the value
 // itself).
 //
-// The batched Runs/LocalDupCounts path subsumes this function in the
-// sort itself; it is kept as the reference implementation the tests
+// The batched Runs/Split path subsumes this function in the sort
+// itself; it is kept as the reference implementation the tests
 // cross-check against.
 func Replicated[T any](pg []T, i int, cmp func(a, b T) int) (fr bool, rs, rr int, ppvIdx int) {
 	rs = 1

@@ -149,90 +149,3 @@ func TestSelectGlobalEmpty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestHistogramSplittersUniform(t *testing.T) {
-	const p = 4
-	topo := cluster.Topology{Nodes: p, CoresPerNode: 1}
-	err := cluster.Run(topo, func(c *comm.Comm) error {
-		data := workload.Uniform(int64(c.Rank()+10), 2000)
-		slices.Sort(data)
-		sp, err := HistogramSplitters(c, data, 7, 3, f64, cmpF)
-		if err != nil {
-			return err
-		}
-		if len(sp) != 7 {
-			return fmt.Errorf("got %d splitters", len(sp))
-		}
-		if !slices.IsSorted(sp) {
-			return fmt.Errorf("splitters not sorted: %v", sp)
-		}
-		// Uniform: each splitter near its target quantile.
-		for i, s := range sp {
-			want := float64(i+1) / 8
-			if s < want-0.1 || s > want+0.1 {
-				return fmt.Errorf("splitter %d = %v, want ≈ %v", i, s, want)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestHistogramSplittersCollapseOnDuplicates(t *testing.T) {
-	// With 80% of records equal, histogram refinement must emit the
-	// same splitter value repeatedly — HykSort's failure precondition.
-	const p = 4
-	collapsed := false
-	topo := cluster.Topology{Nodes: p, CoresPerNode: 1}
-	err := cluster.Run(topo, func(c *comm.Comm) error {
-		rng := rand.New(rand.NewSource(int64(c.Rank() + 20)))
-		data := make([]float64, 1500)
-		for i := range data {
-			if rng.Float64() < 0.8 {
-				data[i] = 7
-			} else {
-				data[i] = rng.Float64() * 20
-			}
-		}
-		slices.Sort(data)
-		sp, err := HistogramSplitters(c, data, 7, 3, f64, cmpF)
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			seen := map[float64]int{}
-			for _, s := range sp {
-				seen[s]++
-			}
-			if seen[7] >= 2 {
-				collapsed = true
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !collapsed {
-		t.Fatal("expected splitters to collapse onto the duplicated value")
-	}
-}
-
-func TestHistogramSplittersEmpty(t *testing.T) {
-	topo := cluster.Topology{Nodes: 2, CoresPerNode: 1}
-	err := cluster.Run(topo, func(c *comm.Comm) error {
-		sp, err := HistogramSplitters(c, nil, 3, 2, f64, cmpF)
-		if err != nil {
-			return err
-		}
-		if len(sp) != 0 {
-			return fmt.Errorf("empty data produced splitters %v", sp)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}

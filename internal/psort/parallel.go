@@ -54,45 +54,30 @@ func ParallelMerge[T any](chunks [][]T, workers int, stable, skewAware bool, cmp
 	pg := mergePivots(chunks, workers, cmp)
 	p := len(pg) + 1 // may be < workers on tiny inputs
 
-	// Per-chunk boundaries for the p output segments.
+	// Per-chunk boundaries for the p output segments: each chunk is cut
+	// as one stripe by the split rule of the distributed sort. Under the
+	// stable rule the chunks' duplicates of a replicated pivot form one
+	// order, chunk by chunk, which Split advances past each chunk.
 	bounds := make([][]int, len(chunks))
 	if skewAware {
 		runs := partition.Runs(pg, cmp)
-		// dupCounts[k][chunk] — the shared-memory analogue of the
-		// distributed all-gather of duplicate counts.
-		dupCounts := make([][]int64, len(runs))
-		for k := range dupCounts {
-			dupCounts[k] = make([]int64, len(chunks))
+		lbs, ubs := make([][]int, len(chunks)), make([][]int, len(chunks))
+		var dups []partition.Dups
+		if stable {
+			dups = make([]partition.Dups, len(runs))
 		}
 		for ci, c := range chunks {
-			loc := partition.Binary[T]{Cmp: cmp}
-			for k, cnt := range partition.LocalDupCounts(c, pg, runs, loc) {
-				dupCounts[k][ci] = cnt
+			lbs[ci], ubs[ci] = partition.Locate(c, pg, partition.Binary[T]{Cmp: cmp}, cmp)
+			for k := range dups {
+				dups[k].Total += int64(ubs[ci][runs[k].Start] - lbs[ci][runs[k].Start])
 			}
 		}
 		for ci, c := range chunks {
-			loc := partition.Binary[T]{Cmp: cmp}
-			if stable {
-				b, err := partition.Stable(c, pg, loc, cmp, ci, dupCounts)
-				if err != nil {
-					// The counts were computed with the same
-					// locator, so this cannot disagree; fall
-					// back to the fast partition defensively.
-					b = partition.Fast(c, pg, loc, cmp)
-				}
-				bounds[ci] = b
-			} else {
-				bounds[ci] = partition.Fast(c, pg, loc, cmp)
-			}
+			bounds[ci] = partition.Split(runs, lbs[ci], ubs[ci], len(c), dups)
 		}
 	} else {
 		for ci, c := range chunks {
-			b := make([]int, p+1)
-			b[p] = len(c)
-			for i, v := range pg {
-				b[i+1] = partition.UpperBound(c, v, cmp)
-			}
-			bounds[ci] = b
+			bounds[ci] = partition.Classical(c, pg, cmp)
 		}
 	}
 
