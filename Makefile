@@ -149,10 +149,10 @@ experiments-quick:
 # Short fuzzing pass over the sort, natural-run, run-merge, k-way merge, partition,
 # checkpoint-manifest, exchange-decode, float-key, key-field,
 # radix-kernel, stable-radix-dispatch, run-file-reader, run-file-merge, job-manifest,
-# tcpcomm frame-reader and trace-reader invariants. The frame reader's and
-# the trace reader's inputs run to kilobytes, so their minimization budget
-# is capped: at the default 60 s the first coverage-raising input would
-# eat the whole run.
+# packed-frame decoder, tcpcomm frame-reader and trace-reader invariants.
+# The frame readers' and the trace reader's inputs run to kilobytes, so
+# their minimization budget is capped: at the default 60 s the first
+# coverage-raising input would eat the whole run.
 fuzz:
 	$(GO) test ./internal/psort -fuzz FuzzSort -fuzztime 30s -run xxx
 	$(GO) test ./internal/psort -fuzz FuzzStableSort -fuzztime 30s -run xxx
@@ -170,6 +170,7 @@ fuzz:
 	$(GO) test ./internal/extsort -fuzz FuzzRunReader -fuzztime 30s -run xxx
 	$(GO) test ./internal/extsort -fuzz FuzzRunMerge -fuzztime 30s -run xxx
 	$(GO) test ./cmd/sdsnode -fuzz FuzzDecodeJobs -fuzztime 30s -run xxx
+	$(GO) test ./internal/comm -fuzz FuzzUnpackFrames -fuzztime 30s -fuzzminimizetime 3s -run xxx
 	$(GO) test ./internal/comm/tcpcomm -fuzz FuzzFrameReader -fuzztime 30s -fuzzminimizetime 3s -run xxx
 	$(GO) test ./internal/trace -fuzz FuzzReadJSONL -fuzztime 30s -fuzzminimizetime 3s -run xxx
 

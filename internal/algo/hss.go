@@ -3,6 +3,7 @@ package algo
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"sdssort/internal/codec"
 	"sdssort/internal/comm"
@@ -70,8 +71,11 @@ type splitStats struct {
 // contribution over one-shot sampling. With heavily duplicated keys no
 // candidate separates records sharing a value, so several splitters
 // collapse onto one value — the load-imbalance failure mode the paper
-// measures. All decisions derive from all-gathered state, so every rank
-// runs the same number of collectives.
+// measures. All decisions derive from state every rank holds alike, so
+// every rank runs the same number of collectives. The pool holds each
+// value once, so the histogram it sums is as long as the number of
+// distinct candidates, and a round that finds no new value ends the
+// refinement.
 func histogramSplitters[T any](c *comm.Comm, sorted []T, nsplit int, rf refine, cd codec.Codec[T], cmp func(a, b T) int) ([]T, splitStats, error) {
 	var st splitStats
 	if nsplit <= 0 {
@@ -92,6 +96,7 @@ func histogramSplitters[T any](c *comm.Comm, sorted []T, nsplit int, rf refine, 
 	if err != nil {
 		return nil, st, err
 	}
+	pool = distinct(pool, cmp)
 
 	chosen := make([]T, nsplit)
 	for round := 0; round < rf.rounds && len(pool) > 0; round++ {
@@ -131,15 +136,15 @@ func histogramSplitters[T any](c *comm.Comm, sorted []T, nsplit int, rf refine, 
 		// Always enter the collective: whether refinement found local
 		// probes differs per rank, and control flow around collectives
 		// must not.
-		extra, err := shareCandidates(c, probes, cd, cmp)
+		extra, err := shareCandidates(c, distinct(probes, cmp), cd, cmp)
 		if err != nil {
 			return nil, st, err
 		}
-		if len(extra) == 0 {
-			break // globally stuck: no rank can refine further (duplicates)
+		grown := distinct(append(pool, extra...), cmp)
+		if len(grown) == len(pool) {
+			break // globally stuck: no rank found a new value (duplicates)
 		}
-		pool = append(pool, extra...)
-		psort.Sort(pool, cmp)
+		pool = grown
 	}
 	st.candidates = len(pool)
 	psort.Sort(chosen, cmp)
@@ -147,7 +152,8 @@ func histogramSplitters[T any](c *comm.Comm, sorted []T, nsplit int, rf refine, 
 }
 
 // shareCandidates all-gathers each rank's candidate values and returns
-// the sorted union (with duplicates preserved).
+// the sorted union (with duplicates preserved: auto's duplicate profile
+// counts them).
 func shareCandidates[T any](c *comm.Comm, local []T, cd codec.Codec[T], cmp func(a, b T) int) ([]T, error) {
 	parts, err := c.Allgather(codec.EncodeSlice(cd, nil, local))
 	if err != nil {
@@ -163,27 +169,20 @@ func shareCandidates[T any](c *comm.Comm, local []T, cd codec.Codec[T], cmp func
 	return pool, nil
 }
 
+// distinct sorts vals and drops all but the first of each run of equal
+// values.
+func distinct[T any](vals []T, cmp func(a, b T) int) []T {
+	psort.Sort(vals, cmp)
+	return slices.CompactFunc(vals, func(a, b T) bool { return cmp(a, b) == 0 })
+}
+
 // globalCDF returns, for each candidate, the number of records globally
-// <= the candidate (the histogram step: local binary searches plus one
-// vector all-gather).
+// <= the candidate (the histogram step: local binary searches summed by
+// one vector allreduce).
 func globalCDF[T any](c *comm.Comm, sorted, candidates []T, cmp func(a, b T) int) ([]int64, error) {
 	local := make([]int64, len(candidates))
 	for i, cand := range candidates {
 		local[i] = int64(partition.UpperBound(sorted, cand, cmp))
 	}
-	parts, err := c.Allgather(comm.EncodeInt64s(local))
-	if err != nil {
-		return nil, err
-	}
-	global := make([]int64, len(candidates))
-	for r, buf := range parts {
-		vals, err := comm.DecodeInt64s(buf)
-		if err != nil || len(vals) != len(candidates) {
-			return nil, fmt.Errorf("bad histogram from rank %d", r)
-		}
-		for i, v := range vals {
-			global[i] += v
-		}
-	}
-	return global, nil
+	return c.AllreduceInt64s(local, func(a, b int64) int64 { return a + b })
 }

@@ -17,12 +17,11 @@ var refines = []struct {
 	rf   refine
 }{{"hyksort", hykRefine(8)}, {"hss", hssRefine}}
 
-// splittersOn runs histogramSplitters for nsplit cuts on four ranks
-// over gen's sorted records, checks every rank got the same splitters,
-// and returns them with rank 0's stats.
-func splittersOn(t *testing.T, nsplit int, rf refine, gen func(rank int) []float64) ([]float64, splitStats) {
+// splittersOn runs histogramSplitters for nsplit cuts on p ranks over
+// gen's sorted records, checks every rank got the same splitters, and
+// returns them with rank 0's stats.
+func splittersOn(t *testing.T, p, nsplit int, rf refine, gen func(rank int) []float64) ([]float64, splitStats) {
 	t.Helper()
-	const p = 4
 	sps := make([][]float64, p)
 	var st splitStats
 	err := cluster.Run(cluster.Topology{Nodes: p, CoresPerNode: 1}, func(c *comm.Comm) error {
@@ -49,7 +48,7 @@ func splittersOn(t *testing.T, nsplit int, rf refine, gen func(rank int) []float
 func TestHistogramSplittersUniform(t *testing.T) {
 	for _, tc := range refines {
 		t.Run(tc.name, func(t *testing.T) {
-			sp, st := splittersOn(t, 7, tc.rf, func(rank int) []float64 {
+			sp, st := splittersOn(t, 4, 7, tc.rf, func(rank int) []float64 {
 				return workload.Uniform(int64(rank+10), 2000)
 			})
 			if len(sp) != 7 || !slices.IsSorted(sp) {
@@ -75,7 +74,7 @@ func TestHistogramSplittersCollapseOnDuplicates(t *testing.T) {
 	// value repeatedly — HykSort's and HSS's failure precondition.
 	for _, tc := range refines {
 		t.Run(tc.name, func(t *testing.T) {
-			sp, st := splittersOn(t, 7, tc.rf, func(rank int) []float64 {
+			gen := func(rank int) []float64 {
 				rng := rand.New(rand.NewSource(int64(rank + 20)))
 				data := make([]float64, 1500)
 				for i := range data {
@@ -86,7 +85,16 @@ func TestHistogramSplittersCollapseOnDuplicates(t *testing.T) {
 					}
 				}
 				return data
-			})
+			}
+			sp, st := splittersOn(t, 4, 7, tc.rf, gen)
+			var keys []float64
+			for r := range 4 {
+				keys = append(keys, gen(r)...)
+			}
+			slices.Sort(keys)
+			if n := len(slices.Compact(keys)); st.candidates > n {
+				t.Errorf("pool of %d candidates, but the input has only %d distinct keys", st.candidates, n)
+			}
 			if st.resolved >= 7 {
 				t.Errorf("all %d cuts resolved on duplicate-heavy keys", st.resolved)
 			}
@@ -97,10 +105,32 @@ func TestHistogramSplittersCollapseOnDuplicates(t *testing.T) {
 	}
 }
 
+func TestHistogramSplittersAllEqualStopsAtOnce(t *testing.T) {
+	// One value everywhere: the seed pool holds it once, the first
+	// round's probes find nothing new, and refinement stops there.
+	for _, tc := range refines {
+		t.Run(tc.name, func(t *testing.T) {
+			sp, st := splittersOn(t, 8, 7, tc.rf, func(int) []float64 {
+				data := make([]float64, 1000)
+				for i := range data {
+					data[i] = 3
+				}
+				return data
+			})
+			if st.rounds != 1 || st.candidates != 1 {
+				t.Errorf("all-equal input: %d rounds, %d candidates; want 1 and 1", st.rounds, st.candidates)
+			}
+			if len(sp) != 7 || sp[0] != 3 || sp[6] != 3 {
+				t.Errorf("splitters %v: want 7 copies of 3", sp)
+			}
+		})
+	}
+}
+
 func TestHistogramSplittersEmpty(t *testing.T) {
 	for _, tc := range refines {
 		t.Run(tc.name, func(t *testing.T) {
-			sp, st := splittersOn(t, 3, tc.rf, func(int) []float64 { return nil })
+			sp, st := splittersOn(t, 4, 3, tc.rf, func(int) []float64 { return nil })
 			if len(sp) != 0 || st.rounds != 0 {
 				t.Fatalf("empty data produced splitters %v in %d rounds", sp, st.rounds)
 			}

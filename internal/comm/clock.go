@@ -74,7 +74,7 @@ func (c *Comm) SyncClocks(rounds int) (ClockSync, error) {
 					return ClockSync{}, fmt.Errorf("comm: clock reply from rank %d: %w", r, err)
 				}
 				t1 := time.Now()
-				vals, err := decodeInts(buf)
+				vals, err := DecodeInt64s(buf)
 				if err != nil || len(vals) != 1 {
 					return ClockSync{}, fmt.Errorf("comm: clock reply from rank %d: bad payload", r)
 				}
@@ -91,7 +91,7 @@ func (c *Comm) SyncClocks(rounds int) (ClockSync, error) {
 			if _, err := c.recvInternal(0, tagClock); err != nil {
 				return ClockSync{}, fmt.Errorf("comm: clock probe: %w", err)
 			}
-			if err := c.sendInternal(0, tagClock, encodeInts([]int64{time.Now().UnixMicro()})); err != nil {
+			if err := c.sendInternal(0, tagClock, EncodeInt64s([]int64{time.Now().UnixMicro()})); err != nil {
 				return ClockSync{}, fmt.Errorf("comm: clock reply: %w", err)
 			}
 		}
@@ -100,13 +100,13 @@ func (c *Comm) SyncClocks(rounds int) (ClockSync, error) {
 	// broadcast (its own tag band, so no interference with the probes).
 	var payload []byte
 	if c.Rank() == 0 {
-		payload = encodeInts(append(append([]int64{}, cs.Offsets...), cs.RTTs...))
+		payload = EncodeInt64s(append(append([]int64{}, cs.Offsets...), cs.RTTs...))
 	}
 	buf, err := c.Bcast(0, payload)
 	if err != nil {
 		return ClockSync{}, fmt.Errorf("comm: clock bcast: %w", err)
 	}
-	vals, err := decodeInts(buf)
+	vals, err := DecodeInt64s(buf)
 	if err != nil || len(vals) != 2*p {
 		return ClockSync{}, fmt.Errorf("comm: clock bcast: bad payload")
 	}

@@ -3,6 +3,7 @@ package comm
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // Barrier blocks until every rank of the communicator has entered it.
@@ -96,41 +97,36 @@ func (c *Comm) Gather(root int, data []byte) ([][]byte, error) {
 
 // Allgather collects every rank's data on every rank (allgatherv:
 // payload sizes may differ). The result is indexed by communicator rank.
+// It is Bruck's allgather: ceil(log2(p)) rounds for any p. Rank r holds
+// the payloads of ranks r, r+1, ... (mod p); in round k it sends the
+// first min(2^k, p-2^k) of them to rank r-2^k as one packed message and
+// appends the ones rank r+2^k sends back.
 func (c *Comm) Allgather(data []byte) ([][]byte, error) {
-	parts, err := c.Gather(0, data)
-	if err != nil {
-		return nil, err
-	}
-	var packed []byte
-	if c.rank == 0 {
-		packed = packFrames(parts)
-	}
-	packed, err = c.Bcast(0, packed)
-	if err != nil {
-		return nil, err
-	}
-	return unpackFrames(packed)
-}
-
-// allgatherInternal is Allgather on a reserved tag, used inside Split so
-// it cannot interfere with user traffic. It uses a flat exchange.
-func (c *Comm) allgatherInternal(data []byte, tag int32) ([][]byte, error) {
 	p := len(c.group)
-	out := make([][]byte, p)
-	out[c.rank] = data
-	for i := 1; i < p; i++ {
-		dst := (c.rank + i) % p
-		if err := c.sendInternal(dst, tag, data); err != nil {
-			return nil, err
+	held := make([][]byte, 1, p)
+	held[0] = data
+	for k, round := 1, 0; k < p; k, round = k*2, round+1 {
+		tag := tagAllgather - int32(round)
+		n := min(k, p-k)
+		if err := c.sendInternal((c.rank-k+p)%p, tag, packFrames(held[:n])); err != nil {
+			return nil, fmt.Errorf("comm: allgather send: %w", err)
 		}
-	}
-	for i := 1; i < p; i++ {
-		src := (c.rank - i + p) % p
-		buf, err := c.recvInternal(src, tag)
+		buf, err := c.recvInternal((c.rank+k)%p, tag)
+		var parts [][]byte
+		if err == nil {
+			parts, err = unpackFrames(buf)
+		}
+		if err == nil && len(parts) != n {
+			err = fmt.Errorf("got %d payloads, want %d", len(parts), n)
+		}
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("comm: allgather recv: %w", err)
 		}
-		out[src] = buf
+		held = append(held, parts...)
+	}
+	out := make([][]byte, p)
+	for i, b := range held {
+		out[(c.rank+i)%p] = b
 	}
 	return out, nil
 }
@@ -169,13 +165,13 @@ func (c *Comm) Alltoall(parts [][]byte) ([][]byte, error) {
 // every rank, a convenience for the count exchanges in the stable
 // partition (Fig 2 line 12 of the paper).
 func (c *Comm) AllgatherInt64(v int64) ([]int64, error) {
-	parts, err := c.Allgather(encodeInts([]int64{v}))
+	parts, err := c.Allgather(EncodeInt64s([]int64{v}))
 	if err != nil {
 		return nil, err
 	}
 	out := make([]int64, len(parts))
 	for r, buf := range parts {
-		vals, err := decodeInts(buf)
+		vals, err := DecodeInt64s(buf)
 		if err != nil || len(vals) != 1 {
 			return nil, fmt.Errorf("comm: allgather int64: bad payload from rank %d", r)
 		}
@@ -187,19 +183,57 @@ func (c *Comm) AllgatherInt64(v int64) ([]int64, error) {
 // AllreduceInt64 folds one value per rank with op (which must be
 // associative and commutative) and returns the result on every rank.
 func (c *Comm) AllreduceInt64(v int64, op func(a, b int64) int64) (int64, error) {
-	vals, err := c.AllgatherInt64(v)
+	out, err := c.AllreduceInt64s([]int64{v}, op)
 	if err != nil {
 		return 0, err
 	}
-	acc := vals[0]
-	for _, x := range vals[1:] {
-		acc = op(acc, x)
+	return out[0], nil
+}
+
+// AllreduceInt64s folds every rank's vector element-wise with op (which
+// must be associative and commutative) and returns the result on every
+// rank. All ranks pass vectors of one length. It is a binomial reduce to
+// rank 0 followed by Bcast, so no rank ever holds more than two vectors.
+func (c *Comm) AllreduceInt64s(vals []int64, op func(a, b int64) int64) ([]int64, error) {
+	p := len(c.group)
+	acc := slices.Clone(vals)
+	// Rank r folds in rank r+mask for every mask below its lowest set
+	// bit, then hands the partial fold to rank r-mask.
+	mask := 1
+	for ; mask < p && c.rank&mask == 0; mask *= 2 {
+		if c.rank+mask >= p {
+			continue
+		}
+		buf, err := c.recvInternal(c.rank+mask, tagReduce)
+		var in []int64
+		if err == nil {
+			in, err = DecodeInt64s(buf)
+		}
+		if err == nil && len(in) != len(acc) {
+			err = fmt.Errorf("got %d values, want %d", len(in), len(acc))
+		}
+		if err != nil {
+			return nil, fmt.Errorf("comm: reduce recv: %w", err)
+		}
+		for i, v := range in {
+			acc[i] = op(acc[i], v)
+		}
 	}
-	return acc, nil
+	packed := EncodeInt64s(acc)
+	if c.rank != 0 {
+		if err := c.sendInternal(c.rank-mask, tagReduce, packed); err != nil {
+			return nil, fmt.Errorf("comm: reduce send: %w", err)
+		}
+	}
+	packed, err := c.Bcast(0, packed)
+	if err != nil {
+		return nil, err
+	}
+	return DecodeInt64s(packed)
 }
 
 // packFrames concatenates variable-size payloads with u32 length
-// prefixes so they survive a single Bcast.
+// prefixes so they travel as one message.
 func packFrames(parts [][]byte) []byte {
 	total := 4
 	for _, p := range parts {
@@ -223,7 +257,9 @@ func unpackFrames(buf []byte) ([][]byte, error) {
 	}
 	n := int(binary.LittleEndian.Uint32(buf))
 	buf = buf[4:]
-	out := make([][]byte, 0, n)
+	// Every frame carries a 4-byte header, so a count the bytes cannot
+	// hold is a lie; it must not size the allocation.
+	out := make([][]byte, 0, min(n, len(buf)/4))
 	for i := 0; i < n; i++ {
 		if len(buf) < 4 {
 			return nil, fmt.Errorf("comm: truncated frame header")
@@ -236,10 +272,15 @@ func unpackFrames(buf []byte) ([][]byte, error) {
 		out = append(out, buf[:l:l])
 		buf = buf[l:]
 	}
+	if len(buf) != 0 {
+		return nil, fmt.Errorf("comm: %d trailing bytes after %d frames", len(buf), n)
+	}
 	return out, nil
 }
 
-func encodeInts(vals []int64) []byte {
+// EncodeInt64s is the int64-vector wire format of the collectives and
+// of algorithm packages that exchange counts and displacements.
+func EncodeInt64s(vals []int64) []byte {
 	buf := make([]byte, 8*len(vals))
 	for i, v := range vals {
 		binary.LittleEndian.PutUint64(buf[8*i:], uint64(v))
@@ -247,7 +288,8 @@ func encodeInts(vals []int64) []byte {
 	return buf
 }
 
-func decodeInts(buf []byte) ([]int64, error) {
+// DecodeInt64s decodes a vector produced by EncodeInt64s.
+func DecodeInt64s(buf []byte) ([]int64, error) {
 	if len(buf)%8 != 0 {
 		return nil, fmt.Errorf("comm: int payload length %d not a multiple of 8", len(buf))
 	}
@@ -257,10 +299,3 @@ func decodeInts(buf []byte) ([]int64, error) {
 	}
 	return out, nil
 }
-
-// EncodeInt64s exposes the int64-vector wire format for algorithm
-// packages that exchange counts and displacements.
-func EncodeInt64s(vals []int64) []byte { return encodeInts(vals) }
-
-// DecodeInt64s decodes a vector produced by EncodeInt64s.
-func DecodeInt64s(buf []byte) ([]int64, error) { return decodeInts(buf) }

@@ -20,10 +20,11 @@
 package comm
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 )
@@ -90,9 +91,7 @@ const (
 	tagGather
 	tagAllgather
 	tagAlltoall
-	tagSplit
-	tagScan
-	tagBitonic // reserved for distributed bitonic sort rounds
+	tagReduce
 )
 
 // ErrClosed is returned by operations on a closed communicator/transport.
@@ -299,19 +298,21 @@ func (c *Comm) recvInternal(src int, tag int32) ([]byte, error) {
 // Split is collective: every member of c must call it.
 func (c *Comm) Split(color, key int) (*Comm, error) {
 	// Exchange (color, key) among all members.
-	payload := encodeInts([]int64{int64(color), int64(key)})
-	all, err := c.allgatherInternal(payload, tagSplit)
+	payload := EncodeInt64s([]int64{int64(color), int64(key)})
+	all, err := c.Allgather(payload)
 	if err != nil {
 		return nil, fmt.Errorf("comm: split allgather: %w", err)
 	}
-	type member struct{ color, key, rank int }
-	members := make([]member, 0, len(all))
+	type member struct{ key, rank int }
+	var mine []member
 	for r, buf := range all {
-		vals, err := decodeInts(buf)
+		vals, err := DecodeInt64s(buf)
 		if err != nil || len(vals) != 2 {
 			return nil, fmt.Errorf("comm: split: bad payload from rank %d", r)
 		}
-		members = append(members, member{int(vals[0]), int(vals[1]), r})
+		if int(vals[0]) == color {
+			mine = append(mine, member{int(vals[1]), r})
+		}
 	}
 
 	c.mu.Lock()
@@ -322,18 +323,9 @@ func (c *Comm) Split(color, key int) (*Comm, error) {
 	if color < 0 {
 		return nil, nil
 	}
-	var mine []member
-	for _, m := range members {
-		if m.color == color {
-			mine = append(mine, m)
-		}
-	}
-	sort.Slice(mine, func(i, j int) bool {
-		if mine[i].key != mine[j].key {
-			return mine[i].key < mine[j].key
-		}
-		return mine[i].rank < mine[j].rank
-	})
+	// mine ascends by parent rank, so a stable sort by key orders it
+	// by (key, parent rank).
+	slices.SortStableFunc(mine, func(a, b member) int { return cmp.Compare(a.key, b.key) })
 	group := make([]int, len(mine))
 	myIdx := -1
 	for i, m := range mine {

@@ -4,9 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // runRanks drives fn on every rank of a fresh world and fails the test
@@ -236,10 +238,22 @@ func TestGather(t *testing.T) {
 	}
 }
 
+// allgatherSizes are the communicator sizes the collective tests run
+// at: powers of two, their neighbours and primes, where Bruck's last
+// round sends a partial block.
+var allgatherSizes = []int{1, 2, 3, 4, 5, 7, 8, 13}
+
 func TestAllgatherVariableSizes(t *testing.T) {
-	for _, p := range []int{1, 2, 4, 7} {
+	// Rank r sends r bytes, except every third rank sends none.
+	size := func(r int) int {
+		if r%3 == 1 {
+			return 0
+		}
+		return r
+	}
+	for _, p := range allgatherSizes {
 		runRanks(t, p, nil, func(c *Comm) error {
-			mine := make([]byte, c.Rank()) // rank r sends r bytes
+			mine := make([]byte, size(c.Rank()))
 			for i := range mine {
 				mine[i] = byte(c.Rank())
 			}
@@ -251,8 +265,8 @@ func TestAllgatherVariableSizes(t *testing.T) {
 				return fmt.Errorf("got %d parts", len(out))
 			}
 			for r := 0; r < p; r++ {
-				if len(out[r]) != r {
-					return fmt.Errorf("part %d has %d bytes, want %d", r, len(out[r]), r)
+				if len(out[r]) != size(r) {
+					return fmt.Errorf("part %d has %d bytes, want %d", r, len(out[r]), size(r))
 				}
 				for _, b := range out[r] {
 					if b != byte(r) {
@@ -262,6 +276,45 @@ func TestAllgatherVariableSizes(t *testing.T) {
 			}
 			return nil
 		})
+	}
+}
+
+func TestAllreduceInt64s(t *testing.T) {
+	// vec is rank r's vector: pseudo-random signed values, so sum, min
+	// and max each depend on every rank.
+	vec := func(r, n int) []int64 {
+		out := make([]int64, n)
+		for i := range out {
+			out[i] = int64((r*7919+i*104729)%1000) - 500
+		}
+		return out
+	}
+	ops := map[string]func(a, b int64) int64{
+		"sum": func(a, b int64) int64 { return a + b },
+		"min": func(a, b int64) int64 { return min(a, b) },
+		"max": func(a, b int64) int64 { return max(a, b) },
+	}
+	for _, p := range allgatherSizes {
+		for _, n := range []int{0, 1, 5} {
+			for name, op := range ops {
+				want := vec(0, n)
+				for r := 1; r < p; r++ {
+					for i, v := range vec(r, n) {
+						want[i] = op(want[i], v)
+					}
+				}
+				runRanks(t, p, nil, func(c *Comm) error {
+					got, err := c.AllreduceInt64s(vec(c.Rank(), n), op)
+					if err != nil {
+						return err
+					}
+					if !slices.Equal(got, want) {
+						return fmt.Errorf("p=%d n=%d %s: got %v want %v", p, n, name, got, want)
+					}
+					return nil
+				})
+			}
+		}
 	}
 }
 
@@ -536,7 +589,10 @@ func TestFrameCodecs(t *testing.T) {
 	if _, err := unpackFrames([]byte{1, 0, 0, 0, 5, 0, 0, 0, 1}); err == nil {
 		t.Fatal("truncated body accepted")
 	}
-	if _, err := decodeInts([]byte{1, 2, 3}); err == nil {
+	if _, err := unpackFrames(append(packFrames(parts), 0)); err == nil {
+		t.Fatal("trailing byte accepted")
+	}
+	if _, err := DecodeInt64s([]byte{1, 2, 3}); err == nil {
 		t.Fatal("ragged int payload accepted")
 	}
 }
@@ -674,4 +730,36 @@ func TestManyDupsConcurrentTraffic(t *testing.T) {
 		wg.Wait()
 		return errors.Join(errs...)
 	})
+}
+
+// FuzzUnpackFrames feeds arbitrary bytes to the packed-frame decoder
+// every allgather round parses: it must never panic, every frame it
+// returns must lie inside the input, and what it accepts must re-pack
+// to the same bytes.
+func FuzzUnpackFrames(f *testing.F) {
+	f.Add(packFrames(nil))
+	f.Add(packFrames([][]byte{nil, {1}, {2, 3, 4}, {}}))
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
+	f.Add([]byte{1, 0, 0, 0, 5, 0, 0, 0, 1})
+	f.Fuzz(func(t *testing.T, buf []byte) {
+		parts, err := unpackFrames(buf)
+		if err != nil {
+			return
+		}
+		for i, part := range parts {
+			if len(part) > 0 && !inside(part, buf) {
+				t.Fatalf("frame %d lies outside the input", i)
+			}
+		}
+		if again := packFrames(parts); !slices.Equal(again, buf) {
+			t.Fatalf("re-pack differs: %x vs %x", again, buf)
+		}
+	})
+}
+
+// inside reports whether part is a subslice of buf.
+func inside(part, buf []byte) bool {
+	start := uintptr(unsafe.Pointer(unsafe.SliceData(part)))
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(buf)))
+	return start >= lo && start+uintptr(len(part)) <= lo+uintptr(len(buf))
 }

@@ -140,20 +140,15 @@ func (sp *SpillOptions) mergeOptions(tempDir string, g *memlimit.Gauge) extsort.
 // collective, so all ranks must walk the same path. localWant is
 // Force, or a failed receive reservation.
 func agreeSpill(wc *comm.Comm, localWant bool) (bool, error) {
-	b := []byte{0}
+	var vote int64
 	if localWant {
-		b[0] = 1
+		vote = 1
 	}
-	votes, err := wc.Allgather(b)
+	spill, err := wc.AllreduceInt64(vote, func(a, b int64) int64 { return max(a, b) })
 	if err != nil {
 		return false, fmt.Errorf("core: spill agreement: %w", err)
 	}
-	for _, v := range votes {
-		if len(v) == 1 && v[0] != 0 {
-			return true, nil
-		}
-	}
-	return false, nil
+	return spill == 1, nil
 }
 
 // recvSpool is the on-disk sink: one run file per source rank, written

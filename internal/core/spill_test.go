@@ -356,6 +356,51 @@ func TestSpillStreamMatchesSort(t *testing.T) {
 	}
 }
 
+// ptfLike is a PTF-like key for record i of rank's perRank: 28 % of the
+// keys are one value, the rest hashed apart.
+func ptfLike(perRank int) func(rank, i int) float64 {
+	return func(rank, i int) float64 {
+		h := uint64(rank*perRank+i) * 0x9E3779B97F4A7C15 >> 32
+		if h%100 < 28 {
+			return 1 << 31
+		}
+		return float64(h)
+	}
+}
+
+// TestSortLoadBound is Theorem 1 for the resident sort at the paper's
+// scale: 8 × 24 ranks, no node merge, and 2p−1 records per rank, so
+// n/p is not whole and a floored sampling stride (1 here) would leave
+// the top half of every rank unsampled — all of it then lands on the
+// last rank. Every block must stay within 4N/p.
+func TestSortLoadBound(t *testing.T) {
+	topo := cluster.Topology{Nodes: 8, CoresPerNode: 24}
+	p := topo.Size()
+	perRank := 2*p - 1
+	for _, tc := range []struct {
+		name   string
+		gen    func(rank, i int) float64
+		stable bool
+	}{
+		{"uniform/fast", uniformGen(5), false},
+		{"ptf-like/stable", ptfLike(perRank), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			in := makeTagged(p, perRank, tc.gen)
+			opt := DefaultOptions()
+			opt.TauM, opt.Stable = 0, tc.stable
+			out := runSort(t, topo, in, opt)
+			checkSorted(t, in, out, tc.stable)
+			bound := 4 * perRank
+			for r, block := range out {
+				if len(block) > bound {
+					t.Errorf("rank %d holds %d records, above 4N/p = %d", r, len(block), bound)
+				}
+			}
+		})
+	}
+}
+
 // TestSpillStreamLoadBound is Theorem 1 on the out-of-core route: each
 // local run is a stripe of the skew-aware split, so the duplicates of a
 // replicated pivot are shared among the ranks that own it, as on the
@@ -369,13 +414,6 @@ func TestSpillStreamLoadBound(t *testing.T) {
 	// Four local runs per rank: few enough that a floored stride over
 	// the pooled run samples would draw every pivot from their low end.
 	const perRank, chunk = 2000, 500
-	ptfLike := func(rank, i int) float64 {
-		h := uint64(rank*perRank+i) * 0x9E3779B97F4A7C15 >> 32
-		if h%100 < 28 {
-			return 1 << 31 // 28 % of the keys are one value
-		}
-		return float64(h)
-	}
 	inputs := []struct {
 		name string
 		gen  func(rank, i int) float64
@@ -383,7 +421,7 @@ func TestSpillStreamLoadBound(t *testing.T) {
 		{"all-equal", func(rank, i int) float64 { return 7 }},
 		{"two-value", func(rank, i int) float64 { return float64(min(i%5, 3) / 3) }}, // 60 % zeros
 		{"zipf", zipfGen(11, 2.1)},
-		{"ptf-like", ptfLike},
+		{"ptf-like", ptfLike(perRank)},
 	}
 	for _, input := range inputs {
 		for _, p := range []int{4, 8, 16} {

@@ -159,16 +159,10 @@ func SortStream[T any](c *comm.Comm, in RecordSource[T], cd codec.Codec[T], cmp 
 			detail["runs"], detail["records"] = len(runs), records
 			return detail, nil
 		}},
-		// Global pivots from the per-chunk regular samples. The rank's
-		// p-1 local pivots are spaced exactly over the pooled samples: the
-		// pool is only (p-1) per run long, and RegularSample's floored
-		// stride would draw them all from its low end.
+		// Global pivots from a regular sample of the pooled chunk samples.
 		{name: "pivots", clock: metrics.PhasePivotSelection, body: func() (map[string]any, error) {
 			psort.ParallelSort(samples, opt.cores(), opt.Stable, cmp)
-			var lp []T
-			for i := 1; i < p && len(samples) > 0; i++ {
-				lp = append(lp, samples[i*len(samples)/p])
-			}
+			lp := pivots.RegularSample(samples, p)
 			samples = nil
 			return r.selectPivots(lp)
 		}},

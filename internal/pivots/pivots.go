@@ -1,6 +1,6 @@
 // Package pivots implements the pivot-selection machinery of §2.4:
-// regular (equal-stripe) sampling and the distributed selection of
-// global pivots.
+// regular (equal-stripe) sampling, exactly spaced over each rank's
+// sorted block, and the distributed selection of global pivots.
 package pivots
 
 import (
@@ -11,31 +11,20 @@ import (
 	"sdssort/internal/comm"
 )
 
-// RegularSample returns up to k-1 local pivots from sorted data at
-// stride ⌊n/k⌋ (line 8 of the SDS-Sort listing). Because the data is
-// sorted first, each pivot represents at most 2n/k² of the local value
-// distribution, the property Theorem 1 leans on.
+// RegularSample returns k-1 local pivots from sorted data, the records
+// at i·n/k for 0 < i < k (line 8 of the SDS-Sort listing): spaced over
+// the whole block, each represents at most 2n/k² of the local value
+// distribution, the property Theorem 1 leans on. With n < k a record is
+// picked more than once, which the skew-aware partition handles like
+// any duplicated pivot.
 func RegularSample[T any](sorted []T, k int) []T {
 	n := len(sorted)
 	if n == 0 || k <= 1 {
 		return nil
 	}
-	stride := n / k
-	if stride < 1 {
-		stride = 1
-	}
 	pivots := make([]T, 0, k-1)
 	for i := 1; i < k; i++ {
-		idx := i * stride
-		if idx >= n {
-			// Fewer records than processes: repeat the last record
-			// rather than under-sampling. Duplicated pivots are fine —
-			// the skew-aware partition is built for them — whereas a
-			// short (or empty) sample would starve global pivot
-			// selection and leave the data unexchanged.
-			idx = n - 1
-		}
-		pivots = append(pivots, sorted[idx])
+		pivots = append(pivots, sorted[i*n/k])
 	}
 	return pivots
 }

@@ -27,7 +27,7 @@ func cmpF(a, b float64) int {
 
 func TestRegularSample(t *testing.T) {
 	data := []float64{0, 1, 2, 3, 4, 5, 6, 7}
-	got := RegularSample(data, 4) // stride 2: indices 2, 4, 6
+	got := RegularSample(data, 4) // i·8/4: indices 2, 4, 6
 	want := []float64{2, 4, 6}
 	if !slices.Equal(got, want) {
 		t.Fatalf("got %v want %v", got, want)
@@ -38,15 +38,19 @@ func TestRegularSample(t *testing.T) {
 	if got := RegularSample(data, 1); got != nil {
 		t.Fatalf("k=1: got %v", got)
 	}
-	// Fewer records than k: always k-1 pivots, padding with the last
-	// record, so global pivot selection never starves on tiny ranks.
+	// Fewer records than k: still k-1 pivots, each record picked in
+	// proportion to its share, so global pivot selection never starves
+	// on tiny ranks.
 	short := []float64{1, 2}
 	got = RegularSample(short, 8)
-	if len(got) != 7 {
-		t.Fatalf("short data: got %v", got)
+	if want := []float64{1, 1, 1, 2, 2, 2, 2}; !slices.Equal(got, want) {
+		t.Fatalf("short data: got %v want %v", got, want)
 	}
-	if got[0] != 2 || got[6] != 2 {
-		t.Fatalf("short data padding: got %v", got)
+	// n/k not whole: the picks reach the top of the block (the floored
+	// stride 1 would pick indices 1…4 and leave 5…9 unsampled).
+	ten := []float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
+	if got, want := RegularSample(ten, 6), []float64{1, 3, 5, 6, 8}; !slices.Equal(got, want) {
+		t.Fatalf("n=10 k=6: got %v want %v", got, want)
 	}
 }
 

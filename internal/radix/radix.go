@@ -27,7 +27,7 @@ import (
 // keys concentrate in few exponent values, so the histogram needs to see
 // mantissa bits beyond sign+exponent (12 bits) to split the [0.5, 1)
 // mass across ranks; 14 bits gives 2 mantissa bits while keeping the
-// all-gathered histogram at 128KB per rank.
+// reduced histogram at 128KB.
 const topBits = 14
 
 const numBuckets = 1 << topBits
@@ -47,21 +47,13 @@ func Sort[T any](c *comm.Comm, data []T, cd codec.Codec[T], key func(T) uint64) 
 	for _, rec := range data {
 		local[key(rec)>>(64-topBits)]++
 	}
-	parts, err := c.Allgather(comm.EncodeInt64s(local))
+	global, err := c.AllreduceInt64s(local, func(a, b int64) int64 { return a + b })
 	if err != nil {
-		return nil, fmt.Errorf("radix: histogram gather: %w", err)
+		return nil, fmt.Errorf("radix: histogram reduce: %w", err)
 	}
-	global := make([]int64, numBuckets)
 	var total int64
-	for r, buf := range parts {
-		vals, err := comm.DecodeInt64s(buf)
-		if err != nil || len(vals) != numBuckets {
-			return nil, fmt.Errorf("radix: bad histogram from rank %d", r)
-		}
-		for i, v := range vals {
-			global[i] += v
-			total += v
-		}
+	for _, v := range global {
+		total += v
 	}
 
 	// Assign contiguous bucket ranges to ranks, balancing record counts:

@@ -246,3 +246,42 @@ func TestFabricClockHelpers(t *testing.T) {
 		t.Fatal("untouched clock moved")
 	}
 }
+
+// TestAllgatherModelIsLogDepth models one AllgatherInt64 under Aries
+// with compute charged near zero: Bruck's allgather takes ceil(log2 p)
+// rounds of one message each way per rank, so the makespan must sit
+// within 2× of ceil(log2 p)·(o + L) plus the serialisation of the bytes
+// a rank sends. A gather to one rank followed by a broadcast would cost
+// p·o at the root instead (≈ 525 µs at p = 1 024). The ranks are
+// goroutines.
+func TestAllgatherModelIsLogDepth(t *testing.T) {
+	prof := Aries()
+	prof.ComputeScale = 1e-9
+	for _, p := range []int{64, 1024} {
+		fab := NewFabric(prof, Virtual, p)
+		topo := cluster.Topology{Nodes: p, CoresPerNode: 1}
+		err := cluster.RunOpts(topo, cluster.Options{WrapTransport: fab.Wrap}, func(c *comm.Comm) error {
+			vals, err := c.AllgatherInt64(int64(c.Rank()))
+			if err == nil && (len(vals) != p || vals[p-1] != int64(p-1)) {
+				err = fmt.Errorf("allgather returned %d values", len(vals))
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Round k sends min(2^k, p-2^k) packed 8-byte values: a 4-byte
+		// count, then a 4-byte length per value.
+		var model time.Duration
+		for k := 1; k < p; k *= 2 {
+			bytes := 4 + 12*min(k, p-k)
+			model += prof.Remote.Overhead + prof.Remote.Latency +
+				time.Duration(float64(bytes)/prof.Remote.Bandwidth*float64(time.Second))
+		}
+		if got := fab.Makespan(); got < model/2 || got > 2*model {
+			t.Errorf("p=%d: modeled allgather %v, want within 2× of %v", p, got, model)
+		} else {
+			t.Logf("p=%d: modeled allgather %v (log-depth model %v)", p, got, model)
+		}
+	}
+}
