@@ -146,7 +146,8 @@ experiments:
 experiments-quick:
 	$(GO) run ./cmd/sdsbench -exp all -quick
 
-# Short fuzzing pass over the sort, natural-run, run-merge, k-way merge, partition,
+# Short fuzzing pass over the sort, natural-run, run-merge, k-way merge,
+# parallel-merge, partition,
 # checkpoint-manifest, exchange-decode, float-key, key-field,
 # radix-kernel, stable-radix-dispatch, run-file-reader, run-file-merge, job-manifest,
 # packed-frame decoder, tcpcomm frame-reader and trace-reader invariants.
@@ -159,6 +160,7 @@ fuzz:
 	$(GO) test ./internal/psort -fuzz FuzzNaturalMergeSort -fuzztime 30s -run xxx
 	$(GO) test ./internal/psort -fuzz FuzzMergeRuns -fuzztime 30s -run xxx
 	$(GO) test ./internal/psort -fuzz FuzzKWayMerge -fuzztime 30s -run xxx
+	$(GO) test ./internal/psort -fuzz FuzzParallelMerge -fuzztime 30s -run xxx
 	$(GO) test ./internal/partition -fuzz FuzzFastPartition -fuzztime 30s -run xxx
 	$(GO) test ./internal/partition -fuzz FuzzStablePartition -fuzztime 30s -run xxx
 	$(GO) test ./internal/checkpoint -fuzz FuzzManifest -fuzztime 30s -run xxx

@@ -6,6 +6,7 @@ import (
 
 	"sdssort/internal/codec"
 	"sdssort/internal/comm"
+	"sdssort/internal/pivots"
 )
 
 // autoSamplePerRank bounds the profiling sample: the profile must stay
@@ -57,17 +58,12 @@ type profile struct {
 
 func profileSample[T any](c *comm.Comm, data []T, cd codec.Codec[T], cmp func(a, b T) int, opt Options) (profile, error) {
 	var pr profile
-	// Stride-sample the (still unsorted) input and pool across ranks.
+	// Regular-sample the (still unsorted) input, or take all of a short
+	// one, and pool across ranks.
 	n := len(data)
-	local := make([]T, 0, autoSamplePerRank)
-	if n > 0 {
-		stride := n / autoSamplePerRank
-		if stride < 1 {
-			stride = 1
-		}
-		for i := 0; i < n && len(local) < autoSamplePerRank; i += stride {
-			local = append(local, data[i])
-		}
+	local := data
+	if n > autoSamplePerRank {
+		local = pivots.RegularSample(data, autoSamplePerRank+1)
 	}
 	pool, err := shareCandidates(c, local, cd, cmp)
 	if err != nil {

@@ -18,32 +18,19 @@ import (
 // FIFO and each rank exchanges exactly one message per round.
 const exchangeTag = 1 << 18
 
-// Sort sorts a block-distributed array: rank r contributes local (which
-// it may modify) and receives the r-th block of the globally sorted
-// array. Requirements of the bitonic network: the communicator size must
-// be a power of two and every rank must hold the same number of
-// elements. Callers that cannot guarantee this should use GatherSort.
-func Sort[T any](c *comm.Comm, local []T, cd codec.Codec[T], cmp func(a, b T) int) ([]T, error) {
-	p := c.Size()
-	if p&(p-1) != 0 {
-		return nil, fmt.Errorf("bitonic: communicator size %d is not a power of two", p)
-	}
-	m := len(local)
-	sizes, err := c.AllgatherInt64(int64(m))
-	if err != nil {
-		return nil, fmt.Errorf("bitonic: size exchange: %w", err)
-	}
-	for r, s := range sizes {
-		if int(s) != m {
-			return nil, fmt.Errorf("bitonic: rank %d holds %d elements, this rank holds %d", r, s, m)
-		}
-	}
+// network runs the block-level bitonic network over local (which it
+// may modify) and returns this rank's block of the globally sorted
+// array. Its preconditions — the communicator size is a power of two
+// and every rank holds len(local) elements — are DistributedSort's to
+// check.
+func network[T any](c *comm.Comm, local []T, cd codec.Codec[T], cmp func(a, b T) int) ([]T, error) {
 	psort.Sort(local, cmp)
-	if p == 1 || m == 0 {
+	p := c.Size()
+	if p == 1 || len(local) == 0 {
 		return local, nil
 	}
-
 	rank := c.Rank()
+	var err error
 	for k := 2; k <= p; k <<= 1 {
 		for j := k >> 1; j > 0; j >>= 1 {
 			partner := rank ^ j
@@ -75,8 +62,9 @@ func compareSplit[T any](c *comm.Comm, local []T, partner int, keepLow bool, cd 
 	if err != nil {
 		return nil, err
 	}
-	merged := psort.MergeTwo(local, theirs, cmp)
 	m := len(local)
+	merged := make([]T, m+len(theirs))
+	psort.MergeInto(merged, local, theirs, cmp)
 	if keepLow {
 		return merged[:m], nil
 	}
@@ -130,29 +118,21 @@ func GatherSort[T any](c *comm.Comm, local []T, cd codec.Codec[T], cmp func(a, b
 	return codec.DecodeSlice(cd, buf)
 }
 
-// DistributedSort picks the bitonic network when its preconditions hold
-// and falls back to GatherSort otherwise. All ranks make the same
-// decision because block sizes are exchanged first. Both paths return
-// blocks of the input's length, so the gathered sizes — returned, indexed
-// by rank — are also the sorted blocks' sizes.
+// DistributedSort sorts a block-distributed array: rank r contributes
+// local (which it may modify) and receives the r-th block of the
+// globally sorted array, of local's length. The block sizes are
+// all-gathered once and returned, indexed by rank; every rank decides
+// from that vector alone, so all take the same path: the bitonic
+// network when p is a power of two and the blocks are equal, GatherSort
+// otherwise.
 func DistributedSort[T any](c *comm.Comm, local []T, cd codec.Codec[T], cmp func(a, b T) int) ([]T, []int64, error) {
-	p := c.Size()
 	sizes, err := c.AllgatherInt64(int64(len(local)))
 	if err != nil {
-		return nil, nil, err
-	}
-	// Decide from the gathered vector alone so every rank reaches the
-	// same verdict.
-	uniform := p&(p-1) == 0
-	for _, s := range sizes {
-		if s != sizes[0] {
-			uniform = false
-			break
-		}
+		return nil, nil, fmt.Errorf("bitonic: size exchange: %w", err)
 	}
 	var sorted []T
-	if uniform {
-		sorted, err = Sort(c, local, cd, cmp)
+	if networkFits(sizes) {
+		sorted, err = network(c, local, cd, cmp)
 	} else {
 		sorted, err = GatherSort(c, local, cd, cmp)
 	}
@@ -160,4 +140,20 @@ func DistributedSort[T any](c *comm.Comm, local []T, cd codec.Codec[T], cmp func
 		return nil, nil, err
 	}
 	return sorted, sizes, nil
+}
+
+// networkFits reports whether the bitonic network can sort blocks of
+// the given sizes, one per rank: the rank count is a power of two and
+// every block has the same size.
+func networkFits(sizes []int64) bool {
+	p := len(sizes)
+	if p&(p-1) != 0 {
+		return false
+	}
+	for _, s := range sizes {
+		if s != sizes[0] {
+			return false
+		}
+	}
+	return true
 }

@@ -66,12 +66,16 @@ func makeIn(seed int64, p, perRank int) [][]float64 {
 	return in
 }
 
+// distributedSort is DistributedSort as a runDistributed sorter.
+func distributedSort(c *comm.Comm, local []float64) ([]float64, error) {
+	sorted, _, err := DistributedSort(c, local, f64, cmpF)
+	return sorted, err
+}
+
 func TestBitonicSortPowerOfTwo(t *testing.T) {
 	for _, p := range []int{1, 2, 4, 8, 16} {
 		in := makeIn(int64(p), p, 64)
-		out := runDistributed(t, p, in, func(c *comm.Comm, local []float64) ([]float64, error) {
-			return Sort(c, local, f64, cmpF)
-		})
+		out := runDistributed(t, p, in, distributedSort)
 		verifyGlobal(t, in, out)
 		// Block sizes must be preserved.
 		for r, part := range out {
@@ -92,43 +96,44 @@ func TestBitonicSortDuplicateHeavy(t *testing.T) {
 		}
 		in[r] = rows
 	}
-	out := runDistributed(t, p, in, func(c *comm.Comm, local []float64) ([]float64, error) {
-		return Sort(c, local, f64, cmpF)
-	})
+	out := runDistributed(t, p, in, distributedSort)
 	verifyGlobal(t, in, out)
 }
 
+// TestBitonicSortRejectsNonPowerOfTwo: the network does not take a
+// world whose size is not a power of two, and DistributedSort sorts
+// such a world all the same.
 func TestBitonicSortRejectsNonPowerOfTwo(t *testing.T) {
-	in := makeIn(3, 3, 16)
-	topo := cluster.Topology{Nodes: 3, CoresPerNode: 1}
-	err := cluster.Run(topo, func(c *comm.Comm) error {
-		_, err := Sort(c, append([]float64(nil), in[c.Rank()]...), f64, cmpF)
-		if err == nil {
-			return commError("non-power-of-two accepted")
+	for _, p := range []int{3, 5, 6, 7} {
+		if networkFits(make([]int64, p)) {
+			t.Fatalf("p=%d: network accepted a non-power-of-two world", p)
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
+	for _, p := range []int{1, 2, 4, 8} {
+		if !networkFits(make([]int64, p)) {
+			t.Fatalf("p=%d: network refused equal blocks", p)
+		}
+	}
+	in := makeIn(3, 3, 16)
+	verifyGlobal(t, in, runDistributed(t, 3, in, distributedSort))
 }
 
-type commError string
-
-func (e commError) Error() string { return string(e) }
-
+// TestBitonicSortRejectsRaggedBlocks: the network does not take blocks
+// of unequal size, and DistributedSort sorts them all the same.
 func TestBitonicSortRejectsRaggedBlocks(t *testing.T) {
-	topo := cluster.Topology{Nodes: 2, CoresPerNode: 1}
-	err := cluster.Run(topo, func(c *comm.Comm) error {
-		local := make([]float64, 4+c.Rank()) // ragged
-		_, err := Sort(c, local, f64, cmpF)
-		if err == nil {
-			return commError("ragged blocks accepted")
+	if networkFits([]int64{4, 5}) || networkFits([]int64{4, 4, 4, 0}) {
+		t.Fatal("network accepted ragged blocks")
+	}
+	in := make([][]float64, 2)
+	for r := range in {
+		in[r] = makeIn(int64(r), 1, 4+r)[0]
+	}
+	out := runDistributed(t, 2, in, distributedSort)
+	verifyGlobal(t, in, out)
+	for r := range out {
+		if len(out[r]) != len(in[r]) {
+			t.Fatalf("rank %d: block size changed %d -> %d", r, len(in[r]), len(out[r]))
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -155,24 +160,34 @@ func TestGatherSortArbitraryShapes(t *testing.T) {
 	}
 }
 
+// TestDistributedSortDispatch: equal blocks at a power-of-two p are
+// served by the bitonic network, every other shape by gather-sort. Each
+// must sort, keep every block's size, and return the gathered sizes.
 func TestDistributedSortDispatch(t *testing.T) {
-	// Uniform power-of-two: served by the bitonic network. Ragged:
-	// served by gather-sort. Both must sort, and both return the
-	// gathered sizes, which are every rank's input and output lengths.
-	for _, in := range [][][]float64{makeIn(7, 4, 32), {{3, 1}, {2}, {5, 4, 0}, {}}} {
-		out := runDistributed(t, 4, in, func(c *comm.Comm, local []float64) ([]float64, error) {
-			sorted, sizes, err := DistributedSort(c, local, f64, cmpF)
-			for r, n := range sizes {
-				if int(n) != len(in[r]) {
-					t.Errorf("rank %d sees size %d for rank %d, which holds %d", c.Rank(), n, r, len(in[r]))
-				}
+	for _, p := range []int{1, 2, 3, 4, 5, 8} {
+		rng := rand.New(rand.NewSource(int64(p) * 7))
+		ragged := make([][]float64, p)
+		for r := range ragged {
+			ragged[r] = make([]float64, rng.Intn(50))
+			for i := range ragged[r] {
+				ragged[r][i] = float64(rng.Intn(20))
 			}
-			return sorted, err
-		})
-		verifyGlobal(t, in, out)
-		for r := range out {
-			if len(out[r]) != len(in[r]) {
-				t.Fatalf("rank %d: block size changed %d -> %d", r, len(in[r]), len(out[r]))
+		}
+		for _, in := range [][][]float64{makeIn(int64(p), p, 32), ragged} {
+			out := runDistributed(t, p, in, func(c *comm.Comm, local []float64) ([]float64, error) {
+				sorted, sizes, err := DistributedSort(c, local, f64, cmpF)
+				for r, n := range sizes {
+					if int(n) != len(in[r]) {
+						t.Errorf("p=%d: rank %d sees size %d for rank %d, which holds %d", p, c.Rank(), n, r, len(in[r]))
+					}
+				}
+				return sorted, err
+			})
+			verifyGlobal(t, in, out)
+			for r := range out {
+				if len(out[r]) != len(in[r]) {
+					t.Fatalf("p=%d rank %d: block size changed %d -> %d", p, r, len(in[r]), len(out[r]))
+				}
 			}
 		}
 	}
@@ -186,7 +201,7 @@ func BenchmarkBitonicSort(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		err := cluster.Run(topo, func(c *comm.Comm) error {
-			_, err := Sort(c, append([]float64(nil), in[c.Rank()]...), f64, cmpF)
+			_, err := distributedSort(c, append([]float64(nil), in[c.Rank()]...))
 			return err
 		})
 		if err != nil {

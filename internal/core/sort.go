@@ -46,15 +46,21 @@ func Sort[T any](c *comm.Comm, data []T, cd codec.Codec[T], cmp func(a, b T) int
 	// that clock (an actual merge switches to "other"), and the
 	// partition is charged to pivot selection, as the paper's figures
 	// do. The exchange opens its own spans: which ones depends on the
-	// path the spill vote and τo select.
+	// path the spill vote and τo select. The pivots phase samples the
+	// slab once: the sample is the rank's local pivots and indexes its
+	// partition search.
+	var local partition.Stripe[T]
 	phases := []phase{
 		{name: "localsort", clock: metrics.PhaseLocalSort, begin: map[string]any{"records": len(data)},
 			body: r.sortLocal, cut: checkpoint.PhaseLocalSort, skew: metrics.SkewLocalSort},
 		{name: "nodemerge", clock: metrics.PhaseLocalSort, body: r.mergeNodes},
 		{name: "pivots", clock: metrics.PhasePivotSelection, body: func() (map[string]any, error) {
-			return r.selectPivots(pivots.RegularSample(r.work, r.wc.Size()))
+			local = partition.NewStripe(r.work, r.wc.Size(), r.cmp)
+			return r.selectPivots(local.Pivots)
 		}},
-		{name: "partition", clock: metrics.PhasePivotSelection, body: r.splitWork, cut: checkpoint.PhasePartition},
+		{name: "partition", clock: metrics.PhasePivotSelection, body: func() (map[string]any, error) {
+			return r.splitWork(local)
+		}, cut: checkpoint.PhasePartition},
 		{clock: metrics.PhaseExchange, body: r.exchangeAndOrder},
 	}
 	from, err := r.restore()
@@ -118,9 +124,10 @@ func (r *run[T]) selectPivots(local []T) (map[string]any, error) {
 }
 
 // splitWork is the skew-aware partition (line 10), fast or stable, of
-// the rank's slab as one stripe, searched through the local pivots.
-func (r *run[T]) splitWork() (map[string]any, error) {
-	lb, ub := partition.Locate(r.work, r.pg, partition.NewStripe(r.work, len(r.pg)+1, r.cmp), r.cmp)
+// the rank's slab as one stripe, searched through local, the slab's
+// local pivots.
+func (r *run[T]) splitWork(local partition.Stripe[T]) (map[string]any, error) {
+	lb, ub := partition.Locate(r.work, r.pg, local, r.cmp)
 	bounds, err := split(r, [][]int{lb}, [][]int{ub}, []int{len(r.work)})
 	if err != nil {
 		return nil, err

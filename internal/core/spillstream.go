@@ -56,9 +56,6 @@ type Spilled[T any] struct {
 // Records returns the number of records in this block.
 func (s *Spilled[T]) Records() int64 { return s.records }
 
-// Runs returns the run file paths (source order).
-func (s *Spilled[T]) Runs() []string { return append([]string(nil), s.runs...) }
-
 // open starts a lazy merge over the runs without consuming them, so the
 // handle stays readable after a merge pass even when a fan-in cap forces
 // pre-merges (intermediates land in the handle's directory and die with

@@ -8,7 +8,6 @@ import (
 	"sdssort/internal/core"
 	"sdssort/internal/metrics"
 	"sdssort/internal/partition"
-	"sdssort/internal/pivots"
 	"sdssort/internal/psort"
 	"sdssort/internal/workload"
 )
@@ -98,7 +97,8 @@ func Fig6b(cfg Config) (*Result, error) {
 	data := workload.Uniform(cfg.Seed, n)
 	psort.Sort(data, cmpF64)
 	for _, p := range ps {
-		pg := pivots.RegularSample(data, p)
+		local := partition.NewStripe(data, p, cmpF64)
+		pg := local.Pivots
 		if len(pg) != p-1 {
 			return nil, fmt.Errorf("fig6b: sampled %d pivots for p=%d", len(pg), p)
 		}
@@ -111,7 +111,7 @@ func Fig6b(cfg Config) (*Result, error) {
 		}
 		scan := timePart(partition.Scan[float64]{Cmp: cmpF64})
 		binary := timePart(partition.Binary[float64]{Cmp: cmpF64})
-		stripe := timePart(partition.NewStripe(data, p, cmpF64))
+		stripe := timePart(local)
 		tbl.AddRow(fmt.Sprint(p), metrics.FmtDur(scan), metrics.FmtDur(binary), metrics.FmtDur(stripe))
 	}
 	res.Notes = append(res.Notes,

@@ -57,64 +57,49 @@ type Binary[T any] struct {
 func (b Binary[T]) UpperBound(data []T, v T) int { return UpperBound(data, v, b.Cmp) }
 func (b Binary[T]) LowerBound(data []T, v T) int { return LowerBound(data, v, b.Cmp) }
 
-// Stripe is the paper's local-pivot locator: the p-1 local pivots taken
-// at stride ⌊n/p⌋ during sampling index the sorted data, so a boundary
-// search first ranks the value among the local pivots (O(log p)) and
-// then searches only the ⌊n/p⌋-wide stripe between two adjacent local
-// pivots (O(log(n/p))) — the shift space reduction of §2.5.1.
+// Stripe is the paper's local-pivot locator: the k-1 local pivots that
+// regular sampling took at i·n/k index the sorted data, so a boundary
+// search first ranks the value among the local pivots (O(log k)) and
+// then searches only stripe i = [i·n/k, (i+1)·n/k] between two adjacent
+// local pivots (O(log(n/k))) — the shift space reduction of §2.5.1.
+// Pivots must be exactly that regular sample of the data searched, with
+// k = len(Pivots)+1.
 type Stripe[T any] struct {
-	Pivots []T // p-1 local pivots, sorted
-	Stride int // ⌊n/p⌋, the sampling stride the pivots were taken at
+	Pivots []T // the k-1 local pivots data[i·n/k], 0 < i < k
 	Cmp    func(a, b T) int
 }
 
 // NewStripe builds the locator from sorted data by regular sampling
-// with p-1 pivots, mirroring line 8 of the SDS-Sort listing.
-func NewStripe[T any](data []T, p int, cmp func(a, b T) int) Stripe[T] {
-	stride := len(data) / p
-	if stride < 1 {
-		stride = 1
+// with k-1 pivots, data[i·n/k] for 0 < i < k, mirroring line 8 of the
+// SDS-Sort listing. With n < k a record is picked more than once; empty
+// data or k ≤ 1 has no pivots.
+func NewStripe[T any](data []T, k int, cmp func(a, b T) int) Stripe[T] {
+	n := len(data)
+	if n == 0 || k <= 1 {
+		return Stripe[T]{Cmp: cmp}
 	}
-	var pivots []T
-	for i := 1; i < p && i*stride < len(data); i++ {
-		pivots = append(pivots, data[i*stride])
+	pivots := make([]T, 0, k-1)
+	for i := 1; i < k; i++ {
+		pivots = append(pivots, data[i*n/k])
 	}
-	return Stripe[T]{Pivots: pivots, Stride: stride, Cmp: cmp}
+	return Stripe[T]{Pivots: pivots, Cmp: cmp}
 }
 
-func (s Stripe[T]) stripe(data []T, v T, upper bool) (lo, hi int) {
-	var pi int
-	if upper {
-		pi = UpperBound(s.Pivots, v, s.Cmp)
-	} else {
-		pi = LowerBound(s.Pivots, v, s.Cmp)
-	}
-	// Local pivot j sits at data[(j+1)*stride]; a value ranking pi
-	// among pivots lies in data[pi*stride : (pi+1)*stride] inclusive
-	// of the pivot positions themselves.
-	lo = pi * s.Stride
-	hi = (pi + 1) * s.Stride
-	if pi == len(s.Pivots) {
-		// Past the last pivot: the stripe runs to the end of the
-		// data (the tail stripe absorbs the ⌊n/p⌋ remainder).
-		hi = len(data)
-	}
-	if lo > len(data) {
-		lo = len(data)
-	}
-	if hi > len(data) {
-		hi = len(data)
-	}
-	return lo, hi
+// stripe returns the stripe a value ranking pi among the pivots lies
+// in: pivot j sits at data[(j+1)·n/k], so the boundary falls in
+// data[pi·n/k : (pi+1)·n/k], both ends included as results.
+func (s Stripe[T]) stripe(data []T, pi int) (lo, hi int) {
+	n, k := len(data), len(s.Pivots)+1
+	return pi * n / k, (pi + 1) * n / k
 }
 
 func (s Stripe[T]) UpperBound(data []T, v T) int {
-	lo, hi := s.stripe(data, v, true)
+	lo, hi := s.stripe(data, UpperBound(s.Pivots, v, s.Cmp))
 	return lo + UpperBound(data[lo:hi], v, s.Cmp)
 }
 
 func (s Stripe[T]) LowerBound(data []T, v T) int {
-	lo, hi := s.stripe(data, v, false)
+	lo, hi := s.stripe(data, LowerBound(s.Pivots, v, s.Cmp))
 	return lo + LowerBound(data[lo:hi], v, s.Cmp)
 }
 

@@ -9,6 +9,7 @@ import (
 	"sdssort/internal/bitonic"
 	"sdssort/internal/codec"
 	"sdssort/internal/comm"
+	"sdssort/internal/partition"
 )
 
 // RegularSample returns k-1 local pivots from sorted data, the records
@@ -16,17 +17,10 @@ import (
 // the whole block, each represents at most 2n/k² of the local value
 // distribution, the property Theorem 1 leans on. With n < k a record is
 // picked more than once, which the skew-aware partition handles like
-// any duplicated pivot.
+// any duplicated pivot. They are the pivots of partition.NewStripe,
+// which indexes the block's boundary search by them.
 func RegularSample[T any](sorted []T, k int) []T {
-	n := len(sorted)
-	if n == 0 || k <= 1 {
-		return nil
-	}
-	pivots := make([]T, 0, k-1)
-	for i := 1; i < k; i++ {
-		pivots = append(pivots, sorted[i*n/k])
-	}
-	return pivots
+	return partition.NewStripe(sorted, k, nil).Pivots
 }
 
 // SelectGlobal chooses the p-1 global pivots from every rank's local

@@ -54,6 +54,23 @@ func TestRegularSample(t *testing.T) {
 	}
 }
 
+// TestRegularSampleIsStripePivots: the partition search is indexed by
+// the very sample pivot selection draws, so the two must agree on every
+// shape, n < k included.
+func TestRegularSampleIsStripePivots(t *testing.T) {
+	for _, k := range []int{1, 2, 3, 7, 64} {
+		for _, n := range []int{0, 1, k - 1, k, k + 1, 1000, 1001} {
+			d := make([]float64, n)
+			for i := range d {
+				d[i] = float64(i / 3) // sorted, with duplicates
+			}
+			if got, want := partition.NewStripe(d, k, cmpF).Pivots, RegularSample(d, k); !slices.Equal(got, want) {
+				t.Fatalf("n=%d k=%d: stripe pivots %v, regular sample %v", n, k, got, want)
+			}
+		}
+	}
+}
+
 func TestSelectGlobalUniform(t *testing.T) {
 	for _, p := range []int{2, 4, 8, 5} { // includes a non-power-of-two
 		allPG := make([][]float64, p)

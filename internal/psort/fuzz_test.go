@@ -1,6 +1,7 @@
 package psort
 
 import (
+	"cmp"
 	"encoding/binary"
 	"slices"
 	"testing"
@@ -131,6 +132,72 @@ func FuzzKWayMerge(f *testing.F) {
 		got := KWayMerge(chunks, cmpInt)
 		if !slices.Equal(got, want) {
 			t.Fatal("KWayMerge mismatch")
+		}
+	})
+}
+
+// FuzzParallelMerge: up to 8 sorted chunks of fuzzed lengths over a
+// small key universe, merged on 1–9 workers with each of stable and
+// skewAware both ways. Records carry (key, chunk, pos): the output must
+// be a sorted permutation of the input, equal to the stable sort when
+// stable is set, with one busy time per segment — len(pg)+1 when the
+// chunks are cut, one when a single worker or chunk merges them all.
+func FuzzParallelMerge(f *testing.F) {
+	f.Add([]byte{}, uint8(3))
+	f.Add([]byte{2, 5, 5, 40, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, uint8(7))
+	f.Add([]byte{4, 9, 9, 9, 9, 1, 9, 6, 9, 9, 9, 9, 9, 9}, uint8(8))
+	f.Fuzz(func(t *testing.T, raw []byte, w uint8) {
+		type rec struct{ key, chunk, pos int }
+		byKey := func(a, b rec) int { return a.key - b.key }
+		next := func() int {
+			if len(raw) == 0 {
+				return 0
+			}
+			b := raw[0]
+			raw = raw[1:]
+			return int(b)
+		}
+		workers := int(w)%9 + 1
+		var in []rec
+		chunks := make([][]rec, next()%8+1)
+		for ci := range chunks {
+			keys := make([]int, next()%64)
+			for i := range keys {
+				keys[i] = next() % 16
+			}
+			slices.Sort(keys)
+			for i, key := range keys {
+				in = append(in, rec{key, ci, i})
+			}
+			chunks[ci] = in[len(in)-len(keys):]
+		}
+		want := slices.Clone(in)
+		slices.SortStableFunc(want, byKey)
+		segments := 1
+		if len(in) == 0 {
+			segments = 0
+		} else if workers > 1 && len(chunks) > 1 {
+			pg, _ := mergePivots(chunks, workers, byKey)
+			segments = len(pg) + 1
+		}
+		for _, stable := range []bool{false, true} {
+			for _, skewAware := range []bool{false, true} {
+				got, busy := ParallelMerge(chunks, workers, stable, skewAware, byKey)
+				if !slices.IsSortedFunc(got, byKey) {
+					t.Fatalf("stable=%v skewAware=%v workers=%d: unsorted %v", stable, skewAware, workers, got)
+				}
+				if !stable {
+					slices.SortStableFunc(got, func(a, b rec) int {
+						return cmp.Or(a.key-b.key, a.chunk-b.chunk, a.pos-b.pos)
+					})
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("stable=%v skewAware=%v workers=%d: got %v, want %v", stable, skewAware, workers, got, want)
+				}
+				if len(busy) != segments {
+					t.Fatalf("stable=%v skewAware=%v workers=%d: %d busy times, want %d", stable, skewAware, workers, len(busy), segments)
+				}
+			}
 		}
 	})
 }

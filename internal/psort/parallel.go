@@ -51,13 +51,14 @@ func ParallelMerge[T any](chunks [][]T, workers int, stable, skewAware bool, cmp
 		return out, []time.Duration{time.Since(start)}
 	}
 
-	pg := mergePivots(chunks, workers, cmp)
-	p := len(pg) + 1 // may be < workers on tiny inputs
+	pg, local := mergePivots(chunks, workers, cmp)
+	p := len(pg) + 1
 
 	// Per-chunk boundaries for the p output segments: each chunk is cut
-	// as one stripe by the split rule of the distributed sort. Under the
-	// stable rule the chunks' duplicates of a replicated pivot form one
-	// order, chunk by chunk, which Split advances past each chunk.
+	// as one stripe by the split rule of the distributed sort, searched
+	// through its own local pivots. Under the stable rule the chunks'
+	// duplicates of a replicated pivot form one order, chunk by chunk,
+	// which Split advances past each chunk.
 	bounds := make([][]int, len(chunks))
 	if skewAware {
 		runs := partition.Runs(pg, cmp)
@@ -67,7 +68,7 @@ func ParallelMerge[T any](chunks [][]T, workers int, stable, skewAware bool, cmp
 			dups = make([]partition.Dups, len(runs))
 		}
 		for ci, c := range chunks {
-			lbs[ci], ubs[ci] = partition.Locate(c, pg, partition.Binary[T]{Cmp: cmp}, cmp)
+			lbs[ci], ubs[ci] = partition.Locate(c, pg, local[ci], cmp)
 			for k := range dups {
 				dups[k].Total += int64(ubs[ci][runs[k].Start] - lbs[ci][runs[k].Start])
 			}
@@ -116,34 +117,20 @@ func ParallelMerge[T any](chunks [][]T, workers int, stable, skewAware bool, cmp
 	return out, busy
 }
 
-// mergePivots draws workers-1 global pivots by regular sampling: each
-// chunk contributes workers-1 equally-striped local pivots, the pool is
-// sorted, and every len(pool)/workers-th element is taken (§2.4 applied
-// to shared memory).
-func mergePivots[T any](chunks [][]T, workers int, cmp func(a, b T) int) []T {
+// mergePivots draws workers-1 global pivots by the two steps of the
+// distributed sort's regular sampling (§2.4 applied to shared memory):
+// each chunk's local pivots are its regular sample of workers, which
+// also indexes the chunk's boundary search, and the global pivots are
+// the regular sample of workers of their sorted pool.
+func mergePivots[T any](chunks [][]T, workers int, cmp func(a, b T) int) ([]T, []partition.Stripe[T]) {
+	local := make([]partition.Stripe[T], len(chunks))
 	var pool []T
-	for _, c := range chunks {
-		stride := len(c) / workers
-		if stride < 1 {
-			stride = 1
-		}
-		for i := 1; i < workers && i*stride < len(c); i++ {
-			pool = append(pool, c[i*stride])
-		}
-	}
-	if len(pool) == 0 {
-		return nil
+	for ci, c := range chunks {
+		local[ci] = partition.NewStripe(c, workers, cmp)
+		pool = append(pool, local[ci].Pivots...)
 	}
 	StableSort(pool, cmp)
-	stride := len(pool) / workers
-	if stride < 1 {
-		stride = 1
-	}
-	var pg []T
-	for i := 1; i < workers && i*stride-1 < len(pool); i++ {
-		pg = append(pg, pool[i*stride-1])
-	}
-	return pg
+	return partition.NewStripe(pool, workers, cmp).Pivots, local
 }
 
 // ParallelSort sorts data in place using up to `cores` goroutines: the

@@ -5,6 +5,8 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+
+	"sdssort/internal/partition"
 )
 
 // zipfInts draws n values from a Zipf distribution, producing the
@@ -185,7 +187,8 @@ func TestParallelMergeBusy(t *testing.T) {
 					}
 					segments := 1
 					if workers > 1 {
-						segments = len(mergePivots(in.chunks, workers, cmpInt)) + 1
+						pg, _ := mergePivots(in.chunks, workers, cmpInt)
+						segments = len(pg) + 1
 					}
 					if len(busy) != segments {
 						t.Fatalf("skewAware=%v stable=%v workers=%d: %d busy times, want %d",
@@ -211,6 +214,37 @@ func TestParallelMergeBusy(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestParallelMergeBalance: the merge's pivots are a regular sample of
+// the chunks' regular samples, so fewer chunks than workers still cut
+// the output into near-equal segments. Each case is chunks × records
+// per chunk on workers, over distinct uniform keys — every pivot cuts
+// at its upper bound, so the merged output's classical partition by the
+// pivots is the merge's own. Eight chunks on eight workers is the
+// control: with a chunk per worker, any sampling stride balances.
+func TestParallelMergeBalance(t *testing.T) {
+	for _, tc := range []struct{ chunks, per, workers int }{
+		{2, 100_000, 8}, {3, 50_000, 8}, {4, 100_001, 24}, {8, 50_000, 8},
+	} {
+		n := tc.chunks * tc.per
+		keys := rand.New(rand.NewSource(int64(n))).Perm(n)
+		chunks := make([][]int, tc.chunks)
+		for ci := range chunks {
+			chunks[ci] = keys[ci*tc.per : (ci+1)*tc.per]
+			slices.Sort(chunks[ci])
+		}
+		got, _ := ParallelMerge(chunks, tc.workers, false, true, cmpInt)
+		if !slices.IsSorted(got) || len(got) != n {
+			t.Fatalf("%+v: merge output not sorted", tc)
+		}
+		pg, _ := mergePivots(chunks, tc.workers, cmpInt)
+		largest := slices.Max(partition.Counts(partition.Classical(got, pg, cmpInt)))
+		if ratio := float64(largest) * float64(tc.workers) / float64(n); ratio > 1.25 {
+			t.Errorf("%d chunks × %d on %d workers: largest segment %d is %.2f× its share n/workers",
+				tc.chunks, tc.per, tc.workers, largest, ratio)
 		}
 	}
 }

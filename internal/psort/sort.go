@@ -218,14 +218,6 @@ func MergeSome[T any](dst, a, b []T, cmp func(x, y T) int) (i, j int) {
 	}
 }
 
-// MergeTwo returns the stable merge of two sorted slices, preferring a
-// on ties.
-func MergeTwo[T any](a, b []T, cmp func(x, y T) int) []T {
-	dst := make([]T, len(a)+len(b))
-	MergeInto(dst, a, b, cmp)
-	return dst
-}
-
 // IsSorted reports whether data is non-decreasing under cmp.
 func IsSorted[T any](data []T, cmp func(a, b T) int) bool {
 	for i := 1; i < len(data); i++ {

@@ -186,18 +186,28 @@ func TestStableSortPropertyQuick(t *testing.T) {
 	}
 }
 
+// mergeTwo merges two sorted runs into a new slice with MergeInto.
+func mergeTwo[T any](a, b []T, cmp func(x, y T) int) []T {
+	dst := make([]T, len(a)+len(b))
+	MergeInto(dst, a, b, cmp)
+	return dst
+}
+
+// TestMergeTwo: fixed cases of the two-way merge, nil sides included.
+// TestMergeKernelMatchesReference covers random shapes and merging in
+// place.
 func TestMergeTwo(t *testing.T) {
 	a := []int{1, 3, 3, 5}
 	b := []int{2, 3, 4}
-	got := MergeTwo(a, b, cmpInt)
+	got := mergeTwo(a, b, cmpInt)
 	want := []int{1, 2, 3, 3, 3, 4, 5}
 	if !slices.Equal(got, want) {
 		t.Fatalf("got %v want %v", got, want)
 	}
-	if got := MergeTwo(nil, b, cmpInt); !slices.Equal(got, b) {
+	if got := mergeTwo(nil, b, cmpInt); !slices.Equal(got, b) {
 		t.Fatalf("nil+b: got %v", got)
 	}
-	if got := MergeTwo(a, nil, cmpInt); !slices.Equal(got, a) {
+	if got := mergeTwo(a, nil, cmpInt); !slices.Equal(got, a) {
 		t.Fatalf("a+nil: got %v", got)
 	}
 }
@@ -205,7 +215,7 @@ func TestMergeTwo(t *testing.T) {
 func TestMergeTwoStability(t *testing.T) {
 	a := []kv{{1, 0}, {2, 1}, {2, 2}}
 	b := []kv{{1, 10}, {2, 11}}
-	got := MergeTwo(a, b, cmpKV)
+	got := mergeTwo(a, b, cmpKV)
 	// Ties must come from a first.
 	want := []kv{{1, 0}, {1, 10}, {2, 1}, {2, 2}, {2, 11}}
 	if !slices.Equal(got, want) {

@@ -6,12 +6,12 @@
 // sums across targets.
 //
 // The registry deliberately reimplements the small slice of the
-// Prometheus client library this repository needs — counters, gauges,
-// function-backed collectors read at scrape time, and fixed-bucket
+// Prometheus client library this repository needs — counters and
+// gauges read from a function at scrape time, and fixed-bucket
 // histograms — so the transport and sort layers stay free of external
 // dependencies. The package imports nothing internal: subsystems
 // register into it, never the other way. Everything is safe for
-// concurrent use; the instruments are single atomics on the hot path.
+// concurrent use; a histogram observation is a few atomics.
 package telemetry
 
 import (
@@ -57,31 +57,6 @@ type Label struct {
 
 // L is shorthand for constructing a Label.
 func L(key, value string) Label { return Label{Key: key, Value: value} }
-
-// Counter is a monotonically increasing integer.
-type Counter struct{ v atomic.Int64 }
-
-// Inc adds one.
-func (c *Counter) Inc() {
-	if c != nil {
-		c.v.Add(1)
-	}
-}
-
-// Add accrues n; negative deltas are ignored (counters are monotonic).
-func (c *Counter) Add(n int64) {
-	if c != nil && n > 0 {
-		c.v.Add(n)
-	}
-}
-
-// Value returns the current count.
-func (c *Counter) Value() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.v.Load()
-}
 
 // Histogram is a fixed-bucket cumulative histogram.
 type Histogram struct {
@@ -220,15 +195,6 @@ func (r *Registry) register(name, help string, kind Kind, labels []Label, read f
 	f.series[sig] = &series{labels: ls, sig: sig, read: read}
 	f.order = append(f.order, sig)
 	sort.Strings(f.order)
-}
-
-// Counter registers and returns a counter series.
-func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	c := &Counter{}
-	r.register(name, help, KindCounter, labels, func() []point {
-		return []point{{value: float64(c.Value())}}
-	})
-	return c
 }
 
 // CounterFunc registers a counter whose value is read by fn at scrape

@@ -16,10 +16,7 @@ func render(t *testing.T, r *Registry) string {
 
 func TestCounterGaugeExposition(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("sds_test_frames_total", "Frames handled.", L("dir", "in"))
-	c.Add(3)
-	c.Inc()
-	c.Add(-7) // ignored: counters are monotonic
+	r.CounterFunc("sds_test_frames_total", "Frames handled.", func() float64 { return 4 }, L("dir", "in"))
 	r.GaugeFunc("sds_test_depth", "Queue depth.", func() float64 { return 3 })
 
 	out := render(t, r)
@@ -119,12 +116,13 @@ func TestRegistrationConflictsPanic(t *testing.T) {
 		fn()
 	}
 	r := NewRegistry()
-	r.Counter("sds_test_total", "", L("a", "1"))
-	mustPanic("duplicate series", func() { r.Counter("sds_test_total", "", L("a", "1")) })
-	mustPanic("kind mismatch", func() { r.GaugeFunc("sds_test_total", "", func() float64 { return 0 }, L("a", "2")) })
-	mustPanic("invalid name", func() { r.Counter("0bad-name", "") })
+	zero := func() float64 { return 0 }
+	r.CounterFunc("sds_test_total", "", zero, L("a", "1"))
+	mustPanic("duplicate series", func() { r.CounterFunc("sds_test_total", "", zero, L("a", "1")) })
+	mustPanic("kind mismatch", func() { r.GaugeFunc("sds_test_total", "", zero, L("a", "2")) })
+	mustPanic("invalid name", func() { r.CounterFunc("0bad-name", "", zero) })
 	// Same family, distinct labels: fine.
-	r.Counter("sds_test_total", "", L("a", "2"))
+	r.CounterFunc("sds_test_total", "", zero, L("a", "2"))
 }
 
 func TestFormatFloatEdges(t *testing.T) {

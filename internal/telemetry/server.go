@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"sync/atomic"
 	"time"
 )
 
@@ -58,7 +59,7 @@ type Server struct {
 	ln   net.Listener
 	srv  *http.Server
 
-	scrapes   *Counter
+	scrapes   atomic.Int64
 	scrapeDur *Histogram
 }
 
@@ -74,9 +75,9 @@ func NewServer(addr string, reg *Registry, opts ServerOptions) (*Server, error) 
 		reg:       reg,
 		opts:      opts,
 		ln:        ln,
-		scrapes:   reg.Counter("sds_telemetry_scrapes_total", "Number of /metrics scrapes served."),
 		scrapeDur: reg.Histogram("sds_telemetry_scrape_seconds", "Latency of /metrics scrapes.", DefaultLatencyBuckets()),
 	}
+	reg.CounterFunc("sds_telemetry_scrapes_total", "Number of /metrics scrapes served.", func() float64 { return float64(s.scrapes.Load()) })
 	s.srv = &http.Server{Handler: s.Handler(), ReadHeaderTimeout: 5 * time.Second}
 	go s.srv.Serve(ln) //nolint:errcheck // ErrServerClosed on Close
 	return s, nil
@@ -109,7 +110,7 @@ func (s *Server) Handler() http.Handler {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	s.scrapes.Inc()
+	s.scrapes.Add(1)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	if _, err := s.reg.WriteTo(w); err != nil {
 		return // client went away mid-scrape

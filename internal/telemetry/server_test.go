@@ -23,7 +23,7 @@ func get(t *testing.T, h http.Handler, path string) (*http.Response, string) {
 
 func TestServerEndpoints(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("sds_test_jobs_total", "Jobs.").Add(2)
+	reg.CounterFunc("sds_test_jobs_total", "Jobs.", func() float64 { return 2 })
 	srv, err := NewServer("127.0.0.1:0", reg, ServerOptions{
 		Health: func() Health {
 			return Health{Status: "ok", Rank: 0, Size: 4, JobsDone: 3}
