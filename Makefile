@@ -148,7 +148,7 @@ experiments-quick:
 
 # Short fuzzing pass over the sort, natural-run, run-merge, k-way merge,
 # parallel-merge, partition,
-# checkpoint-manifest, exchange-decode, float-key, key-field,
+# checkpoint-manifest, checkpoint-load, exchange-decode, float-key, key-field,
 # radix-kernel, stable-radix-dispatch, run-file-reader, run-file-merge, job-manifest,
 # packed-frame decoder, tcpcomm frame-reader and trace-reader invariants.
 # The frame readers' and the trace reader's inputs run to kilobytes, so
@@ -164,6 +164,7 @@ fuzz:
 	$(GO) test ./internal/partition -fuzz FuzzFastPartition -fuzztime 30s -run xxx
 	$(GO) test ./internal/partition -fuzz FuzzStablePartition -fuzztime 30s -run xxx
 	$(GO) test ./internal/checkpoint -fuzz FuzzManifest -fuzztime 30s -run xxx
+	$(GO) test ./internal/checkpoint -fuzz FuzzLoad -fuzztime 30s -run xxx
 	$(GO) test ./internal/codec -fuzz FuzzDecodeAppend -fuzztime 30s -run xxx
 	$(GO) test ./internal/codec -fuzz FuzzFloat64Key -fuzztime 30s -run xxx
 	$(GO) test ./internal/codec -fuzz FuzzKeyField -fuzztime 30s -run xxx

@@ -394,21 +394,16 @@ func newEnv(cfg *config) (env *nodeEnv, finish func(code int) int, code int) {
 	finish = func(code int) int { return code }
 	var sinks []trace.Tracer
 	if cfg.trc != "" {
-		f, err := os.Create(cfg.trc)
+		jl, err := trace.CreateJSONL(cfg.trc)
 		if err != nil {
 			log.Printf("trace: %v", err)
 			return nil, nil, exitLocalError
 		}
-		jl := trace.NewJSONL(f)
 		sinks = append(sinks, jl)
 		finish = func(code int) int {
-			if err := jl.Err(); err != nil {
-				log.Printf("trace: write failed, %s is incomplete: %v", cfg.trc, err)
+			if err := jl.Close(); err != nil {
+				log.Printf("trace: %v", err)
 				code = max(code, exitLocalError) // only a clean exit is downgraded
-			}
-			if err := f.Close(); err != nil {
-				log.Printf("trace: close %s: %v", cfg.trc, err)
-				code = max(code, exitLocalError)
 			}
 			return code
 		}

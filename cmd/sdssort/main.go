@@ -87,28 +87,21 @@ func main() {
 			log.Fatalf("-stable requires a stable-capable algorithm (%q is not; use sds or auto)", *algoName)
 		}
 	}
-	// The trace file is finalised deliberately: JSONL latches its first
-	// write error, so without checking Err() a full disk would silently
-	// truncate the trace while the command exits 0. finishTrace runs
-	// after the sort and turns either a latched write error or a close
-	// error into a non-zero exit. (Failure paths inside the sort exit
-	// via log.Fatal already — only the success path needs this.)
+	// finishTrace runs after the sort and turns a latched trace write
+	// error, or a close error, into a non-zero exit. (Failure paths
+	// inside the sort exit via log.Fatal already — only the success path
+	// needs this.)
 	var tracer trace.Tracer
 	finishTrace := func() {}
 	if *trc != "" {
-		f, err := os.Create(*trc)
+		jl, err := trace.CreateJSONL(*trc)
 		if err != nil {
 			log.Fatal(err)
 		}
-		jl := trace.NewJSONL(f)
 		tracer = jl
-		name := *trc
 		finishTrace = func() {
-			if err := jl.Err(); err != nil {
-				log.Fatalf("trace: write failed, %s is incomplete: %v", name, err)
-			}
-			if err := f.Close(); err != nil {
-				log.Fatalf("trace: close %s: %v", name, err)
+			if err := jl.Close(); err != nil {
+				log.Fatalf("trace: %v", err)
 			}
 		}
 	}

@@ -1,7 +1,7 @@
 package algo
 
 import (
-	"io"
+	"path/filepath"
 	"testing"
 
 	"sdssort/internal/checkpoint"
@@ -9,6 +9,7 @@ import (
 	"sdssort/internal/codec"
 	"sdssort/internal/comm"
 	"sdssort/internal/core"
+	"sdssort/internal/recordio"
 	"sdssort/internal/trace"
 	"sdssort/internal/workload"
 )
@@ -21,21 +22,9 @@ var restatedKinds = []string{
 	"ckpt.save", "ckpt.resume", "supervisor.done", "node.shrink",
 }
 
-// sliceSource streams a slice into core.SortStream.
-type sliceSource struct{ recs []float64 }
-
-func (s *sliceSource) Read() (float64, error) {
-	if len(s.recs) == 0 {
-		return 0, io.EOF
-	}
-	v := s.recs[0]
-	s.recs = s.recs[1:]
-	return v, nil
-}
-
 // TestOneRecordPerFact runs traced sorts down every path that used to
 // restate a span in a point event — overlapped, stable synchronous, τm
-// with followers, forced spill, SortStream, a checkpointed run and its
+// with followers, forced spill, SortFileShard, a checkpointed run and its
 // resume from the partition cut, hyksort — and reads each fact off the
 // span that now carries it alone: the exchange plan and send counts on
 // every exchange and spill span, the leader count on each leader's
@@ -56,7 +45,7 @@ func TestOneRecordPerFact(t *testing.T) {
 	runs := []struct {
 		name   string
 		topo   cluster.Topology
-		driver string // "" runs core.SortStream
+		driver string // "" runs core.SortFileShard
 		input  func(rank int) []float64
 		tune   func(*core.Options)
 	}{
@@ -84,10 +73,22 @@ func TestOneRecordPerFact(t *testing.T) {
 			opt.Core.Trace = ring
 			run.tune(&opt.Core)
 			p := run.topo.Size()
+			// SortFileShard cuts the ranks' inputs, all perRank long, back
+			// out of their concatenation.
+			shards := filepath.Join(t.TempDir(), "in.f64")
+			if run.driver == "" {
+				var all []float64
+				for r := range p {
+					all = append(all, run.input(r)...)
+				}
+				if err := recordio.WriteFile(shards, codec.Float64{}, all); err != nil {
+					t.Fatal(err)
+				}
+			}
 			counts, err := cluster.Gather(run.topo, cluster.Options{}, func(c *comm.Comm) ([]int64, error) {
 				in := run.input(c.Rank())
 				if run.driver == "" {
-					blk, err := core.SortStream[float64](c, &sliceSource{in}, codec.Float64{}, cmpF64, opt.Core)
+					blk, err := core.SortFileShard(c, shards, codec.Float64{}, cmpF64, opt.Core)
 					if err != nil {
 						return nil, err
 					}

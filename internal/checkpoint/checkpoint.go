@@ -219,22 +219,29 @@ func load[T any](s *Store, epoch int, ph Phase, rank int, cd codec.Codec[T]) (*M
 		return nil, nil, err
 	}
 	if m.RecordSize != cd.Size() && m.Records > 0 {
-		return nil, nil, fmt.Errorf("checkpoint: %s has %d-byte records, codec wants %d",
-			s.DataPath(epoch, ph, rank), m.RecordSize, cd.Size())
+		return nil, nil, fmt.Errorf("%w: %s has %d-byte records, codec wants %d",
+			ErrCorrupt, s.DataPath(epoch, ph, rank), m.RecordSize, cd.Size())
 	}
 	f, err := os.Open(s.DataPath(epoch, ph, rank))
 	if err != nil {
 		return nil, nil, fmt.Errorf("checkpoint: %w", err)
 	}
 	defer f.Close()
-	h := crc32.New(dataTable)
-	recs, err := recordio.NewReader(io.TeeReader(f, h), cd).ReadAll()
+	// The records are allocated only once the file is known to hold
+	// them: a manifest alone never sizes an allocation.
+	st, err := f.Stat()
 	if err != nil {
-		return nil, nil, fmt.Errorf("checkpoint: data for %s: %w", s.ManifestPath(epoch, ph, rank), err)
+		return nil, nil, fmt.Errorf("checkpoint: %w", err)
 	}
-	if int64(len(recs)) != m.Records {
-		return nil, nil, fmt.Errorf("checkpoint: %s holds %d records, manifest says %d",
-			s.DataPath(epoch, ph, rank), len(recs), m.Records)
+	if !m.holds(st.Size()) {
+		return nil, nil, fmt.Errorf("%w: %s is %d bytes, manifest says %d records",
+			ErrCorrupt, s.DataPath(epoch, ph, rank), st.Size(), m.Records)
+	}
+	h := crc32.New(dataTable)
+	recs := make([]T, m.Records)
+	if n, err := recordio.ReadBlock(io.TeeReader(f, h), cd, recs, nil); err != nil {
+		return nil, nil, fmt.Errorf("%w: %s holds %d records, manifest says %d: %v",
+			ErrCorrupt, s.DataPath(epoch, ph, rank), n, m.Records, err)
 	}
 	if uint64(h.Sum32()) != m.Checksum {
 		return nil, nil, fmt.Errorf("%w: data checksum mismatch for %s",
@@ -286,7 +293,7 @@ func (s *Store) Valid(epoch int, ph Phase, rank int) bool {
 	defer f.Close()
 	h := crc32.New(dataTable)
 	n, err := io.Copy(h, f)
-	if err != nil || n != m.Records*int64(m.RecordSize) {
+	if err != nil || !m.holds(n) {
 		return false
 	}
 	return uint64(h.Sum32()) == m.Checksum

@@ -125,9 +125,21 @@ const (
 
 // ErrCorrupt reports a manifest that failed structural validation —
 // truncated, bad magic/version, inconsistent lengths, or a checksum
-// mismatch. A corrupt manifest invalidates its (epoch, phase, rank)
-// checkpoint, which in turn excludes that cut from LatestConsistent.
+// mismatch — or a data file that disagrees with its manifest. A corrupt
+// manifest invalidates its (epoch, phase, rank) checkpoint, which in
+// turn excludes that cut from LatestConsistent.
 var ErrCorrupt = errors.New("checkpoint: corrupt manifest")
+
+// holds reports whether a data file of size bytes is exactly the
+// manifest's Records records of RecordSize bytes, without the product
+// overflowing.
+func (m *Manifest) holds(size int64) bool {
+	if m.Records == 0 || size == 0 {
+		return m.Records == 0 && size == 0
+	}
+	rs := int64(m.RecordSize)
+	return rs > 0 && size%rs == 0 && size/rs == m.Records
+}
 
 // Encode renders the manifest in its binary wire form.
 func (m *Manifest) Encode() []byte {

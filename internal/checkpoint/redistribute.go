@@ -157,7 +157,7 @@ func (s *Store) payload(epoch int, ph Phase, rank int) (*Manifest, []byte, error
 	if err != nil {
 		return nil, nil, fmt.Errorf("checkpoint: %w", err)
 	}
-	if int64(len(buf)) != m.Records*int64(m.RecordSize) {
+	if !m.holds(int64(len(buf))) {
 		return nil, nil, fmt.Errorf("%w: data for %s holds %d bytes, manifest says %d records of %d",
 			ErrCorrupt, s.ManifestPath(epoch, ph, rank), len(buf), m.Records, m.RecordSize)
 	}

@@ -104,7 +104,7 @@ type Options struct {
 
 	// Spill, when non-nil, enables the out-of-core spill tier: a
 	// receive side that does not fit Mem (or Spill.Force) streams to
-	// per-source run files merged lazily at output, and SortStream
+	// per-source run files merged lazily at output, and SortFileShard
 	// becomes available for inputs larger than the budget. Must agree
 	// across ranks — the spill decision is collective. See SpillOptions.
 	Spill *SpillOptions

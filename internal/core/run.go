@@ -11,7 +11,7 @@ import (
 	"sdssort/internal/trace"
 )
 
-// run is one Sort, SortStream or Baseline call: what is constant for the
+// run is one Sort, SortFileShard or Baseline call: what is constant for the
 // call, and the state its phases hand each other — exactly what a
 // checkpoint manifest records, so a resume fills the state from disk and
 // enters the phase list further down. Owned by the calling rank's

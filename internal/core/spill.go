@@ -24,7 +24,7 @@ import (
 // in-memory path — so every driver path (stable, chunked or not,
 // zero-copy, marshal) spills with identical output bytes.
 //
-// SortStream (spillstream.go) extends the same machinery to the input
+// SortFileShard (spillstream.go) extends the same machinery to the input
 // side, so a rank never needs its full shard resident at once.
 
 // SpillOptions configures the spill tier; Options.Spill nil disables
@@ -42,12 +42,13 @@ type SpillOptions struct {
 	// spilled-vs-resident equivalence property.
 	Force bool
 	// ChunkRecords is the streaming driver's in-memory run size in
-	// records; SortStream's peak chunk footprint is ChunkRecords ×
+	// records; SortFileShard's peak chunk footprint is ChunkRecords ×
 	// record size × 2. Zero derives it from the gauge budget (a
 	// quarter of the budget, in records), or 1<<20 with no budget.
 	ChunkRecords int
 	// MaxFanIn caps the width of one merge pass over run files; more
-	// runs are pre-merged in batches first. Default 64.
+	// runs are pre-merged in batches first. Default 64; at least 2, as a
+	// one-way "merge" could never reduce the run count.
 	MaxFanIn int
 	// BufBytes sizes each run-file buffer, every one reserved from the
 	// gauge: a merge reserves one per cursor, holding its run's current
@@ -101,7 +102,7 @@ func (sp *SpillOptions) stageBytes(configured int64) int64 {
 
 func (sp *SpillOptions) maxFanIn() int {
 	if sp.MaxFanIn > 0 {
-		return sp.MaxFanIn
+		return max(sp.MaxFanIn, 2)
 	}
 	return 64
 }
@@ -260,13 +261,14 @@ func (r *run[T]) spillExchange(pl exchangePlan) ([]T, error) {
 		return nil, err
 	}
 	defer ms.Close()
-	out, err := collect(ms, m)
+	out := make([]T, m+1) // the spare slot shows a merge that yields more as m + 1 records
+	k, err := ms.Fill(out)
 	if err != nil {
 		return nil, err
 	}
-	if int64(len(out)) != m {
-		return nil, fmt.Errorf("core: spilled merge yielded %d of %d records", len(out), m)
+	if int64(k) != m {
+		return nil, fmt.Errorf("core: spilled merge yielded %d of %d records", k, m)
 	}
-	osp.End(map[string]any{"records": len(out), "kernel": "runs"})
-	return out, nil
+	osp.End(map[string]any{"records": k, "kernel": "runs"})
+	return out[:k], nil
 }

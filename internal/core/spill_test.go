@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -244,62 +243,19 @@ func TestSpillDecisionIsCollective(t *testing.T) {
 	}
 }
 
-// sliceSource feeds a slice through the RecordSource interface.
-type sliceSource[T any] struct {
-	recs []T
-	i    int
-}
-
-func (s *sliceSource[T]) Read() (T, error) {
-	if s.i >= len(s.recs) {
-		var zero T
-		return zero, io.EOF
-	}
-	rec := s.recs[s.i]
-	s.i++
-	return rec, nil
-}
-
-// runSortStream runs SortStream over in-memory per-rank inputs and
-// returns the per-rank materialised blocks. Each rank round-trips its
-// block through Spilled.Stream as well, so the recordio surface is
-// exercised on every test that goes through here.
-func runSortStream(t *testing.T, topo cluster.Topology, in [][]codec.Tagged, opt Options) [][]codec.Tagged {
+// sortRanks runs the spilled sort over in-memory per-rank inputs, each
+// rank's written to a file of its own and sorted as one segment of it,
+// and returns the per-rank blocks as drain reads them back.
+func sortRanks[T any](t *testing.T, topo cluster.Topology, in [][]T, cd codec.Codec[T], cmp func(a, b T) int, opt Options) [][]T {
 	t.Helper()
-	out, err := cluster.Gather(topo, cluster.Options{}, func(c *comm.Comm) ([]codec.Tagged, error) {
-		sp, err := SortStream[codec.Tagged](c, &sliceSource[codec.Tagged]{recs: in[c.Rank()]}, taggedCodec, compareTagged, opt)
+	dir := t.TempDir()
+	out, err := cluster.Gather(topo, cluster.Options{}, func(c *comm.Comm) ([]T, error) {
+		sp, err := sortRank(c, dir, in[c.Rank()], cd, cmp, opt)
 		if err != nil {
 			return nil, err
 		}
 		defer sp.Remove()
-		recs, err := sp.ReadAll()
-		if err != nil {
-			return nil, err
-		}
-		if int64(len(recs)) != sp.Records() {
-			return nil, fmt.Errorf("ReadAll yielded %d of %d records", len(recs), sp.Records())
-		}
-		var buf bytes.Buffer
-		if err := sp.Stream(&buf); err != nil {
-			return nil, fmt.Errorf("stream block: %w", err)
-		}
-		rr := recordio.NewReader(bytes.NewReader(buf.Bytes()), taggedCodec)
-		for i := 0; ; i++ {
-			rec, err := rr.Read()
-			if err == io.EOF {
-				if i != len(recs) {
-					return nil, fmt.Errorf("streamed %d records, ReadAll %d", i, len(recs))
-				}
-				break
-			}
-			if err != nil {
-				return nil, err
-			}
-			if rec != recs[i] {
-				return nil, fmt.Errorf("stream and ReadAll disagree at %d: %v vs %v", i, rec, recs[i])
-			}
-		}
-		return recs, nil
+		return drain(sp, cd)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -307,12 +263,36 @@ func runSortStream(t *testing.T, topo cluster.Topology, in [][]codec.Tagged, opt
 	return out
 }
 
+// sortRank writes one rank's records to a file under dir and sorts them
+// as the segment that holds them.
+func sortRank[T any](c *comm.Comm, dir string, recs []T, cd codec.Codec[T], cmp func(a, b T) int, opt Options) (*Spilled[T], error) {
+	path := filepath.Join(dir, fmt.Sprintf("in-%d", c.Rank()))
+	if err := recordio.WriteFile(path, cd, recs); err != nil {
+		return nil, err
+	}
+	return sortSegment(c, path, 0, int64(len(recs)), cd, cmp, opt)
+}
+
+// drain reads a spilled block back through Spilled.Stream, as every
+// client does, and checks it holds the block's record count.
+func drain[T any](sp *Spilled[T], cd codec.Codec[T]) ([]T, error) {
+	var buf bytes.Buffer
+	if err := sp.Stream(&buf); err != nil {
+		return nil, fmt.Errorf("stream block: %w", err)
+	}
+	recs, err := codec.DecodeSlice(cd, buf.Bytes())
+	if err == nil && int64(len(recs)) != sp.Records() {
+		err = fmt.Errorf("streamed %d of %d records", len(recs), sp.Records())
+	}
+	return recs, err
+}
+
 // TestSpillStreamMatchesSort: the fully out-of-core driver must
 // produce the same global dataset order as the resident sort — exactly
 // equal concatenation, since the test keys make the sorted order
 // unique (collision-free keys for the fast path, stability for the
-// duplicated one). Per-rank boundaries may differ: SortStream samples
-// per chunk, the resident sort samples the fully sorted shard.
+// duplicated one). Per-rank boundaries may differ: the spilled sort
+// samples per chunk, the resident sort samples the fully sorted shard.
 func TestSpillStreamMatchesSort(t *testing.T) {
 	topo := cluster.Topology{Nodes: 2, CoresPerNode: 2}
 	p := topo.Size()
@@ -341,7 +321,7 @@ func TestSpillStreamMatchesSort(t *testing.T) {
 				Dir: t.TempDir(), ChunkRecords: 100,
 				BufBytes: 4 << 10, MaxFanIn: 4, Stats: stats,
 			}
-			out := runSortStream(t, topo, in, opt)
+			out := sortRanks(t, topo, in, taggedCodec, compareTagged, opt)
 			checkSorted(t, in, out, mode.stable)
 			if got := flatten(out); !slices.Equal(got, want) {
 				t.Fatal("streamed sort's concatenation differs from the canonical order")
@@ -436,7 +416,7 @@ func TestSpillStreamLoadBound(t *testing.T) {
 					ring := trace.NewRing(ringCap)
 					opt.Trace = ring
 					opt.Spill = &SpillOptions{Dir: t.TempDir(), ChunkRecords: chunk, BufBytes: 4 << 10}
-					out := runSortStream(t, topo, in, opt)
+					out := sortRanks(t, topo, in, taggedCodec, compareTagged, opt)
 					n, runs := p*perRank, p*perRank/chunk
 					bound := 4*n/p + runs
 					for r, block := range out {
@@ -487,7 +467,7 @@ func TestSpillStreamEdgeCases(t *testing.T) {
 		in := makeTagged(1, 777, zipfGen(5, 1.2))
 		opt := DefaultOptions()
 		opt.Spill = &SpillOptions{Dir: t.TempDir(), ChunkRecords: 64, MaxFanIn: 3, BufBytes: 4 << 10}
-		out := runSortStream(t, topo, in, opt)
+		out := sortRanks(t, topo, in, taggedCodec, compareTagged, opt)
 		checkSorted(t, in, out, false)
 	})
 	t.Run("empty", func(t *testing.T) {
@@ -495,7 +475,7 @@ func TestSpillStreamEdgeCases(t *testing.T) {
 		in := make([][]codec.Tagged, topo.Size())
 		opt := DefaultOptions()
 		opt.Spill = &SpillOptions{Dir: t.TempDir(), ChunkRecords: 64, BufBytes: 4 << 10}
-		out := runSortStream(t, topo, in, opt)
+		out := sortRanks(t, topo, in, taggedCodec, compareTagged, opt)
 		for r, part := range out {
 			if len(part) != 0 {
 				t.Fatalf("rank %d produced %d records from nothing", r, len(part))
@@ -504,9 +484,9 @@ func TestSpillStreamEdgeCases(t *testing.T) {
 	})
 	t.Run("needs-spill-options", func(t *testing.T) {
 		err := cluster.Run(cluster.Topology{Nodes: 1, CoresPerNode: 1}, func(c *comm.Comm) error {
-			_, err := SortStream[codec.Tagged](c, &sliceSource[codec.Tagged]{}, taggedCodec, compareTagged, DefaultOptions())
+			_, err := sortRank[codec.Tagged](c, t.TempDir(), nil, taggedCodec, compareTagged, DefaultOptions())
 			if err == nil {
-				return errors.New("SortStream accepted a nil Spill")
+				return errors.New("the spilled sort accepted a nil Spill")
 			}
 			return nil
 		})
@@ -562,7 +542,7 @@ func TestSpillFileShardBeyondMemory(t *testing.T) {
 			return nil, err
 		}
 		defer sp.Remove()
-		return sp.ReadAll()
+		return drain(sp, taggedCodec)
 	})
 	if err != nil {
 		t.Fatalf("8x-budget sort failed: %v", err)
@@ -770,8 +750,8 @@ func TestSpillFitBudget(t *testing.T) {
 
 // TestSpillKeylessStableScratchKept: a stable sort of a codec without a
 // key merge-sorts each chunk on one core in the run's scratch, grown once
-// and kept, so SortStream's chunks share one slab — what it allocates
-// must not grow by a chunk's scratch per chunk.
+// and kept, so the spilled sort's chunks share one slab — what it
+// allocates must not grow by a chunk's scratch per chunk.
 func TestSpillKeylessStableScratchKept(t *testing.T) {
 	const chunk = 4096
 	scratchBytes := uint64(chunk * taggedCodec.Size())
@@ -780,10 +760,14 @@ func TestSpillKeylessStableScratchKept(t *testing.T) {
 		opt := DefaultOptions()
 		opt.Stable = true
 		opt.Spill = &SpillOptions{Dir: t.TempDir(), ChunkRecords: chunk, BufBytes: 4 << 10}
+		path := filepath.Join(t.TempDir(), "in")
+		if err := recordio.WriteFile(path, taggedCodec, in); err != nil {
+			t.Fatal(err)
+		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		err := cluster.Run(cluster.Topology{Nodes: 1, CoresPerNode: 1}, func(c *comm.Comm) error {
-			sp, err := SortStream[codec.Tagged](c, &sliceSource[codec.Tagged]{recs: in}, taggedCodec, compareTagged, opt)
+			sp, err := sortSegment(c, path, 0, int64(len(in)), taggedCodec, compareTagged, opt)
 			if err != nil {
 				return err
 			}

@@ -16,30 +16,6 @@ import (
 	"sdssort/internal/recordio"
 )
 
-// SortStream is the fully out-of-core driver: the input streams in,
-// sorted local runs spill to disk, the exchange moves per-destination
-// merges of run segments and lands per-source run files, and the
-// result is a Spilled handle merged lazily on read. At no point is the
-// shard resident: peak memory is the chunk buffer during the run
-// phase, then the staging window plus merge cursor buffers — all
-// reserved against Options.Mem — so a rank with a fixed budget sorts
-// arbitrarily large inputs.
-//
-// Differences from the resident driver, by construction of the regime:
-// node-level merging (τm) and overlap (τo) do not apply (the exchange
-// is always the staged synchronous collective), and pivots come from
-// per-run samples rather than the fully sorted local data. The split is
-// the resident one, each local run a stripe of it. Stability holds end
-// to end: runs are cut in input order, the stable rule deals a
-// replicated value's duplicates out in (rank, run, position) order, and
-// every merge tiebreaks by run index, which is source rank on receipt.
-
-// RecordSource yields records until io.EOF; *recordio.Reader[T] and
-// *extsort.Cursor[T] implement it.
-type RecordSource[T any] interface {
-	Read() (T, error)
-}
-
 // Spilled is the result of a spilled sort: this rank's block of the
 // globally sorted output, as sorted run files merged lazily on read.
 // Concatenating ranks' streams in rank order yields the sorted
@@ -81,38 +57,63 @@ func (s *Spilled[T]) Stream(w io.Writer) error {
 	return err
 }
 
-// ReadAll materialises the block — test and small-result convenience;
-// the records are NOT reserved against any gauge.
-func (s *Spilled[T]) ReadAll() ([]T, error) {
-	ms, err := s.open()
-	if err != nil {
-		return nil, err
-	}
-	defer ms.Close()
-	return collect(ms, s.records)
-}
-
-// collect materialises a merge expected to yield n records, filling the
-// output slice in place. Its one spare slot shows a merge that yields
-// more as n + 1 records.
-func collect[T any](ms *extsort.MergeStream[T], n int64) ([]T, error) {
-	out := make([]T, n+1)
-	k, err := ms.Fill(out)
-	return out[:k], err
-}
-
 // Remove deletes the spill directory and every run in it.
 func (s *Spilled[T]) Remove() error { return os.RemoveAll(s.dir) }
 
-// SortStream runs the spilled sort collectively over c; every rank
-// calls it with its input stream and receives its Spilled block.
-// Options.Spill is required. It is the resident sort's phase list with
-// both sides of every phase on disk.
-func SortStream[T any](c *comm.Comm, in RecordSource[T], cd codec.Codec[T], cmp func(a, b T) int, opt Options) (*Spilled[T], error) {
+// SortFileShard is the fully out-of-core sort of shard rank-of-p of the
+// record file at path (recordio.ShardRange's layout): every rank of c
+// calls it with the same path and receives its Spilled block. On a
+// one-rank world this is the external sort of a file. Options.Spill is
+// required. The shard streams in a chunk at a time, sorted local runs
+// spill to disk, the exchange moves per-destination merges of run
+// segments and lands per-source run files, and the result is merged
+// lazily on read. At no point is the shard resident: peak memory is the
+// chunk buffer during the run phase, then the staging window plus merge
+// cursor buffers — all reserved against Options.Mem — so a rank with a
+// fixed budget sorts arbitrarily large inputs.
+//
+// Differences from the resident driver, by construction of the regime:
+// node-level merging (τm) and overlap (τo) do not apply (the exchange
+// is always the staged synchronous collective), and pivots come from
+// per-run samples rather than the fully sorted local data. The split is
+// the resident one, each local run a stripe of it. Stability holds end
+// to end: runs are cut in input order, the stable rule deals a
+// replicated value's duplicates out in (rank, run, position) order, and
+// every merge tiebreaks by run index, which is source rank on receipt.
+func SortFileShard[T any](c *comm.Comm, path string, cd codec.Codec[T], cmp func(a, b T) int, opt Options) (*Spilled[T], error) {
+	total, err := recordio.Count[T](path, cd)
+	if err != nil {
+		return nil, err
+	}
+	lo, hi := recordio.ShardRange(total, c.Rank(), c.Size())
+	return sortSegment(c, path, lo, hi, cd, cmp, opt)
+}
+
+// sortSegment is SortFileShard over records [lo, hi) of the file at
+// path: the resident sort's phase list with both sides of every phase
+// on disk.
+func sortSegment[T any](c *comm.Comm, path string, lo, hi int64, cd codec.Codec[T], cmp func(a, b T) int, opt Options) (*Spilled[T], error) {
 	sp := opt.Spill
 	if sp == nil {
-		return nil, fmt.Errorf("core: SortStream needs Options.Spill")
+		return nil, fmt.Errorf("core: SortFileShard needs Options.Spill")
 	}
+	// The shard read buffer: the marshal path's wire buffer, reserved
+	// whether or not the codec needs one.
+	bufBytes := int64(sp.bufBytes())
+	if err := opt.Mem.Reserve(bufBytes); err != nil {
+		return nil, fmt.Errorf("core: shard read buffer: %w", err)
+	}
+	defer opt.Mem.Release(bufBytes)
+	var wire []byte
+	if !codec.IsZeroCopy(cd) {
+		wire = make([]byte, bufBytes)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	in := io.NewSectionReader(f, lo*int64(cd.Size()), (hi-lo)*int64(cd.Size()))
 	r, err := newRun(c, cd, cmp, opt)
 	if err != nil {
 		return nil, err
@@ -146,10 +147,13 @@ func SortStream[T any](c *comm.Comm, in RecordSource[T], cd codec.Codec[T], cmp 
 		// pivot selection.
 		{name: "localsort", clock: metrics.PhaseLocalSort, body: func() (map[string]any, error) {
 			detail := map[string]any{}
-			if local, counts, samples, err = cutRuns(r, in, dir, detail); err != nil {
+			if local, counts, samples, err = cutRuns(r, in, wire, dir, detail); err != nil {
 				return nil, err
 			}
 			runs, records = local, sum(counts)
+			if records != hi-lo {
+				return nil, fmt.Errorf("core: %s ends %d records into a %d-record shard", path, records, hi-lo)
+			}
 			if p == 1 {
 				r.exit = "single"
 			}
@@ -218,12 +222,13 @@ func SortStream[T any](c *comm.Comm, in RecordSource[T], cd codec.Codec[T], cmp 
 	}, nil
 }
 
-// cutRuns streams the input into sorted run files under dir, one per
-// chunk, and returns their paths, their record counts, and p regular
-// samples of each; detail learns the last chunk's sort kernel. Peak: the
-// chunk plus the sort's scratch — one slab, kept across the chunks —
-// plus the run writer's buffer, reserved for the length of the phase.
-func cutRuns[T any](r *run[T], in RecordSource[T], dir string, detail map[string]any) (paths []string, counts []int64, samples []T, err error) {
+// cutRuns reads the input a chunk at a time, each chunk filled in place
+// and sorted into a run file under dir, and returns the runs' paths,
+// their record counts, and p regular samples of each; detail learns the
+// last chunk's sort kernel. Peak: the chunk plus the sort's scratch —
+// one slab, kept across the chunks — plus the run writer's buffer,
+// reserved for the length of the phase.
+func cutRuns[T any](r *run[T], in io.Reader, wire []byte, dir string, detail map[string]any) (paths []string, counts []int64, samples []T, err error) {
 	sp, p := r.opt.Spill, r.c.Size()
 	chunkN := sp.chunkRecords(r.recSize, r.opt.Mem.Budget())
 	chunkNeed := int64(chunkN)*r.recSize*2 + int64(sp.bufBytes())
@@ -231,11 +236,8 @@ func cutRuns[T any](r *run[T], in RecordSource[T], dir string, detail map[string
 		return nil, nil, nil, fmt.Errorf("core: spill chunk of %d records: %w", chunkN, err)
 	}
 	defer func() { r.scratch = nil; r.acct.release(chunkNeed) }()
-	chunk := make([]T, 0, chunkN)
-	flush := func() error {
-		if len(chunk) == 0 {
-			return nil
-		}
+	chunk := make([]T, chunkN)
+	flush := func(chunk []T) error {
 		block, err := r.order(chunk, r.opt.RunThreshold, detail)
 		if err != nil {
 			return err
@@ -259,28 +261,25 @@ func cutRuns[T any](r *run[T], in RecordSource[T], dir string, detail map[string
 		if &block[0] != &chunk[0] {
 			r.scratch = block // the block took the scratch: chunk stays the one read into
 		}
-		chunk = chunk[:0]
 		return nil
 	}
 	for {
-		rec, err := in.Read()
-		if err == io.EOF {
-			err = flush() // appends the last run: evaluate before the results are read
-			return paths, counts, samples, err
-		}
-		if err != nil {
+		n, err := recordio.ReadBlock(in, r.cd, chunk, wire)
+		if err != nil && err != io.EOF {
 			return nil, nil, nil, fmt.Errorf("core: read input: %w", err)
 		}
-		chunk = append(chunk, rec)
-		if len(chunk) >= chunkN {
-			if err := flush(); err != nil {
-				return nil, nil, nil, err
+		if n > 0 {
+			if ferr := flush(chunk[:n]); ferr != nil {
+				return nil, nil, nil, ferr
 			}
+		}
+		if err == io.EOF {
+			return paths, counts, samples, nil
 		}
 	}
 }
 
-// runSource is SortStream's send side: each destination's payload is a
+// runSource is the spilled sort's send side: each destination's payload is a
 // lazy merge of that destination's segments of the local runs (ubs[r]
 // are run r's per-destination record bounds), filled chunk by chunk into
 // pooled buffers — in place, viewed as records, for zero-copy codecs,
@@ -334,32 +333,6 @@ func runSource[T any](runs []string, ubs [][]int64, cd codec.Codec[T], cmp func(
 		}
 		return buf, nil
 	}}, closeCur
-}
-
-// SortFileShard runs SortStream over shard rank-of-p of the record
-// file at path (recordio.ShardRange's layout, read as a run segment
-// without ever loading the shard): every rank of c calls it with the
-// same path. On a one-rank world this is the external sort of a file.
-func SortFileShard[T any](c *comm.Comm, path string, cd codec.Codec[T], cmp func(a, b T) int, opt Options) (*Spilled[T], error) {
-	if opt.Spill == nil {
-		return nil, fmt.Errorf("core: SortFileShard needs Options.Spill")
-	}
-	total, err := recordio.Count[T](path, cd)
-	if err != nil {
-		return nil, err
-	}
-	lo, hi := recordio.ShardRange(total, c.Rank(), c.Size())
-	bufBytes := opt.Spill.bufBytes()
-	if err := opt.Mem.Reserve(int64(bufBytes)); err != nil {
-		return nil, fmt.Errorf("core: shard read buffer: %w", err)
-	}
-	defer opt.Mem.Release(int64(bufBytes))
-	src, err := extsort.OpenSegment(extsort.RunSegment{Path: path, Lo: lo, Hi: hi}, cd, bufBytes)
-	if err != nil {
-		return nil, err
-	}
-	defer src.Close()
-	return SortStream(c, src, cd, cmp, opt)
 }
 
 // runBounds is partition.Search over one sorted run file of n records

@@ -297,21 +297,15 @@ func FuzzStableDispatch(f *testing.F) {
 	})
 }
 
-// sortPTF runs Sort, or SortStream when opt.Spill is set, over per-rank
-// PTF inputs through cd and returns the per-rank blocks.
+// sortPTF runs Sort, or the spilled sort when opt.Spill is set, over
+// per-rank PTF inputs through cd and returns the per-rank blocks.
 func sortPTF(t *testing.T, topo cluster.Topology, in [][]codec.PTFRecord, cd codec.Codec[codec.PTFRecord], opt Options) [][]codec.PTFRecord {
 	t.Helper()
+	if opt.Spill != nil {
+		return sortRanks(t, topo, in, cd, codec.ComparePTF, opt)
+	}
 	out, err := cluster.Gather(topo, cluster.Options{}, func(c *comm.Comm) ([]codec.PTFRecord, error) {
-		local := slices.Clone(in[c.Rank()])
-		if opt.Spill == nil {
-			return Sort(c, local, cd, codec.ComparePTF, opt)
-		}
-		sp, err := SortStream[codec.PTFRecord](c, &sliceSource[codec.PTFRecord]{recs: local}, cd, codec.ComparePTF, opt)
-		if err != nil {
-			return nil, err
-		}
-		defer sp.Remove()
-		return sp.ReadAll()
+		return Sort(c, slices.Clone(in[c.Rank()]), cd, codec.ComparePTF, opt)
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -3,7 +3,7 @@
 // in the recordio format viewed as segments, and a lazy merge over them,
 // a tree of branchless two-way merges with a bounded fan-in (runs.go).
 // It holds no sorter — nothing here takes unsorted input. The one
-// out-of-core sort is core.SortStream, which cuts, exchanges and merges
+// out-of-core sort is core.SortFileShard, which cuts, exchanges and merges
 // runs through this package; the external sort of a single file is that
 // sort on a one-rank world. This is the regime the paper's related work
 // (TritonSort, NTOSort — §5) addresses; SDS-Sort itself is in-memory.

@@ -11,6 +11,7 @@ import (
 	"sdssort/internal/memlimit"
 	"sdssort/internal/metrics"
 	"sdssort/internal/psort"
+	"sdssort/internal/recordio"
 )
 
 // MergeOptions configures a lazy merge over run files.
@@ -18,12 +19,12 @@ type MergeOptions struct {
 	// MaxFanIn caps how many run cursors a single merge pass holds
 	// open; when there are more runs, batches are pre-merged into
 	// intermediate runs first (consuming — deleting — their inputs).
-	// Default 64.
+	// At least 2: a one-way "merge" could never reduce the run count.
 	MaxFanIn int
 	// BufBytes sizes each run's share of a merge. openCursors reserves
 	// one per run from Mem, holding the run's current block of records
 	// and at most one merge node's buffer; a pre-merge pass reserves
-	// one more for its output block. Default 256 KiB.
+	// one more for its output block. At least one record.
 	BufBytes int
 	// Mem accounts the cursor buffers; nil means unlimited.
 	Mem *memlimit.Gauge
@@ -34,29 +35,11 @@ type MergeOptions struct {
 	Stats *metrics.SpillStats
 }
 
-func (o MergeOptions) maxFanIn() int {
-	if o.MaxFanIn <= 0 {
-		return 64
-	}
-	// A 1-way "merge" could never reduce the run count.
-	if o.MaxFanIn < 2 {
-		return 2
-	}
-	return o.MaxFanIn
-}
-
-func (o MergeOptions) bufBytes() int {
-	if o.BufBytes <= 0 {
-		return 256 << 10
-	}
-	return o.BufBytes
-}
-
 // RunSegment is one sorted stretch of a record file: records [Lo, Hi)
 // by record index, Hi < 0 meaning through end of file. The spill
 // driver's send side merges per-destination segments of its local runs
 // without materialising them, and a rank's shard of an input file is a
-// segment too (of unsorted records, read through a Cursor alone).
+// segment too (of unsorted records, read by recordio.ReadBlock).
 type RunSegment struct {
 	Path   string
 	Lo, Hi int64
@@ -71,17 +54,15 @@ func WholeRuns(runs []string) []RunSegment {
 	return segs
 }
 
-// Cursor reads one segment front to back, a block of records at a time.
-// The merge tree has one at each leaf, one per open run; it is also how
-// a file shard streams into the sort.
-type Cursor[T any] struct {
+// cursor reads one segment front to back, a block of records at a time:
+// the merge tree has one at each leaf, one per open run.
+type cursor[T any] struct {
 	f    *os.File
 	cd   codec.Codec[T]
 	blk  []T // the block read last; blk[pos:] are yet to be returned
 	pos  int
-	wire []byte // blk's byte view (zero-copy), else the bytes blk decodes from
-	zc   bool
-	left int64 // records of the segment not yet read from the file; -1 = until EOF
+	wire []byte // the marshal path's read buffer; a zero-copy read ignores it
+	left int64  // records of the segment not yet read from the file; -1 = until EOF
 }
 
 // newBlock carves bufBytes into a block of at least one record and its
@@ -98,8 +79,8 @@ func newBlock[T any](cd codec.Codec[T], bufBytes int) (blk []T, wire []byte, zc 
 	return make([]T, n), make([]byte, n*cd.Size()), false
 }
 
-// OpenSegment opens a cursor over seg whose block fills bufBytes.
-func OpenSegment[T any](seg RunSegment, cd codec.Codec[T], bufBytes int) (*Cursor[T], error) {
+// openSegment opens a cursor over seg whose block fills bufBytes.
+func openSegment[T any](seg RunSegment, cd codec.Codec[T], bufBytes int) (*cursor[T], error) {
 	f, err := os.Open(seg.Path)
 	if err != nil {
 		return nil, fmt.Errorf("extsort: open run: %w", err)
@@ -114,59 +95,36 @@ func OpenSegment[T any](seg RunSegment, cd codec.Codec[T], bufBytes int) (*Curso
 	if seg.Hi >= 0 {
 		left = max(seg.Hi-seg.Lo, 0)
 	}
-	blk, wire, zc := newBlock(cd, bufBytes)
-	return &Cursor[T]{f: f, cd: cd, blk: blk[:0], wire: wire, zc: zc, left: left}, nil
+	blk, wire, _ := newBlock(cd, bufBytes)
+	return &cursor[T]{f: f, cd: cd, blk: blk[:0], wire: wire, left: left}, nil
 }
 
-// Read returns the segment's next record, or io.EOF at its end. A file
-// that ends before the segment does — or mid-record — is an error, not
-// an end.
-func (c *Cursor[T]) Read() (rec T, err error) {
-	if c.pos == len(c.blk) {
-		if err = c.fill(); err != nil {
-			return rec, err
-		}
-	}
-	c.pos++
-	return c.blk[c.pos-1], nil
-}
-
-// fill reads the segment's next block: for a zero-copy codec straight
-// into the block's memory, else into the wire buffer and decoded.
-func (c *Cursor[T]) fill() error {
+// fill reads the segment's next block. A file that ends before the
+// segment does — or mid-record — is an error, not an end.
+func (c *cursor[T]) fill() error {
 	if c.left == 0 {
 		return io.EOF
 	}
-	sz := c.cd.Size()
 	want := cap(c.blk)
 	if c.left > 0 {
 		want = int(min(int64(want), c.left))
 	}
-	n, err := io.ReadFull(c.f, c.wire[:want*sz])
-	switch {
-	case err != nil && err != io.EOF && err != io.ErrUnexpectedEOF:
+	n, err := recordio.ReadBlock(c.f, c.cd, c.blk[:want], c.wire)
+	if err == io.EOF && c.left > 0 {
+		return fmt.Errorf("segment ends %d records early", c.left-int64(n))
+	}
+	if n == 0 || err != nil && err != io.EOF {
 		return err
-	case n%sz != 0:
-		return fmt.Errorf("file ends mid-record (%d-byte records)", sz)
-	case err != nil && c.left > 0:
-		return fmt.Errorf("segment ends %d records early", c.left-int64(n/sz))
-	case n == 0:
-		return io.EOF
 	}
-	if c.zc {
-		c.blk = c.blk[:n/sz]
-	} else {
-		c.blk, _ = codec.DecodeAppend(c.cd, c.blk[:0], c.wire[:n])
-	}
-	c.pos = 0
+	c.blk, c.pos = c.blk[:n], 0
 	if c.left > 0 {
-		c.left -= int64(n / sz)
+		c.left -= int64(n)
 	}
 	return nil
 }
 
 // Close releases the cursor's file. Safe to call more than once.
-func (c *Cursor[T]) Close() error {
+func (c *cursor[T]) Close() error {
 	if c.f == nil {
 		return nil
 	}
@@ -177,7 +135,7 @@ func (c *Cursor[T]) Close() error {
 
 // next makes the cursor a leaf of a merge tree (see source); at the
 // segment's end it closes the file at once.
-func (c *Cursor[T]) next(taken int) ([]T, error) {
+func (c *cursor[T]) next(taken int) ([]T, error) {
 	c.pos += taken
 	if c.pos == len(c.blk) {
 		switch err := c.fill(); err {
@@ -192,7 +150,7 @@ func (c *Cursor[T]) next(taken int) ([]T, error) {
 	return c.blk[c.pos:], nil
 }
 
-// A source is a node of a merge tree: a run's Cursor at a leaf, a
+// A source is a node of a merge tree: a run's cursor at a leaf, a
 // merge2 above. next consumes the first taken records of the block it
 // returned last and returns those it has ready now, in order, refilling
 // once they are spent; the block is empty only once the source is.
@@ -250,7 +208,7 @@ func (m *merge2[T]) merge(dst []T) (k int, err error) {
 // share per run, reserved from MergeOptions.Mem for its lifetime.
 type MergeStream[T any] struct {
 	root     *merge2[T]
-	runs     []*Cursor[T]
+	runs     []*cursor[T]
 	cd       codec.Codec[T]
 	mem      *memlimit.Gauge
 	reserved int64
@@ -274,7 +232,10 @@ func OpenMergeSegments[T any](segs []RunSegment, cd codec.Codec[T], cmp func(a, 
 }
 
 func openMergeCapped[T any](segs []RunSegment, consume bool, cd codec.Codec[T], cmp func(a, b T) int, opt MergeOptions) (*MergeStream[T], error) {
-	fan := opt.maxFanIn()
+	fan := opt.MaxFanIn
+	if fan < 2 || opt.BufBytes < cd.Size() {
+		return nil, fmt.Errorf("extsort: merge of fan-in %d through %d-byte buffers: want fan-in 2 and a %d-byte record at least", fan, opt.BufBytes, cd.Size())
+	}
 	seq := 0
 	for len(segs) > fan {
 		next := segs[:0:0]
@@ -318,7 +279,7 @@ func openMergeCapped[T any](segs []RunSegment, consume bool, cd codec.Codec[T], 
 // have k-1 inner nodes, and the root merges straight into Fill's dst.
 func openCursors[T any](segs []RunSegment, cd codec.Codec[T], cmp func(a, b T) int, opt MergeOptions) (*MergeStream[T], error) {
 	ms := &MergeStream[T]{cd: cd, mem: opt.Mem}
-	buf := opt.bufBytes()
+	buf := opt.BufBytes
 	need := int64(len(segs)) * int64(buf)
 	if err := opt.Mem.Reserve(need); err != nil {
 		return nil, fmt.Errorf("extsort: merge buffers for %d runs: %w", len(segs), err)
@@ -326,7 +287,7 @@ func openCursors[T any](segs []RunSegment, cd codec.Codec[T], cmp func(a, b T) i
 	ms.reserved = need
 	var level []source[T]
 	for _, seg := range segs {
-		cur, err := OpenSegment(seg, cd, buf-buf/4)
+		cur, err := openSegment(seg, cd, buf-buf/4)
 		if err != nil {
 			ms.Close()
 			return nil, err
@@ -352,7 +313,7 @@ func openCursors[T any](segs []RunSegment, cd codec.Codec[T], cmp func(a, b T) i
 		level = next
 	}
 	for len(level) < 2 {
-		level = append(level, &Cursor[T]{}) // a spent cursor: a missing child
+		level = append(level, &cursor[T]{}) // a spent cursor: a missing child
 	}
 	ms.root = &merge2[T]{l: level[0], r: level[1], cmp: cmp}
 	return ms, nil
@@ -407,16 +368,16 @@ func premerge[T any](batch []RunSegment, dst string, cd codec.Codec[T], cmp func
 		return err
 	}
 	defer ms.Close()
-	if err := opt.Mem.Reserve(int64(opt.bufBytes())); err != nil {
+	if err := opt.Mem.Reserve(int64(opt.BufBytes)); err != nil {
 		return fmt.Errorf("extsort: pre-merge writer buffer: %w", err)
 	}
-	defer opt.Mem.Release(int64(opt.bufBytes()))
+	defer opt.Mem.Release(int64(opt.BufBytes))
 	fw, err := CreateFile(dst, 0) // the merge's output block is the buffer
 	if err != nil {
 		return err
 	}
 	defer fw.Abort()
-	n, err := ms.Stream(fw, opt.bufBytes())
+	n, err := ms.Stream(fw, opt.BufBytes)
 	if err != nil {
 		return fmt.Errorf("extsort: pre-merge %s: %w", dst, err)
 	}

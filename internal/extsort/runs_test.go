@@ -3,7 +3,6 @@ package extsort_test
 import (
 	"bytes"
 	"cmp"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
@@ -201,7 +200,7 @@ var plainF64 = codec.Funcs[float64]{Width: 8, MarshalFn: f64.Marshal, UnmarshFn:
 // mergeBytes streams a one-segment merge through a bufBytes output
 // block — bytes, not records: NaN keys are valid run content.
 func mergeBytes(cd codec.Codec[float64], seg extsort.RunSegment, bufBytes int) ([]byte, error) {
-	ms, err := extsort.OpenMergeSegments([]extsort.RunSegment{seg}, cd, cmpF, extsort.MergeOptions{BufBytes: bufBytes})
+	ms, err := extsort.OpenMergeSegments([]extsort.RunSegment{seg}, cd, cmpF, extsort.MergeOptions{BufBytes: bufBytes, MaxFanIn: 2})
 	if err != nil {
 		return nil, err
 	}
@@ -211,15 +210,18 @@ func mergeBytes(cd codec.Codec[float64], seg extsort.RunSegment, bufBytes int) (
 	return out.Bytes(), err
 }
 
-// FuzzRunReader fuzzes the one place run-file bytes are parsed: the
-// segment cursor under the merge, on both of its paths — the zero-copy
-// read into the block's memory and the marshal decode. Arbitrary bytes
-// stand in for a run file and arbitrary bounds for a segment of it.
-// Whatever they are the reader must not panic, and the two paths must
-// agree: the same bytes, and an error on one exactly when the other
-// errs. For bounds that make sense it must yield exactly the segment's
-// records, and a file that ends inside the segment — a short segment,
-// or a ragged tail — must be an error, never a silently shorter run.
+// FuzzRunReader fuzzes every read of record-file bytes, all of them
+// recordio.ReadBlock: the segment cursor under the merge, the spilled
+// sort's chunk fill and the whole-range read of a shard, each on both
+// codec paths — the zero-copy read into the records' memory and the
+// marshal decode. Arbitrary bytes stand in for a file and arbitrary
+// bounds for a segment of it. Whatever they are the cursor must not
+// panic, and its two paths must agree: the same bytes, and an error on
+// one exactly when the other errs. For bounds that make sense it must
+// yield exactly the segment's records, and a file that ends inside the
+// segment — a short segment, or a ragged tail — must be an error, never
+// a silently shorter run; the chunk fill and the whole-range read must
+// yield the cursor's bytes, or fail exactly when it fails.
 func FuzzRunReader(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{1, 2, 3, 4, 5, 6, 7, 0xf8}, 9), int64(2), int64(7))
 	f.Add(make([]byte, 8*5+3), int64(0), int64(-1))
@@ -244,6 +246,15 @@ func FuzzRunReader(f *testing.F) {
 		if lo < 0 || lo > far || hi > far || (hi >= 0 && hi < lo) {
 			return // not a segment of any file this small: only "no panic" is owed
 		}
+		for _, cd := range []codec.Codec[float64]{f64, plainF64} {
+			for _, chunk := range []int64{3, 0} { // the chunk fill, then the whole range at once
+				read, rerr := rangeRead(cd, path, lo, hi, chunk)
+				if (rerr == nil) != (err == nil) || err == nil && !bytes.Equal(read, got) {
+					t.Fatalf("segment [%d,%d) of a %d-byte file read %d records at a time: %d bytes (err %v); the cursor read %d (err %v)",
+						lo, hi, len(data), chunk, len(read), rerr, len(got), err)
+				}
+			}
+		}
 		rest := data[min(lo*8, int64(len(data))):]
 		want := int64(len(rest)) // through end of file
 		if hi >= 0 {
@@ -264,10 +275,55 @@ func FuzzRunReader(f *testing.F) {
 	})
 }
 
+// rangeRead reads records [lo, hi) of the file at path (hi < 0: through
+// its end) as the spilled sort fills its chunks — ReadBlock over the
+// range's bytes, chunk records at a time, until io.EOF — or, for chunk
+// 0, as recordio.ReadShard reads a shard: one ReadBlock into a slice of
+// the whole range. The marshal path reads through a two-record wire
+// buffer. A range that ends early is an error.
+func rangeRead(cd codec.Codec[float64], path string, lo, hi, chunk int64) ([]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	n := hi - lo
+	if hi < 0 {
+		n = max(st.Size()-lo*8+7, 0) / 8 // a ragged tail reads as a partial record
+	}
+	in, wire := io.NewSectionReader(f, lo*8, n*8), make([]byte, 16)
+	if chunk == 0 {
+		recs := make([]float64, n)
+		k, err := recordio.ReadBlock(in, cd, recs, wire)
+		if err == io.EOF {
+			err = fmt.Errorf("range ends %d records early", n-int64(k))
+		}
+		return codec.EncodeSlice(cd, nil, recs[:k]), err
+	}
+	recs := make([]float64, chunk)
+	var out []byte
+	for {
+		k, err := recordio.ReadBlock(in, cd, recs, wire)
+		out = codec.EncodeSlice(cd, out, recs[:k])
+		switch {
+		case err == io.EOF && int64(len(out)) != n*8:
+			return out, fmt.Errorf("range ends %d records early", n-int64(len(out))/8)
+		case err == io.EOF:
+			return out, nil
+		case err != nil:
+			return out, err
+		}
+	}
+}
+
 // TestCursorBlockBoundaries reads segments that start and end on and
-// off the cursor's 8-record block through both cursor paths: each read
-// yields exactly the segment's bytes, and a file that ends inside the
-// segment, or mid-record, is an error on both.
+// off the cursor's 8-record block through both cursor paths, each under
+// a one-run merge: each read yields exactly the segment's bytes, and a
+// file that ends inside the segment, or mid-record, is an error on both.
 func TestCursorBlockBoundaries(t *testing.T) {
 	const n = 8*6 + 5
 	dir := t.TempDir()
@@ -290,25 +346,10 @@ func TestCursorBlockBoundaries(t *testing.T) {
 	for _, path := range []struct {
 		name     string
 		cd       codec.Codec[float64]
-		bufBytes int // an 8-record block (plus, marshalling, its 8 records of wire bytes)
-	}{{"zerocopy", f64, 8 * 8}, {"marshal", plainF64, 8 * 16}} {
+		bufBytes int // the cursor's ¾ share holds an 8-record block (plus, marshalling, its 8 records of wire bytes)
+	}{{"zerocopy", f64, 88}, {"marshal", plainF64, 176}} {
 		read := func(seg extsort.RunSegment) ([]byte, error) {
-			cur, err := extsort.OpenSegment(seg, path.cd, path.bufBytes)
-			if err != nil {
-				return nil, err
-			}
-			defer cur.Close()
-			var out []byte
-			for {
-				rec, err := cur.Read()
-				if err == io.EOF {
-					return out, nil
-				}
-				if err != nil {
-					return out, err
-				}
-				out = binary.LittleEndian.AppendUint64(out, math.Float64bits(rec))
-			}
+			return mergeBytes(path.cd, seg, path.bufBytes)
 		}
 		for _, lo := range []int64{0, 3} {
 			for _, size := range []int64{0, 1, 7, 8, 9, 8*4 + 3} {
@@ -343,7 +384,7 @@ func TestMergeAllocations(t *testing.T) {
 	allocs := func(perRun int) float64 {
 		runs := writeRuns(t, 8, perRun)
 		return testing.AllocsPerRun(20, func() {
-			ms, err := extsort.OpenMerge(runs, f64, cmpF, extsort.MergeOptions{BufBytes: 4 << 10})
+			ms, err := extsort.OpenMerge(runs, f64, cmpF, extsort.MergeOptions{BufBytes: 4 << 10, MaxFanIn: 64})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -390,7 +431,7 @@ func BenchmarkRunMerge(b *testing.B) {
 		b.Run(path.name, func(b *testing.B) {
 			b.SetBytes(k * n * 8)
 			for i := 0; i < b.N; i++ {
-				ms, err := extsort.OpenMergeSegments(extsort.WholeRuns(runs), path.cd, cmpF, extsort.MergeOptions{BufBytes: bufBytes})
+				ms, err := extsort.OpenMergeSegments(extsort.WholeRuns(runs), path.cd, cmpF, extsort.MergeOptions{BufBytes: bufBytes, MaxFanIn: 64})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -506,7 +547,7 @@ func FuzzRunMerge(f *testing.F) {
 func TestMergeLedger(t *testing.T) {
 	const k, buf = 5, 4 << 10
 	g := memlimit.New(1 << 30)
-	ms, err := extsort.OpenMerge(writeRuns(t, k, 3000), f64, cmpF, extsort.MergeOptions{BufBytes: buf, Mem: g})
+	ms, err := extsort.OpenMerge(writeRuns(t, k, 3000), f64, cmpF, extsort.MergeOptions{BufBytes: buf, Mem: g, MaxFanIn: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -537,5 +578,18 @@ func TestMergeLedger(t *testing.T) {
 	ms.Close()
 	if g.Used() != 0 {
 		t.Fatalf("%d bytes held after Close", g.Used())
+	}
+}
+
+// TestMergeRejectsBadOptions: the merge takes its sizes from the caller
+// and refuses the two that cannot work — a fan-in that could never
+// reduce the run count, and a buffer that holds no record.
+func TestMergeRejectsBadOptions(t *testing.T) {
+	runs := writeRuns(t, 2, 10)
+	for _, opt := range []extsort.MergeOptions{{MaxFanIn: 1, BufBytes: 64}, {MaxFanIn: 2, BufBytes: 7}, {}} {
+		if ms, err := extsort.OpenMerge(runs, f64, cmpF, opt); err == nil {
+			ms.Close()
+			t.Fatalf("merge accepted fan-in %d through %d-byte buffers", opt.MaxFanIn, opt.BufBytes)
+		}
 	}
 }

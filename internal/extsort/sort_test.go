@@ -1,7 +1,7 @@
 package extsort_test
 
 // The external-sort contract, checked where it always was — but against
-// the one out-of-core sorter: core.SortStream on a one-rank world, its
+// the one out-of-core sorter: core.SortFileShard on a one-rank world, its
 // block drained through Spilled.Stream into the tier's File. These tests
 // predate the unification (they drove extsort.SortFile/Sort) and keep
 // every property those checked.
@@ -60,10 +60,10 @@ func sortFile[T any](in, out string, cd codec.Codec[T], cmp func(a, b T) int, op
 	})
 }
 
-// sortStream is the same over streams (no commit: out has no name).
-func sortStream[T any](in io.Reader, out io.Writer, cd codec.Codec[T], cmp func(a, b T) int, opt core.Options) error {
+// sortTo is the same into a writer (no commit: out has no name).
+func sortTo[T any](in string, out io.Writer, cd codec.Codec[T], cmp func(a, b T) int, opt core.Options) error {
 	return cluster.Run(oneRank, func(c *comm.Comm) error {
-		blk, err := core.SortStream(c, recordio.NewReader(in, cd), cd, cmp, opt)
+		blk, err := core.SortFileShard(c, in, cd, cmp, opt)
 		if err != nil {
 			return err
 		}
@@ -103,21 +103,18 @@ func TestSortFileManySpills(t *testing.T) {
 
 func TestSortSingleChunk(t *testing.T) {
 	// Everything fits one chunk: no merge needed.
-	var in, out bytes.Buffer
+	var out bytes.Buffer
+	in := filepath.Join(t.TempDir(), "in.f64")
 	keys := workload.Uniform(2, 500)
-	w := recordio.NewWriter(&in, f64)
-	if err := w.Write(keys...); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
+	if err := recordio.WriteFile(in, f64, keys); err != nil {
 		t.Fatal(err)
 	}
 	stats := &metrics.SpillStats{}
 	opt := spillOpts(core.SpillOptions{Dir: t.TempDir(), ChunkRecords: 10000, Stats: stats})
-	if err := sortStream(&in, &out, f64, cmpF, opt); err != nil {
+	if err := sortTo(in, &out, f64, cmpF, opt); err != nil {
 		t.Fatal(err)
 	}
-	got, err := recordio.NewReader(&out, f64).ReadAll()
+	got, err := codec.DecodeSlice(f64, out.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,8 +129,12 @@ func TestSortSingleChunk(t *testing.T) {
 }
 
 func TestSortEmptyInput(t *testing.T) {
-	var in, out bytes.Buffer
-	if err := sortStream(&in, &out, f64, cmpF, spillOpts(core.SpillOptions{Dir: t.TempDir()})); err != nil {
+	var out bytes.Buffer
+	in := filepath.Join(t.TempDir(), "in.f64")
+	if err := recordio.WriteFile(in, f64, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := sortTo(in, &out, f64, cmpF, spillOpts(core.SpillOptions{Dir: t.TempDir()})); err != nil {
 		t.Fatal(err)
 	}
 	if out.Len() != 0 {
@@ -144,24 +145,23 @@ func TestSortEmptyInput(t *testing.T) {
 func TestSortStableAcrossRuns(t *testing.T) {
 	// Equal keys spanning multiple spill runs must keep file order in
 	// stable mode; Tagged records carry their input position.
-	var in, out bytes.Buffer
+	var out bytes.Buffer
+	in := filepath.Join(t.TempDir(), "in.tag")
 	cd := codec.TaggedCodec{}
-	w := recordio.NewWriter(&in, cd)
 	const n = 5000
-	for i := 0; i < n; i++ {
-		if err := w.Write(codec.Tagged{Key: float64(i % 3), Index: int32(i)}); err != nil {
-			t.Fatal(err)
-		}
+	recs := make([]codec.Tagged, n)
+	for i := range recs {
+		recs[i] = codec.Tagged{Key: float64(i % 3), Index: int32(i)}
 	}
-	if err := w.Flush(); err != nil {
+	if err := recordio.WriteFile(in, cd, recs); err != nil {
 		t.Fatal(err)
 	}
 	opt := spillOpts(core.SpillOptions{Dir: t.TempDir(), ChunkRecords: 700})
 	opt.Stable = true
-	if err := sortStream(&in, &out, cd, compareTagged, opt); err != nil {
+	if err := sortTo(in, &out, cd, compareTagged, opt); err != nil {
 		t.Fatal(err)
 	}
-	got, err := recordio.NewReader(&out, cd).ReadAll()
+	got, err := codec.DecodeSlice(cd, out.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,11 +191,6 @@ func TestSortFileErrors(t *testing.T) {
 	}
 	if err := sortFile(bad, filepath.Join(dir, "out2"), f64, cmpF, opt); err == nil {
 		t.Fatal("ragged input accepted")
-	}
-	// The same bytes as a stream: the ragged tail surfaces from the read.
-	var out bytes.Buffer
-	if err := sortStream(bytes.NewReader([]byte{1, 2, 3}), &out, f64, cmpF, opt); err == nil {
-		t.Fatal("ragged stream accepted")
 	}
 	assertOnly(t, dir, "bad.f64")
 }
@@ -423,18 +418,13 @@ func TestSortENOSPC(t *testing.T) {
 	if err := recordio.WriteFile(in, f64, workload.Uniform(7, 5000)); err != nil {
 		t.Fatal(err)
 	}
-	inF, err := os.Open(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer inF.Close()
 	full, err := os.OpenFile("/dev/full", os.O_WRONLY, 0)
 	if err != nil {
 		t.Skip("cannot open /dev/full for writing")
 	}
 	defer full.Close()
 	opt := spillOpts(core.SpillOptions{Dir: dir, ChunkRecords: 1000})
-	if err := sortStream(inF, full, f64, cmpF, opt); err == nil {
+	if err := sortTo(in, full, f64, cmpF, opt); err == nil {
 		t.Fatal("ENOSPC swallowed: the sort reported success writing to /dev/full")
 	} else if !strings.Contains(err.Error(), "no space left on device") {
 		t.Fatalf("error does not surface ENOSPC: %v", err)

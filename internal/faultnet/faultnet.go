@@ -23,12 +23,6 @@
 //     retransmissions.
 //   - Rank stalls: one rank sleeps on every Nth transport operation,
 //     simulating a straggler.
-//   - Imperative self-healing windows: StallFor freezes one rank's
-//     transport until a deadline (slow peer, not dead); PartitionFor
-//     makes operations across a rank-set cut fail transiently until the
-//     partition heals (unreachable peer, not dead). Both expire on
-//     their own — they exist to test that recovery logic distinguishes
-//     transient degradation from rank loss.
 //
 // Because payloads are reframed, Wrap must be applied uniformly: every
 // rank of the world wraps, or none (the cluster launcher's hook does
@@ -146,14 +140,13 @@ func (p Plan) validate() error {
 
 // Stats counts the faults an Injector has inflicted across all ranks.
 type Stats struct {
-	SendFailures   int64
-	ConnDrops      int64
-	RecvFailures   int64
-	Delays         int64
-	Duplicates     int64
-	Stalls         int64
-	Kills          int64
-	PartitionDrops int64
+	SendFailures int64
+	ConnDrops    int64
+	RecvFailures int64
+	Delays       int64
+	Duplicates   int64
+	Stalls       int64
+	Kills        int64
 }
 
 // ErrKilled marks the permanent failure a killed rank's own transport
@@ -167,19 +160,9 @@ type Injector struct {
 
 	sendFail, connDrops, recvFail atomic.Int64
 	delays, dups, stalls, kills   atomic.Int64
-	partDrops                     atomic.Int64
 
 	killOps   atomic.Int64 // transport ops seen on the kill rank
 	killFired atomic.Bool  // the one-shot latch: sticky across re-wraps
-
-	// Imperative, self-healing fault windows (StallFor, PartitionFor).
-	// Unlike the Plan's declarative faults these are opened mid-run by
-	// test code and expire on their own — the fault shapes that model a
-	// slow or unreachable peer rather than a dead one.
-	winMu      sync.Mutex
-	stallUntil map[int]time.Time
-	partSet    map[int]bool
-	partUntil  time.Time
 }
 
 // New validates the plan and builds an injector.
@@ -196,95 +179,14 @@ func (in *Injector) Plan() Plan { return in.plan }
 // Stats returns a snapshot of the injected-fault counters.
 func (in *Injector) Stats() Stats {
 	return Stats{
-		SendFailures:   in.sendFail.Load(),
-		ConnDrops:      in.connDrops.Load(),
-		RecvFailures:   in.recvFail.Load(),
-		Delays:         in.delays.Load(),
-		Duplicates:     in.dups.Load(),
-		Stalls:         in.stalls.Load(),
-		Kills:          in.kills.Load(),
-		PartitionDrops: in.partDrops.Load(),
+		SendFailures: in.sendFail.Load(),
+		ConnDrops:    in.connDrops.Load(),
+		RecvFailures: in.recvFail.Load(),
+		Delays:       in.delays.Load(),
+		Duplicates:   in.dups.Load(),
+		Stalls:       in.stalls.Load(),
+		Kills:        in.kills.Load(),
 	}
-}
-
-// StallFor opens a self-healing straggler window on one rank: every
-// transport operation that rank starts before the window closes sleeps
-// until it does, then proceeds normally. This is the fault shape of a
-// slow peer, not a lost one — nothing fails and no process dies, so
-// code that treats slowness as death (instead of waiting it out or
-// probing) is what a StallFor test catches. Calling it again for the
-// same rank replaces the window.
-func (in *Injector) StallFor(rank int, d time.Duration) {
-	in.winMu.Lock()
-	defer in.winMu.Unlock()
-	if in.stallUntil == nil {
-		in.stallUntil = make(map[int]time.Time)
-	}
-	in.stallUntil[rank] = time.Now().Add(d)
-}
-
-// PartitionFor opens a self-healing network partition: until d elapses,
-// every operation crossing the cut between ranks and the rest of the
-// world fails with a transient error (nothing delivered, retry safe),
-// while traffic within either side flows untouched. When the window
-// expires the partition heals on its own — the fault shape of an
-// unreachable-but-alive peer, the case a shrink decision must NOT
-// mistake for a dead one. Calling it again replaces the partition.
-func (in *Injector) PartitionFor(ranks []int, d time.Duration) {
-	set := make(map[int]bool, len(ranks))
-	for _, r := range ranks {
-		set[r] = true
-	}
-	in.winMu.Lock()
-	defer in.winMu.Unlock()
-	in.partSet = set
-	in.partUntil = time.Now().Add(d)
-}
-
-// imperativeStall sleeps out the remainder of this rank's StallFor
-// window, if one is open.
-func (t *transport) imperativeStall() {
-	in := t.in
-	in.winMu.Lock()
-	deadline, ok := in.stallUntil[t.rank]
-	in.winMu.Unlock()
-	if !ok {
-		return
-	}
-	if rem := time.Until(deadline); rem > 0 {
-		in.stalls.Add(1)
-		time.Sleep(rem)
-		return
-	}
-	// Window closed: forget it (unless replaced by a later one).
-	in.winMu.Lock()
-	if cur, ok := in.stallUntil[t.rank]; ok && !cur.After(deadline) {
-		delete(in.stallUntil, t.rank)
-	}
-	in.winMu.Unlock()
-}
-
-// partitioned reports the transient error for an operation that crosses
-// an open PartitionFor cut, or nil.
-func (t *transport) partitioned(peer int) error {
-	in := t.in
-	in.winMu.Lock()
-	if in.partSet == nil {
-		in.winMu.Unlock()
-		return nil
-	}
-	if !time.Now().Before(in.partUntil) {
-		in.partSet = nil // healed
-		in.winMu.Unlock()
-		return nil
-	}
-	cross := in.partSet[t.rank] != in.partSet[peer]
-	in.winMu.Unlock()
-	if !cross {
-		return nil
-	}
-	in.partDrops.Add(1)
-	return comm.Transient(fmt.Errorf("faultnet: rank %d unreachable from rank %d (partitioned)", peer, t.rank))
 }
 
 // Wrap decorates one rank's transport with the fault plan. Apply it to
@@ -446,10 +348,6 @@ func (t *transport) Send(dst int, ctx uint64, tag int32, data []byte) error {
 		return err
 	}
 	t.maybeStall()
-	t.imperativeStall()
-	if err := t.partitioned(dst); err != nil {
-		return err
-	}
 	p := t.in.plan
 	dir := streamDir{peer: dst}
 	key := streamKey{peer: dst, ctx: ctx, tag: tag}
@@ -512,10 +410,6 @@ func (t *transport) Recv(src int, ctx uint64, tag int32) ([]byte, error) {
 		return nil, err
 	}
 	t.maybeStall()
-	t.imperativeStall()
-	if err := t.partitioned(src); err != nil {
-		return nil, err
-	}
 	dir := streamDir{peer: src, recv: true}
 	key := streamKey{peer: src, ctx: ctx, tag: tag}
 

@@ -307,87 +307,6 @@ func TestFaultKillAfterFile(t *testing.T) {
 	}
 }
 
-// TestFaultStallForHealsItself opens an imperative stall window on one
-// rank and checks two things: operations inside the window are delayed
-// (not failed — a slow peer is not a lost peer), and after the deadline
-// the fabric runs at full speed with no residual fault state.
-func TestFaultStallForHealsItself(t *testing.T) {
-	in := mustNew(t, Plan{Seed: 1})
-	topo := cluster.Topology{Nodes: 1, CoresPerNode: 2}
-	opts := cluster.Options{WrapTransport: func(tr comm.Transport) comm.Transport { return in.Wrap(tr) }}
-
-	const window = 50 * time.Millisecond
-	in.StallFor(1, window)
-	start := time.Now()
-	if err := within(t, 30*time.Second, func() error {
-		return cluster.RunOpts(topo, opts, ringExchange(10))
-	}); err != nil {
-		t.Fatalf("stalled rank turned into a failure: %v", err)
-	}
-	if el := time.Since(start); el < window/2 {
-		t.Fatalf("exchange finished in %v — the stall window never bit", el)
-	}
-	if st := in.Stats(); st.Stalls == 0 {
-		t.Fatalf("no stalls counted: %+v", st)
-	}
-
-	// Healed: the same world runs again without delay.
-	start = time.Now()
-	if err := within(t, 30*time.Second, func() error {
-		return cluster.RunOpts(topo, opts, ringExchange(10))
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if el := time.Since(start); el > window {
-		t.Fatalf("post-window exchange took %v — the stall did not heal", el)
-	}
-}
-
-// TestFaultPartitionForHealsItself cuts the world in two for a window:
-// cross-cut traffic fails transiently (so a retry budget sized past the
-// window rides it out), same-side traffic is untouched, and after the
-// deadline the partition heals without any explicit repair.
-func TestFaultPartitionForHealsItself(t *testing.T) {
-	in := mustNew(t, Plan{Seed: 1})
-	topo := cluster.Topology{Nodes: 2, CoresPerNode: 1}
-	const window = 40 * time.Millisecond
-
-	// Retry budget that comfortably outlives the partition window.
-	policy := comm.RetryPolicy{MaxAttempts: 50, BaseDelay: 2 * time.Millisecond, MaxDelay: 10 * time.Millisecond}
-	in.PartitionFor([]int{1}, window)
-	if err := within(t, 30*time.Second, func() error {
-		return cluster.RunOpts(topo, cluster.Options{WrapTransport: in.WrapTransport(policy)}, ringExchange(5))
-	}); err != nil {
-		t.Fatalf("partition outlasted a retry budget bigger than its window: %v", err)
-	}
-	if st := in.Stats(); st.PartitionDrops == 0 {
-		t.Fatalf("no cross-cut operations were dropped: %+v", st)
-	}
-
-	// A budget smaller than the window surfaces ErrPeerLost — the
-	// "mistakes unreachable for dead" case recovery code must expect.
-	in.PartitionFor([]int{1}, window)
-	tight := comm.RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond}
-	err := within(t, 30*time.Second, func() error {
-		return cluster.RunOpts(topo, cluster.Options{WrapTransport: in.WrapTransport(tight)}, ringExchange(5))
-	})
-	if err == nil {
-		t.Fatal("tight retry budget survived the partition window")
-	}
-	if _, ok := comm.PeerLost(err); !ok {
-		t.Fatalf("want ErrPeerLost from exhausted retries, got: %v", err)
-	}
-
-	// Healed: wait out the remainder of the window, then the same tight
-	// budget runs clean.
-	time.Sleep(window)
-	if err := within(t, 30*time.Second, func() error {
-		return cluster.RunOpts(topo, cluster.Options{WrapTransport: in.WrapTransport(tight)}, ringExchange(5))
-	}); err != nil {
-		t.Fatalf("post-window exchange failed — the partition did not heal: %v", err)
-	}
-}
-
 // TestFaultComposesWithSimnet layers the injector over the cost model
 // the way the docs describe: retry(faults(costmodel(transport))).
 func TestFaultComposesWithSimnet(t *testing.T) {

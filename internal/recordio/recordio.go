@@ -60,65 +60,47 @@ func (w *Writer[T]) Write(recs ...T) (err error) {
 // Flush drains the buffer to the underlying writer.
 func (w *Writer[T]) Flush() error { return w.w.Flush() }
 
-// Reader streams records from an io.Reader with buffering.
-type Reader[T any] struct {
-	r   *bufio.Reader
-	cd  codec.Codec[T]
-	buf []byte
-}
-
-// NewReader wraps r behind a 1 MiB buffer (at least one record).
-func NewReader[T any](r io.Reader, cd codec.Codec[T]) *Reader[T] {
-	return &Reader[T]{
-		r:   bufio.NewReaderSize(r, max(1<<20, cd.Size())),
-		cd:  cd,
-		buf: make([]byte, cd.Size()),
+// ReadBlock fills recs with the next whole records of r and returns how
+// many it read. It returns fewer than len(recs) only with an error:
+// io.EOF when r ends at a record boundary, an error wrapping
+// io.ErrUnexpectedEOF when it ends mid-record, or r's own. A zero-copy
+// codec's records are read straight into recs' memory; any other
+// codec's bytes pass through wire, a buffer of at least one record
+// (shorter, ReadBlock allocates one of up to 1 MiB), and are decoded.
+func ReadBlock[T any](r io.Reader, cd codec.Codec[T], recs []T, wire []byte) (int, error) {
+	sz := cd.Size()
+	if view, ok := codec.View(cd, recs); ok {
+		k, err := io.ReadFull(r, view)
+		return k / sz, blockErr(err, k%sz, sz)
 	}
-}
-
-// Read returns the next record, or io.EOF at a clean end of stream. A
-// trailing partial record is reported as ErrUnexpectedEOF.
-func (r *Reader[T]) Read() (T, error) {
-	var zero T
-	if _, err := io.ReadFull(r.r, r.buf); err != nil {
-		if err == io.EOF {
-			return zero, io.EOF
-		}
-		return zero, fmt.Errorf("recordio: %w (file must be whole %d-byte records)", err, r.cd.Size())
+	if len(wire) < sz {
+		wire = make([]byte, min(len(recs), max(1<<20/sz, 1))*sz)
 	}
-	return r.cd.Unmarshal(r.buf), nil
-}
-
-// ReadAll drains the stream.
-func (r *Reader[T]) ReadAll() ([]T, error) {
-	return r.appendN(nil, -1)
-}
-
-// appendN appends the stream's next n records to out (n < 0: all of
-// them), decoding whole buffered spans at once. A stream that ends
-// before n records, or mid-record, is an error.
-func (r *Reader[T]) appendN(out []T, n int64) ([]T, error) {
-	sz := int64(r.cd.Size())
-	for n != 0 {
-		span, err := r.r.Peek(r.r.Size())
-		whole := int64(len(span)) / sz * sz
-		if n > 0 {
-			whole = min(whole, n*sz)
-			n -= whole / sz
-		}
-		out, _ = codec.DecodeAppend(r.cd, out, span[:whole])
-		r.r.Discard(int(whole))
-		switch {
-		case err == nil || n == 0:
-		case err != io.EOF:
-			return nil, fmt.Errorf("recordio: %w", err)
-		case n > 0 || int64(len(span)) > whole:
-			return nil, fmt.Errorf("recordio: %w (file must be whole %d-byte records)", io.ErrUnexpectedEOF, sz)
-		default:
-			return out, nil
+	n := 0
+	for n < len(recs) {
+		k, err := io.ReadFull(r, wire[:min(len(wire)/sz, len(recs)-n)*sz])
+		codec.DecodeAppend(cd, recs[n:n], wire[:k/sz*sz])
+		n += k / sz
+		if err != nil {
+			return n, blockErr(err, k%sz, sz)
 		}
 	}
-	return out, nil
+	return n, nil
+}
+
+// blockErr is ReadBlock's error for a read that stopped partial bytes
+// into a record: io.EOF at a record boundary.
+func blockErr(err error, partial, sz int) error {
+	switch {
+	case err == nil || err == io.EOF:
+		return err
+	case err != io.ErrUnexpectedEOF:
+		return fmt.Errorf("recordio: %w", err)
+	case partial == 0:
+		return io.EOF
+	default:
+		return fmt.Errorf("recordio: %w (file must be whole %d-byte records)", err, sz)
+	}
 }
 
 // WriteFile writes recs to path, replacing any existing file.
@@ -187,8 +169,14 @@ func ReadShard[T any](path string, cd codec.Codec[T], rank, of int) ([]T, error)
 		return nil, err
 	}
 	defer f.Close()
-	if _, err := f.Seek(lo*int64(cd.Size()), io.SeekStart); err != nil {
-		return nil, fmt.Errorf("recordio: seek: %w", err)
+	sz := int64(cd.Size())
+	recs := make([]T, hi-lo)
+	n, err := ReadBlock(io.NewSectionReader(f, lo*sz, (hi-lo)*sz), cd, recs, nil)
+	if err == io.EOF {
+		err = fmt.Errorf("recordio: %s ends %d records into a %d-record shard", path, n, hi-lo)
 	}
-	return NewReader(f, cd).appendN(make([]T, 0, hi-lo), hi-lo)
+	if err != nil {
+		return nil, err
+	}
+	return recs, nil
 }

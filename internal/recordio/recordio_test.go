@@ -2,6 +2,7 @@ package recordio
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"math/rand"
 	"os"
@@ -78,18 +79,55 @@ func TestStreamingWriterReader(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	r := NewReader(&buf, codec.PTFCodec{})
+	got := make([]codec.PTFRecord, len(recs)+1)
+	n, err := ReadBlock(&buf, codec.PTFCodec{}, got, nil)
+	if err != io.EOF || n != len(recs) {
+		t.Fatalf("read %d of %d records, then %v; want io.EOF", n, len(recs), err)
+	}
 	for i := range recs {
-		got, err := r.Read()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != recs[i] {
-			t.Fatalf("record %d: %+v != %+v", i, got, recs[i])
+		if got[i] != recs[i] {
+			t.Fatalf("record %d: %+v != %+v", i, got[i], recs[i])
 		}
 	}
-	if _, err := r.Read(); err != io.EOF {
-		t.Fatalf("expected EOF, got %v", err)
+}
+
+// plainU64 is codec.Uint64 without the zero-copy declaration: it drives
+// ReadBlock's decode through a wire buffer.
+var plainU64 = codec.Funcs[uint64]{Width: 8, MarshalFn: codec.Uint64{}.Marshal, UnmarshFn: codec.Uint64{}.Unmarshal}
+
+// TestReadBlock reads whole streams, short streams and ragged streams on
+// both paths, the marshal one through wire buffers of one record up:
+// n records and nil for a full block, io.EOF only at a record boundary,
+// and a partial record an io.ErrUnexpectedEOF error.
+func TestReadBlock(t *testing.T) {
+	vals := []uint64{1, 2, 3, 4, 5, 6, 7}
+	wire := codec.EncodeSlice(codec.Uint64{}, nil, vals)
+	for _, cd := range []codec.Codec[uint64]{codec.Uint64{}, plainU64} {
+		for _, wireRecs := range []int{0, 1, 3, 8} {
+			for _, tc := range []struct {
+				src  []byte
+				n    int // the block's length
+				got  int
+				want error
+			}{
+				{wire, 7, 7, nil},
+				{wire, 4, 4, nil},
+				{wire, 9, 7, io.EOF},
+				{nil, 3, 0, io.EOF},
+				{wire[:5*8+3], 9, 5, io.ErrUnexpectedEOF},
+				{wire[:5], 2, 0, io.ErrUnexpectedEOF},
+				{wire, 0, 0, nil},
+			} {
+				recs := make([]uint64, tc.n)
+				got, err := ReadBlock(bytes.NewReader(tc.src), cd, recs, make([]byte, 8*wireRecs))
+				if got != tc.got || !errors.Is(err, tc.want) || (tc.want == nil) != (err == nil) {
+					t.Fatalf("%d bytes into %d records through %d wire records: %d records, %v; want %d, %v", len(tc.src), tc.n, wireRecs, got, err, tc.got, tc.want)
+				}
+				if !slices.Equal(recs[:got], vals[:got]) {
+					t.Fatalf("%d bytes into %d records: read %v", len(tc.src), tc.n, recs[:got])
+				}
+			}
+		}
 	}
 }
 
@@ -180,11 +218,11 @@ func TestRoundTripProperty(t *testing.T) {
 		if err := w.Flush(); err != nil {
 			return false
 		}
-		got, err := NewReader(&buf, codec.Uint64{}).ReadAll()
-		if err != nil {
+		got := make([]uint64, len(vals))
+		if n, err := ReadBlock(&buf, codec.Uint64{}, got, nil); err != nil || n != len(vals) {
 			return false
 		}
-		return slices.Equal(got, vals)
+		return buf.Len() == 0 && slices.Equal(got, vals)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

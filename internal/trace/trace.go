@@ -8,7 +8,9 @@ package trace
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
+	"os"
 	"sync"
 	"time"
 )
@@ -54,11 +56,41 @@ type JSONL struct {
 	seq   int64
 	start time.Time
 	err   error
+	file  *os.File // the trace file CreateJSONL opened, which Close closes
 }
 
 // NewJSONL wraps w.
 func NewJSONL(w io.Writer) *JSONL {
 	return &JSONL{w: w, enc: json.NewEncoder(w), start: time.Now()}
+}
+
+// CreateJSONL creates the trace file at path and returns a JSONL writing
+// to it. Close finalises it.
+func CreateJSONL(path string) (*JSONL, error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	j := NewJSONL(f)
+	j.file = f
+	return j, nil
+}
+
+// Close closes the file of a CreateJSONL tracer and returns the first
+// write error, which leaves the trace incomplete, else the close error.
+// JSONL latches its first write error, so a command that skipped this
+// check would ship a trace a full disk had silently truncated.
+func (j *JSONL) Close() error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	cerr := j.file.Close()
+	if j.err != nil {
+		return fmt.Errorf("write failed, %s is incomplete: %w", j.file.Name(), j.err)
+	}
+	if cerr != nil {
+		return fmt.Errorf("close %s: %w", j.file.Name(), cerr)
+	}
+	return nil
 }
 
 // Emit implements Tracer.

@@ -4,9 +4,44 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 )
+
+// TestCreateJSONLClose: a trace file's Close reports nothing for a
+// healthy file, and for one whose writes failed (ENOSPC on /dev/full) it
+// reports the first write error, naming the file as incomplete.
+func TestCreateJSONLClose(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.jsonl")
+	j, err := CreateJSONL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Emit(0, "e", nil)
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if events, err := ReadJSONL(bytes.NewReader(data)); err != nil || len(events) != 1 {
+		t.Fatalf("%d events read back (err %v), want 1", len(events), err)
+	}
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("/dev/full not available on this platform")
+	}
+	if j, err = CreateJSONL("/dev/full"); err != nil {
+		t.Skip("cannot open /dev/full for writing")
+	}
+	j.Emit(0, "e", nil)
+	if err := j.Close(); err == nil || !strings.Contains(err.Error(), "/dev/full is incomplete") {
+		t.Fatalf("close after a failed write: %v", err)
+	}
+}
 
 func TestJSONLEmit(t *testing.T) {
 	var buf bytes.Buffer
