@@ -158,12 +158,12 @@ func checkTraceComplete(t *testing.T, events []trace.Event, p int) {
 // sortTCP runs the same collective sort with every rank on its own
 // localhost TCP transport, the multi-process wire path.
 func sortTCP(name string, p, perRank int, gen func(rank, p, perRank int) []float64) ([][]float64, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	ln, err := net.Listen("tcp", "127.0.0.1:0") // rank 0 serves the registry on it
 	if err != nil {
 		return nil, err
 	}
+	defer ln.Close()
 	registry := ln.Addr().String()
-	ln.Close()
 
 	outs := make([][]float64, p)
 	errs := make([]error, p)
@@ -174,7 +174,7 @@ func sortTCP(name string, p, perRank int, gen func(rank, p, perRank int) []float
 			defer wg.Done()
 			tr, err := tcpcomm.New(tcpcomm.Config{
 				Rank: rank, Size: p, Node: rank,
-				Registry: registry, Timeout: 30 * time.Second,
+				Registry: registry, RegistryListener: ln, Timeout: 30 * time.Second,
 			})
 			if err != nil {
 				errs[rank] = err

@@ -24,7 +24,7 @@ type stagedWorld struct {
 
 func newStagedWorld(tb testing.TB, p, perRank int) *stagedWorld {
 	tb.Helper()
-	registry := freePort(tb)
+	rln, registry := openRegistry(tb)
 	w := &stagedWorld{trs: make([]*Transport, p), comms: make([]*comm.Comm, p)}
 	var wg sync.WaitGroup
 	errs := make([]error, p)
@@ -32,7 +32,7 @@ func newStagedWorld(tb testing.TB, p, perRank int) *stagedWorld {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			w.trs[rank], errs[rank] = New(Config{Rank: rank, Size: p, Node: rank, Registry: registry, Timeout: 15 * time.Second})
+			w.trs[rank], errs[rank] = New(Config{Rank: rank, Size: p, Node: rank, Registry: registry, RegistryListener: rln, Timeout: 15 * time.Second})
 		}(r)
 	}
 	wg.Wait()
@@ -197,14 +197,14 @@ func BenchmarkStagedAlltoallv(b *testing.B) {
 // regions included.
 func TestStagedExchangePeerLossRevokes(t *testing.T) {
 	const p, per = 4, 1 << 20
-	registry := freePort(t)
+	rln, registry := openRegistry(t)
 	trs := make([]*Transport, p)
 	var wg sync.WaitGroup
 	for r := 0; r < p; r++ {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			trs[rank], _ = New(Config{Rank: rank, Size: p, Node: rank, Registry: registry,
+			trs[rank], _ = New(Config{Rank: rank, Size: p, Node: rank, Registry: registry, RegistryListener: rln,
 				Timeout: 15 * time.Second, RecvTimeout: time.Second})
 		}(r)
 	}

@@ -36,7 +36,7 @@ func faultWithin(t *testing.T, d time.Duration, fn func() error) error {
 // bootPair brings up a 2-rank TCP world with the given config tweaks.
 func bootPair(t *testing.T, tweak func(r int, cfg *Config)) (t0, t1 *Transport) {
 	t.Helper()
-	registry := freePort(t)
+	rln, registry := openRegistry(t)
 	trs := make([]*Transport, 2)
 	errs := make([]error, 2)
 	var wg sync.WaitGroup
@@ -44,7 +44,7 @@ func bootPair(t *testing.T, tweak func(r int, cfg *Config)) (t0, t1 *Transport) 
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			cfg := Config{Rank: rank, Size: 2, Registry: registry, Timeout: 10 * time.Second}
+			cfg := Config{Rank: rank, Size: 2, Registry: registry, RegistryListener: rln, Timeout: 10 * time.Second}
 			if tweak != nil {
 				tweak(rank, &cfg)
 			}
@@ -102,7 +102,7 @@ func TestReconnectAfterConnDrop(t *testing.T) {
 // bootstrap; the survivors' all-to-all must fail with comm.ErrPeerLost
 // naming the dead rank, not deadlock.
 func TestFaultPeerDeathMidAlltoall(t *testing.T) {
-	registry := freePort(t)
+	rln, registry := openRegistry(t)
 	trs := make([]*Transport, 3)
 	errs := make([]error, 3)
 	var wg sync.WaitGroup
@@ -111,7 +111,7 @@ func TestFaultPeerDeathMidAlltoall(t *testing.T) {
 		go func(rank int) {
 			defer wg.Done()
 			trs[rank], errs[rank] = New(Config{
-				Rank: rank, Size: 3, Registry: registry, Timeout: 10 * time.Second,
+				Rank: rank, Size: 3, Registry: registry, RegistryListener: rln, Timeout: 10 * time.Second,
 				Retry:       fastRetry(),
 				SendTimeout: time.Second,
 				RecvTimeout: 3 * time.Second,

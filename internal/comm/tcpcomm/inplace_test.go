@@ -20,7 +20,7 @@ import (
 // can read their counters.
 func launchWrapped(t *testing.T, size int, wrap func(comm.Transport) comm.Transport, fn func(c *comm.Comm) error) []*Transport {
 	t.Helper()
-	registry := freePort(t)
+	rln, registry := openRegistry(t)
 	var wg sync.WaitGroup
 	errs := make([]error, size)
 	trs := make([]*Transport, size)
@@ -28,7 +28,7 @@ func launchWrapped(t *testing.T, size int, wrap func(comm.Transport) comm.Transp
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			tr, err := New(Config{Rank: rank, Size: size, Node: rank, Registry: registry, Timeout: 15 * time.Second})
+			tr, err := New(Config{Rank: rank, Size: size, Node: rank, Registry: registry, RegistryListener: rln, Timeout: 15 * time.Second})
 			if err != nil {
 				errs[rank] = fmt.Errorf("bootstrap: %w", err)
 				return

@@ -75,6 +75,10 @@ type Config struct {
 	// Registry is the host:port the registry listens on. Rank 0 binds
 	// it; everyone else dials it.
 	Registry string
+	// RegistryListener, when set, is the registry's listener, already
+	// open: rank 0 serves on it instead of binding Registry, and closes
+	// it once registration ends. Other ranks ignore it.
+	RegistryListener net.Listener
 	// Listen is the address to bind the data listener on (use
 	// "127.0.0.1:0" for tests; the registry learns the real port).
 	Listen string
@@ -283,9 +287,12 @@ func (t *Transport) register() ([]peerInfo, error) {
 }
 
 func (t *Transport) serveRegistry(self peerInfo) ([]peerInfo, error) {
-	rln, err := net.Listen("tcp", t.cfg.Registry)
-	if err != nil {
-		return nil, fmt.Errorf("tcpcomm: registry listen %s: %w", t.cfg.Registry, err)
+	rln := t.cfg.RegistryListener
+	if rln == nil {
+		var err error
+		if rln, err = net.Listen("tcp", t.cfg.Registry); err != nil {
+			return nil, fmt.Errorf("tcpcomm: registry listen %s: %w", t.cfg.Registry, err)
+		}
 	}
 	defer rln.Close()
 	peers := make([]peerInfo, t.cfg.Size)

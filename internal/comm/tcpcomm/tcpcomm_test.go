@@ -17,7 +17,21 @@ import (
 	"sdssort/internal/workload"
 )
 
-// freePort grabs an available localhost port for the registry.
+// openRegistry opens the registry's listener on a free localhost port
+// for rank 0 to serve on (Config.RegistryListener), so no other test can
+// bind the port first; the other ranks dial the address it returns.
+func openRegistry(t testing.TB) (net.Listener, string) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	return ln, ln.Addr().String()
+}
+
+// freePort grabs a localhost port with nothing listening on it, for a
+// test whose ranks must find the registry refusing dials at first.
 func freePort(t testing.TB) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -33,7 +47,7 @@ func freePort(t testing.TB) string {
 // per rank.
 func launch(t *testing.T, size int, nodeOf func(rank int) int, fn func(c *comm.Comm) error) {
 	t.Helper()
-	registry := freePort(t)
+	rln, registry := openRegistry(t)
 	var wg sync.WaitGroup
 	errs := make([]error, size)
 	transports := make([]*Transport, size)
@@ -48,7 +62,7 @@ func launch(t *testing.T, size int, nodeOf func(rank int) int, fn func(c *comm.C
 			}
 			tr, err := New(Config{
 				Rank: rank, Size: size, Node: node,
-				Registry: registry, Timeout: 15 * time.Second,
+				Registry: registry, RegistryListener: rln, Timeout: 15 * time.Second,
 			})
 			if err != nil {
 				errs[rank] = fmt.Errorf("bootstrap: %w", err)
@@ -247,8 +261,8 @@ func cmpF(a, b float64) int {
 
 func TestRegistryTimeout(t *testing.T) {
 	// A lone rank of a 2-rank world must time out, not hang.
-	registry := freePort(t)
-	_, err := New(Config{Rank: 0, Size: 2, Registry: registry, Timeout: 300 * time.Millisecond})
+	rln, registry := openRegistry(t)
+	_, err := New(Config{Rank: 0, Size: 2, Registry: registry, RegistryListener: rln, Timeout: 300 * time.Millisecond})
 	if err == nil {
 		t.Fatal("expected registration timeout")
 	}
@@ -273,18 +287,18 @@ func TestBadConfig(t *testing.T) {
 func TestPeerDeathUnblocksReceives(t *testing.T) {
 	// Killing a transport must surface errors to its own pending
 	// receives rather than hanging.
-	registry := freePort(t)
+	rln, registry := openRegistry(t)
 	var wg sync.WaitGroup
 	var t0, t1 *Transport
 	var e0, e1 error
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		t0, e0 = New(Config{Rank: 0, Size: 2, Registry: registry, Timeout: 5 * time.Second})
+		t0, e0 = New(Config{Rank: 0, Size: 2, Registry: registry, RegistryListener: rln, Timeout: 5 * time.Second})
 	}()
 	go func() {
 		defer wg.Done()
-		t1, e1 = New(Config{Rank: 1, Size: 2, Registry: registry, Timeout: 5 * time.Second})
+		t1, e1 = New(Config{Rank: 1, Size: 2, Registry: registry, RegistryListener: rln, Timeout: 5 * time.Second})
 	}()
 	wg.Wait()
 	if e0 != nil || e1 != nil {
@@ -310,13 +324,19 @@ func TestPeerDeathUnblocksReceives(t *testing.T) {
 }
 
 func TestOversizeFrameRejected(t *testing.T) {
-	registry := freePort(t)
+	rln, registry := openRegistry(t)
 	var wg sync.WaitGroup
 	var t0, t1 *Transport
 	var e0, e1 error
 	wg.Add(2)
-	go func() { defer wg.Done(); t0, e0 = New(Config{Rank: 0, Size: 2, Registry: registry}) }()
-	go func() { defer wg.Done(); t1, e1 = New(Config{Rank: 1, Size: 2, Registry: registry}) }()
+	go func() {
+		defer wg.Done()
+		t0, e0 = New(Config{Rank: 0, Size: 2, Registry: registry, RegistryListener: rln})
+	}()
+	go func() {
+		defer wg.Done()
+		t1, e1 = New(Config{Rank: 1, Size: 2, Registry: registry, RegistryListener: rln})
+	}()
 	wg.Wait()
 	if e0 != nil || e1 != nil {
 		t.Fatal(e0, e1)
@@ -388,18 +408,18 @@ func TestVerifyOverTCP(t *testing.T) {
 // worker configured with a stale epoch (a respawned process that only
 // knows the registry address) must come up in the coordinator's.
 func TestEpochAdoptedFromCoordinator(t *testing.T) {
-	registry := freePort(t)
+	rln, registry := openRegistry(t)
 	var wg sync.WaitGroup
 	var t0, t1 *Transport
 	var e0, e1 error
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		t0, e0 = New(Config{Rank: 0, Size: 2, Registry: registry, Epoch: 3})
+		t0, e0 = New(Config{Rank: 0, Size: 2, Registry: registry, RegistryListener: rln, Epoch: 3})
 	}()
 	go func() {
 		defer wg.Done()
-		t1, e1 = New(Config{Rank: 1, Size: 2, Registry: registry, Epoch: 0})
+		t1, e1 = New(Config{Rank: 1, Size: 2, Registry: registry, RegistryListener: rln, Epoch: 0})
 	}()
 	wg.Wait()
 	if e0 != nil || e1 != nil {
@@ -423,18 +443,18 @@ func TestEpochAdoptedFromCoordinator(t *testing.T) {
 // delivered — and, critically, cannot consume sequence numbers the
 // live epoch's stream needs.
 func TestEpochStaleConnectionDropped(t *testing.T) {
-	registry := freePort(t)
+	rln, registry := openRegistry(t)
 	var wg sync.WaitGroup
 	var t0, t1 *Transport
 	var e0, e1 error
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		t0, e0 = New(Config{Rank: 0, Size: 2, Registry: registry, Epoch: 2, RecvTimeout: 10 * time.Second})
+		t0, e0 = New(Config{Rank: 0, Size: 2, Registry: registry, RegistryListener: rln, Epoch: 2, RecvTimeout: 10 * time.Second})
 	}()
 	go func() {
 		defer wg.Done()
-		t1, e1 = New(Config{Rank: 1, Size: 2, Registry: registry, Epoch: 2, RecvTimeout: 10 * time.Second})
+		t1, e1 = New(Config{Rank: 1, Size: 2, Registry: registry, RegistryListener: rln, Epoch: 2, RecvTimeout: 10 * time.Second})
 	}()
 	wg.Wait()
 	if e0 != nil || e1 != nil {

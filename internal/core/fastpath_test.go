@@ -5,15 +5,18 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"path/filepath"
 	"slices"
 	"testing"
 
 	"sdssort/internal/cluster"
 	"sdssort/internal/codec"
 	"sdssort/internal/comm"
+	"sdssort/internal/memlimit"
 	"sdssort/internal/metrics"
 	"sdssort/internal/psort"
 	"sdssort/internal/radix"
+	"sdssort/internal/recordio"
 	"sdssort/internal/trace"
 	"sdssort/internal/workload"
 )
@@ -271,7 +274,8 @@ func TestFloatKeyDispatch(t *testing.T) {
 // the radix kernel's insertion finish sorted, those it declined and those
 // that overran its budget into the LSD loop — one bucket per rank here.
 // Wide random keys finish; keys nine in ten of which tie in their top two
-// digits decline it; keys whose top two digits repeat a 6-bit value, in
+// digits decline it; keys of both signs, whose grid the sign bit anchors
+// at bit 64, and whose top two digits there repeat a 6-bit value, in
 // groups those digits' counts do not show, overrun; keys that differ in
 // two digits take the LSD loop alone.
 func TestLocalSortInsertionDetail(t *testing.T) {
@@ -289,9 +293,9 @@ func TestLocalSortInsertionDetail(t *testing.T) {
 			}
 			return 1 + rng.Float64()/(1<<20)
 		}, 0, 1, 0},
-		{"repeated top digits", func(rng *rand.Rand) float64 {
+		{"repeated top digits", func(rng *rand.Rand) float64 { // digits from bit 53 and 42
 			a := rng.Uint64() % 64
-			return math.Float64frombits(a<<55 | a<<44 | rng.Uint64()&(1<<44-1))
+			return math.Float64frombits(rng.Uint64()>>63<<63 | a<<53 | a<<42 | rng.Uint64()&(1<<42-1))
 		}, 0, 0, 1},
 		{"two digits", func(rng *rand.Rand) float64 { return 1 + float64(rng.Intn(1<<22))/(1<<52) }, 0, 0, 0},
 	} {
@@ -316,6 +320,45 @@ func TestLocalSortInsertionDetail(t *testing.T) {
 				t.Errorf("%s, rank %d: kernel %v, insertion finished %v, declined %v, overran %v; want radix, %d, %d, %d",
 					tc.name, r, kernels[r], finished[r], declined[r], overrun[r], tc.finished, tc.declined, tc.overrun)
 			}
+		}
+	}
+}
+
+// TestSpillChunksFinish: uniform_spill's chunks, 64 Ki float64 that its
+// 2 MiB budget cuts, are one bucket each, and each takes the insertion
+// finish on the grid anchored at the top of its keys' diff: every rank's
+// localsort span reads the radix kernel and as many finished buckets as
+// runs, none declined or overrun.
+func TestSpillChunksFinish(t *testing.T) {
+	const budget, chunk, runs = 2 << 20, 1 << 16, 3
+	topo := cluster.Topology{Nodes: 2, CoresPerNode: 1}
+	path := filepath.Join(t.TempDir(), "uniform.f64")
+	if err := recordio.WriteFile(path, f64, workload.Uniform(1, topo.Size()*runs*chunk)); err != nil {
+		t.Fatal(err)
+	}
+	rec := trace.NewRing(ringCap)
+	if _, err := cluster.Gather(topo, cluster.Options{}, func(c *comm.Comm) ([]float64, error) {
+		opt := DefaultOptions()
+		opt.StageBytes, opt.Mem, opt.Trace = budget/8, memlimit.New(budget), rec
+		opt.Spill = &SpillOptions{Dir: t.TempDir()}
+		opt.Spill.FitBudget(budget)
+		sp, err := SortFileShard(c, path, f64, cmpF, opt)
+		if err != nil {
+			return nil, err
+		}
+		return nil, sp.Remove()
+	}); err != nil {
+		t.Fatal(err)
+	}
+	spans := spansNamed(t, rec, "localsort")
+	if len(spans) != topo.Size() {
+		t.Fatalf("%d localsort spans, want %d", len(spans), topo.Size())
+	}
+	for _, sp := range spans {
+		d := sp.Detail
+		if d["runs"] != runs || d["kernel"] != "radix" || d["insertion_finished"] != runs || d["insertion_declined"] != 0 || d["insertion_overrun"] != 0 {
+			t.Errorf("rank %d: %v runs, kernel %v, insertion finished %v, declined %v, overran %v; want %d, radix, %d, 0, 0",
+				sp.Rank, d["runs"], d["kernel"], d["insertion_finished"], d["insertion_declined"], d["insertion_overrun"], runs, runs)
 		}
 	}
 }
@@ -396,8 +439,9 @@ func TestOverlapMergesPerSource(t *testing.T) {
 
 // The local-sort benchmarks run at a workload's per-rank size — 1 Mi
 // records (256 Ki particles), far past a core's L2, where the kernel's
-// memory traffic shows — and report ns/record beside MB/s. Each pits the
-// radix dispatch, agreement sweep included, against the comparison sort.
+// memory traffic shows — or, for the spill workload, at its chunk, and
+// report ns/record beside MB/s. Each pits the radix dispatch, agreement
+// sweep included, against the comparison sort.
 
 // localSortBench times dispatch on fresh copies of src as "radix", and
 // sort as "comparison". The dispatch's block lands in the scratch, which
@@ -441,10 +485,18 @@ func BenchmarkLocalSortIntKeys(b *testing.B) {
 	localSortBench(b, src, codec.Int64{}, cmpInt64, false, psort.Sort[int64])
 }
 
-// BenchmarkLocalSortFloatKeys: the uniform float64 keys uniform_inproc
-// and uniform_spill sort (workload.Uniform).
+// BenchmarkLocalSortFloatKeys: uniform_inproc's uniform float64 keys
+// (workload.Uniform), 1 Mi of them, which take the kernel's split.
 func BenchmarkLocalSortFloatKeys(b *testing.B) {
 	localSortBench(b, workload.Uniform(9, 1<<20), f64, cmpF, false, psort.Sort[float64])
+}
+
+// BenchmarkLocalSortSpillChunk: one uniform_spill chunk, the 64 Ki
+// float64 that chunkRecords cuts under its 2 MiB budget: one bucket,
+// sorted on the grid anchored at the top of its keys' diff.
+func BenchmarkLocalSortSpillChunk(b *testing.B) {
+	n := (&SpillOptions{}).chunkRecords(int64(f64.Size()), 2<<20)
+	localSortBench(b, workload.Uniform(9, n), f64, cmpF, false, psort.Sort[float64])
 }
 
 // BenchmarkLocalSortStableKeys: ptf_stable_tcp's records (workload.PTF:

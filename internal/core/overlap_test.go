@@ -77,12 +77,12 @@ func TestOverlapDeterministic(t *testing.T) {
 // transport, node layout as topo's.
 func sortTaggedTCP(t *testing.T, topo cluster.Topology, in [][]codec.Tagged, opt Options) [][]codec.Tagged {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	ln, err := net.Listen("tcp", "127.0.0.1:0") // rank 0 serves the registry on it
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer ln.Close()
 	registry := ln.Addr().String()
-	ln.Close()
 	p := topo.Size()
 	outs, errs := make([][]codec.Tagged, p), make([]error, p)
 	var wg sync.WaitGroup
@@ -92,7 +92,7 @@ func sortTaggedTCP(t *testing.T, topo cluster.Topology, in [][]codec.Tagged, opt
 			defer wg.Done()
 			tr, err := tcpcomm.New(tcpcomm.Config{
 				Rank: r, Size: p, Node: r / topo.CoresPerNode,
-				Registry: registry, Timeout: 30 * time.Second,
+				Registry: registry, RegistryListener: ln, Timeout: 30 * time.Second,
 			})
 			if err != nil {
 				errs[r] = err

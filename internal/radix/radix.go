@@ -1,7 +1,8 @@
 // Package radix is mostly the local sort's radix kernel: Dispatch orders
 // a keyed codec's records by their integer key, read in place from the
 // field the codec declares (codec.KeyFielder) or through a key func, in
-// buckets balanced to fit the cache — each sorted by counting passes on
+// buckets balanced to fit the cache — each sorted, on a digit grid
+// anchored at the highest bit its keys differ in, by counting passes on
 // its top two digits and an insertion pass, or by the LSD pass loop — and
 // holds the result to the caller's comparator.
 // Sort is a parallel radix sort around the kernel, one of the related-work
@@ -162,8 +163,9 @@ func LSDSort[T any](data []T, key func(T) uint64) {
 // insertion. bucketBytes keeps a bucket, its spare and the histograms in
 // a core's L2 (256 KiB to 1 MiB measured alike on a 2-vCPU Xeon, 2 MiB L2).
 // Loops read keys a block at a time onto the stack; only read and key call
-// fn. Digits lie on a grid anchored at the bit a bucket's keys agree from;
-// a whole key's is anchored at whole, which puts it on bit 0's.
+// fn. Digits lie on a grid anchored at the bit a bucket's keys agree from:
+// a split's bucket's is where its window value starts, a whole key's
+// (surveyed at whole) the top of its keys' diff.
 const (
 	digitBits   = 11
 	digits      = (64 + digitBits - 1) / digitBits
@@ -236,7 +238,7 @@ func (s *sorter[T]) key(r *T) uint64 {
 
 // summary is what a read learns: the key bits that differ, the descents,
 // the bit the keys agree from, which anchors the digits, and the lowest
-// digit counted.
+// digit counted (places(below): none).
 type summary struct {
 	diff     uint64
 	descents int
@@ -276,19 +278,16 @@ func (s *sorter[T]) into(data []T, scratch *[]T, f summary) (block []T, ok bool)
 	return block, true
 }
 
-// survey reads src's keys once. When src is one bucket with passes to
-// run, whose keys agree from bit below up, it also counts the histograms
-// of digits below, cleared first: of a whole key, all of them, any of
-// which may be live; of a split's bucket, whose keys spread just below
-// the bits they share, the top two, which its top two live digits
-// almost always are.
+// survey reads src's keys once. When src is a split's bucket with passes
+// to run, whose keys agree from bit below up and spread just below it, it
+// also counts the histograms of the top two digits below, cleared first,
+// which its top two live digits almost always are. A whole key's keys
+// agree from the top of their diff, where its digits anchor; it counts
+// none, and scatter counts the top two live ones there.
 func (s *sorter[T]) survey(src []T, below int) summary {
 	from, to := 0, 0
-	if len(src) > tiny && len(src) <= room[T]() {
-		to = places(below)
-	}
-	if below < whole {
-		from = max(to-2, 0)
+	if below < whole && len(src) > tiny && len(src) <= room[T]() {
+		from, to = max(places(below)-2, 0), places(below)
 	}
 	clear(s.counts[from:to])
 	var or, nor, prev, descents uint64
@@ -300,6 +299,10 @@ func (s *sorter[T]) survey(src []T, below int) summary {
 			or, nor, prev, descents = or|k, nor|^k, k, descents+down
 		}
 		s.tally(ks, below, from, to)
+	}
+	if below == whole {
+		below = bits.Len64(or & nor)
+		from = places(below)
 	}
 	return summary{or & nor, int(descents), below, from}
 }
@@ -441,8 +444,10 @@ func (s *sorter[T]) plan(src []T, diff uint64, t *tables) (shift uint, mask uint
 // overruns its budget, the whole LSD loop sorts the bucket, the second
 // time over dst, the top two digits' counts restored from the slots their
 // passes left. Live digits below those f counted are counted by one more
-// read before the passes or the LSD loop need them. Both stages are
-// stable. src is only read, unless it is dst.
+// read before the passes or the LSD loop need them: of a whole key, whose
+// survey counted none, the top two before their passes, the rest only if
+// the LSD loop runs. Both stages are stable. src is only read, unless it
+// is dst.
 func (s *sorter[T]) scatter(src, dst, spare []T, f summary) {
 	live := make([]int, 0, digits)
 	for d := range places(f.below) {

@@ -68,17 +68,23 @@ func TestLSDSortProperty(t *testing.T) {
 // on: a scratch with room is the one the block lands in, the spent input
 // takes its place, a missing or short one is replaced, and keys that
 // already ascend are their own block before anything is allocated. It
-// also counts key calls, which are reads: one for the survey, one per
-// executed pass, one for the insertion finish and its re-reads — one per
-// record moved, up to the budget of two per record — and one for a
-// stable sweep. Keys in every digit take the insertion finish, ties in
-// their top 22 bits moving a few records. Nine in ten under one 30-bit
-// prefix decline it: the top two digits' counts foretell the ties, and
-// the LSD loop runs alone. Top two digits that repeat one 6-bit value,
-// tied in groups their counts do not show, overrun its budget into the
-// LSD loop over every digit. So do eight buckets of a split, bits 61 up
-// apart: their survey counts their top two digits only, and the LSD loop
-// takes one more read to count the rest.
+// also counts key calls, which are reads: one for the survey, which
+// counts no digit of a whole key; one to count the top two live digits
+// on the grid anchored at the top of the keys' diff; one per executed
+// pass; one for the insertion finish and its re-reads — one per record
+// moved, up to the budget of two per record; one more to count the
+// digits below the top two before a declined or overrun bucket's LSD
+// loop; and one for a stable sweep. Keys in one digit take 1+1+1 reads,
+// in two 1+1+2. Keys in every digit take the insertion finish, 1+1+2+1,
+// ties in their top 22 bits moving a few records. Nine in ten under one
+// 30-bit prefix decline it, 1+1+1+digits: the top two digits' counts
+// foretell the ties, and the LSD loop runs alone. Keys over bit 63,
+// whose anchored top two digits repeat one 6-bit value, tied in groups
+// their counts do not show, overrun its budget into the LSD loop over
+// every digit, 1+1+2+1+1+digits. So do eight buckets of a split, bits 61
+// up apart, after the split's own three reads (survey, plan, scatter):
+// their survey counts their top two digits, and the LSD loop takes one
+// more read to count the rest.
 func TestDispatchScratch(t *testing.T) {
 	const n, split = 3000, 8 << 13 // split: eight 8192-record buckets of digits anchored at bit 61
 	rng := rand.New(rand.NewSource(4))
@@ -93,19 +99,19 @@ func TestDispatchScratch(t *testing.T) {
 		moved int // re-reads past reads·n
 		st    Stats
 	}{
-		{"one digit", n, func() uint64 { return uint64(rng.Intn(1 << digitBits)) }, 1 + 1, 0, Stats{}},
-		{"two digits", n, func() uint64 { return uint64(rng.Intn(1 << (2 * digitBits))) }, 1 + 2, 0, Stats{}},
-		{"every digit", n, rng.Uint64, 1 + 2 + 1, 8, Stats{Finished: 1}},
+		{"one digit", n, func() uint64 { return uint64(rng.Intn(1 << digitBits)) }, 1 + 1 + 1, 0, Stats{}},
+		{"two digits", n, func() uint64 { return uint64(rng.Intn(1 << (2 * digitBits))) }, 1 + 1 + 2, 0, Stats{}},
+		{"every digit", n, rng.Uint64, 1 + 1 + 2 + 1, 8, Stats{Finished: 1}},
 		{"tied top digits", n, func() uint64 {
 			if rng.Intn(10) == 0 {
 				return rng.Uint64()
 			}
 			return 42<<34 | rng.Uint64()&(1<<34-1)
-		}, 1 + digits, 0, Stats{Declined: 1}},
-		{"past the budget", n, func() uint64 {
+		}, 1 + 1 + 1 + digits, 0, Stats{Declined: 1}},
+		{"past the budget", n, func() uint64 { // the grid anchors at 64: digits from bit 53 and 42
 			a := rng.Uint64() % 64
-			return a<<55 | a<<44 | rng.Uint64()&(1<<44-1)
-		}, 1 + 2 + 1 + digits, 2 * n, Stats{Overrun: 1}},
+			return rng.Uint64()>>63<<63 | a<<53 | a<<42 | rng.Uint64()&(1<<42-1)
+		}, 1 + 1 + 2 + 1 + 1 + digits, 2 * n, Stats{Overrun: 1}},
 		{"past the budget after a split", split, func() uint64 {
 			a := rng.Uint64() % 64
 			return rng.Uint64()>>61<<61 | a<<50 | a<<39 | rng.Uint64()&(1<<39-1)
@@ -347,13 +353,22 @@ const oneBucket = bucketBytes / 16
 // 0, share a long prefix, crowd into one aligned bucket, repeat a few
 // values, square a uniform float, pile into one window value with
 // distinct bits below — again within it, the split's recursion — tie in
-// their top two digits, which declines the insertion finish, or tie in
+// their top two digits, which declines the insertion finish, tie in
 // groups those digits' counts do not show, which up to a bucket overruns
-// the insertion into the LSD loop; src must stay bit for bit as it was.
+// the insertion into the LSD loop, or share a prefix above a bit the
+// seed picks, where a whole key's grid anchors; src must stay bit for
+// bit as it was. Seeds put that bit at every residue mod digitBits, so
+// the lowest digit of the anchored grid takes every width.
 func FuzzRadixKernel(f *testing.F) {
-	for shape := uint8(0); shape < 10; shape++ {
+	const shapes = 11
+	for shape := uint8(0); shape < shapes; shape++ {
 		for _, n := range []uint32{0, 1, 2, tiny, tiny + 1, 1000, oneBucket, oneBucket + 1, 2*oneBucket + 77} {
 			f.Add(int64(shape)+int64(n), n, shape)
+		}
+	}
+	for b := int64(64 - digitBits + 1); b <= 64; b++ { // the prefix above bit b: seed%64 = b-1
+		for _, n := range []uint32{1000, oneBucket} {
+			f.Add(b-1, n, uint8(shapes-1))
 		}
 	}
 	f.Fuzz(func(t *testing.T, seed int64, n uint32, shape uint8) {
@@ -386,14 +401,18 @@ func FuzzRadixKernel(f *testing.F) {
 				}
 				return base&^(1<<34-1) | rng.Uint64()&(1<<34-1)
 			},
-			func() uint64 { // the top two digits repeat one of ⅔√n values, groups of 1.5√n a bucket: a whole key's, or, bits 61 up apart, a split's
+			func() uint64 { // the top two digits repeat one of ⅔√n values: a whole key's, over bit 63, which anchors them at bits 53 and 42, or, bits 61 up apart, a split's, groups of 1.5√n a bucket
 				a := rng.Uint64() % uint64(1+2*math.Sqrt(float64(min(n, oneBucket)))/3)
 				if n > oneBucket {
 					return rng.Uint64()>>61<<61 | a<<50 | a<<39 | rng.Uint64()&(1<<39-1)
 				}
-				return a<<55 | a<<44 | rng.Uint64()&(1<<44-1)
+				return rng.Uint64()>>63<<63 | a<<53 | a<<42 | rng.Uint64()&(1<<42-1)
 			},
-		}[shape%10]
+			func() uint64 { // a prefix above bit 1 + seed%64
+				low := 1 + uint64(seed)%64
+				return base&^(1<<low-1) | rng.Uint64()&(1<<low-1)
+			},
+		}[shape%shapes]
 		enc := codec.KeyEnc(uint64(seed) % 3)
 		cd := fieldCodec{enc}
 		src := make([]rec2, n)
@@ -416,6 +435,71 @@ func FuzzRadixKernel(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestDispatchAnchors: keys that share a random prefix above bit b and
+// are random below it anchor a whole key's grid at b, so over every b
+// its lowest digit takes every width. At one bucket past tiny, at room
+// and at two rooms, which split, read in place and through the key func,
+// stable or not, the block must be the stable sort by key and data as it
+// came.
+func TestDispatchAnchors(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	keys := make([]uint64, 2*room[uint64]())
+	for b := 1; b <= 64; b++ {
+		prefix, mask := rng.Uint64(), uint64(1)<<b-1
+		for i := range keys {
+			keys[i] = prefix&^mask | rng.Uint64()&mask
+		}
+		// The stable sort of keys: by key, then index; of keys[:n], its
+		// indices below n.
+		all := make([]int32, len(keys))
+		for i := range all {
+			all[i] = int32(i)
+		}
+		slices.SortFunc(all, func(x, y int32) int {
+			if c := cmp.Compare(keys[x], keys[y]); c != 0 {
+				return c
+			}
+			return cmp.Compare(x, y)
+		})
+		order := func(n int) []int32 {
+			return slices.DeleteFunc(slices.Clone(all), func(i int32) bool { return int(i) >= n })
+		}
+		anchors(t, b, keys, order, codec.Float64{}, func(_ int, k uint64) float64 { return math.Float64frombits(rawOf(codec.KeyFloat, k)) },
+			func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+		anchors(t, b, keys, order, codec.Int64{}, func(_ int, k uint64) int64 { return int64(rawOf(codec.KeyInt, k)) }, equal[int64])
+		anchors(t, b, keys, order, u64, func(_ int, k uint64) uint64 { return k }, equal[uint64])
+		anchors(t, b, keys, order, countingCodec{new(int)}, func(i int, k uint64) rec2 { return rec2{uint64(i), k} }, equal[rec2])
+	}
+}
+
+func equal[T comparable](a, b T) bool { return a == b }
+
+// anchors runs TestDispatchAnchors' sizes for one b and codec on records
+// rec makes of their index and key.
+func anchors[T any](t *testing.T, b int, keys []uint64, order func(n int) []int32, cd codec.Codec[T], rec func(i int, k uint64) T, eq func(x, y T) bool) {
+	t.Helper()
+	key, _ := codec.Uint64KeyOf(cd)
+	byKey := func(x, y T) int { return cmp.Compare(key(x), key(y)) }
+	for _, n := range []int{tiny + 1, room[T](), 2 * room[T]()} {
+		data, want := make([]T, n), make([]T, n)
+		for i := range data {
+			if data[i] = rec(i, keys[i]); key(data[i]) != keys[i] {
+				t.Fatalf("%T: a record made of key %#x has key %#x", cd, keys[i], key(data[i]))
+			}
+		}
+		for j, i := range order(n) {
+			want[j] = data[i]
+		}
+		in := slices.Clone(data)
+		for _, stable := range []bool{false, true} {
+			block, v, _ := Dispatch(data, new([]T), cd, byKey, stable, 0)
+			if v != Sorted || !slices.EqualFunc(block, want, eq) || !slices.EqualFunc(data, in, eq) {
+				t.Fatalf("%T, b %d, n %d, stable %v: verdict %d; want the stable sort by key in the block and data as it came", cd, b, n, stable, v)
+			}
+		}
+	}
 }
 
 // TestKeyFieldHonoured: the kernel reads a declared key field in place
