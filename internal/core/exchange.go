@@ -159,28 +159,31 @@ type chunkSink struct {
 	land  [][]byte
 }
 
-// recvSlab lays out the resident receive side: one contiguous slab in
-// source-rank order — the local sort's radix scratch when that is large
-// enough — each source's region of it as an empty chunk with exactly
-// that region's capacity, and the sink that append-decodes an arriving
-// chunk into its source's region — one memcpy for zero-copy codecs,
-// none when the chunk was received in place, per-record Unmarshal
-// otherwise. Zero-copy codecs also land the regions, so the exchange
-// posts them. Chunks of a source arrive in offset order and never
-// exceed the advertised count, so appending fills each region in place:
-// afterwards chunks are the rank-ordered sorted runs the merge wants,
-// and the slab is their concatenation, the re-sort's working set.
-func (r *run[T]) recvSlab(recv []int64) ([]T, [][]T, chunkSink) {
-	cd, recSize := r.cd, r.recSize
-	chunks := make([][]T, len(recv))
+// recvSlab lays out the resident receive side: one contiguous slab, the
+// local sort's scratch when that is large enough, holding each source's
+// region in source-rank order from first on — the synchronous path
+// starts at rank 0, the overlapped one at me+1 — each region as an
+// empty chunk with exactly that region's capacity, and the sink that
+// append-decodes an arriving chunk into its source's region — one
+// memcpy for zero-copy codecs, none when the chunk was received in
+// place, per-record Unmarshal otherwise. Zero-copy codecs also land the
+// regions, so the exchange posts them. Chunks of a source arrive in
+// offset order and never exceed the advertised count, so appending
+// fills each region in place: afterwards chunks are the sorted runs the
+// merge wants, and from rank 0 on the slab is their concatenation, the
+// re-sort's working set.
+func (r *run[T]) recvSlab(recv []int64, first int) ([]T, [][]T, chunkSink) {
+	cd, recSize, p := r.cd, r.recSize, len(recv)
+	chunks := make([][]T, p)
 	slab := r.takeSlab(sum(recv) / recSize)
 	var land [][]byte
 	if codec.IsZeroCopy(cd) {
-		land = make([][]byte, len(recv))
+		land = make([][]byte, p)
 	}
 	var lo int64
-	for src, b := range recv {
-		hi := lo + b/recSize
+	for i := range p {
+		src := (first + i) % p
+		hi := lo + recv[src]/recSize
 		chunks[src] = slab[lo:lo:hi]
 		if land != nil {
 			land[src], _ = codec.View(cd, slab[lo:hi])
@@ -270,7 +273,8 @@ func (r *run[T]) localOrder(slab []T, chunks [][]T) ([]T, error) {
 // (SdssAlltoallvAsync + SdssMergeTwo). Only the fast (non-stable) sort
 // may take this path. One span covers the whole phase: exchange and
 // local ordering genuinely interleave here, so splitting them would be
-// fiction.
+// fiction. The caller has settled which slab the sender reads
+// (sendFromInput) before it starts.
 func (r *run[T]) overlapExchange(pl exchangePlan) ([]T, error) {
 	src := r.partitionSource()
 	sp, done, err := r.open(pl, true, src)
@@ -300,23 +304,39 @@ func (r *run[T]) overlapExchange(pl exchangePlan) ([]T, error) {
 // are eager and FIFO per source, so waiting on one never stalls
 // another's delivery. The merge order is fixed, but not rank order:
 // hence no stable sort here. A source's chunks are one sorted run,
-// appended to its slab region and merged once, when whole: at most p-1
-// merges whatever the stage size. The result grows from the back of out
-// — MergeInto takes the accumulated tail as an input — seeded with our
-// own partition, merged straight out of work. Every source's slab
+// appended to its region and merged once, when whole: at most p-1
+// merges whatever the stage size.
+//
+// Arrivals and merges share one m-record slab, out: the spent input or
+// the radix scratch (recvSlab), never the block the sender reads. Its
+// regions lie in reverse shift order — me+1 at the front, me-1 just
+// before the back — and the back is our own partition's place. The
+// result grows from the back: merge k writes [start(run k), m), so it
+// only ever overwrites runs already merged and its own run. The first
+// reads our partition straight out of work and merges from the back
+// (psort.MergeBack), never passing its run's unread records; later ones
+// move their run into a spare — our partition's region of work, which
+// nothing sends, once free and large enough, else one slab of the
+// largest incoming run, booked while it lives — and merge from the
+// front, never passing the accumulated result's unread records. acc is
+// always the left input, so every merge's inputs, their order and its
+// ties are what merging into a fresh slab would give. Every source's
 // region is posted before the first receive and revoked on return.
 func (r *run[T]) drainAndMerge(pl exchangePlan) ([]T, int, error) {
 	wc, ex := r.wc, r.opt.Exchange
 	p, me := wc.Size(), wc.Rank()
+	out, runs, sink := r.recvSlab(pl.recv, me+1)
 	// remaining[from] is how many payload bytes from still owes us.
 	remaining := slices.Clone(pl.recv)
 	remaining[me] = 0
-	_, runs, sink := r.recvSlab(remaining)
+	largest := slices.Max(remaining) // bytes of the largest incoming run
 	for from, region := range sink.land {
-		defer wc.PostRecv(from, tagExchange, region)()
+		if remaining[from] > 0 {
+			defer wc.PostRecv(from, tagExchange, region)()
+		}
 	}
-	out := make([]T, sum(pl.recv)/r.recSize)
-	acc := r.work[r.bounds[me]:r.bounds[me+1]]
+	own := r.work[r.bounds[me]:r.bounds[me+1]]
+	acc, spare := own, []T(nil)
 	merges := 0
 	for k := 1; k < p; k++ {
 		from := (me - k + p) % p
@@ -339,12 +359,28 @@ func (r *run[T]) drainAndMerge(pl exchangePlan) ([]T, int, error) {
 				return nil, 0, fmt.Errorf("core: decode from rank %d: %w", from, err)
 			}
 		}
-		if len(runs[from]) == 0 {
+		run := runs[from]
+		if len(run) == 0 {
 			continue // from owed us nothing
 		}
 		r.tm.Start(metrics.PhaseLocalOrdering)
-		dst := out[len(out)-len(acc)-len(runs[from]):]
-		psort.MergeInto(dst, acc, runs[from], r.cmp)
+		dst := out[len(out)-len(acc)-len(run):]
+		if merges == 0 {
+			psort.MergeBack(dst, acc, run, r.cmp)
+		} else {
+			buf := own
+			if len(run) > len(own) {
+				if spare == nil {
+					if err := r.acct.reserve(largest); err != nil {
+						return nil, 0, fmt.Errorf("core: run spare of %d records: %w", largest/r.recSize, err)
+					}
+					defer r.acct.release(largest)
+					spare = make([]T, largest/r.recSize)
+				}
+				buf = spare
+			}
+			psort.MergeInto(dst, acc, buf[:copy(buf, run)], r.cmp)
+		}
 		acc, merges = dst, merges+1
 		r.tm.Start(metrics.PhaseExchange)
 	}
@@ -429,10 +465,11 @@ func (r *run[T]) exchangeAndOrder() (map[string]any, error) {
 	case reserveErr != nil:
 		return nil, fmt.Errorf("core: receive buffer of %d records: %w", m, reserveErr)
 	case overlap:
+		r.sendFromInput(m)
 		out, err = r.overlapExchange(pl)
 	default:
 		r.sendFromInput(m)
-		slab, chunks, sink := r.recvSlab(pl.recv)
+		slab, chunks, sink := r.recvSlab(pl.recv, 0)
 		if _, err = r.stagedExchange(pl, r.partitionSource(), sink); err == nil {
 			out, err = r.localOrder(slab, chunks)
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"net"
 	"slices"
 	"sync"
@@ -10,12 +11,14 @@ import (
 	"testing"
 	"time"
 
+	rtmetrics "runtime/metrics"
 	"sdssort/internal/cluster"
 	"sdssort/internal/codec"
 	"sdssort/internal/comm"
 	"sdssort/internal/comm/tcpcomm"
 	"sdssort/internal/faultnet"
 	"sdssort/internal/metrics"
+	"sdssort/internal/psort"
 	"sdssort/internal/trace"
 )
 
@@ -172,5 +175,251 @@ func TestOverlapJoinsSender(t *testing.T) {
 		if w != 0 {
 			t.Errorf("rank %d: WindowBytes = %d after Sort returned, want 0", r, w)
 		}
+	}
+}
+
+// TestOverlapLandingCases: the overlapped exchange lands every arrival,
+// and every merge, in one m-record slab — the spent input when it holds
+// m; else the radix scratch, once the block has moved into the spent
+// input; else a fresh one — and each rank's block is byte for byte the
+// one merging into a fresh slab gives: the own partition, then sources
+// me-1, me-2, … by psort.MergeInto. The send counts force each case,
+// ranks that receive nothing or only their own partition, and empty
+// runs between full ones, through a zero-copy codec and plainCodec.
+func TestOverlapLandingCases(t *testing.T) {
+	const p, n, spare = 4, 60, 16
+	type landingCase struct {
+		name   string
+		counts func(src, dst int) int // records src sends to dst
+	}
+	either := func(c bool, x, y int) int {
+		if c {
+			return x
+		}
+		return y
+	}
+	cases := []landingCase{
+		{"spent-input", func(src, dst int) int { return n / p }},
+		{"radix-scratch", func(src, dst int) int { return either(dst == 0, 18, 14) }},
+		{"fresh-one-rank", func(src, dst int) int { return either(dst == 0, n, 0) }},
+		{"own-only", func(src, dst int) int { return either(dst == src, n, 0) }},
+	}
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var m [p][p]int
+		for src := range m {
+			cuts := []int{0, n}
+			for range p - 1 {
+				cuts = append(cuts, rng.Intn(n+1))
+			}
+			slices.Sort(cuts)
+			for dst := range m[src] {
+				m[src][dst] = cuts[dst+1] - cuts[dst]
+			}
+		}
+		cases = append(cases, landingCase{fmt.Sprintf("random-%d", seed), func(src, dst int) int { return m[src][dst] }})
+	}
+	landed := map[string]int{}
+	for _, zc := range []bool{true, false} {
+		cd := taggedCodecFor(zc)
+		for _, tc := range cases {
+			rng := rand.New(rand.NewSource(int64(len(tc.name))))
+			blocks, bounds := make([][]codec.Tagged, p), make([][]int, p)
+			for src := range blocks {
+				blocks[src] = make([]codec.Tagged, n)
+				for i := range blocks[src] {
+					blocks[src][i] = codec.Tagged{Key: float64(rng.Intn(5)), Rank: int32(src), Index: int32(i)}
+				}
+				slices.SortFunc(blocks[src], compareTagged)
+				bounds[src] = []int{0}
+				for dst := range p {
+					bounds[src] = append(bounds[src], bounds[src][dst]+tc.counts(src, dst))
+				}
+			}
+			want := make([][]codec.Tagged, p)
+			for me := range want {
+				acc := slices.Clone(blocks[me][bounds[me][me]:bounds[me][me+1]])
+				for k := 1; k < p; k++ {
+					from := (me - k + p) % p
+					run := blocks[from][bounds[from][me]:bounds[from][me+1]]
+					if len(run) > 0 {
+						dst := make([]codec.Tagged, len(acc)+len(run))
+						psort.MergeInto(dst, acc, run, compareTagged)
+						acc = dst
+					}
+				}
+				want[me] = acc
+			}
+			var where [p]string
+			err := cluster.Run(cluster.Topology{Nodes: 2, CoresPerNode: 2}, func(c *comm.Comm) error {
+				me := c.Rank()
+				opt := DefaultOptions()
+				opt.StageBytes = 5 * int64(cd.Size())
+				r, err := newRun(c, cd, compareTagged, opt)
+				if err != nil {
+					return err
+				}
+				defer r.close()
+				// The block in the kernel's slab, with room for a bucket
+				// spare, and the spent input beside it.
+				block := append(make([]codec.Tagged, 0, n+spare), blocks[me]...)
+				input := make([]codec.Tagged, n)
+				r.work, r.scratch, r.bounds = block, input, bounds[me]
+				if _, err := r.exchangeAndOrder(); err != nil {
+					return err
+				}
+				out := r.work
+				if !slices.Equal(out, want[me]) {
+					return fmt.Errorf("%s zero-copy=%v: rank %d's block differs from the fresh-slab merge", tc.name, zc, me)
+				}
+				if len(out) == 0 {
+					where[me] = "nothing"
+					return nil
+				}
+				switch m, at := len(out), &out[0]; {
+				case at == &input[0] && m <= n:
+					where[me] = "spent-input"
+				case at == &block[0] && m > n && m <= n+spare:
+					where[me] = "radix-scratch"
+				case at != &input[0] && at != &block[0] && m > n+spare:
+					where[me] = "fresh"
+				default:
+					return fmt.Errorf("%s: rank %d landed %d records in the wrong slab", tc.name, me, m)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, w := range where {
+				landed[w]++
+			}
+		}
+	}
+	for _, c := range []string{"spent-input", "radix-scratch", "fresh", "nothing"} {
+		if landed[c] == 0 {
+			t.Errorf("no rank landed in the %s", c)
+		}
+	}
+}
+
+// postGate forwards the in-process transport's posted receives and holds
+// each exchange Send until its destination has posted the region for
+// it, so every chunk lands in place and no arrival takes a buffer of its
+// own — what a transport allocates then depends on no schedule.
+type postGate struct {
+	comm.Transport
+	posted [][]chan struct{} // posted[dst][src] closes when dst posts src's region
+}
+
+func (g *postGate) Post(src int, ctx uint64, tag int32, region []byte) {
+	g.Transport.(comm.Poster).Post(src, ctx, tag, region)
+	if tag == tagExchange {
+		close(g.posted[g.Rank()][src])
+	}
+}
+
+func (g *postGate) Revoke(src int, ctx uint64, tag int32) {
+	g.Transport.(comm.Poster).Revoke(src, ctx, tag)
+}
+
+func (g *postGate) Send(dst int, ctx uint64, tag int32, data []byte) error {
+	if tag == tagExchange {
+		<-g.posted[dst][g.Rank()]
+	}
+	return g.Transport.Send(dst, ctx, tag, data)
+}
+
+// TestOverlapSlabCount counts what one non-stable 2 × 2 sort on the
+// overlapped path allocates, by the runtime's heap allocation counter
+// around the Sort calls: per rank the radix kernel's scratch (n records
+// plus a bucket spare) and at most one spare of the largest incoming
+// run, plus a constant: a radix split's tables per rank (its sync.Pool
+// may be cold, and drops items under the race detector), pivots,
+// counts, plans and the trace. The
+// arrivals and the merges land in the spent input, so no m-record slab
+// of its own appears on top.
+func TestOverlapSlabCount(t *testing.T) {
+	const p, n, recSize = 4, 1 << 18, 8
+	const radixSpare = 512 << 10 / recSize // the kernel's bucket spare: one 512 KiB bucket
+	const slack = p*768<<10 + 256<<10      // a split's tables per rank; pivots, counts, plans, the trace
+	in := make([][]float64, p)
+	for r := range in {
+		rng := rand.New(rand.NewSource(int64(r) + 41))
+		in[r] = make([]float64, n)
+		for i := range in[r] {
+			in[r][i] = rng.Float64()
+		}
+	}
+	posted := make([][]chan struct{}, p)
+	for dst := range posted {
+		posted[dst] = make([]chan struct{}, p)
+		for src := range posted[dst] {
+			posted[dst][src] = make(chan struct{})
+		}
+	}
+	wrap := func(tr comm.Transport) comm.Transport { return &postGate{Transport: tr, posted: posted} }
+	rec := trace.NewRing(ringCap)
+	sample := []rtmetrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+	var before, after uint64
+	err := cluster.RunOpts(cluster.Topology{Nodes: 2, CoresPerNode: 2}, cluster.Options{WrapTransport: wrap}, func(c *comm.Comm) error {
+		opt := DefaultOptions()
+		opt.TauM = 0
+		opt.Trace = rec
+		data := slices.Clone(in[c.Rank()])
+		// Rank 0 reads between two barriers: no rank has started its
+		// Sort yet, and every rank has made its input.
+		if err := c.Barrier(); err != nil {
+			return err
+		}
+		if c.Rank() == 0 {
+			rtmetrics.Read(sample)
+			before = sample[0].Value.Uint64()
+		}
+		if err := c.Barrier(); err != nil {
+			return err
+		}
+		out, err := Sort(c, data, codec.Float64{}, cmpF, opt)
+		if err != nil {
+			return err
+		}
+		if err := c.Barrier(); err != nil {
+			return err
+		}
+		if c.Rank() == 0 {
+			rtmetrics.Read(sample)
+			after = sample[0].Value.Uint64()
+		}
+		if !slices.IsSorted(out) {
+			return fmt.Errorf("rank %d: block not sorted", c.Rank())
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spans := spansNamed(t, rec, "exchange")
+	if len(spans) != p {
+		t.Fatalf("%d exchange spans, want %d", len(spans), p)
+	}
+	var largest [p]int64
+	for _, s := range spans {
+		if s.Detail["overlap"] != true {
+			t.Fatalf("rank %d took the synchronous exchange", s.Rank)
+		}
+		for dst, c := range s.Detail["sent"].([]int64) {
+			if dst != s.Rank {
+				largest[dst] = max(largest[dst], c)
+			}
+		}
+	}
+	bound := int64(slack)
+	for _, l := range largest {
+		bound += (n + radixSpare + l) * recSize
+	}
+	got := int64(after - before)
+	t.Logf("allocated %d bytes; bound %d (slack %d)", got, bound, slack)
+	if got > bound {
+		t.Errorf("the sort allocated %d bytes, above Σ(n + radix spare + largest incoming run) + %d = %d", got, slack, bound)
 	}
 }

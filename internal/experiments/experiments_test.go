@@ -5,7 +5,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"time"
+
+	"sdssort/internal/psort"
 )
 
 func quickCfg() Config { return Config{Quick: true, Seed: 42} }
@@ -203,35 +204,33 @@ func TestFig8HykSortOOM(t *testing.T) {
 	}
 }
 
-// TestFig5cMergeGrowsWithP asserts the τs mechanism: merging cost must
-// grow with the chunk count while sorting cost stays roughly flat.
+// TestFig5cMergeGrowsWithP asserts the τs mechanism on counted work:
+// Fig5c's merge makes about n⌈log₂ p⌉ comparisons, growing with the
+// chunk count, while its re-sort makes the radix sweep's n-1 at every p.
+// Comparisons, unlike times, do not shrink or stretch with a competing
+// load on the host.
 func TestFig5cMergeGrowsWithP(t *testing.T) {
-	res, err := Fig5c(Config{Quick: false, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
+	const total = 1 << 16
+	ps := []int{4, 16, 64, 256, 1024}
+	var calls int
+	counting := func(a, b float64) int { calls++; return cmpF64(a, b) }
+	count := func(f func()) float64 {
+		calls = 0
+		f()
+		return float64(calls)
 	}
-	rows := res.Tables[0].Rows
-	if len(rows) < 3 {
-		t.Fatalf("too few rows: %d", len(rows))
+	var merges, sorts []float64
+	for _, p := range ps {
+		chunks, concat := fig5cInput(7, total, p)
+		merges = append(merges, count(func() { psort.KWayMerge(chunks, counting) }))
+		sorts = append(sorts, count(func() { fig5cSort(concat, counting) }))
 	}
-	// Paper Fig 5c: merge time rises sharply with p while sort stays
-	// flat. Compared as growth from the smallest p to the largest, the
-	// claim holds whatever the clock's speed — the race detector slows
-	// the radix re-sort far more than the merge, so which of the two is
-	// faster at the largest p depends on the build, but not which grows.
-	ms := func(cell string) float64 {
-		d, err := time.ParseDuration(cell)
-		if err != nil {
-			t.Fatalf("cell %q: %v", cell, err)
-		}
-		return d.Seconds()
-	}
-	first, last := rows[0], rows[len(rows)-1]
-	mergeGrowth := ms(last[1]) / ms(first[1])
-	sortGrowth := ms(last[2]) / ms(first[2])
-	t.Logf("p %s -> %s: merge grows %.2fx, sort %.2fx", first[0], last[0], mergeGrowth, sortGrowth)
+	mergeGrowth := merges[len(ps)-1] / merges[0]
+	sortGrowth := sorts[len(ps)-1] / sorts[0]
+	t.Logf("comparisons, p %d -> %d: merge %v, sort %v; merge grows %.2fx, sort %.2fx",
+		ps[0], ps[len(ps)-1], merges, sorts, mergeGrowth, sortGrowth)
 	if mergeGrowth < 1.5*sortGrowth {
-		t.Errorf("merge grew %.2fx from p=%s to p=%s, sort %.2fx: want merge to grow at least 1.5 times as much",
-			mergeGrowth, first[0], last[0], sortGrowth)
+		t.Errorf("merge comparisons grew %.2fx from p=%d to p=%d, sort %.2fx: want merge to grow at least 1.5 times as much",
+			mergeGrowth, ps[0], ps[len(ps)-1], sortGrowth)
 	}
 }

@@ -162,18 +162,7 @@ func Fig5c(cfg Config) (*Result, error) {
 	}
 	res := &Result{ID: "fig5c", Title: About("fig5c"), Tables: []*metrics.Table{tbl}}
 	for _, p := range ps {
-		per := total / p
-		chunks := make([][]float64, p)
-		for i := range chunks {
-			c := workload.Uniform(cfg.Seed+int64(i), per)
-			psort.Sort(c, cmpF64)
-			chunks[i] = c
-		}
-		concat := make([]float64, 0, total)
-		for _, c := range chunks {
-			concat = append(concat, c...)
-		}
-
+		chunks, concat := fig5cInput(cfg.Seed, total, p)
 		mergeTime := median3(func() time.Duration {
 			start := time.Now()
 			psort.KWayMerge(chunks, cmpF64)
@@ -182,9 +171,7 @@ func Fig5c(cfg Config) (*Result, error) {
 		sortTime := median3(func() time.Duration {
 			cp := append([]float64(nil), concat...)
 			start := time.Now()
-			if _, v, _ := radix.Dispatch(cp, new([]float64), codec.Float64{}, cmpF64, false, 0); v != radix.Sorted {
-				psort.Sort(cp, cmpF64)
-			}
+			fig5cSort(cp, cmpF64)
 			return time.Since(start)
 		})
 		winner := "Merge"
@@ -196,4 +183,26 @@ func Fig5c(cfg Config) (*Result, error) {
 	res.Notes = append(res.Notes,
 		"paper: merge time rises sharply with p while sort stays flat, crossing at ~4000 processes (τs); the same monotonicity appears here")
 	return res, nil
+}
+
+// fig5cInput is Fig5c's received data at p: p sorted chunks of total/p
+// uniform keys, and their concatenation.
+func fig5cInput(seed int64, total, p int) ([][]float64, []float64) {
+	chunks := make([][]float64, p)
+	concat := make([]float64, 0, total)
+	for i := range chunks {
+		c := workload.Uniform(seed+int64(i), total/p)
+		psort.Sort(c, cmpF64)
+		chunks[i] = c
+		concat = append(concat, c...)
+	}
+	return chunks, concat
+}
+
+// fig5cSort is Fig5c's sort side, in place: the radix kernel, or a
+// comparison sort if its sweep disagrees.
+func fig5cSort(data []float64, cmp func(a, b float64) int) {
+	if _, v, _ := radix.Dispatch(data, new([]float64), codec.Float64{}, cmp, false, 0); v != radix.Sorted {
+		psort.Sort(data, cmp)
+	}
 }

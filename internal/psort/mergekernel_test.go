@@ -82,6 +82,20 @@ func TestMergeKernelMatchesReference(t *testing.T) {
 				t.Fatalf("na=%d nb=%d keys=%d: merging b from the tail of dst diverges from reference",
 					tc.na, tc.nb, tc.keys)
 			}
+			// MergeBack, apart and with b as the front of dst, the way
+			// the overlapped exchange's first merge lands beside its run.
+			back := make([]pair, tc.na+tc.nb)
+			MergeBack(back, a, b, cmpPair)
+			if !slices.Equal(want, back) {
+				t.Fatalf("na=%d nb=%d keys=%d: MergeBack diverges from reference", tc.na, tc.nb, tc.keys)
+			}
+			clear(back)
+			copy(back, b)
+			MergeBack(back, a, back[:tc.nb], cmpPair)
+			if !slices.Equal(want, back) {
+				t.Fatalf("na=%d nb=%d keys=%d: MergeBack from the front of dst diverges from reference",
+					tc.na, tc.nb, tc.keys)
+			}
 			// The seq fields double-check the tie rule directly: equal
 			// keys must come a-side first, each side in its own order.
 			for i := 1; i < len(got); i++ {

@@ -193,6 +193,32 @@ func MergeInto[T any](dst, a, b []T, cmp func(x, y T) int) {
 	copy(dst[k:], b[j:])
 }
 
+// MergeBack is MergeInto run from the back: the same output, ties to a,
+// written largest first. b may be the front of dst itself: the write
+// position stays past b's unread records while a has any left, and
+// what is left of b is then already in place. It is the same branchless
+// kernel, with the same comparison (`cmp(b, a) < 0` keeps a's record at
+// the back).
+func MergeBack[T any](dst, a, b []T, cmp func(x, y T) int) {
+	i, j := len(a), len(b)
+	for n := min(i, j); n > 0; n = min(i, j) {
+		for end := i + j - n; i+j > end; {
+			src := [2]*T{&a[i-1], &b[j-1]}
+			t := 1
+			if cmp(*src[1], *src[0]) < 0 {
+				t = 0
+			}
+			dst[i+j-1] = *src[t]
+			j -= t
+			i -= 1 - t
+		}
+	}
+	copy(dst, a[:i])
+	if j > 0 && &dst[0] != &b[0] {
+		copy(dst, b[:j])
+	}
+}
+
 // MergeSome is MergeInto's kernel alone: it merges a[:i] and b[:j] into
 // dst[:i+j], taking from a on ties, and stops as soon as dst is full or
 // either input is spent — the caller refills the spent side, or copies
