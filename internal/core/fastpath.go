@@ -85,10 +85,10 @@ func (r *run[T]) takeSlab(n int64) []T {
 
 // sendFromInput moves the block back into the spent input slab when a
 // rank receives more than that slab holds: the slab — often the caller's
-// input, which the caller may still hold — is then the one sent from, so
-// no third slab stays alive beside the fresh receive slab and the
-// merge's spare. Kept out of line: inlined, it moved the cosmology
-// build's merge loop into a code layout a quarter slower on a 2-vCPU Xeon.
+// input, which the caller may still hold — is then the one sent from and
+// the merge's buffer, so no third slab stays alive beside the receive
+// slab. Kept out of line: inlined, it moved the cosmology build's merge
+// loop into a code layout a quarter slower on a 2-vCPU Xeon.
 //
 //go:noinline
 func (r *run[T]) sendFromInput(m int64) {

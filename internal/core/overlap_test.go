@@ -304,17 +304,18 @@ func TestOverlapLandingCases(t *testing.T) {
 }
 
 // postGate forwards the in-process transport's posted receives and holds
-// each exchange Send until its destination has posted the region for
-// it, so every chunk lands in place and no arrival takes a buffer of its
+// each Send on tag until its destination has posted the region for it,
+// so every chunk lands in place and no arrival takes a buffer of its
 // own — what a transport allocates then depends on no schedule.
 type postGate struct {
 	comm.Transport
+	tag    int32
 	posted [][]chan struct{} // posted[dst][src] closes when dst posts src's region
 }
 
 func (g *postGate) Post(src int, ctx uint64, tag int32, region []byte) {
 	g.Transport.(comm.Poster).Post(src, ctx, tag, region)
-	if tag == tagExchange {
+	if tag == g.tag {
 		close(g.posted[g.Rank()][src])
 	}
 }
@@ -324,33 +325,21 @@ func (g *postGate) Revoke(src int, ctx uint64, tag int32) {
 }
 
 func (g *postGate) Send(dst int, ctx uint64, tag int32, data []byte) error {
-	if tag == tagExchange {
+	if tag == g.tag {
 		<-g.posted[dst][g.Rank()]
 	}
 	return g.Transport.Send(dst, ctx, tag, data)
 }
 
-// TestOverlapSlabCount counts what one non-stable 2 × 2 sort on the
-// overlapped path allocates, by the runtime's heap allocation counter
-// around the Sort calls: per rank the radix kernel's scratch (n records
-// plus a bucket spare) and at most one spare of the largest incoming
-// run, plus a constant: a radix split's tables per rank (its sync.Pool
-// may be cold, and drops items under the race detector), pivots,
-// counts, plans and the trace. The
-// arrivals and the merges land in the spent input, so no m-record slab
-// of its own appears on top.
-func TestOverlapSlabCount(t *testing.T) {
-	const p, n, recSize = 4, 1 << 18, 8
-	const radixSpare = 512 << 10 / recSize // the kernel's bucket spare: one 512 KiB bucket
-	const slack = p*768<<10 + 256<<10      // a split's tables per rank; pivots, counts, plans, the trace
-	in := make([][]float64, p)
-	for r := range in {
-		rng := rand.New(rand.NewSource(int64(r) + 41))
-		in[r] = make([]float64, n)
-		for i := range in[r] {
-			in[r][i] = rng.Float64()
-		}
-	}
+// sortAllocs runs one 2 × 2 Sort of in under opt, every Send on tag held
+// by a postGate, and returns what the runtime's heap allocation counter
+// grew by across the Sort calls, read by rank 0 between two barriers
+// before them — no rank has started its Sort, every rank has made its
+// input — and after one after them, with the sort's trace. A world that
+// posted no region on tag gated nothing, and fails.
+func sortAllocs(t *testing.T, in [][]float64, tag int32, opt Options) (int64, *trace.Ring) {
+	t.Helper()
+	p := len(in)
 	posted := make([][]chan struct{}, p)
 	for dst := range posted {
 		posted[dst] = make([]chan struct{}, p)
@@ -358,17 +347,13 @@ func TestOverlapSlabCount(t *testing.T) {
 			posted[dst][src] = make(chan struct{})
 		}
 	}
-	wrap := func(tr comm.Transport) comm.Transport { return &postGate{Transport: tr, posted: posted} }
+	wrap := func(tr comm.Transport) comm.Transport { return &postGate{Transport: tr, tag: tag, posted: posted} }
 	rec := trace.NewRing(ringCap)
+	opt.Trace = rec
 	sample := []rtmetrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
 	var before, after uint64
 	err := cluster.RunOpts(cluster.Topology{Nodes: 2, CoresPerNode: 2}, cluster.Options{WrapTransport: wrap}, func(c *comm.Comm) error {
-		opt := DefaultOptions()
-		opt.TauM = 0
-		opt.Trace = rec
 		data := slices.Clone(in[c.Rank()])
-		// Rank 0 reads between two barriers: no rank has started its
-		// Sort yet, and every rank has made its input.
 		if err := c.Barrier(); err != nil {
 			return err
 		}
@@ -398,6 +383,43 @@ func TestOverlapSlabCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	for dst := range posted {
+		for src := range posted[dst] {
+			select {
+			case <-posted[dst][src]:
+				return int64(after - before), rec
+			default:
+			}
+		}
+	}
+	t.Fatalf("no rank posted a region on tag %d", tag)
+	return 0, nil
+}
+
+// TestOverlapSlabCount counts what one non-stable 2 × 2 sort on the
+// overlapped path allocates, by the runtime's heap allocation counter
+// around the Sort calls: per rank the radix kernel's scratch (n records
+// plus a bucket spare) and at most one spare of the largest incoming
+// run, plus a constant: a radix split's tables per rank (its sync.Pool
+// may be cold, and drops items under the race detector), pivots,
+// counts, plans and the trace. The
+// arrivals and the merges land in the spent input, so no m-record slab
+// of its own appears on top.
+func TestOverlapSlabCount(t *testing.T) {
+	const p, n, recSize = 4, 1 << 18, 8
+	const radixSpare = 512 << 10 / recSize // the kernel's bucket spare: one 512 KiB bucket
+	const slack = p*768<<10 + 256<<10      // a split's tables per rank; pivots, counts, plans, the trace
+	in := make([][]float64, p)
+	for r := range in {
+		rng := rand.New(rand.NewSource(int64(r) + 41))
+		in[r] = make([]float64, n)
+		for i := range in[r] {
+			in[r][i] = rng.Float64()
+		}
+	}
+	opt := DefaultOptions()
+	opt.TauM = 0
+	got, rec := sortAllocs(t, in, tagExchange, opt)
 	spans := spansNamed(t, rec, "exchange")
 	if len(spans) != p {
 		t.Fatalf("%d exchange spans, want %d", len(spans), p)
@@ -417,7 +439,6 @@ func TestOverlapSlabCount(t *testing.T) {
 	for _, l := range largest {
 		bound += (n + radixSpare + l) * recSize
 	}
-	got := int64(after - before)
 	t.Logf("allocated %d bytes; bound %d (slack %d)", got, bound, slack)
 	if got > bound {
 		t.Errorf("the sort allocated %d bytes, above Σ(n + radix spare + largest incoming run) + %d = %d", got, slack, bound)

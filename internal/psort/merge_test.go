@@ -109,32 +109,43 @@ func TestKWayMergeSkewedChunkSizes(t *testing.T) {
 // BenchmarkMergeRuns merges k sorted runs of 16-byte records (the PTF
 // record's size), 256 Ki in all, lying next to each other as the
 // exchange's receive slab holds them; ns/record is per record merged.
+// The ping-pong arm is MergeRuns between two slabs, the in-slab arm
+// MergeRunsIn through a buffer of MergeRunsNeed's records.
 func BenchmarkMergeRuns(b *testing.B) {
 	const total = 1 << 18
-	for _, k := range []int{4, 16, 64} {
-		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(12))
-			in := make([]kv, total)
-			lens := make([]int, k)
-			for r := range lens {
-				lo, hi := r*total/k, (r+1)*total/k
-				for i := lo; i < hi; i++ {
-					in[i] = kv{K: rng.Intn(1 << 30), V: i}
+	for _, arm := range []string{"ping-pong", "in-slab"} {
+		for _, k := range []int{4, 16, 64} {
+			b.Run(fmt.Sprintf("%s/k=%d", arm, k), func(b *testing.B) {
+				rng := rand.New(rand.NewSource(12))
+				in := make([]kv, total)
+				lens := make([]int, k)
+				for r := range lens {
+					lo, hi := r*total/k, (r+1)*total/k
+					for i := lo; i < hi; i++ {
+						in[i] = kv{K: rng.Intn(1 << 30), V: i}
+					}
+					slices.SortFunc(in[lo:hi], cmpKV)
+					lens[r] = hi - lo
 				}
-				slices.SortFunc(in[lo:hi], cmpKV)
-				lens[r] = hi - lo
-			}
-			a, buf, runs := make([]kv, total), make([]kv, total), make([]int, k)
-			b.SetBytes(total * 16)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				copy(a, in)
-				copy(runs, lens)
-				b.StartTimer()
-				MergeRuns(a, buf, runs, cmpKV)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/total, "ns/record")
-		})
+				a, buf, runs := make([]kv, total), make([]kv, total), make([]int, k)
+				if arm == "in-slab" {
+					buf = buf[:MergeRunsNeed(lens)]
+				}
+				b.SetBytes(total * 16)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					copy(a, in)
+					copy(runs, lens)
+					b.StartTimer()
+					if arm == "in-slab" {
+						MergeRunsIn(a, buf, runs, cmpKV)
+					} else {
+						MergeRuns(a, buf, runs, cmpKV)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/total, "ns/record")
+			})
+		}
 	}
 }

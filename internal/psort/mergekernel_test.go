@@ -96,6 +96,15 @@ func TestMergeKernelMatchesReference(t *testing.T) {
 				t.Fatalf("na=%d nb=%d keys=%d: MergeBack from the front of dst diverges from reference",
 					tc.na, tc.nb, tc.keys)
 			}
+			// a as the front of dst, the way MergeRunsIn merges a pair
+			// whose right run is the smaller.
+			clear(back)
+			copy(back, a)
+			MergeBack(back, back[:tc.na], b, cmpPair)
+			if !slices.Equal(want, back) {
+				t.Fatalf("na=%d nb=%d keys=%d: MergeBack with a as the front of dst diverges from reference",
+					tc.na, tc.nb, tc.keys)
+			}
 			// The seq fields double-check the tie rule directly: equal
 			// keys must come a-side first, each side in its own order.
 			for i := 1; i < len(got); i++ {

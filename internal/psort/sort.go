@@ -178,7 +178,7 @@ func insertionSortStable[T any](data []T, cmp func(a, b T) int) {
 // taking from a on ties — the stability rule. Either input may be the
 // tail of dst itself: the write position only catches up with its read
 // position once the other input is exhausted, and what is left of it is
-// then already in place.
+// then already in place, and not copied onto itself.
 // The kernel is branchless: the comparison outcome, as 0 or 1, indexes
 // the pair of source addresses and advances the indices instead of
 // steering an unpredictable branch — selecting between the two values
@@ -190,15 +190,17 @@ func MergeInto[T any](dst, a, b []T, cmp func(x, y T) int) {
 	i, j := MergeSome(dst, a, b, cmp)
 	k := i + j
 	k += copy(dst[k:], a[i:])
-	copy(dst[k:], b[j:])
+	if j < len(b) && &dst[k] != &b[j] {
+		copy(dst[k:], b[j:])
+	}
 }
 
 // MergeBack is MergeInto run from the back: the same output, ties to a,
-// written largest first. b may be the front of dst itself: the write
-// position stays past b's unread records while a has any left, and
-// what is left of b is then already in place. It is the same branchless
-// kernel, with the same comparison (`cmp(b, a) < 0` keeps a's record at
-// the back).
+// written largest first. Either input may be the front of dst itself:
+// the write position stays past its unread records while the other
+// input has any left, and what is left of it is then already in place,
+// and not copied onto itself. It is the same branchless kernel, with
+// the same comparison (`cmp(b, a) < 0` keeps a's record at the back).
 func MergeBack[T any](dst, a, b []T, cmp func(x, y T) int) {
 	i, j := len(a), len(b)
 	for n := min(i, j); n > 0; n = min(i, j) {
@@ -213,7 +215,9 @@ func MergeBack[T any](dst, a, b []T, cmp func(x, y T) int) {
 			i -= 1 - t
 		}
 	}
-	copy(dst, a[:i])
+	if i > 0 && &dst[0] != &a[0] {
+		copy(dst, a[:i])
+	}
 	if j > 0 && &dst[0] != &b[0] {
 		copy(dst, b[:j])
 	}
