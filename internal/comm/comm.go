@@ -247,18 +247,6 @@ func (c *Comm) Recv(src, tag int) ([]byte, error) {
 	return c.tr.Recv(c.group[src], c.ctx, int32(tag))
 }
 
-// PostRecv posts region as the landing place of the next payload bytes
-// from communicator rank src on tag (see Poster) and returns the revoke
-// the caller must run before region escapes. When the transport cannot
-// post, or src is out of range, nothing is posted and revoke does
-// nothing: every message then arrives in a buffer of its own.
-func (c *Comm) PostRecv(src, tag int, region []byte) (revoke func()) {
-	if c.checkPeer(src, tag) != nil || !c.post(src, int32(tag), region) {
-		return func() {}
-	}
-	return func() { c.revoke(src, int32(tag)) }
-}
-
 // post posts region for src on tag when the transport can, and reports
 // whether it did.
 func (c *Comm) post(src int, tag int32, region []byte) bool {

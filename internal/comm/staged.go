@@ -1,6 +1,9 @@
 package comm
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+)
 
 // tagStaged is the reserved tag band of the staged all-to-all. A single
 // tag suffices: each ordered (src, dst) pair is visited by exactly one
@@ -53,12 +56,26 @@ type StagedOptions struct {
 	// OnWindow, when non-nil, observes live stage-window occupancy: the
 	// collective calls it with +n when it takes hold of an n-byte chunk
 	// buffer (outgoing chunk filled, incoming chunk received) and -n
-	// when it lets go. The running sum is the staging window in bytes —
-	// at most one outgoing plus one incoming chunk by construction —
-	// and is guaranteed to return to its starting value when the
-	// collective exits, error paths included. Must be cheap and safe
-	// for concurrent use.
+	// when it lets go, on every exit path. The running sum is the
+	// staging window in bytes — at most one outgoing plus one incoming
+	// chunk by construction — and returns to its starting value when
+	// the collective exits, error paths included. Must be cheap and
+	// safe for concurrent use.
 	OnWindow func(delta int64)
+	// Overlap runs the send stream, every round of it, on a goroutine
+	// of its own while the caller's goroutine receives and drains
+	// (Fig. 1's SdssAlltoallvAsync), so a Drain that takes its time —
+	// merging a completed run — never holds back this rank's sends.
+	// Fill and FillDone then run concurrently with Drain. Both streams
+	// are joined before the collective returns, on every exit.
+	Overlap bool
+}
+
+// window reports a change of stage-window occupancy to OnWindow.
+func (o *StagedOptions) window(delta int64) {
+	if o.OnWindow != nil {
+		o.OnWindow(delta)
+	}
 }
 
 // StagedStats reports what a StagedAlltoallv moved.
@@ -72,7 +89,7 @@ type StagedStats struct {
 	Rounds int
 }
 
-func (o *StagedOptions) validate(p int) error {
+func (o *StagedOptions) validate(p, me int) error {
 	if len(o.SendBytes) != p || len(o.RecvBytes) != p {
 		return fmt.Errorf("comm: staged alltoallv needs %d send/recv counts, got %d/%d",
 			p, len(o.SendBytes), len(o.RecvBytes))
@@ -82,6 +99,9 @@ func (o *StagedOptions) validate(p int) error {
 	}
 	if o.RecvRegions != nil && len(o.RecvRegions) != p {
 		return fmt.Errorf("comm: staged alltoallv needs %d receive regions, got %d", p, len(o.RecvRegions))
+	}
+	if o.SendBytes[me] != o.RecvBytes[me] {
+		return fmt.Errorf("comm: staged alltoallv: self send %d != self recv %d bytes", o.SendBytes[me], o.RecvBytes[me])
 	}
 	for r := 0; r < p; r++ {
 		if o.SendBytes[r] < 0 || o.RecvBytes[r] < 0 {
@@ -105,42 +125,29 @@ func chunkSize(stage, off, total int64) int64 {
 	return n
 }
 
-// StagedAlltoallv runs a personalised all-to-all in bounded stages: a
-// 1-factor-style peer schedule (XOR pairing for power-of-two sizes, a
-// shift schedule otherwise) with each peer's payload cut into chunks of
-// at most StageBytes. Within a round the send and receive streams
-// interleave chunk by chunk, so a rank holds at most one outgoing and
-// one incoming chunk at a time; the transports' eager Send semantics
-// make the interleaving deadlock-free.
+// StagedAlltoallv runs a personalised all-to-all in bounded stages on
+// a shift schedule — round k sends to me+k and receives from me-k —
+// with each peer's payload cut into chunks of at most StageBytes. On
+// the eager transports every round is a permutation. By default the
+// send and receive streams of a round interleave chunk by chunk, so a
+// rank holds at most one outgoing and one incoming chunk at a time;
+// eager Send makes the interleaving deadlock-free. With Overlap the
+// send stream runs on a goroutine of its own instead (see
+// StagedOptions.Overlap).
 //
 // Semantics match Alltoall: chunks from a given source arrive at
 // monotonically increasing offsets (FIFO per pair), so a Drain that
-// appends reassembles each source's payload in order. Every rank of c
-// must call it with agreeing SendBytes/RecvBytes matrices.
-func (c *Comm) StagedAlltoallv(o StagedOptions) (StagedStats, error) {
+// appends reassembles each source's payload in order. In either mode
+// Drain runs on the caller's goroutine and sees the sources in shift
+// order: itself (round 0), then me-1, me-2, …, each source's chunks
+// all before the next source's. Every rank of c must call it with
+// agreeing SendBytes/RecvBytes matrices.
+func (c *Comm) StagedAlltoallv(o StagedOptions) (st StagedStats, err error) {
 	p := len(c.group)
 	me := c.rank
-	var st StagedStats
-	if err := o.validate(p); err != nil {
+	if err := o.validate(p, me); err != nil {
 		return st, err
 	}
-	stage := o.StageBytes
-
-	// win tracks the chunk bytes this collective currently holds and
-	// mirrors them into OnWindow; the deferred release makes the
-	// occupancy contribution net zero on every exit path.
-	var winHeld int64
-	win := func(d int64) {
-		if o.OnWindow != nil {
-			o.OnWindow(d)
-		}
-		winHeld += d
-	}
-	defer func() {
-		if winHeld != 0 {
-			win(-winHeld)
-		}
-	}()
 
 	// Post every peer's region before any round, so that its chunks —
 	// which may arrive while earlier rounds run — land in place; the
@@ -154,85 +161,111 @@ func (c *Comm) StagedAlltoallv(o StagedOptions) (StagedStats, error) {
 	// Round 0: the self "exchange" — chunked through the same Fill /
 	// Drain pipeline so the caller sees one code path and the stage
 	// window bounds the self-copy too.
-	if o.SendBytes[me] != o.RecvBytes[me] {
-		return st, fmt.Errorf("comm: staged alltoallv: self send %d != self recv %d bytes",
-			o.SendBytes[me], o.RecvBytes[me])
-	}
-	for off := int64(0); off < o.SendBytes[me]; {
-		n := chunkSize(stage, off, o.SendBytes[me])
-		buf, err := o.Fill(me, off, n)
-		if err != nil {
-			return st, fmt.Errorf("comm: staged fill for self: %w", err)
-		}
-		if int64(len(buf)) != n {
-			return st, fmt.Errorf("comm: staged fill for self returned %d bytes, want %d", len(buf), n)
-		}
-		win(n)
-		if err := o.Drain(me, off, buf); err != nil {
-			return st, fmt.Errorf("comm: staged drain for self: %w", err)
-		}
-		if o.FillDone != nil {
-			o.FillDone(me, buf)
-		}
-		win(-n)
-		st.BytesStaged += n
-		st.Chunks++
-		off += n
+	if err := c.sendAll(&o, &st, me); err != nil {
+		return st, err
 	}
 	st.Rounds = 1
 
-	pow2 := p&(p-1) == 0
+	if o.Overlap {
+		sent, sends := make(chan error, 1), StagedStats{}
+		go func() {
+			var err error
+			for k := 1; k < p && err == nil; k++ {
+				err = c.sendAll(&o, &sends, (me+k)%p)
+			}
+			sent <- err
+		}()
+		// Join the sender on every exit: Fill views the caller's data.
+		defer func() {
+			serr := <-sent
+			st.BytesStaged += sends.BytesStaged
+			st.Chunks += sends.Chunks
+			err = cmp.Or(err, serr)
+		}()
+	}
+
 	for k := 1; k < p; k++ {
 		sendTo, recvFrom := (me+k)%p, (me-k+p)%p
-		if pow2 {
-			// XOR pairing: a true 1-factorisation — every round is a
-			// perfect matching, each pair exchanging both ways.
-			sendTo = me ^ k
-			recvFrom = sendTo
-		}
 		sTotal, rTotal := o.SendBytes[sendTo], o.RecvBytes[recvFrom]
 		var sOff, rOff int64
+		if o.Overlap {
+			sOff = sTotal // the sender goroutine has this round's sends
+		}
 		for sOff < sTotal || rOff < rTotal {
 			if sOff < sTotal {
-				n := chunkSize(stage, sOff, sTotal)
-				buf, err := o.Fill(sendTo, sOff, n)
-				if err != nil {
-					return st, fmt.Errorf("comm: staged fill for rank %d: %w", sendTo, err)
-				}
-				if int64(len(buf)) != n {
-					return st, fmt.Errorf("comm: staged fill for rank %d returned %d bytes, want %d",
-						sendTo, len(buf), n)
-				}
-				win(n)
-				if err := c.sendInternal(sendTo, tagStaged, buf); err != nil {
-					return st, fmt.Errorf("comm: staged send to rank %d: %w", sendTo, err)
-				}
-				if o.FillDone != nil {
-					o.FillDone(sendTo, buf)
-				}
-				win(-n)
-				st.BytesStaged += n
-				st.Chunks++
-				sOff += n
+				err = c.sendChunk(&o, &st, sendTo, &sOff)
 			}
-			if rOff < rTotal {
-				chunk, err := c.recvInternal(recvFrom, tagStaged)
-				if err != nil {
-					return st, fmt.Errorf("comm: staged recv from rank %d: %w", recvFrom, err)
-				}
-				win(int64(len(chunk)))
-				if int64(len(chunk)) == 0 || rOff+int64(len(chunk)) > rTotal {
-					return st, fmt.Errorf("comm: staged recv from rank %d: %d bytes at offset %d exceeds advertised %d",
-						recvFrom, len(chunk), rOff, rTotal)
-				}
-				if err := o.Drain(recvFrom, rOff, chunk); err != nil {
-					return st, fmt.Errorf("comm: staged drain from rank %d: %w", recvFrom, err)
-				}
-				win(-int64(len(chunk)))
-				rOff += int64(len(chunk))
+			if err == nil && rOff < rTotal {
+				err = c.recvChunk(&o, recvFrom, &rOff)
+			}
+			if err != nil {
+				return st, err
 			}
 		}
 		st.Rounds++
 	}
 	return st, nil
+}
+
+// sendAll sends dst's whole payload, chunk by chunk.
+func (c *Comm) sendAll(o *StagedOptions, st *StagedStats, dst int) error {
+	for off := int64(0); off < o.SendBytes[dst]; {
+		if err := c.sendChunk(o, st, dst, &off); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// sendChunk is the send step: it fills the chunk at offset *off of
+// dst's payload, hands it to the transport — or to Drain when dst is
+// this rank — books it on st and advances *off past it.
+func (c *Comm) sendChunk(o *StagedOptions, st *StagedStats, dst int, off *int64) error {
+	n := chunkSize(o.StageBytes, *off, o.SendBytes[dst])
+	buf, err := o.Fill(dst, *off, n)
+	if err != nil {
+		return fmt.Errorf("comm: staged fill for rank %d: %w", dst, err)
+	}
+	if int64(len(buf)) != n {
+		return fmt.Errorf("comm: staged fill for rank %d returned %d bytes, want %d", dst, len(buf), n)
+	}
+	o.window(n)
+	defer o.window(-n)
+	if dst == c.rank {
+		err = o.Drain(dst, *off, buf)
+	} else {
+		err = c.sendInternal(dst, tagStaged, buf)
+	}
+	if o.FillDone != nil {
+		o.FillDone(dst, buf)
+	}
+	if err != nil {
+		return fmt.Errorf("comm: staged send to rank %d: %w", dst, err)
+	}
+	st.BytesStaged += n
+	st.Chunks++
+	*off += n
+	return nil
+}
+
+// recvChunk is the receive step: it takes the next chunk from src,
+// which must fit what src advertised past offset *off, drains it and
+// advances *off past it.
+func (c *Comm) recvChunk(o *StagedOptions, src int, off *int64) error {
+	chunk, err := c.recvInternal(src, tagStaged)
+	if err != nil {
+		return fmt.Errorf("comm: staged recv from rank %d: %w", src, err)
+	}
+	n := int64(len(chunk))
+	o.window(n)
+	defer o.window(-n)
+	if n == 0 || *off+n > o.RecvBytes[src] {
+		return fmt.Errorf("comm: staged recv from rank %d: %d bytes at offset %d exceeds advertised %d",
+			src, n, *off, o.RecvBytes[src])
+	}
+	if err := o.Drain(src, *off, chunk); err != nil {
+		return fmt.Errorf("comm: staged drain from rank %d: %w", src, err)
+	}
+	*off += n
+	return nil
 }

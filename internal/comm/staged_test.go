@@ -2,10 +2,14 @@ package comm
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // stagedPayloads builds a deterministic payload matrix: what src sends
@@ -37,7 +41,7 @@ func stagedPayloads(p int, seed int64) [][][]byte {
 // runStaged executes one StagedAlltoallv over the payload matrix and
 // checks every rank reassembles exactly what the plain Alltoall would
 // deliver.
-func runStaged(t *testing.T, p int, stage int64) {
+func runStaged(t *testing.T, p int, stage int64, overlap bool) {
 	t.Helper()
 	payloads := stagedPayloads(p, 7*int64(p)+stage)
 	runRanks(t, p, nil, func(c *Comm) error {
@@ -53,6 +57,7 @@ func runStaged(t *testing.T, p int, stage int64) {
 			StageBytes: stage,
 			SendBytes:  sendBytes,
 			RecvBytes:  recvBytes,
+			Overlap:    overlap,
 			Fill: func(dst int, off, n int64) ([]byte, error) {
 				return payloads[me][dst][off : off+n], nil
 			},
@@ -90,7 +95,8 @@ func TestStagedAlltoallvMatchesAlltoall(t *testing.T) {
 	for _, p := range []int{1, 2, 4, 5, 8} {
 		for _, stage := range []int64{0, 1, 7, 64, 1 << 20} {
 			t.Run(fmt.Sprintf("p%d_stage%d", p, stage), func(t *testing.T) {
-				runStaged(t, p, stage)
+				runStaged(t, p, stage, false)
+				runStaged(t, p, stage, true)
 			})
 		}
 	}
@@ -173,4 +179,169 @@ func TestStagedAlltoallvValidation(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+// peerCounts is a count matrix row: per bytes to every rank but skip.
+func peerCounts(p, skip int, per int64) []int64 {
+	counts := make([]int64, p)
+	for r := range counts {
+		if r != skip {
+			counts[r] = per
+		}
+	}
+	return counts
+}
+
+// TestStagedShiftOrder: in either mode Drain sees the sources in shift
+// order — itself, then me-1, me-2, … — each one's chunks at rising
+// offsets before the next source's. The overlapped merge's order, and
+// so its ties and its bytes, rest on this order.
+func TestStagedShiftOrder(t *testing.T) {
+	const stage, per = 3, 8 // three chunks from every source
+	type drained struct {
+		src int
+		off int64
+	}
+	for _, p := range []int{3, 4, 5, 8} {
+		for _, overlap := range []bool{false, true} {
+			t.Run(fmt.Sprintf("p%d_overlap%v", p, overlap), func(t *testing.T) {
+				counts := peerCounts(p, -1, per)
+				payload := make([]byte, per)
+				runRanks(t, p, nil, func(c *Comm) error {
+					me := c.Rank()
+					var got, want []drained
+					for k := range p {
+						for off := int64(0); off < per; off += stage {
+							want = append(want, drained{(me - k + p) % p, off})
+						}
+					}
+					_, err := c.StagedAlltoallv(StagedOptions{
+						StageBytes: stage, SendBytes: counts, RecvBytes: counts, Overlap: overlap,
+						Fill: func(_ int, off, n int64) ([]byte, error) { return payload[off : off+n], nil },
+						Drain: func(src int, off int64, _ []byte) error {
+							got = append(got, drained{src, off})
+							return nil
+						},
+					})
+					if err != nil {
+						return err
+					}
+					if !slices.Equal(got, want) {
+						return fmt.Errorf("rank %d drained (source, offset) %v, want %v", me, got, want)
+					}
+					return nil
+				})
+			})
+		}
+	}
+}
+
+// TestStagedOverlapSendsNotHeldBack: with Overlap, a rank's sends never
+// wait on its receives. Every Drain blocks on its first chunk until
+// every rank's FillDone has reported its last chunk sent, which only a
+// send stream of its own can satisfy — interleaved, each rank would
+// wait in Drain for sends stuck behind it, so that mode is not run.
+func TestStagedOverlapSendsNotHeldBack(t *testing.T) {
+	const p, stage, per = 4, 8, 64
+	payload := make([]byte, per)
+	var sent atomic.Int64
+	allSent := make(chan struct{})
+	runRanks(t, p, nil, func(c *Comm) error {
+		me := c.Rank()
+		send := peerCounts(p, me, per)
+		waited := false
+		_, err := c.StagedAlltoallv(StagedOptions{
+			StageBytes: stage, SendBytes: send, RecvBytes: send, Overlap: true,
+			Fill: func(_ int, off, n int64) ([]byte, error) { return payload[off : off+n], nil },
+			FillDone: func(int, []byte) {
+				if sent.Add(1) == p*(p-1)*per/stage {
+					close(allSent)
+				}
+			},
+			Drain: func(src int, _ int64, _ []byte) error {
+				if waited {
+					return nil
+				}
+				waited = true
+				select {
+				case <-allSent:
+					return nil
+				case <-time.After(10 * time.Second):
+					return fmt.Errorf("rank %d: the first chunk from %d waited 10s for the sends", me, src)
+				}
+			},
+		})
+		return err
+	})
+}
+
+// TestStagedOverlapFailureCleanup: when a Drain fails, the overlapped
+// collective returns only once its sender has stopped — no Fill or
+// FillDone after the return — with OnWindow back at zero on every rank.
+// Rank 0's Fill is slow and its first Drain fails, so its sender is
+// mid-stream when the receive side gives up.
+func TestStagedOverlapFailureCleanup(t *testing.T) {
+	const p, stage, per = 4, 8, 64
+	world, err := NewWorld(p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer world.Close()
+	payload := make([]byte, per)
+	var returned atomic.Bool
+	var late atomic.Int64
+	window := make([]atomic.Int64, p)
+	errs := make([]error, p)
+	var wg sync.WaitGroup
+	for r := range p {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c := New(world.Transport(r))
+			send := peerCounts(p, r, per)
+			_, errs[r] = c.StagedAlltoallv(StagedOptions{
+				StageBytes: stage, SendBytes: send, RecvBytes: send, Overlap: true,
+				Fill: func(_ int, off, n int64) ([]byte, error) {
+					if r == 0 {
+						if returned.Load() {
+							late.Add(1)
+						}
+						time.Sleep(2 * time.Millisecond)
+					}
+					return payload[off : off+n], nil
+				},
+				FillDone: func(int, []byte) {
+					if r == 0 && returned.Load() {
+						late.Add(1)
+					}
+				},
+				Drain: func(src int, _ int64, _ []byte) error {
+					if r == 0 {
+						return errors.New("injected drain failure")
+					}
+					return nil
+				},
+				OnWindow: func(d int64) { window[r].Add(d) },
+			})
+			if r == 0 {
+				returned.Store(true)
+			}
+		}()
+	}
+	wg.Wait()
+	time.Sleep(50 * time.Millisecond) // long enough for a leaked sender to call Fill again
+	if errs[0] == nil {
+		t.Fatal("rank 0 succeeded despite its failing Drain")
+	}
+	if err := errors.Join(errs[1:]...); err != nil {
+		t.Fatalf("a peer failed: %v", err)
+	}
+	if n := late.Load(); n != 0 {
+		t.Errorf("%d Fill or FillDone calls after the collective returned", n)
+	}
+	for r := range window {
+		if w := window[r].Load(); w != 0 {
+			t.Errorf("rank %d: OnWindow sums to %d, want 0", r, w)
+		}
+	}
 }

@@ -14,12 +14,13 @@ import (
 
 // The data exchange. Fig. 1 has two flavours — the synchronous
 // all-to-all followed by merge-or-resort (lines 16-21) and the
-// asynchronous one that merges each arrival (lines 23-27) — and this
-// file has one function for each: stagedExchange and overlapExchange.
-// Everything else is a *source* that produces a destination's outgoing
-// chunks (partitionSource here, runSource in spillstream.go) or a
-// *sink* that consumes a source rank's arriving chunks (recvSlab here,
-// recvSpool in spill.go).
+// asynchronous one that merges each arrival (lines 23-27) — and both
+// are one call, stagedExchange, over comm.StagedAlltoallv: they differ
+// only in whether this rank's sends wait on its receives. Everything
+// else is a *source* that produces a destination's outgoing chunks
+// (partitionSource here, runSource in spillstream.go) or a *sink* that
+// consumes a source rank's arriving chunks (recvSlab and mergeSink
+// here, recvSpool in spill.go).
 
 // effStage rounds the configured stage size down to a whole number of
 // records (chunks must never split a record), with a floor of one
@@ -60,49 +61,6 @@ type exchangePlan struct {
 
 // spanFailed closes a span on an error exit.
 var spanFailed = map[string]any{"reason": "error"}
-
-// open starts the exchange's span, whose begin detail is the plan: the
-// per-destination send counts in records, the chunk bound and the path.
-// It reserves the staging window: one incoming chunk, one outgoing
-// chunk when the source encodes into a buffer of its own (views of the
-// work slab occupy nothing), and the sink's write buffer. A chunk is
-// stage bytes, or — with no chunk bound — this rank's largest per-peer
-// payload. The returned func releases the window and, unless the caller
-// ended the span first, closes it as failed; callers defer it.
-func (r *run[T]) open(pl exchangePlan, overlap bool, src chunkSource) (*trace.Span, func(), error) {
-	sent := make([]int64, len(pl.send))
-	for dst, b := range pl.send {
-		sent[dst] = b / r.recSize
-	}
-	detail := map[string]any{
-		"sent": sent, "overlap": overlap, "stage_bytes": pl.stage, "staged": pl.stage > 0, "zero_copy": src.pool == nil,
-	}
-	if pl.span == "spill" {
-		// Each source with a payload becomes one run file.
-		runs := 0
-		for _, b := range pl.recv {
-			if b > 0 {
-				runs++
-			}
-		}
-		detail["runs"] = runs
-	}
-	sp := trace.StartSpan(r.tr, r.rank, r.opt.Span, pl.span, detail)
-	window := pl.stage
-	if window == 0 {
-		window = max(slices.Max(pl.send), slices.Max(pl.recv))
-	}
-	if src.pool != nil {
-		window *= 2
-	}
-	window += pl.sinkBuf
-	if err := r.acct.reserve(window); err != nil {
-		sp.End(spanFailed)
-		return nil, nil, fmt.Errorf("core: staging window of %d bytes: %w", window, err)
-	}
-	r.opt.Exchange.ObservePeakStaging(window)
-	return sp, func() { r.acct.release(window); sp.End(spanFailed) }, nil
-}
 
 // chunkSource produces the outgoing side of an exchange: fill returns
 // the n bytes at payload offset off of dst's partition. Offsets and
@@ -153,10 +111,12 @@ func (r *run[T]) partitionSource() chunkSource {
 // drain is the comm.StagedOptions.Drain callback and must not retain
 // chunk. land, when non-nil, holds each source's destination as bytes,
 // for the exchange to post as receive regions (comm.Poster): a chunk
-// the transport wrote there reaches drain already in place.
+// the transport wrote there reaches drain already in place. merges,
+// set by the merging sink, counts the merges drain has made.
 type chunkSink struct {
-	drain func(src int, off int64, chunk []byte) error
-	land  [][]byte
+	drain  func(src int, off int64, chunk []byte) error
+	land   [][]byte
+	merges *int
 }
 
 // recvSlab lays out the resident receive side: one contiguous slab, the
@@ -196,20 +156,58 @@ func (r *run[T]) recvSlab(recv []int64, first int) ([]T, [][]T, chunkSink) {
 	}}
 }
 
-// stagedExchange is the synchronous data exchange (SdssAlltoallv): the
-// one place a payload crosses the staged collective. It owns what every
-// variant needs — the window reservation and its release, the exchange
-// counters, the span (closed on every exit) — and leaves what differs
-// to the source and the sink. Blocking exchange plus rank-ordered sinks
-// is what carries stability end to end. The sink's regions are posted
-// for the length of the collective.
-func (r *run[T]) stagedExchange(pl exchangePlan, src chunkSource, sink chunkSink) (comm.StagedStats, error) {
-	sp, done, err := r.open(pl, false, src)
-	if err != nil {
-		return comm.StagedStats{}, err
+// stagedExchange is the data exchange: the one place a payload crosses
+// the staged collective, synchronous (SdssAlltoallv) or, with overlap,
+// asynchronous (SdssAlltoallvAsync) — this rank's sends then never wait
+// on its receives, so the sink may merge as runs complete. It owns what
+// every variant needs — the window reservation and its release, the
+// exchange counters, the span (closed on every exit) — and leaves what
+// differs to the source and the sink. Blocking exchange plus
+// rank-ordered sinks is what carries stability end to end. The sink's
+// regions are posted for the length of the collective. With overlap the
+// own partition never crosses the collective: the merging sink reads it
+// straight out of work, and a marshal codec never encodes it.
+//
+// The span's begin detail is the plan: the per-destination send counts
+// in records, the chunk bound and the path. The staging window is one
+// incoming chunk, one outgoing chunk when the source encodes into a
+// buffer of its own (views of the work slab occupy nothing), and the
+// sink's write buffer. A chunk is stage bytes, or — with no chunk
+// bound — this rank's largest per-peer payload.
+func (r *run[T]) stagedExchange(pl exchangePlan, overlap bool, src chunkSource, sink chunkSink) (comm.StagedStats, error) {
+	sent := make([]int64, len(pl.send))
+	for dst, b := range pl.send {
+		sent[dst] = b / r.recSize
 	}
-	defer done()
-	st, err := r.wc.StagedAlltoallv(comm.StagedOptions{
+	detail := map[string]any{
+		"sent": sent, "overlap": overlap, "stage_bytes": pl.stage, "staged": pl.stage > 0, "zero_copy": src.pool == nil,
+	}
+	if pl.span == "spill" {
+		// Each source with a payload becomes one run file.
+		runs := 0
+		for _, b := range pl.recv {
+			if b > 0 {
+				runs++
+			}
+		}
+		detail["runs"] = runs
+	}
+	sp := trace.StartSpan(r.tr, r.rank, r.opt.Span, pl.span, detail)
+	window := pl.stage
+	if window == 0 {
+		window = max(slices.Max(pl.send), slices.Max(pl.recv))
+	}
+	if src.pool != nil {
+		window *= 2
+	}
+	window += pl.sinkBuf
+	if err := r.acct.reserve(window); err != nil {
+		sp.End(spanFailed)
+		return comm.StagedStats{}, fmt.Errorf("core: staging window of %d bytes: %w", window, err)
+	}
+	r.opt.Exchange.ObservePeakStaging(window)
+	defer func() { r.acct.release(window); sp.End(spanFailed) }() // a no-op End once the span has ended
+	o := comm.StagedOptions{
 		StageBytes:  pl.stage,
 		SendBytes:   pl.send,
 		RecvBytes:   pl.recv,
@@ -218,15 +216,29 @@ func (r *run[T]) stagedExchange(pl exchangePlan, src chunkSource, sink chunkSink
 		Drain:       sink.drain,
 		RecvRegions: sink.land,
 		OnWindow:    r.opt.Exchange.AddWindow,
-	})
+		Overlap:     overlap,
+	}
+	if overlap {
+		me := r.wc.Rank()
+		o.SendBytes, o.RecvBytes, o.RecvRegions = slices.Clone(pl.send), slices.Clone(pl.recv), slices.Clone(sink.land)
+		o.SendBytes[me], o.RecvBytes[me] = 0, 0
+		if o.RecvRegions != nil {
+			o.RecvRegions[me] = nil
+		}
+	}
+	st, err := r.wc.StagedAlltoallv(o)
 	src.book(r.opt.Exchange, st.BytesStaged, st.Chunks)
 	if err != nil {
 		return st, fmt.Errorf("core: %s alltoall: %w", pl.span, err)
 	}
-	sp.End(map[string]any{
+	end := map[string]any{
 		"send_records": sum(pl.send) / r.recSize, "recv_records": sum(pl.recv) / r.recSize,
 		"recv_bytes": sum(pl.recv), "bytes_staged": st.BytesStaged, "chunks": st.Chunks,
-	})
+	}
+	if sink.merges != nil {
+		end["merges"] = *sink.merges
+	}
+	sp.End(end)
 	return st, nil
 }
 
@@ -280,46 +292,16 @@ func (r *run[T]) localOrder(slab []T, chunks [][]T) ([]T, error) {
 	return slab, nil
 }
 
-// overlapExchange is the asynchronous path (Fig. 1 lines 23-27): a
-// sender goroutine streams the chunks out while drainAndMerge receives,
-// merging each source's run into the running result the moment its last
-// chunk lands, while the rest of the exchange is still in flight
-// (SdssAlltoallvAsync + SdssMergeTwo). Only the fast (non-stable) sort
-// may take this path. One span covers the whole phase: exchange and
-// local ordering genuinely interleave here, so splitting them would be
-// fiction. The caller has settled which slab the sender reads
-// (sendFromInput) before it starts.
-func (r *run[T]) overlapExchange(pl exchangePlan) ([]T, error) {
-	src := r.partitionSource()
-	sp, done, err := r.open(pl, true, src)
-	if err != nil {
-		return nil, err
-	}
-	defer done()
-	sendErr := make(chan error, 1)
-	go func() { sendErr <- pl.sendChunks(r.wc, src, r.opt.Exchange) }()
-	out, merges, err := r.drainAndMerge(pl)
-	// Join the sender on every exit: it views r.work and books the window.
-	if serr := <-sendErr; err == nil {
-		err = serr
-	}
-	if err != nil {
-		return nil, err
-	}
-	sp.End(map[string]any{
-		"recv_records": int64(len(out)), "recv_bytes": int64(len(out)) * r.recSize,
-		"send_records": int64(len(r.work)), "merges": merges,
-	})
-	return out, nil
-}
-
-// drainAndMerge is overlapExchange's receive side: blocking receives
-// in shift order, the order the peers' senders emit in — the transports
-// are eager and FIFO per source, so waiting on one never stalls
-// another's delivery. The merge order is fixed, but not rank order:
-// hence no stable sort here. A source's chunks are one sorted run,
-// appended to its region and merged once, when whole: at most p-1
-// merges whatever the stage size.
+// mergeSink is the overlapped exchange's receive side (Fig. 1 lines
+// 23-27, SdssMergeTwo): recvSlab's sink over a slab laid out from me+1
+// on, merging a source's run into the running result the moment its
+// region is full — while the rest of the exchange is still in flight,
+// and at most p-1 merges whatever the stage size. The overlapped
+// collective drains the sources in shift order, me-1, me-2, …, so that
+// is the merge order: not rank order, hence no stable sort here. Only
+// the fast (non-stable) sort may take this path. One span covers the
+// whole phase: exchange and local ordering genuinely interleave here,
+// so splitting them would be fiction.
 //
 // Arrivals and merges share one m-record slab, out: the spent input or
 // the radix scratch (recvSlab), never the block the sender reads. Its
@@ -331,53 +313,37 @@ func (r *run[T]) overlapExchange(pl exchangePlan) ([]T, error) {
 // (psort.MergeBack), never passing its run's unread records; later ones
 // move their run into a spare — our partition's region of work, which
 // nothing sends, once free and large enough, else one slab of the
-// largest incoming run, booked while it lives — and merge from the
+// largest incoming run, booked until finish — and merge from the
 // front, never passing the accumulated result's unread records. acc is
 // always the left input, so every merge's inputs, their order and its
-// ties are what merging into a fresh slab would give. Every source's
-// region is posted before the first receive and revoked on return.
-func (r *run[T]) drainAndMerge(pl exchangePlan) ([]T, int, error) {
-	wc, ex := r.wc, r.opt.Exchange
-	p, me := wc.Size(), wc.Rank()
-	out, runs, sink := r.recvSlab(pl.recv, me+1)
-	// remaining[from] is how many payload bytes from still owes us.
-	remaining := slices.Clone(pl.recv)
-	remaining[me] = 0
-	largest := slices.Max(remaining) // bytes of the largest incoming run
-	for from, region := range sink.land {
-		if remaining[from] > 0 {
-			defer wc.PostRecv(from, tagExchange, region)()
+// ties are what merging into a fresh slab would give. finish, run once
+// the exchange has returned, on every exit, drops the spare's booking
+// and returns the block.
+func (r *run[T]) mergeSink(recv []int64) (chunkSink, func() []T) {
+	me := r.wc.Rank()
+	out, runs, sink := r.recvSlab(recv, me+1)
+	var largest int64 // bytes of the largest incoming run
+	for src, b := range recv {
+		if src != me {
+			largest = max(largest, b)
 		}
 	}
 	own := r.work[r.bounds[me]:r.bounds[me+1]]
-	acc, spare := own, []T(nil)
-	merges := 0
-	for k := 1; k < p; k++ {
-		from := (me - k + p) % p
-		for remaining[from] > 0 {
-			buf, err := wc.Recv(from, tagExchange)
-			if err != nil {
-				return nil, 0, fmt.Errorf("core: overlapped recv from %d: %w", from, err)
-			}
-			n := int64(len(buf))
-			if remaining[from] -= n; remaining[from] < 0 {
-				return nil, 0, fmt.Errorf("core: rank %d sent %d bytes beyond its advertised count", from, -remaining[from])
-			}
-			// Decode on the exchange clock (receive half of the transfer);
-			// only the merge is local ordering. The encoded buffer counts
-			// toward the staging window until it has been decoded.
-			ex.AddWindow(n)
-			err = sink.drain(from, 0, buf)
-			ex.AddWindow(-n)
-			if err != nil {
-				return nil, 0, fmt.Errorf("core: decode from rank %d: %w", from, err)
-			}
+	acc, spare, merges := own, []T(nil), 0
+	decode := sink.drain
+	sink.merges = &merges
+	sink.drain = func(src int, off int64, chunk []byte) error {
+		// Decode on the exchange clock (receive half of the transfer);
+		// only the merge is local ordering.
+		if err := decode(src, off, chunk); err != nil {
+			return err
 		}
-		run := runs[from]
-		if len(run) == 0 {
-			continue // from owed us nothing
+		run := runs[src]
+		if len(run) < cap(run) {
+			return nil // more of src's run is on its way
 		}
 		r.tm.Start(metrics.PhaseLocalOrdering)
+		defer r.tm.Start(metrics.PhaseExchange)
 		dst := out[len(out)-len(acc)-len(run):]
 		if merges == 0 {
 			psort.MergeBack(dst, acc, run, r.cmp)
@@ -386,9 +352,8 @@ func (r *run[T]) drainAndMerge(pl exchangePlan) ([]T, int, error) {
 			if len(run) > len(own) {
 				if spare == nil {
 					if err := r.acct.reserve(largest); err != nil {
-						return nil, 0, fmt.Errorf("core: run spare of %d records: %w", largest/r.recSize, err)
+						return fmt.Errorf("core: run spare of %d records: %w", largest/r.recSize, err)
 					}
-					defer r.acct.release(largest)
 					spare = make([]T, largest/r.recSize)
 				}
 				buf = spare
@@ -396,43 +361,17 @@ func (r *run[T]) drainAndMerge(pl exchangePlan) ([]T, int, error) {
 			psort.MergeInto(dst, acc, buf[:copy(buf, run)], r.cmp)
 		}
 		acc, merges = dst, merges+1
-		r.tm.Start(metrics.PhaseExchange)
+		return nil
 	}
-	if merges == 0 {
-		copy(out, acc) // nothing arrived: the block is our own partition
-	}
-	return out, merges, nil
-}
-
-// sendChunks is overlapExchange's sender: it walks the other ranks in
-// shift order and streams each one's payload through src chunk by
-// chunk, so at most one outgoing chunk is alive.
-func (pl exchangePlan) sendChunks(wc *comm.Comm, src chunkSource, ex *metrics.ExchangeStats) error {
-	p, me := wc.Size(), wc.Rank()
-	var bytes, chunks int64
-	defer func() { src.book(ex, bytes, chunks) }()
-	for k := 1; k < p; k++ {
-		dst := (me + k) % p
-		for off := int64(0); off < pl.send[dst]; {
-			n := pl.send[dst] - off
-			if pl.stage > 0 {
-				n = min(n, pl.stage)
-			}
-			buf, err := src.fill(dst, off, n)
-			if err != nil {
-				return err
-			}
-			ex.AddWindow(n)
-			err = wc.Send(dst, tagExchange, buf)
-			src.recycle(dst, buf)
-			ex.AddWindow(-n)
-			if err != nil {
-				return fmt.Errorf("core: staged send to %d: %w", dst, err)
-			}
-			bytes, chunks, off = bytes+n, chunks+1, off+n
+	return sink, func() []T {
+		if spare != nil {
+			r.acct.release(largest)
 		}
+		if merges == 0 {
+			copy(out, acc) // nothing arrived: the block is our own partition
+		}
+		return out
 	}
-	return nil
 }
 
 // exchangeAndOrder is Fig. 1 lines 11-27, the tail every driver
@@ -480,11 +419,13 @@ func (r *run[T]) exchangeAndOrder() (map[string]any, error) {
 		return nil, fmt.Errorf("core: receive buffer of %d records: %w", m, reserveErr)
 	case overlap:
 		r.sendFromInput(m)
-		out, err = r.overlapExchange(pl)
+		sink, finish := r.mergeSink(pl.recv)
+		_, err = r.stagedExchange(pl, true, r.partitionSource(), sink)
+		out = finish()
 	default:
 		r.sendFromInput(m)
 		slab, chunks, sink := r.recvSlab(pl.recv, 0)
-		if _, err = r.stagedExchange(pl, r.partitionSource(), sink); err == nil {
+		if _, err = r.stagedExchange(pl, false, r.partitionSource(), sink); err == nil {
 			out, err = r.localOrder(slab, chunks)
 		}
 	}

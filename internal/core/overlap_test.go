@@ -125,7 +125,7 @@ type joinProbe struct {
 }
 
 func (tr *joinProbe) Send(dst int, ctx uint64, tag int32, data []byte) error {
-	if tag == tagExchange {
+	if tag == tagStaged {
 		time.Sleep(20 * time.Millisecond)
 	}
 	if tr.returned.Load() {
@@ -135,7 +135,7 @@ func (tr *joinProbe) Send(dst int, ctx uint64, tag int32, data []byte) error {
 }
 
 func (tr *joinProbe) Recv(src int, ctx uint64, tag int32) ([]byte, error) {
-	if tr.Rank() == 0 && src == 1 && tag == tagExchange {
+	if tr.Rank() == 0 && src == 1 && tag == tagStaged {
 		return nil, errors.New("injected receive failure")
 	}
 	return tr.Transport.Recv(src, ctx, tag)
@@ -419,7 +419,7 @@ func TestOverlapSlabCount(t *testing.T) {
 	}
 	opt := DefaultOptions()
 	opt.TauM = 0
-	got, rec := sortAllocs(t, in, tagExchange, opt)
+	got, rec := sortAllocs(t, in, tagStaged, opt)
 	spans := spansNamed(t, rec, "exchange")
 	if len(spans) != p {
 		t.Fatalf("%d exchange spans, want %d", len(spans), p)

@@ -11,12 +11,10 @@ import (
 	"sdssort/internal/pivots"
 )
 
-// User tags for the sort's point-to-point traffic. The collectives
-// (alltoall, allgather, …) use the comm package's reserved tag space.
-const (
-	tagExchange  = 1 // overlapped all-to-all data
-	tagNodeMerge = 2 // node-level merge gather
-)
+// tagNodeMerge is the user tag of the node-level merge gather's
+// point-to-point traffic. The collectives (alltoall, allgather, …) use
+// the comm package's reserved tag space.
+const tagNodeMerge = 2
 
 // Sort runs SDS-Sort collectively: every rank of c calls it with its
 // local slice of the input and receives its block of the globally sorted

@@ -211,7 +211,7 @@ func (r *run[T]) spillReceive(dir string, pl exchangePlan, src chunkSource) ([]s
 	}
 	pl.span, pl.sinkBuf = "spill", int64(sp.bufBytes())
 	pl.stage = effStage(sp.stageBytes(r.opt.StageBytes), r.recSize)
-	if _, err := r.stagedExchange(pl, src, chunkSink{drain: spool.drain}); err != nil {
+	if _, err := r.stagedExchange(pl, false, src, chunkSink{drain: spool.drain}); err != nil {
 		if spool.active != nil {
 			spool.active.Abort() // committed runs die with the spill directory
 		}

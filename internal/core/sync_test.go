@@ -13,8 +13,8 @@ import (
 	"sdssort/internal/psort"
 )
 
-// tagStaged is comm's tag for the staged all-to-all's payload, the
-// synchronous exchange's Sends and posted regions.
+// tagStaged is comm's tag for the staged all-to-all's payload: every
+// exchange's Sends and posted regions.
 const tagStaged = -3072
 
 // TestSyncLandingCases: the synchronous exchange's merge (localOrder

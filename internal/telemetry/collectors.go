@@ -3,8 +3,8 @@ package telemetry
 import "strconv"
 
 // Collectors for the repository's subsystems live with the subsystems
-// themselves (tcpcomm.Stats.Register, engine.Engine.RegisterMetrics,
-// metrics.ExchangeStats.Register, checkpoint.RegisterMetrics, ...):
+// themselves (tcpcomm.Stats.Register, metrics.ExchangeStats.Register,
+// checkpoint.RegisterMetrics, ...):
 // the dependency must point subsystem -> telemetry, never the other
 // way, or the low-level packages' tests — which launch clusters, which
 // carry a registry — would cycle. This file keeps only the collectors
