@@ -85,8 +85,6 @@ type StagedStats struct {
 	BytesStaged int64
 	// Chunks is the number of stage chunks those bytes were cut into.
 	Chunks int64
-	// Rounds is the number of schedule rounds executed (= comm size).
-	Rounds int
 }
 
 func (o *StagedOptions) validate(p, me int) error {
@@ -164,7 +162,6 @@ func (c *Comm) StagedAlltoallv(o StagedOptions) (st StagedStats, err error) {
 	if err := c.sendAll(&o, &st, me); err != nil {
 		return st, err
 	}
-	st.Rounds = 1
 
 	if o.Overlap {
 		sent, sends := make(chan error, 1), StagedStats{}
@@ -202,7 +199,6 @@ func (c *Comm) StagedAlltoallv(o StagedOptions) (st StagedStats, err error) {
 				return st, err
 			}
 		}
-		st.Rounds++
 	}
 	return st, nil
 }

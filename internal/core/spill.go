@@ -43,8 +43,10 @@ type SpillOptions struct {
 	Force bool
 	// ChunkRecords is the streaming driver's in-memory run size in
 	// records; SortFileShard's peak chunk footprint is ChunkRecords ×
-	// record size × 2. Zero derives it from the gauge budget (a
-	// quarter of the budget, in records), or 1<<20 with no budget.
+	// record size × 2, and up to × 3 for a keyed codec, whose radix
+	// scratch holds a bucket spare. Zero derives it from the gauge
+	// budget (a quarter of the budget, in records), or 1<<20 with no
+	// budget.
 	ChunkRecords int
 	// MaxFanIn caps the width of one merge pass over run files; more
 	// runs are pre-merged in batches first. Default 64; at least 2, as a

@@ -13,6 +13,7 @@ import (
 	"sdssort/internal/partition"
 	"sdssort/internal/pivots"
 	"sdssort/internal/psort"
+	"sdssort/internal/radix"
 	"sdssort/internal/recordio"
 )
 
@@ -226,12 +227,17 @@ func sortSegment[T any](c *comm.Comm, path string, lo, hi int64, cd codec.Codec[
 // and sorted into a run file under dir, and returns the runs' paths,
 // their record counts, and p regular samples of each; detail learns the
 // last chunk's sort kernel. Peak: the chunk plus the sort's scratch —
-// one slab, kept across the chunks — plus the run writer's buffer,
-// reserved for the length of the phase.
+// one slab, kept across the chunks: a chunk, or the radix kernel's
+// chunk and bucket spare for a keyed codec — plus the run writer's
+// buffer, reserved for the length of the phase.
 func cutRuns[T any](r *run[T], in io.Reader, wire []byte, dir string, detail map[string]any) (paths []string, counts []int64, samples []T, err error) {
 	sp, p := r.opt.Spill, r.c.Size()
 	chunkN := sp.chunkRecords(r.recSize, r.opt.Mem.Budget())
-	chunkNeed := int64(chunkN)*r.recSize*2 + int64(sp.bufBytes())
+	scratchN := chunkN
+	if _, keyed := codec.Uint64KeyOf(r.cd); keyed {
+		scratchN = radix.ScratchCap[T](chunkN)
+	}
+	chunkNeed := int64(chunkN+scratchN)*r.recSize + int64(sp.bufBytes())
 	if err := r.acct.reserve(chunkNeed); err != nil {
 		return nil, nil, nil, fmt.Errorf("core: spill chunk of %d records: %w", chunkN, err)
 	}

@@ -149,6 +149,10 @@ func Dispatch[T any](data []T, scratch *[]T, cd codec.Codec[T], cmp func(a, b T)
 	return block, Sorted, st
 }
 
+// ScratchCap is the capacity Dispatch grows a scratch to for n records:
+// the block and a bucket spare.
+func ScratchCap[T any](n int) int { return n + min(n, room[T]()) }
+
 // LSDSort sorts data, under 2³² records, in place, stably by key.
 func LSDSort[T any](data []T, key func(T) uint64) {
 	s, scratch := sorter[T]{fn: key}, []T(nil)
@@ -266,7 +270,7 @@ func (s *sorter[T]) into(data []T, scratch *[]T, f summary) (block []T, ok bool)
 	}
 	n, spare := len(data), min(len(data), room[T]())
 	if cap(*scratch) < n {
-		*scratch = make([]T, n+spare)
+		*scratch = make([]T, ScratchCap[T](n))
 	}
 	if block, s.tail = (*scratch)[:n], (*scratch)[n:cap(*scratch)]; len(s.tail) < spare {
 		s.tail = make([]T, spare)
